@@ -3,7 +3,7 @@
 
 use crate::report::{fmt_dur, time_it, Report};
 use haec_columnar::value::CmpOp;
-use haec_exec::morsel::parallel_morsels;
+use haec_exec::pool::{RunSpec, WorkerPool};
 use haec_exec::select::AdaptiveSelect;
 use haecdb::robust::{run_with_failures, RestartPolicy};
 
@@ -22,10 +22,9 @@ pub fn run() -> Report {
     let expected: i64 = data.iter().sum();
     for morsel in [1_024usize, 16_384, 262_144, 4_194_304] {
         let (sum, wall) = time_it(|| {
-            parallel_morsels(
+            WorkerPool::global().run(
                 data.len(),
-                threads,
-                morsel,
+                RunSpec::new(threads, morsel),
                 |m| data[m.start..m.end].iter().sum::<i64>(),
                 |a, b| a + b,
                 0i64,

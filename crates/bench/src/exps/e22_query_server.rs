@@ -20,9 +20,6 @@
 //!   never bought with wrong answers;
 //! * with ≥ 8 hardware threads, 8-client throughput is ≥ 3x the
 //!   single-client run on the 8-way pool.
-//!
-//! Results are also emitted as machine-readable `BENCH_e22.json` so the
-//! performance trajectory is tracked across PRs.
 
 use crate::report::{fmt_dur, fmt_joules, fmt_rate, Report};
 use haec_energy::machine::MachineSpec;
@@ -264,32 +261,5 @@ pub fn run() -> Report {
          whole sweep — zero thread creation per query after warmup"
     ));
 
-    write_json(&rounds);
-    r.note("machine-readable results written to BENCH_e22.json");
     r
-}
-
-/// Emits the sweep as `BENCH_e22.json` (hand-rolled: no JSON dependency).
-fn write_json(rounds: &[Round]) {
-    let mut s = String::from("{\n  \"experiment\": \"e22_query_server\",\n  \"rounds\": [\n");
-    for (i, round) in rounds.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"clients\": {}, \"qps\": {:.2}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"joules_per_query\": {:.6}, \"gate_high_water\": {}, \
-             \"budget_high\": {}}}{}\n",
-            round.policy,
-            round.clients,
-            round.qps,
-            round.p50.as_secs_f64() * 1e6,
-            round.p99.as_secs_f64() * 1e6,
-            round.joules_per_query,
-            round.gate_high_water,
-            round.budget_high,
-            if i + 1 < rounds.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_e22.json", s) {
-        eprintln!("warning: could not write BENCH_e22.json: {e}");
-    }
 }

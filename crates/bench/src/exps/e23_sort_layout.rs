@@ -9,9 +9,6 @@
 //! scanning — the planner picks that path from cost alone, and at low
 //! selectivity it reads *strictly* fewer bytes (and burns fewer joules)
 //! than the identical unsorted table, at identical answers.
-//!
-//! Results are also emitted as machine-readable `BENCH_e23.json` so CI
-//! can archive the sweep.
 
 use crate::report::{fmt_joules, Report};
 use haec_columnar::value::CmpOp;
@@ -23,8 +20,6 @@ const ROWS: i64 = 160 * 1024; // 2.5 main segments
 
 /// One swept selectivity point.
 struct Point {
-    label: &'static str,
-    sel: f64,
     sorted_path: String,
     sorted_bytes: u64,
     unsorted_bytes: u64,
@@ -109,8 +104,6 @@ pub fn run() -> Report {
         }
         let path = s.access_path.map_or_else(|| "-".to_string(), |p| p.to_string());
         points.push(Point {
-            label,
-            sel,
             sorted_path: path,
             sorted_bytes: s.profile.dram_read.bytes(),
             unsorted_bytes: u.profile.dram_read.bytes(),
@@ -147,31 +140,5 @@ pub fn run() -> Report {
     ));
     r.note("string sort keys order by global dictionary code (first appearance), not collation");
 
-    write_json(&points);
-    r.note("machine-readable results written to BENCH_e23.json");
     r
-}
-
-/// Emits the sweep as `BENCH_e23.json` (hand-rolled: no JSON dependency).
-fn write_json(points: &[Point]) {
-    let mut s = String::from("{\n  \"experiment\": \"e23_sort_layout\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"selectivity\": \"{}\", \"sel\": {:.8}, \"sorted_path\": \"{}\", \
-             \"sorted_read_bytes\": {}, \"unsorted_read_bytes\": {}, \
-             \"sorted_joules\": {:.9}, \"unsorted_joules\": {:.9}}}{}\n",
-            p.label,
-            p.sel,
-            p.sorted_path,
-            p.sorted_bytes,
-            p.unsorted_bytes,
-            p.sorted_joules,
-            p.unsorted_joules,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_e23.json", s) {
-        eprintln!("warning: could not write BENCH_e23.json: {e}");
-    }
 }

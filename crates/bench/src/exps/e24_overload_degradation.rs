@@ -23,8 +23,6 @@
 //! * past saturation the deadline discipline actually sheds (rejections
 //!   or cancellations observed), rather than queueing without bound;
 //! * the pool spawns zero threads across the whole sweep.
-//!
-//! Results are also emitted as machine-readable `BENCH_e24.json`.
 
 use crate::report::{fmt_dur, fmt_joules, fmt_rate, Report};
 use haec_energy::machine::MachineSpec;
@@ -309,34 +307,5 @@ pub fn run() -> Report {
          sweep — rejection, retry, cancellation and shedding never create threads"
     ));
 
-    write_json(&rounds);
-    r.note("machine-readable results written to BENCH_e24.json");
     r
-}
-
-/// Emits the sweep as `BENCH_e24.json` (hand-rolled: no JSON dependency).
-fn write_json(rounds: &[Round]) {
-    let mut s = String::from("{\n  \"experiment\": \"e24_overload_degradation\",\n  \"rounds\": [\n");
-    for (i, round) in rounds.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"clients\": {}, \"goodput_qps\": {:.2}, \"p99_us\": {:.1}, \
-             \"joules_per_completed\": {:.6}, \"completed\": {}, \"dropped\": {}, \
-             \"rejected\": {}, \"shed\": {}, \"retries\": {}}}{}\n",
-            round.mode.name(),
-            round.clients,
-            round.goodput,
-            round.p99.as_secs_f64() * 1e6,
-            round.joules_per_completed,
-            round.completed,
-            round.dropped,
-            round.rejected,
-            round.shed,
-            round.retries,
-            if i + 1 < rounds.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_e24.json", s) {
-        eprintln!("warning: could not write BENCH_e24.json: {e}");
-    }
 }

@@ -5,6 +5,10 @@
 //! scan per the session [`Goal`]), executed with the adaptive vectorized
 //! kernels, and charged to the database's [`EnergyMeter`] — making
 //! "energy per query" a first-class observable, as the paper demands.
+//! This module holds the query builder, the [`Database`] facade and its
+//! snapshot/transaction handles; every `execute*` entry point resolves
+//! its table pins and hands them to the one executor in
+//! `crate::executor`.
 //!
 //! Execution is **segment-granular** over the main/delta store of
 //! [`crate::table::Table`]: whole segments are skipped via zone maps,
@@ -13,11 +17,12 @@
 //! decode), the flat delta tail uses the vectorized selection kernels,
 //! and segments are dispatched as morsels across real threads for large
 //! tables. Aggregation pushes down the same way: each segment folds a
-//! partial [`AggState`] straight from its encoded columns via streaming
-//! decode ([`haec_columnar::encoding::EncodedInts::iter`] — no
+//! partial [`haec_exec::agg::AggState`] straight from its encoded
+//! columns via streaming decode
+//! ([`haec_columnar::encoding::EncodedInts::iter`] — no
 //! full-column materialization), zone maps answer MIN/MAX and COUNT for
 //! fully-surviving segments without touching a single column byte, and
-//! partials merge with [`AggState::merge`]. Scanning (and folding)
+//! partials merge with `AggState::merge`. Scanning (and folding)
 //! encoded bytes instead of raw rows is the paper's "energy efficiency
 //! by data reduction" made concrete: less DRAM traffic per answered
 //! query — and every path, including the decode itself, is billed to the
@@ -26,30 +31,22 @@
 use crate::error::{DbError, DbResult};
 use crate::index::{IndexMaintenance, IndexStats, SecondaryIndex};
 use crate::schema::{Record, TableSchema};
-use crate::segment::{zone_all_match, zone_may_match, MergeStats, SegColumn, Segment};
-use crate::table::{sparse_hits, Table, TableSnapshot};
-use haec_columnar::bitmap::Bitmap;
+use crate::segment::MergeStats;
+use crate::table::{Table, TableSnapshot};
 use haec_columnar::chunk::Chunk;
-use haec_columnar::column::Column;
-use haec_columnar::dict::DictColumn;
-use haec_columnar::encoding::{EncodedInts, EncodedIter};
 use haec_columnar::value::{CmpOp, DataType, Value};
 use haec_energy::calibrate::{Kernel, KernelCosts};
 use haec_energy::machine::MachineSpec;
 use haec_energy::meter::EnergyMeter;
 use haec_energy::profile::{CostEstimator, ExecutionContext, ResourceProfile};
 use haec_energy::units::{ByteCount, Joules};
-use haec_exec::agg::{aggregate, AggKind, AggState};
-use haec_exec::join::{sort_merge_join_pairs_presorted, HashJoin, HASH_BUCKET_BYTES};
-use haec_exec::pool::{ExecOpts, MorselGate, RunSpec, WorkerPool};
-use haec_exec::select::{select_metered, SelectKernel};
-use haec_planner::access::{
-    choose_access_segmented, join_zone_overlap, sorted_layout, AccessPath, ZoneMapMeta,
-};
-use haec_planner::cost::{CostModel, JoinAlgo, JoinSideCost, PlanCost};
-use haec_planner::optimizer::{choose, Goal};
+use haec_exec::agg::AggKind;
+use haec_exec::pool::{ExecOpts, WorkerPool};
+use haec_planner::access::AccessPath;
+use haec_planner::optimizer::Goal;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,24 +88,28 @@ pub struct StrFilter {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Query {
-    table: String,
-    filters: Vec<Filter>,
-    str_filters: Vec<StrFilter>,
-    join: Option<JoinClause>,
-    group_by: Option<String>,
-    agg: Option<(AggKind, String)>,
-    select: Option<Vec<String>>,
+    pub(crate) table: String,
+    pub(crate) filters: Vec<Filter>,
+    pub(crate) str_filters: Vec<StrFilter>,
+    pub(crate) join: Option<JoinClause>,
+    pub(crate) group_by: Option<String>,
+    pub(crate) agg: Option<(AggKind, String)>,
+    pub(crate) select: Option<Vec<String>>,
+    /// The first misuse of the builder (a second join stage, a
+    /// `join_filter*` before `join`), surfaced by `execute` as
+    /// [`DbError::BadQuery`].
+    pub(crate) misuse: Option<&'static str>,
 }
 
 /// The equi-join stage of a [`Query`]: the other (right) table, the key
 /// column on each side, and the right side's own filters.
 #[derive(Clone, Debug, PartialEq)]
-struct JoinClause {
-    table: String,
-    left_col: String,
-    right_col: String,
-    filters: Vec<Filter>,
-    str_filters: Vec<StrFilter>,
+pub(crate) struct JoinClause {
+    pub(crate) table: String,
+    pub(crate) left_col: String,
+    pub(crate) right_col: String,
+    pub(crate) filters: Vec<Filter>,
+    pub(crate) str_filters: Vec<StrFilter>,
 }
 
 impl Query {
@@ -122,6 +123,7 @@ impl Query {
             group_by: None,
             agg: None,
             select: None,
+            misuse: None,
         }
     }
 
@@ -159,18 +161,20 @@ impl Query {
     /// self-join, bare names mean the left occurrence and qualified
     /// names the right one — matching the default projection's labels.
     ///
-    /// # Panics
-    ///
-    /// Panics if the query already has a join stage — multi-way joins
-    /// are not supported yet, and silently replacing the first join
-    /// (and its `join_filter`s) would mask a query-building bug.
+    /// Only one join stage is supported (multi-way joins are a ROADMAP
+    /// item): a second `join` keeps the first and makes `execute` return
+    /// [`DbError::BadQuery`] — silently replacing the first join (and
+    /// its `join_filter`s) would mask a query-building bug.
     pub fn join(
         mut self,
         table: impl Into<String>,
         left_col: impl Into<String>,
         right_col: impl Into<String>,
     ) -> Self {
-        assert!(self.join.is_none(), "only one join stage is supported (multi-way joins are a ROADMAP item)");
+        if self.join.is_some() {
+            self.misuse.get_or_insert("only one join stage is supported");
+            return self;
+        }
         self.join = Some(JoinClause {
             table: table.into(),
             left_col: left_col.into(),
@@ -181,47 +185,42 @@ impl Query {
         self
     }
 
+    /// The join stage the `join_filter*` builders add to; calling one
+    /// before [`Query::join`] is recorded as a misuse.
+    fn join_stage(&mut self) -> Option<&mut JoinClause> {
+        if self.join.is_none() {
+            self.misuse.get_or_insert("join_filter* requires .join(...) first");
+        }
+        self.join.as_mut()
+    }
+
     /// Adds a conjunctive integer predicate on the joined (right) table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Query::join`].
+    /// Before [`Query::join`] it makes `execute` return
+    /// [`DbError::BadQuery`].
     pub fn join_filter(mut self, column: impl Into<String>, op: CmpOp, literal: i64) -> Self {
-        self.join.as_mut().expect("join_filter requires .join(...) first").filters.push(Filter {
-            column: column.into(),
-            op,
-            literal,
-        });
+        if let Some(jc) = self.join_stage() {
+            jc.filters.push(Filter { column: column.into(), op, literal });
+        }
         self
     }
 
     /// Adds a conjunctive string-equality predicate on the joined
-    /// (right) table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Query::join`].
+    /// (right) table. Before [`Query::join`] it makes `execute` return
+    /// [`DbError::BadQuery`].
     pub fn join_filter_str_eq(mut self, column: impl Into<String>, value: impl Into<String>) -> Self {
-        self.join
-            .as_mut()
-            .expect("join_filter_str_eq requires .join(...) first")
-            .str_filters
-            .push(StrFilter { column: column.into(), value: value.into(), negated: false });
+        if let Some(jc) = self.join_stage() {
+            jc.str_filters.push(StrFilter { column: column.into(), value: value.into(), negated: false });
+        }
         self
     }
 
     /// Adds a conjunctive string-inequality predicate on the joined
-    /// (right) table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Query::join`].
+    /// (right) table. Before [`Query::join`] it makes `execute` return
+    /// [`DbError::BadQuery`].
     pub fn join_filter_str_ne(mut self, column: impl Into<String>, value: impl Into<String>) -> Self {
-        self.join
-            .as_mut()
-            .expect("join_filter_str_ne requires .join(...) first")
-            .str_filters
-            .push(StrFilter { column: column.into(), value: value.into(), negated: true });
+        if let Some(jc) = self.join_stage() {
+            jc.str_filters.push(StrFilter { column: column.into(), value: value.into(), negated: true });
+        }
         self
     }
 
@@ -278,320 +277,15 @@ pub struct QueryResult {
     pub profile: ResourceProfile,
 }
 
-/// An integer predicate resolved to a column index.
-#[derive(Clone, Copy)]
-struct IntPred {
-    col: usize,
-    op: CmpOp,
-    literal: i64,
-}
-
-/// A string predicate resolved to dictionary codes: `global_code` for
-/// main segments (table-global dictionary), `delta_code` for the current
-/// delta tail (its local dictionary).
-#[derive(Clone)]
-struct StrPred {
-    col: usize,
-    value: String,
-    global_code: Option<i64>,
-    delta_code: Option<u32>,
-    negated: bool,
-}
-
-/// Key reserved for the sentinel `""` of string-group rows in segments
-/// that predate the column, when neither dictionary has interned `""`.
-const SENTINEL_STR_KEY: i64 = -1;
-
-/// A group-by column resolved for segment-wise aggregation.
-enum GroupCol {
-    /// An integer key column.
-    Int(usize),
-    /// A string key column, grouped on dictionary codes (never on the
-    /// strings themselves). Keys live in a unified space: codes of the
-    /// table-global dictionary first, then delta-local codes the global
-    /// dictionary has not seen, shifted by `global_len`.
-    Str {
-        /// Column index.
-        col: usize,
-        /// Delta-local code → unified key.
-        delta_remap: Vec<i64>,
-        /// Unified key of the sentinel `""` (for segments predating the
-        /// column).
-        sentinel_key: i64,
-        /// Size of the table-global dictionary (the shift).
-        global_len: usize,
-    },
-}
-
-/// What to compute per execution unit (segment or delta chunk).
-#[derive(Clone, Copy)]
-struct AggSpec<'a> {
-    kind: AggKind,
-    /// Value column index (validated `Int64`).
-    vidx: usize,
-    group: Option<&'a GroupCol>,
-}
-
-/// A partial aggregate from one execution unit, merged across units with
-/// [`AggState::merge`] (commutative, so parallel completion order does
-/// not matter).
-#[derive(Clone)]
-enum AggAcc {
-    Global(AggState),
-    Grouped(HashMap<i64, AggState>),
-}
-
-impl AggAcc {
-    fn identity(grouped: bool) -> AggAcc {
-        if grouped {
-            AggAcc::Grouped(HashMap::new())
-        } else {
-            AggAcc::Global(AggState::empty())
-        }
-    }
-
-    fn merge(&mut self, other: AggAcc) {
-        match (self, other) {
-            (AggAcc::Global(a), AggAcc::Global(b)) => a.merge(&b),
-            (AggAcc::Grouped(a), AggAcc::Grouped(b)) => {
-                for (k, s) in b {
-                    a.entry(k).or_default().merge(&s);
-                }
-            }
-            _ => unreachable!("all units of one query share the group shape"),
-        }
-    }
-}
-
-/// A segment column as an aggregation input: encoded data, or a constant
-/// (the sentinel of a column this segment predates, or a skipped value
-/// read for COUNT).
-#[derive(Clone, Copy)]
-enum SegSource<'a> {
-    Enc(&'a EncodedInts),
-    Const(i64),
-}
-
-impl<'a> SegSource<'a> {
-    fn iter(&self, rows: usize) -> SegIter<'a> {
-        match self {
-            SegSource::Enc(e) => SegIter::Enc(e.iter()),
-            SegSource::Const(v) => SegIter::Const { v: *v, left: rows },
-        }
-    }
-
-    fn get(&self, i: usize) -> i64 {
-        match self {
-            SegSource::Enc(e) => e.get(i),
-            SegSource::Const(v) => *v,
-        }
-    }
-
-    /// Decode work per inspected item (constants cost nothing).
-    fn decode_items(&self, items: usize) -> u64 {
-        match self {
-            SegSource::Enc(_) => items as u64,
-            SegSource::Const(_) => 0,
-        }
-    }
-
-    /// DRAM bytes for streaming `streamed` of `rows` rows.
-    fn stream_bytes(&self, streamed: usize, rows: usize) -> u64 {
-        match self {
-            SegSource::Enc(e) => (e.size_bytes() * streamed / rows.max(1)) as u64,
-            SegSource::Const(_) => 0,
-        }
-    }
-}
-
-/// Streaming view of a [`SegSource`].
-enum SegIter<'a> {
-    Enc(EncodedIter<'a>),
-    Const { v: i64, left: usize },
-}
-
-impl Iterator for SegIter<'_> {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        match self {
-            SegIter::Enc(it) => it.next(),
-            SegIter::Const { v, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                *left -= 1;
-                Some(*v)
-            }
-        }
-    }
-}
-
-/// Sentinel join key for probe-side string values the build side never
-/// interned: joins with nothing, dropped during key extraction.
-const NO_KEY: i64 = i64::MIN;
-
-/// A join-key column resolved for one side: integer keys join on their
-/// values; string keys join **code-to-code** in the build side's
-/// unified code space (its table-global dictionary codes first, then
-/// its delta-fresh values shifted past them), translated through
-/// one-off dictionary remaps — O(dictionary), never O(rows).
-enum KeyCol {
-    /// An integer key column.
-    Int(usize),
-    /// A string key column with its code remaps into the build space.
-    Str {
-        /// Column index.
-        col: usize,
-        /// This side's table-global code → join key.
-        main_map: Vec<i64>,
-        /// This side's delta-local code → join key.
-        delta_map: Vec<i64>,
-        /// Join key of rows in segments predating the column (`""`).
-        sentinel_key: i64,
-    },
-}
-
-impl KeyCol {
-    fn col(&self) -> usize {
-        match self {
-            KeyCol::Int(c) => *c,
-            KeyCol::Str { col, .. } => *col,
-        }
-    }
-}
-
-/// Unit-invariant inputs of one side's key extraction, shared by every
-/// execution unit [`Database::unit_join_keys`] streams.
-#[derive(Clone, Copy)]
-struct KeyScan<'a> {
-    /// The side's resolved key column.
-    key: &'a KeyCol,
-    /// Build-side key range for probe-side zone pruning, if any.
-    prune: Option<(i64, i64)>,
-    /// Delta-tail chunking granularity (see `delta_unit_rows`).
-    unit_rows: usize,
-}
-
-/// The build side's string-key space. `""` always resolves to a key —
-/// real `""` rows and sentinel rows of segments predating the column
-/// must be able to meet across tables.
-struct StrKeySpace<'a> {
-    global: Option<&'a DictColumn>,
-    delta: Option<&'a DictColumn>,
-    global_len: i64,
-}
-
-impl<'a> StrKeySpace<'a> {
-    fn of(t: &'a TableSnapshot, idx: usize) -> Self {
-        let global = t.global_dict(idx);
-        let delta = t.delta_column(idx).and_then(Column::as_str);
-        StrKeySpace { global, delta, global_len: global.map_or(0, DictColumn::dict_size) as i64 }
-    }
-
-    /// Key for values the build's global dictionary does not hold:
-    /// delta-fresh values shift past the global codes; `""` gets a
-    /// reserved key one past everything; anything else cannot join.
-    fn fallback_key(&self, s: &str) -> i64 {
-        if let Some(c) = self.delta.and_then(|l| l.code_of(s)) {
-            return self.global_len + i64::from(c);
-        }
-        if s.is_empty() {
-            return self.global_len + self.delta.map_or(0, DictColumn::dict_size) as i64;
-        }
-        NO_KEY
-    }
-
-    fn key_of(&self, s: &str) -> i64 {
-        match self.global.and_then(|g| g.code_of(s)) {
-            Some(c) => i64::from(c),
-            None => self.fallback_key(s),
-        }
-    }
-}
-
-/// Resolves one side's string key column into `space` (the build
-/// side's), counting the dictionary lookups performed so the caller can
-/// bill the one-off remap.
-fn str_key_col(t: &TableSnapshot, idx: usize, space: &StrKeySpace<'_>, lookups: &mut u64) -> KeyCol {
-    let map_dict = |d: &DictColumn, lookups: &mut u64| -> Vec<i64> {
-        // The build side's own global dictionary maps into itself: an
-        // identity map, no lookups to run (or bill).
-        if space.global.is_some_and(|g| std::ptr::eq(g, d)) {
-            return (0..d.dict_size() as i64).collect();
-        }
-        // Bulk first-level remap into the build's global dictionary
-        // (the PR 3 machinery generalized across tables), then resolve
-        // the misses through its delta-local dictionary.
-        let first = match space.global {
-            Some(g) => d.codes_in(g),
-            None => vec![None; d.dict_size()],
-        };
-        *lookups += d.dict_size() as u64;
-        d.iter_dict()
-            .zip(first)
-            .map(|(s, hit)| hit.map_or_else(|| space.fallback_key(s), i64::from))
-            .collect()
-    };
-    let main_map = t.global_dict(idx).map_or_else(Vec::new, |d| map_dict(d, lookups));
-    let delta_map =
-        t.delta_column(idx).and_then(Column::as_str).map_or_else(Vec::new, |d| map_dict(d, lookups));
-    KeyCol::Str { col: idx, main_map, delta_map, sentinel_key: space.key_of("") }
-}
-
-/// The probe side's pruning range, in its **physical** key domain:
-/// build-key min/max for integer keys; for string keys, the span of
-/// probe-side global codes whose remapped key `member`s the build side
-/// (an inverted range when none does, pruning every probe segment —
-/// the delta tail is never pruned). `None` disables pruning.
-///
-/// Also returns how many `member` lookups ran (one per probe-dictionary
-/// entry for string keys, zero for integer keys, whose min/max fold
-/// runs over already-billed extracted pairs) so the caller can charge
-/// them — the integer fold is register arithmetic, the string case is a
-/// real probe of the build structure per distinct value.
-fn probe_prune_range(
-    bkeys: &[(i64, u32)],
-    pkey: &KeyCol,
-    member: impl Fn(i64) -> bool,
-) -> (Option<(i64, i64)>, u64) {
-    match pkey {
-        KeyCol::Int(_) => {
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for &(k, _) in bkeys {
-                lo = lo.min(k);
-                hi = hi.max(k);
-            }
-            ((lo <= hi).then_some((lo, hi)), 0)
-        }
-        KeyCol::Str { main_map, .. } => {
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            let mut lookups = 0;
-            for (code, &k) in main_map.iter().enumerate() {
-                if k != NO_KEY {
-                    lookups += 1;
-                    if member(k) {
-                        lo = lo.min(code as i64);
-                        hi = hi.max(code as i64);
-                    }
-                }
-            }
-            (Some(if lo <= hi { (lo, hi) } else { (1, 0) }), lookups)
-        }
-    }
-}
-
 /// A registered secondary index plus the main epoch it was (re)built
 /// at. On tables with a declared sort key a merge *permutes* the merged
 /// batch's row ids, so the epoch stamp is what lets the planner tell a
 /// still-valid index from one whose row ids predate the latest sorting
 /// merge (see [`Database::merge`], which rebuilds and restamps).
 #[derive(Debug)]
-struct IndexEntry {
-    idx: SecondaryIndex,
-    built_epoch: u64,
+pub(crate) struct IndexEntry {
+    pub(crate) idx: SecondaryIndex,
+    pub(crate) built_epoch: u64,
 }
 
 /// The in-memory, energy-metered, multi-version database.
@@ -618,10 +312,10 @@ struct IndexEntry {
 pub struct Database {
     machine: MachineSpec,
     estimator: CostEstimator,
-    costs: KernelCosts,
+    pub(crate) costs: KernelCosts,
     meter: Mutex<EnergyMeter>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    indexes: Mutex<HashMap<(String, String), IndexEntry>>,
+    pub(crate) indexes: Mutex<HashMap<(String, String), IndexEntry>>,
     goal: Mutex<Goal>,
     /// The shared source of all timestamps: inserts, snapshots and
     /// transactions draw from one total order.
@@ -634,7 +328,7 @@ pub struct Database {
     /// Parallelism used when a query carries no explicit grant —
     /// resolved **once** at construction from the pool width and the
     /// machine model, never re-queried from the OS per query.
-    default_dop: usize,
+    pub(crate) default_dop: usize,
 }
 
 impl Database {
@@ -700,7 +394,7 @@ impl Database {
     }
 
     /// Charges a resource profile to the meter and returns its estimate.
-    fn charge(&self, profile: &ResourceProfile) -> haec_energy::profile::CostEstimate {
+    pub(crate) fn charge(&self, profile: &ResourceProfile) -> haec_energy::profile::CostEstimate {
         self.estimator.charge(profile, self.exec_ctx(), &mut self.meter.lock())
     }
 
@@ -975,8 +669,8 @@ impl Database {
 
     /// Executes a query with explicit [`ExecOpts`] — the surface a
     /// query server's governor grant (parallelism degree, morsel size,
-    /// fleet-wide in-flight [`MorselGate`]) travels through to reach
-    /// the engine. A nonzero `opts.dop` also opts small tables into
+    /// fleet-wide in-flight [`haec_exec::pool::MorselGate`]) travels
+    /// through to reach the engine. A nonzero `opts.dop` also opts small tables into
     /// pooled dispatch (the default path only parallelizes above
     /// [`PARALLEL_SCAN_ROWS`]).
     ///
@@ -984,1349 +678,9 @@ impl Database {
     ///
     /// Same failure modes as [`Database::execute`].
     pub fn execute_opts(&self, query: &Query, opts: &ExecOpts) -> DbResult<QueryResult> {
-        if let Some(jc) = &query.join {
-            let lt = self.table(&query.table).ok_or_else(|| DbError::NoSuchTable(query.table.clone()))?;
-            let rt = self.table(&jc.table).ok_or_else(|| DbError::NoSuchTable(jc.table.clone()))?;
-            return self.execute_join_pinned(&lt, &rt, query, jc, opts);
-        }
-        let t = self.table(&query.table).ok_or_else(|| DbError::NoSuchTable(query.table.clone()))?;
-        self.execute_pinned(&t, query, true, opts)
-    }
-
-    /// Executes a single-table query against one pinned
-    /// [`TableSnapshot`] — the shared engine behind [`Database::execute`]
-    /// (latest-state pin), [`DbSnapshot::execute`] (timestamped pin) and
-    /// [`DbTransaction::execute`] (pin + write overlay). Only rows
-    /// visible in the snapshot are evaluated; index entries for rows
-    /// newer than the pin are filtered out by global row id.
-    /// `use_indexes` is off for overlay views, whose pending rows the
-    /// live indexes do not cover.
-    /// Surfaces a fired cancel token as [`DbError::Cancelled`], billing
-    /// `profile` — the work the query did before stopping — to the
-    /// meter so partial runs stay energy-honest (the meter only ever
-    /// moves forward; a cancelled query just adds less).
-    fn check_cancelled(&self, opts: &ExecOpts, profile: &ResourceProfile) -> DbResult<()> {
-        if opts.is_cancelled() {
-            let est = self.charge(profile);
-            return Err(DbError::Cancelled { partial_energy: est.energy });
-        }
-        Ok(())
-    }
-
-    fn execute_pinned(
-        &self,
-        t: &TableSnapshot,
-        query: &Query,
-        use_indexes: bool,
-        opts: &ExecOpts,
-    ) -> DbResult<QueryResult> {
-        let started = std::time::Instant::now();
-        let mut profile = ResourceProfile::default();
-        let mut access_path = None;
-        self.check_cancelled(opts, &profile)?;
-
-        // --- resolve + type-check all predicates up front --------------
-        let int_preds = resolve_int_preds(t, &query.table, &query.filters)?;
-        let str_preds = resolve_str_preds(t, &query.table, &query.str_filters)?;
-
-        // --- access path for the first filter -------------------------
-        let mut positions: Option<Vec<u32>> = None;
-        let mut remaining: &[IntPred] = &int_preds;
-        if let Some(first) = query.filters.first().filter(|_| use_indexes) {
-            let key = (query.table.clone(), first.column.clone());
-            let mut indexes = self.indexes.lock();
-            // A live index is only trusted when row ids still mean what
-            // they meant at build time: a *sorting* merge permutes the
-            // merged batch, so on sorted tables the entry must have been
-            // rebuilt at this snapshot's exact main epoch. Merge-ordered
-            // tables never move rows, so any epoch is fine.
-            let index_usable = first.op == CmpOp::Eq
-                && indexes
-                    .get(&key)
-                    .is_some_and(|e| t.schema().sort_key().is_none() || e.built_epoch == t.epoch());
-            let zones = t.zone_maps(&first.column);
-            let layout_sorted = zones.as_deref().is_some_and(sorted_layout);
-            if index_usable || layout_sorted {
-                // Cost every available path against the *compressed*
-                // footprint and zone maps, pick per the session goal.
-                let mut meta = t.planner_meta();
-                if let Some(c) = meta.columns.iter_mut().find(|c| c.name == first.column) {
-                    c.indexed = index_usable;
-                }
-                let zones = zones.expect("validated int column");
-                let encoded = t.column_encoded_bytes(&first.column).expect("column exists") as u64;
-                let model = CostModel::new(self.machine.clone()).with_kernel_costs(self.costs.clone());
-                let decision = choose_access_segmented(
-                    &model,
-                    &meta,
-                    &first.column,
-                    first.op,
-                    first.literal,
-                    &zones,
-                    encoded,
-                );
-                // Every path delivers the same projection, shipped to
-                // the client as codes + a shared dictionary — add its
-                // cost ([`CostModel::project_codes`]) to all so the
-                // totals the session goal weighs are honest end to end.
-                let project = str_projection_cost(&model, t, &meta, query, decision.selectivity);
-                let access = [
-                    decision.scan_cost,
-                    decision.index_cost.unwrap_or(decision.scan_cost),
-                    decision.sorted_cost.unwrap_or(decision.scan_cost),
-                ];
-                let candidates = [access[0] + project, access[1] + project, access[2] + project];
-                // If the shared projection term pushes *all* totals past
-                // a budget goal, the query still has to run: rank the
-                // access work alone, so an index that dominates the scan
-                // is never abandoned for being part of an over-budget
-                // whole.
-                let goal = self.goal();
-                let pick = choose(&candidates, goal).or_else(|_| choose(&access, goal)).unwrap_or(0);
-                if pick == 1 && decision.index_cost.is_some() {
-                    let entry = indexes.get_mut(&key).expect("checked above");
-                    let mut rows = entry.idx.lookup(first.literal);
-                    // The index is live; the snapshot is not. Entries
-                    // for rows committed after the pin (always a suffix
-                    // of global row ids) are invisible here.
-                    rows.retain(|&r| (r as usize) < t.rows());
-                    rows.sort_unstable();
-                    profile.cpu_cycles +=
-                        self.costs.cycles_for(Kernel::IndexLookup, rows.len().max(1) as u64);
-                    profile.dram_read += ByteCount::new(rows.len() as u64 * 128 + 128);
-                    positions = Some(rows);
-                    access_path = Some(AccessPath::IndexLookup);
-                    remaining = &int_preds[1..];
-                } else if pick == 2 && decision.sorted_cost.is_some() {
-                    // The scan below realizes this plan: `eval_segment`'s
-                    // sort-key fast path binary-searches each sorted
-                    // segment and emits the surviving row range.
-                    access_path = Some(AccessPath::ZoneBinarySearch);
-                } else {
-                    access_path = Some(AccessPath::FullScan);
-                }
-            }
-        }
-
-        match &mut positions {
-            Some(pos) => {
-                // --- index path: point re-checks per surviving row -----
-                for p in remaining {
-                    // Bill the rows *inspected* (pre-retain), not the
-                    // rows that survive.
-                    let inspected = pos.len() as u64;
-                    pos.retain(|&r| {
-                        p.op.eval(t.get_int(p.col, r as usize).expect("validated int column"), p.literal)
-                    });
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectPredicated, inspected);
-                    profile.dram_read += ByteCount::new(inspected * 8);
-                }
-                for p in &str_preds {
-                    let inspected = pos.len() as u64;
-                    pos.retain(|&r| {
-                        t.str_eq(p.col, r as usize, &p.value).expect("validated str column") != p.negated
-                    });
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectPredicated, inspected);
-                    profile.dram_read += ByteCount::new(inspected * 4);
-                }
-            }
-            None if !int_preds.is_empty() || !str_preds.is_empty() => {
-                // --- segment-granular scan on compressed data ----------
-                let (pos, scan_profile) = self.scan_segmented(t, &int_preds, &str_preds, opts);
-                profile += scan_profile;
-                positions = Some(pos);
-            }
-            None => {} // no predicates: all rows
-        }
-        // A cancel that landed mid-scan left `positions` covering only
-        // the units evaluated before the signal — never hand a partial
-        // survivor set to the aggregation/projection stage.
-        self.check_cancelled(opts, &profile)?;
-
-        // --- aggregation / projection ---------------------------------
-        let out = match (&query.group_by, &query.agg) {
-            (Some(_), None) => return Err(DbError::BadQuery("group_by requires an aggregate".into())),
-            (None, None) => {
-                // Materialize only the projected columns (all schema
-                // columns when no projection is given). Strings flow as
-                // codes + one shared output dictionary per column; the
-                // stats bill what each store path actually did (stream-
-                // decoded encoded bytes, per-cell random access, flat
-                // delta reads, one first-touch read per distinct string).
-                let names: Vec<String> = match &query.select {
-                    Some(cols) => cols.clone(),
-                    None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
-                };
-                let (cols, gstats) = t.materialize_columns(&names, positions.as_deref())?;
-                let chunk = Chunk::new(cols).expect("gathered columns are equal length");
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64)
-                    + self.costs.cycles_for(Kernel::CompressDecode, gstats.decode_items);
-                profile.dram_read += ByteCount::new(gstats.bytes_read);
-                profile.dram_written += ByteCount::new(gstats.bytes_written);
-                chunk
-            }
-            (group, Some((kind, value_col))) => {
-                let vidx = check_int_column(t, &query.table, value_col)?;
-                let gcol = match group {
-                    Some(name) => Some(resolve_group_col(t, &query.table, name)?),
-                    None => None,
-                };
-                let spec = AggSpec { kind: *kind, vidx, group: gcol.as_ref() };
-                let (acc, agg_profile) = self.aggregate_segmented(t, spec, positions.as_deref(), opts);
-                profile += agg_profile;
-                let agg_name = format!("{kind}({value_col})");
-                match (acc, &gcol) {
-                    (AggAcc::Global(st), _) => {
-                        let result = st.value(*kind).unwrap_or(f64::NAN);
-                        Chunk::new(vec![(agg_name, vec![result].into_iter().collect::<Column>())])
-                            .expect("one column")
-                    }
-                    (AggAcc::Grouped(map), Some(GroupCol::Int(_))) => {
-                        let mut grouped: Vec<(i64, AggState)> = map.into_iter().collect();
-                        grouped.sort_unstable_by_key(|&(k, _)| k);
-                        let key_col: Column =
-                            grouped.iter().map(|&(k, _)| k).collect::<Vec<i64>>().into_iter().collect();
-                        let val_col = agg_value_column(&grouped, *kind);
-                        let gname = group.clone().expect("grouped result implies group column");
-                        Chunk::new(vec![(gname, key_col), (agg_name, val_col)]).expect("two columns")
-                    }
-                    (AggAcc::Grouped(map), Some(GroupCol::Str { col, global_len, .. })) => {
-                        // Keys are dictionary codes; decode once per
-                        // *group* (not per row) and sort by string so the
-                        // output order is independent of code assignment.
-                        let mut grouped: Vec<(String, AggState)> = map
-                            .into_iter()
-                            .map(|(k, s)| (decode_group_key(t, *col, *global_len, k), s))
-                            .collect();
-                        grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        let mut keys = DictColumn::new();
-                        for (k, _) in &grouped {
-                            keys.push(k);
-                        }
-                        let val_col = agg_value_column(&grouped, *kind);
-                        let gname = group.clone().expect("grouped result implies group column");
-                        Chunk::new(vec![(gname, Column::Str(keys)), (agg_name, val_col)])
-                            .expect("two columns")
-                    }
-                    (AggAcc::Grouped(_), None) => unreachable!("grouped result without group column"),
-                }
-            }
-        };
-
-        // A cancel during aggregation or materialization folded only
-        // the units that ran; discard the partial chunk, bill the work.
-        self.check_cancelled(opts, &profile)?;
-
-        // --- metering ---------------------------------------------------
-        // The query's own cost estimate *is* its energy (identical to
-        // the meter delta when single-threaded, and — unlike a meter
-        // delta — not polluted by concurrent queries charging the same
-        // shared meter).
-        let est = self.charge(&profile);
-        Ok(QueryResult {
-            rows: out,
-            energy: est.energy,
-            modeled_time: est.time,
-            wall_time: started.elapsed(),
-            access_path,
-            profile,
+        self.run(query, true, opts, |name| {
+            self.table(name).map(Cow::Owned).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
         })
-    }
-
-    /// Executes an equi-join query end to end **on compressed
-    /// segments**: per-side filters run through the segmented scan,
-    /// join keys stream out of the encoded main columns
-    /// ([`haec_columnar::encoding::EncodedInts::iter`] — integer keys as
-    /// values, string keys code-to-code through a one-off dictionary
-    /// remap), the build side feeds the hash table per segment over the
-    /// same morsel units as scans, probe segments are pre-pruned
-    /// against the build side's key range (the join-specific zone
-    /// intersection of [`haec_planner::access::join_zone_overlap`]),
-    /// and payload columns are gathered late — only for surviving
-    /// `(build_row, probe_row)` pairs — via [`TableSnapshot::gather_rows`].
-    ///
-    /// A main column is **never** materialized for its join keys; the
-    /// meter is billed the encoded bytes streamed, the hash build/probe
-    /// (or sort) cycles including bucket traffic, and the gather.
-    fn execute_join_pinned(
-        &self,
-        lt: &TableSnapshot,
-        rt: &TableSnapshot,
-        query: &Query,
-        jc: &JoinClause,
-        opts: &ExecOpts,
-    ) -> DbResult<QueryResult> {
-        let started = std::time::Instant::now();
-        if query.group_by.is_some() || query.agg.is_some() {
-            return Err(DbError::BadQuery("aggregates over joins are not supported yet".into()));
-        }
-        let mut profile = ResourceProfile::default();
-
-        // --- key columns: both int, or both string --------------------
-        let lkey_idx = lt.schema().position(&jc.left_col).ok_or_else(|| DbError::NoSuchColumn {
-            table: query.table.clone(),
-            column: jc.left_col.clone(),
-        })?;
-        let rkey_idx = rt
-            .schema()
-            .position(&jc.right_col)
-            .ok_or_else(|| DbError::NoSuchColumn { table: jc.table.clone(), column: jc.right_col.clone() })?;
-        let ltype = lt.schema().columns()[lkey_idx].1;
-        let rtype = rt.schema().columns()[rkey_idx].1;
-        if ltype == DataType::Float64 {
-            return Err(DbError::TypeMismatch { column: jc.left_col.clone(), expected: DataType::Int64 });
-        }
-        if rtype != ltype {
-            return Err(DbError::TypeMismatch { column: jc.right_col.clone(), expected: ltype });
-        }
-
-        // --- per-side filters, on each side's own compressed store ----
-        let l_int = resolve_int_preds(lt, &query.table, &query.filters)?;
-        let l_str = resolve_str_preds(lt, &query.table, &query.str_filters)?;
-        let r_int = resolve_int_preds(rt, &jc.table, &jc.filters)?;
-        let r_str = resolve_str_preds(rt, &jc.table, &jc.str_filters)?;
-        let lpos = if l_int.is_empty() && l_str.is_empty() {
-            None
-        } else {
-            let (p, pr) = self.scan_segmented(lt, &l_int, &l_str, opts);
-            profile += pr;
-            Some(p)
-        };
-        let rpos = if r_int.is_empty() && r_str.is_empty() {
-            None
-        } else {
-            let (p, pr) = self.scan_segmented(rt, &r_int, &r_str, opts);
-            profile += pr;
-            Some(p)
-        };
-        // Cancelled mid-filter: the survivor lists cover only part of
-        // either side — stop before they feed the join plan.
-        self.check_cancelled(opts, &profile)?;
-
-        // --- plan: build side + algorithm, on compressed footprints ---
-        let l_rows = lpos.as_ref().map_or(lt.rows(), Vec::len) as u64;
-        let r_rows = rpos.as_ref().map_or(rt.rows(), Vec::len) as u64;
-        let (l_frac, r_frac) = if ltype == DataType::Int64 {
-            // Estimated survival of each side's segments against the
-            // other side's key extrema (the executor prunes for real
-            // below, with the same intersection test).
-            let lz = lt.zone_maps(&jc.left_col).expect("validated int column");
-            let rz = rt.zone_maps(&jc.right_col).expect("validated int column");
-            let span = |zs: &[ZoneMapMeta]| {
-                zs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), z| (lo.min(z.min), hi.max(z.max)))
-            };
-            let (rlo, rhi) = span(&rz);
-            let (llo, lhi) = span(&lz);
-            (join_zone_overlap(&lz, rlo, rhi), join_zone_overlap(&rz, llo, lhi))
-        } else {
-            (1.0, 1.0)
-        };
-        // A side is "sorted" for the merge join when its main layout is
-        // globally sorted on the join key (disjoint ascending zones) and
-        // there is no unsorted delta tail: key extraction walks rows in
-        // ascending id order, so the extracted key stream is already in
-        // key order and the merge join's sort passes are free for it.
-        let (l_sorted, r_sorted) = if ltype == DataType::Int64 {
-            (
-                lt.delta_rows() == 0 && lt.zone_maps(&jc.left_col).as_deref().is_some_and(sorted_layout),
-                rt.delta_rows() == 0 && rt.zone_maps(&jc.right_col).as_deref().is_some_and(sorted_layout),
-            )
-        } else {
-            (false, false)
-        };
-        let lcost = JoinSideCost {
-            rows: l_rows,
-            encoded_key_bytes: lt.column_encoded_bytes(&jc.left_col).unwrap_or(0) as u64,
-            live_frac: l_frac,
-            sorted: l_sorted,
-        };
-        let rcost = JoinSideCost {
-            rows: r_rows,
-            encoded_key_bytes: rt.column_encoded_bytes(&jc.right_col).unwrap_or(0) as u64,
-            live_frac: r_frac,
-            sorted: r_sorted,
-        };
-        let model = CostModel::new(self.machine.clone()).with_kernel_costs(self.costs.clone());
-        let decision = model.join_compressed(&lcost, &rcost, l_rows.max(r_rows));
-        // Respect the session goal when the algorithms trade time for
-        // energy (same knob as scan-vs-index).
-        let algo = match choose(&[decision.hash_cost, decision.merge_cost], self.goal()) {
-            Ok(1) => JoinAlgo::SortMerge,
-            _ => JoinAlgo::Hash,
-        };
-        let build_left = decision.build_left;
-        let (bt, pt) = if build_left { (lt, rt) } else { (rt, lt) };
-        let (bpos, ppos) = if build_left { (&lpos, &rpos) } else { (&rpos, &lpos) };
-        let (bkey_idx, pkey_idx) = if build_left { (lkey_idx, rkey_idx) } else { (rkey_idx, lkey_idx) };
-
-        // --- key spaces ----------------------------------------------
-        let (bkey, pkey) = match ltype {
-            DataType::Int64 => (KeyCol::Int(bkey_idx), KeyCol::Int(pkey_idx)),
-            DataType::Str => {
-                let space = StrKeySpace::of(bt, bkey_idx);
-                let mut lookups = 0u64;
-                let bk = str_key_col(bt, bkey_idx, &space, &mut lookups);
-                let pk = str_key_col(pt, pkey_idx, &space, &mut lookups);
-                // The one-off remap is O(dictionary) hash lookups, never
-                // O(rows) — billed as such.
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::HashProbe, lookups);
-                profile.dram_read += ByteCount::new(lookups * HASH_BUCKET_BYTES);
-                (bk, pk)
-            }
-            DataType::Float64 => unreachable!("rejected above"),
-        };
-
-        // --- build, then probe (both streaming on encoded data) -------
-        let (bkeys, bprof) = self.extract_join_keys(bt, &bkey, bpos.as_deref(), None, opts);
-        profile += bprof;
-        let pairs: Vec<(u32, u32)> = if bkeys.is_empty() {
-            Vec::new()
-        } else {
-            match algo {
-                JoinAlgo::Hash => {
-                    let join = HashJoin::from_pairs(&bkeys);
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::HashBuild, bkeys.len() as u64);
-                    profile.dram_written += ByteCount::new(bkeys.len() as u64 * 16);
-                    let (prune, lookups) = probe_prune_range(&bkeys, &pkey, |k| join.matches(k).is_some());
-                    // The range refinement probes the hash table once per
-                    // distinct probe value — O(dictionary), billed as such.
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::HashProbe, lookups);
-                    profile.dram_read += ByteCount::new(lookups * HASH_BUCKET_BYTES);
-                    let (pairs, pprof) = self.probe_hash_join(pt, &pkey, ppos.as_deref(), prune, &join, opts);
-                    profile += pprof;
-                    pairs
-                }
-                JoinAlgo::SortMerge => {
-                    let (bmin, bmax) =
-                        bkeys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &(k, _)| (lo.min(k), hi.max(k)));
-                    let (prune, lookups) = probe_prune_range(&bkeys, &pkey, |k| k >= bmin && k <= bmax);
-                    // Range membership here is a comparison per distinct
-                    // probe value, not a hash probe.
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectBitwise, lookups);
-                    let (mut pkeys, pprof) = self.extract_join_keys(pt, &pkey, ppos.as_deref(), prune, opts);
-                    profile += pprof;
-                    let mut bkeys = bkeys;
-                    let (b_sorted, p_sorted) =
-                        if build_left { (l_sorted, r_sorted) } else { (r_sorted, l_sorted) };
-                    let out = sort_merge_join_pairs_presorted(&mut bkeys, &mut pkeys, b_sorted, p_sorted);
-                    // Sort passes are only real work for unsorted sides;
-                    // a declared-sort-key side streams straight into the
-                    // merge (the planner's `join_compressed` prices it
-                    // the same way).
-                    let n = (bkeys.len() + pkeys.len()) as u64;
-                    let levels_of = |rows: u64| (rows.max(2) as f64).log2().ceil() as u64;
-                    let sort_items = (if b_sorted { 0 } else { bkeys.len() as u64 })
-                        * levels_of(bkeys.len() as u64)
-                        + (if p_sorted { 0 } else { pkeys.len() as u64 }) * levels_of(pkeys.len() as u64);
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SortPerLevel, sort_items);
-                    profile.dram_read += ByteCount::new(sort_items * 12 + n * 12);
-                    profile.dram_written += ByteCount::new(n * 12 + out.len() as u64 * 8);
-                    out
-                }
-            }
-        };
-        // Build/probe stream over the same cancellable morsel units as
-        // scans; a partial pair list must never reach the gather.
-        self.check_cancelled(opts, &profile)?;
-
-        // --- late gather: only surviving pairs touch payloads ---------
-        let (lrows, rrows): (Vec<u32>, Vec<u32>) =
-            pairs.iter().map(|&(b, p)| if build_left { (b, p) } else { (p, b) }).unzip();
-        let spec = resolve_join_outputs(query, jc, lt, rt)?;
-        let side_names = |left: bool| -> Vec<String> {
-            spec.iter().filter(|(l, ..)| *l == left).map(|(_, _, col)| col.clone()).collect()
-        };
-        let (lcols, lprof) = self.gather_join_side(lt, &side_names(true), &lrows)?;
-        let (rcols, rprof) = self.gather_join_side(rt, &side_names(false), &rrows)?;
-        profile += lprof;
-        profile += rprof;
-        let mut li = lcols.into_iter();
-        let mut ri = rcols.into_iter();
-        let cols: Vec<(String, Column)> = spec
-            .into_iter()
-            .map(|(left, out_name, _)| {
-                let (_, col) =
-                    if left { li.next() } else { ri.next() }.expect("one gathered column per spec entry");
-                (out_name, col)
-            })
-            .collect();
-        let out = Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("join output: {e}")))?;
-
-        // --- metering -------------------------------------------------
-        // Like `execute_pinned`: the estimate is the query's energy,
-        // race-free under concurrent charging.
-        self.check_cancelled(opts, &profile)?;
-        let est = self.charge(&profile);
-        Ok(QueryResult {
-            rows: out,
-            energy: est.energy,
-            modeled_time: est.time,
-            wall_time: started.elapsed(),
-            access_path: None,
-            profile,
-        })
-    }
-
-    /// Gathers one side's payload columns for its surviving join rows,
-    /// billing the work. Strictly ascending row lists — the unique-key
-    /// (FK) probe side, where pairs come back in probe-row order — take
-    /// the dense ordered path of [`TableSnapshot::materialize_columns`];
-    /// everything else (scattered build rows, duplicate keys) goes
-    /// through the positional [`TableSnapshot::gather_rows`]. Both report the
-    /// work they actually did (whole-segment stream-decodes when hits
-    /// pass the density crossover, compressed random access when
-    /// sparse, code-to-code string gathers) as
-    /// [`crate::table::GatherStats`], billed here.
-    fn gather_join_side(
-        &self,
-        t: &TableSnapshot,
-        names: &[String],
-        rows: &[u32],
-    ) -> DbResult<(Vec<(String, Column)>, ResourceProfile)> {
-        let mut profile = ResourceProfile::default();
-        let cells = (rows.len() * names.len()) as u64;
-        profile.cpu_cycles += self.costs.cycles_for(Kernel::Materialize, cells);
-        let (cols, stats) = if rows.windows(2).all(|w| w[0] < w[1]) {
-            t.materialize_columns(names, Some(rows))?
-        } else {
-            t.gather_rows(names, rows)?
-        };
-        profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, stats.decode_items);
-        profile.dram_read += ByteCount::new(stats.bytes_read);
-        profile.dram_written += ByteCount::new(stats.bytes_written);
-        Ok((cols, profile))
-    }
-
-    /// Streams one side's surviving `(join key, global row)` pairs, unit
-    /// by unit over the same morsel dispatch as scans. Main segments
-    /// stream their **encoded** key column; string keys map code-to-code
-    /// through the side's [`KeyCol`] remaps; segments whose key zone
-    /// misses `prune` are skipped without touching a byte.
-    fn extract_join_keys(
-        &self,
-        t: &TableSnapshot,
-        key: &KeyCol,
-        positions: Option<&[u32]>,
-        prune: Option<(i64, i64)>,
-        opts: &ExecOpts,
-    ) -> (Vec<(i64, u32)>, ResourceProfile) {
-        let unit_rows = delta_unit_rows(opts);
-        let unit_hits = split_unit_hits(t, positions, unit_rows);
-        let scan = KeyScan { key, prune, unit_rows };
-        let parts = self.eval_units(t, opts, |u| {
-            let hits = unit_hits.as_ref().map(|v| v[u]);
-            if hits.is_some_and(<[u32]>::is_empty) {
-                return (Vec::new(), ResourceProfile::default());
-            }
-            let mut kv = Vec::new();
-            let mut profile = self.unit_join_keys(t, u, hits, &scan, |k, row| kv.push((k, row)));
-            // The extracted pair vector is real intermediate traffic.
-            profile.dram_written += ByteCount::new(kv.len() as u64 * 12);
-            (kv, profile)
-        });
-        let mut out = Vec::new();
-        let mut profile = ResourceProfile::default();
-        for (kv, pr) in parts {
-            out.extend(kv);
-            profile += pr;
-        }
-        (out, profile)
-    }
-
-    /// Probes `join` with one side's surviving rows — key streaming and
-    /// hash probing fused per unit, so large probes parallelize over
-    /// morsels. Returns `(build_row, probe_row)` pairs in probe-row
-    /// order, billing bucket headers per probe, row-id list entries per
-    /// hit, and the output pairs vector.
-    fn probe_hash_join(
-        &self,
-        t: &TableSnapshot,
-        key: &KeyCol,
-        positions: Option<&[u32]>,
-        prune: Option<(i64, i64)>,
-        join: &HashJoin,
-        opts: &ExecOpts,
-    ) -> (Vec<(u32, u32)>, ResourceProfile) {
-        let unit_rows = delta_unit_rows(opts);
-        let unit_hits = split_unit_hits(t, positions, unit_rows);
-        let scan = KeyScan { key, prune, unit_rows };
-        let parts = self.eval_units(t, opts, |u| {
-            let hits = unit_hits.as_ref().map(|v| v[u]);
-            if hits.is_some_and(<[u32]>::is_empty) {
-                return (Vec::new(), ResourceProfile::default());
-            }
-            // Keys stream straight into the probe — no intermediate
-            // (key, row) vector is ever materialized (or billed).
-            let mut pairs = Vec::new();
-            let mut probed = 0u64;
-            let mut profile = self.unit_join_keys(t, u, hits, &scan, |k, row| {
-                probed += 1;
-                if let Some(ms) = join.matches(k) {
-                    for &b in ms {
-                        pairs.push((b, row));
-                    }
-                }
-            });
-            profile.cpu_cycles += self.costs.cycles_for(Kernel::HashProbe, probed);
-            profile.dram_read += ByteCount::new(probed * HASH_BUCKET_BYTES + pairs.len() as u64 * 4);
-            profile.dram_written += ByteCount::new(pairs.len() as u64 * 8);
-            (pairs, profile)
-        });
-        let mut out = Vec::new();
-        let mut profile = ResourceProfile::default();
-        for (p, pr) in parts {
-            out.extend(p);
-            profile += pr;
-        }
-        (out, profile)
-    }
-
-    /// Streams one execution unit's `(join key, global row)` pairs into
-    /// `sink`: a main segment streams (or random-accesses, for sparse
-    /// hits) its encoded key column after the zone check against
-    /// `scan.prune`; a delta chunk reads its flat tail. Probe-side
-    /// `NO_KEY` rows (string values the build side never interned) are
-    /// dropped here. Returns the work billed — the sink's own storage
-    /// (if any) is the caller's to bill.
-    fn unit_join_keys(
-        &self,
-        t: &TableSnapshot,
-        u: usize,
-        hits: Option<&[u32]>,
-        scan: &KeyScan<'_>,
-        mut sink: impl FnMut(i64, u32),
-    ) -> ResourceProfile {
-        let KeyScan { key, prune, unit_rows } = *scan;
-        let nsegs = t.segments().len();
-        let mut profile = ResourceProfile::default();
-        // `NO_KEY` is a *string-key* sentinel (a value the build side
-        // never interned); integer keys pass through untouched —
-        // `i64::MIN` is a perfectly good join key there.
-        let drop_sentinels = matches!(key, KeyCol::Str { .. });
-        let mut out = |k: i64, row: u32| {
-            if !(drop_sentinels && k == NO_KEY) {
-                sink(k, row);
-            }
-        };
-        if u < nsegs {
-            let seg = &t.segments()[u];
-            let base = t.segment_base(u);
-            let rows = seg.rows();
-            let (src, map): (SegSource<'_>, Option<&[i64]>) = match key {
-                KeyCol::Int(idx) => match seg.column(*idx) {
-                    Some(SegColumn::Int { data, .. }) => (SegSource::Enc(data), None),
-                    None => (SegSource::Const(0), None),
-                    Some(_) => unreachable!("join key validated as integer column"),
-                },
-                KeyCol::Str { col, main_map, sentinel_key, .. } => match seg.column(*col) {
-                    Some(SegColumn::Str { codes, .. }) => (SegSource::Enc(codes), Some(main_map)),
-                    None => (SegSource::Const(*sentinel_key), None),
-                    Some(_) => unreachable!("join key validated as string column"),
-                },
-            };
-            // Join-specific zone pruning: the segment's key zone against
-            // the build side's range (same intersection test the planner
-            // estimates with).
-            if let (Some((lo, hi)), SegSource::Enc(_)) = (prune, src) {
-                let (zlo, zhi) = seg.zone(key.col()).expect("non-empty segment has a zone");
-                if !(ZoneMapMeta { rows: 0, min: zlo, max: zhi, sorted: false }.overlaps(lo, hi)) {
-                    return profile; // pruned: no data touched
-                }
-            }
-            let keyify = |raw: i64| -> i64 {
-                match map {
-                    Some(m) => m[raw as usize],
-                    None => raw,
-                }
-            };
-            let full = hits.is_none_or(|h| h.len() == rows);
-            if full {
-                for (local, raw) in src.iter(rows).enumerate() {
-                    out(keyify(raw), (base + local) as u32);
-                }
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, src.decode_items(rows));
-                profile.dram_read += ByteCount::new(src.stream_bytes(rows, rows));
-            } else {
-                let hits = hits.expect("not full implies a hit list");
-                let n = hits.len();
-                if sparse_hits(n, rows) {
-                    // Sparse survivors: compressed random access.
-                    for &p in hits {
-                        out(keyify(src.get(p as usize - base)), p);
-                    }
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, src.decode_items(n));
-                    profile.dram_read += ByteCount::new(src.decode_items(n) * 8);
-                } else {
-                    // Dense survivors: stream-decode up to the last hit.
-                    let mut hi = 0;
-                    for (local, raw) in src.iter(rows).enumerate() {
-                        if hi == n {
-                            break;
-                        }
-                        if hits[hi] as usize - base == local {
-                            out(keyify(raw), hits[hi]);
-                            hi += 1;
-                        }
-                    }
-                    let streamed = hits.last().map_or(0, |&p| p as usize - base + 1);
-                    profile.cpu_cycles +=
-                        self.costs.cycles_for(Kernel::CompressDecode, src.decode_items(streamed));
-                    profile.dram_read += ByteCount::new(src.stream_bytes(streamed, rows));
-                }
-            }
-        } else {
-            let (start, end) = delta_chunk(t, u - nsegs, unit_rows);
-            let base = t.main_rows();
-            let (key_at, width): (Box<dyn Fn(usize) -> i64 + '_>, u64) = match key {
-                KeyCol::Int(idx) => {
-                    let vals = t
-                        .delta_column(*idx)
-                        .and_then(Column::as_int64)
-                        .expect("join key validated as integer column");
-                    (Box::new(move |local| vals[local]), 8)
-                }
-                KeyCol::Str { col, delta_map, .. } => {
-                    let codes = t
-                        .delta_column(*col)
-                        .and_then(Column::as_str)
-                        .expect("join key validated as string column")
-                        .codes();
-                    (Box::new(move |local| delta_map[codes[local] as usize]), 4)
-                }
-            };
-            let mut push = |local: usize| out(key_at(local), (base + local) as u32);
-            let inspected = match hits {
-                None => {
-                    (start..end).for_each(&mut push);
-                    (end - start) as u64
-                }
-                Some(h) => {
-                    h.iter().for_each(|&p| push(p as usize - base));
-                    h.len() as u64
-                }
-            };
-            profile.dram_read += ByteCount::new(inspected * width);
-        }
-        profile
-    }
-
-    /// Evaluates all predicates over every segment plus the delta tail,
-    /// returning matching global row ids (ascending) and the work done.
-    ///
-    /// Per segment: zone maps first (prune whole segments, or skip
-    /// tautological predicates), then
-    /// [`haec_columnar::encoding::EncodedInts::scan`] directly on the
-    /// compressed column — main-segment data is **never decoded** for
-    /// predicate evaluation. The delta runs the flat bitwise kernel,
-    /// chunked into morsel-sized units (see [`delta_unit_rows`]) so an
-    /// oversized (merge-disabled) delta still parallelizes. Above
-    /// [`PARALLEL_SCAN_ROWS`] total rows — or whenever the query
-    /// carries an explicit parallelism grant — units are dispatched as
-    /// morsels over the shared worker pool.
-    fn scan_segmented(
-        &self,
-        t: &TableSnapshot,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-        opts: &ExecOpts,
-    ) -> (Vec<u32>, ResourceProfile) {
-        let nsegs = t.segments().len();
-        let unit_rows = delta_unit_rows(opts);
-        let parts = self.eval_units(t, opts, |u| {
-            if u < nsegs {
-                self.eval_segment(t, u, int_preds, str_preds)
-            } else {
-                let (start, end) = delta_chunk(t, u - nsegs, unit_rows);
-                self.eval_delta(t, start, end, int_preds, str_preds)
-            }
-        });
-        let mut pos = Vec::new();
-        let mut profile = ResourceProfile::default();
-        for (p, pr) in parts {
-            pos.extend(p);
-            profile += pr;
-        }
-        (pos, profile)
-    }
-
-    /// Runs `eval` over every execution unit of `t` — one per main
-    /// segment plus one per [`delta_unit_rows`]-sized delta chunk (see
-    /// [`delta_chunk`]) — and returns the per-unit results in unit
-    /// order. Units are dispatched as morsels over the shared
-    /// [`WorkerPool`] when the query carries an explicit parallelism
-    /// grant (`opts.dop > 0`), or above [`PARALLEL_SCAN_ROWS`] total
-    /// rows on the default path; the degree of parallelism comes from
-    /// the grant (or the cached construction-time default — never a
-    /// per-query OS call). Scans, aggregation pushdown and join-key
-    /// streaming all go through here, so they can never disagree on
-    /// parallel granularity.
-    fn eval_units<R>(&self, t: &TableSnapshot, opts: &ExecOpts, eval: impl Fn(usize) -> R + Sync) -> Vec<R>
-    where
-        R: Send,
-    {
-        let unit_rows = delta_unit_rows(opts);
-        let units = t.segments().len() + t.delta_rows().div_ceil(unit_rows);
-        let dop = if opts.dop > 0 { opts.dop } else { self.default_dop };
-        let pooled = units > 1 && dop > 1 && (opts.dop > 0 || t.rows() >= PARALLEL_SCAN_ROWS);
-        if pooled {
-            // Above one segment's worth of rows per morsel, batch whole
-            // units per dispenser grab; below, one morsel = one unit
-            // (a main segment is the finest unit storage defines).
-            let units_per_grab = (opts.morsel_rows.max(1) / crate::segment::SEGMENT_ROWS).max(1);
-            let spec = RunSpec {
-                dop: dop.min(units),
-                morsel_rows: units_per_grab,
-                gate: opts.gate.as_deref(),
-                cancel: opts.cancel.as_ref(),
-            };
-            let mut parts = self.pool.run(
-                units,
-                spec,
-                |m| (m.start..m.end).map(|u| (u, eval(u))).collect::<Vec<_>>(),
-                |mut a: Vec<(usize, R)>, b| {
-                    a.extend(b);
-                    a
-                },
-                Vec::new(),
-            );
-            parts.sort_unstable_by_key(|&(u, _)| u);
-            parts.into_iter().map(|(_, r)| r).collect()
-        } else {
-            // Serial path: still hold one gate permit per unit, so the
-            // fleet-wide in-flight accounting a server's energy cap
-            // relies on stays exact for *every* admitted query — and
-            // poll the cancel token per unit, matching the pooled
-            // path's one-morsel cancellation latency.
-            let mut out = Vec::with_capacity(units);
-            for u in 0..units {
-                if opts.is_cancelled() {
-                    break;
-                }
-                let _permit = opts.gate.as_deref().map(MorselGate::acquire);
-                out.push(eval(u));
-            }
-            out
-        }
-    }
-
-    /// One segment's worth of predicate evaluation, on compressed data.
-    fn eval_segment(
-        &self,
-        t: &TableSnapshot,
-        si: usize,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-    ) -> (Vec<u32>, ResourceProfile) {
-        let seg = &t.segments()[si];
-        let base = t.segment_base(si);
-        let rows = seg.rows();
-        let mut profile = ResourceProfile::default();
-        let mut bm: Option<Bitmap> = None;
-        // Run-aware fast path: predicates on the segment's sort key
-        // resolve to a contiguous row sub-range by binary search over
-        // the encoding's run boundaries — O(log) probe bytes instead of
-        // a full-column scan, and the survivors come out as a range, not
-        // a per-row hit vector. Every other predicate intersects with
-        // this range at assembly time.
-        let mut range = (0usize, rows);
-        let sorted_probe = |data: &EncodedInts,
-                            op: CmpOp,
-                            lit: i64,
-                            range: &mut (usize, usize),
-                            profile: &mut ResourceProfile| {
-            let mut probes = 0u64;
-            let Some((s, e)) = data.sorted_range(op, lit, &mut probes) else {
-                return false; // Ne: not contiguous, scan instead
-            };
-            range.0 = range.0.max(s);
-            range.1 = range.1.min(e);
-            // Each probe touches ~one cache line of the encoded column.
-            profile.cpu_cycles += self.costs.cycles_for(Kernel::IndexLookup, probes);
-            profile.dram_read += ByteCount::new(probes * 64);
-            true
-        };
-        for p in int_preds {
-            match seg.column(p.col) {
-                None => {
-                    // Segment predates the column: every row holds the
-                    // null sentinel 0.
-                    if !p.op.eval(0, p.literal) {
-                        return (Vec::new(), profile);
-                    }
-                }
-                Some(SegColumn::Int { data, zone, .. }) => {
-                    let (lo, hi) = zone.expect("non-empty segment has a zone");
-                    if !zone_may_match(p.op, p.literal, lo, hi) {
-                        return (Vec::new(), profile); // pruned: no data touched
-                    }
-                    if zone_all_match(p.op, p.literal, lo, hi) {
-                        continue; // tautology on this segment: no scan needed
-                    }
-                    if seg.sorted_by() == Some(p.col)
-                        && sorted_probe(data, p.op, p.literal, &mut range, &mut profile)
-                    {
-                        if range.0 >= range.1 {
-                            return (Vec::new(), profile);
-                        }
-                        continue;
-                    }
-                    let mut m = Bitmap::zeros(rows);
-                    data.scan(p.op, p.literal, &mut m);
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
-                    profile.dram_read += ByteCount::new(data.size_bytes() as u64);
-                    and_into(&mut bm, m);
-                }
-                Some(_) => unreachable!("predicate validated as integer column"),
-            }
-        }
-        for p in str_preds {
-            match seg.column(p.col) {
-                None => {
-                    // Sentinel "" everywhere.
-                    if (p.value.is_empty()) == p.negated {
-                        return (Vec::new(), profile);
-                    }
-                }
-                Some(SegColumn::Str { codes, zone }) => {
-                    let Some(code) = p.global_code else {
-                        // Value never interned: `=` matches nothing,
-                        // `<>` everything.
-                        if p.negated {
-                            continue;
-                        }
-                        return (Vec::new(), profile);
-                    };
-                    let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
-                    let (lo, hi) = zone.expect("non-empty segment has a zone");
-                    if !zone_may_match(op, code, lo, hi) {
-                        return (Vec::new(), profile);
-                    }
-                    if zone_all_match(op, code, lo, hi) {
-                        continue;
-                    }
-                    if seg.sorted_by() == Some(p.col)
-                        && sorted_probe(codes, op, code, &mut range, &mut profile)
-                    {
-                        if range.0 >= range.1 {
-                            return (Vec::new(), profile);
-                        }
-                        continue;
-                    }
-                    let mut m = Bitmap::zeros(rows);
-                    codes.scan(op, code, &mut m);
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
-                    profile.dram_read += ByteCount::new(codes.size_bytes() as u64);
-                    and_into(&mut bm, m);
-                }
-                Some(_) => unreachable!("predicate validated as string column"),
-            }
-        }
-        let (rs, re) = range;
-        let pos = match bm {
-            Some(b) => b.iter_ones().filter(|&i| rs <= i && i < re).map(|i| (base + i) as u32).collect(),
-            // Every predicate was a tautology or resolved to the range:
-            // emit the surviving row range directly, no hit vector built.
-            None => (base + rs..base + re).map(|i| i as u32).collect(),
-        };
-        (pos, profile)
-    }
-
-    /// Predicate evaluation over delta rows `[start, end)`: flat
-    /// vectorized kernels over the dense columns, exactly the
-    /// pre-segmentation scan path (one chunk = one parallel unit).
-    fn eval_delta(
-        &self,
-        t: &TableSnapshot,
-        start: usize,
-        end: usize,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-    ) -> (Vec<u32>, ResourceProfile) {
-        let base = t.main_rows() + start;
-        let rows = end - start;
-        let mut profile = ResourceProfile::default();
-        let mut positions: Option<Vec<u32>> = None;
-        for p in int_preds {
-            let data = &t
-                .delta_column(p.col)
-                .and_then(Column::as_int64)
-                .expect("predicate validated as integer column")[start..end];
-            let (hits, stats) = select_metered(data, p.op, p.literal, SelectKernel::Bitwise, &self.costs);
-            profile += stats.profile;
-            positions = Some(match positions.take() {
-                None => hits,
-                Some(prev) => haec_exec::select::intersect_positions(&prev, &hits),
-            });
-        }
-        for p in str_preds {
-            let codes = &t
-                .delta_column(p.col)
-                .and_then(Column::as_str)
-                .expect("predicate validated as string column")
-                .codes()[start..end];
-            // Bill the rows actually *inspected*: the full chunk only for
-            // the first predicate; afterwards just the surviving
-            // positions that are re-checked.
-            let inspected = positions.as_ref().map_or(codes.len(), Vec::len) as u64;
-            profile.cpu_cycles += self.costs.cycles_for(Kernel::SelectBitwise, inspected);
-            profile.dram_read += ByteCount::new(inspected * 4);
-            let keep = |row: usize| -> bool {
-                match p.delta_code {
-                    Some(c) => (codes[row] == c) != p.negated,
-                    None => p.negated,
-                }
-            };
-            positions = Some(match positions.take() {
-                Some(mut pos) => {
-                    pos.retain(|&r| keep(r as usize));
-                    pos
-                }
-                None => (0..codes.len()).filter(|&i| keep(i)).map(|i| i as u32).collect(),
-            });
-        }
-        let pos = positions.unwrap_or_else(|| (0..rows as u32).collect());
-        (pos.into_iter().map(|p| p + base as u32).collect(), profile)
-    }
-
-    /// Segment-wise aggregation pushdown: every main segment folds a
-    /// partial [`AggState`] (or per-group hash of states) directly from
-    /// its encoded columns via streaming decode — no full-column
-    /// materialization — the delta tail folds flat, and partials merge
-    /// with [`AggState::merge`]. Units dispatch over the same morsel
-    /// machinery as [`Database::scan_segmented`], so large aggregates
-    /// parallelize.
-    ///
-    /// Fast paths answer whole segments from metadata when every row of
-    /// the segment survives the filters: COUNT from the row count,
-    /// MIN/MAX from the zone map — zero column bytes touched. All other
-    /// paths bill decode cycles plus the encoded bytes actually read.
-    fn aggregate_segmented(
-        &self,
-        t: &TableSnapshot,
-        spec: AggSpec<'_>,
-        positions: Option<&[u32]>,
-        opts: &ExecOpts,
-    ) -> (AggAcc, ResourceProfile) {
-        let nsegs = t.segments().len();
-        let unit_rows = delta_unit_rows(opts);
-        let unit_hits = split_unit_hits(t, positions, unit_rows);
-        let parts = self.eval_units(t, opts, |u| {
-            let hits = unit_hits.as_ref().map(|v| v[u]);
-            if hits.is_some_and(<[u32]>::is_empty) {
-                return (AggAcc::identity(spec.group.is_some()), ResourceProfile::default());
-            }
-            if u < nsegs {
-                self.agg_segment(t, u, spec, hits)
-            } else {
-                let (start, end) = delta_chunk(t, u - nsegs, unit_rows);
-                self.agg_delta(t, start, end, spec, hits)
-            }
-        });
-        let mut acc = AggAcc::identity(spec.group.is_some());
-        let mut profile = ResourceProfile::default();
-        for (a, p) in parts {
-            acc.merge(a);
-            profile += p;
-        }
-        (acc, profile)
-    }
-
-    /// One main segment's partial aggregate, computed from the encoded
-    /// data (or from zone metadata when possible).
-    fn agg_segment(
-        &self,
-        t: &TableSnapshot,
-        si: usize,
-        spec: AggSpec<'_>,
-        hits: Option<&[u32]>,
-    ) -> (AggAcc, ResourceProfile) {
-        let seg = &t.segments()[si];
-        let base = t.segment_base(si);
-        let rows = seg.rows();
-        let mut profile = ResourceProfile::default();
-        // A hit list covering every row of the segment is the tautology
-        // case: the filters kept the whole segment.
-        let full = hits.is_none_or(|h| h.len() == rows);
-        let vsrc = match seg.column(spec.vidx) {
-            Some(SegColumn::Int { data, .. }) => SegSource::Enc(data),
-            None => SegSource::Const(0), // segment predates the column
-            Some(_) => unreachable!("aggregate value validated as integer column"),
-        };
-        // COUNT never needs the values — only how many rows survive.
-        let vsrc = if spec.kind == AggKind::Count { SegSource::Const(0) } else { vsrc };
-        let Some(g) = spec.group else {
-            let (st, fp) = self.fold_segment_values(seg, base, spec.kind, spec.vidx, vsrc, hits);
-            profile += fp;
-            return (AggAcc::Global(st), profile);
-        };
-        // Grouped: stream keys and values together into per-group states.
-        let (gsrc, gcol_idx) = match g {
-            GroupCol::Int(gidx) => (
-                match seg.column(*gidx) {
-                    Some(SegColumn::Int { data, .. }) => SegSource::Enc(data),
-                    None => SegSource::Const(0),
-                    Some(_) => unreachable!("group key validated as integer column"),
-                },
-                *gidx,
-            ),
-            GroupCol::Str { col, sentinel_key, .. } => (
-                match seg.column(*col) {
-                    // Segment codes index the table-global dictionary,
-                    // which is exactly the unified key space.
-                    Some(SegColumn::Str { codes, .. }) => SegSource::Enc(codes),
-                    None => SegSource::Const(*sentinel_key),
-                    Some(_) => unreachable!("group key validated as string column"),
-                },
-                *col,
-            ),
-        };
-        // Zone-map-aware shortcut: a collapsed key zone means every row
-        // of this segment belongs to one group — fold the values like a
-        // global aggregate (zone-answered fast paths included) and skip
-        // the per-row key decode and hashing entirely: zero key-column
-        // bytes touched.
-        let single_key = match gsrc {
-            SegSource::Const(v) => Some(v),
-            SegSource::Enc(_) => match seg.zone(gcol_idx) {
-                Some((lo, hi)) if lo == hi => Some(lo),
-                _ => None,
-            },
-        };
-        if let Some(k) = single_key {
-            let (st, fp) = self.fold_segment_values(seg, base, spec.kind, spec.vidx, vsrc, hits);
-            profile += fp;
-            let mut map = HashMap::with_capacity(1);
-            map.insert(k, st);
-            return (AggAcc::Grouped(map), profile);
-        }
-        // Pre-size the per-segment group hash from measured statistics:
-        // the exact NDV recorded at merge time for integer keys, the
-        // code-zone span for string keys — no rehashing mid-fold.
-        let ndv_hint = match g {
-            GroupCol::Int(_) => seg.ndv(gcol_idx).unwrap_or(1),
-            GroupCol::Str { .. } => {
-                seg.zone(gcol_idx).map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs())
-            }
-        };
-        let mut map: HashMap<i64, AggState> = HashMap::with_capacity(ndv_hint.min(rows as u64) as usize);
-        if full {
-            for (k, v) in gsrc.iter(rows).zip(vsrc.iter(rows)) {
-                map.entry(k).or_default().update(v);
-            }
-            let items = gsrc.decode_items(rows) + vsrc.decode_items(rows);
-            profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, items)
-                + self.costs.cycles_for(Kernel::AggUpdate, rows as u64)
-                + self.costs.cycles_for(Kernel::HashProbe, rows as u64);
-            profile.dram_read +=
-                ByteCount::new(gsrc.stream_bytes(rows, rows) + vsrc.stream_bytes(rows, rows));
-        } else {
-            let hits = hits.expect("not full implies a hit list");
-            let n = hits.len();
-            if sparse_hits(n, rows) {
-                for &p in hits {
-                    let local = p as usize - base;
-                    map.entry(gsrc.get(local)).or_default().update(vsrc.get(local));
-                }
-                let items = gsrc.decode_items(n) + vsrc.decode_items(n);
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, items)
-                    + self.costs.cycles_for(Kernel::AggUpdate, n as u64)
-                    + self.costs.cycles_for(Kernel::HashProbe, n as u64);
-                // Codes are 4-byte cells, int keys and values 8-byte.
-                let key_width = if matches!(g, GroupCol::Str { .. }) { 4 } else { 8 };
-                profile.dram_read +=
-                    ByteCount::new(gsrc.decode_items(n) * key_width + vsrc.decode_items(n) * 8);
-            } else {
-                let mut hi = 0;
-                for (local, (k, v)) in gsrc.iter(rows).zip(vsrc.iter(rows)).enumerate() {
-                    if hi == n {
-                        break;
-                    }
-                    if hits[hi] as usize - base == local {
-                        map.entry(k).or_default().update(v);
-                        hi += 1;
-                    }
-                }
-                let streamed = hits.last().map_or(0, |&p| p as usize - base + 1);
-                let items = gsrc.decode_items(streamed) + vsrc.decode_items(streamed);
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, items)
-                    + self.costs.cycles_for(Kernel::AggUpdate, n as u64)
-                    + self.costs.cycles_for(Kernel::HashProbe, n as u64);
-                profile.dram_read +=
-                    ByteCount::new(gsrc.stream_bytes(streamed, rows) + vsrc.stream_bytes(streamed, rows));
-            }
-        }
-        (AggAcc::Grouped(map), profile)
-    }
-
-    /// Folds one main segment's value column into a single
-    /// [`AggState`], zone-answered fast paths included — shared by the
-    /// global-aggregate path and by grouped aggregates over segments
-    /// whose group-key zone collapses to one value (which therefore
-    /// need no per-row hashing and no key bytes at all).
-    fn fold_segment_values(
-        &self,
-        seg: &Segment,
-        base: usize,
-        kind: AggKind,
-        vidx: usize,
-        vsrc: SegSource<'_>,
-        hits: Option<&[u32]>,
-    ) -> (AggState, ResourceProfile) {
-        let rows = seg.rows();
-        let mut profile = ResourceProfile::default();
-        let mut st = AggState::empty();
-        // A hit list covering every row is the tautology case.
-        if hits.is_none_or(|h| h.len() == rows) {
-            match (kind, vsrc, seg.zone(vidx)) {
-                // Sentinel column: `rows` copies of 0, no data exists.
-                (_, SegSource::Const(v), _) if kind != AggKind::Count => {
-                    st.update_repeated(v, rows);
-                }
-                // Zone-answered: zero column bytes touched.
-                (AggKind::Count, _, _) => {
-                    st.count = rows as u64;
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, 1);
-                }
-                (AggKind::Min | AggKind::Max, _, Some((lo, hi))) => {
-                    st.count = rows as u64;
-                    st.min = lo;
-                    st.max = hi;
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, 1);
-                }
-                (_, SegSource::Enc(EncodedInts::Rle(r)), _) => {
-                    // SUM/AVG on RLE: one multiply per run.
-                    for run in r.runs() {
-                        st.update_repeated(run.value, run.len);
-                    }
-                    let items = r.runs().len() as u64;
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, items)
-                        + self.costs.cycles_for(Kernel::AggUpdate, items);
-                    profile.dram_read += ByteCount::new(vsrc.stream_bytes(rows, rows));
-                }
-                (_, SegSource::Enc(data), _) => {
-                    for v in data.iter() {
-                        st.update(v);
-                    }
-                    profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, rows as u64)
-                        + self.costs.cycles_for(Kernel::AggUpdate, rows as u64);
-                    profile.dram_read += ByteCount::new(vsrc.stream_bytes(rows, rows));
-                }
-                (_, SegSource::Const(_), _) => unreachable!("count handled above"),
-            }
-        } else {
-            let hits = hits.expect("not full implies a hit list");
-            if kind == AggKind::Count {
-                st.count = hits.len() as u64;
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, 1);
-            } else if sparse_hits(hits.len(), rows) {
-                // Sparse survivors: compressed random access.
-                for &p in hits {
-                    st.update(vsrc.get(p as usize - base));
-                }
-                let n = hits.len();
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::CompressDecode, vsrc.decode_items(n))
-                    + self.costs.cycles_for(Kernel::AggUpdate, n as u64);
-                profile.dram_read += ByteCount::new(vsrc.decode_items(n) * 8);
-            } else {
-                // Dense survivors: stream-decode up to the last hit.
-                let mut hi = 0;
-                for (local, v) in vsrc.iter(rows).enumerate() {
-                    if hi == hits.len() {
-                        break;
-                    }
-                    if hits[hi] as usize - base == local {
-                        st.update(v);
-                        hi += 1;
-                    }
-                }
-                let streamed = hits.last().map_or(0, |&p| p as usize - base + 1);
-                profile.cpu_cycles +=
-                    self.costs.cycles_for(Kernel::CompressDecode, vsrc.decode_items(streamed))
-                        + self.costs.cycles_for(Kernel::AggUpdate, hits.len() as u64);
-                profile.dram_read += ByteCount::new(vsrc.stream_bytes(streamed, rows));
-            }
-        }
-        (st, profile)
-    }
-
-    /// Partial aggregate over delta rows `[start, end)`: the flat tail
-    /// folds with the existing kernels (dense column slices, no decode).
-    fn agg_delta(
-        &self,
-        t: &TableSnapshot,
-        start: usize,
-        end: usize,
-        spec: AggSpec<'_>,
-        hits: Option<&[u32]>,
-    ) -> (AggAcc, ResourceProfile) {
-        let base = t.main_rows();
-        let rows = end - start;
-        let mut profile = ResourceProfile::default();
-        let full = hits.is_none_or(|h| h.len() == rows);
-        let vals = t
-            .delta_column(spec.vidx)
-            .and_then(Column::as_int64)
-            .expect("aggregate value validated as integer column");
-        let Some(g) = spec.group else {
-            let st = if spec.kind == AggKind::Count {
-                // Counting needs no value reads.
-                let mut st = AggState::empty();
-                st.count = if full { rows } else { hits.expect("not full").len() } as u64;
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, 1);
-                st
-            } else if full {
-                let st = aggregate(&vals[start..end]);
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, rows as u64);
-                profile.dram_read += ByteCount::new(rows as u64 * 8);
-                st
-            } else {
-                let hits = hits.expect("not full implies a hit list");
-                let mut st = AggState::empty();
-                for &p in hits {
-                    st.update(vals[p as usize - base]);
-                }
-                profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, hits.len() as u64);
-                profile.dram_read += ByteCount::new(hits.len() as u64 * 8);
-                st
-            };
-            return (AggAcc::Global(st), profile);
-        };
-        // Grouped delta fold. Key bytes: 8 per int key, 4 per code.
-        let (key_of, key_bytes): (Box<dyn Fn(usize) -> i64 + '_>, u64) = match g {
-            GroupCol::Int(gidx) => {
-                let keys = t
-                    .delta_column(*gidx)
-                    .and_then(Column::as_int64)
-                    .expect("group key validated as integer column");
-                (Box::new(move |local| keys[local]), 8)
-            }
-            GroupCol::Str { col, delta_remap, .. } => {
-                let codes = t
-                    .delta_column(*col)
-                    .and_then(Column::as_str)
-                    .expect("group key validated as string column")
-                    .codes();
-                (Box::new(move |local| delta_remap[codes[local] as usize]), 4)
-            }
-        };
-        let mut map: HashMap<i64, AggState> = HashMap::new();
-        let mut fold = |local: usize| {
-            let v = if spec.kind == AggKind::Count { 0 } else { vals[local] };
-            map.entry(key_of(local)).or_default().update(v);
-        };
-        let inspected = if full {
-            (start..end).for_each(&mut fold);
-            rows as u64
-        } else {
-            let hits = hits.expect("not full implies a hit list");
-            hits.iter().for_each(|&p| fold(p as usize - base));
-            hits.len() as u64
-        };
-        let value_bytes = if spec.kind == AggKind::Count { 0 } else { 8 };
-        profile.cpu_cycles += self.costs.cycles_for(Kernel::AggUpdate, inspected)
-            + self.costs.cycles_for(Kernel::HashProbe, inspected);
-        profile.dram_read += ByteCount::new(inspected * (key_bytes + value_bytes));
-        (AggAcc::Grouped(map), profile)
     }
 
     /// Pins a consistent multi-table snapshot: one timestamp from the
@@ -2419,13 +773,9 @@ impl DbSnapshot<'_> {
     ///
     /// Same failure modes as [`DbSnapshot::execute`].
     pub fn execute_opts(&self, query: &Query, opts: &ExecOpts) -> DbResult<QueryResult> {
-        if let Some(jc) = &query.join {
-            let lt = self.table(&query.table).ok_or_else(|| DbError::NoSuchTable(query.table.clone()))?;
-            let rt = self.table(&jc.table).ok_or_else(|| DbError::NoSuchTable(jc.table.clone()))?;
-            return self.db.execute_join_pinned(lt, rt, query, jc, opts);
-        }
-        let t = self.table(&query.table).ok_or_else(|| DbError::NoSuchTable(query.table.clone()))?;
-        self.db.execute_pinned(t, query, true, opts)
+        self.db.run(query, true, opts, |name| {
+            self.table(name).map(Cow::Borrowed).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+        })
     }
 }
 
@@ -2485,15 +835,9 @@ impl DbTransaction<'_> {
     /// Same failure modes as [`Database::execute`]; overlay rows that
     /// violate the schema surface here.
     pub fn execute(&self, query: &Query) -> DbResult<QueryResult> {
-        let lt = self.overlay(&query.table)?;
-        let opts = ExecOpts::default();
-        if let Some(jc) = &query.join {
-            let rt = self.overlay(&jc.table)?;
-            return self.snapshot.db.execute_join_pinned(&lt, &rt, query, jc, &opts);
-        }
         // Overlay rows are invisible to the live indexes — stay off the
         // index path so read-your-own-writes holds on every plan.
-        self.snapshot.db.execute_pinned(&lt, query, false, &opts)
+        self.snapshot.db.run(query, false, &ExecOpts::default(), |name| self.overlay(name).map(Cow::Owned))
     }
 
     /// Commits the overlay: every buffered write replays through
@@ -2521,250 +865,13 @@ impl DbTransaction<'_> {
     }
 }
 
-/// Smallest delta execution unit a query can ask for — below this the
-/// per-unit bookkeeping dominates the work.
-const DELTA_UNIT_MIN_ROWS: usize = 1024;
-
-/// Rows per delta execution unit for one query: the per-query morsel
-/// size, clamped to `[`[`DELTA_UNIT_MIN_ROWS`]`, SEGMENT_ROWS]` — a
-/// governor grant can shrink units under contention for fairer
-/// interleaving, but a compressed main segment stays the widest unit
-/// (it is atomic: the storage-defined dispatch floor).
-fn delta_unit_rows(opts: &ExecOpts) -> usize {
-    opts.morsel_rows.clamp(DELTA_UNIT_MIN_ROWS, crate::segment::SEGMENT_ROWS)
-}
-
-/// Delta rows `[start, end)` of delta chunk `c` — the
-/// [`delta_unit_rows`]-sized execution units an oversized
-/// (merge-disabled) delta is split into (see `Database::eval_units`).
-fn delta_chunk(t: &TableSnapshot, c: usize, unit_rows: usize) -> (usize, usize) {
-    let start = c * unit_rows;
-    (start, (start + unit_rows).min(t.delta_rows()))
-}
-
-/// Splits an ascending global-position list into per-unit slices — one
-/// per main segment, then one per delta chunk — so aggregation pushdown
-/// and join-key extraction hand each execution unit exactly its hits.
-fn split_unit_hits<'p>(
-    t: &TableSnapshot,
-    positions: Option<&'p [u32]>,
-    unit_rows: usize,
-) -> Option<Vec<&'p [u32]>> {
-    positions.map(|pos| {
-        let nsegs = t.segments().len();
-        let units = nsegs + t.delta_rows().div_ceil(unit_rows);
-        let mut out = Vec::with_capacity(units);
-        let mut i = 0;
-        for u in 0..units {
-            let end_row = if u < nsegs {
-                t.segment_base(u) + t.segments()[u].rows()
-            } else {
-                t.main_rows() + delta_chunk(t, u - nsegs, unit_rows).1
-            };
-            let from = i;
-            while i < pos.len() && (pos[i] as usize) < end_row {
-                i += 1;
-            }
-            out.push(&pos[from..i]);
-        }
-        out
-    })
-}
-
-/// Resolves a join's output columns as `(is_left, output name, source
-/// column)` triples: with no projection, every left column under its
-/// own name then every right column as `"table.column"`; with a
-/// projection, each name resolves qualified-first on either side, then
-/// bare against the left schema, then the right.
-fn resolve_join_outputs(
-    query: &Query,
-    jc: &JoinClause,
-    lt: &TableSnapshot,
-    rt: &TableSnapshot,
-) -> DbResult<Vec<(bool, String, String)>> {
-    match &query.select {
-        None => {
-            let mut out: Vec<(bool, String, String)> =
-                lt.schema().columns().iter().map(|(n, _)| (true, n.clone(), n.clone())).collect();
-            out.extend(
-                rt.schema().columns().iter().map(|(n, _)| (false, format!("{}.{}", jc.table, n), n.clone())),
-            );
-            Ok(out)
-        }
-        Some(sel) => sel
-            .iter()
-            .map(|name| {
-                // In a self-join the default projection labels the RIGHT
-                // side `"table.column"`, so a qualified name must keep
-                // meaning the right side there; bare names stay left.
-                if query.table != jc.table {
-                    if let Some(rest) = name.strip_prefix(&format!("{}.", query.table)) {
-                        if lt.schema().position(rest).is_some() {
-                            return Ok((true, name.clone(), rest.to_string()));
-                        }
-                    }
-                }
-                if let Some(rest) = name.strip_prefix(&format!("{}.", jc.table)) {
-                    if rt.schema().position(rest).is_some() {
-                        return Ok((false, name.clone(), rest.to_string()));
-                    }
-                }
-                if lt.schema().position(name).is_some() {
-                    return Ok((true, name.clone(), name.clone()));
-                }
-                if rt.schema().position(name).is_some() {
-                    return Ok((false, name.clone(), name.clone()));
-                }
-                Err(DbError::NoSuchColumn {
-                    table: format!("{} join {}", query.table, jc.table),
-                    column: name.clone(),
-                })
-            })
-            .collect(),
-    }
-}
-
-/// Planner-side cost of delivering this query's string projection to
-/// the client as codes + one shared output dictionary
-/// ([`CostModel::project_codes`]): the estimated surviving rows each
-/// move a code, and each distinct value (catalog NDV, capped by the row
-/// count) pays one dictionary-entry decode of the column's mean entry
-/// length. Zero for aggregates (no client projection) and for
-/// projections without string columns.
-fn str_projection_cost(
-    model: &CostModel,
-    t: &TableSnapshot,
-    meta: &haec_planner::catalog::TableMeta,
-    query: &Query,
-    sel: f64,
-) -> PlanCost {
-    if query.agg.is_some() {
-        return PlanCost::ZERO;
-    }
-    let rows = (sel * t.rows() as f64).ceil() as u64;
-    let projected: Vec<&str> = match &query.select {
-        Some(cols) => cols.iter().map(String::as_str).collect(),
-        None => t.schema().columns().iter().map(|(n, _)| n.as_str()).collect(),
-    };
-    let mut cost = PlanCost::ZERO;
-    for name in projected {
-        let Some(idx) = t.schema().position(name) else { continue };
-        if t.schema().columns()[idx].1 != DataType::Str {
-            continue;
-        }
-        let ndv = meta.column(name).map_or(rows, |c| c.ndv);
-        let avg = t.global_dict(idx).filter(|d| d.dict_size() > 0).map_or(8, |d| d.avg_entry_bytes() as u64);
-        cost = cost + model.project_codes(rows, ndv, avg);
-    }
-    cost
-}
-
-/// ANDs `m` into the accumulator (first predicate just installs it).
-fn and_into(acc: &mut Option<Bitmap>, m: Bitmap) {
-    match acc {
-        None => *acc = Some(m),
-        Some(b) => b.and_with(&m),
-    }
-}
-
-/// The aggregate output column for sorted `(key, state)` pairs.
-fn agg_value_column<K>(grouped: &[(K, AggState)], kind: AggKind) -> Column {
-    grouped.iter().map(|(_, s)| s.value(kind).unwrap_or(f64::NAN)).collect::<Vec<f64>>().into_iter().collect()
-}
-
-/// Resolves a group-by column: integer columns group on values, string
-/// columns on dictionary codes (see [`GroupCol::Str`] for the unified
-/// key space spanning the global and delta-local dictionaries).
-fn resolve_group_col(t: &TableSnapshot, table: &str, name: &str) -> DbResult<GroupCol> {
-    let idx = t
-        .schema()
-        .position(name)
-        .ok_or_else(|| DbError::NoSuchColumn { table: table.to_string(), column: name.to_string() })?;
-    match t.schema().columns()[idx].1 {
-        DataType::Int64 => Ok(GroupCol::Int(idx)),
-        DataType::Str => {
-            let global = t.global_dict(idx);
-            let global_len = global.map_or(0, DictColumn::dict_size);
-            let local = t.delta_column(idx).and_then(Column::as_str);
-            let delta_remap = local.map_or_else(Vec::new, |l| {
-                (0..l.dict_size())
-                    .map(|c| {
-                        let s = l.decode(c as u32).expect("local code in range");
-                        global.and_then(|g| g.code_of(s)).map_or(global_len as i64 + c as i64, i64::from)
-                    })
-                    .collect()
-            });
-            let sentinel_key = global
-                .and_then(|g| g.code_of(""))
-                .map(i64::from)
-                .or_else(|| local.and_then(|l| l.code_of("")).map(|c| global_len as i64 + i64::from(c)))
-                .unwrap_or(SENTINEL_STR_KEY);
-            Ok(GroupCol::Str { col: idx, delta_remap, sentinel_key, global_len })
-        }
-        DataType::Float64 => {
-            Err(DbError::TypeMismatch { column: name.to_string(), expected: DataType::Int64 })
-        }
-    }
-}
-
-/// Decodes a unified string-group key back to its string.
-fn decode_group_key(t: &TableSnapshot, col: usize, global_len: usize, key: i64) -> String {
-    if key == SENTINEL_STR_KEY {
-        return String::new();
-    }
-    let s = if (key as usize) < global_len {
-        t.global_dict(col).and_then(|g| g.decode(key as u32))
-    } else {
-        t.delta_column(col)
-            .and_then(Column::as_str)
-            .and_then(|l| l.decode((key as usize - global_len) as u32))
-    };
-    s.expect("group key decodes through its dictionary").to_string()
-}
-
-fn check_int_column(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize> {
-    let idx = t
-        .schema()
-        .position(name)
-        .ok_or_else(|| DbError::NoSuchColumn { table: table.to_string(), column: name.to_string() })?;
-    if t.schema().columns()[idx].1 != DataType::Int64 {
-        return Err(DbError::TypeMismatch { column: name.to_string(), expected: DataType::Int64 });
-    }
-    Ok(idx)
-}
-
-fn resolve_int_preds(t: &TableSnapshot, table: &str, filters: &[Filter]) -> DbResult<Vec<IntPred>> {
-    filters
-        .iter()
-        .map(|f| {
-            let col = check_int_column(t, table, &f.column)?;
-            Ok(IntPred { col, op: f.op, literal: f.literal })
-        })
-        .collect()
-}
-
-fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> DbResult<Vec<StrPred>> {
-    filters
-        .iter()
-        .map(|f| {
-            let col = t.schema().position(&f.column).ok_or_else(|| DbError::NoSuchColumn {
-                table: table.to_string(),
-                column: f.column.clone(),
-            })?;
-            if t.schema().columns()[col].1 != DataType::Str {
-                return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
-            }
-            let global_code = t.global_dict(col).and_then(|d| d.code_of(&f.value)).map(i64::from);
-            let delta_code = t.delta_column(col).and_then(Column::as_str).and_then(|d| d.code_of(&f.value));
-            Ok(StrPred { col, value: f.value.clone(), global_code, delta_code, negated: f.negated })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::str_projection_cost;
     use crate::segment::SEGMENT_ROWS;
+    use haec_planner::access::choose_access_segmented;
+    use haec_planner::cost::CostModel;
 
     fn sample_db(rows: i64) -> Database {
         let db = Database::new();
@@ -3765,9 +1872,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only one join stage")]
     fn second_join_stage_is_rejected() {
-        let _ = Query::scan("a").join("b", "k", "k").join("c", "k", "k");
+        let db = join_dbs(4, 8);
+        let q = Query::scan("orders").join("users", "user_id", "uid").join("users", "user_id", "uid");
+        assert!(matches!(db.execute(&q), Err(DbError::BadQuery(_))));
+    }
+
+    #[test]
+    fn join_filters_before_join_are_rejected() {
+        let db = join_dbs(4, 8);
+        let join = |q: Query| q.join("users", "user_id", "uid");
+        for q in [
+            join(Query::scan("orders").join_filter("uid", CmpOp::Ge, 0)),
+            join(Query::scan("orders").join_filter_str_eq("country", "de")),
+            join(Query::scan("orders").join_filter_str_ne("country", "de")),
+        ] {
+            assert!(matches!(db.execute(&q), Err(DbError::BadQuery(_))));
+        }
     }
 
     #[test]

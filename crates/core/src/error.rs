@@ -89,12 +89,6 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-impl From<haec_exec::pipeline::ExecError> for DbError {
-    fn from(e: haec_exec::pipeline::ExecError) -> Self {
-        DbError::Exec(e.to_string())
-    }
-}
-
 /// Crate-wide result alias.
 pub type DbResult<T> = Result<T, DbError>;
 
@@ -113,12 +107,5 @@ mod tests {
         assert!(format!("{}", DbError::TypeMismatch { column: "c".into(), expected: DataType::Int64 })
             .contains("int64"));
         assert!(format!("{}", DbError::SchemaViolation("x".into())).contains("x"));
-    }
-
-    #[test]
-    fn from_exec_error() {
-        let e = haec_exec::pipeline::ExecError::MissingColumn("c".into());
-        let d: DbError = e.into();
-        assert!(matches!(d, DbError::Exec(_)));
     }
 }

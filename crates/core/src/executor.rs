@@ -1,0 +1,1689 @@
+//! The query executor: one entry ([`Database::run`]) that sequences
+//! **filter → \[join\] → \[fold | gather\] → charge**, each stage
+//! written once.
+//!
+//! Every stage works on *execution units* of a pinned
+//! [`TableSnapshot`] — one per main segment, then one per
+//! [`delta_unit_rows`]-sized chunk of the delta tail — dispatched as
+//! morsels over the shared worker pool. The main/delta split shows up
+//! in exactly two places:
+//!
+//! * the **predicate kernels** ([`Database::eval_segment`] scans the
+//!   compressed column in place, [`Database::eval_delta`] runs the flat
+//!   vectorized kernels) — two implementations on purpose: they run
+//!   different algorithms and bill differently;
+//! * the **column view** ([`UnitCol`]): what a unit's column looks like
+//!   to everything downstream of the filters. Aggregation and join-key
+//!   streaming are written once against that view and [`walk`] it —
+//!   all rows, sparse random access, or dense stream-to-last-hit — with
+//!   one billing rule.
+
+use crate::db::{Database, Filter, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS};
+use crate::error::{DbError, DbResult};
+use crate::segment::{zone_all_match, zone_may_match, SegColumn, Segment};
+use crate::table::{sparse_hits, TableSnapshot};
+use haec_columnar::bitmap::Bitmap;
+use haec_columnar::chunk::Chunk;
+use haec_columnar::column::Column;
+use haec_columnar::dict::DictColumn;
+use haec_columnar::encoding::EncodedInts;
+use haec_columnar::value::{CmpOp, DataType};
+use haec_energy::calibrate::Kernel;
+use haec_energy::profile::ResourceProfile;
+use haec_energy::units::ByteCount;
+use haec_exec::agg::{AggKind, AggState};
+use haec_exec::join::{sort_merge_join_pairs_presorted, HashJoin, HASH_BUCKET_BYTES};
+use haec_exec::pool::{ExecOpts, MorselGate, RunSpec};
+use haec_exec::select::{select_metered, SelectKernel};
+use haec_planner::access::{
+    choose_access_segmented, join_zone_overlap, sorted_layout, AccessPath, ZoneMapMeta,
+};
+use haec_planner::cost::{CostModel, JoinAlgo, JoinSideCost, PlanCost};
+use haec_planner::optimizer::choose;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::ops::Range;
+
+/// An integer predicate resolved to a column index.
+#[derive(Clone, Copy)]
+struct IntPred {
+    col: usize,
+    op: CmpOp,
+    literal: i64,
+}
+
+/// A string predicate resolved to dictionary codes: `global_code` for
+/// main segments (table-global dictionary), `delta_code` for the current
+/// delta tail (its local dictionary).
+#[derive(Clone)]
+struct StrPred {
+    col: usize,
+    value: String,
+    global_code: Option<i64>,
+    delta_code: Option<u32>,
+    negated: bool,
+}
+
+/// What to compute per execution unit.
+#[derive(Clone, Copy)]
+struct AggSpec<'a> {
+    kind: AggKind,
+    /// Value column index (validated `Int64`).
+    vidx: usize,
+    group: Option<&'a KeyCol>,
+}
+
+/// A partial aggregate from one execution unit, merged across units with
+/// [`AggState::merge`] (commutative, so parallel completion order does
+/// not matter).
+enum AggAcc {
+    Global(AggState),
+    Grouped(HashMap<i64, AggState>),
+}
+
+impl AggAcc {
+    fn identity(grouped: bool) -> AggAcc {
+        if grouped {
+            AggAcc::Grouped(HashMap::new())
+        } else {
+            AggAcc::Global(AggState::empty())
+        }
+    }
+
+    fn merge(&mut self, other: AggAcc) {
+        match (self, other) {
+            (AggAcc::Global(a), AggAcc::Global(b)) => a.merge(&b),
+            (AggAcc::Grouped(a), AggAcc::Grouped(b)) => {
+                for (k, s) in b {
+                    a.entry(k).or_default().merge(&s);
+                }
+            }
+            _ => unreachable!("all units of one query share the group shape"),
+        }
+    }
+}
+
+/// One execution unit of a pinned table: a main segment, or a
+/// [`delta_unit_rows`]-sized chunk of the delta tail.
+struct Unit<'a> {
+    /// The segment; `None` for a delta chunk.
+    seg: Option<&'a Segment>,
+    /// Global row id of the unit's first row.
+    base: usize,
+    rows: usize,
+}
+
+impl<'a> Unit<'a> {
+    /// Unit `u` of `t`: segments first, then delta chunks.
+    fn of(t: &'a TableSnapshot, u: usize, unit_rows: usize) -> Self {
+        let nsegs = t.segments().len();
+        if u < nsegs {
+            let seg = &t.segments()[u];
+            Unit { seg: Some(seg), base: t.segment_base(u), rows: seg.rows() }
+        } else {
+            let start = (u - nsegs) * unit_rows;
+            let end = (start + unit_rows).min(t.delta_rows());
+            Unit { seg: None, base: t.main_rows() + start, rows: end - start }
+        }
+    }
+
+    /// A delta chunk's row range within the delta tail.
+    fn delta_range(&self, t: &TableSnapshot) -> Range<usize> {
+        let start = self.base - t.main_rows();
+        start..start + self.rows
+    }
+
+    /// This unit's view of integer column `idx`.
+    fn int_col(&self, t: &'a TableSnapshot, idx: usize) -> UnitCol<'a> {
+        match self.seg {
+            Some(seg) => match seg.column(idx) {
+                Some(SegColumn::Int { data, .. }) => UnitCol::Enc(data, None),
+                None => UnitCol::Const(0), // segment predates the column: null sentinel
+                Some(_) => unreachable!("column validated as integer"),
+            },
+            None => {
+                let vals =
+                    t.delta_column(idx).and_then(Column::as_int64).expect("column validated as integer");
+                UnitCol::Ints(&vals[self.delta_range(t)])
+            }
+        }
+    }
+}
+
+/// One execution unit's view of one column — what aggregation and
+/// join-key streaming read, whichever store the unit lives in.
+#[derive(Clone, Copy)]
+enum UnitCol<'a> {
+    /// A main segment's encoded column; `Some(map)` translates its
+    /// dictionary codes into a key space.
+    Enc(&'a EncodedInts, Option<&'a [i64]>),
+    /// A constant: the sentinel of a column this segment predates, or
+    /// the value COUNT never reads.
+    Const(i64),
+    /// A flat delta chunk of integers.
+    Ints(&'a [i64]),
+    /// A flat delta chunk of dictionary codes, with their translation
+    /// into a key space.
+    Codes(&'a [u32], &'a [i64]),
+}
+
+/// What one [`walk`] touched of one column.
+#[derive(Clone, Copy)]
+struct Touched {
+    /// Values decoded from a compressed encoding.
+    decode_items: u64,
+    /// Bytes read sequentially (encoded stream share, or flat cells).
+    stream_bytes: u64,
+    /// Compressed random accesses, billed per cell by the caller.
+    random_cells: u64,
+}
+
+impl Touched {
+    /// DRAM bytes read, with random accesses billed `cell` bytes each.
+    fn bytes(&self, cell: u64) -> u64 {
+        self.stream_bytes + self.random_cells * cell
+    }
+}
+
+impl UnitCol<'_> {
+    /// The bill for a walk that consumed `n` of the unit's `rows` rows,
+    /// streaming the first `streamed` (`None`: random access). Constants
+    /// cost nothing; flat cells are read where they lie (8-byte ints,
+    /// 4-byte codes) with no decode.
+    fn touched(&self, streamed: Option<usize>, n: usize, rows: usize) -> Touched {
+        let (decode_items, stream_bytes, random_cells) = match (self, streamed) {
+            (UnitCol::Enc(e, _), Some(s)) => (s, e.size_bytes() * s / rows.max(1), 0),
+            (UnitCol::Enc(..), None) => (n, 0, n),
+            (UnitCol::Const(_), _) => (0, 0, 0),
+            (UnitCol::Ints(_), _) => (0, n * 8, 0),
+            (UnitCol::Codes(..), _) => (0, n * 4, 0),
+        };
+        Touched {
+            decode_items: decode_items as u64,
+            stream_bytes: stream_bytes as u64,
+            random_cells: random_cells as u64,
+        }
+    }
+}
+
+/// Feeds `sink` the `(key, value, global row)` of every hit of one unit
+/// (`hits: None` = every row) and returns what the walk touched of the
+/// key and value columns. Single-column consumers pass
+/// [`UnitCol::Const`] for the column they do not read — it costs
+/// nothing. The views are matched here, once per unit; the row loops
+/// below are monomorphic.
+fn walk(
+    unit: &Unit<'_>,
+    k: UnitCol<'_>,
+    v: UnitCol<'_>,
+    hits: Option<&[u32]>,
+    sink: impl FnMut(i64, i64, u32),
+) -> (Touched, Touched) {
+    let rows = unit.rows;
+    // A hit list covering every row is the tautology case: the filters
+    // kept the whole unit.
+    let hits = hits.filter(|h| h.len() != rows);
+    let streamed = match k {
+        UnitCol::Enc(e, None) => walk_values(unit, hits, || e.iter(), |i| e.get(i), v, sink),
+        UnitCol::Enc(e, Some(m)) => {
+            walk_values(unit, hits, || e.iter().map(|c| m[c as usize]), |i| m[e.get(i) as usize], v, sink)
+        }
+        UnitCol::Const(c) => walk_values(unit, hits, || std::iter::repeat_n(c, rows), |_| c, v, sink),
+        UnitCol::Ints(s) => walk_values(unit, hits, || s.iter().copied(), |i| s[i], v, sink),
+        UnitCol::Codes(s, m) => {
+            walk_values(unit, hits, || s.iter().map(|&c| m[c as usize]), |i| m[s[i] as usize], v, sink)
+        }
+    };
+    let n = hits.map_or(rows, <[u32]>::len);
+    (k.touched(streamed, n, rows), v.touched(streamed, n, rows))
+}
+
+/// [`walk`]'s second dispatch level: pairs the key accessors with the
+/// value column's.
+fn walk_values<K: Iterator<Item = i64>>(
+    unit: &Unit<'_>,
+    hits: Option<&[u32]>,
+    keys: impl FnOnce() -> K,
+    key_at: impl Fn(usize) -> i64,
+    v: UnitCol<'_>,
+    sink: impl FnMut(i64, i64, u32),
+) -> Option<usize> {
+    match v {
+        UnitCol::Enc(e, _) => walk_hits(unit, hits, || keys().zip(e.iter()), |i| (key_at(i), e.get(i)), sink),
+        UnitCol::Const(c) => walk_hits(unit, hits, || keys().map(|k| (k, c)), |i| (key_at(i), c), sink),
+        UnitCol::Ints(s) => {
+            walk_hits(unit, hits, || keys().zip(s.iter().copied()), |i| (key_at(i), s[i]), sink)
+        }
+        UnitCol::Codes(..) => unreachable!("aggregated values are integer columns"),
+    }
+}
+
+/// The one hit walk. All rows stream; survivors sparser than
+/// [`sparse_hits`] use random access; denser ones stream up to the last
+/// hit. Returns the rows streamed (`None` for random access).
+fn walk_hits<I: Iterator<Item = (i64, i64)>>(
+    unit: &Unit<'_>,
+    hits: Option<&[u32]>,
+    stream: impl FnOnce() -> I,
+    at: impl Fn(usize) -> (i64, i64),
+    mut sink: impl FnMut(i64, i64, u32),
+) -> Option<usize> {
+    let base = unit.base;
+    match hits {
+        None => {
+            for (local, (k, v)) in stream().enumerate() {
+                sink(k, v, (base + local) as u32);
+            }
+            Some(unit.rows)
+        }
+        Some(hits) if sparse_hits(hits.len(), unit.rows) => {
+            for &p in hits {
+                let (k, v) = at(p as usize - base);
+                sink(k, v, p);
+            }
+            None
+        }
+        Some(hits) => {
+            let streamed = hits.last().map_or(0, |&p| p as usize - base + 1);
+            let mut next = 0;
+            for (local, (k, v)) in stream().take(streamed).enumerate() {
+                if hits[next] as usize - base == local {
+                    sink(k, v, hits[next]);
+                    next += 1;
+                }
+            }
+            Some(streamed)
+        }
+    }
+}
+
+/// Sentinel key for string values the key space never interned: joins
+/// with nothing, dropped during key extraction.
+const NO_KEY: i64 = i64::MIN;
+
+/// A key column — a group-by key or one side's join key — resolved for
+/// unit-wise streaming: integer keys are their values; string keys are
+/// dictionary codes translated into a [`StrKeySpace`], never the
+/// strings themselves.
+enum KeyCol {
+    /// An integer key column.
+    Int(usize),
+    /// A string key column with its code translations.
+    Str(StrKeys),
+}
+
+/// One table's string column resolved into a [`StrKeySpace`] (its own
+/// for group-by and the build side of a join, the build side's for the
+/// probe side): one-off dictionary translations — O(dictionary), never
+/// O(rows).
+struct StrKeys {
+    /// Column index.
+    col: usize,
+    /// This table's global dictionary code → key.
+    main_map: Vec<i64>,
+    /// `main_map` is the identity — the table's own global dictionary
+    /// *is* the space — so segment codes are keys as stored.
+    main_identity: bool,
+    /// This table's delta-local code → key.
+    delta_map: Vec<i64>,
+    /// Key of rows in segments predating the column (`""`).
+    sentinel_key: i64,
+}
+
+impl KeyCol {
+    fn col(&self) -> usize {
+        match self {
+            KeyCol::Int(c) => *c,
+            KeyCol::Str(k) => k.col,
+        }
+    }
+
+    /// `unit`'s view of this key column.
+    fn unit_col<'a>(&'a self, t: &'a TableSnapshot, unit: &Unit<'a>) -> UnitCol<'a> {
+        let k = match self {
+            KeyCol::Int(idx) => return unit.int_col(t, *idx),
+            KeyCol::Str(k) => k,
+        };
+        match unit.seg {
+            Some(seg) => match seg.column(k.col) {
+                Some(SegColumn::Str { codes, .. }) => {
+                    UnitCol::Enc(codes, (!k.main_identity).then_some(&k.main_map))
+                }
+                None => UnitCol::Const(k.sentinel_key),
+                Some(_) => unreachable!("key validated as string column"),
+            },
+            None => {
+                let codes = t
+                    .delta_column(k.col)
+                    .and_then(Column::as_str)
+                    .expect("key validated as string column")
+                    .codes();
+                UnitCol::Codes(&codes[unit.delta_range(t)], &k.delta_map)
+            }
+        }
+    }
+}
+
+/// The key space of one table's string column: codes of its
+/// table-global dictionary first, then delta-local values the global
+/// dictionary has not seen, shifted past them. `""` always resolves to
+/// a key (one past everything when neither dictionary holds it) — real
+/// `""` rows and the sentinel rows of segments predating the column
+/// must be able to meet, within a table and across a join.
+struct StrKeySpace<'a> {
+    global: Option<&'a DictColumn>,
+    delta: Option<&'a DictColumn>,
+    global_len: i64,
+}
+
+impl<'a> StrKeySpace<'a> {
+    fn of(t: &'a TableSnapshot, idx: usize) -> Self {
+        let global = t.global_dict(idx);
+        let delta = t.delta_column(idx).and_then(Column::as_str);
+        StrKeySpace { global, delta, global_len: global.map_or(0, DictColumn::dict_size) as i64 }
+    }
+
+    /// Key for values the global dictionary does not hold: delta-fresh
+    /// values shift past the global codes; `""` gets the reserved key
+    /// one past everything; anything else has no key.
+    fn fallback_key(&self, s: &str) -> i64 {
+        if let Some(c) = self.delta.and_then(|l| l.code_of(s)) {
+            return self.global_len + i64::from(c);
+        }
+        if s.is_empty() {
+            return self.global_len + self.delta.map_or(0, DictColumn::dict_size) as i64;
+        }
+        NO_KEY
+    }
+
+    fn key_of(&self, s: &str) -> i64 {
+        match self.global.and_then(|g| g.code_of(s)) {
+            Some(c) => i64::from(c),
+            None => self.fallback_key(s),
+        }
+    }
+
+    /// The string behind a key of this space.
+    fn decode(&self, key: i64) -> &'a str {
+        let s = if key < self.global_len {
+            self.global.and_then(|g| g.decode(key as u32))
+        } else {
+            self.delta.and_then(|l| l.decode((key - self.global_len) as u32))
+        };
+        // Only the reserved `""` key lies past both dictionaries.
+        s.unwrap_or("")
+    }
+
+    /// Resolves string column `idx` of `t` into this space, counting
+    /// the dictionary lookups performed so a join can bill the one-off
+    /// translation.
+    fn resolve(&self, t: &TableSnapshot, idx: usize, lookups: &mut u64) -> StrKeys {
+        let is_own_global = |d: &DictColumn| self.global.is_some_and(|g| std::ptr::eq(g, d));
+        let mut map_dict = |d: &DictColumn| -> Vec<i64> {
+            // The space's own global dictionary maps into itself: an
+            // identity map, no lookups to run (or bill).
+            if is_own_global(d) {
+                return (0..d.dict_size() as i64).collect();
+            }
+            // Bulk first-level translation into the global dictionary,
+            // then resolve the misses through the delta-local one.
+            let first = match self.global {
+                Some(g) => d.codes_in(g),
+                None => vec![None; d.dict_size()],
+            };
+            *lookups += d.dict_size() as u64;
+            d.iter_dict()
+                .zip(first)
+                .map(|(s, hit)| hit.map_or_else(|| self.fallback_key(s), i64::from))
+                .collect()
+        };
+        let main = t.global_dict(idx);
+        StrKeys {
+            col: idx,
+            main_map: main.map_or_else(Vec::new, &mut map_dict),
+            main_identity: main.is_none_or(is_own_global),
+            delta_map: t.delta_column(idx).and_then(Column::as_str).map_or_else(Vec::new, &mut map_dict),
+            sentinel_key: self.key_of(""),
+        }
+    }
+}
+
+/// The probe side's pruning range, in its **physical** key domain:
+/// build-key min/max for integer keys; for string keys, the span of
+/// probe-side global codes whose key `member`s the build side (an
+/// inverted range when none does, pruning every probe segment — the
+/// delta tail is never pruned). `None` disables pruning.
+///
+/// Also returns how many `member` lookups ran (one per probe-dictionary
+/// entry for string keys, zero for integer keys, whose min/max fold
+/// runs over already-billed extracted pairs) so the caller can charge
+/// them — the integer fold is register arithmetic, the string case is a
+/// real probe of the build structure per distinct value.
+fn probe_prune_range(
+    bkeys: &[(i64, u32)],
+    pkey: &KeyCol,
+    member: impl Fn(i64) -> bool,
+) -> (Option<(i64, i64)>, u64) {
+    let mut lo = i64::MAX;
+    let mut hi = i64::MIN;
+    match pkey {
+        KeyCol::Int(_) => {
+            for &(k, _) in bkeys {
+                lo = lo.min(k);
+                hi = hi.max(k);
+            }
+            ((lo <= hi).then_some((lo, hi)), 0)
+        }
+        KeyCol::Str(keys) => {
+            let mut lookups = 0;
+            for (code, &k) in keys.main_map.iter().enumerate() {
+                if k != NO_KEY {
+                    lookups += 1;
+                    if member(k) {
+                        lo = lo.min(code as i64);
+                        hi = hi.max(code as i64);
+                    }
+                }
+            }
+            (Some(if lo <= hi { (lo, hi) } else { (1, 0) }), lookups)
+        }
+    }
+}
+
+/// One side of a join after its filter stage.
+struct JoinSide<'a> {
+    t: &'a TableSnapshot,
+    /// Key column name and index.
+    col: &'a str,
+    idx: usize,
+    /// Filter survivors (`None`: every row).
+    pos: Option<&'a [u32]>,
+    /// Zone maps of an integer key (`None` for string keys).
+    zones: Option<Vec<ZoneMapMeta>>,
+}
+
+impl<'a> JoinSide<'a> {
+    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, pos: Option<&'a [u32]>) -> Self {
+        JoinSide { t, col, idx, pos, zones: t.zone_maps(col) }
+    }
+
+    fn rows(&self) -> u64 {
+        self.pos.map_or(self.t.rows(), <[u32]>::len) as u64
+    }
+
+    /// The key stream arrives in key order: the main layout is globally
+    /// sorted on the key (disjoint ascending zones) and there is no
+    /// unsorted delta tail — key extraction walks rows in ascending id
+    /// order, so the merge join's sort pass is free for this side.
+    fn sorted(&self) -> bool {
+        self.t.delta_rows() == 0 && self.zones.as_deref().is_some_and(sorted_layout)
+    }
+
+    /// Estimated survival of this side's segments against the `other`
+    /// side's key extrema (the executor prunes for real with the same
+    /// intersection test). String keys carry no zone statistics here.
+    fn live_frac(&self, other: &JoinSide<'_>) -> f64 {
+        match (&self.zones, &other.zones) {
+            (Some(own), Some(theirs)) => {
+                let (lo, hi) =
+                    theirs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), z| (lo.min(z.min), hi.max(z.max)));
+                join_zone_overlap(own, lo, hi)
+            }
+            _ => 1.0,
+        }
+    }
+
+    fn cost(&self, other: &JoinSide<'_>) -> JoinSideCost {
+        JoinSideCost {
+            rows: self.rows(),
+            encoded_key_bytes: self.t.column_encoded_bytes(self.col).unwrap_or(0) as u64,
+            live_frac: self.live_frac(other),
+            sorted: self.sorted(),
+        }
+    }
+}
+
+/// One query's execution state: the engine, the caller's options, and
+/// the bill so far. Stages are methods that add to `profile`; unit-level
+/// work runs on `&self` (possibly on pool workers) and returns its own
+/// bill for the stage to add.
+struct Exec<'a> {
+    db: &'a Database,
+    opts: &'a ExecOpts,
+    profile: ResourceProfile,
+}
+
+impl Database {
+    /// Executes `query` against the table views `pin` resolves — the
+    /// one engine behind [`Database::execute_opts`] (latest-state
+    /// pins), [`crate::db::DbSnapshot::execute_opts`] (timestamped
+    /// pins) and [`crate::db::DbTransaction::execute`] (pins + write
+    /// overlay). Only rows visible in the pins are evaluated.
+    /// `use_indexes` is off for overlay views, whose pending rows the
+    /// live indexes do not cover.
+    ///
+    /// Stages run in one fixed order — filter each side, join the
+    /// survivors (two-table queries), then fold them into an aggregate
+    /// or gather the projected columns — accumulating one
+    /// [`ResourceProfile`] that is charged at the end. The cancel token
+    /// is polled between stages (and per unit inside them): a stage that
+    /// stopped early covers only some units, so its partial output never
+    /// reaches the next stage; the work done so far is billed.
+    pub(crate) fn run<'t>(
+        &self,
+        query: &Query,
+        use_indexes: bool,
+        opts: &ExecOpts,
+        pin: impl Fn(&str) -> DbResult<Cow<'t, TableSnapshot>>,
+    ) -> DbResult<QueryResult> {
+        if let Some(misuse) = query.misuse {
+            return Err(DbError::BadQuery(misuse.into()));
+        }
+        let lt = pin(&query.table)?;
+        let lt: &TableSnapshot = &lt;
+        let rt = query.join.as_ref().map(|jc| pin(&jc.table)).transpose()?;
+        let join = query.join.as_ref().zip(rt.as_deref());
+        let started = std::time::Instant::now();
+        if join.is_some() && (query.group_by.is_some() || query.agg.is_some()) {
+            return Err(DbError::BadQuery("aggregates over joins are not supported yet".into()));
+        }
+        let mut ex = Exec { db: self, opts, profile: ResourceProfile::default() };
+        ex.check_cancelled()?;
+        let key_idx = join.map(|(jc, rt)| join_key_columns(lt, rt, query, jc)).transpose()?;
+
+        // --- filter: each side on its own compressed store -------------
+        let planned = (use_indexes && join.is_none()).then_some(query);
+        let (lpos, access_path) = ex.filter(lt, &query.table, &query.filters, &query.str_filters, planned)?;
+        let rpos = match join {
+            Some((jc, rt)) => ex.filter(rt, &jc.table, &jc.filters, &jc.str_filters, None)?.0,
+            None => None,
+        };
+        ex.check_cancelled()?;
+
+        let rows = match join.zip(key_idx) {
+            // --- fold | gather over the survivors ----------------------
+            None => match &query.agg {
+                Some((kind, value_col)) => ex.fold(lt, query, *kind, value_col, lpos.as_deref())?,
+                None if query.group_by.is_some() => {
+                    return Err(DbError::BadQuery("group_by requires an aggregate".into()));
+                }
+                None => ex.gather(lt, query, lpos.as_deref())?,
+            },
+            // --- join, then late gather: only surviving pairs touch
+            // payload columns ---------------------------------------------
+            Some(((jc, rt), (lidx, ridx))) => {
+                let l = JoinSide::new(lt, &jc.left_col, lidx, lpos.as_deref());
+                let r = JoinSide::new(rt, &jc.right_col, ridx, rpos.as_deref());
+                let (lrows, rrows) = ex.join(&l, &r);
+                ex.check_cancelled()?;
+                ex.gather_join(lt, rt, query, jc, &lrows, &rrows)?
+            }
+        };
+        // A cancel during the last stage folded or gathered only the
+        // units that ran; discard the partial chunk, bill the work.
+        ex.check_cancelled()?;
+
+        // The query's own cost estimate *is* its energy (identical to
+        // the meter delta when single-threaded, and — unlike a meter
+        // delta — not polluted by concurrent queries charging the same
+        // shared meter).
+        let est = self.charge(&ex.profile);
+        Ok(QueryResult {
+            rows,
+            energy: est.energy,
+            modeled_time: est.time,
+            wall_time: started.elapsed(),
+            access_path,
+            profile: ex.profile,
+        })
+    }
+}
+
+impl Exec<'_> {
+    /// Surfaces a fired cancel token as [`DbError::Cancelled`], billing
+    /// the profile so far — the work the query did before stopping — to
+    /// the meter so partial runs stay energy-honest (the meter only ever
+    /// moves forward; a cancelled query just adds less).
+    fn check_cancelled(&self) -> DbResult<()> {
+        if self.opts.is_cancelled() {
+            let est = self.db.charge(&self.profile);
+            return Err(DbError::Cancelled { partial_energy: est.energy });
+        }
+        Ok(())
+    }
+
+    /// The filter stage for one table: the surviving global row ids
+    /// (ascending), or `None` when the side has no predicates and every
+    /// row survives. `planned` is the query when its access path may be
+    /// planned — a single-table query on a view the live indexes cover:
+    /// the first filter is then costed across scan, index and
+    /// sorted-layout paths per the session goal, and the choice
+    /// reported. Everything not served by an index runs as a
+    /// segment-granular scan on compressed data.
+    fn filter(
+        &mut self,
+        t: &TableSnapshot,
+        table: &str,
+        filters: &[Filter],
+        str_filters: &[StrFilter],
+        planned: Option<&Query>,
+    ) -> DbResult<(Option<Vec<u32>>, Option<AccessPath>)> {
+        let int_preds = resolve_int_preds(t, table, filters)?;
+        let str_preds = resolve_str_preds(t, table, str_filters)?;
+        let mut access_path = None;
+        if let Some((query, first)) = planned.zip(filters.first()) {
+            let key = (table.to_string(), first.column.clone());
+            let mut indexes = self.db.indexes.lock();
+            // A live index is only trusted when row ids still mean what
+            // they meant at build time: a *sorting* merge permutes the
+            // merged batch, so on sorted tables the entry must have been
+            // rebuilt at this snapshot's exact main epoch. Merge-ordered
+            // tables never move rows, so any epoch is fine.
+            let index_usable = first.op == CmpOp::Eq
+                && indexes
+                    .get(&key)
+                    .is_some_and(|e| t.schema().sort_key().is_none() || e.built_epoch == t.epoch());
+            let zones = t.zone_maps(&first.column);
+            let layout_sorted = zones.as_deref().is_some_and(sorted_layout);
+            if index_usable || layout_sorted {
+                // Cost every available path against the *compressed*
+                // footprint and zone maps, pick per the session goal.
+                let mut meta = t.planner_meta();
+                if let Some(c) = meta.columns.iter_mut().find(|c| c.name == first.column) {
+                    c.indexed = index_usable;
+                }
+                let zones = zones.expect("validated int column");
+                let encoded = t.column_encoded_bytes(&first.column).expect("column exists") as u64;
+                let model =
+                    CostModel::new(self.db.machine().clone()).with_kernel_costs(self.db.costs.clone());
+                let decision = choose_access_segmented(
+                    &model,
+                    &meta,
+                    &first.column,
+                    first.op,
+                    first.literal,
+                    &zones,
+                    encoded,
+                );
+                // Every path delivers the same projection, shipped to
+                // the client as codes + a shared dictionary — add its
+                // cost ([`CostModel::project_codes`]) to all so the
+                // totals the session goal weighs are honest end to end.
+                let project = str_projection_cost(&model, t, &meta, query, decision.selectivity);
+                let access = [
+                    decision.scan_cost,
+                    decision.index_cost.unwrap_or(decision.scan_cost),
+                    decision.sorted_cost.unwrap_or(decision.scan_cost),
+                ];
+                let candidates = [access[0] + project, access[1] + project, access[2] + project];
+                // If the shared projection term pushes *all* totals past
+                // a budget goal, the query still has to run: rank the
+                // access work alone, so an index that dominates the scan
+                // is never abandoned for being part of an over-budget
+                // whole.
+                let goal = self.db.goal();
+                let pick = choose(&candidates, goal).or_else(|_| choose(&access, goal)).unwrap_or(0);
+                if pick == 1 && decision.index_cost.is_some() {
+                    let entry = indexes.get_mut(&key).expect("checked above");
+                    let mut pos = entry.idx.lookup(first.literal);
+                    drop(indexes);
+                    // The index is live; the snapshot is not. Entries
+                    // for rows committed after the pin (always a suffix
+                    // of global row ids) are invisible here.
+                    pos.retain(|&r| (r as usize) < t.rows());
+                    pos.sort_unstable();
+                    self.profile.cpu_cycles +=
+                        self.db.costs.cycles_for(Kernel::IndexLookup, pos.len().max(1) as u64);
+                    self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
+                    self.recheck(t, &mut pos, &int_preds[1..], &str_preds);
+                    return Ok((Some(pos), Some(AccessPath::IndexLookup)));
+                }
+                // The scan below realizes a sorted-layout plan:
+                // `eval_segment`'s sort-key fast path binary-searches
+                // each sorted segment and emits the surviving row range.
+                access_path = Some(if pick == 2 && decision.sorted_cost.is_some() {
+                    AccessPath::ZoneBinarySearch
+                } else {
+                    AccessPath::FullScan
+                });
+            }
+        }
+        if int_preds.is_empty() && str_preds.is_empty() {
+            return Ok((None, access_path));
+        }
+        // Zone maps first (prune whole segments, or skip tautological
+        // predicates), then the compressed column is scanned in place —
+        // main-segment data is **never decoded** for predicate
+        // evaluation. The delta runs the flat bitwise kernel, chunked
+        // into units so an oversized (merge-disabled) delta still
+        // parallelizes.
+        let (parts, scan_profile) = self.run_units(t, None, |unit, _| match unit.seg {
+            Some(seg) => self.eval_segment(seg, unit, &int_preds, &str_preds),
+            None => self.eval_delta(t, unit, &int_preds, &str_preds),
+        });
+        self.profile += scan_profile;
+        Ok((Some(parts.concat()), access_path))
+    }
+
+    /// Index path: point re-checks of the remaining predicates per
+    /// surviving row, billing the rows *inspected* (pre-retain), not
+    /// the rows that survive.
+    fn recheck(
+        &mut self,
+        t: &TableSnapshot,
+        pos: &mut Vec<u32>,
+        int_preds: &[IntPred],
+        str_preds: &[StrPred],
+    ) {
+        for p in int_preds {
+            let inspected = pos.len() as u64;
+            pos.retain(|&r| {
+                p.op.eval(t.get_int(p.col, r as usize).expect("validated int column"), p.literal)
+            });
+            self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectPredicated, inspected);
+            self.profile.dram_read += ByteCount::new(inspected * 8);
+        }
+        for p in str_preds {
+            let inspected = pos.len() as u64;
+            pos.retain(|&r| {
+                t.str_eq(p.col, r as usize, &p.value).expect("validated str column") != p.negated
+            });
+            self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectPredicated, inspected);
+            self.profile.dram_read += ByteCount::new(inspected * 4);
+        }
+    }
+
+    /// The gather stage of a single-table query: materializes only the
+    /// projected columns (all schema columns when no projection is
+    /// given). Strings flow as codes + one shared output dictionary per
+    /// column; the stats bill what each store path actually did
+    /// (stream-decoded encoded bytes, per-cell random access, flat
+    /// delta reads, one first-touch read per distinct string).
+    fn gather(&mut self, t: &TableSnapshot, query: &Query, positions: Option<&[u32]>) -> DbResult<Chunk> {
+        let names: Vec<String> = match &query.select {
+            Some(cols) => cols.clone(),
+            None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
+        };
+        let (cols, gstats) = t.materialize_columns(&names, positions)?;
+        let chunk = Chunk::new(cols).expect("gathered columns are equal length");
+        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64)
+            + self.db.costs.cycles_for(Kernel::CompressDecode, gstats.decode_items);
+        self.profile.dram_read += ByteCount::new(gstats.bytes_read);
+        self.profile.dram_written += ByteCount::new(gstats.bytes_written);
+        Ok(chunk)
+    }
+
+    /// The fold stage: segment-wise aggregation pushdown. Every unit
+    /// folds a partial [`AggState`] (or per-group hash of states)
+    /// straight from its column views — main segments via streaming
+    /// decode, no full-column materialization — and partials merge with
+    /// [`AggState::merge`].
+    fn fold(
+        &mut self,
+        t: &TableSnapshot,
+        query: &Query,
+        kind: AggKind,
+        value_col: &str,
+        positions: Option<&[u32]>,
+    ) -> DbResult<Chunk> {
+        let vidx = check_int_column(t, &query.table, value_col)?;
+        let group = match &query.group_by {
+            Some(name) => {
+                let idx = column_position(t, &query.table, name)?;
+                let key = match t.schema().columns()[idx].1 {
+                    DataType::Int64 => KeyCol::Int(idx),
+                    // Grouping is the self-mapped case of a join's code
+                    // translation (and, unlike there, not billed).
+                    DataType::Str => KeyCol::Str(StrKeySpace::of(t, idx).resolve(t, idx, &mut 0)),
+                    DataType::Float64 => {
+                        return Err(DbError::TypeMismatch {
+                            column: name.clone(),
+                            expected: DataType::Int64,
+                        });
+                    }
+                };
+                Some((name, key))
+            }
+            None => None,
+        };
+        let spec = AggSpec { kind, vidx, group: group.as_ref().map(|(_, key)| key) };
+        let (parts, agg_profile) =
+            self.run_units(t, positions, |unit, hits| self.agg_unit(t, unit, spec, hits));
+        self.profile += agg_profile;
+        let mut acc = AggAcc::identity(group.is_some());
+        parts.into_iter().for_each(|p| acc.merge(p));
+        let agg_name = format!("{kind}({value_col})");
+        let (gname, key, mut grouped) = match (acc, group) {
+            (AggAcc::Global(st), _) => {
+                return Ok(
+                    Chunk::new(vec![(agg_name, agg_value_column(&[((), st)], kind))]).expect("one column")
+                );
+            }
+            (AggAcc::Grouped(map), Some((gname, key))) => (gname, key, map.into_iter().collect::<Vec<_>>()),
+            (AggAcc::Grouped(_), None) => unreachable!("grouped result without group column"),
+        };
+        let key_col = match key {
+            KeyCol::Int(_) => {
+                grouped.sort_unstable_by_key(|&(k, _)| k);
+                grouped.iter().map(|&(k, _)| k).collect::<Vec<i64>>().into_iter().collect()
+            }
+            KeyCol::Str(keys) => {
+                // Keys are dictionary codes; decode once per *group*
+                // (not per row) and sort by string so the output order
+                // is independent of code assignment.
+                let space = StrKeySpace::of(t, keys.col);
+                grouped.sort_unstable_by_key(|&(k, _)| space.decode(k));
+                let mut out = DictColumn::new();
+                for &(k, _) in &grouped {
+                    out.push(space.decode(k));
+                }
+                Column::Str(out)
+            }
+        };
+        Ok(Chunk::new(vec![(gname.clone(), key_col), (agg_name, agg_value_column(&grouped, kind))])
+            .expect("two columns"))
+    }
+
+    /// One unit's partial aggregate, computed from its column views
+    /// (or from zone metadata when possible).
+    fn agg_unit(
+        &self,
+        t: &TableSnapshot,
+        unit: &Unit<'_>,
+        spec: AggSpec<'_>,
+        hits: Option<&[u32]>,
+    ) -> (AggAcc, ResourceProfile) {
+        // COUNT never needs the values — only how many rows survive.
+        let vcol = if spec.kind == AggKind::Count { UnitCol::Const(0) } else { unit.int_col(t, spec.vidx) };
+        let Some(g) = spec.group else {
+            let (st, profile) = self.fold_values(unit, spec, vcol, hits);
+            return (AggAcc::Global(st), profile);
+        };
+        let kcol = g.unit_col(t, unit);
+        // Zone-map-aware shortcut: a collapsed key zone means every row
+        // of this segment belongs to one group — fold the values like a
+        // global aggregate (zone-answered fast paths included) and skip
+        // the per-row key decode and hashing entirely: zero key-column
+        // bytes touched.
+        let single_key = match (kcol, unit.seg) {
+            (UnitCol::Const(k), _) => Some(k),
+            (UnitCol::Enc(_, None), Some(seg)) => seg.zone(g.col()).filter(|(lo, hi)| lo == hi).map(|z| z.0),
+            _ => None,
+        };
+        if let Some(k) = single_key {
+            let (st, profile) = self.fold_values(unit, spec, vcol, hits);
+            return (AggAcc::Grouped(HashMap::from([(k, st)])), profile);
+        }
+        // Pre-size a segment's group hash from measured statistics: the
+        // exact NDV recorded at merge time for integer keys, the
+        // code-zone span for string keys — no rehashing mid-fold.
+        let ndv_hint = unit.seg.map_or(0, |seg| match g {
+            KeyCol::Int(idx) => seg.ndv(*idx).unwrap_or(1),
+            KeyCol::Str(k) => seg.zone(k.col).map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
+        });
+        let mut map: HashMap<i64, AggState> = HashMap::with_capacity(ndv_hint.min(unit.rows as u64) as usize);
+        let (tk, tv) = walk(unit, kcol, vcol, hits, |k, v, _| map.entry(k).or_default().update(v));
+        let n = hits.map_or(unit.rows, <[u32]>::len) as u64;
+        // Random accesses read codes as 4-byte cells, integer keys and
+        // values as 8-byte cells.
+        let key_cell = if matches!(g, KeyCol::Str(_)) { 4 } else { 8 };
+        let profile = ResourceProfile {
+            cpu_cycles: self.db.costs.cycles_for(Kernel::CompressDecode, tk.decode_items + tv.decode_items)
+                + self.db.costs.cycles_for(Kernel::AggUpdate, n)
+                + self.db.costs.cycles_for(Kernel::HashProbe, n),
+            dram_read: ByteCount::new(tk.bytes(key_cell) + tv.bytes(8)),
+            ..ResourceProfile::default()
+        };
+        (AggAcc::Grouped(map), profile)
+    }
+
+    /// Folds one unit's value column into a single [`AggState`] —
+    /// shared by the global aggregate and by grouped aggregates over
+    /// segments whose group-key zone collapses to one value. Fast paths
+    /// answer from metadata: COUNT from the hit count; on a segment
+    /// every row of which survives, MIN/MAX from the zone map — zero
+    /// column bytes touched — and SUM/AVG over RLE one multiply per
+    /// run. Everything else walks the column, billing decode cycles plus
+    /// the bytes actually read.
+    fn fold_values(
+        &self,
+        unit: &Unit<'_>,
+        spec: AggSpec<'_>,
+        vcol: UnitCol<'_>,
+        hits: Option<&[u32]>,
+    ) -> (AggState, ResourceProfile) {
+        let rows = unit.rows;
+        let n = hits.map_or(rows, <[u32]>::len);
+        let mut profile = ResourceProfile::default();
+        let mut st = AggState::empty();
+        let answered = self.db.costs.cycles_for(Kernel::AggUpdate, 1);
+        if spec.kind == AggKind::Count {
+            st.count = n as u64;
+            profile.cpu_cycles += answered;
+            return (st, profile);
+        }
+        if let Some(seg) = unit.seg.filter(|_| n == rows) {
+            match (spec.kind, vcol, seg.zone(spec.vidx)) {
+                // Sentinel column: `rows` copies of 0, no data exists.
+                (_, UnitCol::Const(v), _) => {
+                    st.update_repeated(v, rows);
+                    return (st, profile);
+                }
+                (AggKind::Min | AggKind::Max, _, Some((lo, hi))) => {
+                    st.count = rows as u64;
+                    st.min = lo;
+                    st.max = hi;
+                    profile.cpu_cycles += answered;
+                    return (st, profile);
+                }
+                (_, UnitCol::Enc(data @ EncodedInts::Rle(r), _), _) => {
+                    for run in r.runs() {
+                        st.update_repeated(run.value, run.len);
+                    }
+                    let items = r.runs().len() as u64;
+                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, items)
+                        + self.db.costs.cycles_for(Kernel::AggUpdate, items);
+                    profile.dram_read += ByteCount::new(data.size_bytes() as u64);
+                    return (st, profile);
+                }
+                _ => {}
+            }
+        }
+        let (_, tv) = walk(unit, UnitCol::Const(0), vcol, hits, |_, v, _| st.update(v));
+        profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, tv.decode_items)
+            + self.db.costs.cycles_for(Kernel::AggUpdate, n as u64);
+        profile.dram_read += ByteCount::new(tv.bytes(8));
+        (st, profile)
+    }
+
+    /// The join stage: equi-joins the two filtered sides **on
+    /// compressed segments** and returns the surviving
+    /// `(left rows, right rows)`. Join keys stream out of each unit's
+    /// key view (integer keys as values, string keys code-to-code
+    /// through a one-off dictionary translation), the smaller side
+    /// builds, probe segments are pre-pruned against the build side's
+    /// key range (the join-specific zone intersection of
+    /// [`haec_planner::access::join_zone_overlap`]), and the planner
+    /// picks hash or sort-merge per the session goal. A main column is
+    /// **never** materialized for its join keys; the bill is the encoded
+    /// bytes streamed plus the hash build/probe (or sort) cycles
+    /// including bucket traffic.
+    fn join(&mut self, l: &JoinSide<'_>, r: &JoinSide<'_>) -> (Vec<u32>, Vec<u32>) {
+        let model = CostModel::new(self.db.machine().clone()).with_kernel_costs(self.db.costs.clone());
+        let decision = model.join_compressed(&l.cost(r), &r.cost(l), l.rows().max(r.rows()));
+        // Respect the session goal when the algorithms trade time for
+        // energy (same knob as scan-vs-index).
+        let algo = match choose(&[decision.hash_cost, decision.merge_cost], self.db.goal()) {
+            Ok(1) => JoinAlgo::SortMerge,
+            _ => JoinAlgo::Hash,
+        };
+        let build_left = decision.build_left;
+        let (b, p) = if build_left { (l, r) } else { (r, l) };
+
+        let (bkey, pkey) = match b.t.schema().columns()[b.idx].1 {
+            DataType::Int64 => (KeyCol::Int(b.idx), KeyCol::Int(p.idx)),
+            DataType::Str => {
+                // String keys join in the build side's key space.
+                let space = StrKeySpace::of(b.t, b.idx);
+                let mut lookups = 0u64;
+                let bkey = KeyCol::Str(space.resolve(b.t, b.idx, &mut lookups));
+                let pkey = KeyCol::Str(space.resolve(p.t, p.idx, &mut lookups));
+                // The one-off translation is O(dictionary) hash lookups,
+                // never O(rows) — billed as such.
+                self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::HashProbe, lookups);
+                self.profile.dram_read += ByteCount::new(lookups * HASH_BUCKET_BYTES);
+                (bkey, pkey)
+            }
+            DataType::Float64 => unreachable!("join keys validated as integer or string"),
+        };
+
+        // --- build, then probe (both streaming on unit views) ----------
+        let mut bkeys = self.extract_join_keys(b, &bkey, None);
+        if bkeys.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        let pairs = match algo {
+            JoinAlgo::Hash => {
+                let join = HashJoin::from_pairs(&bkeys);
+                self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::HashBuild, bkeys.len() as u64);
+                self.profile.dram_written += ByteCount::new(bkeys.len() as u64 * 16);
+                let (prune, lookups) = probe_prune_range(&bkeys, &pkey, |k| join.matches(k).is_some());
+                // The range refinement probes the hash table once per
+                // distinct probe value — O(dictionary), billed as such.
+                self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::HashProbe, lookups);
+                self.profile.dram_read += ByteCount::new(lookups * HASH_BUCKET_BYTES);
+                self.probe_hash_join(p, &pkey, prune, &join)
+            }
+            JoinAlgo::SortMerge => {
+                let (bmin, bmax) =
+                    bkeys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &(k, _)| (lo.min(k), hi.max(k)));
+                let (prune, lookups) = probe_prune_range(&bkeys, &pkey, |k| k >= bmin && k <= bmax);
+                // Range membership here is a comparison per distinct
+                // probe value, not a hash probe.
+                self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, lookups);
+                let mut pkeys = self.extract_join_keys(p, &pkey, prune);
+                let (b_sorted, p_sorted) = (b.sorted(), p.sorted());
+                let out = sort_merge_join_pairs_presorted(&mut bkeys, &mut pkeys, b_sorted, p_sorted);
+                // Sort passes are only real work for unsorted sides; a
+                // declared-sort-key side streams straight into the merge
+                // (the planner's `join_compressed` prices it the same
+                // way).
+                let n = (bkeys.len() + pkeys.len()) as u64;
+                let levels_of = |rows: u64| (rows.max(2) as f64).log2().ceil() as u64;
+                let sort_items = (if b_sorted { 0 } else { bkeys.len() as u64 })
+                    * levels_of(bkeys.len() as u64)
+                    + (if p_sorted { 0 } else { pkeys.len() as u64 }) * levels_of(pkeys.len() as u64);
+                self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SortPerLevel, sort_items);
+                self.profile.dram_read += ByteCount::new(sort_items * 12 + n * 12);
+                self.profile.dram_written += ByteCount::new(n * 12 + out.len() as u64 * 8);
+                out
+            }
+        };
+        pairs.into_iter().map(|(b, p)| if build_left { (b, p) } else { (p, b) }).unzip()
+    }
+
+    /// The gather stage of a join: payload columns are fetched late,
+    /// only for the surviving row pairs, and assembled in projection
+    /// order.
+    fn gather_join(
+        &mut self,
+        lt: &TableSnapshot,
+        rt: &TableSnapshot,
+        query: &Query,
+        jc: &JoinClause,
+        lrows: &[u32],
+        rrows: &[u32],
+    ) -> DbResult<Chunk> {
+        let spec = resolve_join_outputs(query, jc, lt, rt)?;
+        let side_names = |left: bool| -> Vec<String> {
+            spec.iter().filter(|(l, ..)| *l == left).map(|(_, _, col)| col.clone()).collect()
+        };
+        let mut li = self.gather_join_side(lt, &side_names(true), lrows)?.into_iter();
+        let mut ri = self.gather_join_side(rt, &side_names(false), rrows)?.into_iter();
+        let cols: Vec<(String, Column)> = spec
+            .into_iter()
+            .map(|(left, out_name, _)| {
+                let (_, col) =
+                    if left { li.next() } else { ri.next() }.expect("one gathered column per spec entry");
+                (out_name, col)
+            })
+            .collect();
+        Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("join output: {e}")))
+    }
+
+    /// Gathers one side's payload columns for its surviving join rows,
+    /// billing the work. Strictly ascending row lists — the unique-key
+    /// (FK) probe side, where pairs come back in probe-row order — take
+    /// the dense ordered path of [`TableSnapshot::materialize_columns`];
+    /// everything else (scattered build rows, duplicate keys) goes
+    /// through the positional [`TableSnapshot::gather_rows`]. Both report the
+    /// work they actually did (whole-segment stream-decodes when hits
+    /// pass the density crossover, compressed random access when
+    /// sparse, code-to-code string gathers) as
+    /// [`crate::table::GatherStats`], billed here.
+    fn gather_join_side(
+        &mut self,
+        t: &TableSnapshot,
+        names: &[String],
+        rows: &[u32],
+    ) -> DbResult<Vec<(String, Column)>> {
+        let cells = (rows.len() * names.len()) as u64;
+        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
+        let (cols, stats) = if rows.windows(2).all(|w| w[0] < w[1]) {
+            t.materialize_columns(names, Some(rows))?
+        } else {
+            t.gather_rows(names, rows)?
+        };
+        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, stats.decode_items);
+        self.profile.dram_read += ByteCount::new(stats.bytes_read);
+        self.profile.dram_written += ByteCount::new(stats.bytes_written);
+        Ok(cols)
+    }
+
+    /// Streams one side's surviving `(join key, global row)` pairs,
+    /// unit by unit; segments whose key zone misses `prune` are skipped
+    /// without touching a byte.
+    fn extract_join_keys(
+        &mut self,
+        side: &JoinSide<'_>,
+        key: &KeyCol,
+        prune: Option<(i64, i64)>,
+    ) -> Vec<(i64, u32)> {
+        let (parts, keys_profile) = self.run_units(side.t, side.pos, |unit, hits| {
+            let mut kv = Vec::new();
+            let mut profile = self.unit_join_keys(side.t, unit, hits, key, prune, |k, row| kv.push((k, row)));
+            // The extracted pair vector is real intermediate traffic.
+            profile.dram_written += ByteCount::new(kv.len() as u64 * 12);
+            (kv, profile)
+        });
+        self.profile += keys_profile;
+        parts.concat()
+    }
+
+    /// Probes `join` with one side's surviving rows — key streaming and
+    /// hash probing fused per unit, so large probes parallelize over
+    /// morsels. Returns `(build_row, probe_row)` pairs in probe-row
+    /// order, billing bucket headers per probe, row-id list entries per
+    /// hit, and the output pairs vector.
+    fn probe_hash_join(
+        &mut self,
+        side: &JoinSide<'_>,
+        key: &KeyCol,
+        prune: Option<(i64, i64)>,
+        join: &HashJoin,
+    ) -> Vec<(u32, u32)> {
+        let (parts, probe_profile) = self.run_units(side.t, side.pos, |unit, hits| {
+            // Keys stream straight into the probe — no intermediate
+            // (key, row) vector is ever materialized (or billed).
+            let mut pairs = Vec::new();
+            let mut probed = 0u64;
+            let mut profile = self.unit_join_keys(side.t, unit, hits, key, prune, |k, row| {
+                probed += 1;
+                if let Some(ms) = join.matches(k) {
+                    pairs.extend(ms.iter().map(|&b| (b, row)));
+                }
+            });
+            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::HashProbe, probed);
+            profile.dram_read += ByteCount::new(probed * HASH_BUCKET_BYTES + pairs.len() as u64 * 4);
+            profile.dram_written += ByteCount::new(pairs.len() as u64 * 8);
+            (pairs, profile)
+        });
+        self.profile += probe_profile;
+        parts.concat()
+    }
+
+    /// Streams one unit's `(join key, global row)` pairs into `sink`
+    /// after the zone check against `prune`. String values the key
+    /// space never interned (`NO_KEY`) are dropped here. Returns the
+    /// work billed — the sink's own storage (if any) is the caller's to
+    /// bill.
+    fn unit_join_keys(
+        &self,
+        t: &TableSnapshot,
+        unit: &Unit<'_>,
+        hits: Option<&[u32]>,
+        key: &KeyCol,
+        prune: Option<(i64, i64)>,
+        mut sink: impl FnMut(i64, u32),
+    ) -> ResourceProfile {
+        let kcol = key.unit_col(t, unit);
+        // Join-specific zone pruning: the segment's key zone against
+        // the build side's range (same intersection test the planner
+        // estimates with).
+        if let (Some((lo, hi)), UnitCol::Enc(..), Some(seg)) = (prune, kcol, unit.seg) {
+            let (zlo, zhi) = seg.zone(key.col()).expect("non-empty segment has a zone");
+            if !(ZoneMapMeta { rows: 0, min: zlo, max: zhi, sorted: false }.overlaps(lo, hi)) {
+                return ResourceProfile::default(); // pruned: no data touched
+            }
+        }
+        // `NO_KEY` is a *string-key* sentinel; integer keys pass through
+        // untouched — `i64::MIN` is a perfectly good join key there.
+        let drop_sentinels = matches!(key, KeyCol::Str(_));
+        let (tk, _) = walk(unit, kcol, UnitCol::Const(0), hits, |k, _, row| {
+            if !(drop_sentinels && k == NO_KEY) {
+                sink(k, row);
+            }
+        });
+        // Join keys bill a random access as an 8-byte cell, codes
+        // included.
+        ResourceProfile {
+            cpu_cycles: self.db.costs.cycles_for(Kernel::CompressDecode, tk.decode_items),
+            dram_read: ByteCount::new(tk.bytes(8)),
+            ..ResourceProfile::default()
+        }
+    }
+
+    /// Runs `eval` over every execution unit of `t` holding at least
+    /// one of `positions` (every unit when `None`), handing each unit
+    /// its own slice of the ascending hit list, and returns the units'
+    /// results in unit order with their summed bills. Every stage goes
+    /// through here, so stages can never disagree on unit granularity.
+    fn run_units<R: Send>(
+        &self,
+        t: &TableSnapshot,
+        positions: Option<&[u32]>,
+        eval: impl Fn(&Unit<'_>, Option<&[u32]>) -> (R, ResourceProfile) + Sync,
+    ) -> (Vec<R>, ResourceProfile) {
+        let unit_rows = delta_unit_rows(self.opts);
+        let unit_hits = split_unit_hits(t, positions, unit_rows);
+        let parts = self.eval_units(t, |u| {
+            let hits = unit_hits.as_ref().map(|v| v[u]);
+            (!hits.is_some_and(<[u32]>::is_empty)).then(|| eval(&Unit::of(t, u, unit_rows), hits))
+        });
+        let mut out = Vec::with_capacity(parts.len());
+        let mut profile = ResourceProfile::default();
+        for (r, p) in parts.into_iter().flatten() {
+            out.push(r);
+            profile += p;
+        }
+        (out, profile)
+    }
+
+    /// Dispatches `eval` over the unit indices of `t` and returns the
+    /// per-unit results in unit order. Units run as morsels over the
+    /// shared worker pool when the query carries an explicit
+    /// parallelism grant (`opts.dop > 0`), or above
+    /// [`PARALLEL_SCAN_ROWS`] total rows on the default path; the
+    /// degree of parallelism comes from the grant (or the cached
+    /// construction-time default — never a per-query OS call).
+    fn eval_units<R>(&self, t: &TableSnapshot, eval: impl Fn(usize) -> R + Sync) -> Vec<R>
+    where
+        R: Send,
+    {
+        let unit_rows = delta_unit_rows(self.opts);
+        let units = t.segments().len() + t.delta_rows().div_ceil(unit_rows);
+        let dop = if self.opts.dop > 0 { self.opts.dop } else { self.db.default_dop };
+        let pooled = units > 1 && dop > 1 && (self.opts.dop > 0 || t.rows() >= PARALLEL_SCAN_ROWS);
+        if pooled {
+            // Above one segment's worth of rows per morsel, batch whole
+            // units per dispenser grab; below, one morsel = one unit
+            // (a main segment is the finest unit storage defines).
+            let units_per_grab = (self.opts.morsel_rows.max(1) / crate::segment::SEGMENT_ROWS).max(1);
+            let spec = RunSpec {
+                dop: dop.min(units),
+                morsel_rows: units_per_grab,
+                gate: self.opts.gate.as_deref(),
+                cancel: self.opts.cancel.as_ref(),
+            };
+            let mut parts = self.db.pool().run(
+                units,
+                spec,
+                |m| (m.start..m.end).map(|u| (u, eval(u))).collect::<Vec<_>>(),
+                |mut a: Vec<(usize, R)>, b| {
+                    a.extend(b);
+                    a
+                },
+                Vec::new(),
+            );
+            parts.sort_unstable_by_key(|&(u, _)| u);
+            parts.into_iter().map(|(_, r)| r).collect()
+        } else {
+            // Serial path: still hold one gate permit per unit, so the
+            // fleet-wide in-flight accounting a server's energy cap
+            // relies on stays exact for *every* admitted query — and
+            // poll the cancel token per unit, matching the pooled
+            // path's one-morsel cancellation latency.
+            let mut out = Vec::with_capacity(units);
+            for u in 0..units {
+                if self.opts.is_cancelled() {
+                    break;
+                }
+                let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
+                out.push(eval(u));
+            }
+            out
+        }
+    }
+
+    /// One segment's worth of predicate evaluation, on compressed data.
+    fn eval_segment(
+        &self,
+        seg: &Segment,
+        unit: &Unit<'_>,
+        int_preds: &[IntPred],
+        str_preds: &[StrPred],
+    ) -> (Vec<u32>, ResourceProfile) {
+        let (base, rows) = (unit.base, unit.rows);
+        let mut profile = ResourceProfile::default();
+        let mut bm: Option<Bitmap> = None;
+        // Run-aware fast path: predicates on the segment's sort key
+        // resolve to a contiguous row sub-range by binary search over
+        // the encoding's run boundaries — O(log) probe bytes instead of
+        // a full-column scan, and the survivors come out as a range, not
+        // a per-row hit vector. Every other predicate intersects with
+        // this range at assembly time.
+        let mut range = (0usize, rows);
+        let sorted_probe = |data: &EncodedInts,
+                            op: CmpOp,
+                            lit: i64,
+                            range: &mut (usize, usize),
+                            profile: &mut ResourceProfile| {
+            let mut probes = 0u64;
+            let Some((s, e)) = data.sorted_range(op, lit, &mut probes) else {
+                return false; // Ne: not contiguous, scan instead
+            };
+            range.0 = range.0.max(s);
+            range.1 = range.1.min(e);
+            // Each probe touches ~one cache line of the encoded column.
+            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::IndexLookup, probes);
+            profile.dram_read += ByteCount::new(probes * 64);
+            true
+        };
+        for p in int_preds {
+            match seg.column(p.col) {
+                None => {
+                    // Segment predates the column: every row holds the
+                    // null sentinel 0.
+                    if !p.op.eval(0, p.literal) {
+                        return (Vec::new(), profile);
+                    }
+                }
+                Some(SegColumn::Int { data, zone, .. }) => {
+                    let (lo, hi) = zone.expect("non-empty segment has a zone");
+                    if !zone_may_match(p.op, p.literal, lo, hi) {
+                        return (Vec::new(), profile); // pruned: no data touched
+                    }
+                    if zone_all_match(p.op, p.literal, lo, hi) {
+                        continue; // tautology on this segment: no scan needed
+                    }
+                    if seg.sorted_by() == Some(p.col)
+                        && sorted_probe(data, p.op, p.literal, &mut range, &mut profile)
+                    {
+                        if range.0 >= range.1 {
+                            return (Vec::new(), profile);
+                        }
+                        continue;
+                    }
+                    let mut m = Bitmap::zeros(rows);
+                    data.scan(p.op, p.literal, &mut m);
+                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
+                    profile.dram_read += ByteCount::new(data.size_bytes() as u64);
+                    and_into(&mut bm, m);
+                }
+                Some(_) => unreachable!("predicate validated as integer column"),
+            }
+        }
+        for p in str_preds {
+            match seg.column(p.col) {
+                None => {
+                    // Sentinel "" everywhere.
+                    if (p.value.is_empty()) == p.negated {
+                        return (Vec::new(), profile);
+                    }
+                }
+                Some(SegColumn::Str { codes, zone }) => {
+                    let Some(code) = p.global_code else {
+                        // Value never interned: `=` matches nothing,
+                        // `<>` everything.
+                        if p.negated {
+                            continue;
+                        }
+                        return (Vec::new(), profile);
+                    };
+                    let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
+                    let (lo, hi) = zone.expect("non-empty segment has a zone");
+                    if !zone_may_match(op, code, lo, hi) {
+                        return (Vec::new(), profile);
+                    }
+                    if zone_all_match(op, code, lo, hi) {
+                        continue;
+                    }
+                    if seg.sorted_by() == Some(p.col)
+                        && sorted_probe(codes, op, code, &mut range, &mut profile)
+                    {
+                        if range.0 >= range.1 {
+                            return (Vec::new(), profile);
+                        }
+                        continue;
+                    }
+                    let mut m = Bitmap::zeros(rows);
+                    codes.scan(op, code, &mut m);
+                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
+                    profile.dram_read += ByteCount::new(codes.size_bytes() as u64);
+                    and_into(&mut bm, m);
+                }
+                Some(_) => unreachable!("predicate validated as string column"),
+            }
+        }
+        let (rs, re) = range;
+        let pos = match bm {
+            Some(b) => b.iter_ones().filter(|&i| rs <= i && i < re).map(|i| (base + i) as u32).collect(),
+            // Every predicate was a tautology or resolved to the range:
+            // emit the surviving row range directly, no hit vector built.
+            None => (base + rs..base + re).map(|i| i as u32).collect(),
+        };
+        (pos, profile)
+    }
+
+    /// Predicate evaluation over one delta chunk: flat vectorized
+    /// kernels over the dense columns, exactly the pre-segmentation
+    /// scan path.
+    fn eval_delta(
+        &self,
+        t: &TableSnapshot,
+        unit: &Unit<'_>,
+        int_preds: &[IntPred],
+        str_preds: &[StrPred],
+    ) -> (Vec<u32>, ResourceProfile) {
+        let chunk = unit.delta_range(t);
+        let mut profile = ResourceProfile::default();
+        let mut positions: Option<Vec<u32>> = None;
+        for p in int_preds {
+            let data = &t
+                .delta_column(p.col)
+                .and_then(Column::as_int64)
+                .expect("predicate validated as integer column")[chunk.clone()];
+            let (hits, stats) = select_metered(data, p.op, p.literal, SelectKernel::Bitwise, &self.db.costs);
+            profile += stats.profile;
+            positions = Some(match positions.take() {
+                None => hits,
+                Some(prev) => haec_exec::select::intersect_positions(&prev, &hits),
+            });
+        }
+        for p in str_preds {
+            let codes = &t
+                .delta_column(p.col)
+                .and_then(Column::as_str)
+                .expect("predicate validated as string column")
+                .codes()[chunk.clone()];
+            // Bill the rows actually *inspected*: the full chunk only for
+            // the first predicate; afterwards just the surviving
+            // positions that are re-checked.
+            let inspected = positions.as_ref().map_or(codes.len(), Vec::len) as u64;
+            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, inspected);
+            profile.dram_read += ByteCount::new(inspected * 4);
+            let keep = |row: usize| -> bool {
+                match p.delta_code {
+                    Some(c) => (codes[row] == c) != p.negated,
+                    None => p.negated,
+                }
+            };
+            positions = Some(match positions.take() {
+                Some(mut pos) => {
+                    pos.retain(|&r| keep(r as usize));
+                    pos
+                }
+                None => (0..codes.len()).filter(|&i| keep(i)).map(|i| i as u32).collect(),
+            });
+        }
+        let pos = positions.unwrap_or_else(|| (0..unit.rows as u32).collect());
+        (pos.into_iter().map(|p| p + unit.base as u32).collect(), profile)
+    }
+}
+
+/// Smallest delta execution unit a query can ask for — below this the
+/// per-unit bookkeeping dominates the work.
+const DELTA_UNIT_MIN_ROWS: usize = 1024;
+
+/// Rows per delta execution unit for one query: the per-query morsel
+/// size, clamped to `[`[`DELTA_UNIT_MIN_ROWS`]`, SEGMENT_ROWS]` — a
+/// governor grant can shrink units under contention for fairer
+/// interleaving, but a compressed main segment stays the widest unit
+/// (it is atomic: the storage-defined dispatch floor).
+fn delta_unit_rows(opts: &ExecOpts) -> usize {
+    opts.morsel_rows.clamp(DELTA_UNIT_MIN_ROWS, crate::segment::SEGMENT_ROWS)
+}
+
+/// Splits an ascending global-position list into per-unit slices — one
+/// per main segment, then one per delta chunk — so every stage hands
+/// each execution unit exactly its hits.
+fn split_unit_hits<'p>(
+    t: &TableSnapshot,
+    positions: Option<&'p [u32]>,
+    unit_rows: usize,
+) -> Option<Vec<&'p [u32]>> {
+    positions.map(|pos| {
+        let units = t.segments().len() + t.delta_rows().div_ceil(unit_rows);
+        let mut out = Vec::with_capacity(units);
+        let mut i = 0;
+        for u in 0..units {
+            let unit = Unit::of(t, u, unit_rows);
+            let from = i;
+            while i < pos.len() && (pos[i] as usize) < unit.base + unit.rows {
+                i += 1;
+            }
+            out.push(&pos[from..i]);
+        }
+        out
+    })
+}
+
+/// Validates a join's key columns — both integer, or both string — and
+/// returns their `(left, right)` indices.
+fn join_key_columns(
+    lt: &TableSnapshot,
+    rt: &TableSnapshot,
+    query: &Query,
+    jc: &JoinClause,
+) -> DbResult<(usize, usize)> {
+    let lidx = column_position(lt, &query.table, &jc.left_col)?;
+    let ridx = column_position(rt, &jc.table, &jc.right_col)?;
+    let ltype = lt.schema().columns()[lidx].1;
+    if ltype == DataType::Float64 {
+        return Err(DbError::TypeMismatch { column: jc.left_col.clone(), expected: DataType::Int64 });
+    }
+    if rt.schema().columns()[ridx].1 != ltype {
+        return Err(DbError::TypeMismatch { column: jc.right_col.clone(), expected: ltype });
+    }
+    Ok((lidx, ridx))
+}
+
+/// Resolves a join's output columns as `(is_left, output name, source
+/// column)` triples: with no projection, every left column under its
+/// own name then every right column as `"table.column"`; with a
+/// projection, each name resolves qualified-first on either side, then
+/// bare against the left schema, then the right.
+fn resolve_join_outputs(
+    query: &Query,
+    jc: &JoinClause,
+    lt: &TableSnapshot,
+    rt: &TableSnapshot,
+) -> DbResult<Vec<(bool, String, String)>> {
+    match &query.select {
+        None => {
+            let mut out: Vec<(bool, String, String)> =
+                lt.schema().columns().iter().map(|(n, _)| (true, n.clone(), n.clone())).collect();
+            out.extend(
+                rt.schema().columns().iter().map(|(n, _)| (false, format!("{}.{}", jc.table, n), n.clone())),
+            );
+            Ok(out)
+        }
+        Some(sel) => sel
+            .iter()
+            .map(|name| {
+                // In a self-join the default projection labels the RIGHT
+                // side `"table.column"`, so a qualified name must keep
+                // meaning the right side there; bare names stay left.
+                if query.table != jc.table {
+                    if let Some(rest) = name.strip_prefix(&format!("{}.", query.table)) {
+                        if lt.schema().position(rest).is_some() {
+                            return Ok((true, name.clone(), rest.to_string()));
+                        }
+                    }
+                }
+                if let Some(rest) = name.strip_prefix(&format!("{}.", jc.table)) {
+                    if rt.schema().position(rest).is_some() {
+                        return Ok((false, name.clone(), rest.to_string()));
+                    }
+                }
+                if lt.schema().position(name).is_some() {
+                    return Ok((true, name.clone(), name.clone()));
+                }
+                if rt.schema().position(name).is_some() {
+                    return Ok((false, name.clone(), name.clone()));
+                }
+                Err(DbError::NoSuchColumn {
+                    table: format!("{} join {}", query.table, jc.table),
+                    column: name.clone(),
+                })
+            })
+            .collect(),
+    }
+}
+
+/// Planner-side cost of delivering this query's string projection to
+/// the client as codes + one shared output dictionary
+/// ([`CostModel::project_codes`]): the estimated surviving rows each
+/// move a code, and each distinct value (catalog NDV, capped by the row
+/// count) pays one dictionary-entry decode of the column's mean entry
+/// length. Zero for aggregates (no client projection) and for
+/// projections without string columns.
+pub(crate) fn str_projection_cost(
+    model: &CostModel,
+    t: &TableSnapshot,
+    meta: &haec_planner::catalog::TableMeta,
+    query: &Query,
+    sel: f64,
+) -> PlanCost {
+    if query.agg.is_some() {
+        return PlanCost::ZERO;
+    }
+    let rows = (sel * t.rows() as f64).ceil() as u64;
+    let projected: Vec<&str> = match &query.select {
+        Some(cols) => cols.iter().map(String::as_str).collect(),
+        None => t.schema().columns().iter().map(|(n, _)| n.as_str()).collect(),
+    };
+    let mut cost = PlanCost::ZERO;
+    for name in projected {
+        let Some(idx) = t.schema().position(name) else { continue };
+        if t.schema().columns()[idx].1 != DataType::Str {
+            continue;
+        }
+        let ndv = meta.column(name).map_or(rows, |c| c.ndv);
+        let avg = t.global_dict(idx).filter(|d| d.dict_size() > 0).map_or(8, |d| d.avg_entry_bytes() as u64);
+        cost = cost + model.project_codes(rows, ndv, avg);
+    }
+    cost
+}
+
+/// ANDs `m` into the accumulator (first predicate just installs it).
+fn and_into(acc: &mut Option<Bitmap>, m: Bitmap) {
+    match acc {
+        None => *acc = Some(m),
+        Some(b) => b.and_with(&m),
+    }
+}
+
+/// The aggregate output column for `(key, state)` pairs.
+fn agg_value_column<K>(grouped: &[(K, AggState)], kind: AggKind) -> Column {
+    grouped.iter().map(|(_, s)| s.value(kind).unwrap_or(f64::NAN)).collect::<Vec<f64>>().into_iter().collect()
+}
+
+fn column_position(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize> {
+    t.schema()
+        .position(name)
+        .ok_or_else(|| DbError::NoSuchColumn { table: table.to_string(), column: name.to_string() })
+}
+
+fn check_int_column(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize> {
+    let idx = column_position(t, table, name)?;
+    if t.schema().columns()[idx].1 != DataType::Int64 {
+        return Err(DbError::TypeMismatch { column: name.to_string(), expected: DataType::Int64 });
+    }
+    Ok(idx)
+}
+
+fn resolve_int_preds(t: &TableSnapshot, table: &str, filters: &[Filter]) -> DbResult<Vec<IntPred>> {
+    filters
+        .iter()
+        .map(|f| {
+            let col = check_int_column(t, table, &f.column)?;
+            Ok(IntPred { col, op: f.op, literal: f.literal })
+        })
+        .collect()
+}
+
+fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> DbResult<Vec<StrPred>> {
+    filters
+        .iter()
+        .map(|f| {
+            let col = column_position(t, table, &f.column)?;
+            if t.schema().columns()[col].1 != DataType::Str {
+                return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
+            }
+            let global_code = t.global_dict(col).and_then(|d| d.code_of(&f.value)).map(i64::from);
+            let delta_code = t.delta_column(col).and_then(Column::as_str).and_then(|d| d.code_of(&f.value));
+            Ok(StrPred { col, value: f.value.clone(), global_code, delta_code, negated: f.negated })
+        })
+        .collect()
+}

@@ -51,6 +51,7 @@
 
 pub mod db;
 pub mod error;
+mod executor;
 pub mod index;
 pub mod robust;
 pub mod schema;

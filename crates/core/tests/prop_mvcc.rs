@@ -407,6 +407,10 @@ proptest! {
     ///   `partial_energy` never exceeds the energy of an uncancelled
     ///   twin executed on the *same* snapshot (partial work is a subset
     ///   of full work), and is never negative.
+    ///
+    /// Both query shapes share the executor's cancel polls, so a
+    /// pre-fired token must stop a join and a grouped aggregate exactly
+    /// as it stops the global aggregate — checked every iteration.
     #[test]
     fn cancelled_readers_bill_at_most_their_completed_twin(
         schedule in ops(),
@@ -442,6 +446,8 @@ proptest! {
                     let modes = &modes;
                     scope.spawn(move || {
                         let q_sum = Query::scan("t").aggregate(AggKind::Sum, "amount");
+                        let q_join = Query::scan("t").join("dim", "region", "region");
+                        let q_grouped = Query::scan("t").group_by("tag").aggregate(AggKind::Sum, "amount");
                         let mut iterations = 0usize;
                         loop {
                             let finished = done.load(Ordering::Acquire);
@@ -496,6 +502,20 @@ proptest! {
                                     );
                                 }
                                 Err(other) => panic!("{ctx}: unexpected error {other}"),
+                            }
+                            let fired = CancelToken::new();
+                            fired.cancel();
+                            let opts = ExecOpts { cancel: Some(fired), ..ExecOpts::default() };
+                            for q in [&q_join, &q_grouped] {
+                                let twin = snap.execute(q).unwrap();
+                                match snap.execute_opts(q, &opts) {
+                                    Err(DbError::Cancelled { partial_energy }) => assert!(
+                                        (0.0..=twin.energy.joules() + 1e-9).contains(&partial_energy.joules()),
+                                        "{ctx}: pre-cancelled bill {partial_energy} vs completed twin {}",
+                                        twin.energy
+                                    ),
+                                    other => panic!("{ctx}: pre-fired token must cancel, got {other:?}"),
+                                }
                             }
                             iterations += 1;
                             if finished {

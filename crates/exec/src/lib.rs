@@ -30,16 +30,12 @@
 //! use haec_exec::prelude::*;
 //! use haec_columnar::prelude::*;
 //!
-//! // σ(amount < 100) → Σ amount, with per-operator metering.
-//! let chunk = Chunk::new(vec![
-//!     ("amount".into(), (0i64..1000).collect::<Vec<_>>().into_iter().collect::<Column>()),
-//! ]).unwrap();
-//! let mut pipeline = Pipeline::new();
-//! pipeline.push(FilterOp::new("amount", CmpOp::Lt, 100));
-//! pipeline.push(AggregateOp::global("amount", AggKind::Sum));
-//! let (result, stats) = pipeline.run(&chunk).unwrap();
-//! assert_eq!(result.row(0).unwrap()[0].as_float(), Some(4950.0));
-//! assert!(stats.iter().all(|s| s.profile.cpu_cycles.count() > 0));
+//! // σ(amount < 100) → Σ amount, at the kernel level: select the
+//! // matching positions, then fold the survivors.
+//! let amount: Vec<i64> = (0..1000).collect();
+//! let hits = select_positions(&amount, CmpOp::Lt, 100, SelectKernel::Bitwise);
+//! let survivors: Vec<i64> = hits.iter().map(|&p| amount[p as usize]).collect();
+//! assert_eq!(aggregate(&survivors).value(AggKind::Sum), Some(4950.0));
 //! ```
 
 #![warn(missing_docs)]
@@ -51,7 +47,6 @@ pub mod cancel;
 pub mod join;
 pub mod metrics;
 pub mod morsel;
-pub mod pipeline;
 pub mod pool;
 pub mod select;
 pub(crate) mod sync;
@@ -65,8 +60,7 @@ pub mod prelude {
     pub use crate::cancel::CancelToken;
     pub use crate::join::{hash_join_metered, sort_merge_join, HashJoin};
     pub use crate::metrics::OpStats;
-    pub use crate::morsel::{parallel_morsels, Morsel, MorselDispenser};
-    pub use crate::pipeline::{AggregateOp, ExecError, FilterOp, Operator, Pipeline, ProjectOp};
+    pub use crate::morsel::{Morsel, MorselDispenser};
     pub use crate::pool::{ExecOpts, MorselGate, MorselPermit, RunSpec, WorkerPool};
     pub use crate::select::{select_metered, select_positions, AdaptiveSelect, SelectKernel};
 }
@@ -74,6 +68,5 @@ pub mod prelude {
 pub use agg::{AggKind, AggState, SyncStrategy};
 pub use cancel::CancelToken;
 pub use metrics::OpStats;
-pub use pipeline::{ExecError, Pipeline};
 pub use pool::{ExecOpts, MorselGate, RunSpec, WorkerPool};
 pub use select::{AdaptiveSelect, SelectKernel};

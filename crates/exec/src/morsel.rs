@@ -6,9 +6,8 @@
 //! skewed per-row costs automatically — the end-to-end parallelism the
 //! paper demands "from the query language level down to the execution
 //! runtime". Execution happens on the persistent shared
-//! [`crate::pool::WorkerPool`]; [`parallel_morsels`] is the
-//! fire-and-forget compatibility front over it (no per-call thread
-//! creation).
+//! [`crate::pool::WorkerPool`], whose `run` hands each job a
+//! [`MorselDispenser`].
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
@@ -70,40 +69,6 @@ impl MorselDispenser {
     }
 }
 
-/// Runs `work` over all morsels of a `total`-row domain with up to
-/// `threads` units of parallelism (the calling thread plus workers from
-/// the process-wide [`crate::pool::WorkerPool`] — no threads are
-/// created per call); per-unit results are combined with `merge` in
-/// unspecified order (so `merge` must be commutative + associative,
-/// with `zero` as identity).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a worker panics.
-pub fn parallel_morsels<T, W, M>(
-    total: usize,
-    threads: usize,
-    morsel_rows: usize,
-    work: W,
-    merge: M,
-    zero: T,
-) -> T
-where
-    T: Send,
-    W: Fn(Morsel) -> T + Sync,
-    M: Fn(T, T) -> T + Send + Sync,
-    T: Clone,
-{
-    assert!(threads > 0, "need at least one thread");
-    crate::pool::WorkerPool::global().run(
-        total,
-        crate::pool::RunSpec::new(threads, morsel_rows),
-        work,
-        merge,
-        zero,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,43 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sum_correct() {
-        let data: Vec<i64> = (0..1_000_000).collect();
-        let expected: i64 = data.iter().sum();
-        for threads in [1, 2, 4] {
-            let sum = parallel_morsels(
-                data.len(),
-                threads,
-                4096,
-                |m| data[m.start..m.end].iter().sum::<i64>(),
-                |a, b| a + b,
-                0i64,
-            );
-            assert_eq!(sum, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_with_vec_merge() {
-        // Collect all morsel starts; merge is concatenation (commutative
-        // only up to reordering, so compare as sets).
-        let starts = parallel_morsels(
-            100,
-            3,
-            7,
-            |m| vec![m.start],
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-            Vec::new(),
-        );
-        let set: HashSet<usize> = starts.into_iter().collect();
-        let expected: HashSet<usize> = (0..100).step_by(7).collect();
-        assert_eq!(set, expected);
-    }
-
-    #[test]
     #[should_panic(expected = "morsel size must be positive")]
     fn zero_morsel_panics() {
         let _ = MorselDispenser::with_morsel_rows(10, 0);
@@ -185,6 +113,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
-        parallel_morsels(10, 0, 1, |_| 0u32, |a, b| a + b, 0);
+        let spec = crate::pool::RunSpec::new(0, 1);
+        crate::pool::WorkerPool::global().run(10, spec, |_| 0u32, |a, b| a + b, 0);
     }
 }

@@ -1,10 +1,10 @@
 //! The shared worker pool: persistent OS threads executing morsel jobs
 //! from every concurrent query.
 //!
-//! [`crate::morsel::parallel_morsels`] used to spawn a fresh
-//! `crossbeam::scope` per call — every query paid thread creation and
-//! teardown, and two concurrent queries each brought their own private
-//! threads, oversubscribing the machine instead of sharing it. This
+//! Morsel jobs used to spawn a fresh `crossbeam::scope` per call —
+//! every query paid thread creation and teardown, and two concurrent
+//! queries each brought their own private threads, oversubscribing the
+//! machine instead of sharing it. This
 //! module replaces that with the morsel-driven design of Leis et al.
 //! (the HANA-side grounding the paper leans on): a fixed set of workers
 //! created **once**, a shared injector queue of *unit tasks*, and
@@ -446,9 +446,9 @@ impl WorkerPool {
         WorkerPool { shared, handles, workers, threads_spawned: spawned }
     }
 
-    /// The process-wide pool every [`crate::morsel::parallel_morsels`]
-    /// call shares, sized once from the hardware (so the engine never
-    /// asks `available_parallelism` per query again).
+    /// The process-wide pool every database shares by default, sized
+    /// once from the hardware (so the engine never asks
+    /// `available_parallelism` per query again).
     pub fn global() -> &'static Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
