@@ -88,5 +88,58 @@ fn bench_hash_join(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_select_kernels, bench_compression, bench_sync_strategies, bench_hash_join);
+/// Per-hit reads of one 64 K-row segment at ascending hits, point
+/// access (`get`) against the forward cursor the query path uses
+/// (`cursor().at`) — the per-scheme numbers behind
+/// `haecdb::table::SPARSE_HIT_RATIO`: its 1:8 crossover is the densest
+/// list read this way, so 1/16 sits just under it and 1/1024 is one hit
+/// per Delta checkpoint block. Each column is in the shape `auto` picks
+/// that scheme for.
+fn bench_sparse_access(c: &mut Criterion) {
+    let n = 64 * 1024usize;
+    let shaped = |scheme: Scheme| -> Vec<i64> {
+        match scheme {
+            Scheme::Plain => {
+                shuffled(n).iter().map(|&v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64)).collect()
+            }
+            Scheme::Rle => (0..n as i64).map(|i| (i / 4096) % 7).collect(),
+            Scheme::For => shuffled(n).iter().map(|&v| v % 16_384).collect(),
+            Scheme::Delta => (0..n as i64).map(|i| 1_600_000_000_000 + i).collect(),
+        }
+    };
+    let mut g = c.benchmark_group("sparse_access");
+    g.sample_size(10);
+    for scheme in Scheme::ALL {
+        let e = EncodedInts::encode(&shaped(scheme), scheme);
+        for every in [16usize, 64, 1024] {
+            let hits: Vec<usize> = (every / 2..n).step_by(every).collect();
+            g.throughput(Throughput::Elements(hits.len() as u64));
+            g.bench_with_input(
+                BenchmarkId::new(format!("get/{scheme}"), format!("1:{every}")),
+                &hits,
+                |b, h| b.iter(|| h.iter().fold(0i64, |acc, &i| acc.wrapping_add(e.get(i)))),
+            );
+            g.bench_with_input(
+                BenchmarkId::new(format!("cursor/{scheme}"), format!("1:{every}")),
+                &hits,
+                |b, h| {
+                    b.iter(|| {
+                        let mut cur = e.cursor();
+                        h.iter().fold(0i64, |acc, &i| acc.wrapping_add(cur.at(i)))
+                    })
+                },
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_select_kernels,
+    bench_compression,
+    bench_sync_strategies,
+    bench_hash_join,
+    bench_sparse_access
+);
 criterion_main!(benches);

@@ -7,7 +7,9 @@
 use crate::encoding::bitpack::BitPacked;
 
 /// Checkpoint spacing: a decoded value is stored verbatim every this many
-/// rows so `get` is O(CHECKPOINT_EVERY) instead of O(n).
+/// rows so `get` is O(CHECKPOINT_EVERY) instead of O(n) — on average
+/// `CHECKPOINT_EVERY / 2` delta unpacks per call, which is why readers
+/// of an ascending row sequence go through [`DeltaInts::cursor`].
 pub const CHECKPOINT_EVERY: usize = 1024;
 
 #[inline]
@@ -45,17 +47,8 @@ impl DeltaInts {
         if data.is_empty() {
             return DeltaInts { deltas: BitPacked::pack(&[], 0), checkpoints: Vec::new(), len: 0 };
         }
-        let mut zz = Vec::with_capacity(data.len() - 1);
-        let mut checkpoints = Vec::with_capacity(data.len() / CHECKPOINT_EVERY + 1);
-        for (i, w) in data.windows(2).enumerate() {
-            let _ = i;
-            zz.push(zigzag(w[1].wrapping_sub(w[0])));
-        }
-        for (i, &v) in data.iter().enumerate() {
-            if i % CHECKPOINT_EVERY == 0 {
-                checkpoints.push(v);
-            }
-        }
+        let zz: Vec<u64> = data.windows(2).map(|w| zigzag(w[1].wrapping_sub(w[0]))).collect();
+        let checkpoints = data.iter().copied().step_by(CHECKPOINT_EVERY).collect();
         let width = zz.iter().copied().max().map_or(0, BitPacked::width_for);
         DeltaInts { deltas: BitPacked::pack(&zz, width), checkpoints, len: data.len() }
     }
@@ -76,7 +69,9 @@ impl DeltaInts {
     }
 
     /// Random access to row `i`, reconstructing from the nearest
-    /// checkpoint.
+    /// checkpoint: O([`CHECKPOINT_EVERY`]) delta unpacks, not O(1). Use
+    /// it for genuine point access; a sequence of rows is cheaper
+    /// through [`DeltaInts::cursor`].
     ///
     /// # Panics
     ///
@@ -84,11 +79,26 @@ impl DeltaInts {
     pub fn get(&self, i: usize) -> i64 {
         assert!(i < self.len, "index {i} out of bounds ({})", self.len);
         let ck = i / CHECKPOINT_EVERY;
-        let mut v = self.checkpoints[ck];
-        for d in ck * CHECKPOINT_EVERY..i {
+        self.walk(ck * CHECKPOINT_EVERY, self.checkpoints[ck], i)
+    }
+
+    /// The value of row `to`, prefix-summing the deltas from row `from`
+    /// (whose value is `v`).
+    #[inline]
+    fn walk(&self, from: usize, mut v: i64, to: usize) -> i64 {
+        for d in from..to {
             v = v.wrapping_add(unzigzag(self.deltas.get(d)));
         }
         v
+    }
+
+    /// A forward cursor: [`DeltaCursor::at`] answers like [`DeltaInts::get`]
+    /// for any row, but resumes from the last row it decoded, so an
+    /// ascending sequence of rows costs one delta unpack per row
+    /// *skipped* instead of a re-walk from the checkpoint per row. Safe
+    /// to create on an empty column.
+    pub fn cursor(&self) -> DeltaCursor<'_> {
+        DeltaCursor { col: self, row: 0, value: self.checkpoints.first().copied().unwrap_or(0) }
     }
 
     /// Streaming sequential decode: yields each row's value without
@@ -119,6 +129,38 @@ impl DeltaInts {
     /// Payload size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.deltas.size_bytes() + self.checkpoints.len() * 8
+    }
+}
+
+/// Forward cursor over a [`DeltaInts`] column (see [`DeltaInts::cursor`]).
+#[derive(Clone, Debug)]
+pub struct DeltaCursor<'a> {
+    col: &'a DeltaInts,
+    /// The last row decoded (row 0 before the first call).
+    row: usize,
+    /// The value of `row`.
+    value: i64,
+}
+
+impl DeltaCursor<'_> {
+    /// The value of row `i`. Resumes from the last decoded row; seeks to
+    /// `i`'s checkpoint only when `i` lies before that row or in a later
+    /// checkpoint block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn at(&mut self, i: usize) -> i64 {
+        assert!(i < self.col.len, "index {i} out of bounds ({})", self.col.len);
+        let block = i / CHECKPOINT_EVERY;
+        if i < self.row || block > self.row / CHECKPOINT_EVERY {
+            self.row = block * CHECKPOINT_EVERY;
+            self.value = self.col.checkpoints[block];
+        }
+        self.value = self.col.walk(self.row, self.value, i);
+        self.row = i;
+        self.value
     }
 }
 

@@ -124,7 +124,11 @@ impl EncodedInts {
         }
     }
 
-    /// Random access to row `i`.
+    /// Random access to row `i` — genuine point access. The cost depends
+    /// on the scheme: Plain and FOR index directly (O(1)), RLE bisects
+    /// its runs (O(log runs)), Delta re-walks from the last checkpoint
+    /// (O([`delta::CHECKPOINT_EVERY`]) delta unpacks). Readers of a
+    /// *sequence* of rows use [`EncodedInts::cursor`] instead.
     ///
     /// # Panics
     ///
@@ -136,6 +140,23 @@ impl EncodedInts {
             EncodedInts::For(e) => e.get(i),
             EncodedInts::Delta(e) => e.get(i),
         }
+    }
+
+    /// A forward cursor for reading a sequence of rows:
+    /// [`EncodedCursor::at`] returns what [`EncodedInts::get`] returns
+    /// for any row, in any order, but keeps its place between calls —
+    /// Delta resumes its prefix sum from the last decoded row, RLE
+    /// advances from the run it last landed in, Plain and FOR stay
+    /// direct — so it is cheapest when rows are non-decreasing, which
+    /// every hit list the engine produces is. Safe to create on an empty
+    /// column.
+    pub fn cursor(&self) -> EncodedCursor<'_> {
+        EncodedCursor(match self {
+            EncodedInts::Plain(v) => CursorInner::Plain(v),
+            EncodedInts::Rle(e) => CursorInner::Rle(e.cursor()),
+            EncodedInts::For(e) => CursorInner::For(e),
+            EncodedInts::Delta(e) => CursorInner::Delta(e.cursor()),
+        })
     }
 
     /// Decodes to a fresh vector.
@@ -348,6 +369,36 @@ impl Iterator for EncodedIter<'_> {
 
 impl ExactSizeIterator for EncodedIter<'_> {}
 
+/// Forward cursor over any [`EncodedInts`] (see
+/// [`EncodedInts::cursor`]): O(1) state for every scheme.
+#[derive(Clone, Debug)]
+pub struct EncodedCursor<'a>(CursorInner<'a>);
+
+#[derive(Clone, Debug)]
+enum CursorInner<'a> {
+    Plain(&'a [i64]),
+    Rle(rle::RleCursor<'a>),
+    For(&'a ForInts),
+    Delta(delta::DeltaCursor<'a>),
+}
+
+impl EncodedCursor<'_> {
+    /// The value of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn at(&mut self, i: usize) -> i64 {
+        match &mut self.0 {
+            CursorInner::Plain(v) => v[i],
+            CursorInner::Rle(c) => c.at(i),
+            CursorInner::For(e) => e.get(i),
+            CursorInner::Delta(c) => c.at(i),
+        }
+    }
+}
+
 /// Size accounting for one encoded column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompressionStats {
@@ -540,6 +591,66 @@ mod tests {
                 for i in (0..data.len()).step_by(97.max(data.len() / 13).max(1)) {
                     assert_eq!(e.get(i), data[i], "{name} / {scheme} / row {i}");
                 }
+            }
+        }
+    }
+
+    /// Columns long enough to span several Delta checkpoint blocks and
+    /// many RLE runs, one in the shape each scheme is picked for.
+    fn long_datasets() -> Vec<(&'static str, Vec<i64>)> {
+        vec![
+            (
+                "long-plain",
+                (0..3500).map(|i: i64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64)).collect(),
+            ),
+            ("long-runs", (0..3500).map(|i| (i / 37) % 11).collect()),
+            ("long-narrow", (0..3500).map(|i| 500 + (i * 131) % 1000).collect()),
+            ("long-ticks", (0..3500).map(|i| 1_600_000_000_000 + i * 3 - (i % 5)).collect()),
+        ]
+    }
+
+    /// Index sequences a cursor must survive: ascending at several
+    /// strides (1 500 skips whole checkpoint blocks), repeats, backward
+    /// jumps and the checkpoint edges.
+    fn index_sequences(len: usize) -> Vec<Vec<usize>> {
+        let mut seqs: Vec<Vec<usize>> =
+            [1usize, 7, 50, 1500].iter().map(|&stride| (0..len).step_by(stride).collect()).collect();
+        seqs.push((0..len).step_by(7).flat_map(|i| [i, i, i]).collect());
+        seqs.push((0..len).rev().step_by(13).collect());
+        // Forward, then back before the current row, block and run.
+        seqs.push((0..len).step_by(50).flat_map(|i| [i, i / 2, i.saturating_sub(1), i]).collect());
+        let edges = [1023usize, 1024, 1025, len.saturating_sub(1), 0, 2047, 2048, 1024, 1023];
+        seqs.push(edges.iter().copied().filter(|&i| i < len).collect());
+        seqs
+    }
+
+    #[test]
+    fn cursor_agrees_with_get() {
+        for (name, data) in datasets().into_iter().chain(long_datasets()) {
+            for scheme in Scheme::ALL {
+                let e = EncodedInts::encode(&data, scheme);
+                for (s, seq) in index_sequences(data.len()).iter().enumerate() {
+                    let mut cur = e.cursor();
+                    for &i in seq {
+                        assert_eq!(cur.at(i), e.get(i), "{name} / {scheme} / sequence {s} / row {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_out_of_bounds_panics_like_get() {
+        for data in [vec![], vec![4i64, 4, 9]] {
+            for scheme in Scheme::ALL {
+                let e = EncodedInts::encode(&data, scheme);
+                // Creating a cursor never touches the data — empty
+                // columns included.
+                let mut cur = e.cursor();
+                let len = data.len();
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cur.at(len)));
+                assert!(got.is_err(), "{scheme}: at({len}) must panic");
+                assert!(std::panic::catch_unwind(|| e.get(len)).is_err(), "{scheme}: get({len})");
             }
         }
     }

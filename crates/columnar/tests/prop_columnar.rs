@@ -44,6 +44,29 @@ proptest! {
         }
     }
 
+    /// A forward cursor answers like `get` whatever the index sequence —
+    /// random order, repeats — on columns long enough (the data tiled up
+    /// to a few thousand rows) to span Delta checkpoint blocks.
+    #[test]
+    fn encoded_cursor_matches_get(
+        data in int_data(),
+        reps in 1usize..12,
+        picks in proptest::collection::vec(any::<prop::sample::Index>(), 0..64),
+        ascending in any::<bool>(),
+    ) {
+        if data.is_empty() { return Ok(()); }
+        let data = data.repeat(reps);
+        let mut rows: Vec<usize> = picks.iter().map(|p| p.index(data.len())).collect();
+        if ascending { rows.sort_unstable(); }
+        for scheme in Scheme::ALL {
+            let e = EncodedInts::encode(&data, scheme);
+            let mut cur = e.cursor();
+            for &i in &rows {
+                prop_assert_eq!(cur.at(i), data[i], "{} row {}", scheme, i);
+            }
+        }
+    }
+
     #[test]
     fn encoded_scan_matches_reference(data in int_data(), lit in -150i64..150) {
         // Full parity matrix: every scheme × every operator on the same

@@ -15,8 +15,8 @@
 //! * the **column view** ([`UnitCol`]): what a unit's column looks like
 //!   to everything downstream of the filters. Aggregation and join-key
 //!   streaming are written once against that view and [`walk`] it —
-//!   all rows, sparse random access, or dense stream-to-last-hit — with
-//!   one billing rule.
+//!   all rows, sparse hits through a forward cursor, or dense
+//!   stream-to-last-hit — with one billing rule.
 
 use crate::db::{Database, Filter, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS};
 use crate::error::{DbError, DbResult};
@@ -174,12 +174,13 @@ struct Touched {
     decode_items: u64,
     /// Bytes read sequentially (encoded stream share, or flat cells).
     stream_bytes: u64,
-    /// Compressed random accesses, billed per cell by the caller.
+    /// Cells read hit by hit (positioned reads), billed per cell by the
+    /// caller.
     random_cells: u64,
 }
 
 impl Touched {
-    /// DRAM bytes read, with random accesses billed `cell` bytes each.
+    /// DRAM bytes read, with positioned reads billed `cell` bytes each.
     fn bytes(&self, cell: u64) -> u64 {
         self.stream_bytes + self.random_cells * cell
     }
@@ -187,7 +188,7 @@ impl Touched {
 
 impl UnitCol<'_> {
     /// The bill for a walk that consumed `n` of the unit's `rows` rows,
-    /// streaming the first `streamed` (`None`: random access). Constants
+    /// streaming the first `streamed` (`None`: read hit by hit). Constants
     /// cost nothing; flat cells are read where they lie (8-byte ints,
     /// 4-byte codes) with no decode.
     fn touched(&self, streamed: Option<usize>, n: usize, rows: usize) -> Touched {
@@ -224,9 +225,13 @@ fn walk(
     // kept the whole unit.
     let hits = hits.filter(|h| h.len() != rows);
     let streamed = match k {
-        UnitCol::Enc(e, None) => walk_values(unit, hits, || e.iter(), |i| e.get(i), v, sink),
+        UnitCol::Enc(e, None) => {
+            let mut cur = e.cursor();
+            walk_values(unit, hits, || e.iter(), |i| cur.at(i), v, sink)
+        }
         UnitCol::Enc(e, Some(m)) => {
-            walk_values(unit, hits, || e.iter().map(|c| m[c as usize]), |i| m[e.get(i) as usize], v, sink)
+            let mut cur = e.cursor();
+            walk_values(unit, hits, || e.iter().map(|c| m[c as usize]), |i| m[cur.at(i) as usize], v, sink)
         }
         UnitCol::Const(c) => walk_values(unit, hits, || std::iter::repeat_n(c, rows), |_| c, v, sink),
         UnitCol::Ints(s) => walk_values(unit, hits, || s.iter().copied(), |i| s[i], v, sink),
@@ -239,17 +244,21 @@ fn walk(
 }
 
 /// [`walk`]'s second dispatch level: pairs the key accessors with the
-/// value column's.
+/// value column's. `key_at` is called with ascending unit-local rows —
+/// encoded columns answer it from a forward cursor.
 fn walk_values<K: Iterator<Item = i64>>(
     unit: &Unit<'_>,
     hits: Option<&[u32]>,
     keys: impl FnOnce() -> K,
-    key_at: impl Fn(usize) -> i64,
+    mut key_at: impl FnMut(usize) -> i64,
     v: UnitCol<'_>,
     sink: impl FnMut(i64, i64, u32),
 ) -> Option<usize> {
     match v {
-        UnitCol::Enc(e, _) => walk_hits(unit, hits, || keys().zip(e.iter()), |i| (key_at(i), e.get(i)), sink),
+        UnitCol::Enc(e, _) => {
+            let mut cur = e.cursor();
+            walk_hits(unit, hits, || keys().zip(e.iter()), |i| (key_at(i), cur.at(i)), sink)
+        }
         UnitCol::Const(c) => walk_hits(unit, hits, || keys().map(|k| (k, c)), |i| (key_at(i), c), sink),
         UnitCol::Ints(s) => {
             walk_hits(unit, hits, || keys().zip(s.iter().copied()), |i| (key_at(i), s[i]), sink)
@@ -259,13 +268,16 @@ fn walk_values<K: Iterator<Item = i64>>(
 }
 
 /// The one hit walk. All rows stream; survivors sparser than
-/// [`sparse_hits`] use random access; denser ones stream up to the last
-/// hit. Returns the rows streamed (`None` for random access).
+/// [`sparse_hits`] are read hit by hit through `at` — hit lists ascend,
+/// so an encoded column answers from a forward cursor
+/// (`EncodedInts::cursor`) that resumes where the previous hit left it;
+/// denser ones stream up to the last hit. Returns the rows streamed
+/// (`None` for the per-hit reads).
 fn walk_hits<I: Iterator<Item = (i64, i64)>>(
     unit: &Unit<'_>,
     hits: Option<&[u32]>,
     stream: impl FnOnce() -> I,
-    at: impl Fn(usize) -> (i64, i64),
+    mut at: impl FnMut(usize) -> (i64, i64),
     mut sink: impl FnMut(i64, i64, u32),
 ) -> Option<usize> {
     let base = unit.base;
@@ -797,7 +809,7 @@ impl Exec<'_> {
     /// projected columns (all schema columns when no projection is
     /// given). Strings flow as codes + one shared output dictionary per
     /// column; the stats bill what each store path actually did
-    /// (stream-decoded encoded bytes, per-cell random access, flat
+    /// (stream-decoded encoded bytes, per-cell cursor reads, flat
     /// delta reads, one first-touch read per distinct string).
     fn gather(&mut self, t: &TableSnapshot, query: &Query, positions: Option<&[u32]>) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
@@ -1118,8 +1130,8 @@ impl Exec<'_> {
     /// everything else (scattered build rows, duplicate keys) goes
     /// through the positional [`TableSnapshot::gather_rows`]. Both report the
     /// work they actually did (whole-segment stream-decodes when hits
-    /// pass the density crossover, compressed random access when
-    /// sparse, code-to-code string gathers) as
+    /// pass the density crossover, per-cell cursor reads when sparse or
+    /// positional, code-to-code string gathers) as
     /// [`crate::table::GatherStats`], billed here.
     fn gather_join_side(
         &mut self,
@@ -1224,7 +1236,7 @@ impl Exec<'_> {
                 sink(k, row);
             }
         });
-        // Join keys bill a random access as an 8-byte cell, codes
+        // Join keys bill a per-hit read as an 8-byte cell, codes
         // included.
         ResourceProfile {
             cpu_cycles: self.db.costs.cycles_for(Kernel::CompressDecode, tk.decode_items),

@@ -36,25 +36,29 @@ use haec_columnar::value::{DataType, Value};
 use haec_planner::access::ZoneMapMeta;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Hit-density crossover between the two ways to read a compressed
 /// segment column: below one hit per `SPARSE_HIT_RATIO` rows, a gather
-/// uses compressed random access (`EncodedInts::get` — O(1) per hit,
-/// but a pointer-chase and partial-word decode per cell); at or above
-/// it, stream-decoding the whole segment once wins, because a
-/// sequential decode step costs roughly an eighth of a random access on
-/// the bit-packed/FOR schemes and prefetches perfectly. Every sparse-
-/// vs-dense branch in projection, gather, join-key extraction and
-/// aggregation pushdown tests the same 1:8 crossover via
-/// [`sparse_hits`], so execution and billing can never disagree on
-/// which path ran.
+/// reads the hits alone through a forward cursor
+/// (`EncodedInts::cursor`): direct on Plain and FOR, and on Delta and
+/// RLE a resume from the previous hit — the delta unpacks or runs
+/// *between* two hits, never `EncodedInts::get`'s re-walk from the
+/// checkpoint or bisection per cell. At or above the crossover,
+/// stream-decoding the whole segment once wins, because a sequential
+/// decode step costs roughly an eighth of a positioned read on the
+/// bit-packed schemes and prefetches perfectly. Every sparse-vs-dense
+/// branch in projection, gather, join-key extraction and aggregation
+/// pushdown tests the same 1:8 crossover via [`sparse_hits`], so
+/// execution and billing can never disagree on which path ran.
 pub const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
-/// [`SPARSE_HIT_RATIO`] density — read per hit (compressed random
-/// access), not per segment (stream-decode).
+/// [`SPARSE_HIT_RATIO`] density — read per hit (forward cursor), not
+/// per segment (stream-decode).
 pub fn sparse_hits(hits: usize, rows: usize) -> bool {
     hits * SPARSE_HIT_RATIO < rows
 }
@@ -94,6 +98,38 @@ enum StoreHits<'p> {
         /// The positions (global row ids), or `None` for all rows.
         hits: Option<&'p [u32]>,
     },
+}
+
+/// A positional row list (any order, duplicates allowed) arranged for
+/// an ascending visit (see [`TableSnapshot::gather_rows`]).
+struct AscendingRows<'r> {
+    /// The rows in non-decreasing order.
+    rows: Cow<'r, [u32]>,
+    /// `slots[k]`: the position `rows[k]` has in the original list.
+    /// `None` when that list was already non-decreasing (`k` itself).
+    slots: Option<Vec<u32>>,
+}
+
+impl<'r> AscendingRows<'r> {
+    fn of(rows: &'r [u32]) -> Self {
+        if rows.windows(2).all(|w| w[0] <= w[1]) {
+            return AscendingRows { rows: Cow::Borrowed(rows), slots: None };
+        }
+        assert!(rows.len() <= u32::MAX as usize, "row list longer than the row-id space");
+        // Argsort as one sort of packed `(row, position)` keys.
+        let mut keyed: Vec<u64> = rows.iter().zip(0u64..).map(|(&r, k)| (r as u64) << 32 | k).collect();
+        keyed.sort_unstable();
+        AscendingRows {
+            rows: keyed.iter().map(|&x| (x >> 32) as u32).collect(),
+            slots: Some(keyed.iter().map(|&x| x as u32).collect()),
+        }
+    }
+
+    /// The `(store-local row, output position)` of `rows[range]`, for a
+    /// store whose first global row id is `base`.
+    fn cells(&self, range: Range<usize>, base: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        range.map(move |k| (self.rows[k] as usize - base, self.slots.as_ref().map_or(k, |s| s[k] as usize)))
+    }
 }
 
 /// The mutable state of a table, guarded by the handle's `RwLock`.
@@ -684,11 +720,18 @@ impl TableSnapshot {
     /// materialization step of join execution: only the rows that
     /// actually survive the join are ever touched.
     ///
-    /// Integer and float cells use per-row (compressed random-access)
-    /// reads; string cells are gathered **code-to-code**: the output
-    /// [`DictColumn`] shares one dictionary across all gathered rows,
-    /// each distinct segment/delta code is decoded and interned exactly
-    /// once, and every further occurrence is appended by code
+    /// The build side's rows arrive in probe order, so the cells are
+    /// **visited in ascending row order and scattered into output
+    /// order** (one argsort, skipped when the list is already
+    /// non-decreasing): each segment is then read through one forward
+    /// cursor (`EncodedInts::cursor`) exactly like a sparse projection,
+    /// instead of one compressed point access per cell. The bill is per
+    /// cell and does not depend on the visiting order. String cells are
+    /// gathered **code-to-code**: the output [`DictColumn`] shares one
+    /// dictionary across all gathered rows, each distinct segment/delta
+    /// code is decoded and interned exactly once — in output order, so
+    /// the dictionary is ordered by first appearance in `rows` — and
+    /// every further occurrence is appended by code
     /// ([`DictColumn::push_code`]) without hashing the string again.
     ///
     /// Returns the gathered columns plus [`GatherStats`] so the caller
@@ -704,6 +747,7 @@ impl TableSnapshot {
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
         let mut stats = GatherStats::default();
         let mut out = Vec::with_capacity(names.len());
+        let asc = AscendingRows::of(rows);
         for name in names {
             let idx = self
                 .schema
@@ -712,64 +756,78 @@ impl TableSnapshot {
             let col = match self.schema.columns()[idx].1 {
                 DataType::Int64 => {
                     let delta = self.delta[idx].as_int64().expect("schema type matches storage");
-                    let mut v = Vec::with_capacity(rows.len());
-                    for &r in rows {
-                        match self.locate(r as usize) {
-                            RowLoc::Delta { local } => {
-                                v.push(delta[local]);
-                                stats.bytes_read += 8;
+                    // Rows of segments predating the column keep the 0
+                    // sentinel: no data exists, nothing is read.
+                    let mut v = vec![0i64; rows.len()];
+                    self.split_by_store(&asc.rows, |seg, base, range| {
+                        let n = range.len() as u64;
+                        let cells = asc.cells(range, base);
+                        match seg.map(|si| self.main.segments[si].column(idx)) {
+                            None => {
+                                cells.for_each(|(local, slot)| v[slot] = delta[local]);
+                                stats.bytes_read += n * 8;
                             }
-                            RowLoc::Main { seg, local } => match self.main.segments[seg].column(idx) {
-                                Some(SegColumn::Int { data, .. }) => {
-                                    v.push(data.get(local));
-                                    stats.decode_items += 1;
-                                    stats.bytes_read += 8;
-                                }
-                                None => v.push(0), // sentinel: no data exists
-                                _ => unreachable!("schema says Int64"),
-                            },
+                            Some(Some(SegColumn::Int { data, .. })) => {
+                                let mut cur = data.cursor();
+                                cells.for_each(|(local, slot)| v[slot] = cur.at(local));
+                                stats.decode_items += n;
+                                stats.bytes_read += n * 8;
+                            }
+                            Some(None) => {}
+                            Some(Some(_)) => unreachable!("schema says Int64"),
                         }
-                    }
+                    });
                     Column::Int64(v)
                 }
                 DataType::Float64 => {
                     let delta = self.delta[idx].as_float64().expect("schema type matches storage");
-                    let mut v = Vec::with_capacity(rows.len());
-                    for &r in rows {
-                        match self.locate(r as usize) {
-                            RowLoc::Delta { local } => {
-                                v.push(delta[local]);
-                                stats.bytes_read += 8;
+                    let mut v = vec![0.0f64; rows.len()];
+                    self.split_by_store(&asc.rows, |seg, base, range| {
+                        let n = range.len() as u64;
+                        let cells = asc.cells(range, base);
+                        match seg.map(|si| self.main.segments[si].column(idx)) {
+                            None => {
+                                cells.for_each(|(local, slot)| v[slot] = delta[local]);
+                                stats.bytes_read += n * 8;
                             }
-                            RowLoc::Main { seg, local } => match self.main.segments[seg].column(idx) {
-                                Some(SegColumn::Float(data)) => {
-                                    v.push(data[local]);
-                                    stats.bytes_read += 8;
-                                }
-                                None => v.push(0.0),
-                                _ => unreachable!("schema says Float64"),
-                            },
+                            Some(Some(SegColumn::Float(data))) => {
+                                cells.for_each(|(local, slot)| v[slot] = data[local]);
+                                stats.bytes_read += n * 8;
+                            }
+                            Some(None) => {}
+                            Some(Some(_)) => unreachable!("schema says Float64"),
                         }
-                    }
+                    });
                     Column::Float64(v)
                 }
                 DataType::Str => {
-                    let mut g = StrCodeGather::new(self, idx);
-                    for &r in rows {
-                        match self.locate(r as usize) {
-                            RowLoc::Delta { local } => {
-                                stats.bytes_read += 4;
-                                g.push_delta(local, &mut stats);
+                    // The ascending visit only fetches each main row's
+                    // global code; interning happens afterwards in output
+                    // order, which fixes the output dictionary's order.
+                    let mut codes: Vec<Option<u32>> = vec![None; rows.len()];
+                    self.split_by_store(&asc.rows, |seg, base, range| {
+                        let n = range.len() as u64;
+                        let cells = asc.cells(range, base);
+                        match seg.map(|si| self.main.segments[si].column(idx)) {
+                            None => stats.bytes_read += n * 4,
+                            Some(Some(SegColumn::Str { codes: data, .. })) => {
+                                let mut cur = data.cursor();
+                                cells.for_each(|(local, slot)| codes[slot] = Some(cur.at(local) as u32));
+                                stats.decode_items += n;
+                                stats.bytes_read += n * 4;
                             }
-                            RowLoc::Main { seg, local } => match self.main.segments[seg].column(idx) {
-                                Some(SegColumn::Str { codes, .. }) => {
-                                    stats.decode_items += 1;
-                                    stats.bytes_read += 4;
-                                    g.push_main(codes.get(local) as u32, &mut stats);
-                                }
-                                None => g.push_sentinel(&mut stats),
-                                _ => unreachable!("schema says Str"),
-                            },
+                            Some(None) => {}
+                            Some(Some(_)) => unreachable!("schema says Str"),
+                        }
+                    });
+                    let mut g = StrCodeGather::new(self, idx);
+                    for (&r, code) in rows.iter().zip(codes) {
+                        match code {
+                            Some(code) => g.push_main(code, &mut stats),
+                            None if r as usize >= self.main.rows => {
+                                g.push_delta(r as usize - self.main.rows, &mut stats);
+                            }
+                            None => g.push_sentinel(&mut stats),
                         }
                     }
                     g.finish()
@@ -793,9 +851,9 @@ impl TableSnapshot {
     /// Returns the columns plus [`GatherStats`] billing each store path
     /// as executed: segments past the [`sparse_hits`] crossover
     /// stream-decode once (their **encoded** bytes), sparse hits pay
-    /// compressed random access per cell, the delta reads its flat
-    /// cells, and each distinct string pays one first-touch
-    /// dictionary-entry read.
+    /// one positioned read per cell (a forward cursor over the
+    /// segment), the delta reads its flat cells, and each distinct
+    /// string pays one first-touch dictionary-entry read.
     ///
     /// # Errors
     ///
@@ -832,7 +890,8 @@ impl TableSnapshot {
                         match self.main.segments[seg].column(idx) {
                             Some(SegColumn::Int { data, .. }) => match hits {
                                 Some(h) if sparse_hits(h.len(), rows) => {
-                                    out.extend(h.iter().map(|&p| data.get(p as usize - base)));
+                                    let mut cur = data.cursor();
+                                    out.extend(h.iter().map(|&p| cur.at(p as usize - base)));
                                     stats.decode_items += h.len() as u64;
                                     stats.bytes_read += h.len() as u64 * 8;
                                 }
@@ -902,10 +961,11 @@ impl TableSnapshot {
                         match self.main.segments[seg].column(idx) {
                             Some(SegColumn::Str { codes, .. }) => match hits {
                                 Some(h) if sparse_hits(h.len(), rows) => {
-                                    // Sparse hits: compressed random access,
-                                    // remapped code-to-code.
+                                    // Sparse hits: one forward cursor over the
+                                    // codes, remapped code-to-code.
+                                    let mut cur = codes.cursor();
                                     for &p in h {
-                                        g.push_main(codes.get(p as usize - base) as u32, stats);
+                                        g.push_main(cur.at(p as usize - base) as u32, stats);
                                     }
                                     stats.decode_items += h.len() as u64;
                                     stats.bytes_read += h.len() as u64 * 4;
@@ -971,22 +1031,34 @@ impl TableSnapshot {
                 }
                 f(StoreHits::Delta { hits: None });
             }
-            Some(pos) => {
-                let mut i = 0;
-                for (si, seg) in self.main.segments.iter().enumerate() {
-                    let end_base = self.main.bases[si] + seg.rows();
-                    let from = i;
-                    while i < pos.len() && (pos[i] as usize) < end_base {
-                        i += 1;
-                    }
-                    if i > from {
-                        f(StoreHits::Main { seg: si, base: self.main.bases[si], hits: Some(&pos[from..i]) });
-                    }
-                }
-                if i < pos.len() {
-                    f(StoreHits::Delta { hits: Some(&pos[i..]) });
-                }
+            Some(pos) => self.split_by_store(pos, |seg, base, range| {
+                let hits = Some(&pos[range]);
+                f(match seg {
+                    Some(seg) => StoreHits::Main { seg, base, hits },
+                    None => StoreHits::Delta { hits },
+                });
+            }),
+        }
+    }
+
+    /// Splits a non-decreasing row list at the store boundaries: `f`
+    /// gets, for every store holding at least one of `asc`, the segment
+    /// index (`None`: the delta tail), the store's first global row id
+    /// and the index range of its rows within `asc`.
+    fn split_by_store(&self, asc: &[u32], mut f: impl FnMut(Option<usize>, usize, Range<usize>)) {
+        let mut i = 0;
+        for (si, seg) in self.main.segments.iter().enumerate() {
+            let base = self.main.bases[si];
+            let from = i;
+            while i < asc.len() && (asc[i] as usize) < base + seg.rows() {
+                i += 1;
             }
+            if i > from {
+                f(Some(si), base, from..i);
+            }
+        }
+        if i < asc.len() {
+            f(None, self.main.rows, i..asc.len());
         }
     }
 
@@ -1182,7 +1254,7 @@ impl TableSnapshot {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatherStats {
     /// Decode steps performed on encoded main columns — one per cell
-    /// randomly accessed, one per row of a stream-decoded segment.
+    /// read through a cursor, one per row of a stream-decoded segment.
     pub decode_items: u64,
     /// Bytes read gathering the inputs: encoded bytes of stream-decoded
     /// segments, per-cell reads for sparse hits, flat delta cells, and

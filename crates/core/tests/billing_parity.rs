@@ -15,8 +15,12 @@
 //! every walk (all rows, sparse random access, dense stream-to-last-hit).
 //!
 //! The literals were captured on the commit *before* the executor
-//! refactor; any change to them is a billing or behaviour change and
-//! must be justified as a model correction, never absorbed silently.
+//! refactor — `join_build_right_unordered` (the larger table, filtered,
+//! as the build side: its payload rows reach `gather_rows` in probe
+//! order, across a sentinel segment, two full segments and the delta)
+//! on the commit before `gather_rows` began visiting rows in ascending
+//! order. Any change to them is a billing or behaviour change and must
+//! be justified as a model correction, never absorbed silently.
 
 use haecdb::prelude::*;
 
@@ -199,6 +203,15 @@ fn queries() -> Vec<(&'static str, Goal, Query)> {
             ev().join("dim", "k", "k").filter("id", CmpOp::Ge, 800).select(["id", "dim.name"]),
         ),
         (
+            "join_build_right_unordered",
+            Goal::MinTime,
+            Query::scan("dim")
+                .join("ev", "k", "k")
+                .join_filter("amt", CmpOp::Eq, 33)
+                .join_filter("id", CmpOp::Ne, 424)
+                .select(["k", "name", "ev.id", "ev.tag", "ev.extra"]),
+        ),
+        (
             "index_lookup",
             Goal::MinTime,
             ev().filter("id", CmpOp::Eq, 415)
@@ -246,6 +259,7 @@ const EXPECTED: &[&str] = &[
     "join_sorted: cycles=1158 read=3074 written=5411 path=None | id,v,dim.name | 0,0,\"red\";1,1,\"green\";2,2,\"\";3,3,\"blue\";4,4,\"teal\";5,5,\"violet\";6,6,\"red\";9,9,\"amber\"",
     "join_sorted_filtered: cycles=10697 read=12431 written=5232 path=None | id,v,ev.tag | 68,2,\"\";79,2,\"\";90,2,\"\";199,1,\"\";210,1,\"\";221,1,\"\";232,1,\"\";330,0,\"\";341,0,\"green\";352,0,\"red\";363,0,\"blue\"",
     "join_unfiltered_build: cycles=1097 read=1185 written=630 path=None | id,dim.name | 800,\"\";801,\"blue\";802,\"teal\";803,\"violet\";804,\"red\";805,\"red\";806,\"green\";807,\"\";808,\"blue\";809,\"teal\"",
+    "join_build_right_unordered: cycles=3064 read=2658 written=1059 path=None | k,name,ev.id,ev.tag,ev.extra | 0,\"red\",525,\"green\",-1;1,\"green\",323,\"blue\",5;2,\"\",121,\"\",0;3,\"blue\",626,\"\",-4;5,\"violet\",222,\"\",0;6,\"red\",20,\"\",0;6,\"red\",727,\"blue\",6",
     "index_lookup: cycles=144 read=284 written=40 path=Some(IndexLookup) | id,tag | 415,\"blue\"",
     "sorted_point: cycles=1934 read=1040 written=16 path=Some(FullScan) | id,v | 123,2",
     "sorted_range_min_energy: cycles=1016 read=576 written=64 path=Some(FullScan) | id,v | 0,0;1,1;2,2;3,3",

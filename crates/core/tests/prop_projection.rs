@@ -4,11 +4,17 @@
 //! naive decode-everything reference — across flat, mixed and fully
 //! merged layouts, sparse and dense hit densities, and post-merge
 //! dictionary growth (delta values the global dictionary has never
-//! seen).
+//! seen). The positional join gather (`gather_rows`: any row order,
+//! duplicates) is held to a per-row point-access reference the same
+//! way, bill and output-dictionary order included.
 
+use haec_columnar::column::Column;
 use haec_columnar::value::CmpOp;
 use haecdb::prelude::*;
+use haecdb::segment::SegColumn;
+use haecdb::table::{GatherStats, RowLoc};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Tag pool spanning repeats and the empty string (the sentinel value).
 const TAGS: [&str; 5] = ["alpha", "beta", "gamma", "delta", ""];
@@ -181,4 +187,163 @@ proptest! {
         let all = db.table("t").unwrap().rows();
         prop_assert_eq!(all, reference.len() + tail.len());
     }
+}
+
+// ---------------------------------------------------------------------
+// Positional gathers (`TableSnapshot::gather_rows`): the build side of a
+// join hands its payload rows over in probe order.
+// ---------------------------------------------------------------------
+
+const GATHER_SEG_ROWS: i64 = 1500;
+const GATHER_ROWS: u32 = 3 * GATHER_SEG_ROWS as u32 + 200;
+const GATHER_COLS: [&str; 6] = ["id", "grp", "amt", "f", "extra", "tag"];
+
+/// Three main segments longer than one Delta checkpoint block — the
+/// first predates `extra` (int) and `tag` (string) — plus a delta tail
+/// carrying a string the global dictionary has never seen. `id` is
+/// ascending (Delta-encoded), `grp` has long runs (RLE).
+fn gather_fixture() -> &'static TableSnapshot {
+    static SNAP: OnceLock<TableSnapshot> = OnceLock::new();
+    SNAP.get_or_init(|| {
+        let db = Database::new();
+        db.create_flexible_table("g").unwrap();
+        db.set_merge_threshold("g", usize::MAX).unwrap();
+        let base = |i: i64| {
+            Record::new()
+                .with("id", 1_000_000 + i * 3)
+                .with("grp", i / 100)
+                .with("amt", (i * 37) % 101)
+                .with("f", i as f64 / 4.0)
+        };
+        let tag_of = |i: i64| ["red", "green", "", "blue"][(i % 4) as usize];
+        for i in 0..GATHER_SEG_ROWS {
+            db.insert("g", &base(i)).unwrap();
+        }
+        db.merge("g").unwrap();
+        for s in 1..3 {
+            for i in s * GATHER_SEG_ROWS..(s + 1) * GATHER_SEG_ROWS {
+                db.insert("g", &base(i).with("extra", i % 13 - 6).with("tag", tag_of(i))).unwrap();
+            }
+            db.merge("g").unwrap();
+        }
+        for i in 3 * GATHER_SEG_ROWS..GATHER_ROWS as i64 {
+            let tag = if i % 9 == 0 { "violet" } else { tag_of(i) };
+            db.insert("g", &base(i).with("extra", i % 13 - 6).with("tag", tag)).unwrap();
+        }
+        let snap = db.table("g").unwrap();
+        assert_eq!(snap.segments().len(), 3);
+        assert_eq!(snap.rows(), GATHER_ROWS as usize);
+        assert!(snap.segments()[0].column(snap.schema().position("tag").unwrap()).is_none());
+        snap
+    })
+}
+
+/// The per-row reference: every cell through point access (`get_int`,
+/// `locate` + one dictionary decode), strings interned in output order,
+/// and the bill `gather_rows` documents — one decode item and one cell
+/// read per main cell, one flat cell read per delta cell, nothing for a
+/// sentinel, one first-touch entry read per distinct source code.
+fn gather_reference(t: &TableSnapshot, names: &[String], rows: &[u32]) -> (Vec<Column>, GatherStats) {
+    let mut stats = GatherStats::default();
+    let mut cols = Vec::new();
+    for name in names {
+        let idx = t.schema().position(name).unwrap();
+        let dtype = t.schema().columns()[idx].1;
+        let cell = if dtype == DataType::Str { 4 } else { 8 };
+        let mut touched = std::collections::BTreeSet::new();
+        let mut col = Column::new(dtype);
+        let whole = t.column(name).unwrap();
+        for &r in rows {
+            let r = r as usize;
+            match t.locate(r) {
+                RowLoc::Delta { local } => {
+                    stats.bytes_read += cell;
+                    if let Some(d) = t.delta_column(idx).unwrap().as_str() {
+                        if touched.insert((1, d.codes()[local])) {
+                            stats.bytes_read += d.get(local).unwrap().len() as u64;
+                        }
+                    }
+                }
+                RowLoc::Main { seg, local } => match t.segments()[seg].column(idx) {
+                    Some(SegColumn::Str { codes, .. }) => {
+                        stats.decode_items += 1;
+                        stats.bytes_read += cell;
+                        let code = codes.get(local) as u32;
+                        if touched.insert((0, code)) {
+                            stats.bytes_read +=
+                                t.global_dict(idx).unwrap().decode(code).unwrap().len() as u64;
+                        }
+                    }
+                    Some(SegColumn::Int { .. }) => {
+                        stats.decode_items += 1;
+                        stats.bytes_read += cell;
+                    }
+                    Some(SegColumn::Float(_)) => stats.bytes_read += cell,
+                    None => {}
+                },
+            }
+            let v = match dtype {
+                DataType::Int64 => Value::Int(t.get_int(idx, r).unwrap()),
+                _ => whole.get(r).unwrap(),
+            };
+            col.push(v).unwrap();
+        }
+        stats.bytes_written += col.size_bytes() as u64;
+        cols.push(col);
+    }
+    (cols, stats)
+}
+
+proptest! {
+    /// Random row lists — any order, duplicates, every store — through
+    /// `gather_rows` equal the per-row reference: values, row order,
+    /// each string column's output-dictionary order, and the stats.
+    #[test]
+    fn gather_rows_matches_per_row_reference(
+        mut rows in proptest::collection::vec(0u32..GATHER_ROWS, 0..400),
+        shape in 0usize..4,
+        ncols in 1usize..=GATHER_COLS.len(),
+        first in 0usize..GATHER_COLS.len(),
+    ) {
+        match shape {
+            0 => rows.sort_unstable(),                      // non-decreasing, duplicates
+            1 => rows.sort_unstable_by(|a, b| b.cmp(a)),    // descending
+            2 => rows.iter_mut().for_each(|r| *r = *r / 8 + 1020), // clustered round a checkpoint edge
+            _ => {}                                         // probe order
+        }
+        let t = gather_fixture();
+        let names: Vec<String> =
+            (0..ncols).map(|i| GATHER_COLS[(first + i) % GATHER_COLS.len()].to_string()).collect();
+        let (want, want_stats) = gather_reference(t, &names, &rows);
+        let (got, stats) = t.gather_rows(&names, &rows).unwrap();
+        prop_assert_eq!(got.len(), names.len());
+        for (((name, col), want), asked) in got.iter().zip(&want).zip(&names) {
+            prop_assert_eq!(name, asked);
+            // `Column` equality covers the dictionary order and the codes.
+            prop_assert_eq!(col, want, "column {}", name);
+        }
+        prop_assert_eq!(stats, want_stats);
+    }
+}
+
+/// One fixed unordered row list, with the stats and the string output-
+/// dictionary order pinned as literals captured on the commit before
+/// `gather_rows` started visiting rows in ascending order.
+#[test]
+fn gather_rows_stats_and_dictionary_order_are_pinned() {
+    let t = gather_fixture();
+    let mut x = 12345u64;
+    let rows: Vec<u32> = (0..700)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % GATHER_ROWS as u64) as u32
+        })
+        .collect();
+    let names: Vec<String> = GATHER_COLS.iter().map(ToString::to_string).collect();
+    let (cols, stats) = t.gather_rows(&names, &rows).unwrap();
+    let tags = cols[5].1.as_str().unwrap();
+    assert_eq!(stats, GatherStats { decode_items: 2861, bytes_read: 28046, bytes_written: 30938 });
+    assert_eq!(tags.iter_dict().collect::<Vec<_>>(), ["red", "blue", "", "green", "violet"]);
+    let (want, _) = gather_reference(t, &names, &rows);
+    assert!(cols.iter().map(|(_, c)| c).eq(want.iter()));
 }
