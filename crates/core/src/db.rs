@@ -43,6 +43,7 @@ use haec_energy::units::{ByteCount, Joules};
 use haec_exec::agg::AggKind;
 use haec_exec::pool::{ExecOpts, WorkerPool};
 use haec_planner::access::AccessPath;
+use haec_planner::cost::CostModel;
 use haec_planner::optimizer::Goal;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
 use parking_lot::{Mutex, RwLock};
@@ -310,9 +311,11 @@ pub(crate) struct IndexEntry {
 /// ```
 #[derive(Debug)]
 pub struct Database {
-    machine: MachineSpec,
     estimator: CostEstimator,
     pub(crate) costs: KernelCosts,
+    /// The planner's cost model over the machine model + `costs`, built
+    /// once: neither changes after construction.
+    pub(crate) model: CostModel,
     meter: Mutex<EnergyMeter>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
     pub(crate) indexes: Mutex<HashMap<(String, String), IndexEntry>>,
@@ -348,10 +351,11 @@ impl Database {
     /// else shares the process-wide one via [`Database::with_machine`].
     pub fn with_machine_and_pool(machine: MachineSpec, pool: Arc<WorkerPool>) -> Self {
         let default_dop = pool.workers().min(machine.cores()).max(1);
+        let costs = KernelCosts::default_2013();
         Database {
             estimator: CostEstimator::new(machine.clone()),
-            machine,
-            costs: KernelCosts::default_2013(),
+            model: CostModel::new(machine).with_kernel_costs(costs.clone()),
+            costs,
             meter: Mutex::new(EnergyMeter::new()),
             tables: RwLock::new(HashMap::new()),
             indexes: Mutex::new(HashMap::new()),
@@ -379,7 +383,7 @@ impl Database {
 
     /// The machine model.
     pub fn machine(&self) -> &MachineSpec {
-        &self.machine
+        self.model.machine()
     }
 
     /// A copy of the cumulative energy meter at this instant.
@@ -575,20 +579,7 @@ impl Database {
             if tname != table || entry.built_epoch == t.epoch() {
                 continue;
             }
-            let Some(colv) = t.column(col) else { continue };
-            let Some(data) = colv.as_int64() else { continue };
-            let mut idx = SecondaryIndex::new(entry.idx.maintenance());
-            for (row, &key) in data.iter().enumerate() {
-                idx.on_insert(key, row as u32);
-            }
-            let rows = data.len() as u64;
-            let profile = ResourceProfile {
-                cpu_cycles: self.costs.cycles_for(Kernel::CompressDecode, t.main_rows() as u64)
-                    + self.costs.cycles_for(Kernel::HashBuild, rows),
-                dram_read: ByteCount::new(t.column_encoded_bytes(col).unwrap_or(0) as u64),
-                dram_written: ByteCount::new(rows * 12),
-                ..ResourceProfile::default()
-            };
+            let Ok((idx, profile)) = self.backfill_index(&t, col, entry.idx.maintenance()) else { continue };
             self.charge(&profile);
             entry.idx = idx;
             entry.built_epoch = t.epoch();
@@ -620,9 +611,25 @@ impl Database {
         // registered (and feeds it through `Database::insert`).
         let mut indexes = self.indexes.lock();
         let t = handle.read();
-        let col = t
-            .column(column)
-            .ok_or_else(|| DbError::NoSuchColumn { table: table.to_string(), column: column.to_string() })?;
+        let (idx, profile) = self.backfill_index(&t, column, maintenance)?;
+        self.charge(&profile);
+        indexes.insert((table.to_string(), column.to_string()), IndexEntry { idx, built_epoch: t.epoch() });
+        Ok(())
+    }
+
+    /// Builds a hash index over integer column `column` of `t` from
+    /// scratch, with the bill of that work: decode the compressed main,
+    /// read the flat delta, and build the hash table.
+    fn backfill_index(
+        &self,
+        t: &TableSnapshot,
+        column: &str,
+        maintenance: IndexMaintenance,
+    ) -> DbResult<(SecondaryIndex, ResourceProfile)> {
+        let col = t.column(column).ok_or_else(|| DbError::NoSuchColumn {
+            table: t.name().to_string(),
+            column: column.to_string(),
+        })?;
         let data = col
             .as_int64()
             .ok_or_else(|| DbError::TypeMismatch { column: column.to_string(), expected: DataType::Int64 })?;
@@ -630,8 +637,6 @@ impl Database {
         for (row, &key) in data.iter().enumerate() {
             idx.on_insert(key, row as u32);
         }
-        // The backfill is real work: decode the compressed main, read the
-        // flat delta, and build the hash table — all billed to the meter.
         let rows = data.len() as u64;
         let profile = ResourceProfile {
             cpu_cycles: self.costs.cycles_for(Kernel::CompressDecode, t.main_rows() as u64)
@@ -640,9 +645,7 @@ impl Database {
             dram_written: ByteCount::new(rows * 12), // key + row id per entry
             ..ResourceProfile::default()
         };
-        self.charge(&profile);
-        indexes.insert((table.to_string(), column.to_string()), IndexEntry { idx, built_epoch: t.epoch() });
-        Ok(())
+        Ok((idx, profile))
     }
 
     /// Work counters of an index.
@@ -651,7 +654,7 @@ impl Database {
     }
 
     fn exec_ctx(&self) -> ExecutionContext {
-        ExecutionContext::parallel(self.machine.pstates().fastest(), self.machine.cores())
+        ExecutionContext::parallel(self.machine().pstates().fastest(), self.machine().cores())
     }
 
     /// Executes a query, charging its energy to the meter.
@@ -871,7 +874,6 @@ mod tests {
     use crate::executor::str_projection_cost;
     use crate::segment::SEGMENT_ROWS;
     use haec_planner::access::choose_access_segmented;
-    use haec_planner::cost::CostModel;
 
     fn sample_db(rows: i64) -> Database {
         let db = Database::new();
@@ -1274,10 +1276,10 @@ mod tests {
         meta.columns.iter_mut().find(|c| c.name == "id").unwrap().indexed = true;
         let zones = t.zone_maps("id").unwrap();
         let encoded = t.column_encoded_bytes("id").unwrap() as u64;
-        let model = CostModel::new(db.machine().clone()).with_kernel_costs(db.costs.clone());
-        let decision = choose_access_segmented(&model, &meta, "id", CmpOp::Eq, 123, &zones, encoded);
+        let model = &db.model;
+        let decision = choose_access_segmented(model, &meta, "id", CmpOp::Eq, 123, &zones, encoded);
         let q = Query::scan("users").filter("id", CmpOp::Eq, 123);
-        let project = str_projection_cost(&model, &t, &meta, &q, decision.selectivity);
+        let project = str_projection_cost(model, &t, &meta, &q, decision.selectivity);
         assert!(project.energy.joules() > 0.0, "string projection must cost something");
         let index = decision.index_cost.expect("point predicate on an indexed column");
         let budget = Joules::new(index.energy.joules() + project.energy.joules() / 2.0);

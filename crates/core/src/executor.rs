@@ -706,10 +706,9 @@ impl Exec<'_> {
                 }
                 let zones = zones.expect("validated int column");
                 let encoded = t.column_encoded_bytes(&first.column).expect("column exists") as u64;
-                let model =
-                    CostModel::new(self.db.machine().clone()).with_kernel_costs(self.db.costs.clone());
+                let model = &self.db.model;
                 let decision = choose_access_segmented(
-                    &model,
+                    model,
                     &meta,
                     &first.column,
                     first.op,
@@ -721,7 +720,7 @@ impl Exec<'_> {
                 // the client as codes + a shared dictionary — add its
                 // cost ([`CostModel::project_codes`]) to all so the
                 // totals the session goal weighs are honest end to end.
-                let project = str_projection_cost(&model, t, &meta, query, decision.selectivity);
+                let project = str_projection_cost(model, t, &meta, query, decision.selectivity);
                 let access = [
                     decision.scan_cost,
                     decision.index_cost.unwrap_or(decision.scan_cost),
@@ -1021,8 +1020,7 @@ impl Exec<'_> {
     /// bytes streamed plus the hash build/probe (or sort) cycles
     /// including bucket traffic.
     fn join(&mut self, l: &JoinSide<'_>, r: &JoinSide<'_>) -> (Vec<u32>, Vec<u32>) {
-        let model = CostModel::new(self.db.machine().clone()).with_kernel_costs(self.db.costs.clone());
-        let decision = model.join_compressed(&l.cost(r), &r.cost(l), l.rows().max(r.rows()));
+        let decision = self.db.model.join_compressed(&l.cost(r), &r.cost(l), l.rows().max(r.rows()));
         // Respect the session goal when the algorithms trade time for
         // energy (same knob as scan-vs-index).
         let algo = match choose(&[decision.hash_cost, decision.merge_cost], self.db.goal()) {
@@ -1123,16 +1121,13 @@ impl Exec<'_> {
         Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("join output: {e}")))
     }
 
-    /// Gathers one side's payload columns for its surviving join rows,
-    /// billing the work. Strictly ascending row lists — the unique-key
-    /// (FK) probe side, where pairs come back in probe-row order — take
-    /// the dense ordered path of [`TableSnapshot::materialize_columns`];
-    /// everything else (scattered build rows, duplicate keys) goes
-    /// through the positional [`TableSnapshot::gather_rows`]. Both report the
-    /// work they actually did (whole-segment stream-decodes when hits
-    /// pass the density crossover, per-cell cursor reads when sparse or
-    /// positional, code-to-code string gathers) as
-    /// [`crate::table::GatherStats`], billed here.
+    /// Gathers one side's payload columns for its surviving join rows —
+    /// any order, duplicates allowed — through the one positional gather,
+    /// [`TableSnapshot::gather_rows`], and bills the work it reports as
+    /// [`crate::table::GatherStats`]: per-cell cursor reads, except that
+    /// a strictly ascending list (the unique-key probe side, whose pairs
+    /// come back in probe-row order) stream-decodes the segments it hits
+    /// densely; code-to-code string gathers either way.
     fn gather_join_side(
         &mut self,
         t: &TableSnapshot,
@@ -1141,11 +1136,7 @@ impl Exec<'_> {
     ) -> DbResult<Vec<(String, Column)>> {
         let cells = (rows.len() * names.len()) as u64;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
-        let (cols, stats) = if rows.windows(2).all(|w| w[0] < w[1]) {
-            t.materialize_columns(names, Some(rows))?
-        } else {
-            t.gather_rows(names, rows)?
-        };
+        let (cols, stats) = t.gather_rows(names, rows)?;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, stats.decode_items);
         self.profile.dram_read += ByteCount::new(stats.bytes_read);
         self.profile.dram_written += ByteCount::new(stats.bytes_written);

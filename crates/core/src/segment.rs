@@ -8,11 +8,11 @@
 //! [`EncodedInts`] (the smallest of plain/RLE/FOR/delta), string columns
 //! as compressed dictionary codes into the table-global dictionary, and a
 //! per-column min/max **zone map** so whole segments can be skipped
-//! without touching their data. Queries scan segments *compressed* — see
-//! [`Segment::scan_int`] — which is where the energy win of "data
-//! reduction" becomes real: fewer DRAM bytes per answered query.
+//! without touching their data. Queries scan segments *compressed* — the
+//! executor runs [`EncodedInts::scan`] on each column in place — which is
+//! where the energy win of "data reduction" becomes real: fewer DRAM
+//! bytes per answered query.
 
-use haec_columnar::bitmap::Bitmap;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
 use haec_columnar::encoding::EncodedInts;
@@ -228,24 +228,6 @@ impl Segment {
         match self.columns.get(idx) {
             Some(SegColumn::Int { ndv, .. }) => Some(*ndv),
             _ => None,
-        }
-    }
-
-    /// Evaluates `column[idx] op literal` **on the compressed data** into
-    /// `out` (which must be zeroed, `rows()` long). Returns `false` if
-    /// the column is not scannable this way (float, or missing — the
-    /// caller handles sentinels).
-    pub fn scan_int(&self, idx: usize, op: CmpOp, literal: i64, out: &mut Bitmap) -> bool {
-        match self.columns.get(idx) {
-            Some(SegColumn::Int { data, .. }) => {
-                data.scan(op, literal, out);
-                true
-            }
-            Some(SegColumn::Str { codes, .. }) => {
-                codes.scan(op, literal, out);
-                true
-            }
-            _ => false,
         }
     }
 

@@ -32,6 +32,7 @@ use crate::segment::{MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
+use haec_columnar::encoding::EncodedInts;
 use haec_columnar::value::{DataType, Value};
 use haec_planner::access::ZoneMapMeta;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
@@ -42,18 +43,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Hit-density crossover between the two ways to read a compressed
-/// segment column: below one hit per `SPARSE_HIT_RATIO` rows, a gather
-/// reads the hits alone through a forward cursor
-/// (`EncodedInts::cursor`): direct on Plain and FOR, and on Delta and
-/// RLE a resume from the previous hit — the delta unpacks or runs
-/// *between* two hits, never `EncodedInts::get`'s re-walk from the
-/// checkpoint or bisection per cell. At or above the crossover,
-/// stream-decoding the whole segment once wins, because a sequential
-/// decode step costs roughly an eighth of a positioned read on the
-/// bit-packed schemes and prefetches perfectly. Every sparse-vs-dense
-/// branch in projection, gather, join-key extraction and aggregation
-/// pushdown tests the same 1:8 crossover via [`sparse_hits`], so
-/// execution and billing can never disagree on which path ran.
+/// segment column: below one hit per `SPARSE_HIT_RATIO` rows, the hits
+/// alone are read through a forward cursor (`EncodedInts::cursor`):
+/// direct on Plain and FOR, and on Delta and RLE a resume from the
+/// previous hit — the delta unpacks or runs *between* two hits, never
+/// `EncodedInts::get`'s re-walk from the checkpoint or bisection per
+/// cell. At or above the crossover, stream-decoding the whole segment
+/// once wins, because a sequential decode step costs roughly an eighth
+/// of a positioned read on the bit-packed schemes and prefetches
+/// perfectly. The ascending hit lists of join-key extraction and
+/// aggregation pushdown (the executor's `walk`) and of projection test
+/// this 1:8 crossover via [`sparse_hits`], and the same test decides the
+/// bill, so execution and billing can never disagree on which path ran.
+/// A *positional* list — unordered or with duplicates, the shape join
+/// payload rows have — never streams: see the rule in
+/// `TableSnapshot::gather_column`.
 pub const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
@@ -80,56 +84,101 @@ pub enum RowLoc {
     },
 }
 
-/// One store's share of an ascending position list (see
-/// `TableSnapshot::for_each_store`); `hits: None` = every row of the
-/// store.
-enum StoreHits<'p> {
-    /// Positions landing in main segment `seg` (first global row `base`).
-    Main {
-        /// Segment index.
-        seg: usize,
-        /// First global row id of the segment.
-        base: usize,
-        /// The positions (global row ids), or `None` for all rows.
-        hits: Option<&'p [u32]>,
-    },
-    /// Positions landing in the delta tail.
-    Delta {
-        /// The positions (global row ids), or `None` for all rows.
-        hits: Option<&'p [u32]>,
-    },
-}
-
-/// A positional row list (any order, duplicates allowed) arranged for
-/// an ascending visit (see [`TableSnapshot::gather_rows`]).
+/// The rows one gather fetches — every row of the snapshot, or a
+/// caller's positional list (any order, duplicates allowed) — arranged
+/// for a single ascending visit of the stores (see
+/// `TableSnapshot::gather`).
 struct AscendingRows<'r> {
-    /// The rows in non-decreasing order.
-    rows: Cow<'r, [u32]>,
-    /// `slots[k]`: the position `rows[k]` has in the original list.
-    /// `None` when that list was already non-decreasing (`k` itself).
+    /// The rows in non-decreasing order; `None` = all rows, `0..len`.
+    rows: Option<Cow<'r, [u32]>>,
+    /// `slots[k]`: the output position of `rows[k]`. `None` when the
+    /// rows already are in output order (`k` itself).
     slots: Option<Vec<u32>>,
+    /// Number of output cells.
+    len: usize,
+    /// The caller's order was strictly ascending (all rows are).
+    strict: bool,
 }
 
 impl<'r> AscendingRows<'r> {
+    fn all(len: usize) -> Self {
+        AscendingRows { rows: None, slots: None, len, strict: true }
+    }
+
     fn of(rows: &'r [u32]) -> Self {
-        if rows.windows(2).all(|w| w[0] <= w[1]) {
-            return AscendingRows { rows: Cow::Borrowed(rows), slots: None };
+        let len = rows.len();
+        let mut strict = true;
+        if rows.windows(2).all(|w| {
+            strict &= w[0] != w[1];
+            w[0] <= w[1]
+        }) {
+            return AscendingRows { rows: Some(Cow::Borrowed(rows)), slots: None, len, strict };
         }
-        assert!(rows.len() <= u32::MAX as usize, "row list longer than the row-id space");
+        assert!(len <= u32::MAX as usize, "row list longer than the row-id space");
         // Argsort as one sort of packed `(row, position)` keys.
         let mut keyed: Vec<u64> = rows.iter().zip(0u64..).map(|(&r, k)| (r as u64) << 32 | k).collect();
         keyed.sort_unstable();
         AscendingRows {
-            rows: keyed.iter().map(|&x| (x >> 32) as u32).collect(),
+            rows: Some(keyed.iter().map(|&x| (x >> 32) as u32).collect()),
             slots: Some(keyed.iter().map(|&x| x as u32).collect()),
+            len,
+            strict: false,
         }
     }
 
-    /// The `(store-local row, output position)` of `rows[range]`, for a
-    /// store whose first global row id is `base`.
-    fn cells(&self, range: Range<usize>, base: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        range.map(move |k| (self.rows[k] as usize - base, self.slots.as_ref().map_or(k, |s| s[k] as usize)))
+    /// The one cell loop of every gather: reads each of `rows[range]` —
+    /// the share of a store whose first global row id is `base` — through
+    /// `read(store-local row)` and scatters the value into its output
+    /// position. The list's shape is matched here, once per store, so the
+    /// row loops are monomorphic (and, for rows already in output order,
+    /// a plain zip over the output slice).
+    fn scatter<T>(&self, range: Range<usize>, base: usize, out: &mut [T], mut read: impl FnMut(usize) -> T) {
+        match (&self.rows, &self.slots) {
+            (None, _) => range.clone().zip(&mut out[range]).for_each(|(row, cell)| *cell = read(row - base)),
+            (Some(rows), None) => {
+                rows[range.clone()]
+                    .iter()
+                    .zip(&mut out[range])
+                    .for_each(|(&row, cell)| *cell = read(row as usize - base));
+            }
+            (Some(rows), Some(slots)) => {
+                rows[range.clone()]
+                    .iter()
+                    .zip(&slots[range])
+                    .for_each(|(&row, &slot)| out[slot as usize] = read(row as usize - base));
+            }
+        }
     }
+
+    /// [`AscendingRows::scatter`] over a compressed main column: one
+    /// stream-decode of the whole segment, or a forward cursor over the
+    /// (ascending) cells alone.
+    fn scatter_encoded<T>(
+        &self,
+        range: Range<usize>,
+        base: usize,
+        out: &mut [T],
+        data: &EncodedInts,
+        stream: bool,
+        cell: impl Fn(i64) -> T,
+    ) {
+        if stream {
+            let decoded = data.decode();
+            self.scatter(range, base, out, |i| cell(decoded[i]));
+        } else {
+            let mut cursor = data.cursor();
+            self.scatter(range, base, out, |i| cell(cursor.at(i)));
+        }
+    }
+}
+
+/// One gathered column's cells in output order — strings still as
+/// *unified source codes* (table-global codes, then delta-local codes,
+/// then the `""` sentinel), interned once the visit is over.
+enum Cells {
+    Ints(Vec<i64>),
+    Floats(Vec<f64>),
+    Codes(Vec<u32>),
 }
 
 /// The mutable state of a table, guarded by the handle's `RwLock`.
@@ -698,17 +747,14 @@ impl TableSnapshot {
     }
 
     /// Gathers the integer values of column `name` at `positions`
-    /// (ascending global row ids), or the full column when `positions`
+    /// (global row ids, any order), or the full column when `positions`
     /// is `None` — an **unmetered** convenience over
     /// [`TableSnapshot::materialize_columns`] for index builds,
-    /// diagnostics and tests. Query execution goes through
-    /// `materialize_columns`, which reports the work done.
+    /// diagnostics and tests; `None` also for a non-integer column or a
+    /// position past the last row.
     pub fn gather_ints(&self, name: &str, positions: Option<&[u32]>) -> Option<Vec<i64>> {
-        let idx = self.schema.position(name)?;
-        if self.schema.columns()[idx].1 != DataType::Int64 {
-            return None;
-        }
-        match self.materialize_column(idx, positions, &mut GatherStats::default()) {
+        let (mut cols, _) = self.gather(&[name.to_string()], positions).ok()?;
+        match cols.pop()?.1 {
             Column::Int64(v) => Some(v),
             _ => None,
         }
@@ -718,151 +764,75 @@ impl TableSnapshot {
     /// **any order, duplicates allowed** — the shape a join's surviving
     /// `(build_row, probe_row)` pairs have. This is the late-
     /// materialization step of join execution: only the rows that
-    /// actually survive the join are ever touched.
-    ///
-    /// The build side's rows arrive in probe order, so the cells are
-    /// **visited in ascending row order and scattered into output
-    /// order** (one argsort, skipped when the list is already
-    /// non-decreasing): each segment is then read through one forward
-    /// cursor (`EncodedInts::cursor`) exactly like a sparse projection,
-    /// instead of one compressed point access per cell. The bill is per
-    /// cell and does not depend on the visiting order. String cells are
-    /// gathered **code-to-code**: the output [`DictColumn`] shares one
-    /// dictionary across all gathered rows, each distinct segment/delta
-    /// code is decoded and interned exactly once — in output order, so
-    /// the dictionary is ordered by first appearance in `rows` — and
-    /// every further occurrence is appended by code
-    /// ([`DictColumn::push_code`]) without hashing the string again.
-    ///
-    /// Returns the gathered columns plus [`GatherStats`] so the caller
-    /// can bill the decode cycles and DRAM traffic honestly.
+    /// actually survive the join are ever touched. Same operation, same
+    /// bill as [`TableSnapshot::materialize_columns`] with `Some(rows)`.
     ///
     /// # Errors
     ///
-    /// [`DbError::NoSuchColumn`] for unknown names.
+    /// [`DbError::NoSuchColumn`] for unknown names, [`DbError::BadQuery`]
+    /// for a row id `>= rows()`.
     pub fn gather_rows(
         &self,
         names: &[String],
         rows: &[u32],
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-        let mut stats = GatherStats::default();
-        let mut out = Vec::with_capacity(names.len());
-        let asc = AscendingRows::of(rows);
-        for name in names {
-            let idx = self
-                .schema
-                .position(name)
-                .ok_or_else(|| DbError::NoSuchColumn { table: self.name.clone(), column: name.clone() })?;
-            let col = match self.schema.columns()[idx].1 {
-                DataType::Int64 => {
-                    let delta = self.delta[idx].as_int64().expect("schema type matches storage");
-                    // Rows of segments predating the column keep the 0
-                    // sentinel: no data exists, nothing is read.
-                    let mut v = vec![0i64; rows.len()];
-                    self.split_by_store(&asc.rows, |seg, base, range| {
-                        let n = range.len() as u64;
-                        let cells = asc.cells(range, base);
-                        match seg.map(|si| self.main.segments[si].column(idx)) {
-                            None => {
-                                cells.for_each(|(local, slot)| v[slot] = delta[local]);
-                                stats.bytes_read += n * 8;
-                            }
-                            Some(Some(SegColumn::Int { data, .. })) => {
-                                let mut cur = data.cursor();
-                                cells.for_each(|(local, slot)| v[slot] = cur.at(local));
-                                stats.decode_items += n;
-                                stats.bytes_read += n * 8;
-                            }
-                            Some(None) => {}
-                            Some(Some(_)) => unreachable!("schema says Int64"),
-                        }
-                    });
-                    Column::Int64(v)
-                }
-                DataType::Float64 => {
-                    let delta = self.delta[idx].as_float64().expect("schema type matches storage");
-                    let mut v = vec![0.0f64; rows.len()];
-                    self.split_by_store(&asc.rows, |seg, base, range| {
-                        let n = range.len() as u64;
-                        let cells = asc.cells(range, base);
-                        match seg.map(|si| self.main.segments[si].column(idx)) {
-                            None => {
-                                cells.for_each(|(local, slot)| v[slot] = delta[local]);
-                                stats.bytes_read += n * 8;
-                            }
-                            Some(Some(SegColumn::Float(data))) => {
-                                cells.for_each(|(local, slot)| v[slot] = data[local]);
-                                stats.bytes_read += n * 8;
-                            }
-                            Some(None) => {}
-                            Some(Some(_)) => unreachable!("schema says Float64"),
-                        }
-                    });
-                    Column::Float64(v)
-                }
-                DataType::Str => {
-                    // The ascending visit only fetches each main row's
-                    // global code; interning happens afterwards in output
-                    // order, which fixes the output dictionary's order.
-                    let mut codes: Vec<Option<u32>> = vec![None; rows.len()];
-                    self.split_by_store(&asc.rows, |seg, base, range| {
-                        let n = range.len() as u64;
-                        let cells = asc.cells(range, base);
-                        match seg.map(|si| self.main.segments[si].column(idx)) {
-                            None => stats.bytes_read += n * 4,
-                            Some(Some(SegColumn::Str { codes: data, .. })) => {
-                                let mut cur = data.cursor();
-                                cells.for_each(|(local, slot)| codes[slot] = Some(cur.at(local) as u32));
-                                stats.decode_items += n;
-                                stats.bytes_read += n * 4;
-                            }
-                            Some(None) => {}
-                            Some(Some(_)) => unreachable!("schema says Str"),
-                        }
-                    });
-                    let mut g = StrCodeGather::new(self, idx);
-                    for (&r, code) in rows.iter().zip(codes) {
-                        match code {
-                            Some(code) => g.push_main(code, &mut stats),
-                            None if r as usize >= self.main.rows => {
-                                g.push_delta(r as usize - self.main.rows, &mut stats);
-                            }
-                            None => g.push_sentinel(&mut stats),
-                        }
-                    }
-                    g.finish()
-                }
-            };
-            stats.bytes_written += col.size_bytes() as u64;
-            out.push((name.clone(), col));
-        }
-        Ok((out, stats))
+        self.gather(names, Some(rows))
     }
 
-    /// Materializes the named columns at `positions` (ascending global
-    /// row ids; `None` = all rows) into dense output columns — the
-    /// projection step after a filter. Only the requested columns are
-    /// touched, and string columns come back **as codes + one shared
-    /// output dictionary**: each distinct code is
-    /// decoded exactly once, repeats are appended by code, and no string
-    /// is ever hashed per row — late materialization all the way to the
-    /// client [`Chunk`].
+    /// Materializes the named columns at `positions` (global row ids in
+    /// any order, duplicates allowed; `None` = all rows) into dense
+    /// output columns — the projection step after a filter, and the
+    /// payload fetch after a join. Only the requested columns are
+    /// touched, and only the requested rows: the list is **visited in
+    /// ascending row order and scattered into output order** (one
+    /// argsort, skipped when it is already non-decreasing), so each
+    /// segment is read through one forward cursor (`EncodedInts::cursor`)
+    /// or one stream-decode, never one compressed point access per cell.
+    /// String columns come back **as codes + one shared output
+    /// dictionary**: each distinct segment/delta code is decoded and
+    /// interned exactly once — in output order, so the dictionary is
+    /// ordered by first appearance in `positions` — and every further
+    /// occurrence is appended by code ([`DictColumn::push_code`]); no
+    /// string is ever hashed per row — late materialization all the way
+    /// to the client [`Chunk`].
     ///
-    /// Returns the columns plus [`GatherStats`] billing each store path
-    /// as executed: segments past the [`sparse_hits`] crossover
-    /// stream-decode once (their **encoded** bytes), sparse hits pay
-    /// one positioned read per cell (a forward cursor over the
-    /// segment), the delta reads its flat cells, and each distinct
-    /// string pays one first-touch dictionary-entry read.
+    /// Returns the columns plus [`GatherStats`] billing each store as
+    /// read: a segment pays one positioned read per cell — except under
+    /// a strictly ascending list past the [`sparse_hits`] crossover,
+    /// where it stream-decodes once (its **encoded** bytes); the delta
+    /// reads its flat cells; segments predating the column read nothing;
+    /// and each distinct string pays one first-touch dictionary-entry
+    /// read.
     ///
     /// # Errors
     ///
-    /// [`DbError::NoSuchColumn`] for unknown names.
+    /// [`DbError::NoSuchColumn`] for unknown names, [`DbError::BadQuery`]
+    /// for a position `>= rows()`.
     pub fn materialize_columns(
         &self,
         names: &[String],
         positions: Option<&[u32]>,
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
+        self.gather(names, positions)
+    }
+
+    /// The one gather behind [`TableSnapshot::materialize_columns`] and
+    /// [`TableSnapshot::gather_rows`]: arranges the rows ascending,
+    /// checks them once, and fetches column by column.
+    fn gather(
+        &self,
+        names: &[String],
+        rows: Option<&[u32]>,
+    ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
+        let sel = rows.map_or_else(|| AscendingRows::all(self.rows), AscendingRows::of);
+        if let Some(&last) = sel.rows.as_deref().and_then(<[u32]>::last) {
+            if last as usize >= self.rows {
+                return Err(DbError::BadQuery(format!(
+                    "row {last} out of bounds: {} has {} rows",
+                    self.name, self.rows
+                )));
+            }
+        }
         let mut stats = GatherStats::default();
         let mut out = Vec::with_capacity(names.len());
         for name in names {
@@ -870,195 +840,112 @@ impl TableSnapshot {
                 .schema
                 .position(name)
                 .ok_or_else(|| DbError::NoSuchColumn { table: self.name.clone(), column: name.clone() })?;
-            let col = self.materialize_column(idx, positions, &mut stats);
+            let col = self.gather_column(idx, &sel, &mut stats);
             stats.bytes_written += col.size_bytes() as u64;
             out.push((name.clone(), col));
         }
         Ok((out, stats))
     }
 
-    fn materialize_column(&self, idx: usize, positions: Option<&[u32]>, stats: &mut GatherStats) -> Column {
-        let dtype = self.schema.columns()[idx].1;
-        let cap = positions.map_or(self.rows, <[u32]>::len);
-        match dtype {
-            DataType::Int64 => {
-                let delta = self.delta[idx].as_int64().expect("schema type matches storage");
-                let mut out = Vec::with_capacity(cap);
-                self.for_each_store(positions, |hits| match hits {
-                    StoreHits::Main { seg, base, hits } => {
-                        let rows = self.main.segments[seg].rows();
-                        match self.main.segments[seg].column(idx) {
-                            Some(SegColumn::Int { data, .. }) => match hits {
-                                Some(h) if sparse_hits(h.len(), rows) => {
-                                    let mut cur = data.cursor();
-                                    out.extend(h.iter().map(|&p| cur.at(p as usize - base)));
-                                    stats.decode_items += h.len() as u64;
-                                    stats.bytes_read += h.len() as u64 * 8;
-                                }
-                                hits => {
-                                    let dec = data.decode();
-                                    stats.decode_items += rows as u64;
-                                    stats.bytes_read += data.size_bytes() as u64;
-                                    match hits {
-                                        Some(h) => out.extend(h.iter().map(|&p| dec[p as usize - base])),
-                                        None => out.extend_from_slice(&dec),
-                                    }
-                                }
-                            },
-                            None => out.extend(std::iter::repeat_n(0i64, hits.map_or(rows, <[u32]>::len))),
-                            _ => unreachable!("schema says Int64"),
-                        }
+    /// Fetches column `idx` at `sel` (validated): one walk over the
+    /// stores holding a row, one cell loop per store, then one interning
+    /// pass for strings.
+    fn gather_column(&self, idx: usize, sel: &AscendingRows<'_>, stats: &mut GatherStats) -> Column {
+        let delta = &self.delta[idx];
+        let global = self.global_dict(idx);
+        let delta_code0 = global.map_or(0, DictColumn::dict_size) as u32;
+        let sentinel = delta_code0 + delta.as_str().map_or(0, DictColumn::dict_size) as u32;
+        // Cells of segments predating the column keep what they are
+        // pre-filled with here: no data exists, nothing is read.
+        let (mut out, cell_bytes) = match delta {
+            Column::Int64(_) => (Cells::Ints(vec![0; sel.len]), 8),
+            Column::Float64(_) => (Cells::Floats(vec![0.0; sel.len]), 8),
+            Column::Str(_) => (Cells::Codes(vec![sentinel; sel.len]), 4),
+        };
+        self.split_by_store(sel.rows.as_deref(), |seg, base, range| {
+            let hits = range.len();
+            let Some(seg) = seg else {
+                match (delta, &mut out) {
+                    (Column::Int64(v), Cells::Ints(out)) => sel.scatter(range, base, out, |i| v[i]),
+                    (Column::Float64(v), Cells::Floats(out)) => sel.scatter(range, base, out, |i| v[i]),
+                    (Column::Str(d), Cells::Codes(out)) => {
+                        sel.scatter(range, base, out, |i| delta_code0 + d.codes()[i]);
                     }
-                    StoreHits::Delta { hits } => {
-                        match hits {
-                            Some(h) => out.extend(h.iter().map(|&p| delta[p as usize - self.main.rows])),
-                            None => out.extend_from_slice(delta),
-                        }
-                        stats.bytes_read += hits.map_or(delta.len(), <[u32]>::len) as u64 * 8;
-                    }
-                });
-                Column::Int64(out)
-            }
-            DataType::Float64 => {
-                let delta = self.delta[idx].as_float64().expect("schema type matches storage");
-                let mut out = Vec::with_capacity(cap);
-                self.for_each_store(positions, |hits| match hits {
-                    StoreHits::Main { seg, base, hits } => {
-                        let rows = self.main.segments[seg].rows();
-                        match self.main.segments[seg].column(idx) {
-                            Some(SegColumn::Float(v)) => match hits {
-                                Some(h) if sparse_hits(h.len(), rows) => {
-                                    out.extend(h.iter().map(|&p| v[p as usize - base]));
-                                    stats.bytes_read += h.len() as u64 * 8;
-                                }
-                                hits => {
-                                    stats.bytes_read += (rows * 8) as u64;
-                                    match hits {
-                                        Some(h) => out.extend(h.iter().map(|&p| v[p as usize - base])),
-                                        None => out.extend_from_slice(v),
-                                    }
-                                }
-                            },
-                            None => out.extend(std::iter::repeat_n(0.0, hits.map_or(rows, <[u32]>::len))),
-                            _ => unreachable!("schema says Float64"),
-                        }
-                    }
-                    StoreHits::Delta { hits } => {
-                        match hits {
-                            Some(h) => out.extend(h.iter().map(|&p| delta[p as usize - self.main.rows])),
-                            None => out.extend_from_slice(delta),
-                        }
-                        stats.bytes_read += hits.map_or(delta.len(), <[u32]>::len) as u64 * 8;
-                    }
-                });
-                Column::Float64(out)
-            }
-            DataType::Str => {
-                let mut g = StrCodeGather::new(self, idx);
-                self.for_each_store(positions, |hits| match hits {
-                    StoreHits::Main { seg, base, hits } => {
-                        let rows = self.main.segments[seg].rows();
-                        match self.main.segments[seg].column(idx) {
-                            Some(SegColumn::Str { codes, .. }) => match hits {
-                                Some(h) if sparse_hits(h.len(), rows) => {
-                                    // Sparse hits: one forward cursor over the
-                                    // codes, remapped code-to-code.
-                                    let mut cur = codes.cursor();
-                                    for &p in h {
-                                        g.push_main(cur.at(p as usize - base) as u32, stats);
-                                    }
-                                    stats.decode_items += h.len() as u64;
-                                    stats.bytes_read += h.len() as u64 * 4;
-                                }
-                                hits => {
-                                    // Dense (or full): stream-decode the code
-                                    // vector once, then copy codes.
-                                    let dec = codes.decode();
-                                    stats.decode_items += rows as u64;
-                                    stats.bytes_read += codes.size_bytes() as u64;
-                                    match hits {
-                                        Some(h) => {
-                                            for &p in h {
-                                                g.push_main(dec[p as usize - base] as u32, stats);
-                                            }
-                                        }
-                                        None => {
-                                            for c in dec {
-                                                g.push_main(c as u32, stats);
-                                            }
-                                        }
-                                    }
-                                }
-                            },
-                            None => {
-                                for _ in 0..hits.map_or(rows, <[u32]>::len) {
-                                    g.push_sentinel(stats);
-                                }
-                            }
-                            _ => unreachable!("schema says Str"),
-                        }
-                    }
-                    StoreHits::Delta { hits } => {
-                        match hits {
-                            Some(h) => {
-                                for &p in h {
-                                    g.push_delta(p as usize - self.main.rows, stats);
-                                }
-                            }
-                            None => {
-                                for local in 0..self.delta_rows() {
-                                    g.push_delta(local, stats);
-                                }
-                            }
-                        }
-                        stats.bytes_read += hits.map_or(self.delta_rows(), <[u32]>::len) as u64 * 4;
-                    }
-                });
-                g.finish()
-            }
-        }
-    }
-
-    /// Walks the stores in row order, handing each segment (and finally
-    /// the delta) to `f` together with its slice of `positions` —
-    /// `hits: None` means "all rows of this store". Segments without
-    /// hits are skipped.
-    fn for_each_store<'p>(&self, positions: Option<&'p [u32]>, mut f: impl FnMut(StoreHits<'p>)) {
-        match positions {
-            None => {
-                for (si, _) in self.main.segments.iter().enumerate() {
-                    f(StoreHits::Main { seg: si, base: self.main.bases[si], hits: None });
+                    _ => unreachable!("output cells are typed after the delta column"),
                 }
-                f(StoreHits::Delta { hits: None });
+                stats.bytes_read += (hits * cell_bytes) as u64;
+                return;
+            };
+            let Some(col) = seg.column(idx) else { return };
+            // The billing rule, and the read it bills: a store's share is
+            // read per cell through the cursor, except that a strictly
+            // ascending list past the `sparse_hits` crossover stream-
+            // decodes the segment once. A positional list (unordered or
+            // with duplicates) always reads per cell, however dense.
+            let stream = sel.strict && !sparse_hits(hits, seg.rows());
+            match (col, &mut out) {
+                (SegColumn::Int { data, .. }, Cells::Ints(out)) => {
+                    sel.scatter_encoded(range, base, out, data, stream, |v| v);
+                }
+                (SegColumn::Str { codes, .. }, Cells::Codes(out)) => {
+                    sel.scatter_encoded(range, base, out, codes, stream, |v| v as u32);
+                }
+                (SegColumn::Float(v), Cells::Floats(out)) => sel.scatter(range, base, out, |i| v[i]),
+                _ => unreachable!("segment column type matches the schema"),
             }
-            Some(pos) => self.split_by_store(pos, |seg, base, range| {
-                let hits = Some(&pos[range]);
-                f(match seg {
-                    Some(seg) => StoreHits::Main { seg, base, hits },
-                    None => StoreHits::Delta { hits },
-                });
-            }),
+            let (items, bytes) =
+                if stream { (seg.rows(), col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
+            stats.bytes_read += bytes as u64;
+            if !matches!(col, SegColumn::Float(_)) {
+                stats.decode_items += items as u64;
+            }
+        });
+        let codes = match out {
+            Cells::Ints(v) => return Column::Int64(v),
+            Cells::Floats(v) => return Column::Float64(v),
+            Cells::Codes(codes) => codes,
+        };
+        // Code-to-code into one output dictionary, in output order: the
+        // first touch of a source code decodes it, reads its dictionary
+        // entry and interns it — values shared between the dictionaries
+        // (and the `""` sentinel) collapse there — every repeat is an
+        // array-indexed cache hit plus a code push, never a string hash.
+        let local = delta.as_str().expect("string cells come from a string column");
+        let mut dict = DictColumn::new();
+        let mut cache: Vec<Option<u32>> = vec![None; sentinel as usize + 1];
+        for code in codes {
+            let out_code = *cache[code as usize].get_or_insert_with(|| {
+                let s = if code == sentinel {
+                    Some("")
+                } else if code < delta_code0 {
+                    global.and_then(|g| g.decode(code))
+                } else {
+                    local.decode(code - delta_code0)
+                }
+                .expect("code resolves through its dictionary");
+                stats.bytes_read += s.len() as u64;
+                dict.intern(s)
+            });
+            dict.push_code(out_code);
         }
+        Column::Str(dict)
     }
 
-    /// Splits a non-decreasing row list at the store boundaries: `f`
-    /// gets, for every store holding at least one of `asc`, the segment
-    /// index (`None`: the delta tail), the store's first global row id
-    /// and the index range of its rows within `asc`.
-    fn split_by_store(&self, asc: &[u32], mut f: impl FnMut(Option<usize>, usize, Range<usize>)) {
+    /// Splits a non-decreasing row list (`None`: all rows) at the store
+    /// boundaries: `f` gets, for every store holding at least one of the
+    /// rows, the segment (`None`: the delta tail), the store's first
+    /// global row id and the index range of its rows within the list.
+    fn split_by_store(&self, asc: Option<&[u32]>, mut f: impl FnMut(Option<&Segment>, usize, Range<usize>)) {
+        let segments =
+            self.main.segments.iter().zip(&self.main.bases).map(|(seg, &base)| (Some(&**seg), base));
         let mut i = 0;
-        for (si, seg) in self.main.segments.iter().enumerate() {
-            let base = self.main.bases[si];
+        for (seg, base) in segments.chain([(None, self.main.rows)]) {
+            let end = base + seg.map_or(self.delta_rows(), Segment::rows);
             let from = i;
-            while i < asc.len() && (asc[i] as usize) < base + seg.rows() {
-                i += 1;
-            }
+            i = asc.map_or(end, |asc| from + asc[from..].partition_point(|&r| (r as usize) < end));
             if i > from {
-                f(Some(si), base, from..i);
+                f(seg, base, from..i);
             }
-        }
-        if i < asc.len() {
-            f(None, self.main.rows, i..asc.len());
         }
     }
 
@@ -1068,7 +955,7 @@ impl TableSnapshot {
     /// it; it exists for index builds, diagnostics and tests.
     pub fn column(&self, name: &str) -> Option<Column> {
         let idx = self.schema.position(name)?;
-        Some(self.materialize_column(idx, None, &mut GatherStats::default()))
+        Some(self.gather_column(idx, &AscendingRows::all(self.rows), &mut GatherStats::default()))
     }
 
     /// The validity vector of one column (false = null sentinel); rows
@@ -1140,26 +1027,26 @@ impl TableSnapshot {
     /// for non-integer columns.
     pub fn zone_maps(&self, name: &str) -> Option<Vec<ZoneMapMeta>> {
         let idx = self.schema.position(name)?;
-        if self.schema.columns()[idx].1 != DataType::Int64 {
-            return None;
-        }
-        let mut zones = Vec::with_capacity(self.main.segments.len() + 1);
-        for seg in &self.main.segments {
+        (self.schema.columns()[idx].1 == DataType::Int64).then(|| self.int_zones(idx).collect())
+    }
+
+    /// The zone of integer column `idx` in every store: one per main
+    /// segment (`(0, 0)`, the sentinel, where the segment predates the
+    /// column), then the measured extrema of a non-empty delta tail.
+    fn int_zones(&self, idx: usize) -> impl Iterator<Item = ZoneMapMeta> + '_ {
+        let main = self.main.segments.iter().map(move |seg| {
             let (min, max) = seg.zone(idx).unwrap_or((0, 0));
             // The sortedness claim flows from the segment the sorting
             // merge built — never computed here, so a snapshot pinned
             // across a merge always reports the flag its pinned
             // segments actually carry.
-            let sorted = seg.sorted_by() == Some(idx);
-            zones.push(ZoneMapMeta { rows: seg.rows() as u64, min, max, sorted });
-        }
-        let delta = self.delta[idx].as_int64()?;
-        if !delta.is_empty() {
-            let min = delta.iter().copied().min().expect("non-empty");
-            let max = delta.iter().copied().max().expect("non-empty");
-            zones.push(ZoneMapMeta { rows: delta.len() as u64, min, max, sorted: false });
-        }
-        Some(zones)
+            ZoneMapMeta { rows: seg.rows() as u64, min, max, sorted: seg.sorted_by() == Some(idx) }
+        });
+        let delta = self.delta[idx].as_int64().filter(|d| !d.is_empty()).map(|d| {
+            let (min, max) = d.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            ZoneMapMeta { rows: d.len() as u64, min, max, sorted: false }
+        });
+        main.chain(delta)
     }
 
     /// Per-table planner statistics, computed from zone maps and delta
@@ -1225,25 +1112,10 @@ impl TableSnapshot {
 
     /// Min/max of an int column over zone maps + delta (0,0 if empty).
     fn int_extrema(&self, idx: usize) -> (i64, i64) {
-        let mut acc: Option<(i64, i64)> = None;
-        let mut fold = |lo: i64, hi: i64| {
-            acc = Some(match acc {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        };
-        for seg in &self.main.segments {
-            let (lo, hi) = seg.zone(idx).unwrap_or((0, 0));
-            fold(lo, hi);
-        }
-        if let Some(delta) = self.delta[idx].as_int64() {
-            if !delta.is_empty() {
-                let lo = delta.iter().copied().min().expect("non-empty");
-                let hi = delta.iter().copied().max().expect("non-empty");
-                fold(lo, hi);
-            }
-        }
-        acc.unwrap_or((0, 0))
+        self.int_zones(idx)
+            .map(|z| (z.min, z.max))
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)))
+            .unwrap_or((0, 0))
     }
 }
 
@@ -1262,91 +1134,6 @@ pub struct GatherStats {
     pub bytes_read: u64,
     /// Bytes written into the output columns.
     pub bytes_written: u64,
-}
-
-/// Translates a table's two string code spaces — the table-global
-/// dictionary backing main segments and the delta-local dictionary
-/// backing the tail — into **one output code space**, building the
-/// projection's shared output dictionary as it goes. This is the
-/// codes-to-client machinery behind both [`TableSnapshot::gather_rows`]
-/// and [`TableSnapshot::materialize_columns`]: each distinct source
-/// code is decoded and interned exactly once (O(distinct) string
-/// hashes, billed as first-touch dictionary-entry reads), and every
-/// repeat is an O(1) array-indexed cache hit plus a code push — never a
-/// string hash. Values shared between the global and delta dictionaries
-/// (and the `""` sentinel) still collapse to one output entry, because
-/// the intern goes through the output dictionary's own lookup on first
-/// touch.
-struct StrCodeGather<'a> {
-    global: Option<&'a DictColumn>,
-    delta: &'a DictColumn,
-    out: DictColumn,
-    /// Global code → output code, filled on first touch.
-    main_cache: Vec<Option<u32>>,
-    /// Delta-local code → output code, filled on first touch.
-    delta_cache: Vec<Option<u32>>,
-    /// Output code of the sentinel `""` (segments predating the column).
-    sentinel: Option<u32>,
-}
-
-impl<'a> StrCodeGather<'a> {
-    fn new(t: &'a TableSnapshot, idx: usize) -> StrCodeGather<'a> {
-        let delta = t.delta[idx].as_str().expect("schema type matches storage");
-        let global = t.global_dict(idx);
-        StrCodeGather {
-            global,
-            delta,
-            out: DictColumn::new(),
-            main_cache: vec![None; global.map_or(0, DictColumn::dict_size)],
-            delta_cache: vec![None; delta.dict_size()],
-            sentinel: None,
-        }
-    }
-
-    /// Appends the row holding table-global dictionary `code`.
-    fn push_main(&mut self, code: u32, stats: &mut GatherStats) {
-        let global = self.global.expect("main string rows imply a global dictionary");
-        let c = cached_intern(&mut self.main_cache[code as usize], &mut self.out, global.decode(code), stats);
-        self.out.push_code(c);
-    }
-
-    /// Appends delta row `local` (resolved through its local code).
-    fn push_delta(&mut self, local: usize, stats: &mut GatherStats) {
-        let code = self.delta.codes()[local] as usize;
-        let c = cached_intern(&mut self.delta_cache[code], &mut self.out, self.delta.get(local), stats);
-        self.out.push_code(c);
-    }
-
-    /// Appends the `""` sentinel of a segment predating the column.
-    fn push_sentinel(&mut self, stats: &mut GatherStats) {
-        let c = cached_intern(&mut self.sentinel, &mut self.out, Some(""), stats);
-        self.out.push_code(c);
-    }
-
-    fn finish(self) -> Column {
-        Column::Str(self.out)
-    }
-}
-
-/// Interns a decoded string into the gather's output dictionary exactly
-/// once per distinct source code (see [`StrCodeGather`]).
-fn cached_intern(
-    cache: &mut Option<u32>,
-    dict: &mut DictColumn,
-    value: Option<&str>,
-    stats: &mut GatherStats,
-) -> u32 {
-    match cache {
-        Some(c) => *c,
-        None => {
-            let s = value.expect("code resolves through its dictionary");
-            // First touch reads the dictionary entry itself.
-            stats.bytes_read += s.len() as u64;
-            let c = dict.intern(s);
-            *cache = Some(c);
-            c
-        }
-    }
 }
 
 /// Convenience constructor for common strict schemas.
@@ -1652,11 +1439,28 @@ mod tests {
         assert_eq!(s.dict_size(), 3);
         assert!(stats.decode_items > 0, "main-segment cells are compressed random accesses");
         assert!(stats.bytes_read > 0 && stats.bytes_written > 0);
+        // The projection entry takes the same list: any order works, also
+        // stepping back across a store boundary.
+        assert_eq!(snap.materialize_columns(&names, Some(&rows)).unwrap(), (cols, stats));
         // Empty gathers are free and shaped correctly.
         let (empty, es) = snap.gather_rows(&names, &[]).unwrap();
         assert!(empty.iter().all(|(_, c)| c.is_empty()));
         assert_eq!(es.decode_items, 0);
         assert!(snap.gather_rows(&["nope".to_string()], &[]).is_err());
+    }
+
+    #[test]
+    fn gather_rejects_rows_past_the_end() {
+        let (t, _) = tagged_table();
+        let snap = t.read();
+        let names = vec!["v".to_string(), "s".to_string()];
+        assert_eq!(snap.rows(), 220);
+        for rows in [&[220u32][..], &[5, 4_000_000, 7], &[219, 220]] {
+            assert!(matches!(snap.gather_rows(&names, rows), Err(DbError::BadQuery(_))), "{rows:?}");
+            assert!(matches!(snap.materialize_columns(&names, Some(rows)), Err(DbError::BadQuery(_))));
+            assert_eq!(snap.gather_ints("v", Some(rows)), None);
+        }
+        assert!(snap.gather_rows(&names, &[219]).is_ok());
     }
 
     #[test]
@@ -1723,6 +1527,19 @@ mod tests {
         let (_, sparse) = snap.materialize_columns(&names, Some(&pos)).unwrap();
         assert_eq!(sparse.decode_items, 2);
         assert_eq!(sparse.bytes_read, 2 * 8 + 8, "two random cells + one delta cell");
+        // One rule behind both entries. A sparse list reads per cell:
+        assert_eq!(snap.gather_rows(&names, &pos).unwrap().1, sparse);
+        // a strictly ascending list past the crossover streams the
+        // segment; the same rows as a positional list (one duplicate
+        // appended) read per cell again.
+        let mut rows: Vec<u32> = (0..200).step_by(2).collect();
+        let (_, streamed) = snap.gather_rows(&names, &rows).unwrap();
+        assert_eq!((streamed.decode_items, streamed.bytes_read), (200, encoded));
+        assert_eq!(snap.materialize_columns(&names, Some(&rows)).unwrap().1, streamed);
+        rows.push(0);
+        let (_, positional) = snap.gather_rows(&names, &rows).unwrap();
+        assert_eq!((positional.decode_items, positional.bytes_read), (101, 101 * 8));
+        assert_eq!(snap.materialize_columns(&names, Some(&rows)).unwrap().1, positional);
         assert!(snap.materialize_columns(&["nope".to_string()], None).is_err());
     }
 

@@ -12,7 +12,7 @@ use haec_columnar::column::Column;
 use haec_columnar::value::CmpOp;
 use haecdb::prelude::*;
 use haecdb::segment::SegColumn;
-use haecdb::table::{GatherStats, RowLoc};
+use haecdb::table::{sparse_hits, GatherStats, RowLoc};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -298,10 +298,12 @@ proptest! {
     /// Random row lists — any order, duplicates, every store — through
     /// `gather_rows` equal the per-row reference: values, row order,
     /// each string column's output-dictionary order, and the stats.
+    /// Strictly ascending lists also go through `materialize_columns`,
+    /// which must return the same cells and the same bill.
     #[test]
     fn gather_rows_matches_per_row_reference(
         mut rows in proptest::collection::vec(0u32..GATHER_ROWS, 0..400),
-        shape in 0usize..4,
+        shape in 0usize..6,
         ncols in 1usize..=GATHER_COLS.len(),
         first in 0usize..GATHER_COLS.len(),
     ) {
@@ -309,20 +311,44 @@ proptest! {
             0 => rows.sort_unstable(),                      // non-decreasing, duplicates
             1 => rows.sort_unstable_by(|a, b| b.cmp(a)),    // descending
             2 => rows.iter_mut().for_each(|r| *r = *r / 8 + 1020), // clustered round a checkpoint edge
+            3 => {                                          // strictly ascending, sparse
+                rows.sort_unstable();
+                rows.dedup();
+            }
+            4 => {                                          // strictly ascending, dense: one window
+                let lo = rows.first().copied().unwrap_or(0);
+                rows = (lo..(lo + 4 * rows.len() as u32).min(GATHER_ROWS)).collect();
+            }
             _ => {}                                         // probe order
         }
         let t = gather_fixture();
         let names: Vec<String> =
             (0..ncols).map(|i| GATHER_COLS[(first + i) % GATHER_COLS.len()].to_string()).collect();
         let (want, want_stats) = gather_reference(t, &names, &rows);
-        let (got, stats) = t.gather_rows(&names, &rows).unwrap();
-        prop_assert_eq!(got.len(), names.len());
-        for (((name, col), want), asked) in got.iter().zip(&want).zip(&names) {
-            prop_assert_eq!(name, asked);
-            // `Column` equality covers the dictionary order and the codes.
-            prop_assert_eq!(col, want, "column {}", name);
+        let strict = rows.windows(2).all(|w| w[0] < w[1]);
+        let mut entries = vec![t.gather_rows(&names, &rows).unwrap()];
+        if strict {
+            entries.push(t.materialize_columns(&names, Some(&rows)).unwrap());
         }
-        prop_assert_eq!(stats, want_stats);
+        for (got, _) in &entries {
+            prop_assert_eq!(got.len(), names.len());
+            for (((name, col), want), asked) in got.iter().zip(&want).zip(&names) {
+                prop_assert_eq!(name, asked);
+                // `Column` equality covers the dictionary order and the codes.
+                prop_assert_eq!(col, want, "column {}", name);
+            }
+        }
+        prop_assert!(entries.iter().all(|(_, stats)| *stats == entries[0].1), "one bill behind both entries");
+        // The reference bills per cell — what every list pays but a
+        // strictly ascending one dense enough to stream a whole segment.
+        let streams = strict
+            && (0..3).any(|seg| {
+                let hits = rows.iter().filter(|&&r| r as i64 / GATHER_SEG_ROWS == seg).count();
+                !sparse_hits(hits, GATHER_SEG_ROWS as usize)
+            });
+        if !streams {
+            prop_assert_eq!(entries[0].1, want_stats);
+        }
     }
 }
 
