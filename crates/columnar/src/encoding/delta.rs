@@ -5,6 +5,7 @@
 //! where deltas are tiny even though absolute values need 64 bits.
 
 use crate::encoding::bitpack::BitPacked;
+use crate::encoding::BLOCK_ROWS;
 
 /// Checkpoint spacing: a decoded value is stored verbatim every this many
 /// rows so `get` is O(CHECKPOINT_EVERY) instead of O(n) — on average
@@ -98,32 +99,64 @@ impl DeltaInts {
     /// *skipped* instead of a re-walk from the checkpoint per row. Safe
     /// to create on an empty column.
     pub fn cursor(&self) -> DeltaCursor<'_> {
-        DeltaCursor { col: self, row: 0, value: self.checkpoints.first().copied().unwrap_or(0) }
+        DeltaCursor { col: self, row: 0, value: self.first() }
     }
 
-    /// Streaming sequential decode: yields each row's value without
-    /// materializing the column. This is the path `EncodedInts::scan`
-    /// uses, so predicate evaluation over delta-encoded data runs in
-    /// O(1) extra space.
-    pub fn iter(&self) -> DeltaIter<'_> {
-        DeltaIter { col: self, next_row: 0, value: self.checkpoints.first().copied().unwrap_or(0) }
+    /// Decodes block `block` — rows `[64 * block, 64 * block + 64)`,
+    /// fewer in the last block — into the front of `out` and returns how
+    /// many rows it holds (0 past the end). `carry` is the value of the
+    /// block's first row on entry (row 0's is [`DeltaInts::first`]) and
+    /// of the next block's first row on return: one unpacked block of
+    /// zig-zag deltas, prefix-summed. Blocks must be decoded in order;
+    /// `zz` is scratch space for the unpacked block.
+    pub(crate) fn decode_block(
+        &self,
+        block: usize,
+        carry: &mut i64,
+        zz: &mut [u64; BLOCK_ROWS],
+        out: &mut [i64; BLOCK_ROWS],
+    ) -> usize {
+        let n = self.len.saturating_sub(block * BLOCK_ROWS).min(BLOCK_ROWS);
+        // Row `i + 1` is row `i` plus delta `i`, so a block of rows pairs
+        // with the same block of deltas; the column's last row has none
+        // (its lane unpacks as zero and carries nowhere).
+        self.deltas.unpack_block(block, zz);
+        let mut v = *carry;
+        for (lane, &d) in out[..n].iter_mut().zip(&*zz) {
+            *lane = v;
+            v = v.wrapping_add(unzigzag(d));
+        }
+        *carry = v;
+        n
+    }
+
+    /// The first row's value (0 for an empty column): the carry
+    /// [`DeltaInts::decode_block`] starts from.
+    pub(crate) fn first(&self) -> i64 {
+        self.checkpoints.first().copied().unwrap_or(0)
+    }
+
+    /// Calls `f` with every block of decoded rows, in order.
+    fn for_each_block(&self, mut f: impl FnMut(&[i64])) {
+        let (mut carry, mut zz, mut buf) = (self.first(), [0u64; BLOCK_ROWS], [0i64; BLOCK_ROWS]);
+        for block in 0..self.len.div_ceil(BLOCK_ROWS) {
+            let n = self.decode_block(block, &mut carry, &mut zz, &mut buf);
+            f(&buf[..n]);
+        }
     }
 
     /// Decodes to a fresh vector (sequential, O(n)).
     pub fn decode(&self) -> Vec<i64> {
-        self.iter().collect()
+        let mut out = Vec::with_capacity(self.len);
+        self.for_each_block(|b| out.extend_from_slice(b));
+        out
     }
 
-    /// Minimum and maximum over all rows (streaming pass).
+    /// Minimum and maximum over all rows (one block-decoding pass).
     pub fn min_max(&self) -> Option<(i64, i64)> {
-        let mut it = self.iter();
-        let first = it.next()?;
-        let (mut min, mut max) = (first, first);
-        for v in it {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        Some((min, max))
+        let mut range = (i64::MAX, i64::MIN);
+        self.for_each_block(|b| range = b.iter().fold(range, |(lo, hi), &v| (lo.min(v), hi.max(v))));
+        (!self.is_empty()).then_some(range)
     }
 
     /// Payload size in bytes.
@@ -164,53 +197,24 @@ impl DeltaCursor<'_> {
     }
 }
 
-/// Streaming decoder over a [`DeltaInts`] column (see [`DeltaInts::iter`]).
-#[derive(Clone, Debug)]
-pub struct DeltaIter<'a> {
-    col: &'a DeltaInts,
-    next_row: usize,
-    /// The value `next_row` decodes to (running prefix sum).
-    value: i64,
-}
-
-impl Iterator for DeltaIter<'_> {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        if self.next_row >= self.col.len {
-            return None;
-        }
-        let out = self.value;
-        if self.next_row + 1 < self.col.len {
-            self.value = self.value.wrapping_add(unzigzag(self.col.deltas.get(self.next_row)));
-        }
-        self.next_row += 1;
-        Some(out)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.col.len - self.next_row;
-        (rest, Some(rest))
-    }
-}
-
-impl ExactSizeIterator for DeltaIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn streaming_iter_matches_decode() {
+    fn block_decode_matches_input_at_block_edges() {
         for data in [
             vec![],
             vec![42],
             (0..3000).map(|i| i * 7 - 1000).collect::<Vec<i64>>(),
+            // 65 rows = exactly 64 deltas: the last block holds one row
+            // and no delta.
+            (0..65).map(|i| i * i).collect(),
             vec![i64::MIN, i64::MAX, 0, -1],
         ] {
             let e = DeltaInts::encode(&data);
-            assert_eq!(e.iter().collect::<Vec<_>>(), data);
-            assert_eq!(e.iter().len(), data.len());
+            assert_eq!(e.decode(), data);
+            assert_eq!(e.min_max(), data.iter().copied().min().zip(data.iter().copied().max()));
         }
     }
 

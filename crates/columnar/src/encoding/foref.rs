@@ -7,6 +7,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::encoding::bitpack::BitPacked;
+use crate::encoding::{match_word, per_op, BLOCK_ROWS};
 use crate::value::CmpOp;
 
 /// A frame-of-reference encoded integer column.
@@ -62,14 +63,39 @@ impl ForInts {
         self.reference.wrapping_add(self.packed.get(i) as i64)
     }
 
+    /// Decodes block `block` — rows `[64 * block, 64 * block + 64)`,
+    /// fewer in the last block — into the front of `out` and returns how
+    /// many rows it holds (0 past the end). `offsets` is scratch space
+    /// for the unpacked block.
+    pub(crate) fn decode_block(
+        &self,
+        block: usize,
+        offsets: &mut [u64; BLOCK_ROWS],
+        out: &mut [i64; BLOCK_ROWS],
+    ) -> usize {
+        let n = self.packed.unpack_block(block, offsets);
+        for (lane, &off) in out.iter_mut().zip(&*offsets) {
+            *lane = self.reference.wrapping_add(off as i64);
+        }
+        n
+    }
+
     /// Decodes to a fresh vector.
     pub fn decode(&self) -> Vec<i64> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        let mut out = Vec::with_capacity(self.len());
+        let (mut offsets, mut buf) = ([0u64; BLOCK_ROWS], [0i64; BLOCK_ROWS]);
+        for block in 0..self.len().div_ceil(BLOCK_ROWS) {
+            let n = self.decode_block(block, &mut offsets, &mut buf);
+            out.extend_from_slice(&buf[..n]);
+        }
+        out
     }
 
     /// Evaluates `value op literal` into `out` without leaving the packed
-    /// domain: the literal is translated once, and out-of-frame literals
-    /// short-circuit to constant-true/false range fills.
+    /// domain: the literal is translated once, out-of-frame literals
+    /// short-circuit to constant-true/false range fills, and in-frame
+    /// ones compare each unpacked block of *offsets* against the
+    /// translated literal — no value is ever rebased.
     ///
     /// # Panics
     ///
@@ -82,9 +108,8 @@ impl ForInts {
         }
         let max_offset = if self.width() == 64 { u64::MAX } else { (1u64 << self.width()) - 1 };
         // Translate literal into the offset domain, saturating.
-        let lit_off = literal.wrapping_sub(self.reference);
-        let below = literal < self.reference || (literal as i128 - self.reference as i128) < 0;
-        let above = (literal as i128 - self.reference as i128) > max_offset as i128;
+        let distance = literal as i128 - self.reference as i128;
+        let (below, above) = (distance < 0, distance > max_offset as i128);
 
         // Short circuits: literal outside the frame.
         let all = |out: &mut Bitmap, v: bool| out.set_range(0, n, v);
@@ -97,31 +122,26 @@ impl ForInts {
             CmpOp::Gt | CmpOp::Ge if above => return all(out, false),
             _ => {}
         }
-        let lit_off = lit_off as u64;
-        // 64-lane evaluation over packed offsets.
-        let mut word = 0u64;
-        let mut word_idx = 0;
-        for i in 0..n {
-            let hit = op.eval(self.packed.get(i), lit_off);
-            word |= (hit as u64) << (i % 64);
-            if i % 64 == 63 {
-                out.set_word(word_idx, word);
-                word = 0;
-                word_idx += 1;
+        let lit_off = distance as u64;
+        let mut offsets = [0u64; BLOCK_ROWS];
+        per_op!(op, lit_off, |hit| {
+            for block in 0..n.div_ceil(BLOCK_ROWS) {
+                let rows = self.packed.unpack_block(block, &mut offsets);
+                out.set_word(block, match_word(&offsets[..rows], hit));
             }
-        }
-        if !n.is_multiple_of(64) {
-            out.set_word(word_idx, word);
-        }
+        });
     }
 
     /// Minimum and maximum over all rows (min is the reference by
     /// construction; max needs one pass over packed offsets).
     pub fn min_max(&self) -> Option<(i64, i64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let max_off = (0..self.len()).map(|i| self.packed.get(i)).max().unwrap_or(0);
+        let mut offsets = [0u64; BLOCK_ROWS];
+        let max_off = (0..self.len().div_ceil(BLOCK_ROWS))
+            .filter_map(|block| {
+                let n = self.packed.unpack_block(block, &mut offsets);
+                offsets[..n].iter().copied().max()
+            })
+            .max()?;
         Some((self.reference, self.reference.wrapping_add(max_off as i64)))
     }
 

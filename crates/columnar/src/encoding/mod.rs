@@ -4,6 +4,17 @@
 //! The shipping-decision experiment (E3) and the compression
 //! microbenchmark (E16) both work through this module: encode a column,
 //! inspect the [`CompressionStats`], scan it without decompression.
+//!
+//! Sequential reads are **block-at-a-time**: [`EncodedInts::blocks`]
+//! hands out [`BLOCK_ROWS`] decoded rows per call — a sub-slice of a
+//! Plain column, a fill from RLE runs, one word-aligned bit-unpack for
+//! FOR, one unpack plus prefix sum for Delta — so the scheme is
+//! dispatched once per 64 rows and the row loops over a block are plain
+//! slice loops. [`EncodedInts::iter`] is a cursor over those blocks, and
+//! [`EncodedInts::scan`] compares each block into one 64-bit match word
+//! of the output [`Bitmap`], with the operator resolved once per call.
+//! Positioned reads ([`EncodedInts::get`], [`EncodedInts::cursor`]) stay
+//! per row.
 
 pub mod bitpack;
 pub mod delta;
@@ -16,6 +27,46 @@ use delta::DeltaInts;
 use foref::ForInts;
 use rle::RleInts;
 use std::fmt;
+
+/// Rows per decoded block: one [`Bitmap`] word of match bits, and — 64
+/// values of `width` bits being exactly `width` words — always a
+/// word-aligned stretch of a bit-packed column.
+pub const BLOCK_ROWS: usize = 64;
+
+/// Expands `$body` once per comparison operator with `$hit` bound to the
+/// predicate `x op $lit`, so the block loop inside is compiled per
+/// operator and the six-way operator match runs once per scan, not once
+/// per row.
+macro_rules! per_op {
+    ($op:expr, $lit:expr, |$hit:ident| $body:expr) => {{
+        let lit = $lit;
+        per_op!(@match $op, lit, $hit, $body; Eq ==, Ne !=, Lt <, Le <=, Gt >, Ge >=)
+    }};
+    (@match $op:expr, $lit:ident, $hit:ident, $body:expr; $($variant:ident $cmp:tt),*) => {
+        match $op {
+            $(CmpOp::$variant => {
+                let $hit = |x| x $cmp $lit;
+                $body
+            })*
+        }
+    };
+}
+pub(crate) use per_op;
+
+/// The match word of one block: bit `j` is `hit(block[j])`. A full
+/// block is folded as eight independent bytes of eight lanes, which
+/// keeps the shift-or dependency chains short; the ragged last block of
+/// a column takes the plain loop.
+#[inline]
+pub(crate) fn match_word<T: Copy>(block: &[T], hit: impl Fn(T) -> bool) -> u64 {
+    match <&[T; BLOCK_ROWS]>::try_from(block) {
+        Ok(full) => full.chunks_exact(8).enumerate().fold(0, |word, (g, lanes)| {
+            let byte = lanes.iter().enumerate().fold(0, |byte, (j, &x)| byte | (hit(x) as u64) << j);
+            word | byte << (8 * g)
+        }),
+        Err(_) => block.iter().enumerate().fold(0, |word, (j, &x)| word | (hit(x) as u64) << j),
+    }
+}
 
 /// The available integer encodings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -169,24 +220,34 @@ impl EncodedInts {
         }
     }
 
-    /// Streaming sequential decode: yields every row in order without
-    /// materializing the column, whatever the scheme — runs expand on
-    /// the fly, packed offsets unpack one at a time, deltas prefix-sum
-    /// as they go. This is the iteration primitive segment-wise
-    /// aggregation pushdown folds over.
-    pub fn iter(&self) -> EncodedIter<'_> {
-        let inner = match self {
-            EncodedInts::Plain(v) => IterInner::Plain(v.iter()),
-            EncodedInts::Rle(e) => IterInner::Rle { runs: e.runs().iter(), value: 0, run_left: 0 },
-            EncodedInts::For(e) => IterInner::For { col: e, next: 0 },
-            EncodedInts::Delta(e) => IterInner::Delta(e.iter()),
+    /// Block-at-a-time sequential decode: a pull-style reader that
+    /// hands out the column [`BLOCK_ROWS`] rows per [`Blocks::next`]
+    /// call, whatever the scheme, without materializing the column —
+    /// the primitive under [`EncodedInts::iter`] and
+    /// [`EncodedInts::scan`], and what segment-wise aggregation pushdown
+    /// folds over.
+    pub fn blocks(&self) -> Blocks<'_> {
+        let source = match self {
+            EncodedInts::Plain(v) => BlockSource::Plain(v),
+            EncodedInts::Rle(e) => BlockSource::Rle { runs: e.runs(), used: 0 },
+            EncodedInts::For(e) => BlockSource::For(e),
+            EncodedInts::Delta(e) => BlockSource::Delta { col: e, carry: e.first() },
         };
-        EncodedIter { inner, left: self.len() }
+        Blocks { source, row: 0, len: self.len(), filled: 0, buf: [0; BLOCK_ROWS], packed: [0; BLOCK_ROWS] }
     }
 
-    /// Evaluates `value op literal` into `out`. RLE and FOR run directly
-    /// on compressed data; plain compares in place; delta decodes
-    /// streamingly without materializing the column.
+    /// Streaming sequential decode: yields every row in order, as a
+    /// cursor over [`EncodedInts::blocks`] — one block decoded at a
+    /// time, O(1) extra space for every scheme.
+    pub fn iter(&self) -> EncodedIter<'_> {
+        EncodedIter { blocks: self.blocks(), pos: 0 }
+    }
+
+    /// Evaluates `value op literal` into `out`, one 64-bit match word
+    /// per block. RLE evaluates once per run and FOR compares packed
+    /// offsets, both without reconstructing a value; Plain compares its
+    /// slices in place; Delta prefix-sums block by block without
+    /// materializing the column.
     ///
     /// # Panics
     ///
@@ -194,41 +255,15 @@ impl EncodedInts {
     pub fn scan(&self, op: CmpOp, literal: i64, out: &mut Bitmap) {
         assert_eq!(out.len(), self.len(), "output bitmap length mismatch");
         match self {
-            EncodedInts::Plain(v) => {
-                let mut word = 0u64;
-                let mut word_idx = 0;
-                for (i, &x) in v.iter().enumerate() {
-                    word |= (op.eval(x, literal) as u64) << (i % 64);
-                    if i % 64 == 63 {
-                        out.set_word(word_idx, word);
-                        word = 0;
-                        word_idx += 1;
-                    }
-                }
-                if v.len() % 64 != 0 {
-                    out.set_word(word_idx, word);
-                }
-            }
             EncodedInts::Rle(e) => e.scan(op, literal, out),
             EncodedInts::For(e) => e.scan(op, literal, out),
-            EncodedInts::Delta(e) => {
-                // Streaming decode (DeltaIter): 64-row match words are
-                // built on the fly, no intermediate Vec.
-                let mut word = 0u64;
-                let mut word_idx = 0;
-                let mut i = 0usize;
-                for x in e.iter() {
-                    word |= (op.eval(x, literal) as u64) << (i % 64);
-                    if i % 64 == 63 {
-                        out.set_word(word_idx, word);
-                        word = 0;
-                        word_idx += 1;
+            EncodedInts::Plain(_) | EncodedInts::Delta(_) => {
+                let mut blocks = self.blocks();
+                per_op!(op, literal, |hit| {
+                    for word_idx in 0..self.len().div_ceil(BLOCK_ROWS) {
+                        out.set_word(word_idx, match_word(blocks.next(), hit));
                     }
-                    i += 1;
-                }
-                if !i.is_multiple_of(64) {
-                    out.set_word(word_idx, word);
-                }
+                });
             }
         }
     }
@@ -317,53 +352,148 @@ impl EncodedInts {
     }
 }
 
-/// Streaming decoder over any [`EncodedInts`] (see
-/// [`EncodedInts::iter`]): O(1) extra space for every scheme.
+/// Block reader over any [`EncodedInts`] (see [`EncodedInts::blocks`]).
 #[derive(Clone, Debug)]
-pub struct EncodedIter<'a> {
-    inner: IterInner<'a>,
-    /// Rows not yet yielded.
-    left: usize,
+pub struct Blocks<'a> {
+    source: BlockSource<'a>,
+    /// Rows handed out (or skipped) so far.
+    row: usize,
+    len: usize,
+    /// Rows of the current block: the last one [`Blocks::next`] decoded.
+    filled: usize,
+    /// The current block of every scheme but Plain, which lends.
+    buf: [i64; BLOCK_ROWS],
+    /// Scratch for the bit-unpacked form of a FOR or Delta block.
+    packed: [u64; BLOCK_ROWS],
 }
 
 #[derive(Clone, Debug)]
-enum IterInner<'a> {
-    Plain(std::slice::Iter<'a, i64>),
-    Rle { runs: std::slice::Iter<'a, rle::Run>, value: i64, run_left: usize },
-    For { col: &'a ForInts, next: usize },
-    Delta(delta::DeltaIter<'a>),
+enum BlockSource<'a> {
+    Plain(&'a [i64]),
+    /// The runs not yet exhausted, and the rows already used of the
+    /// first of them.
+    Rle {
+        runs: &'a [rle::Run],
+        used: usize,
+    },
+    For(&'a ForInts),
+    /// `carry`: the value of row `row` (see [`DeltaInts::decode_block`]).
+    Delta {
+        col: &'a DeltaInts,
+        carry: i64,
+    },
+}
+
+impl Blocks<'_> {
+    /// Rows not yet handed out.
+    pub fn remaining(&self) -> usize {
+        self.len - self.row
+    }
+
+    /// Decodes and returns the next block: [`BLOCK_ROWS`] rows, fewer in
+    /// the column's last block, empty at the end. A Plain column lends
+    /// its own rows; every other scheme decodes into the reader's
+    /// buffer.
+    #[allow(clippy::should_implement_trait)] // lends from `self`: not an `Iterator`
+    pub fn next(&mut self) -> &[i64] {
+        self.advance(true);
+        self.current()
+    }
+
+    /// Steps over the next block without handing it out — what a caller
+    /// does with a block none of whose rows it selected. Free on Plain
+    /// and FOR (blocks are addressed directly) and one run advance on
+    /// RLE; Delta still prefix-sums the block to carry its running
+    /// value. [`Blocks::current`] is empty afterwards.
+    pub fn skip(&mut self) {
+        self.advance(false);
+    }
+
+    /// The block the last [`Blocks::next`] returned (empty before the
+    /// first call, after [`Blocks::skip`] and at the end).
+    pub fn current(&self) -> &[i64] {
+        match self.source {
+            BlockSource::Plain(v) => &v[self.row - self.filled..self.row],
+            _ => &self.buf[..self.filled],
+        }
+    }
+
+    fn advance(&mut self, decode: bool) {
+        let n = self.remaining().min(BLOCK_ROWS);
+        let block = self.row / BLOCK_ROWS;
+        self.row += n;
+        self.filled = if decode { n } else { 0 };
+        if n == 0 {
+            return;
+        }
+        match &mut self.source {
+            BlockSource::Plain(_) => {}
+            BlockSource::Rle { runs, used } => {
+                let mut at = 0;
+                while at < n {
+                    let take = (runs[0].len - *used).min(n - at);
+                    if decode {
+                        self.buf[at..at + take].fill(runs[0].value);
+                    }
+                    at += take;
+                    *used += take;
+                    if *used == runs[0].len {
+                        (*runs, *used) = (&runs[1..], 0);
+                    }
+                }
+            }
+            BlockSource::For(col) if decode => {
+                col.decode_block(block, &mut self.packed, &mut self.buf);
+            }
+            BlockSource::For(_) => {}
+            BlockSource::Delta { col, carry } => {
+                col.decode_block(block, carry, &mut self.packed, &mut self.buf);
+            }
+        }
+    }
+}
+
+/// Streaming decoder over any [`EncodedInts`] (see
+/// [`EncodedInts::iter`]): a cursor over the column's [`Blocks`].
+#[derive(Clone, Debug)]
+pub struct EncodedIter<'a> {
+    blocks: Blocks<'a>,
+    /// Rows of the current block already yielded.
+    pos: usize,
 }
 
 impl Iterator for EncodedIter<'_> {
     type Item = i64;
 
+    #[inline]
     fn next(&mut self) -> Option<i64> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        match &mut self.inner {
-            IterInner::Plain(it) => it.next().copied(),
-            IterInner::Rle { runs, value, run_left } => {
-                if *run_left == 0 {
-                    let r = runs.next()?;
-                    *value = r.value;
-                    *run_left = r.len;
-                }
-                *run_left -= 1;
-                Some(*value)
+        if self.pos == self.blocks.filled {
+            self.pos = 0;
+            if self.blocks.next().is_empty() {
+                return None;
             }
-            IterInner::For { col, next } => {
-                let v = col.get(*next);
-                *next += 1;
-                Some(v)
-            }
-            IterInner::Delta(it) => it.next(),
         }
+        let v = self.blocks.current()[self.pos];
+        self.pos += 1;
+        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        let left = self.blocks.remaining() + self.blocks.filled - self.pos;
+        (left, Some(left))
+    }
+
+    /// Folds block by block: the row loop over a decoded block is a
+    /// plain slice loop, with no per-row cursor bookkeeping.
+    fn fold<B, F: FnMut(B, i64) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = self.blocks.current()[self.pos..].iter().fold(init, |acc, &v| f(acc, v));
+        loop {
+            let block = self.blocks.next();
+            if block.is_empty() {
+                return acc;
+            }
+            acc = block.iter().fold(acc, |acc, &v| f(acc, v));
+        }
     }
 }
 

@@ -25,7 +25,133 @@ fn int_data() -> impl Strategy<Value = Vec<i64>> {
     ]
 }
 
+/// Column lengths at the block-decoder's edges: empty, one row, one
+/// short of / exactly / one past a 64-row block (65 rows is exactly 64
+/// Delta deltas: the last block holds one value and no delta), and the
+/// same around every later block boundary.
+fn block_edge_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
+        (1usize..6, 0usize..3).prop_map(|(k, d)| 64 * k + d - 1),
+    ]
+}
+
+/// Value palettes by the bit width they force: FOR widths 0, 1, 62, 63
+/// and 64, Delta widths 0, 1 (unit steps down), 63 and 64.
+const PALETTES: [&[i64]; 6] = [
+    &[-17],
+    &[1000, 1001],
+    &[0, (1 << 62) - 1],
+    &[0, i64::MAX],
+    &[i64::MIN, i64::MAX, 0, -1],
+    &[5, 6, 7, 8, 9, 10, 11, 12],
+];
+
+/// `len` rows drawn from palette `palette` by a splitmix stream of
+/// `seed`; the last palette instead walks down in steps of 0 or 1.
+fn palette_data(len: usize, palette: usize, seed: u64) -> Vec<i64> {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z ^ z >> 27) as usize
+    };
+    let values = PALETTES[palette];
+    if palette == PALETTES.len() - 1 {
+        let mut v = 0i64;
+        return (0..len)
+            .map(|_| {
+                v -= (draw() % 2) as i64;
+                v
+            })
+            .collect();
+    }
+    (0..len).map(|_| values[draw() % values.len()]).collect()
+}
+
 proptest! {
+    /// The block reader is the one sequential decoder: its concatenated
+    /// blocks, `decode()` and `iter()` all reproduce the input, `scan`
+    /// agrees with per-row evaluation for every operator and for
+    /// literals below, inside and above the frame, and the iterator
+    /// stays an honest `ExactSizeIterator` (and `Clone` + `Debug`)
+    /// through partial consumption — at every block-edge length and
+    /// packed width.
+    #[test]
+    fn block_reads_agree_at_block_and_width_edges(
+        len in block_edge_len(),
+        palette in 0usize..6,
+        seed in any::<u64>(),
+        taken in any::<prop::sample::Index>(),
+    ) {
+        let data = palette_data(len, palette, seed);
+        let (lo, hi) = (data.iter().copied().min().unwrap_or(0), data.iter().copied().max().unwrap_or(0));
+        let literals = [
+            lo.saturating_sub(1), lo, lo.saturating_add(1), lo / 2 + hi / 2, hi.saturating_sub(1), hi,
+            hi.saturating_add(1), i64::MIN, i64::MAX, 0,
+        ];
+        for scheme in Scheme::ALL {
+            let e = EncodedInts::encode(&data, scheme);
+            let mut blocks = e.blocks();
+            let mut concat = Vec::new();
+            loop {
+                prop_assert_eq!(blocks.remaining(), len - concat.len(), "{} remaining", scheme);
+                let block = blocks.next();
+                if block.is_empty() { break; }
+                prop_assert!(block.len() == 64 || concat.len() + block.len() == len, "{} short block", scheme);
+                concat.extend_from_slice(block);
+            }
+            prop_assert!(blocks.next().is_empty(), "{} stays empty at the end", scheme);
+            prop_assert_eq!(&concat, &data, "{} blocks", scheme);
+            prop_assert_eq!(&e.decode(), &data, "{} decode", scheme);
+            prop_assert_eq!(&e.iter().collect::<Vec<_>>(), &data, "{} iter", scheme);
+            prop_assert_eq!(e.iter().fold(0i64, i64::wrapping_add), data.iter().fold(0i64, |a, &v| a.wrapping_add(v)));
+
+            // Skipped blocks leave the blocks after them intact.
+            let mut skipping = e.blocks();
+            let mut row = 0;
+            while skipping.remaining() > 0 {
+                if (row / 64) % 2 == 0 {
+                    skipping.skip();
+                    prop_assert!(skipping.current().is_empty());
+                } else {
+                    prop_assert_eq!(skipping.next(), &data[row..(row + 64).min(len)], "{} after skip", scheme);
+                }
+                row += 64;
+            }
+
+            // Partial consumption: the size stays exact, a clone resumes
+            // from the same row, `fold` picks up mid-block.
+            let mut it = e.iter();
+            let taken = if len == 0 { 0 } else { taken.index(len + 1) };
+            for want in &data[..taken] {
+                prop_assert_eq!(it.next(), Some(*want));
+            }
+            prop_assert_eq!(it.len(), len - taken, "{} len after {}", scheme, taken);
+            let shown = format!("{:?}", it);
+            prop_assert!(shown.contains("EncodedIter"));
+            prop_assert_eq!(&it.clone().collect::<Vec<_>>(), &data[taken..], "{} clone", scheme);
+            prop_assert_eq!(
+                it.fold(Vec::new(), |mut acc, v| { acc.push(v); acc }),
+                data[taken..].to_vec(),
+                "{} fold after {}", scheme, taken
+            );
+
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                for lit in literals {
+                    let want = Bitmap::from_bools(&data.iter().map(|&v| op.eval(v, lit)).collect::<Vec<_>>());
+                    let mut got = Bitmap::zeros(len);
+                    e.scan(op, lit, &mut got);
+                    prop_assert_eq!(&got, &want, "{} {} {} (len {}, palette {})", scheme, op, lit, len, palette);
+                }
+            }
+        }
+    }
+
     #[test]
     fn encodings_round_trip(data in int_data()) {
         for scheme in Scheme::ALL {

@@ -233,7 +233,9 @@ impl Query {
         self
     }
 
-    /// Aggregates `column` with `kind`.
+    /// Aggregates `column` with `kind`. Every kind but
+    /// [`AggKind::Count`] needs an `Int64` column; COUNT counts rows, so
+    /// its column only has to exist.
     pub fn aggregate(mut self, kind: AggKind, column: impl Into<String>) -> Self {
         self.agg = Some((kind, column.into()));
         self
@@ -1890,6 +1892,51 @@ mod tests {
             join(Query::scan("orders").join_filter_str_ne("country", "de")),
         ] {
             assert!(matches!(db.execute(&q), Err(DbError::BadQuery(_))));
+        }
+    }
+
+    #[test]
+    fn count_accepts_any_existing_column() {
+        // COUNT never reads its column: strings and floats count rows
+        // like integers, on merged segments and the delta alike.
+        let db = Database::new();
+        db.create_table("t", &[("id", DataType::Int64), ("region", DataType::Str), ("w", DataType::Float64)])
+            .unwrap();
+        db.set_merge_threshold("t", usize::MAX).unwrap();
+        for i in 0..150i64 {
+            let rec = Record::new()
+                .with("id", i)
+                .with("region", ["n", "s", "w"][(i % 3) as usize])
+                .with("w", i as f64);
+            db.insert("t", &rec).unwrap();
+            if i == 99 {
+                db.merge("t").unwrap();
+            }
+        }
+        let t = db.table("t").unwrap();
+        assert_eq!((t.main_rows(), t.delta_rows()), (100, 50));
+        let count = |q: Query| -> Vec<f64> {
+            let out = db.execute(&q).unwrap();
+            let col = out.rows.column_at(out.rows.width() - 1).unwrap();
+            col.as_float64().unwrap().to_vec()
+        };
+        for col in ["id", "region", "w"] {
+            assert_eq!(count(Query::scan("t").aggregate(AggKind::Count, col)), [150.0], "{col}");
+            let filtered = Query::scan("t").filter("id", CmpOp::Ge, 90).filter_str_ne("region", "s");
+            assert_eq!(count(filtered.aggregate(AggKind::Count, col)), [40.0], "{col} filtered");
+            let grouped = Query::scan("t").filter("id", CmpOp::Lt, 120).group_by("region");
+            assert_eq!(count(grouped.aggregate(AggKind::Count, col)), [40.0, 40.0, 40.0], "{col} grouped");
+        }
+        // The column must still exist, and other kinds still need ints.
+        assert!(matches!(
+            db.execute(&Query::scan("t").aggregate(AggKind::Count, "ghost")),
+            Err(DbError::NoSuchColumn { .. })
+        ));
+        for col in ["region", "w"] {
+            assert!(matches!(
+                db.execute(&Query::scan("t").aggregate(AggKind::Sum, col)),
+                Err(DbError::TypeMismatch { .. })
+            ));
         }
     }
 

@@ -5,20 +5,33 @@
 //! Every stage works on *execution units* of a pinned
 //! [`TableSnapshot`] — one per main segment, then one per
 //! [`delta_unit_rows`]-sized chunk of the delta tail — dispatched as
-//! morsels over the shared worker pool. The main/delta split shows up
-//! in exactly two places:
+//! morsels over the shared worker pool. Between stages the surviving
+//! rows travel as one [`Selection`] **per unit**, in the shape the
+//! predicate kernels produce — every row, a sort-key row range, a match
+//! bitmap, or ascending row ids (index lookups, delta kernels) — never
+//! as one global row-id list: aggregates and join-key extraction
+//! consume the selection in place, and only the consumers that address
+//! cells by id (the projection gather, the index re-check) flatten it.
+//!
+//! The main/delta split shows up in exactly two places:
 //!
 //! * the **predicate kernels** ([`Database::eval_segment`] scans the
-//!   compressed column in place, [`Database::eval_delta`] runs the flat
-//!   vectorized kernels) — two implementations on purpose: they run
-//!   different algorithms and bill differently;
+//!   compressed column in place into 64-bit match words,
+//!   [`Database::eval_delta`] runs the flat vectorized kernels) — two
+//!   implementations on purpose: they run different algorithms and bill
+//!   differently;
 //! * the **column view** ([`UnitCol`]): what a unit's column looks like
 //!   to everything downstream of the filters. Aggregation and join-key
-//!   streaming are written once against that view and [`walk`] it —
-//!   all rows, sparse hits through a forward cursor, or dense
-//!   stream-to-last-hit — with one billing rule.
+//!   streaming are written once against that view and [`walk`] it in
+//!   one of three regimes picked from the selection's density — *all
+//!   rows* and *dense* selections stream 64-row blocks
+//!   (`EncodedInts::blocks`) against the selection's match words,
+//!   *sparse* ones read the survivors alone through forward cursors —
+//!   with one billing rule.
 
-use crate::db::{Database, Filter, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS};
+use crate::db::{
+    Database, Filter, IndexEntry, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS,
+};
 use crate::error::{DbError, DbResult};
 use crate::segment::{zone_all_match, zone_may_match, SegColumn, Segment};
 use crate::table::{sparse_hits, TableSnapshot};
@@ -26,12 +39,12 @@ use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
-use haec_columnar::encoding::EncodedInts;
+use haec_columnar::encoding::{Blocks, EncodedCursor, EncodedInts, BLOCK_ROWS};
 use haec_columnar::value::{CmpOp, DataType};
 use haec_energy::calibrate::Kernel;
 use haec_energy::profile::ResourceProfile;
 use haec_energy::units::ByteCount;
-use haec_exec::agg::{AggKind, AggState};
+use haec_exec::agg::{AggKind, AggState, GroupAcc};
 use haec_exec::join::{sort_merge_join_pairs_presorted, HashJoin, HASH_BUCKET_BYTES};
 use haec_exec::pool::{ExecOpts, MorselGate, RunSpec};
 use haec_exec::select::{select_metered, SelectKernel};
@@ -41,7 +54,6 @@ use haec_planner::access::{
 use haec_planner::cost::{CostModel, JoinAlgo, JoinSideCost, PlanCost};
 use haec_planner::optimizer::choose;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// An integer predicate resolved to a column index.
@@ -68,7 +80,8 @@ struct StrPred {
 #[derive(Clone, Copy)]
 struct AggSpec<'a> {
     kind: AggKind,
-    /// Value column index (validated `Int64`).
+    /// Value column index (validated `Int64`, except under COUNT, which
+    /// never reads it).
     vidx: usize,
     group: Option<&'a KeyCol>,
 }
@@ -78,13 +91,13 @@ struct AggSpec<'a> {
 /// not matter).
 enum AggAcc {
     Global(AggState),
-    Grouped(HashMap<i64, AggState>),
+    Grouped(GroupAcc),
 }
 
 impl AggAcc {
     fn identity(grouped: bool) -> AggAcc {
         if grouped {
-            AggAcc::Grouped(HashMap::new())
+            AggAcc::Grouped(GroupAcc::new(None, 0))
         } else {
             AggAcc::Global(AggState::empty())
         }
@@ -93,11 +106,7 @@ impl AggAcc {
     fn merge(&mut self, other: AggAcc) {
         match (self, other) {
             (AggAcc::Global(a), AggAcc::Global(b)) => a.merge(&b),
-            (AggAcc::Grouped(a), AggAcc::Grouped(b)) => {
-                for (k, s) in b {
-                    a.entry(k).or_default().merge(&s);
-                }
-            }
+            (AggAcc::Grouped(a), AggAcc::Grouped(b)) => a.merge(b),
             _ => unreachable!("all units of one query share the group shape"),
         }
     }
@@ -207,104 +216,283 @@ impl UnitCol<'_> {
     }
 }
 
-/// Feeds `sink` the `(key, value, global row)` of every hit of one unit
-/// (`hits: None` = every row) and returns what the walk touched of the
-/// key and value columns. Single-column consumers pass
-/// [`UnitCol::Const`] for the column they do not read — it costs
-/// nothing. The views are matched here, once per unit; the row loops
-/// below are monomorphic.
+/// The rows of one execution unit that survive the filters: the one
+/// type the filter stage returns per unit and every later stage
+/// consumes. It stays in the shape the predicate kernels produce — a
+/// match bitmap, a sort-key row range, an index's row ids — and is
+/// flattened to row ids only for the consumers that need ids (the
+/// projection gather, the index re-check).
+struct Selection {
+    rows: SelRows,
+    /// Number of surviving rows.
+    n: usize,
+}
+
+enum SelRows {
+    /// A unit-local row range: every row of the unit, or what
+    /// predicates on a segment's sort key resolve to.
+    Range(Range<usize>),
+    /// One match bit per unit row (a sort-key range already ANDed in).
+    Bits(Bitmap),
+    /// Ascending **global** row ids: the index path and the delta
+    /// kernels.
+    Ids(Vec<u32>),
+}
+
+impl Selection {
+    fn all(rows: usize) -> Self {
+        Selection { rows: SelRows::Range(0..rows), n: rows }
+    }
+
+    fn none() -> Self {
+        Selection::all(0)
+    }
+
+    fn ids(ids: Vec<u32>) -> Self {
+        Selection { n: ids.len(), rows: SelRows::Ids(ids) }
+    }
+
+    /// The rows of `range` whose bit is set in `bits` (`None`: every row
+    /// of the range), out of a unit of `rows` rows.
+    fn of(bits: Option<Bitmap>, range: Range<usize>, rows: usize) -> Self {
+        match bits {
+            None => Selection { n: range.len(), rows: SelRows::Range(range) },
+            Some(mut bits) => {
+                bits.set_range(0, range.start, false);
+                bits.set_range(range.end, rows, false);
+                Selection { n: bits.count_ones(), rows: SelRows::Bits(bits) }
+            }
+        }
+    }
+
+    /// Unit-local index of the last surviving row.
+    fn last(&self, unit: &Unit<'_>) -> Option<usize> {
+        match &self.rows {
+            SelRows::Range(r) => r.clone().last(),
+            SelRows::Bits(bits) => {
+                let word = bits.words().iter().rposition(|&w| w != 0)?;
+                Some(word * BLOCK_ROWS + 63 - bits.words()[word].leading_zeros() as usize)
+            }
+            SelRows::Ids(ids) => ids.last().map(|&p| p as usize - unit.base),
+        }
+    }
+
+    /// Calls `f` with the unit-local index of every surviving row,
+    /// ascending.
+    fn for_each(&self, unit: &Unit<'_>, mut f: impl FnMut(usize)) {
+        match &self.rows {
+            SelRows::Range(r) => r.clone().for_each(f),
+            SelRows::Bits(bits) => bits.iter_ones().for_each(f),
+            SelRows::Ids(ids) => ids.iter().for_each(|&p| f(p as usize - unit.base)),
+        }
+    }
+
+    /// One match word per [`BLOCK_ROWS`] rows of the unit.
+    fn words(&self, unit: &Unit<'_>) -> Cow<'_, [u64]> {
+        if let SelRows::Bits(bits) = &self.rows {
+            return Cow::Borrowed(bits.words());
+        }
+        let mut bits = Bitmap::zeros(unit.rows);
+        self.for_each(unit, |row| bits.set(row, true));
+        Cow::Owned(bits.words().to_vec())
+    }
+
+    /// Appends the surviving rows' global ids to `out`.
+    fn extend_ids(&self, unit: &Unit<'_>, out: &mut Vec<u32>) {
+        match &self.rows {
+            SelRows::Ids(ids) => out.extend_from_slice(ids),
+            _ => self.for_each(unit, |row| out.push((unit.base + row) as u32)),
+        }
+    }
+}
+
+/// One [`UnitCol`] opened for a streaming walk: read [`BLOCK_ROWS`]
+/// rows at a time in lockstep with the selection's match words. The
+/// view is matched once per block, never per row.
+struct ColBlocks<'a> {
+    cells: BlockCells<'a>,
+    /// The current block of a constant column or of widened codes.
+    block: [i64; BLOCK_ROWS],
+}
+
+// One reader pair lives on the stack for the length of a walk: boxing
+// the block reader would allocate per unit.
+#[allow(clippy::large_enum_variant)]
+enum BlockCells<'a> {
+    Enc(Blocks<'a>),
+    /// The constant's rows not yet handed out.
+    Const(usize),
+    /// The cells not yet handed out.
+    Ints(&'a [i64]),
+    Codes(&'a [u32]),
+}
+
+impl<'a> ColBlocks<'a> {
+    fn open(col: UnitCol<'a>, rows: usize) -> Self {
+        let (cells, fill) = match col {
+            UnitCol::Enc(e, _) => (BlockCells::Enc(e.blocks()), 0),
+            UnitCol::Const(c) => (BlockCells::Const(rows), c),
+            UnitCol::Ints(cells) => (BlockCells::Ints(cells), 0),
+            UnitCol::Codes(cells, _) => (BlockCells::Codes(cells), 0),
+        };
+        ColBlocks { cells, block: [fill; BLOCK_ROWS] }
+    }
+
+    /// The next block of stored cells (lent: encoded columns decode into
+    /// their block reader, Plain and flat integer columns hand out their
+    /// own cells).
+    fn next(&mut self) -> &[i64] {
+        match &mut self.cells {
+            BlockCells::Enc(blocks) => blocks.next(),
+            BlockCells::Const(left) => {
+                let n = (*left).min(BLOCK_ROWS);
+                *left -= n;
+                &self.block[..n]
+            }
+            BlockCells::Ints(rest) => take_block(rest),
+            BlockCells::Codes(rest) => {
+                let codes = take_block(rest);
+                self.block.iter_mut().zip(codes).for_each(|(cell, &c)| *cell = i64::from(c));
+                &self.block[..codes.len()]
+            }
+        }
+    }
+
+    /// Steps over a block no row of which is selected.
+    fn skip(&mut self) {
+        match &mut self.cells {
+            BlockCells::Enc(blocks) => blocks.skip(),
+            BlockCells::Const(left) => *left = left.saturating_sub(BLOCK_ROWS),
+            BlockCells::Ints(rest) => {
+                take_block(rest);
+            }
+            BlockCells::Codes(rest) => {
+                take_block(rest);
+            }
+        }
+    }
+}
+
+/// One [`UnitCol`] opened for a sparse walk: positioned reads of
+/// ascending rows, which encoded columns answer from a forward cursor.
+enum ColCursor<'a> {
+    Enc(EncodedCursor<'a>),
+    Const(i64),
+    Ints(&'a [i64]),
+    Codes(&'a [u32]),
+}
+
+impl<'a> ColCursor<'a> {
+    fn open(col: UnitCol<'a>) -> Self {
+        match col {
+            UnitCol::Enc(e, _) => ColCursor::Enc(e.cursor()),
+            UnitCol::Const(c) => ColCursor::Const(c),
+            UnitCol::Ints(cells) => ColCursor::Ints(cells),
+            UnitCol::Codes(cells, _) => ColCursor::Codes(cells),
+        }
+    }
+
+    /// The stored cell of unit-local row `row`.
+    fn at(&mut self, row: usize) -> i64 {
+        match self {
+            ColCursor::Enc(cursor) => cursor.at(row),
+            ColCursor::Const(c) => *c,
+            ColCursor::Ints(cells) => cells[row],
+            ColCursor::Codes(cells) => i64::from(cells[row]),
+        }
+    }
+}
+
+/// Splits the next block (up to [`BLOCK_ROWS`] cells) off a flat column.
+fn take_block<'c, T>(rest: &mut &'c [T]) -> &'c [T] {
+    let (block, tail) = rest.split_at(rest.len().min(BLOCK_ROWS));
+    *rest = tail;
+    block
+}
+
+/// Feeds `sink` the `(key, value, global row)` of every row of one unit
+/// that `sel` keeps and returns what the walk touched of the key and
+/// value columns. Single-column consumers pass [`UnitCol::Const`] for
+/// the column they do not read — it costs nothing.
+///
+/// The selection's density picks one of three regimes, and the same
+/// decision is the bill:
+///
+/// * **all rows** selected — stream every block;
+/// * **dense** (at or past the [`sparse_hits`] crossover) — stream the
+///   blocks up to the last surviving row against the selection's 64-bit
+///   match words: a zero word skips the block (Plain and FOR columns are
+///   not even read there), a partial one visits its set bits by
+///   `trailing_zeros`;
+/// * **sparse** — read the survivors alone through forward cursors
+///   (`EncodedInts::cursor`), which resume where the previous hit left
+///   them.
 fn walk(
     unit: &Unit<'_>,
     k: UnitCol<'_>,
     v: UnitCol<'_>,
-    hits: Option<&[u32]>,
+    sel: &Selection,
     sink: impl FnMut(i64, i64, u32),
 ) -> (Touched, Touched) {
     let rows = unit.rows;
-    // A hit list covering every row is the tautology case: the filters
-    // kept the whole unit.
-    let hits = hits.filter(|h| h.len() != rows);
-    let streamed = match k {
-        UnitCol::Enc(e, None) => {
-            let mut cur = e.cursor();
-            walk_values(unit, hits, || e.iter(), |i| cur.at(i), v, sink)
-        }
-        UnitCol::Enc(e, Some(m)) => {
-            let mut cur = e.cursor();
-            walk_values(unit, hits, || e.iter().map(|c| m[c as usize]), |i| m[cur.at(i) as usize], v, sink)
-        }
-        UnitCol::Const(c) => walk_values(unit, hits, || std::iter::repeat_n(c, rows), |_| c, v, sink),
-        UnitCol::Ints(s) => walk_values(unit, hits, || s.iter().copied(), |i| s[i], v, sink),
-        UnitCol::Codes(s, m) => {
-            walk_values(unit, hits, || s.iter().map(|&c| m[c as usize]), |i| m[s[i] as usize], v, sink)
-        }
+    let all = sel.n == rows;
+    let dense = !all && !sparse_hits(sel.n, rows);
+    let streamed = if all {
+        Some(rows)
+    } else if dense {
+        Some(sel.last(unit).map_or(0, |last| last + 1))
+    } else {
+        None
     };
-    let n = hits.map_or(rows, <[u32]>::len);
-    (k.touched(streamed, n, rows), v.touched(streamed, n, rows))
-}
-
-/// [`walk`]'s second dispatch level: pairs the key accessors with the
-/// value column's. `key_at` is called with ascending unit-local rows —
-/// encoded columns answer it from a forward cursor.
-fn walk_values<K: Iterator<Item = i64>>(
-    unit: &Unit<'_>,
-    hits: Option<&[u32]>,
-    keys: impl FnOnce() -> K,
-    mut key_at: impl FnMut(usize) -> i64,
-    v: UnitCol<'_>,
-    sink: impl FnMut(i64, i64, u32),
-) -> Option<usize> {
-    match v {
-        UnitCol::Enc(e, _) => {
-            let mut cur = e.cursor();
-            walk_hits(unit, hits, || keys().zip(e.iter()), |i| (key_at(i), cur.at(i)), sink)
+    let words = dense.then(|| sel.words(unit));
+    let run = (unit, sel, streamed, words.as_deref());
+    // The code → key translation is resolved here, once per unit, so the
+    // row loops are monomorphic; it runs for *selected* rows only.
+    match k {
+        UnitCol::Enc(_, Some(map)) | UnitCol::Codes(_, map) => {
+            walk_rows(run, k, v, |code| map[code as usize], sink);
         }
-        UnitCol::Const(c) => walk_hits(unit, hits, || keys().map(|k| (k, c)), |i| (key_at(i), c), sink),
-        UnitCol::Ints(s) => {
-            walk_hits(unit, hits, || keys().zip(s.iter().copied()), |i| (key_at(i), s[i]), sink)
-        }
-        UnitCol::Codes(..) => unreachable!("aggregated values are integer columns"),
+        _ => walk_rows(run, k, v, |cell| cell, sink),
     }
+    (k.touched(streamed, sel.n, rows), v.touched(streamed, sel.n, rows))
 }
 
-/// The one hit walk. All rows stream; survivors sparser than
-/// [`sparse_hits`] are read hit by hit through `at` — hit lists ascend,
-/// so an encoded column answers from a forward cursor
-/// (`EncodedInts::cursor`) that resumes where the previous hit left it;
-/// denser ones stream up to the last hit. Returns the rows streamed
-/// (`None` for the per-hit reads).
-fn walk_hits<I: Iterator<Item = (i64, i64)>>(
-    unit: &Unit<'_>,
-    hits: Option<&[u32]>,
-    stream: impl FnOnce() -> I,
-    mut at: impl FnMut(usize) -> (i64, i64),
+/// The row loops under [`walk`]. `streamed` is the number of rows to
+/// stream (`None`: the sparse regime) against `words` (`None`: every row
+/// is selected); `key` translates the key column's stored cell.
+fn walk_rows(
+    (unit, sel, streamed, words): (&Unit<'_>, &Selection, Option<usize>, Option<&[u64]>),
+    k: UnitCol<'_>,
+    v: UnitCol<'_>,
+    key: impl Fn(i64) -> i64,
     mut sink: impl FnMut(i64, i64, u32),
-) -> Option<usize> {
+) {
     let base = unit.base;
-    match hits {
-        None => {
-            for (local, (k, v)) in stream().enumerate() {
-                sink(k, v, (base + local) as u32);
-            }
-            Some(unit.rows)
+    let Some(streamed) = streamed else {
+        let (mut kc, mut vc) = (ColCursor::open(k), ColCursor::open(v));
+        return sel.for_each(unit, |row| sink(key(kc.at(row)), vc.at(row), (base + row) as u32));
+    };
+    let (mut kb, mut vb) = (ColBlocks::open(k, unit.rows), ColBlocks::open(v, unit.rows));
+    for block in 0..streamed.div_ceil(BLOCK_ROWS) {
+        let word = words.map_or(u64::MAX, |w| w[block]);
+        if word == 0 {
+            kb.skip();
+            vb.skip();
+            continue;
         }
-        Some(hits) if sparse_hits(hits.len(), unit.rows) => {
-            for &p in hits {
-                let (k, v) = at(p as usize - base);
-                sink(k, v, p);
+        let (ks, vs) = (kb.next(), vb.next());
+        let row0 = (base + block * BLOCK_ROWS) as u32;
+        if word == u64::MAX {
+            for (j, (&kc, &vc)) in ks.iter().zip(vs).enumerate() {
+                sink(key(kc), vc, row0 + j as u32);
             }
-            None
-        }
-        Some(hits) => {
-            let streamed = hits.last().map_or(0, |&p| p as usize - base + 1);
-            let mut next = 0;
-            for (local, (k, v)) in stream().take(streamed).enumerate() {
-                if hits[next] as usize - base == local {
-                    sink(k, v, hits[next]);
-                    next += 1;
-                }
+        } else {
+            let mut left = word;
+            while left != 0 {
+                let j = left.trailing_zeros() as usize;
+                left &= left - 1;
+                sink(key(ks[j]), vs[j], row0 + j as u32);
             }
-            Some(streamed)
         }
     }
 }
@@ -340,6 +528,9 @@ struct StrKeys {
     delta_map: Vec<i64>,
     /// Key of rows in segments predating the column (`""`).
     sentinel_key: i64,
+    /// The largest key of the space (the reserved `""` key): with 0, the
+    /// domain of every translated code.
+    max_key: i64,
 }
 
 impl KeyCol {
@@ -456,6 +647,7 @@ impl<'a> StrKeySpace<'a> {
             main_identity: main.is_none_or(is_own_global),
             delta_map: t.delta_column(idx).and_then(Column::as_str).map_or_else(Vec::new, &mut map_dict),
             sentinel_key: self.key_of(""),
+            max_key: self.global_len + self.delta.map_or(0, DictColumn::dict_size) as i64,
         }
     }
 }
@@ -508,19 +700,20 @@ struct JoinSide<'a> {
     /// Key column name and index.
     col: &'a str,
     idx: usize,
-    /// Filter survivors (`None`: every row).
-    pos: Option<&'a [u32]>,
+    /// Filter survivors, one selection per execution unit (`None`:
+    /// every row).
+    sel: Option<&'a [Selection]>,
     /// Zone maps of an integer key (`None` for string keys).
     zones: Option<Vec<ZoneMapMeta>>,
 }
 
 impl<'a> JoinSide<'a> {
-    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, pos: Option<&'a [u32]>) -> Self {
-        JoinSide { t, col, idx, pos, zones: t.zone_maps(col) }
+    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, sel: Option<&'a [Selection]>) -> Self {
+        JoinSide { t, col, idx, sel, zones: t.zone_maps(col) }
     }
 
     fn rows(&self) -> u64 {
-        self.pos.map_or(self.t.rows(), <[u32]>::len) as u64
+        self.sel.map_or(self.t.rows(), |sel| sel.iter().map(|s| s.n).sum()) as u64
     }
 
     /// The key stream arrives in key order: the main layout is globally
@@ -605,8 +798,8 @@ impl Database {
 
         // --- filter: each side on its own compressed store -------------
         let planned = (use_indexes && join.is_none()).then_some(query);
-        let (lpos, access_path) = ex.filter(lt, &query.table, &query.filters, &query.str_filters, planned)?;
-        let rpos = match join {
+        let (lsel, access_path) = ex.filter(lt, &query.table, &query.filters, &query.str_filters, planned)?;
+        let rsel = match join {
             Some((jc, rt)) => ex.filter(rt, &jc.table, &jc.filters, &jc.str_filters, None)?.0,
             None => None,
         };
@@ -615,17 +808,17 @@ impl Database {
         let rows = match join.zip(key_idx) {
             // --- fold | gather over the survivors ----------------------
             None => match &query.agg {
-                Some((kind, value_col)) => ex.fold(lt, query, *kind, value_col, lpos.as_deref())?,
+                Some((kind, value_col)) => ex.fold(lt, query, *kind, value_col, lsel.as_deref())?,
                 None if query.group_by.is_some() => {
                     return Err(DbError::BadQuery("group_by requires an aggregate".into()));
                 }
-                None => ex.gather(lt, query, lpos.as_deref())?,
+                None => ex.gather(lt, query, lsel.as_deref())?,
             },
             // --- join, then late gather: only surviving pairs touch
             // payload columns ---------------------------------------------
             Some(((jc, rt), (lidx, ridx))) => {
-                let l = JoinSide::new(lt, &jc.left_col, lidx, lpos.as_deref());
-                let r = JoinSide::new(rt, &jc.right_col, ridx, rpos.as_deref());
+                let l = JoinSide::new(lt, &jc.left_col, lidx, lsel.as_deref());
+                let r = JoinSide::new(rt, &jc.right_col, ridx, rsel.as_deref());
                 let (lrows, rrows) = ex.join(&l, &r);
                 ex.check_cancelled()?;
                 ex.gather_join(lt, rt, query, jc, &lrows, &rrows)?
@@ -664,9 +857,9 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// The filter stage for one table: the surviving global row ids
-    /// (ascending), or `None` when the side has no predicates and every
-    /// row survives. `planned` is the query when its access path may be
+    /// The filter stage for one table: one [`Selection`] per execution
+    /// unit, or `None` when the side has no predicates and every row
+    /// survives. `planned` is the query when its access path may be
     /// planned — a single-table query on a view the live indexes cover:
     /// the first filter is then costed across scan, index and
     /// sorted-layout paths per the session goal, and the choice
@@ -679,22 +872,23 @@ impl Exec<'_> {
         filters: &[Filter],
         str_filters: &[StrFilter],
         planned: Option<&Query>,
-    ) -> DbResult<(Option<Vec<u32>>, Option<AccessPath>)> {
+    ) -> DbResult<(Option<Vec<Selection>>, Option<AccessPath>)> {
         let int_preds = resolve_int_preds(t, table, filters)?;
         let str_preds = resolve_str_preds(t, table, str_filters)?;
         let mut access_path = None;
         if let Some((query, first)) = planned.zip(filters.first()) {
             let key = (table.to_string(), first.column.clone());
-            let mut indexes = self.db.indexes.lock();
             // A live index is only trusted when row ids still mean what
             // they meant at build time: a *sorting* merge permutes the
             // merged batch, so on sorted tables the entry must have been
             // rebuilt at this snapshot's exact main epoch. Merge-ordered
             // tables never move rows, so any epoch is fine.
-            let index_usable = first.op == CmpOp::Eq
-                && indexes
-                    .get(&key)
-                    .is_some_and(|e| t.schema().sort_key().is_none() || e.built_epoch == t.epoch());
+            let usable = |e: &IndexEntry| t.schema().sort_key().is_none() || e.built_epoch == t.epoch();
+            // The index mutex also serializes writers (`Database::insert`
+            // publishes a row and its index entries under it): hold it to
+            // read the entry's state here and for the lookup below, never
+            // across planning.
+            let index_usable = first.op == CmpOp::Eq && self.db.indexes.lock().get(&key).is_some_and(usable);
             let zones = t.zone_maps(&first.column);
             let layout_sorted = zones.as_deref().is_some_and(sorted_layout);
             if index_usable || layout_sorted {
@@ -734,10 +928,16 @@ impl Exec<'_> {
                 // whole.
                 let goal = self.db.goal();
                 let pick = choose(&candidates, goal).or_else(|_| choose(&access, goal)).unwrap_or(0);
-                if pick == 1 && decision.index_cost.is_some() {
-                    let entry = indexes.get_mut(&key).expect("checked above");
-                    let mut pos = entry.idx.lookup(first.literal);
-                    drop(indexes);
+                // Re-validated under the mutex: the entry may have been
+                // dropped or restamped by a merge since planning began,
+                // in which case the scan below answers instead.
+                let looked_up = (pick == 1 && decision.index_cost.is_some())
+                    .then(|| {
+                        let mut indexes = self.db.indexes.lock();
+                        indexes.get_mut(&key).filter(|e| usable(e)).map(|e| e.idx.lookup(first.literal))
+                    })
+                    .flatten();
+                if let Some(mut pos) = looked_up {
                     // The index is live; the snapshot is not. Entries
                     // for rows committed after the pin (always a suffix
                     // of global row ids) are invisible here.
@@ -747,7 +947,17 @@ impl Exec<'_> {
                         self.db.costs.cycles_for(Kernel::IndexLookup, pos.len().max(1) as u64);
                     self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
                     self.recheck(t, &mut pos, &int_preds[1..], &str_preds);
-                    return Ok((Some(pos), Some(AccessPath::IndexLookup)));
+                    // Hand each unit its share of the (few) row ids.
+                    let unit_rows = delta_unit_rows(self.opts);
+                    let sels = (0..unit_count(t, unit_rows))
+                        .map(|u| {
+                            let unit = Unit::of(t, u, unit_rows);
+                            let from = pos.partition_point(|&r| (r as usize) < unit.base);
+                            let to = pos.partition_point(|&r| (r as usize) < unit.base + unit.rows);
+                            Selection::ids(pos[from..to].to_vec())
+                        })
+                        .collect();
+                    return Ok((Some(sels), Some(AccessPath::IndexLookup)));
                 }
                 // The scan below realizes a sorted-layout plan:
                 // `eval_segment`'s sort-key fast path binary-searches
@@ -768,12 +978,15 @@ impl Exec<'_> {
         // evaluation. The delta runs the flat bitwise kernel, chunked
         // into units so an oversized (merge-disabled) delta still
         // parallelizes.
-        let (parts, scan_profile) = self.run_units(t, None, |unit, _| match unit.seg {
+        let (mut sels, scan_profile) = self.run_units(t, None, |unit, _| match unit.seg {
             Some(seg) => self.eval_segment(seg, unit, &int_preds, &str_preds),
             None => self.eval_delta(t, unit, &int_preds, &str_preds),
         });
         self.profile += scan_profile;
-        Ok((Some(parts.concat()), access_path))
+        // A cancelled scan covered only some units; the caller discards
+        // the stage's output, but it still gets one entry per unit.
+        sels.resize_with(unit_count(t, delta_unit_rows(self.opts)), Selection::none);
+        Ok((Some(sels), access_path))
     }
 
     /// Index path: point re-checks of the remaining predicates per
@@ -810,12 +1023,22 @@ impl Exec<'_> {
     /// column; the stats bill what each store path actually did
     /// (stream-decoded encoded bytes, per-cell cursor reads, flat
     /// delta reads, one first-touch read per distinct string).
-    fn gather(&mut self, t: &TableSnapshot, query: &Query, positions: Option<&[u32]>) -> DbResult<Chunk> {
+    fn gather(&mut self, t: &TableSnapshot, query: &Query, sels: Option<&[Selection]>) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
             Some(cols) => cols.clone(),
             None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
         };
-        let (cols, gstats) = t.materialize_columns(&names, positions)?;
+        // The gather addresses cells by global row id: the one consumer
+        // (beside the index re-check) selections are flattened for.
+        let positions = sels.map(|sels| {
+            let unit_rows = delta_unit_rows(self.opts);
+            let mut ids = Vec::with_capacity(sels.iter().map(|s| s.n).sum());
+            for (u, sel) in sels.iter().enumerate() {
+                sel.extend_ids(&Unit::of(t, u, unit_rows), &mut ids);
+            }
+            ids
+        });
+        let (cols, gstats) = t.materialize_columns(&names, positions.as_deref())?;
         let chunk = Chunk::new(cols).expect("gathered columns are equal length");
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64)
             + self.db.costs.cycles_for(Kernel::CompressDecode, gstats.decode_items);
@@ -825,19 +1048,23 @@ impl Exec<'_> {
     }
 
     /// The fold stage: segment-wise aggregation pushdown. Every unit
-    /// folds a partial [`AggState`] (or per-group hash of states)
-    /// straight from its column views — main segments via streaming
-    /// decode, no full-column materialization — and partials merge with
-    /// [`AggState::merge`].
+    /// folds a partial [`AggState`] (or a [`GroupAcc`] of states per
+    /// group) straight from its column views and its [`Selection`] —
+    /// main segments block by block, no full-column materialization and
+    /// no row-id list — and partials merge with [`AggState::merge`].
     fn fold(
         &mut self,
         t: &TableSnapshot,
         query: &Query,
         kind: AggKind,
         value_col: &str,
-        positions: Option<&[u32]>,
+        sels: Option<&[Selection]>,
     ) -> DbResult<Chunk> {
-        let vidx = check_int_column(t, &query.table, value_col)?;
+        // COUNT counts rows: its column only has to exist.
+        let vidx = match kind {
+            AggKind::Count => column_position(t, &query.table, value_col)?,
+            _ => check_int_column(t, &query.table, value_col)?,
+        };
         let group = match &query.group_by {
             Some(name) => {
                 let idx = column_position(t, &query.table, name)?;
@@ -858,8 +1085,7 @@ impl Exec<'_> {
             None => None,
         };
         let spec = AggSpec { kind, vidx, group: group.as_ref().map(|(_, key)| key) };
-        let (parts, agg_profile) =
-            self.run_units(t, positions, |unit, hits| self.agg_unit(t, unit, spec, hits));
+        let (parts, agg_profile) = self.run_units(t, sels, |unit, sel| self.agg_unit(t, unit, spec, sel));
         self.profile += agg_profile;
         let mut acc = AggAcc::identity(group.is_some());
         parts.into_iter().for_each(|p| acc.merge(p));
@@ -870,7 +1096,7 @@ impl Exec<'_> {
                     Chunk::new(vec![(agg_name, agg_value_column(&[((), st)], kind))]).expect("one column")
                 );
             }
-            (AggAcc::Grouped(map), Some((gname, key))) => (gname, key, map.into_iter().collect::<Vec<_>>()),
+            (AggAcc::Grouped(acc), Some((gname, key))) => (gname, key, acc.into_groups()),
             (AggAcc::Grouped(_), None) => unreachable!("grouped result without group column"),
         };
         let key_col = match key {
@@ -902,39 +1128,50 @@ impl Exec<'_> {
         t: &TableSnapshot,
         unit: &Unit<'_>,
         spec: AggSpec<'_>,
-        hits: Option<&[u32]>,
+        sel: &Selection,
     ) -> (AggAcc, ResourceProfile) {
         // COUNT never needs the values — only how many rows survive.
         let vcol = if spec.kind == AggKind::Count { UnitCol::Const(0) } else { unit.int_col(t, spec.vidx) };
         let Some(g) = spec.group else {
-            let (st, profile) = self.fold_values(unit, spec, vcol, hits);
+            let (st, profile) = self.fold_values(unit, spec, vcol, sel);
             return (AggAcc::Global(st), profile);
         };
         let kcol = g.unit_col(t, unit);
         // Zone-map-aware shortcut: a collapsed key zone means every row
         // of this segment belongs to one group — fold the values like a
         // global aggregate (zone-answered fast paths included) and skip
-        // the per-row key decode and hashing entirely: zero key-column
+        // the per-row key decode and grouping entirely: zero key-column
         // bytes touched.
-        let single_key = match (kcol, unit.seg) {
-            (UnitCol::Const(k), _) => Some(k),
-            (UnitCol::Enc(_, None), Some(seg)) => seg.zone(g.col()).filter(|(lo, hi)| lo == hi).map(|z| z.0),
+        let zone = unit.seg.and_then(|seg| seg.zone(g.col()));
+        let single_key = match kcol {
+            UnitCol::Const(k) => Some(k),
+            UnitCol::Enc(_, None) => zone.filter(|(lo, hi)| lo == hi).map(|z| z.0),
             _ => None,
         };
         if let Some(k) = single_key {
-            let (st, profile) = self.fold_values(unit, spec, vcol, hits);
-            return (AggAcc::Grouped(HashMap::from([(k, st)])), profile);
+            let (st, profile) = self.fold_values(unit, spec, vcol, sel);
+            let mut acc = GroupAcc::new(Some((k, k)), 1);
+            *acc.state(k) = st;
+            return (AggAcc::Grouped(acc), profile);
         }
-        // Pre-size a segment's group hash from measured statistics: the
-        // exact NDV recorded at merge time for integer keys, the
-        // code-zone span for string keys — no rehashing mid-fold.
+        // The unit's key domain, where known: the zone map for keys read
+        // as stored, the key space for translated dictionary codes. A
+        // small one folds into a flat array ([`GroupAcc`]); otherwise the
+        // group hash is pre-sized from measured statistics — the exact
+        // NDV recorded at merge time for integer keys, the code-zone span
+        // for string keys — so it never rehashes mid-fold.
+        let domain = match (kcol, g) {
+            (UnitCol::Enc(_, None), _) => zone,
+            (UnitCol::Enc(_, Some(_)) | UnitCol::Codes(..), KeyCol::Str(k)) => Some((0, k.max_key)),
+            _ => None,
+        };
         let ndv_hint = unit.seg.map_or(0, |seg| match g {
             KeyCol::Int(idx) => seg.ndv(*idx).unwrap_or(1),
-            KeyCol::Str(k) => seg.zone(k.col).map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
+            KeyCol::Str(_) => zone.map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
         });
-        let mut map: HashMap<i64, AggState> = HashMap::with_capacity(ndv_hint.min(unit.rows as u64) as usize);
-        let (tk, tv) = walk(unit, kcol, vcol, hits, |k, v, _| map.entry(k).or_default().update(v));
-        let n = hits.map_or(unit.rows, <[u32]>::len) as u64;
+        let mut acc = GroupAcc::new(domain, ndv_hint.min(unit.rows as u64) as usize);
+        let (tk, tv) = walk(unit, kcol, vcol, sel, |k, v, _| acc.state(k).update(v));
+        let n = sel.n as u64;
         // Random accesses read codes as 4-byte cells, integer keys and
         // values as 8-byte cells.
         let key_cell = if matches!(g, KeyCol::Str(_)) { 4 } else { 8 };
@@ -945,7 +1182,7 @@ impl Exec<'_> {
             dram_read: ByteCount::new(tk.bytes(key_cell) + tv.bytes(8)),
             ..ResourceProfile::default()
         };
-        (AggAcc::Grouped(map), profile)
+        (AggAcc::Grouped(acc), profile)
     }
 
     /// Folds one unit's value column into a single [`AggState`] —
@@ -961,10 +1198,9 @@ impl Exec<'_> {
         unit: &Unit<'_>,
         spec: AggSpec<'_>,
         vcol: UnitCol<'_>,
-        hits: Option<&[u32]>,
+        sel: &Selection,
     ) -> (AggState, ResourceProfile) {
-        let rows = unit.rows;
-        let n = hits.map_or(rows, <[u32]>::len);
+        let (rows, n) = (unit.rows, sel.n);
         let mut profile = ResourceProfile::default();
         let mut st = AggState::empty();
         let answered = self.db.costs.cycles_for(Kernel::AggUpdate, 1);
@@ -1000,7 +1236,7 @@ impl Exec<'_> {
                 _ => {}
             }
         }
-        let (_, tv) = walk(unit, UnitCol::Const(0), vcol, hits, |_, v, _| st.update(v));
+        let (_, tv) = walk(unit, UnitCol::Const(0), vcol, sel, |_, v, _| st.update(v));
         profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, tv.decode_items)
             + self.db.costs.cycles_for(Kernel::AggUpdate, n as u64);
         profile.dram_read += ByteCount::new(tv.bytes(8));
@@ -1152,9 +1388,9 @@ impl Exec<'_> {
         key: &KeyCol,
         prune: Option<(i64, i64)>,
     ) -> Vec<(i64, u32)> {
-        let (parts, keys_profile) = self.run_units(side.t, side.pos, |unit, hits| {
+        let (parts, keys_profile) = self.run_units(side.t, side.sel, |unit, sel| {
             let mut kv = Vec::new();
-            let mut profile = self.unit_join_keys(side.t, unit, hits, key, prune, |k, row| kv.push((k, row)));
+            let mut profile = self.unit_join_keys(side.t, unit, sel, key, prune, |k, row| kv.push((k, row)));
             // The extracted pair vector is real intermediate traffic.
             profile.dram_written += ByteCount::new(kv.len() as u64 * 12);
             (kv, profile)
@@ -1175,12 +1411,12 @@ impl Exec<'_> {
         prune: Option<(i64, i64)>,
         join: &HashJoin,
     ) -> Vec<(u32, u32)> {
-        let (parts, probe_profile) = self.run_units(side.t, side.pos, |unit, hits| {
+        let (parts, probe_profile) = self.run_units(side.t, side.sel, |unit, sel| {
             // Keys stream straight into the probe — no intermediate
             // (key, row) vector is ever materialized (or billed).
             let mut pairs = Vec::new();
             let mut probed = 0u64;
-            let mut profile = self.unit_join_keys(side.t, unit, hits, key, prune, |k, row| {
+            let mut profile = self.unit_join_keys(side.t, unit, sel, key, prune, |k, row| {
                 probed += 1;
                 if let Some(ms) = join.matches(k) {
                     pairs.extend(ms.iter().map(|&b| (b, row)));
@@ -1204,7 +1440,7 @@ impl Exec<'_> {
         &self,
         t: &TableSnapshot,
         unit: &Unit<'_>,
-        hits: Option<&[u32]>,
+        sel: &Selection,
         key: &KeyCol,
         prune: Option<(i64, i64)>,
         mut sink: impl FnMut(i64, u32),
@@ -1222,7 +1458,7 @@ impl Exec<'_> {
         // `NO_KEY` is a *string-key* sentinel; integer keys pass through
         // untouched — `i64::MIN` is a perfectly good join key there.
         let drop_sentinels = matches!(key, KeyCol::Str(_));
-        let (tk, _) = walk(unit, kcol, UnitCol::Const(0), hits, |k, _, row| {
+        let (tk, _) = walk(unit, kcol, UnitCol::Const(0), sel, |k, _, row| {
             if !(drop_sentinels && k == NO_KEY) {
                 sink(k, row);
             }
@@ -1236,22 +1472,24 @@ impl Exec<'_> {
         }
     }
 
-    /// Runs `eval` over every execution unit of `t` holding at least
-    /// one of `positions` (every unit when `None`), handing each unit
-    /// its own slice of the ascending hit list, and returns the units'
-    /// results in unit order with their summed bills. Every stage goes
-    /// through here, so stages can never disagree on unit granularity.
+    /// Runs `eval` over every execution unit of `t` with a surviving row
+    /// (every unit when `sels` is `None`), handing each unit its own
+    /// [`Selection`], and returns the units' results in unit order with
+    /// their summed bills. Every stage goes through here, so stages can
+    /// never disagree on unit granularity.
     fn run_units<R: Send>(
         &self,
         t: &TableSnapshot,
-        positions: Option<&[u32]>,
-        eval: impl Fn(&Unit<'_>, Option<&[u32]>) -> (R, ResourceProfile) + Sync,
+        sels: Option<&[Selection]>,
+        eval: impl Fn(&Unit<'_>, &Selection) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
         let unit_rows = delta_unit_rows(self.opts);
-        let unit_hits = split_unit_hits(t, positions, unit_rows);
         let parts = self.eval_units(t, |u| {
-            let hits = unit_hits.as_ref().map(|v| v[u]);
-            (!hits.is_some_and(<[u32]>::is_empty)).then(|| eval(&Unit::of(t, u, unit_rows), hits))
+            let unit = Unit::of(t, u, unit_rows);
+            match sels {
+                None => Some(eval(&unit, &Selection::all(unit.rows))),
+                Some(sels) => (sels[u].n > 0).then(|| eval(&unit, &sels[u])),
+            }
         });
         let mut out = Vec::with_capacity(parts.len());
         let mut profile = ResourceProfile::default();
@@ -1273,8 +1511,7 @@ impl Exec<'_> {
     where
         R: Send,
     {
-        let unit_rows = delta_unit_rows(self.opts);
-        let units = t.segments().len() + t.delta_rows().div_ceil(unit_rows);
+        let units = unit_count(t, delta_unit_rows(self.opts));
         let dop = if self.opts.dop > 0 { self.opts.dop } else { self.db.default_dop };
         let pooled = units > 1 && dop > 1 && (self.opts.dop > 0 || t.rows() >= PARALLEL_SCAN_ROWS);
         if pooled {
@@ -1325,8 +1562,8 @@ impl Exec<'_> {
         unit: &Unit<'_>,
         int_preds: &[IntPred],
         str_preds: &[StrPred],
-    ) -> (Vec<u32>, ResourceProfile) {
-        let (base, rows) = (unit.base, unit.rows);
+    ) -> (Selection, ResourceProfile) {
+        let rows = unit.rows;
         let mut profile = ResourceProfile::default();
         let mut bm: Option<Bitmap> = None;
         // Run-aware fast path: predicates on the segment's sort key
@@ -1334,7 +1571,7 @@ impl Exec<'_> {
         // the encoding's run boundaries — O(log) probe bytes instead of
         // a full-column scan, and the survivors come out as a range, not
         // a per-row hit vector. Every other predicate intersects with
-        // this range at assembly time.
+        // this range when the selection is assembled.
         let mut range = (0usize, rows);
         let sorted_probe = |data: &EncodedInts,
                             op: CmpOp,
@@ -1358,13 +1595,13 @@ impl Exec<'_> {
                     // Segment predates the column: every row holds the
                     // null sentinel 0.
                     if !p.op.eval(0, p.literal) {
-                        return (Vec::new(), profile);
+                        return (Selection::none(), profile);
                     }
                 }
                 Some(SegColumn::Int { data, zone, .. }) => {
                     let (lo, hi) = zone.expect("non-empty segment has a zone");
                     if !zone_may_match(p.op, p.literal, lo, hi) {
-                        return (Vec::new(), profile); // pruned: no data touched
+                        return (Selection::none(), profile); // pruned: no data touched
                     }
                     if zone_all_match(p.op, p.literal, lo, hi) {
                         continue; // tautology on this segment: no scan needed
@@ -1373,7 +1610,7 @@ impl Exec<'_> {
                         && sorted_probe(data, p.op, p.literal, &mut range, &mut profile)
                     {
                         if range.0 >= range.1 {
-                            return (Vec::new(), profile);
+                            return (Selection::none(), profile);
                         }
                         continue;
                     }
@@ -1391,7 +1628,7 @@ impl Exec<'_> {
                 None => {
                     // Sentinel "" everywhere.
                     if (p.value.is_empty()) == p.negated {
-                        return (Vec::new(), profile);
+                        return (Selection::none(), profile);
                     }
                 }
                 Some(SegColumn::Str { codes, zone }) => {
@@ -1401,12 +1638,12 @@ impl Exec<'_> {
                         if p.negated {
                             continue;
                         }
-                        return (Vec::new(), profile);
+                        return (Selection::none(), profile);
                     };
                     let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
                     let (lo, hi) = zone.expect("non-empty segment has a zone");
                     if !zone_may_match(op, code, lo, hi) {
-                        return (Vec::new(), profile);
+                        return (Selection::none(), profile);
                     }
                     if zone_all_match(op, code, lo, hi) {
                         continue;
@@ -1415,7 +1652,7 @@ impl Exec<'_> {
                         && sorted_probe(codes, op, code, &mut range, &mut profile)
                     {
                         if range.0 >= range.1 {
-                            return (Vec::new(), profile);
+                            return (Selection::none(), profile);
                         }
                         continue;
                     }
@@ -1428,14 +1665,7 @@ impl Exec<'_> {
                 Some(_) => unreachable!("predicate validated as string column"),
             }
         }
-        let (rs, re) = range;
-        let pos = match bm {
-            Some(b) => b.iter_ones().filter(|&i| rs <= i && i < re).map(|i| (base + i) as u32).collect(),
-            // Every predicate was a tautology or resolved to the range:
-            // emit the surviving row range directly, no hit vector built.
-            None => (base + rs..base + re).map(|i| i as u32).collect(),
-        };
-        (pos, profile)
+        (Selection::of(bm, range.0..range.1, rows), profile)
     }
 
     /// Predicate evaluation over one delta chunk: flat vectorized
@@ -1447,7 +1677,7 @@ impl Exec<'_> {
         unit: &Unit<'_>,
         int_preds: &[IntPred],
         str_preds: &[StrPred],
-    ) -> (Vec<u32>, ResourceProfile) {
+    ) -> (Selection, ResourceProfile) {
         let chunk = unit.delta_range(t);
         let mut profile = ResourceProfile::default();
         let mut positions: Option<Vec<u32>> = None;
@@ -1489,8 +1719,14 @@ impl Exec<'_> {
                 None => (0..codes.len()).filter(|&i| keep(i)).map(|i| i as u32).collect(),
             });
         }
-        let pos = positions.unwrap_or_else(|| (0..unit.rows as u32).collect());
-        (pos.into_iter().map(|p| p + unit.base as u32).collect(), profile)
+        let sel = match positions {
+            Some(mut pos) => {
+                pos.iter_mut().for_each(|p| *p += unit.base as u32);
+                Selection::ids(pos)
+            }
+            None => Selection::all(unit.rows),
+        };
+        (sel, profile)
     }
 }
 
@@ -1507,28 +1743,10 @@ fn delta_unit_rows(opts: &ExecOpts) -> usize {
     opts.morsel_rows.clamp(DELTA_UNIT_MIN_ROWS, crate::segment::SEGMENT_ROWS)
 }
 
-/// Splits an ascending global-position list into per-unit slices — one
-/// per main segment, then one per delta chunk — so every stage hands
-/// each execution unit exactly its hits.
-fn split_unit_hits<'p>(
-    t: &TableSnapshot,
-    positions: Option<&'p [u32]>,
-    unit_rows: usize,
-) -> Option<Vec<&'p [u32]>> {
-    positions.map(|pos| {
-        let units = t.segments().len() + t.delta_rows().div_ceil(unit_rows);
-        let mut out = Vec::with_capacity(units);
-        let mut i = 0;
-        for u in 0..units {
-            let unit = Unit::of(t, u, unit_rows);
-            let from = i;
-            while i < pos.len() && (pos[i] as usize) < unit.base + unit.rows {
-                i += 1;
-            }
-            out.push(&pos[from..i]);
-        }
-        out
-    })
+/// Execution units of `t`: its main segments, then its delta tail in
+/// `unit_rows`-sized chunks.
+fn unit_count(t: &TableSnapshot, unit_rows: usize) -> usize {
+    t.segments().len() + t.delta_rows().div_ceil(unit_rows)
 }
 
 /// Validates a join's key columns — both integer, or both string — and

@@ -123,6 +123,38 @@ pub(crate) fn build_remap(local: &DictColumn, global: &mut DictColumn) -> Vec<i6
         .collect()
 }
 
+/// A column's zone map, from the flat values the merge still holds —
+/// one pass, no decode of the freshly encoded column.
+fn min_max(values: &[i64]) -> Option<(i64, i64)> {
+    let (lo, hi) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    (!values.is_empty()).then_some((lo, hi))
+}
+
+/// Zone spans up to this many times the row count count distinct values
+/// in a bitset over the zone (at most one bit per eight rows' worth of
+/// span: 64 KiB for a full segment); wider ones sort a copy.
+const NDV_BITSET_SPAN_PER_ROW: u64 = 8;
+
+/// The exact number of distinct values in `values`, whose zone is
+/// `zone`.
+fn distinct_count(values: &[i64], zone: Option<(i64, i64)>) -> u64 {
+    let Some((lo, hi)) = zone else { return 0 };
+    let span = hi.abs_diff(lo);
+    if span / NDV_BITSET_SPAN_PER_ROW < values.len() as u64 {
+        let mut seen = vec![0u64; span as usize / 64 + 1];
+        for &v in values {
+            let bit = v.abs_diff(lo) as usize;
+            seen[bit / 64] |= 1 << (bit % 64);
+        }
+        seen.iter().map(|w| u64::from(w.count_ones())).sum()
+    } else {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len() as u64
+    }
+}
+
 impl Segment {
     /// Builds a segment from rows `[start, end)` of a flat delta store.
     ///
@@ -148,19 +180,15 @@ impl Segment {
             let seg_col = match col {
                 Column::Int64(v) => {
                     let slice = &v[start..end];
-                    let data = EncodedInts::auto(slice);
-                    let zone = data.min_max();
-                    let ndv = slice.iter().collect::<std::collections::HashSet<_>>().len() as u64;
-                    SegColumn::Int { data, zone, ndv }
+                    let zone = min_max(slice);
+                    SegColumn::Int { data: EncodedInts::auto(slice), zone, ndv: distinct_count(slice, zone) }
                 }
                 Column::Float64(v) => SegColumn::Float(v[start..end].to_vec()),
                 Column::Str(local) => {
                     let remap = remaps[ci].as_ref().expect("string column has a remap table");
                     let codes_i64: Vec<i64> =
                         local.codes()[start..end].iter().map(|&c| remap[c as usize]).collect();
-                    let codes = EncodedInts::auto(&codes_i64);
-                    let zone = codes.min_max();
-                    SegColumn::Str { codes, zone }
+                    SegColumn::Str { codes: EncodedInts::auto(&codes_i64), zone: min_max(&codes_i64) }
                 }
             };
             seg_cols.push(seg_col);
@@ -370,6 +398,23 @@ mod tests {
         assert_eq!(seg.get_int(0, 0), Some(100));
         assert_eq!(seg.null_count(0), 0);
         assert_eq!(seg.null_count(5), 800, "missing column is all-null");
+    }
+
+    #[test]
+    fn build_measures_zone_and_exact_ndv_on_narrow_and_wide_spans() {
+        let narrow: Vec<i64> = (0..500).map(|i| (i * 7) % 13 - 6).collect();
+        // Span far beyond the bitset bound, extremes included, repeats.
+        let wide: Vec<i64> =
+            (0..500i64).map(|i| [i64::MIN, i64::MAX, i * 1_000_003, -i][(i % 4) as usize]).collect();
+        for data in [narrow, wide, vec![42; 9], vec![i64::MIN, i64::MAX]] {
+            let want_ndv = data.iter().collect::<std::collections::HashSet<_>>().len() as u64;
+            let want_zone = data.iter().copied().min().zip(data.iter().copied().max());
+            let col: Column = data.clone().into_iter().collect();
+            let seg = Segment::build(&[col], &[vec![true; data.len()]], 0, data.len(), &[None], None);
+            assert_eq!(seg.ndv(0), Some(want_ndv), "{:?}", &data[..2]);
+            assert_eq!(seg.zone(0), want_zone);
+        }
+        assert_eq!(distinct_count(&[], None), 0);
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //! as the build side: its payload rows reach `gather_rows` in probe
 //! order, across a sentinel segment, two full segments and the delta)
 //! on the commit before `gather_rows` began visiting rows in ascending
-//! order. Any change to them is a billing or behaviour change and must
+//! order, and the last three (a sort-key range ANDed with a match
+//! bitmap, an index's row ids folded directly, a grouped COUNT over
+//! dense segment bitmaps plus a delta selection) on the commit before
+//! selections stopped being flattened to row ids between filter and
+//! fold. Any change to them is a billing or behaviour change and must
 //! be justified as a model correction, never absorbed silently.
 
 use haecdb::prelude::*;
@@ -227,6 +231,27 @@ fn queries() -> Vec<(&'static str, Goal, Query)> {
             Goal::MinTime,
             ev().filter("id", CmpOp::Ge, 690).filter_str_eq("tag", "violet").select(["id", "tag", "amt"]),
         ),
+        // Selection shapes between filter and fold: a sort-key range
+        // ANDed with a match bitmap, an index's row ids, and a grouped
+        // COUNT over dense segment bitmaps plus a non-empty delta.
+        (
+            "sum_range_and_bitmap",
+            Goal::MinTime,
+            Query::scan("sev")
+                .filter("id", CmpOp::Ge, 30)
+                .filter("id", CmpOp::Lt, 370)
+                .filter("v", CmpOp::Lt, 5)
+                .aggregate(AggKind::Sum, "v"),
+        ),
+        ("index_sum", Goal::MinTime, ev().filter("id", CmpOp::Eq, 415).aggregate(AggKind::Sum, "amt")),
+        (
+            "by_runs_count_dense",
+            Goal::MinTime,
+            ev().filter("amt", CmpOp::Ge, 10)
+                .filter_str_ne("tag", "green")
+                .group_by("grp")
+                .aggregate(AggKind::Count, "id"),
+        ),
     ]
 }
 
@@ -265,6 +290,9 @@ const EXPECTED: &[&str] = &[
     "sorted_range_min_energy: cycles=1016 read=576 written=64 path=Some(FullScan) | id,v | 0,0;1,1;2,2;3,3",
     "project_sparse: cycles=1090 read=1528 written=268 path=None | id,tag,extra | 11,\"\",0;112,\"\",0;213,\"\",0;314,\"\",-4;415,\"blue\",6;516,\"red\",3;617,\"green\",0;718,\"\",-3",
     "project_dense_tail: cycles=1304 read=1358 written=590 path=None | id,tag,amt | 720,\"violet\",77;729,\"violet\",6;738,\"violet\",36;747,\"violet\",66;756,\"violet\",96;765,\"violet\",25;774,\"violet\",55;783,\"violet\",85;792,\"violet\",14;801,\"violet\",44",
+    "sum_range_and_bitmap: cycles=4124 read=1454 written=0 path=Some(FullScan) | sum(v) | 310",
+    "index_sum: cycles=127 read=264 written=0 path=Some(IndexLookup) | sum(amt) | 3",
+    "by_runs_count_dense: cycles=27931 read=2572 written=324 path=None | grp,count(id) | 0,54;1,54;2,54;3,54;4,41;5,40;6,40;7,41;8,41;9,40;10,40;11,41;12,41;13,21",
 ];
 
 #[test]

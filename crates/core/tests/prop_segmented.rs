@@ -23,20 +23,38 @@ fn ops() -> impl Strategy<Value = CmpOp> {
     ]
 }
 
+const COLUMNS: [(&str, DataType); 4] = [
+    ("id", DataType::Int64),
+    ("region", DataType::Int64),
+    ("amount", DataType::Int64),
+    ("tag", DataType::Str),
+];
+
 fn make_db() -> Database {
     let db = Database::new();
-    db.create_table(
-        "t",
-        &[
-            ("id", DataType::Int64),
-            ("region", DataType::Int64),
-            ("amount", DataType::Int64),
-            ("tag", DataType::Str),
-        ],
-    )
-    .unwrap();
+    db.create_table("t", &COLUMNS).unwrap();
     db.set_merge_threshold("t", usize::MAX).unwrap();
     db
+}
+
+/// The same table with `id` as declared sort key: merged segments are
+/// sorted on it, so `id` predicates resolve to row ranges, not bitmaps.
+fn make_sorted_db() -> Database {
+    let db = Database::new();
+    db.create_table_sorted("t", &COLUMNS, "id").unwrap();
+    db.set_merge_threshold("t", usize::MAX).unwrap();
+    db
+}
+
+/// Integer group keys for the three accumulator shapes: a narrow span
+/// (flat array), the `i64` extremes (a span that overflows `i64`), and
+/// more distinct, widely spaced keys than the flat array's bound.
+fn group_key(mode: usize, region: i64, id: i64) -> i64 {
+    match mode {
+        0 => region,
+        1 => [i64::MIN, -1, 0, 1, i64::MAX, i64::MAX - 1][region as usize],
+        _ => (id % 97) * 1_000_003 - 40_000_000,
+    }
 }
 
 fn insert_row(db: &mut Database, row: &(i64, i64, i64)) {
@@ -157,32 +175,46 @@ proptest! {
 
     /// Pushed-down aggregates — every `AggKind`, global, int-keyed and
     /// string-keyed — must equal the naive gather-and-fold reference
-    /// across random inserts, merge cadences and filter mixes, on both
-    /// the segmented and the flat store.
+    /// across random inserts, merge cadences and filter mixes, on the
+    /// flat store, the segmented store and its sort-keyed twin. Units
+    /// span several 64-row blocks with a ragged last one; the second
+    /// predicate (an `id` bound) ANDs a sort-key row range into the
+    /// first one's match bitmap on the twin; integer group keys cover
+    /// the flat-array and the hash accumulator.
     #[test]
     fn pushdown_aggregates_match_naive_reference(
-        rows in proptest::collection::vec((0i64..150, 0i64..6, -40i64..40), 1..220),
-        merge_every in 1usize..90,
+        rows in proptest::collection::vec((0i64..150, 0i64..6, -40i64..40), 1..600),
+        merge_every in 1usize..400,
         op in ops(),
         lit in -50i64..200,
         filter_col in 0usize..3,
         kind_idx in 0usize..5,
         with_tag_filter in any::<bool>(),
         tag_idx in 0usize..4,
+        id_bound in prop_oneof![Just(None), (ops(), 0i64..150).prop_map(Some)],
+        key_mode in 0usize..3,
     ) {
+        let rows: Vec<(i64, i64, i64)> =
+            rows.into_iter().map(|(id, region, amount)| (id, group_key(key_mode, region, id), amount)).collect();
         let mut flat = make_db();
         let mut seg = make_db();
+        let mut sorted = make_sorted_db();
         for (i, row) in rows.iter().enumerate() {
             insert_row(&mut flat, row);
             insert_row(&mut seg, row);
+            insert_row(&mut sorted, row);
             if (i + 1) % merge_every == 0 {
                 seg.merge("t").unwrap();
+                sorted.merge("t").unwrap();
             }
         }
         let kind = KINDS[kind_idx];
         let col = ["id", "region", "amount"][filter_col];
         let tag = TAGS[tag_idx];
         let mut base = Query::scan("t").filter(col, op, lit);
+        if let Some((id_op, id_lit)) = id_bound {
+            base = base.filter("id", id_op, id_lit);
+        }
         if with_tag_filter {
             base = base.filter_str_eq("tag", tag);
         }
@@ -192,14 +224,16 @@ proptest! {
             .filter(|(id, region, amount)| {
                 let v = [*id, *region, *amount][filter_col];
                 op.eval(v, lit)
+                    && id_bound.is_none_or(|(id_op, id_lit)| id_op.eval(*id, id_lit))
                     && (!with_tag_filter || TAGS[(region.unsigned_abs() as usize) % TAGS.len()] == tag)
             })
             .collect();
+        let mut stores = [(&mut flat, "flat"), (&mut seg, "segmented"), (&mut sorted, "sorted")];
 
         // --- global -----------------------------------------------------
         let q = base.clone().aggregate(kind, "amount");
         let want = fold_value(kind, &matching.iter().map(|r| r.2).collect::<Vec<_>>());
-        for (db, name) in [(&mut flat, "flat"), (&mut seg, "segmented")] {
+        for (db, name) in &mut stores {
             let out = db.execute(&q).unwrap();
             let got = out.rows.row(0).unwrap()[0].as_float().unwrap();
             prop_assert!(float_eq(got, want), "{name} global {kind}: got {got}, want {want}");
@@ -211,7 +245,7 @@ proptest! {
         for r in &matching {
             by_region.entry(r.1).or_default().push(r.2);
         }
-        for (db, name) in [(&mut flat, "flat"), (&mut seg, "segmented")] {
+        for (db, name) in &mut stores {
             let out = db.execute(&q).unwrap();
             prop_assert_eq!(out.rows.rows(), by_region.len(), "{} grouped-int {} groups", name, kind);
             for (row, (key, vals)) in by_region.iter().enumerate() {
@@ -232,7 +266,7 @@ proptest! {
         for r in &matching {
             by_tag.entry(TAGS[(r.1.unsigned_abs() as usize) % TAGS.len()]).or_default().push(r.2);
         }
-        for (db, name) in [(&mut flat, "flat"), (&mut seg, "segmented")] {
+        for (db, name) in &mut stores {
             let out = db.execute(&q).unwrap();
             prop_assert_eq!(out.rows.rows(), by_tag.len(), "{} grouped-str {} groups", name, kind);
             for (row, (key, vals)) in by_tag.iter().enumerate() {

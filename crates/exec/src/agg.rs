@@ -132,15 +132,94 @@ pub fn aggregate(data: &[i64]) -> AggState {
     s
 }
 
-/// Hash group-by aggregation over arbitrary `i64` keys, returning
-/// `(key, state)` pairs sorted by key for deterministic output.
+/// Widest key domain — `hi - lo`, inclusive bounds — a [`GroupAcc`]
+/// serves from a flat array: at most 4 096 states (128 KiB, L2-resident)
+/// per accumulator, allocated up front whether or not every key occurs.
+/// Dictionary codes, enum-like integers and dates fall under it; wider
+/// or unknown domains hash.
+pub const DENSE_GROUP_SPAN: u64 = 4095;
+
+/// The group-by accumulator: one [`AggState`] per key.
+///
+/// When every key is known beforehand to lie in a small contiguous
+/// domain `[lo, hi]` (see [`DENSE_GROUP_SPAN`]) — a segment's zone map, a
+/// dictionary's code space — the states are a flat array indexed by
+/// `key - lo`: an update is one subtraction and one indexed
+/// read-modify-write. Otherwise they live in a `HashMap`.
+#[derive(Clone, Debug)]
+pub enum GroupAcc {
+    /// `states[i]` is key `lo + i`; keys that never occurred keep
+    /// `count == 0`.
+    Dense {
+        /// The domain's lower bound.
+        lo: i64,
+        /// One state per key of the domain.
+        states: Vec<AggState>,
+    },
+    /// Arbitrary keys.
+    Hash(HashMap<i64, AggState>),
+}
+
+impl GroupAcc {
+    /// An empty accumulator for keys in the inclusive `domain` (`None`:
+    /// unknown), expecting about `groups` distinct keys.
+    pub fn new(domain: Option<(i64, i64)>, groups: usize) -> Self {
+        match domain {
+            Some((lo, hi)) if lo <= hi && hi.abs_diff(lo) <= DENSE_GROUP_SPAN => {
+                GroupAcc::Dense { lo, states: vec![AggState::empty(); hi.abs_diff(lo) as usize + 1] }
+            }
+            _ => GroupAcc::Hash(HashMap::with_capacity(groups)),
+        }
+    }
+
+    /// The state of `key`, created empty on first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` lies outside the domain a dense accumulator was
+    /// created for.
+    #[inline]
+    pub fn state(&mut self, key: i64) -> &mut AggState {
+        match self {
+            GroupAcc::Dense { lo, states } => &mut states[key.wrapping_sub(*lo) as u64 as usize],
+            GroupAcc::Hash(map) => map.entry(key).or_default(),
+        }
+    }
+
+    /// Merges another accumulator's groups in (parallel partial merge).
+    pub fn merge(&mut self, other: GroupAcc) {
+        for (key, state) in other.into_groups() {
+            self.state(key).merge(&state);
+        }
+    }
+
+    /// The groups that received at least one row, dense ones in key
+    /// order.
+    pub fn into_groups(self) -> Vec<(i64, AggState)> {
+        match self {
+            GroupAcc::Dense { lo, states } => states
+                .into_iter()
+                .enumerate()
+                .filter(|(_, state)| state.count > 0)
+                .map(|(i, state)| (lo.wrapping_add(i as i64), state))
+                .collect(),
+            GroupAcc::Hash(map) => map.into_iter().collect(),
+        }
+    }
+}
+
+/// Group-by aggregation over arbitrary `i64` keys — through the same
+/// [`GroupAcc`] the query executor folds each execution unit into, its
+/// domain measured from the keys in one pass — returning `(key, state)`
+/// pairs sorted by key for deterministic output.
 pub fn group_aggregate(keys: &[i64], values: &[i64]) -> Vec<(i64, AggState)> {
     assert_eq!(keys.len(), values.len(), "keys/values length mismatch");
-    let mut table: HashMap<i64, AggState> = HashMap::new();
+    let domain = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let mut acc = GroupAcc::new(Some(domain), 0);
     for (&k, &v) in keys.iter().zip(values) {
-        table.entry(k).or_default().update(v);
+        acc.state(k).update(v);
     }
-    let mut out: Vec<(i64, AggState)> = table.into_iter().collect();
+    let mut out = acc.into_groups();
     out.sort_unstable_by_key(|&(k, _)| k);
     out
 }
@@ -433,6 +512,45 @@ mod tests {
         assert_eq!(out[0].1.sum, 60);
         assert_eq!(out[1].0, 2);
         assert_eq!(out[1].1.sum, 90);
+    }
+
+    #[test]
+    fn group_acc_dense_and_hash_agree() {
+        // Narrow domains take the flat array, wide ones (and extreme
+        // keys, whose span overflows `i64`) the hash; answers agree.
+        let shapes: [(&[i64], bool); 5] = [
+            (&[3, -2, 3, 0, -2, 3], true),
+            (&[0, DENSE_GROUP_SPAN as i64], true),
+            (&[0, DENSE_GROUP_SPAN as i64 + 1], false),
+            (&[i64::MAX - 2, i64::MAX, i64::MAX], true),
+            (&[i64::MIN, i64::MAX, 0, i64::MIN], false),
+        ];
+        for (keys, dense) in shapes {
+            let values: Vec<i64> = (0..keys.len() as i64).map(|i| i * 7 - 3).collect();
+            let domain = (*keys.iter().min().unwrap(), *keys.iter().max().unwrap());
+            assert_eq!(matches!(GroupAcc::new(Some(domain), 0), GroupAcc::Dense { .. }), dense, "{keys:?}");
+            let mut reference: HashMap<i64, AggState> = HashMap::new();
+            for (&k, &v) in keys.iter().zip(&values) {
+                reference.entry(k).or_default().update(v);
+            }
+            let mut want: Vec<(i64, AggState)> = reference.into_iter().collect();
+            want.sort_unstable_by_key(|&(k, _)| k);
+            assert_eq!(group_aggregate(keys, &values), want, "{keys:?}");
+            // Partials merge across shapes: a dense half into a hash total.
+            let mid = keys.len() / 2;
+            let mut total = GroupAcc::new(None, 0);
+            for (ks, vs) in [(&keys[..mid], &values[..mid]), (&keys[mid..], &values[mid..])] {
+                let dom = ks.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+                let mut part = GroupAcc::new(Some(dom), 0);
+                ks.iter().zip(vs).for_each(|(&k, &v)| part.state(k).update(v));
+                total.merge(part);
+            }
+            let mut got = total.into_groups();
+            got.sort_unstable_by_key(|&(k, _)| k);
+            assert_eq!(got, want, "{keys:?} merged");
+        }
+        assert!(group_aggregate(&[], &[]).is_empty());
+        assert!(matches!(GroupAcc::new(Some((5, 4)), 0), GroupAcc::Hash(_)), "inverted domain");
     }
 
     #[test]
