@@ -14,7 +14,7 @@
 //! [`crate::table::Table`]: whole segments are skipped via zone maps,
 //! integer and string predicates on main segments run directly on the
 //! compressed data ([`haec_columnar::encoding::EncodedInts::scan`] — no
-//! decode), the flat delta tail uses the vectorized selection kernels,
+//! decode), flat delta chunks use the vectorized selection kernels,
 //! and segments are dispatched as morsels across real threads for large
 //! tables. Aggregation pushes down the same way: each segment folds a
 //! partial [`haec_exec::agg::AggState`] straight from its encoded
@@ -479,9 +479,9 @@ impl Database {
         self.tables.read().get(name).map(|t| t.read())
     }
 
-    /// Inserts one record into the table's delta tail, stamping it with
-    /// the next timestamp from the shared oracle and maintaining indexes
-    /// per their discipline. Returns the row's commit timestamp. Once
+    /// Inserts one record into the table's open delta chunk, stamping it
+    /// with the next timestamp from the shared oracle and maintaining
+    /// indexes per their discipline. Returns the row's commit timestamp. Once
     /// the delta outgrows the table's merge threshold, a delta→main
     /// merge runs automatically (and its re-encoding cost is charged to
     /// the meter).
@@ -503,7 +503,7 @@ impl Database {
         // `row < snapshot.rows()` discards entries for rows newer than
         // the pin.
         let mut indexes = self.indexes.lock();
-        let (ts, row) = t.insert(record, &self.oracle)?;
+        let (ts, row, delta_rows) = t.insert(record, &self.oracle)?;
         for ((tname, col), entry) in indexes.iter_mut() {
             if tname == table {
                 if let Some(Value::Int(key)) = record.get(col) {
@@ -512,7 +512,6 @@ impl Database {
             }
         }
         drop(indexes);
-        let needs_merge = t.needs_merge();
         // Charge ingestion: one materialize per field, billing the bytes
         // each field actually writes (a string is its payload plus a
         // 4-byte dictionary code, not an 8-byte cell).
@@ -530,7 +529,7 @@ impl Database {
             ..ResourceProfile::default()
         };
         self.charge(&profile);
-        if needs_merge {
+        if delta_rows >= t.merge_threshold() {
             self.merge(table)?;
         }
         Ok(ts)
@@ -662,7 +661,7 @@ impl Database {
     /// Executes a query, charging its energy to the meter.
     ///
     /// Main-segment predicates run on compressed data behind zone maps;
-    /// the delta tail uses the flat vectorized kernels; large tables scan
+    /// delta chunks use the flat vectorized kernels; large tables scan
     /// segment-parallel.
     ///
     /// # Errors
@@ -703,10 +702,10 @@ impl Database {
         'retry: loop {
             let ts = self.oracle.next();
             let mut pinned = HashMap::with_capacity(tables.len());
-            for (name, t) in tables.iter() {
+            for t in tables.values() {
                 match t.pin_at(ts) {
                     Some(s) => {
-                        pinned.insert(name.clone(), s);
+                        pinned.insert(Arc::clone(s.shared_name()), s);
                     }
                     None => continue 'retry,
                 }
@@ -742,7 +741,8 @@ impl Default for Database {
 pub struct DbSnapshot<'a> {
     db: &'a Database,
     ts: Timestamp,
-    tables: HashMap<String, TableSnapshot>,
+    /// Keyed by the tables' shared names: a pin allocates no string.
+    tables: HashMap<Arc<str>, TableSnapshot>,
 }
 
 impl DbSnapshot<'_> {
@@ -873,7 +873,7 @@ impl DbTransaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::str_projection_cost;
+    use crate::executor::{projected_str_columns, str_projection_cost};
     use crate::segment::SEGMENT_ROWS;
     use haec_planner::access::choose_access_segmented;
 
@@ -1281,7 +1281,8 @@ mod tests {
         let model = &db.model;
         let decision = choose_access_segmented(model, &meta, "id", CmpOp::Eq, 123, &zones, encoded);
         let q = Query::scan("users").filter("id", CmpOp::Eq, 123);
-        let project = str_projection_cost(model, &t, &meta, &q, decision.selectivity);
+        let project =
+            str_projection_cost(model, &t, &meta, &projected_str_columns(&t, &q), decision.selectivity);
         assert!(project.energy.joules() > 0.0, "string projection must cost something");
         let index = decision.index_cost.expect("point predicate on an indexed column");
         let budget = Joules::new(index.energy.joules() + project.energy.joules() / 2.0);
@@ -2032,5 +2033,80 @@ mod tests {
         db.merge("events").unwrap();
         let zero2 = db.execute(&Query::scan("events").filter("clicks", CmpOp::Eq, 0)).unwrap();
         assert_eq!(zero2.rows.rows(), expected);
+    }
+
+    #[test]
+    fn rejected_record_leaves_a_flexible_table_untouched() {
+        // Regression: `admit` used to add an unknown field's column to the
+        // schema before type-checking the rest of the record, so this
+        // rejected insert left `b` in the schema with no delta column, and
+        // the next query naming `b` (or any `planner_meta`) indexed past
+        // the end of the delta.
+        let db = Database::new();
+        db.create_flexible_table("t").unwrap();
+        db.insert("t", &Record::new().with("a", 1i64)).unwrap();
+        let bad = Record::new().with("b", 2i64).with("a", "x");
+        let err = db.insert("t", &bad).unwrap_err();
+        assert_eq!(err, DbError::TypeMismatch { column: "a".into(), expected: DataType::Int64 });
+        let t = db.table("t").unwrap();
+        assert_eq!((t.schema().width(), t.schema().evolved_columns()), (1, 1));
+        assert_eq!((t.rows(), t.delta_rows()), (1, 1));
+        assert_eq!(t.planner_meta().columns.len(), 1);
+        let q = Query::scan("t").filter("b", CmpOp::Eq, 2);
+        assert!(matches!(db.execute(&q), Err(DbError::NoSuchColumn { .. })));
+
+        // The same record through a transaction's overlay: rejected when
+        // the overlay is built, base snapshot and table untouched; a valid
+        // one evolves the overlay alone.
+        assert_eq!(t.with_pending(std::slice::from_ref(&bad)).unwrap_err(), err);
+        let mut txn = db.begin_transaction();
+        txn.insert("t", bad).unwrap();
+        assert_eq!(txn.execute(&Query::scan("t")).unwrap_err(), err);
+        txn.rollback();
+        let mut txn = db.begin_transaction();
+        txn.insert("t", Record::new().with("b", 2i64).with("a", 7i64)).unwrap();
+        let out = txn.execute(&q).unwrap();
+        assert_eq!(out.rows.row(0).unwrap(), vec![Value::Int(7), Value::Int(2)]);
+        txn.rollback();
+        assert!(matches!(db.execute(&q), Err(DbError::NoSuchColumn { .. })));
+        assert_eq!(db.table("t").unwrap().schema().width(), 1);
+    }
+
+    #[test]
+    fn executor_reads_a_pin_cut_inside_a_sealed_chunk() {
+        use crate::table::DELTA_CHUNK_ROWS as C;
+        // `begin_snapshot` only cuts inside a sealed chunk when an insert
+        // races it; `Table::pin_at` with an older timestamp gets there
+        // deterministically, and `run` takes any pin.
+        let db = Database::new();
+        let table = Table::new(
+            "t",
+            TableSchema::strict(vec![("id".into(), DataType::Int64), ("tag".into(), DataType::Str)]),
+        );
+        let stamps: Vec<Timestamp> = (0..2 * C as i64 + 10)
+            .map(|i| {
+                let rec = Record::new().with("id", i).with("tag", ["x", "y", "z"][i as usize % 3]);
+                table.insert(&rec, db.oracle()).unwrap().0
+            })
+            .collect();
+        for cut in [1, C - 1, C, C + 1, C + C / 2, 2 * C, 2 * C + 9] {
+            let snap = table.pin_at(Timestamp(stamps[cut].0 - 1)).unwrap();
+            assert_eq!(snap.rows(), cut);
+            let run = |q: &Query| {
+                db.run(q, false, &ExecOpts::default(), |_| Ok(Cow::Borrowed(&snap))).unwrap().rows
+            };
+            // A point on each side of the cut, and of the chunk boundary.
+            for id in [0, cut as i64 - 1, cut as i64, C as i64 - 1, C as i64] {
+                let rows = run(&Query::scan("t").filter("id", CmpOp::Eq, id)).rows();
+                assert_eq!(rows, usize::from(id < cut as i64), "cut {cut}: id = {id}");
+            }
+            let count = run(&Query::scan("t").filter_str_eq("tag", "y").aggregate(AggKind::Count, "id"));
+            assert_eq!(count.row(0).unwrap()[0].as_float(), Some(((cut + 1) / 3) as f64), "cut {cut}");
+            let sum =
+                run(&Query::scan("t").filter("id", CmpOp::Ge, C as i64 - 2).aggregate(AggKind::Sum, "id"));
+            let want: i64 = (C as i64 - 2..cut as i64).sum();
+            let got = sum.row(0).unwrap()[0].as_float().unwrap();
+            assert!(got == want as f64 || (want == 0 && got.is_nan()), "cut {cut}: {got} vs {want}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! written once.
 //!
 //! Every stage works on *execution units* of a pinned
-//! [`TableSnapshot`] — one per main segment, then one per
-//! [`delta_unit_rows`]-sized chunk of the delta tail — dispatched as
+//! [`TableSnapshot`] — one per main segment, then one per delta chunk:
+//! the units are exactly the stores storage defines — dispatched as
 //! morsels over the shared worker pool. Between stages the surviving
 //! rows travel as one [`Selection`] **per unit**, in the shape the
 //! predicate kernels produce — every row, a sort-key row range, a match
@@ -19,7 +19,9 @@
 //!   compressed column in place into 64-bit match words,
 //!   [`Database::eval_delta`] runs the flat vectorized kernels) — two
 //!   implementations on purpose: they run different algorithms and bill
-//!   differently;
+//!   differently. Both consult the store's zone first: a segment, or a
+//!   sealed delta chunk, whose zone excludes an integer predicate is
+//!   skipped, neither read nor billed;
 //! * the **column view** ([`UnitCol`]): what a unit's column looks like
 //!   to everything downstream of the filters. Aggregation and join-key
 //!   streaming are written once against that view and [`walk`] it in
@@ -32,9 +34,10 @@
 use crate::db::{
     Database, Filter, IndexEntry, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS,
 };
+use crate::delta::DeltaChunk;
 use crate::error::{DbError, DbResult};
 use crate::segment::{zone_all_match, zone_may_match, SegColumn, Segment};
-use crate::table::{sparse_hits, TableSnapshot};
+use crate::table::{sparse_hits, Store, TableSnapshot};
 use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
@@ -65,8 +68,8 @@ struct IntPred {
 }
 
 /// A string predicate resolved to dictionary codes: `global_code` for
-/// main segments (table-global dictionary), `delta_code` for the current
-/// delta tail (its local dictionary).
+/// main segments (table-global dictionary), `delta_code` for the delta
+/// chunks (their delta-wide dictionary).
 #[derive(Clone)]
 struct StrPred {
     col: usize,
@@ -112,11 +115,10 @@ impl AggAcc {
     }
 }
 
-/// One execution unit of a pinned table: a main segment, or a
-/// [`delta_unit_rows`]-sized chunk of the delta tail.
+/// One execution unit of a pinned table: a main segment or a delta
+/// chunk.
 struct Unit<'a> {
-    /// The segment; `None` for a delta chunk.
-    seg: Option<&'a Segment>,
+    store: Store<'a>,
     /// Global row id of the unit's first row.
     base: usize,
     rows: usize,
@@ -124,37 +126,29 @@ struct Unit<'a> {
 
 impl<'a> Unit<'a> {
     /// Unit `u` of `t`: segments first, then delta chunks.
-    fn of(t: &'a TableSnapshot, u: usize, unit_rows: usize) -> Self {
-        let nsegs = t.segments().len();
-        if u < nsegs {
-            let seg = &t.segments()[u];
-            Unit { seg: Some(seg), base: t.segment_base(u), rows: seg.rows() }
-        } else {
-            let start = (u - nsegs) * unit_rows;
-            let end = (start + unit_rows).min(t.delta_rows());
-            Unit { seg: None, base: t.main_rows() + start, rows: end - start }
+    fn of(t: &'a TableSnapshot, u: usize) -> Self {
+        let (store, base) = t.store(u);
+        Unit { store, base, rows: store.rows() }
+    }
+
+    /// The segment, if this unit is one.
+    fn seg(&self) -> Option<&'a Segment> {
+        match self.store {
+            Store::Seg(seg) => Some(seg),
+            Store::Chunk { .. } => None,
         }
     }
 
-    /// A delta chunk's row range within the delta tail.
-    fn delta_range(&self, t: &TableSnapshot) -> Range<usize> {
-        let start = self.base - t.main_rows();
-        start..start + self.rows
-    }
-
-    /// This unit's view of integer column `idx`.
-    fn int_col(&self, t: &'a TableSnapshot, idx: usize) -> UnitCol<'a> {
-        match self.seg {
-            Some(seg) => match seg.column(idx) {
+    /// This unit's view of integer column `idx` (the null sentinel where
+    /// the store predates the column).
+    fn int_col(&self, idx: usize) -> UnitCol<'a> {
+        match self.store {
+            Store::Seg(seg) => match seg.column(idx) {
                 Some(SegColumn::Int { data, .. }) => UnitCol::Enc(data, None),
-                None => UnitCol::Const(0), // segment predates the column: null sentinel
+                None => UnitCol::Const(0),
                 Some(_) => unreachable!("column validated as integer"),
             },
-            None => {
-                let vals =
-                    t.delta_column(idx).and_then(Column::as_int64).expect("column validated as integer");
-                UnitCol::Ints(&vals[self.delta_range(t)])
-            }
+            Store::Chunk { chunk, .. } => chunk.ints(idx).map_or(UnitCol::Const(0), UnitCol::Ints),
         }
     }
 }
@@ -169,9 +163,9 @@ enum UnitCol<'a> {
     /// A constant: the sentinel of a column this segment predates, or
     /// the value COUNT never reads.
     Const(i64),
-    /// A flat delta chunk of integers.
+    /// A delta chunk's flat integers.
     Ints(&'a [i64]),
-    /// A flat delta chunk of dictionary codes, with their translation
+    /// A delta chunk's flat dictionary codes, with their translation
     /// into a key space.
     Codes(&'a [u32], &'a [i64]),
 }
@@ -524,9 +518,9 @@ struct StrKeys {
     /// `main_map` is the identity — the table's own global dictionary
     /// *is* the space — so segment codes are keys as stored.
     main_identity: bool,
-    /// This table's delta-local code → key.
+    /// This table's delta dictionary code → key.
     delta_map: Vec<i64>,
-    /// Key of rows in segments predating the column (`""`).
+    /// Key of rows in stores predating the column (`""`).
     sentinel_key: i64,
     /// The largest key of the space (the reserved `""` key): with 0, the
     /// domain of every translated code.
@@ -542,37 +536,33 @@ impl KeyCol {
     }
 
     /// `unit`'s view of this key column.
-    fn unit_col<'a>(&'a self, t: &'a TableSnapshot, unit: &Unit<'a>) -> UnitCol<'a> {
+    fn unit_col<'a>(&'a self, unit: &Unit<'a>) -> UnitCol<'a> {
         let k = match self {
-            KeyCol::Int(idx) => return unit.int_col(t, *idx),
+            KeyCol::Int(idx) => return unit.int_col(*idx),
             KeyCol::Str(k) => k,
         };
-        match unit.seg {
-            Some(seg) => match seg.column(k.col) {
+        match unit.store {
+            Store::Seg(seg) => match seg.column(k.col) {
                 Some(SegColumn::Str { codes, .. }) => {
                     UnitCol::Enc(codes, (!k.main_identity).then_some(&k.main_map))
                 }
                 None => UnitCol::Const(k.sentinel_key),
                 Some(_) => unreachable!("key validated as string column"),
             },
-            None => {
-                let codes = t
-                    .delta_column(k.col)
-                    .and_then(Column::as_str)
-                    .expect("key validated as string column")
-                    .codes();
-                UnitCol::Codes(&codes[unit.delta_range(t)], &k.delta_map)
-            }
+            Store::Chunk { chunk, .. } => match chunk.codes(k.col) {
+                Some(codes) => UnitCol::Codes(codes, &k.delta_map),
+                None => UnitCol::Const(k.sentinel_key),
+            },
         }
     }
 }
 
 /// The key space of one table's string column: codes of its
-/// table-global dictionary first, then delta-local values the global
-/// dictionary has not seen, shifted past them. `""` always resolves to
+/// table-global dictionary first, then values of its delta dictionary
+/// the global one has not seen, shifted past them. `""` always resolves to
 /// a key (one past everything when neither dictionary holds it) — real
-/// `""` rows and the sentinel rows of segments predating the column
-/// must be able to meet, within a table and across a join.
+/// `""` rows and the sentinel rows of segments and chunks predating the
+/// column must be able to meet, within a table and across a join.
 struct StrKeySpace<'a> {
     global: Option<&'a DictColumn>,
     delta: Option<&'a DictColumn>,
@@ -582,7 +572,7 @@ struct StrKeySpace<'a> {
 impl<'a> StrKeySpace<'a> {
     fn of(t: &'a TableSnapshot, idx: usize) -> Self {
         let global = t.global_dict(idx);
-        let delta = t.delta_column(idx).and_then(Column::as_str);
+        let delta = t.delta_dict(idx);
         StrKeySpace { global, delta, global_len: global.map_or(0, DictColumn::dict_size) as i64 }
     }
 
@@ -629,7 +619,7 @@ impl<'a> StrKeySpace<'a> {
                 return (0..d.dict_size() as i64).collect();
             }
             // Bulk first-level translation into the global dictionary,
-            // then resolve the misses through the delta-local one.
+            // then resolve the misses through the delta dictionary.
             let first = match self.global {
                 Some(g) => d.codes_in(g),
                 None => vec![None; d.dict_size()],
@@ -645,7 +635,7 @@ impl<'a> StrKeySpace<'a> {
             col: idx,
             main_map: main.map_or_else(Vec::new, &mut map_dict),
             main_identity: main.is_none_or(is_own_global),
-            delta_map: t.delta_column(idx).and_then(Column::as_str).map_or_else(Vec::new, &mut map_dict),
+            delta_map: t.delta_dict(idx).map_or_else(Vec::new, &mut map_dict),
             sentinel_key: self.key_of(""),
             max_key: self.global_len + self.delta.map_or(0, DictColumn::dict_size) as i64,
         }
@@ -894,7 +884,10 @@ impl Exec<'_> {
             if index_usable || layout_sorted {
                 // Cost every available path against the *compressed*
                 // footprint and zone maps, pick per the session goal.
-                let mut meta = t.planner_meta();
+                // Statistics for the columns the costing reads: the
+                // filter column and the projected string columns.
+                let projected = projected_str_columns(t, query);
+                let mut meta = t.planner_meta_of(|name| name == first.column || projected.contains(&name));
                 if let Some(c) = meta.columns.iter_mut().find(|c| c.name == first.column) {
                     c.indexed = index_usable;
                 }
@@ -914,7 +907,7 @@ impl Exec<'_> {
                 // the client as codes + a shared dictionary — add its
                 // cost ([`CostModel::project_codes`]) to all so the
                 // totals the session goal weighs are honest end to end.
-                let project = str_projection_cost(model, t, &meta, query, decision.selectivity);
+                let project = str_projection_cost(model, t, &meta, &projected, decision.selectivity);
                 let access = [
                     decision.scan_cost,
                     decision.index_cost.unwrap_or(decision.scan_cost),
@@ -948,10 +941,9 @@ impl Exec<'_> {
                     self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
                     self.recheck(t, &mut pos, &int_preds[1..], &str_preds);
                     // Hand each unit its share of the (few) row ids.
-                    let unit_rows = delta_unit_rows(self.opts);
-                    let sels = (0..unit_count(t, unit_rows))
+                    let sels = (0..t.store_count())
                         .map(|u| {
-                            let unit = Unit::of(t, u, unit_rows);
+                            let unit = Unit::of(t, u);
                             let from = pos.partition_point(|&r| (r as usize) < unit.base);
                             let to = pos.partition_point(|&r| (r as usize) < unit.base + unit.rows);
                             Selection::ids(pos[from..to].to_vec())
@@ -975,17 +967,17 @@ impl Exec<'_> {
         // Zone maps first (prune whole segments, or skip tautological
         // predicates), then the compressed column is scanned in place —
         // main-segment data is **never decoded** for predicate
-        // evaluation. The delta runs the flat bitwise kernel, chunked
-        // into units so an oversized (merge-disabled) delta still
+        // evaluation. Delta chunks run the flat bitwise kernel, one unit
+        // each, so an oversized (merge-disabled) delta still
         // parallelizes.
-        let (mut sels, scan_profile) = self.run_units(t, None, |unit, _| match unit.seg {
-            Some(seg) => self.eval_segment(seg, unit, &int_preds, &str_preds),
-            None => self.eval_delta(t, unit, &int_preds, &str_preds),
+        let (mut sels, scan_profile) = self.run_units(t, None, |unit, _| match unit.store {
+            Store::Seg(seg) => self.eval_segment(seg, unit, &int_preds, &str_preds),
+            Store::Chunk { chunk, sealed } => self.eval_delta(chunk, sealed, unit, &int_preds, &str_preds),
         });
         self.profile += scan_profile;
         // A cancelled scan covered only some units; the caller discards
         // the stage's output, but it still gets one entry per unit.
-        sels.resize_with(unit_count(t, delta_unit_rows(self.opts)), Selection::none);
+        sels.resize_with(t.store_count(), Selection::none);
         Ok((Some(sels), access_path))
     }
 
@@ -1031,10 +1023,9 @@ impl Exec<'_> {
         // The gather addresses cells by global row id: the one consumer
         // (beside the index re-check) selections are flattened for.
         let positions = sels.map(|sels| {
-            let unit_rows = delta_unit_rows(self.opts);
             let mut ids = Vec::with_capacity(sels.iter().map(|s| s.n).sum());
             for (u, sel) in sels.iter().enumerate() {
-                sel.extend_ids(&Unit::of(t, u, unit_rows), &mut ids);
+                sel.extend_ids(&Unit::of(t, u), &mut ids);
             }
             ids
         });
@@ -1085,7 +1076,7 @@ impl Exec<'_> {
             None => None,
         };
         let spec = AggSpec { kind, vidx, group: group.as_ref().map(|(_, key)| key) };
-        let (parts, agg_profile) = self.run_units(t, sels, |unit, sel| self.agg_unit(t, unit, spec, sel));
+        let (parts, agg_profile) = self.run_units(t, sels, |unit, sel| self.agg_unit(unit, spec, sel));
         self.profile += agg_profile;
         let mut acc = AggAcc::identity(group.is_some());
         parts.into_iter().for_each(|p| acc.merge(p));
@@ -1123,26 +1114,20 @@ impl Exec<'_> {
 
     /// One unit's partial aggregate, computed from its column views
     /// (or from zone metadata when possible).
-    fn agg_unit(
-        &self,
-        t: &TableSnapshot,
-        unit: &Unit<'_>,
-        spec: AggSpec<'_>,
-        sel: &Selection,
-    ) -> (AggAcc, ResourceProfile) {
+    fn agg_unit(&self, unit: &Unit<'_>, spec: AggSpec<'_>, sel: &Selection) -> (AggAcc, ResourceProfile) {
         // COUNT never needs the values — only how many rows survive.
-        let vcol = if spec.kind == AggKind::Count { UnitCol::Const(0) } else { unit.int_col(t, spec.vidx) };
+        let vcol = if spec.kind == AggKind::Count { UnitCol::Const(0) } else { unit.int_col(spec.vidx) };
         let Some(g) = spec.group else {
             let (st, profile) = self.fold_values(unit, spec, vcol, sel);
             return (AggAcc::Global(st), profile);
         };
-        let kcol = g.unit_col(t, unit);
+        let kcol = g.unit_col(unit);
         // Zone-map-aware shortcut: a collapsed key zone means every row
         // of this segment belongs to one group — fold the values like a
         // global aggregate (zone-answered fast paths included) and skip
         // the per-row key decode and grouping entirely: zero key-column
         // bytes touched.
-        let zone = unit.seg.and_then(|seg| seg.zone(g.col()));
+        let zone = unit.seg().and_then(|seg| seg.zone(g.col()));
         let single_key = match kcol {
             UnitCol::Const(k) => Some(k),
             UnitCol::Enc(_, None) => zone.filter(|(lo, hi)| lo == hi).map(|z| z.0),
@@ -1165,7 +1150,7 @@ impl Exec<'_> {
             (UnitCol::Enc(_, Some(_)) | UnitCol::Codes(..), KeyCol::Str(k)) => Some((0, k.max_key)),
             _ => None,
         };
-        let ndv_hint = unit.seg.map_or(0, |seg| match g {
+        let ndv_hint = unit.seg().map_or(0, |seg| match g {
             KeyCol::Int(idx) => seg.ndv(*idx).unwrap_or(1),
             KeyCol::Str(_) => zone.map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
         });
@@ -1209,7 +1194,7 @@ impl Exec<'_> {
             profile.cpu_cycles += answered;
             return (st, profile);
         }
-        if let Some(seg) = unit.seg.filter(|_| n == rows) {
+        if let Some(seg) = unit.seg().filter(|_| n == rows) {
             match (spec.kind, vcol, seg.zone(spec.vidx)) {
                 // Sentinel column: `rows` copies of 0, no data exists.
                 (_, UnitCol::Const(v), _) => {
@@ -1390,7 +1375,7 @@ impl Exec<'_> {
     ) -> Vec<(i64, u32)> {
         let (parts, keys_profile) = self.run_units(side.t, side.sel, |unit, sel| {
             let mut kv = Vec::new();
-            let mut profile = self.unit_join_keys(side.t, unit, sel, key, prune, |k, row| kv.push((k, row)));
+            let mut profile = self.unit_join_keys(unit, sel, key, prune, |k, row| kv.push((k, row)));
             // The extracted pair vector is real intermediate traffic.
             profile.dram_written += ByteCount::new(kv.len() as u64 * 12);
             (kv, profile)
@@ -1416,7 +1401,7 @@ impl Exec<'_> {
             // (key, row) vector is ever materialized (or billed).
             let mut pairs = Vec::new();
             let mut probed = 0u64;
-            let mut profile = self.unit_join_keys(side.t, unit, sel, key, prune, |k, row| {
+            let mut profile = self.unit_join_keys(unit, sel, key, prune, |k, row| {
                 probed += 1;
                 if let Some(ms) = join.matches(k) {
                     pairs.extend(ms.iter().map(|&b| (b, row)));
@@ -1438,18 +1423,17 @@ impl Exec<'_> {
     /// bill.
     fn unit_join_keys(
         &self,
-        t: &TableSnapshot,
         unit: &Unit<'_>,
         sel: &Selection,
         key: &KeyCol,
         prune: Option<(i64, i64)>,
         mut sink: impl FnMut(i64, u32),
     ) -> ResourceProfile {
-        let kcol = key.unit_col(t, unit);
+        let kcol = key.unit_col(unit);
         // Join-specific zone pruning: the segment's key zone against
         // the build side's range (same intersection test the planner
         // estimates with).
-        if let (Some((lo, hi)), UnitCol::Enc(..), Some(seg)) = (prune, kcol, unit.seg) {
+        if let (Some((lo, hi)), UnitCol::Enc(..), Some(seg)) = (prune, kcol, unit.seg()) {
             let (zlo, zhi) = seg.zone(key.col()).expect("non-empty segment has a zone");
             if !(ZoneMapMeta { rows: 0, min: zlo, max: zhi, sorted: false }.overlaps(lo, hi)) {
                 return ResourceProfile::default(); // pruned: no data touched
@@ -1483,9 +1467,8 @@ impl Exec<'_> {
         sels: Option<&[Selection]>,
         eval: impl Fn(&Unit<'_>, &Selection) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
-        let unit_rows = delta_unit_rows(self.opts);
         let parts = self.eval_units(t, |u| {
-            let unit = Unit::of(t, u, unit_rows);
+            let unit = Unit::of(t, u);
             match sels {
                 None => Some(eval(&unit, &Selection::all(unit.rows))),
                 Some(sels) => (sels[u].n > 0).then(|| eval(&unit, &sels[u])),
@@ -1511,7 +1494,7 @@ impl Exec<'_> {
     where
         R: Send,
     {
-        let units = unit_count(t, delta_unit_rows(self.opts));
+        let units = t.store_count();
         let dop = if self.opts.dop > 0 { self.opts.dop } else { self.db.default_dop };
         let pooled = units > 1 && dop > 1 && (self.opts.dop > 0 || t.rows() >= PARALLEL_SCAN_ROWS);
         if pooled {
@@ -1669,23 +1652,38 @@ impl Exec<'_> {
     }
 
     /// Predicate evaluation over one delta chunk: flat vectorized
-    /// kernels over the dense columns, exactly the pre-segmentation
-    /// scan path.
+    /// kernels over the dense columns. A `sealed` chunk is first checked
+    /// against its cached zones, like a segment: one that cannot hold a
+    /// match of an integer predicate is skipped — no data touched,
+    /// nothing billed — so a point or small-range query on append-
+    /// ordered keys scans one chunk of the delta, not all of it.
     fn eval_delta(
         &self,
-        t: &TableSnapshot,
+        chunk: &DeltaChunk,
+        sealed: bool,
         unit: &Unit<'_>,
         int_preds: &[IntPred],
         str_preds: &[StrPred],
     ) -> (Selection, ResourceProfile) {
-        let chunk = unit.delta_range(t);
         let mut profile = ResourceProfile::default();
+        if sealed {
+            let excluded = int_preds.iter().any(|p| {
+                chunk.int_stats(p.col).is_some_and(|z| !zone_may_match(p.op, p.literal, z.min, z.max))
+            });
+            if excluded {
+                return (Selection::none(), profile);
+            }
+        }
         let mut positions: Option<Vec<u32>> = None;
         for p in int_preds {
-            let data = &t
-                .delta_column(p.col)
-                .and_then(Column::as_int64)
-                .expect("predicate validated as integer column")[chunk.clone()];
+            let Some(data) = chunk.ints(p.col) else {
+                // The chunk predates the column: every row holds the
+                // null sentinel 0.
+                if p.op.eval(0, p.literal) {
+                    continue;
+                }
+                return (Selection::none(), profile);
+            };
             let (hits, stats) = select_metered(data, p.op, p.literal, SelectKernel::Bitwise, &self.db.costs);
             profile += stats.profile;
             positions = Some(match positions.take() {
@@ -1694,11 +1692,13 @@ impl Exec<'_> {
             });
         }
         for p in str_preds {
-            let codes = &t
-                .delta_column(p.col)
-                .and_then(Column::as_str)
-                .expect("predicate validated as string column")
-                .codes()[chunk.clone()];
+            let Some(codes) = chunk.codes(p.col) else {
+                // Sentinel "" everywhere.
+                if p.value.is_empty() != p.negated {
+                    continue;
+                }
+                return (Selection::none(), profile);
+            };
             // Bill the rows actually *inspected*: the full chunk only for
             // the first predicate; afterwards just the surviving
             // positions that are re-checked.
@@ -1728,25 +1728,6 @@ impl Exec<'_> {
         };
         (sel, profile)
     }
-}
-
-/// Smallest delta execution unit a query can ask for — below this the
-/// per-unit bookkeeping dominates the work.
-const DELTA_UNIT_MIN_ROWS: usize = 1024;
-
-/// Rows per delta execution unit for one query: the per-query morsel
-/// size, clamped to `[`[`DELTA_UNIT_MIN_ROWS`]`, SEGMENT_ROWS]` — a
-/// governor grant can shrink units under contention for fairer
-/// interleaving, but a compressed main segment stays the widest unit
-/// (it is atomic: the storage-defined dispatch floor).
-fn delta_unit_rows(opts: &ExecOpts) -> usize {
-    opts.morsel_rows.clamp(DELTA_UNIT_MIN_ROWS, crate::segment::SEGMENT_ROWS)
-}
-
-/// Execution units of `t`: its main segments, then its delta tail in
-/// `unit_rows`-sized chunks.
-fn unit_count(t: &TableSnapshot, unit_rows: usize) -> usize {
-    t.segments().len() + t.delta_rows().div_ceil(unit_rows)
 }
 
 /// Validates a join's key columns — both integer, or both string — and
@@ -1822,39 +1803,44 @@ fn resolve_join_outputs(
     }
 }
 
-/// Planner-side cost of delivering this query's string projection to
-/// the client as codes + one shared output dictionary
-/// ([`CostModel::project_codes`]): the estimated surviving rows each
-/// move a code, and each distinct value (catalog NDV, capped by the row
-/// count) pays one dictionary-entry decode of the column's mean entry
-/// length. Zero for aggregates (no client projection) and for
-/// projections without string columns.
+/// Planner-side cost of delivering the `projected` string columns
+/// ([`projected_str_columns`]) to the client as codes + one shared output
+/// dictionary ([`CostModel::project_codes`]): the estimated surviving
+/// rows each move a code, and each distinct value (catalog NDV, capped by
+/// the row count) pays one dictionary-entry decode of the column's mean
+/// entry length.
 pub(crate) fn str_projection_cost(
     model: &CostModel,
     t: &TableSnapshot,
     meta: &haec_planner::catalog::TableMeta,
-    query: &Query,
+    projected: &[&str],
     sel: f64,
 ) -> PlanCost {
-    if query.agg.is_some() {
-        return PlanCost::ZERO;
-    }
     let rows = (sel * t.rows() as f64).ceil() as u64;
-    let projected: Vec<&str> = match &query.select {
-        Some(cols) => cols.iter().map(String::as_str).collect(),
-        None => t.schema().columns().iter().map(|(n, _)| n.as_str()).collect(),
-    };
     let mut cost = PlanCost::ZERO;
-    for name in projected {
-        let Some(idx) = t.schema().position(name) else { continue };
-        if t.schema().columns()[idx].1 != DataType::Str {
-            continue;
-        }
+    for &name in projected {
+        let idx = t.schema().position(name).expect("projected columns exist");
         let ndv = meta.column(name).map_or(rows, |c| c.ndv);
         let avg = t.global_dict(idx).filter(|d| d.dict_size() > 0).map_or(8, |d| d.avg_entry_bytes() as u64);
         cost = cost + model.project_codes(rows, ndv, avg);
     }
     cost
+}
+
+/// The string columns `query` ships to the client: none for an
+/// aggregate, else the string columns of its projection (every column
+/// without one; unknown names are the gather stage's error to raise).
+pub(crate) fn projected_str_columns<'a>(t: &'a TableSnapshot, query: &'a Query) -> Vec<&'a str> {
+    if query.agg.is_some() {
+        return Vec::new();
+    }
+    let is_str = |name: &str| {
+        t.schema().position(name).is_some_and(|idx| t.schema().columns()[idx].1 == DataType::Str)
+    };
+    match &query.select {
+        Some(cols) => cols.iter().map(String::as_str).filter(|name| is_str(name)).collect(),
+        None => t.schema().columns().iter().map(|(n, _)| n.as_str()).filter(|name| is_str(name)).collect(),
+    }
 }
 
 /// ANDs `m` into the accumulator (first predicate just installs it).
@@ -1903,7 +1889,7 @@ fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> D
                 return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
             }
             let global_code = t.global_dict(col).and_then(|d| d.code_of(&f.value)).map(i64::from);
-            let delta_code = t.delta_column(col).and_then(Column::as_str).and_then(|d| d.code_of(&f.value));
+            let delta_code = t.delta_dict(col).and_then(|d| d.code_of(&f.value));
             Ok(StrPred { col, value: f.value.clone(), global_code, delta_code, negated: f.negated })
         })
         .collect()

@@ -50,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod db;
+mod delta;
 pub mod error;
 mod executor;
 pub mod index;

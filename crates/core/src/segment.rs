@@ -2,9 +2,9 @@
 //!
 //! The paper's storage architecture (and SAP HANA's, which it draws on)
 //! splits every table into a read-optimized **main** and a
-//! write-optimized **delta**: inserts land in a flat delta tail, and a
-//! periodic merge re-encodes the delta into immutable main segments of at
-//! most [`SEGMENT_ROWS`] rows. Each segment stores integer columns as
+//! write-optimized **delta**: inserts land in flat delta chunks
+//! (`crate::delta`), and a periodic merge re-encodes the delta into
+//! immutable main segments of at most [`SEGMENT_ROWS`] rows. Each segment stores integer columns as
 //! [`EncodedInts`] (the smallest of plain/RLE/FOR/delta), string columns
 //! as compressed dictionary codes into the table-global dictionary, and a
 //! per-column min/max **zone map** so whole segments can be skipped
@@ -13,7 +13,6 @@
 //! where the energy win of "data reduction" becomes real: fewer DRAM
 //! bytes per answered query.
 
-use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
 use haec_columnar::encoding::EncodedInts;
 use haec_columnar::value::CmpOp;
@@ -111,6 +110,16 @@ pub struct Segment {
     sorted_by: Option<usize>,
 }
 
+/// One column of a pinned merge batch, flattened out of the delta
+/// chunks it was appended to: dense values in row order, strings
+/// already as codes into the **table-global** dictionary.
+#[derive(Debug)]
+pub(crate) enum FlatColumn {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Codes(Vec<i64>),
+}
+
 /// Builds the local→global code translation table for one string column:
 /// every distinct delta string is interned into the global dictionary
 /// exactly once, no matter how many rows or segments the merge spans.
@@ -125,7 +134,7 @@ pub(crate) fn build_remap(local: &DictColumn, global: &mut DictColumn) -> Vec<i6
 
 /// A column's zone map, from the flat values the merge still holds —
 /// one pass, no decode of the freshly encoded column.
-fn min_max(values: &[i64]) -> Option<(i64, i64)> {
+pub(crate) fn min_max(values: &[i64]) -> Option<(i64, i64)> {
     let (lo, hi) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
     (!values.is_empty()).then_some((lo, hi))
 }
@@ -137,7 +146,7 @@ const NDV_BITSET_SPAN_PER_ROW: u64 = 8;
 
 /// The exact number of distinct values in `values`, whose zone is
 /// `zone`.
-fn distinct_count(values: &[i64], zone: Option<(i64, i64)>) -> u64 {
+pub(crate) fn distinct_count(values: &[i64], zone: Option<(i64, i64)>) -> u64 {
     let Some((lo, hi)) = zone else { return 0 };
     let span = hi.abs_diff(lo);
     if span / NDV_BITSET_SPAN_PER_ROW < values.len() as u64 {
@@ -156,43 +165,35 @@ fn distinct_count(values: &[i64], zone: Option<(i64, i64)>) -> u64 {
 }
 
 impl Segment {
-    /// Builds a segment from rows `[start, end)` of a flat delta store.
-    ///
-    /// String values are re-mapped from the delta's local dictionary into
-    /// the table-global dictionaries through `remaps` (parallel to
-    /// `columns`, `Some` for string columns — see [`build_remap`];
-    /// computed once per merge, not once per segment).
+    /// Builds a segment from rows `[start, end)` of a flattened merge
+    /// batch.
     ///
     /// `sorted_by` records which column (if any) the caller arranged the
     /// rows of `[start, end)` in ascending order by; only the sorting
     /// merge passes `Some` here, and it is asserted in debug builds.
     pub(crate) fn build(
-        columns: &[Column],
+        columns: &[FlatColumn],
         validity: &[Vec<bool>],
         start: usize,
         end: usize,
-        remaps: &[Option<Vec<i64>>],
         sorted_by: Option<usize>,
     ) -> Segment {
         let rows = end - start;
-        let mut seg_cols = Vec::with_capacity(columns.len());
-        for (ci, col) in columns.iter().enumerate() {
-            let seg_col = match col {
-                Column::Int64(v) => {
+        let seg_cols = columns
+            .iter()
+            .map(|col| match col {
+                FlatColumn::Int(v) => {
                     let slice = &v[start..end];
                     let zone = min_max(slice);
                     SegColumn::Int { data: EncodedInts::auto(slice), zone, ndv: distinct_count(slice, zone) }
                 }
-                Column::Float64(v) => SegColumn::Float(v[start..end].to_vec()),
-                Column::Str(local) => {
-                    let remap = remaps[ci].as_ref().expect("string column has a remap table");
-                    let codes_i64: Vec<i64> =
-                        local.codes()[start..end].iter().map(|&c| remap[c as usize]).collect();
-                    SegColumn::Str { codes: EncodedInts::auto(&codes_i64), zone: min_max(&codes_i64) }
+                FlatColumn::Float(v) => SegColumn::Float(v[start..end].to_vec()),
+                FlatColumn::Codes(v) => {
+                    let slice = &v[start..end];
+                    SegColumn::Str { codes: EncodedInts::auto(slice), zone: min_max(slice) }
                 }
-            };
-            seg_cols.push(seg_col);
-        }
+            })
+            .collect();
         let seg_validity = validity
             .iter()
             .map(|v| {
@@ -388,9 +389,9 @@ mod tests {
 
     #[test]
     fn build_compresses_and_zones() {
-        let ints: Column = (0..1000i64).collect::<Vec<_>>().into_iter().collect();
+        let ints = FlatColumn::Int((0..1000i64).collect());
         let validity = vec![vec![true; 1000]];
-        let seg = Segment::build(&[ints], &validity, 100, 900, &[None], None);
+        let seg = Segment::build(&[ints], &validity, 100, 900, None);
         assert_eq!(seg.rows(), 800);
         assert_eq!(seg.zone(0), Some((100, 899)));
         assert_eq!(seg.sorted_by(), None, "merge-ordered build claims no sort");
@@ -409,8 +410,8 @@ mod tests {
         for data in [narrow, wide, vec![42; 9], vec![i64::MIN, i64::MAX]] {
             let want_ndv = data.iter().collect::<std::collections::HashSet<_>>().len() as u64;
             let want_zone = data.iter().copied().min().zip(data.iter().copied().max());
-            let col: Column = data.clone().into_iter().collect();
-            let seg = Segment::build(&[col], &[vec![true; data.len()]], 0, data.len(), &[None], None);
+            let col = FlatColumn::Int(data.clone());
+            let seg = Segment::build(&[col], &[vec![true; data.len()]], 0, data.len(), None);
             assert_eq!(seg.ndv(0), Some(want_ndv), "{:?}", &data[..2]);
             assert_eq!(seg.zone(0), want_zone);
         }
@@ -419,9 +420,9 @@ mod tests {
 
     #[test]
     fn build_records_sort_claim() {
-        let ints: Column = vec![1i64, 1, 2, 3, 5, 8].into_iter().collect();
+        let ints = FlatColumn::Int(vec![1i64, 1, 2, 3, 5, 8]);
         let validity = vec![vec![true; 6]];
-        let seg = Segment::build(&[ints], &validity, 0, 6, &[None], Some(0));
+        let seg = Segment::build(&[ints], &validity, 0, 6, Some(0));
         assert_eq!(seg.sorted_by(), Some(0));
     }
 
@@ -435,7 +436,8 @@ mod tests {
         let mut global = DictColumn::new();
         global.intern("z"); // pre-existing global entry
         let remap = build_remap(&local, &mut global);
-        let seg = Segment::build(&[Column::Str(local)], &validity, 0, 4, &[Some(remap)], None);
+        let codes = FlatColumn::Codes(local.codes().iter().map(|&c| remap[c as usize]).collect());
+        let seg = Segment::build(&[codes], &validity, 0, 4, None);
         // Codes stored in the segment resolve through the global dict.
         let decoded: Vec<&str> =
             (0..4).map(|i| global.decode(seg.get_int(0, i).unwrap() as u32).unwrap()).collect();

@@ -1,39 +1,56 @@
 //! In-memory tables: segmented main/delta columnar storage behind a
 //! schema, versioned for MVCC snapshot reads.
 //!
-//! A [`Table`] is the paper's two-store design: an immutable, compressed
-//! **main** (a vector of [`Segment`]s, each ≤ [`SEGMENT_ROWS`] rows,
-//! int columns as [`haec_columnar::encoding::EncodedInts`], strings as
-//! dictionary codes, per-column zone maps) plus a flat, append-only
-//! **delta** tail that absorbs inserts at `Vec::push` speed. An explicit
-//! [`Table::merge`] compacts the delta into new main segments and
-//! reports the work done as [`MergeStats`] so the caller can charge it
-//! to the energy meter; the `Database` layer triggers it automatically
-//! once the delta exceeds [`Table::merge_threshold`].
+//! A [`Table`] is the paper's two-store design with the delta in two
+//! stages (SAP HANA's L1-delta → L2-delta → main life cycle). A row is
+//! appended to the one mutable **open chunk** at `Vec::push` speed;
+//! every [`DELTA_CHUNK_ROWS`] rows the open chunk is **sealed** — moved
+//! behind an `Arc`, never written again (`crate::delta`) — and an
+//! explicit [`Table::merge`] compacts the sealed chunks into the
+//! immutable, compressed **main** (a vector of [`Segment`]s, each ≤
+//! [`SEGMENT_ROWS`] rows, int columns as
+//! [`haec_columnar::encoding::EncodedInts`], strings as dictionary
+//! codes, per-column zone maps), reporting the work done as
+//! [`MergeStats`] so the caller can charge it to the energy meter; the
+//! `Database` layer triggers it automatically once the delta exceeds
+//! [`Table::merge_threshold`].
+//!
+//! What each stage costs whom: the **writer** pushes cells and nothing
+//! else — no statistic is maintained at insert, sealing is a pointer
+//! move. A **reader** pins sealed chunks by `Arc` and copies only the
+//! visible prefix of the open chunk; the statistics it plans and prunes
+//! with (per chunk and integer column: min, max, exact distinct count)
+//! are a pure function of immutable rows, computed by the first reader
+//! that asks and cached in the chunk for all others. The **merge** takes
+//! the chunks' `Arc`s, builds with no lock held and publishes by
+//! draining them from the front of the list.
 //!
 //! Concurrency model: the `Table` itself is a thread-safe handle.
 //! Writers append under a short write lock, drawing one timestamp per
 //! row from the shared [`TimestampOracle`]; readers pin a
-//! [`TableSnapshot`] — an `Arc` to the current immutable main version
-//! plus a copy of the delta prefix visible at their timestamp — and
-//! then never touch the lock again. [`Table::merge`] runs in two
-//! phases: it compresses the delta **outside** all locks and then
-//! publishes the new segment set as an atomic `Arc` swap, so readers
-//! are never blocked for the duration of a merge; old versions are
-//! reclaimed epoch-style when the last snapshot pinning them drops.
+//! [`TableSnapshot`] — `Arc`s to the current immutable main version and
+//! to the sealed chunks visible at their timestamp, plus a copy of the
+//! visible prefix of at most one chunk — and then never touch the lock
+//! again. [`Table::merge`] compresses the delta **outside** all locks
+//! and then publishes the new segment set as an atomic `Arc` swap, so
+//! readers are never blocked for the duration of a merge; old versions
+//! and drained chunks are reclaimed epoch-style when the last snapshot
+//! pinning them drops.
 //!
 //! Row identity is stable: global row ids are insertion order, segments
-//! cover `[0, main_rows)` in merge order and the delta covers
-//! `[main_rows, rows)` — so secondary indexes survive merges untouched.
+//! cover `[0, main_rows)` in merge order and the delta chunks cover
+//! `[main_rows, rows)` in append order — so secondary indexes survive
+//! merges untouched.
 
+use crate::delta::{DeltaChunk, DeltaDicts};
 use crate::error::{DbError, DbResult};
 use crate::schema::{Record, SchemaMode, TableSchema};
-use crate::segment::{MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
+use crate::segment::{FlatColumn, MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
 use haec_columnar::encoding::EncodedInts;
-use haec_columnar::value::{DataType, Value};
+use haec_columnar::value::DataType;
 use haec_planner::access::ZoneMapMeta;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
 use parking_lot::{Mutex, RwLock};
@@ -186,27 +203,57 @@ enum Cells {
     Codes(Vec<u32>),
 }
 
+/// Rows per sealed delta chunk — the granule at which the delta is
+/// shared with snapshots, zone-pruned and dispatched.
+///
+/// Chosen by measurement on `haecbench mixed_serve` (a 30 K-row mean
+/// live delta beside closed-loop readers) from 1 K, 2 K, 4 K, 8 K and
+/// 16 K, three alternating rounds: `qps` does not resolve the five
+/// (948–1 055, inside the run-to-run spread), `query_p50_us` does — 106,
+/// 103, 111, 126, 174 µs — because a pin copies the open chunk's visible
+/// prefix and a point query scans one chunk plus that prefix, so both
+/// shrink with the chunk while every chunk is only one more (cheap)
+/// execution unit for queries that read the whole delta. 1 K and 2 K
+/// tie; 1 K also bounds what the first reader of a chunk pays for its
+/// statistics, and keeps a delta of more than 1 K rows more than one
+/// unit, which the pooled-dispatch fault tests rely on.
+pub const DELTA_CHUNK_ROWS: usize = 1024;
+
 /// The mutable state of a table, guarded by the handle's `RwLock`.
 #[derive(Debug)]
 struct TableState {
-    schema: TableSchema,
+    /// Behind an `Arc` so a pin copies a pointer; a flexible schema
+    /// evolves through `Arc::make_mut`.
+    schema: Arc<TableSchema>,
     /// The current immutable main version; swapped wholesale at merge.
     main: Arc<MainSet>,
-    /// Flat write-optimized tail (one dense column per schema column).
-    delta: Vec<Column>,
-    /// Per-column validity of the delta (false = null sentinel).
-    delta_validity: Vec<Vec<bool>>,
-    /// Insert timestamp of each delta row, in append order. Timestamps
-    /// are drawn from the database's shared oracle *under the write
-    /// lock*, so this vector is always sorted ascending: timestamp
-    /// order and append order agree, and "rows visible at ts" is
-    /// always a prefix.
-    insert_ts: Vec<u64>,
+    /// The sealed delta chunks, oldest first: immutable, shared with
+    /// snapshots by `Arc`, drained from the front by merge publish.
+    sealed: Vec<Arc<DeltaChunk>>,
+    /// The one mutable chunk inserts append to; sealed when it reaches
+    /// [`DELTA_CHUNK_ROWS`] rows and when a merge pins the delta.
+    open: DeltaChunk,
+    /// The delta-wide dictionaries the chunks' string codes index.
+    dicts: DeltaDicts,
     rows: usize,
 }
 
+impl TableState {
+    fn delta_rows(&self) -> usize {
+        self.rows - self.main.rows
+    }
+
+    /// Seals the open chunk (O(1): the chunk moves behind an `Arc`).
+    fn seal(&mut self) {
+        if self.open.rows() > 0 {
+            let fresh = DeltaChunk::new(self.schema.columns(), DELTA_CHUNK_ROWS);
+            self.sealed.push(Arc::new(std::mem::replace(&mut self.open, fresh)));
+        }
+    }
+}
+
 /// A named table: a thread-safe handle over compressed main segments +
-/// flat delta + validity tracking.
+/// delta chunks + validity tracking.
 ///
 /// All reads go through a [`TableSnapshot`] (see [`Table::snapshot`],
 /// [`Table::pin_at`], [`Table::read`]); writes ([`Table::insert`],
@@ -214,10 +261,11 @@ struct TableState {
 /// `Table` can be shared across threads behind an `Arc`.
 #[derive(Debug)]
 pub struct Table {
-    name: String,
+    name: Arc<str>,
     inner: RwLock<TableState>,
     /// Serializes mergers with each other (readers and writers are
-    /// *not* held up by this — merge publishes via a brief write lock).
+    /// *not* held up by this — merge pins and publishes via two brief
+    /// write locks).
     merge_lock: Mutex<()>,
     /// Delta row count that triggers an automatic merge (at the
     /// `Database` layer, so the work is metered).
@@ -227,16 +275,16 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given schema.
     pub fn new(name: impl Into<String>, schema: TableSchema) -> Self {
-        let delta: Vec<Column> = schema.columns().iter().map(|(_, t)| Column::new(*t)).collect();
-        let width = schema.width();
+        let open = DeltaChunk::new(schema.columns(), 0);
+        let dicts = schema.columns().iter().map(|(_, t)| new_delta_dict(*t)).collect();
         Table {
-            name: name.into(),
+            name: name.into().into(),
             inner: RwLock::new(TableState {
-                schema,
+                schema: Arc::new(schema),
                 main: Arc::new(MainSet::empty()),
-                delta,
-                delta_validity: vec![Vec::new(); width],
-                insert_ts: Vec::new(),
+                sealed: Vec::new(),
+                open,
+                dicts,
                 rows: 0,
             }),
             merge_lock: Mutex::new(()),
@@ -252,7 +300,7 @@ impl Table {
     /// A clone of the current schema (which may evolve under flexible
     /// mode; a [`TableSnapshot`] carries the schema it pinned).
     pub fn schema(&self) -> TableSchema {
-        self.inner.read().schema.clone()
+        TableSchema::clone(&self.inner.read().schema)
     }
 
     /// Number of rows (main + delta) right now.
@@ -270,10 +318,9 @@ impl Table {
         self.inner.read().main.rows
     }
 
-    /// Rows in the flat delta tail right now.
+    /// Rows in the delta right now.
     pub fn delta_rows(&self) -> usize {
-        let st = self.inner.read();
-        st.rows - st.main.rows
+        self.inner.read().delta_rows()
     }
 
     /// The current main-version epoch (bumped once per merge).
@@ -296,36 +343,38 @@ impl Table {
         self.delta_rows() >= self.merge_threshold()
     }
 
-    /// Appends one record to the delta, evolving a flexible schema as
-    /// needed, and stamps the row with the next timestamp from
-    /// `oracle`. Returns the timestamp and the row's global id.
+    /// Appends one record to the open delta chunk, evolving a flexible
+    /// schema as needed, and stamps the row with the next timestamp from
+    /// `oracle`. Returns the timestamp, the row's global id and the
+    /// delta's row count with this row in it (what the caller compares
+    /// to [`Table::merge_threshold`] without taking the lock again).
     ///
     /// The timestamp is drawn **under the table's write lock**, so
-    /// append order and timestamp order always agree (`insert_ts` stays
-    /// sorted) — the property that makes "rows visible at ts" a prefix.
-    /// All inserts into one table must therefore share one oracle (the
-    /// `Database` owns it).
+    /// append order and timestamp order always agree — the property that
+    /// makes "rows visible at ts" a prefix. All inserts into one table
+    /// must therefore share one oracle (the `Database` owns it).
     ///
+    /// An insert is a push per column and nothing else: a full chunk is
+    /// sealed by moving it behind an `Arc`, and no statistic is ever
+    /// maintained here (readers derive them from sealed chunks, once).
     /// Inserts never touch the main store; call [`Table::merge`] (or let
     /// the `Database` auto-merge) to compact the delta.
     ///
     /// # Errors
     ///
-    /// Propagates schema violations and type mismatches.
-    pub fn insert(&self, record: &Record, oracle: &TimestampOracle) -> DbResult<(Timestamp, u32)> {
+    /// Propagates schema violations and type mismatches; a rejected
+    /// record changes nothing.
+    pub fn insert(&self, record: &Record, oracle: &TimestampOracle) -> DbResult<(Timestamp, u32, usize)> {
         let mut st = self.inner.write();
-        let delta_rows = st.rows - st.main.rows;
         let st = &mut *st;
-        append_record(&mut st.schema, &mut st.delta, &mut st.delta_validity, delta_rows, record)?;
-        let ts = oracle.next();
-        debug_assert!(
-            st.insert_ts.last().is_none_or(|&t| t < ts.0),
-            "all inserts into a table must share one oracle"
-        );
-        st.insert_ts.push(ts.0);
+        let ts = append_record(&mut st.schema, &mut st.dicts, &mut st.open, record, Some(oracle))?
+            .expect("stamped by the oracle");
+        if st.open.rows() >= DELTA_CHUNK_ROWS {
+            st.seal();
+        }
         let row = st.rows as u32;
         st.rows += 1;
-        Ok((ts, row))
+        Ok((ts, row, st.delta_rows()))
     }
 
     /// Pins a snapshot of the table as of a fresh timestamp drawn from
@@ -338,7 +387,7 @@ impl Table {
         // interleave, so every row present has a smaller timestamp and
         // every later insert gets a larger one.
         let ts = oracle.next();
-        self.snap(&st, st.rows - st.main.rows, ts)
+        self.snap(&st, ts)
     }
 
     /// Pins a snapshot as of an **existing** timestamp `ts`: exactly
@@ -351,30 +400,46 @@ impl Table {
     /// timestamp.
     pub fn pin_at(&self, ts: Timestamp) -> Option<TableSnapshot> {
         let st = self.inner.read();
-        if st.main.max_ts > ts.0 {
-            return None;
-        }
-        let visible = st.insert_ts.partition_point(|&t| t <= ts.0);
-        Some(self.snap(&st, visible, ts))
+        (st.main.max_ts <= ts.0).then(|| self.snap(&st, ts))
     }
 
     /// The latest state as a snapshot (timestamp ∞) — the view used by
     /// single-statement reads, diagnostics and tests.
     pub fn read(&self) -> TableSnapshot {
-        let st = self.inner.read();
-        self.snap(&st, st.rows - st.main.rows, Timestamp::INF)
+        self.snap(&self.inner.read(), Timestamp::INF)
     }
 
-    fn snap(&self, st: &TableState, visible: usize, ts: Timestamp) -> TableSnapshot {
-        TableSnapshot {
-            name: self.name.clone(),
-            schema: st.schema.clone(),
+    /// The pin: pointer copies of the name, the schema, the main version,
+    /// the delta dictionaries and every sealed chunk wholly visible at
+    /// `ts`, plus a private copy of the visible prefix of at most one
+    /// chunk — the sealed chunk `ts` cuts through, or the open one.
+    fn snap(&self, st: &TableState, ts: Timestamp) -> TableSnapshot {
+        let mut snap = TableSnapshot {
+            name: Arc::clone(&self.name),
+            schema: Arc::clone(&st.schema),
             main: Arc::clone(&st.main),
-            delta: st.delta.iter().map(|c| column_prefix(c, visible)).collect(),
-            delta_validity: st.delta_validity.iter().map(|v| v[..visible].to_vec()).collect(),
-            rows: st.main.rows + visible,
+            chunks: Vec::with_capacity(st.sealed.len() + 1),
+            chunk_bases: Vec::with_capacity(st.sealed.len() + 1),
+            sealed: 0,
+            dicts: st.dicts.clone(),
+            rows: st.main.rows,
             ts,
+        };
+        // Timestamps ascend along the chunk list: the first chunk not
+        // wholly visible is the one `ts` cuts through.
+        for chunk in &st.sealed {
+            let visible = chunk.visible_at(ts.0);
+            if visible < chunk.rows() {
+                snap.push_prefix(chunk, visible);
+                return snap;
+            }
+            snap.chunk_bases.push(snap.rows);
+            snap.rows += visible;
+            snap.chunks.push(Arc::clone(chunk));
+            snap.sealed += 1;
         }
+        snap.push_prefix(&st.open, st.open.visible_at(ts.0));
+        snap
     }
 
     /// Compacts the entire delta into new immutable main segments of at
@@ -384,41 +449,40 @@ impl Table {
     /// result as a new main version in one atomic swap.
     ///
     /// Readers are never blocked: the expensive re-encoding runs with
-    /// no lock held, bracketed by two brief critical sections (pin the
-    /// delta; publish the new `MainSet` and drop the compacted delta
-    /// prefix). Snapshots pinned before the swap keep reading the old
-    /// version through their `Arc`; the old segments are freed when the
-    /// last such snapshot drops. Concurrent mergers serialize on an
-    /// internal lock; inserts landing during the build simply stay in
-    /// the delta for the next merge.
+    /// no lock held, bracketed by two brief critical sections. The
+    /// **pin** seals the open chunk and takes the `Arc`s of the sealed
+    /// chunks (nothing is copied under the lock); the **publish** swaps
+    /// in the new `MainSet` and drains exactly those chunks from the
+    /// front of the list. Snapshots pinned before the swap keep reading
+    /// the old version and the drained chunks through their `Arc`s; both
+    /// are freed when the last such snapshot drops. Concurrent mergers
+    /// serialize on an internal lock; inserts landing during the build
+    /// go to a fresh open chunk and stay in the delta for the next
+    /// merge.
     ///
     /// Returns [`MergeStats`] describing the re-encoding work so the
     /// caller can charge its CPU/DRAM cost; merging an empty delta is a
     /// free no-op.
     pub fn merge(&self) -> MergeStats {
         let _serialize = self.merge_lock.lock();
-        // Phase 1 — pin: under a brief read lock, clone the delta
-        // prefix to compact and the Arc of the version to extend.
-        let (old_main, delta, validity, schema, n, max_ts) = {
-            let st = self.inner.read();
-            let n = st.rows - st.main.rows;
-            if n == 0 {
+        // Phase 1 — pin: under a brief write lock, seal the open chunk
+        // and take the Arcs of the chunks to compact, their dictionaries
+        // and the version to extend.
+        let (old_main, chunks, delta_dicts, schema) = {
+            let mut st = self.inner.write();
+            if st.delta_rows() == 0 {
                 return MergeStats::default();
             }
-            (
-                Arc::clone(&st.main),
-                st.delta.clone(),
-                st.delta_validity.clone(),
-                st.schema.clone(),
-                n,
-                st.insert_ts[n - 1],
-            )
+            st.seal();
+            (Arc::clone(&st.main), st.sealed.clone(), st.dicts.clone(), Arc::clone(&st.schema))
         };
+        let n: usize = chunks.iter().map(|c| c.rows()).sum();
+        let max_ts = chunks.last().and_then(|c| c.last_ts()).expect("a merge pins at least one stamped row");
         // Build — no lock held; readers pin snapshots and writers
         // append freely while the delta is re-encoded. A fault anywhere
         // in this phase unwinds with only local state in hand: the
         // pinned `Arc`s drop, the table keeps its old version, and the
-        // next merge re-pins the (still intact) delta from scratch.
+        // next merge re-pins the (still intact) chunks from scratch.
         fail::fail_point!("merge::build");
         let mut dicts: Vec<Option<DictColumn>> = (0..schema.width())
             .map(|idx| {
@@ -430,48 +494,79 @@ impl Table {
                     .or_else(|| (schema.columns()[idx].1 == DataType::Str).then(DictColumn::new))
             })
             .collect();
-        // Local→global dictionary remaps, once per merge (every segment
-        // of this merge shares the same delta-local dictionaries).
-        let remaps: Vec<Option<Vec<i64>>> = delta
+        // Local→global dictionary remaps, once per merge (every chunk
+        // shares the delta-wide dictionaries).
+        let remaps: Vec<Option<Vec<i64>>> = delta_dicts
             .iter()
             .zip(&mut dicts)
-            .map(|(col, dict)| match (col.as_str(), dict.as_mut()) {
-                (Some(local), Some(global)) => Some(crate::segment::build_remap(local, global)),
-                _ => None,
-            })
+            .map(|(local, global)| Some(crate::segment::build_remap(local.as_deref()?, global.as_mut()?)))
             .collect();
         fail::fail_point!("merge::remap");
+        // Flatten the chunks into one batch: dense columns in row order,
+        // strings as global codes; rows of a chunk that predates a column
+        // are nulls.
+        let mut validity: Vec<Vec<bool>> = Vec::with_capacity(schema.width());
+        let mut batch: Vec<FlatColumn> = Vec::with_capacity(schema.width());
+        for (idx, (_, dtype)) in schema.columns().iter().enumerate() {
+            let mut valid = Vec::with_capacity(n);
+            for chunk in &chunks {
+                match chunk.validity(idx) {
+                    Some(v) => valid.extend_from_slice(v),
+                    None => valid.resize(valid.len() + chunk.rows(), false),
+                }
+            }
+            validity.push(valid);
+            batch.push(match dtype {
+                DataType::Int64 => FlatColumn::Int(flatten(&chunks, n, 0, |c, out| {
+                    out.extend_from_slice(c.ints(idx)?);
+                    Some(())
+                })),
+                DataType::Float64 => FlatColumn::Float(flatten(&chunks, n, 0.0, |c, out| {
+                    out.extend_from_slice(c.floats(idx)?);
+                    Some(())
+                })),
+                DataType::Str => {
+                    let remap = remaps[idx].as_ref().expect("string column has a remap table");
+                    let global = dicts[idx].as_mut().expect("string column has a global dictionary");
+                    let predates = chunks.iter().any(|c| c.codes(idx).is_none());
+                    let null = if predates { i64::from(global.intern("")) } else { 0 };
+                    FlatColumn::Codes(flatten(&chunks, n, null, |c, out| {
+                        out.extend(c.codes(idx)?.iter().map(|&code| remap[code as usize]));
+                        Some(())
+                    }))
+                }
+            });
+        }
         // Sorting merge: a declared sort key reorders the pinned batch
-        // before it is chunked into segments, so every segment built
-        // here is internally sorted and the batch's segments carry
-        // disjoint ascending key ranges. The sort is **stable**, which
-        // together with prefix visibility keeps MVCC correct: a merge
-        // folds an entire timestamp prefix and `pin_at` refuses
-        // timestamps older than the folded `max_ts`, so no snapshot can
-        // ever observe part of a reordered batch. String keys sort by
-        // their **global dictionary code** (insertion order of first
-        // appearance, not collation) — the remap is computed above
-        // precisely so the sort and the stored codes agree.
+        // before it is cut into segments, so every segment built here is
+        // internally sorted and the batch's segments carry disjoint
+        // ascending key ranges. The sort is **stable**, which together
+        // with prefix visibility keeps MVCC correct: a merge folds an
+        // entire timestamp prefix and `pin_at` refuses timestamps older
+        // than the folded `max_ts`, so no snapshot can ever observe part
+        // of a reordered batch. String keys sort by their **global
+        // dictionary code** (insertion order of first appearance, not
+        // collation) — the batch already holds them. A batch that
+        // arrives in key order (append-ordered keys: every time-series
+        // load) is left as it is: the stable sort would be the identity.
         let sorted_by = schema.sort_key().and_then(|k| schema.position(k));
-        let (delta, validity) = match sorted_by {
-            Some(key) => {
-                let keys: Vec<i64> = match &delta[key] {
-                    Column::Int64(v) => v.clone(),
-                    Column::Str(d) => {
-                        let remap = remaps[key].as_ref().expect("string column has a remap table");
-                        d.codes().iter().map(|&c| remap[c as usize]).collect()
-                    }
-                    Column::Float64(_) => unreachable!("sort keys are validated Int64 or Str"),
-                };
+        if let Some(key) = sorted_by {
+            let keys = match &batch[key] {
+                FlatColumn::Int(v) | FlatColumn::Codes(v) => v,
+                FlatColumn::Float(_) => unreachable!("sort keys are validated Int64 or Str"),
+            };
+            if !keys.is_sorted() {
                 let mut perm: Vec<u32> = (0..n as u32).collect();
                 perm.sort_by_key(|&i| keys[i as usize]); // stable
-                let delta = delta.iter().map(|c| permute_column(c, &perm)).collect();
-                let validity =
-                    validity.iter().map(|v| perm.iter().map(|&i| v[i as usize]).collect()).collect();
-                (delta, validity)
+                for col in &mut batch {
+                    match col {
+                        FlatColumn::Int(v) | FlatColumn::Codes(v) => *v = permute(v, &perm),
+                        FlatColumn::Float(v) => *v = permute(v, &perm),
+                    }
+                }
+                validity.iter_mut().for_each(|v| *v = permute(v, &perm));
             }
-            None => (delta, validity),
-        };
+        }
         let mut stats = MergeStats { rows_merged: n, ..MergeStats::default() };
         let mut segments = old_main.segments.clone();
         let mut bases = old_main.bases.clone();
@@ -480,7 +575,7 @@ impl Table {
         while start < n {
             fail::fail_point!("merge::segment");
             let end = (start + SEGMENT_ROWS).min(n);
-            let seg = Segment::build(&delta, &validity, start, end, &remaps, sorted_by);
+            let seg = Segment::build(&batch, &validity, start, end, sorted_by);
             stats.raw_bytes += seg.raw_bytes();
             stats.encoded_bytes += seg.encoded_bytes();
             stats.segments_created += 1;
@@ -492,11 +587,10 @@ impl Table {
         let new_main =
             Arc::new(MainSet { segments, bases, rows: main_rows, dicts, epoch: old_main.epoch + 1, max_ts });
         // Phase 2 — publish: under a brief write lock, swap in the new
-        // version and drop the compacted prefix from the delta. Rows
-        // appended during the build (and columns a flexible schema grew
-        // meanwhile — their first `n` cells are null backfill for rows
-        // that now live in segments predating the column) keep their
-        // tail positions.
+        // version and drain the compacted chunks. Chunks sealed during
+        // the build, the open chunk, and columns a flexible schema grew
+        // meanwhile are untouched: the row count does not change, `n`
+        // rows only moved from the delta to main.
         let mut st = self.inner.write();
         // The publish failpoint sits after the write lock is taken but
         // before the first field mutation: an injected panic here
@@ -505,119 +599,163 @@ impl Table {
         // all-or-nothing.
         fail::fail_point!("merge::publish");
         debug_assert_eq!(st.main.epoch, old_main.epoch, "mergers are serialized");
-        st.delta = st.delta.iter().map(|c| column_suffix(c, n)).collect();
-        st.delta_validity = st.delta_validity.iter().map(|v| v[n..].to_vec()).collect();
-        st.insert_ts.drain(..n);
+        st.sealed.drain(..chunks.len());
         st.main = new_main;
-        st.rows = st.main.rows + st.insert_ts.len();
+        st.compact_dicts();
         stats
     }
 }
 
-/// Copies the first `visible` rows of a delta column — the prefix an
-/// MVCC snapshot sees. String columns keep their full delta-local
-/// dictionary ([`DictColumn::sliced`]): the kept codes stay decodable
-/// and later dictionary growth is invisible through the slice.
-fn column_prefix(col: &Column, visible: usize) -> Column {
-    match col {
-        Column::Int64(v) => Column::Int64(v[..visible].to_vec()),
-        Column::Float64(v) => Column::Float64(v[..visible].to_vec()),
-        Column::Str(d) => Column::Str(d.sliced(0, visible)),
-    }
-}
-
-/// Drops the first `n` rows of a delta column — the remainder kept
-/// after a merge compacted the prefix. String columns **rebuild** a
-/// compact delta-local dictionary from the surviving rows rather than
-/// slicing: `build_remap` interns every local dictionary entry into the
-/// table-global dictionary at the next merge, so stale entries carried
-/// over from compacted rows would pollute the global dictionary and
-/// inflate the planner's distinct counts.
-fn column_suffix(col: &Column, n: usize) -> Column {
-    match col {
-        Column::Int64(v) => Column::Int64(v[n..].to_vec()),
-        Column::Float64(v) => Column::Float64(v[n..].to_vec()),
-        Column::Str(d) => {
-            let mut out = DictColumn::new();
-            for i in n..d.len() {
-                out.push(d.get(i).expect("row in range"));
+impl TableState {
+    /// Rebuilds the delta-wide dictionaries from the rows a merge left
+    /// behind — usually none, and the dictionaries simply start over;
+    /// otherwise the survivors' codes are rewritten in first-appearance
+    /// order. Entries only the compacted rows used must go: the next
+    /// merge interns every delta dictionary entry into the table-global
+    /// dictionary, and copy-on-growth clones what is here. Chunks a
+    /// snapshot still shares are copied, never written.
+    fn compact_dicts(&mut self) {
+        for (idx, slot) in self.dicts.iter_mut().enumerate() {
+            let Some(old) = slot else { continue };
+            let mut dict = DictColumn::new();
+            let mut moved: Vec<Option<u32>> = vec![None; old.dict_size()];
+            let mut recode = |code: u32| {
+                *moved[code as usize]
+                    .get_or_insert_with(|| dict.intern(old.decode(code).expect("code of this dictionary")))
+            };
+            for chunk in &mut self.sealed {
+                if chunk.codes(idx).is_some() {
+                    Arc::make_mut(chunk).map_codes(idx, &mut recode);
+                }
             }
-            Column::Str(out)
+            self.open.map_codes(idx, &mut recode);
+            *slot = Some(Arc::new(dict));
         }
     }
 }
 
-/// Reorders a pinned delta column by a sort permutation (`perm[i]` is
-/// the source row of output row `i`). String columns keep their
-/// delta-local dictionary untouched and permute only the code vector,
-/// so the local→global remap tables computed before the sort stay
-/// valid for the permuted column.
-fn permute_column(col: &Column, perm: &[u32]) -> Column {
-    match col {
-        Column::Int64(v) => Column::Int64(perm.iter().map(|&i| v[i as usize]).collect()),
-        Column::Float64(v) => Column::Float64(perm.iter().map(|&i| v[i as usize]).collect()),
-        Column::Str(d) => Column::Str(DictColumn::from_codes(
-            d.iter_dict().map(String::from).collect(),
-            perm.iter().map(|&i| d.codes()[i as usize]).collect(),
-        )),
-    }
+/// An empty delta-wide dictionary for a column of type `dtype` (`None`
+/// unless it holds strings).
+fn new_delta_dict(dtype: DataType) -> Option<Arc<DictColumn>> {
+    (dtype == DataType::Str).then(|| Arc::new(DictColumn::new()))
 }
 
-/// Appends one record to a delta (shared by [`Table::insert`] and
-/// [`TableSnapshot::with_pending`]), evolving a flexible schema as
-/// needed: new columns materialize backfilled with sentinel nulls
-/// (`delta_rows` of them — main segments that predate a column report
-/// their rows as null implicitly).
+/// One column of a merge batch: `n` cells, each chunk's share appended
+/// by `cells` — or, where it reports the chunk predates the column,
+/// `null` for every row of the chunk.
+fn flatten<T: Clone>(
+    chunks: &[Arc<DeltaChunk>],
+    n: usize,
+    null: T,
+    cells: impl Fn(&DeltaChunk, &mut Vec<T>) -> Option<()>,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    for chunk in chunks {
+        if cells(chunk, &mut out).is_none() {
+            out.resize(out.len() + chunk.rows(), null.clone());
+        }
+    }
+    out
+}
+
+/// Reorders a merge batch column by a sort permutation (`perm[i]` is the
+/// source row of output row `i`).
+fn permute<T: Copy>(cells: &[T], perm: &[u32]) -> Vec<T> {
+    perm.iter().map(|&i| cells[i as usize]).collect()
+}
+
+/// Appends one record to a delta chunk — the table's open chunk
+/// ([`Table::insert`], which stamps the row from `oracle` and gets the
+/// timestamp back) or a snapshot's private overlay chunk
+/// ([`TableSnapshot::with_pending`]) — evolving a flexible schema as
+/// needed: new columns materialize in this chunk backfilled with
+/// sentinel nulls (earlier chunks and main segments that predate a
+/// column report their rows as null implicitly). The record is checked
+/// in full first; a rejected one leaves schema, dictionaries and chunk
+/// untouched and draws no timestamp.
 fn append_record(
-    schema: &mut TableSchema,
-    delta: &mut Vec<Column>,
-    delta_validity: &mut Vec<Vec<bool>>,
-    delta_rows: usize,
+    schema: &mut Arc<TableSchema>,
+    dicts: &mut DeltaDicts,
+    chunk: &mut DeltaChunk,
     record: &Record,
-) -> DbResult<()> {
-    let values = schema.admit(record)?;
-    while delta.len() < schema.width() {
-        let (_, dtype) = &schema.columns()[delta.len()];
-        let mut col = Column::new(*dtype);
-        for _ in 0..delta_rows {
-            col.push(Value::Null).expect("null is universal");
+    oracle: Option<&TimestampOracle>,
+) -> DbResult<Option<Timestamp>> {
+    let checked = schema.check(record)?;
+    if !checked.new_columns.is_empty() {
+        for (_, dtype) in &checked.new_columns {
+            dicts.push(new_delta_dict(*dtype));
+            chunk.push_column(*dtype, dicts);
         }
-        delta.push(col);
-        delta_validity.push(vec![false; delta_rows]);
+        Arc::make_mut(schema).evolve(checked.new_columns);
     }
-    for ((col, valid), value) in delta.iter_mut().zip(delta_validity.iter_mut()).zip(values) {
-        valid.push(!value.is_null());
-        col.push(value).map_err(|e| DbError::TypeMismatch { column: String::new(), expected: e.expected })?;
-    }
-    Ok(())
+    // Drawn under the table's write lock, after the last check that can
+    // fail: timestamp order is append order.
+    let ts = oracle.map(TimestampOracle::next);
+    debug_assert!(
+        chunk.last_ts().zip(ts).is_none_or(|(last, ts)| last < ts.0),
+        "all inserts into a table must share one oracle"
+    );
+    chunk.push_row(&checked.values, dicts, ts.map(|ts| ts.0));
+    Ok(ts)
 }
 
 /// An immutable view of a table as of one timestamp: an `Arc` to the
-/// main version current at the pin plus a copy of the delta prefix
-/// visible at the snapshot's timestamp.
+/// main version current at the pin, the `Arc`s of the sealed delta
+/// chunks visible at the snapshot's timestamp, and a private copy of
+/// the visible prefix of the one chunk the timestamp cuts through.
 ///
 /// This is the type the whole read path operates on — scans,
 /// aggregates, joins, projections and planner statistics all see one
 /// frozen state, whatever inserts and merges do concurrently. The
 /// pinned `MainSet` also freezes the table-global string
-/// dictionaries, so codes always decode against exactly the dictionary
-/// state the snapshot saw.
+/// dictionaries, and the pinned delta dictionaries never change under
+/// the snapshot (the writer copies them on growth), so codes always
+/// decode against exactly the dictionary state the snapshot saw. A
+/// merge that drains the pinned chunks from the table does not touch
+/// them here: they live until the last snapshot holding them drops.
 #[derive(Clone, Debug)]
 pub struct TableSnapshot {
-    name: String,
-    schema: TableSchema,
+    name: Arc<str>,
+    schema: Arc<TableSchema>,
     main: Arc<MainSet>,
-    /// The visible delta prefix (one dense column per schema column).
-    delta: Vec<Column>,
-    /// Per-column validity of the visible delta (false = null).
-    delta_validity: Vec<Vec<bool>>,
+    /// The visible delta, oldest first: `sealed` chunks shared with the
+    /// table, then this snapshot's private ones (a pinned prefix, a
+    /// transaction's pending rows).
+    chunks: Vec<Arc<DeltaChunk>>,
+    /// Global row id of each chunk's first row (parallel to `chunks`).
+    chunk_bases: Vec<usize>,
+    /// How many leading `chunks` are sealed chunks of the table.
+    sealed: usize,
+    /// The delta-wide dictionaries as pinned.
+    dicts: DeltaDicts,
     rows: usize,
     ts: Timestamp,
 }
 
 impl TableSnapshot {
+    /// Appends a chunk only this snapshot holds.
+    fn push_private(&mut self, chunk: DeltaChunk) {
+        if chunk.rows() > 0 {
+            self.chunk_bases.push(self.rows);
+            self.rows += chunk.rows();
+            self.chunks.push(Arc::new(chunk));
+        }
+    }
+
+    /// Appends a private copy of the first `n` rows of `chunk`.
+    fn push_prefix(&mut self, chunk: &DeltaChunk, n: usize) {
+        if n > 0 {
+            self.push_private(chunk.prefix(n));
+        }
+    }
+
     /// The table name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The table name, shared.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -652,7 +790,7 @@ impl TableSnapshot {
         self.main.rows
     }
 
-    /// Visible rows in the flat delta tail.
+    /// Visible rows in the delta.
     pub fn delta_rows(&self) -> usize {
         self.rows - self.main.rows
     }
@@ -673,26 +811,85 @@ impl TableSnapshot {
         self.main.dicts.get(idx).and_then(Option::as_ref)
     }
 
-    /// The visible delta tail of column `idx` (dense, uncompressed).
-    pub fn delta_column(&self, idx: usize) -> Option<&Column> {
-        self.delta.get(idx)
+    /// Number of physical stores holding this snapshot's rows: the main
+    /// segments, then the visible delta chunks.
+    pub(crate) fn store_count(&self) -> usize {
+        self.main.segments.len() + self.chunks.len()
+    }
+
+    /// Store `u` (segments first, then delta chunks, both oldest first)
+    /// and the global row id of its first row.
+    pub(crate) fn store(&self, u: usize) -> (Store<'_>, usize) {
+        match u.checked_sub(self.main.segments.len()) {
+            None => (Store::Seg(&self.main.segments[u]), self.main.bases[u]),
+            Some(c) => {
+                (Store::Chunk { chunk: &self.chunks[c], sealed: c < self.sealed }, self.chunk_bases[c])
+            }
+        }
+    }
+
+    /// The delta-wide dictionary the delta codes of string column `idx`
+    /// index (`None` for non-string columns).
+    pub(crate) fn delta_dict(&self, idx: usize) -> Option<&DictColumn> {
+        self.dicts.get(idx).and_then(Option::as_deref)
+    }
+
+    /// The delta chunk holding delta row `local`, and the row's offset
+    /// in it.
+    fn delta_cell(&self, local: usize) -> (&DeltaChunk, usize) {
+        let row = self.main.rows + local;
+        let chunk = self.chunk_bases.partition_point(|&b| b <= row) - 1;
+        (&self.chunks[chunk], row - self.chunk_bases[chunk])
+    }
+
+    /// The visible delta of column `idx` flattened into one dense
+    /// column — a full, unmetered copy for diagnostics and tests (query
+    /// execution reads the chunks in place). Rows of chunks that predate
+    /// the column are null sentinels.
+    pub fn delta_column(&self, idx: usize) -> Option<Column> {
+        let (_, dtype) = self.schema.columns().get(idx)?;
+        let n = self.delta_rows();
+        Some(match dtype {
+            DataType::Int64 => Column::Int64(flatten(&self.chunks, n, 0, |c, out| {
+                out.extend_from_slice(c.ints(idx)?);
+                Some(())
+            })),
+            DataType::Float64 => Column::Float64(flatten(&self.chunks, n, 0.0, |c, out| {
+                out.extend_from_slice(c.floats(idx)?);
+                Some(())
+            })),
+            DataType::Str => {
+                let mut dict: Vec<String> = self.delta_dict(idx)?.iter_dict().map(String::from).collect();
+                let predates = self.chunks.iter().any(|c| c.codes(idx).is_none());
+                if predates && !dict.iter().any(String::is_empty) {
+                    dict.push(String::new());
+                }
+                let null = dict.iter().position(String::is_empty).unwrap_or(0) as u32;
+                let codes = flatten(&self.chunks, n, null, |c, out| {
+                    out.extend_from_slice(c.codes(idx)?);
+                    Some(())
+                });
+                Column::Str(DictColumn::from_codes(dict, codes))
+            }
+        })
     }
 
     /// A copy of this snapshot with `records` appended as extra
     /// (uncommitted) delta rows — the read-your-own-writes view a
-    /// transaction evaluates queries against: committed state as pinned,
-    /// plus the transaction's private overlay, visible to nobody else.
+    /// transaction evaluates queries against: committed state as pinned
+    /// (shared, not copied), plus one private chunk holding the
+    /// transaction's overlay, visible to nobody else.
     ///
     /// # Errors
     ///
     /// Propagates schema violations and type mismatches.
     pub fn with_pending(&self, records: &[Record]) -> DbResult<TableSnapshot> {
         let mut snap = self.clone();
+        let mut pending = DeltaChunk::new(snap.schema.columns(), records.len());
         for record in records {
-            let delta_rows = snap.rows - snap.main.rows;
-            append_record(&mut snap.schema, &mut snap.delta, &mut snap.delta_validity, delta_rows, record)?;
-            snap.rows += 1;
+            append_record(&mut snap.schema, &mut snap.dicts, &mut pending, record, None)?;
         }
+        snap.push_private(pending);
         Ok(snap)
     }
 
@@ -715,12 +912,16 @@ impl TableSnapshot {
     ///
     /// Returns `None` if the column is not an integer column.
     pub fn get_int(&self, idx: usize, row: usize) -> Option<i64> {
+        if self.schema.columns().get(idx)?.1 != DataType::Int64 {
+            return None;
+        }
         match self.locate(row) {
-            RowLoc::Delta { local } => self.delta.get(idx)?.as_int64().map(|v| v[local]),
+            RowLoc::Delta { local } => {
+                let (chunk, row) = self.delta_cell(local);
+                // A chunk that predates the column holds the sentinel.
+                Some(chunk.ints(idx).map_or(0, |v| v[row]))
+            }
             RowLoc::Main { seg, local } => {
-                if *self.schema.columns().get(idx).map(|(_, t)| t)? != DataType::Int64 {
-                    return None;
-                }
                 match self.main.segments[seg].column(idx) {
                     Some(SegColumn::Int { data, .. }) => Some(data.get(local)),
                     None => Some(0), // segment predates the column: sentinel
@@ -735,8 +936,13 @@ impl TableSnapshot {
     pub fn str_eq(&self, idx: usize, row: usize, value: &str) -> Option<bool> {
         match self.locate(row) {
             RowLoc::Delta { local } => {
-                let d = self.delta.get(idx)?.as_str()?;
-                Some(d.get(local) == Some(value))
+                let dict = self.delta_dict(idx)?;
+                let (chunk, row) = self.delta_cell(local);
+                // A chunk that predates the column holds the sentinel "".
+                Some(
+                    chunk.codes(idx).map_or("", |c| dict.decode(c[row]).expect("code of this dictionary"))
+                        == value,
+                )
             }
             RowLoc::Main { seg, local } => {
                 let global = self.global_dict(idx)?;
@@ -841,10 +1047,10 @@ impl TableSnapshot {
         let mut stats = GatherStats::default();
         let mut out = Vec::with_capacity(names.len());
         for name in names {
-            let idx = self
-                .schema
-                .position(name)
-                .ok_or_else(|| DbError::NoSuchColumn { table: self.name.clone(), column: name.clone() })?;
+            let idx = self.schema.position(name).ok_or_else(|| DbError::NoSuchColumn {
+                table: self.name.to_string(),
+                column: name.clone(),
+            })?;
             let col = self.gather_column(idx, &sel, &mut stats);
             stats.bytes_written += col.size_bytes() as u64;
             out.push((name.clone(), col));
@@ -856,30 +1062,39 @@ impl TableSnapshot {
     /// stores holding a row, one cell loop per store, then one interning
     /// pass for strings.
     fn gather_column(&self, idx: usize, sel: &AscendingRows<'_>, stats: &mut GatherStats) -> Column {
-        let delta = &self.delta[idx];
         let global = self.global_dict(idx);
+        let local = self.delta_dict(idx);
         let delta_code0 = global.map_or(0, DictColumn::dict_size) as u32;
-        let sentinel = delta_code0 + delta.as_str().map_or(0, DictColumn::dict_size) as u32;
-        // Cells of segments predating the column keep what they are
-        // pre-filled with here: no data exists, nothing is read.
-        let (mut out, cell_bytes) = match delta {
-            Column::Int64(_) => (Cells::Ints(vec![0; sel.len]), 8),
-            Column::Float64(_) => (Cells::Floats(vec![0.0; sel.len]), 8),
-            Column::Str(_) => (Cells::Codes(vec![sentinel; sel.len]), 4),
+        let sentinel = delta_code0 + local.map_or(0, DictColumn::dict_size) as u32;
+        // Cells of segments and chunks predating the column keep what
+        // they are pre-filled with here: no data exists, nothing is read.
+        let (mut out, cell_bytes) = match self.schema.columns()[idx].1 {
+            DataType::Int64 => (Cells::Ints(vec![0; sel.len]), 8),
+            DataType::Float64 => (Cells::Floats(vec![0.0; sel.len]), 8),
+            DataType::Str => (Cells::Codes(vec![sentinel; sel.len]), 4),
         };
-        self.split_by_store(sel.rows.as_deref(), |seg, base, range| {
+        self.split_by_store(sel.rows.as_deref(), |store, base, range| {
             let hits = range.len();
-            let Some(seg) = seg else {
-                match (delta, &mut out) {
-                    (Column::Int64(v), Cells::Ints(out)) => sel.scatter(range, base, out, |i| v[i]),
-                    (Column::Float64(v), Cells::Floats(out)) => sel.scatter(range, base, out, |i| v[i]),
-                    (Column::Str(d), Cells::Codes(out)) => {
-                        sel.scatter(range, base, out, |i| delta_code0 + d.codes()[i]);
+            let seg = match store {
+                Store::Seg(seg) => seg,
+                Store::Chunk { chunk, .. } => {
+                    match &mut out {
+                        Cells::Ints(out) => {
+                            let Some(v) = chunk.ints(idx) else { return };
+                            sel.scatter(range, base, out, |i| v[i]);
+                        }
+                        Cells::Floats(out) => {
+                            let Some(v) = chunk.floats(idx) else { return };
+                            sel.scatter(range, base, out, |i| v[i]);
+                        }
+                        Cells::Codes(out) => {
+                            let Some(codes) = chunk.codes(idx) else { return };
+                            sel.scatter(range, base, out, |i| delta_code0 + codes[i]);
+                        }
                     }
-                    _ => unreachable!("output cells are typed after the delta column"),
+                    stats.bytes_read += (hits * cell_bytes) as u64;
+                    return;
                 }
-                stats.bytes_read += (hits * cell_bytes) as u64;
-                return;
             };
             let Some(col) = seg.column(idx) else { return };
             // The billing rule, and the read it bills: a store's share is
@@ -915,7 +1130,6 @@ impl TableSnapshot {
         // entry and interns it — values shared between the dictionaries
         // (and the `""` sentinel) collapse there — every repeat is an
         // array-indexed cache hit plus a code push, never a string hash.
-        let local = delta.as_str().expect("string cells come from a string column");
         let mut dict = DictColumn::new();
         let mut cache: Vec<Option<u32>> = vec![None; sentinel as usize + 1];
         for code in codes {
@@ -925,7 +1139,7 @@ impl TableSnapshot {
                 } else if code < delta_code0 {
                     global.and_then(|g| g.decode(code))
                 } else {
-                    local.decode(code - delta_code0)
+                    local.and_then(|l| l.decode(code - delta_code0))
                 }
                 .expect("code resolves through its dictionary");
                 stats.bytes_read += s.len() as u64;
@@ -938,18 +1152,16 @@ impl TableSnapshot {
 
     /// Splits a non-decreasing row list (`None`: all rows) at the store
     /// boundaries: `f` gets, for every store holding at least one of the
-    /// rows, the segment (`None`: the delta tail), the store's first
+    /// rows, the store (a main segment or a delta chunk), its first
     /// global row id and the index range of its rows within the list.
-    fn split_by_store(&self, asc: Option<&[u32]>, mut f: impl FnMut(Option<&Segment>, usize, Range<usize>)) {
-        let segments =
-            self.main.segments.iter().zip(&self.main.bases).map(|(seg, &base)| (Some(&**seg), base));
+    fn split_by_store(&self, asc: Option<&[u32]>, mut f: impl FnMut(Store<'_>, usize, Range<usize>)) {
         let mut i = 0;
-        for (seg, base) in segments.chain([(None, self.main.rows)]) {
-            let end = base + seg.map_or(self.delta_rows(), Segment::rows);
+        for (store, base) in (0..self.store_count()).map(|u| self.store(u)) {
+            let end = base + store.rows();
             let from = i;
             i = asc.map_or(end, |asc| from + asc[from..].partition_point(|&r| (r as usize) < end));
             if i > from {
-                f(seg, base, from..i);
+                f(store, base, from..i);
             }
         }
     }
@@ -964,7 +1176,7 @@ impl TableSnapshot {
     }
 
     /// The validity vector of one column (false = null sentinel); rows
-    /// in segments that predate the column are null.
+    /// in segments and delta chunks that predate the column are null.
     pub fn validity(&self, name: &str) -> Option<Vec<bool>> {
         let idx = self.schema.position(name)?;
         let mut out = Vec::with_capacity(self.rows);
@@ -978,7 +1190,12 @@ impl TableSnapshot {
                 }
             }
         }
-        out.extend_from_slice(&self.delta_validity[idx]);
+        for chunk in &self.chunks {
+            match chunk.validity(idx) {
+                Some(v) => out.extend_from_slice(v),
+                None => out.extend(std::iter::repeat_n(false, chunk.rows())),
+            }
+        }
         Some(out)
     }
 
@@ -986,7 +1203,11 @@ impl TableSnapshot {
     pub fn null_count(&self, name: &str) -> Option<usize> {
         let idx = self.schema.position(name)?;
         let main: usize = self.main.segments.iter().map(|s| s.null_count(idx)).sum();
-        let delta = self.delta_validity[idx].iter().filter(|&&b| !b).count();
+        let delta: usize = self
+            .chunks
+            .iter()
+            .map(|c| c.validity(idx).map_or(c.rows(), |v| v.iter().filter(|&&b| !b).count()))
+            .sum();
         Some(main + delta)
     }
 
@@ -1001,43 +1222,56 @@ impl TableSnapshot {
     /// Approximate footprint in bytes: **encoded** main segments plus the
     /// flat delta (this is what the planner's scan costs scale with).
     pub fn size_bytes(&self) -> usize {
-        self.encoded_bytes() + self.rows * self.delta.len() / 8
+        self.encoded_bytes() + self.rows * self.schema.width() / 8
     }
 
     /// Encoded bytes of the main store plus the (plain) delta bytes.
     pub fn encoded_bytes(&self) -> usize {
         let main: usize = self.main.segments.iter().map(|s| s.encoded_bytes()).sum();
-        let delta: usize = self.delta.iter().map(Column::size_bytes).sum();
-        main + delta
+        main + self.delta_bytes()
     }
 
     /// Plain bytes the same data would occupy without compression.
     pub fn raw_bytes(&self) -> usize {
         let main: usize = self.main.segments.iter().map(|s| s.raw_bytes()).sum();
-        let delta: usize = self.delta.iter().map(Column::size_bytes).sum();
-        main + delta
+        main + self.delta_bytes()
+    }
+
+    /// Bytes of the visible delta: every column's flat cells plus the
+    /// delta-wide dictionaries.
+    fn delta_bytes(&self) -> usize {
+        (0..self.schema.width()).map(|idx| self.delta_column_bytes(idx)).sum()
+    }
+
+    /// Bytes of the visible delta of column `idx`: its flat cells, plus
+    /// the delta-wide dictionary of a string column.
+    fn delta_column_bytes(&self, idx: usize) -> usize {
+        let cells: usize = self.chunks.iter().map(|c| c.column_bytes(idx)).sum();
+        cells + self.delta_dict(idx).map_or(0, DictColumn::size_bytes)
     }
 
     /// Encoded bytes of one column across main segments plus its delta
-    /// tail — the DRAM traffic a scan of this column costs.
+    /// cells — the DRAM traffic a scan of this column costs.
     pub fn column_encoded_bytes(&self, name: &str) -> Option<usize> {
         let idx = self.schema.position(name)?;
         let main: usize =
             self.main.segments.iter().map(|s| s.column(idx).map_or(0, SegColumn::encoded_bytes)).sum();
-        Some(main + self.delta.get(idx).map_or(0, Column::size_bytes))
+        Some(main + self.delta_column_bytes(idx))
     }
 
-    /// Per-segment zone maps of an integer column (the delta tail is the
-    /// final entry), for the planner's segment-pruning estimate. `None`
-    /// for non-integer columns.
+    /// Per-store zone maps of an integer column — one per main segment,
+    /// then one per delta chunk — for the planner's pruning estimate.
+    /// `None` for non-integer columns.
     pub fn zone_maps(&self, name: &str) -> Option<Vec<ZoneMapMeta>> {
         let idx = self.schema.position(name)?;
         (self.schema.columns()[idx].1 == DataType::Int64).then(|| self.int_zones(idx).collect())
     }
 
     /// The zone of integer column `idx` in every store: one per main
-    /// segment (`(0, 0)`, the sentinel, where the segment predates the
-    /// column), then the measured extrema of a non-empty delta tail.
+    /// segment, then one per delta chunk (`(0, 0)`, the sentinel, where
+    /// the store predates the column). A sealed chunk's extrema are
+    /// computed once and shared by every snapshot holding it; a private
+    /// one folds its own rows, once per snapshot.
     fn int_zones(&self, idx: usize) -> impl Iterator<Item = ZoneMapMeta> + '_ {
         let main = self.main.segments.iter().map(move |seg| {
             let (min, max) = seg.zone(idx).unwrap_or((0, 0));
@@ -1047,48 +1281,53 @@ impl TableSnapshot {
             // segments actually carry.
             ZoneMapMeta { rows: seg.rows() as u64, min, max, sorted: seg.sorted_by() == Some(idx) }
         });
-        let delta = self.delta[idx].as_int64().filter(|d| !d.is_empty()).map(|d| {
-            let (min, max) = d.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            ZoneMapMeta { rows: d.len() as u64, min, max, sorted: false }
+        let delta = self.chunks.iter().map(move |chunk| {
+            let (min, max) = chunk.int_stats(idx).map_or((0, 0), |s| (s.min, s.max));
+            ZoneMapMeta { rows: chunk.rows() as u64, min, max, sorted: false }
         });
         main.chain(delta)
     }
 
-    /// Per-table planner statistics, computed from zone maps and delta
-    /// extrema — O(segments + delta), never decoding the main store.
+    /// Per-table planner statistics, computed from zone maps, segment
+    /// and chunk statistics — O(segments + chunks + private delta rows),
+    /// never decoding the main store.
     pub fn planner_meta(&self) -> haec_planner::catalog::TableMeta {
+        self.planner_meta_of(|_| true)
+    }
+
+    /// [`TableSnapshot::planner_meta`] with statistics for the columns
+    /// `wanted` names only — a planned query reads one or two, and a
+    /// private chunk's share of the others would be folded for nothing.
+    pub(crate) fn planner_meta_of(&self, wanted: impl Fn(&str) -> bool) -> haec_planner::catalog::TableMeta {
         let columns = self
             .schema
             .columns()
             .iter()
             .enumerate()
+            .filter(|(_, (name, _))| wanted(name))
             .map(|(idx, (name, dtype))| {
                 let (min, max, ndv) = match dtype {
                     DataType::Int64 => {
                         let (min, max) = self.int_extrema(idx);
-                        // Sum of per-segment measured counts (stored at
-                        // merge time) + the delta's measured distinct,
-                        // capped by the value range and the row count.
-                        // Over-counts values shared across stores but
-                        // never collapses a sparse domain.
-                        let measured: u64 = self
-                            .main
-                            .segments
-                            .iter()
-                            // Segments predating the column hold one
-                            // distinct value (the null sentinel 0).
-                            .map(|s| s.ndv(idx).unwrap_or(1))
-                            .sum::<u64>()
-                            + self.delta[idx].stats().distinct;
+                        // Sum of the measured per-store counts (a segment's
+                        // stored at merge time, a chunk's cached on first
+                        // use), capped by the value range and the row
+                        // count. Over-counts values shared across stores
+                        // but never collapses a sparse domain. A store
+                        // predating the column holds one distinct value
+                        // (the null sentinel 0).
+                        let main: u64 = self.main.segments.iter().map(|s| s.ndv(idx).unwrap_or(1)).sum();
+                        let delta: u64 =
+                            self.chunks.iter().map(|c| c.int_stats(idx).map_or(1, |s| s.ndv)).sum();
                         let range = (max as i128 - min as i128 + 1).max(0) as u64;
-                        (min, max, measured.min(range).min(self.rows as u64))
+                        (min, max, (main + delta).min(range).min(self.rows as u64))
                     }
                     DataType::Str => {
-                        // Distinct = global dict + delta-local values the
+                        // Distinct = global dict + delta values the
                         // global dict has not seen (no double counting).
                         let global = self.global_dict(idx);
                         let g = global.map_or(0, DictColumn::dict_size);
-                        let fresh = self.delta[idx].as_str().map_or(0, |local| {
+                        let fresh = self.delta_dict(idx).map_or(0, |local| {
                             local
                                 .iter_dict()
                                 .filter(|s| global.is_none_or(|d| d.code_of(s).is_none()))
@@ -1108,19 +1347,42 @@ impl TableSnapshot {
             })
             .collect();
         haec_planner::catalog::TableMeta {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             rows: self.rows as u64,
             row_bytes: (self.size_bytes() / self.rows.max(1)) as u64,
             columns,
         }
     }
 
-    /// Min/max of an int column over zone maps + delta (0,0 if empty).
+    /// Min/max of an int column over every store's zone (0,0 if empty).
     fn int_extrema(&self, idx: usize) -> (i64, i64) {
         self.int_zones(idx)
             .map(|z| (z.min, z.max))
             .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)))
             .unwrap_or((0, 0))
+    }
+}
+
+/// One physical store of a snapshot's rows — and one execution unit of
+/// a query over it.
+#[derive(Clone, Copy)]
+pub(crate) enum Store<'a> {
+    Seg(&'a Segment),
+    /// A delta chunk; `sealed` when it is one of the table's sealed
+    /// chunks, whose statistics are shared and cached — a snapshot's
+    /// private chunks are small and simply read.
+    Chunk {
+        chunk: &'a DeltaChunk,
+        sealed: bool,
+    },
+}
+
+impl Store<'_> {
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            Store::Seg(seg) => seg.rows(),
+            Store::Chunk { chunk, .. } => chunk.rows(),
+        }
     }
 }
 
@@ -1154,7 +1416,7 @@ pub fn is_flexible(table: &TableSnapshot) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haec_columnar::value::CmpOp;
+    use haec_columnar::value::{CmpOp, Value};
 
     fn ins(t: &Table, o: &TimestampOracle, r: &Record) {
         t.insert(r, o).unwrap();
@@ -1667,7 +1929,7 @@ mod tests {
         let mut last = Timestamp::ZERO;
         for round in 0..3i64 {
             for i in 0..5i64 {
-                let (ts, row) = t.insert(&Record::new().with("v", round * 5 + i), &o).unwrap();
+                let (ts, row, _) = t.insert(&Record::new().with("v", round * 5 + i), &o).unwrap();
                 assert!(ts > last, "insert timestamps strictly increase");
                 assert_eq!(row as i64, round * 6 + i, "row ids are insertion order");
                 last = ts;
@@ -1676,7 +1938,7 @@ mod tests {
             assert!(snap.timestamp() > last, "snapshot timestamps join the same total order");
             last = snap.timestamp();
             t.merge();
-            let (ts, _) = t.insert(&Record::new().with("v", -1), &o).unwrap();
+            let (ts, ..) = t.insert(&Record::new().with("v", -1), &o).unwrap();
             assert!(ts > last, "a merge never resets or reuses timestamps");
             last = ts;
         }
@@ -1698,14 +1960,92 @@ mod tests {
 
     #[test]
     fn delta_suffix_rebuilds_compact_dictionary() {
-        let mut d = DictColumn::new();
-        for v in ["a", "b", "a", "c"] {
-            d.push(v);
+        let t = Table::new("t", strict_schema(&[("s", DataType::Str)]));
+        let o = TimestampOracle::new();
+        for v in ["a", "b", "a"] {
+            ins(&t, &o, &Record::new().with("s", v));
         }
-        let suffix = column_suffix(&Column::Str(d), 3);
-        let s = suffix.as_str().unwrap();
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec!["c"]);
-        assert_eq!(s.dict_size(), 1, "stale entries must not leak into the next merge's global dict");
+        // A row lands between a merge's pin and its publish: the state
+        // the publish leaves behind once the pinned chunk is drained.
+        let pinned = {
+            let mut st = t.inner.write();
+            st.seal();
+            st.sealed.len()
+        };
+        ins(&t, &o, &Record::new().with("s", "c"));
+        let before = t.read();
+        {
+            let mut st = t.inner.write();
+            st.sealed.drain(..pinned);
+            st.rows -= 3;
+            st.compact_dicts();
+        }
+        let s = t.read();
+        assert_eq!(s.column("s").unwrap().as_str().unwrap().iter().collect::<Vec<_>>(), vec!["c"]);
+        assert_eq!(
+            s.delta_dict(0).unwrap().iter_dict().collect::<Vec<_>>(),
+            vec!["c"],
+            "stale entries must not leak into the next merge's global dict"
+        );
+        // The snapshot pinned before still decodes its own codes.
+        let col = before.column("s").unwrap();
+        assert_eq!(col.as_str().unwrap().iter().collect::<Vec<_>>(), vec!["a", "b", "a", "c"]);
+    }
+
+    #[test]
+    fn sorted_and_shuffled_batches_merge_to_equal_segments() {
+        // A batch that arrives in key order skips the sort permutation;
+        // it must build what sorting a shuffle of the same rows builds.
+        let schema = || {
+            strict_schema(&[
+                ("k", DataType::Int64),
+                ("v", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Str),
+            ])
+            .with_sort_key("k")
+        };
+        let n = DELTA_CHUNK_ROWS as i64 + 500;
+        let rec = |i: i64| {
+            let v = if i % 11 == 0 { Value::Null } else { Value::Int(i * 7 % 1000) };
+            Record::new()
+                .with("k", i * 2)
+                .with("v", v)
+                .with("f", i as f64 / 4.0)
+                .with("s", ["a", "b"][i as usize % 2])
+        };
+        // Rows 0 and 1 lead both orders, so the dictionaries agree too.
+        let mut shuffled: Vec<i64> = (2..n).collect();
+        shuffled.sort_by_key(|&i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64));
+        let (in_order, permuted) = (Table::new("t", schema()), Table::new("t", schema()));
+        let o = TimestampOracle::new();
+        (0..n).for_each(|i| ins(&in_order, &o, &rec(i)));
+        [0, 1].into_iter().chain(shuffled).for_each(|i| ins(&permuted, &o, &rec(i)));
+        assert_eq!(in_order.merge(), permuted.merge());
+        let (a, b) = (in_order.read(), permuted.read());
+        assert_eq!(a.to_chunk(), b.to_chunk());
+        assert_eq!(a.validity("v"), b.validity("v"));
+        assert_eq!(a.segments().len(), b.segments().len());
+        for (x, y) in a.segments().iter().zip(b.segments()) {
+            assert_eq!(
+                (x.rows(), x.sorted_by(), x.encoded_bytes()),
+                (y.rows(), y.sorted_by(), y.encoded_bytes())
+            );
+            for idx in 0..4 {
+                assert_eq!(
+                    (x.zone(idx), x.ndv(idx), x.null_count(idx)),
+                    (y.zone(idx), y.ndv(idx), y.null_count(idx))
+                );
+            }
+        }
+        assert_eq!(a.segments()[0].sorted_by(), Some(0));
+        // Duplicate keys in arrival order stay in arrival order.
+        let dup = Table::new("t", schema());
+        for (i, k) in [1i64, 1, 2, 2, 2, 5].into_iter().enumerate() {
+            ins(&dup, &o, &Record::new().with("k", k).with("v", i as i64).with("f", 0.0).with("s", "a"));
+        }
+        dup.merge();
+        assert_eq!(dup.read().column("v").unwrap().as_int64().unwrap(), &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

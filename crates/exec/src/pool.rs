@@ -181,12 +181,12 @@ pub struct ExecOpts {
     /// width, capped by the machine model); an explicit value also opts
     /// the query into pooled dispatch regardless of table size.
     pub dop: usize,
-    /// Target morsel size in rows. Controls how finely the delta tail
-    /// is chunked into execution units (compressed main segments stay
-    /// atomic — they are the storage-defined floor) and, above one
-    /// segment's worth of rows, how many units are batched per
-    /// dispenser grab. Smaller morsels interleave concurrent queries
-    /// more fairly under contention; larger ones amortize dispatch.
+    /// Target morsel size in rows. An execution unit is a store the
+    /// storage layer defines — a compressed main segment or a delta
+    /// chunk, both atomic — so this only decides, above one segment's
+    /// worth of rows, how many units are batched per dispenser grab.
+    /// Smaller morsels interleave concurrent queries more fairly under
+    /// contention; larger ones amortize dispatch.
     pub morsel_rows: usize,
     /// Fleet-wide in-flight morsel budget this query must respect,
     /// shared with every other query admitted by the same server.
