@@ -77,14 +77,30 @@ fn bench_sync_strategies(c: &mut Criterion) {
     g.finish();
 }
 
-/// Joins: build+probe throughput (supports E1's cost constants).
+/// Joins: build+probe throughput (supports E1's cost constants), then
+/// build and probe alone, on each of the join table's two slot maps —
+/// `direct` (surrogate keys `0..100 K`, a key span of one per row) and
+/// `hashed` (the same keys scattered over all of `i64`). Half the probes
+/// hit in both.
 fn bench_hash_join(c: &mut Criterion) {
-    let build: Vec<i64> = (0..100_000).collect();
-    let probe: Vec<i64> = (50_000..550_000).collect();
+    let scatter = |k: i64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64);
+    let dense: Vec<i64> = (0..100_000).collect();
+    let dense_probe: Vec<i64> = (50_000..550_000).collect();
+    let sparse: Vec<i64> = dense.iter().map(|&k| scatter(k)).collect();
+    let sparse_probe: Vec<i64> = dense_probe.iter().map(|&k| scatter(k)).collect();
     let mut g = c.benchmark_group("join_hash");
-    g.throughput(Throughput::Elements((build.len() + probe.len()) as u64));
     g.sample_size(10);
-    g.bench_function("build_probe", |b| b.iter(|| HashJoin::build(&build).probe(&probe).len()));
+    for (map, build, probe) in [("direct", &dense, &dense_probe), ("hashed", &sparse, &sparse_probe)] {
+        g.throughput(Throughput::Elements((build.len() + probe.len()) as u64));
+        g.bench_function(&format!("build_probe/{map}"), |b| {
+            b.iter(|| HashJoin::build(build).probe(probe).len())
+        });
+        g.throughput(Throughput::Elements(build.len() as u64));
+        g.bench_function(&format!("build/{map}"), |b| b.iter(|| HashJoin::build(build).distinct_keys()));
+        let join = HashJoin::build(build);
+        g.throughput(Throughput::Elements(probe.len() as u64));
+        g.bench_function(&format!("probe/{map}"), |b| b.iter(|| join.probe(probe).len()));
+    }
     g.finish();
 }
 
@@ -93,8 +109,11 @@ fn bench_hash_join(c: &mut Criterion) {
 /// (`cursor().at`) — the per-scheme numbers behind
 /// `haecdb::table::SPARSE_HIT_RATIO`: its 1:8 crossover is the densest
 /// list read this way, so 1/16 sits just under it and 1/1024 is one hit
-/// per Delta checkpoint block. Each column is in the shape `auto` picks
-/// that scheme for.
+/// per Delta checkpoint block. Delta, whose cursor skips whole 64-row
+/// blocks between hits, is also read at the crossover itself (1:8) and
+/// at 1:50 and 1:100, the hit densities of the sort-key gathers in
+/// `haecbench`'s `project_sparse` and `join_int_filtered`. Each column
+/// is in the shape `auto` picks that scheme for.
 fn bench_sparse_access(c: &mut Criterion) {
     let n = 64 * 1024usize;
     let shaped = |scheme: Scheme| -> Vec<i64> {
@@ -111,7 +130,9 @@ fn bench_sparse_access(c: &mut Criterion) {
     g.sample_size(10);
     for scheme in Scheme::ALL {
         let e = EncodedInts::encode(&shaped(scheme), scheme);
-        for every in [16usize, 64, 1024] {
+        let densities: &[usize] =
+            if scheme == Scheme::Delta { &[8, 16, 50, 64, 100, 1024] } else { &[16, 64, 1024] };
+        for &every in densities {
             let hits: Vec<usize> = (every / 2..n).step_by(every).collect();
             g.throughput(Throughput::Elements(hits.len() as u64));
             g.bench_with_input(

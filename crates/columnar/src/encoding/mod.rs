@@ -13,8 +13,9 @@
 //! slice loops. [`EncodedInts::iter`] is a cursor over those blocks, and
 //! [`EncodedInts::scan`] compares each block into one 64-bit match word
 //! of the output [`Bitmap`], with the operator resolved once per call.
-//! Positioned reads ([`EncodedInts::get`], [`EncodedInts::cursor`]) stay
-//! per row.
+//! Positioned reads stay per row: [`EncodedInts::get`] everywhere, and
+//! [`EncodedInts::cursor`] on every scheme but Delta, whose cursor holds
+//! one decoded block and skips forward a block at a time.
 
 pub mod bitpack;
 pub mod delta;
@@ -196,9 +197,9 @@ impl EncodedInts {
     /// A forward cursor for reading a sequence of rows:
     /// [`EncodedCursor::at`] returns what [`EncodedInts::get`] returns
     /// for any row, in any order, but keeps its place between calls —
-    /// Delta resumes its prefix sum from the last decoded row, RLE
-    /// advances from the run it last landed in, Plain and FOR stay
-    /// direct — so it is cheapest when rows are non-decreasing, which
+    /// Delta holds its last decoded 64-row block and steps forward block
+    /// by block, RLE advances from the run it last landed in, Plain and
+    /// FOR stay direct — so it is cheapest when rows are non-decreasing, which
     /// every hit list the engine produces is. Safe to create on an empty
     /// column.
     pub fn cursor(&self) -> EncodedCursor<'_> {
@@ -500,7 +501,8 @@ impl Iterator for EncodedIter<'_> {
 impl ExactSizeIterator for EncodedIter<'_> {}
 
 /// Forward cursor over any [`EncodedInts`] (see
-/// [`EncodedInts::cursor`]): O(1) state for every scheme.
+/// [`EncodedInts::cursor`]): O(1) state for every scheme — on Delta, one
+/// decoded 64-row block.
 #[derive(Clone, Debug)]
 pub struct EncodedCursor<'a>(CursorInner<'a>);
 

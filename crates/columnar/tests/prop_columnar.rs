@@ -73,6 +73,25 @@ fn palette_data(len: usize, palette: usize, seed: u64) -> Vec<i64> {
     (0..len).map(|_| values[draw() % values.len()]).collect()
 }
 
+/// Row sequences at the Delta cursor's edges, clipped to `len` rows:
+/// the rows around a block edge (63/64/65) and a checkpoint edge
+/// (1 023/1 024/1 025), repeats inside one block, backward jumps across
+/// blocks and checkpoints, and the ragged last block entered directly,
+/// from the block before it and from behind.
+fn delta_sequences(len: usize) -> Vec<Vec<usize>> {
+    let last = len.saturating_sub(1);
+    let tail = last / 64 * 64;
+    let seqs = [
+        vec![63, 64, 65, 1023, 1024, 1025, 2047, 2048, 2049],
+        vec![10, 10, 11, 10, 63, 63, 0, 63],
+        vec![1025, 1024, 1023, 65, 64, 63, 1, 0],
+        vec![2100, 130, 1500, 700, 3000, 64, 2500],
+        vec![last, tail, last, tail.saturating_sub(1), last.saturating_sub(1), 0, last],
+        (0..len).step_by(97).chain((0..len).rev().step_by(61)).collect(),
+    ];
+    seqs.into_iter().map(|s| s.into_iter().filter(|&i| i < len).collect()).collect()
+}
+
 proptest! {
     /// The block reader is the one sequential decoder: its concatenated
     /// blocks, `decode()` and `iter()` all reproduce the input, `scan`
@@ -172,13 +191,17 @@ proptest! {
 
     /// A forward cursor answers like `get` whatever the index sequence —
     /// random order, repeats — on columns long enough (the data tiled up
-    /// to a few thousand rows) to span Delta checkpoint blocks.
+    /// to a few thousand rows) to span Delta checkpoint blocks. The Delta
+    /// cursor, which holds one decoded block and skips whole blocks, also
+    /// walks the fixed [`delta_sequences`] over the data and over a
+    /// palette column of the same length at every packed delta width.
     #[test]
     fn encoded_cursor_matches_get(
         data in int_data(),
         reps in 1usize..12,
         picks in proptest::collection::vec(any::<prop::sample::Index>(), 0..64),
         ascending in any::<bool>(),
+        (palette, seed) in (0usize..6, any::<u64>()),
     ) {
         if data.is_empty() { return Ok(()); }
         let data = data.repeat(reps);
@@ -189,6 +212,15 @@ proptest! {
             let mut cur = e.cursor();
             for &i in &rows {
                 prop_assert_eq!(cur.at(i), data[i], "{} row {}", scheme, i);
+            }
+        }
+        for column in [data.clone(), palette_data(data.len(), palette, seed)] {
+            let e = EncodedInts::encode(&column, Scheme::Delta);
+            for (s, seq) in delta_sequences(column.len()).iter().enumerate() {
+                let mut cur = e.cursor();
+                for &i in seq {
+                    prop_assert_eq!(cur.at(i), column[i], "delta sequence {} row {} (palette {})", s, i, palette);
+                }
             }
         }
     }

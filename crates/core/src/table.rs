@@ -62,19 +62,26 @@ use std::sync::Arc;
 /// Hit-density crossover between the two ways to read a compressed
 /// segment column: below one hit per `SPARSE_HIT_RATIO` rows, the hits
 /// alone are read through a forward cursor (`EncodedInts::cursor`):
-/// direct on Plain and FOR, and on Delta and RLE a resume from the
-/// previous hit — the delta unpacks or runs *between* two hits, never
-/// `EncodedInts::get`'s re-walk from the checkpoint or bisection per
-/// cell. At or above the crossover the segment is stream-decoded once,
-/// 64-row block by block (`EncodedInts::blocks`). Measured on the
-/// benchmark host: a streamed row costs 0.4 ns on Plain and RLE, 0.7 ns
-/// on FOR and 1.5 ns on Delta; a positioned read costs 1.4–3.6 ns per
-/// hit on Plain, RLE and FOR and 2.5 ns per row *skipped* on Delta
-/// (20 ns per hit at 1:8). At 1:8 streaming therefore wins on Delta
-/// (12 against 20 ns per hit) and costs a few ns more per hit on the
-/// directly addressed schemes; one ratio serves all schemes because it
-/// is also the billing rule. The ascending selections of join-key
-/// extraction and aggregation pushdown (the executor's `walk`) and the
+/// direct on Plain and FOR, a resume from the previous hit's run on
+/// RLE, and on Delta one held 64-row block — a hit inside it is an
+/// array load, a later hit skips each whole block in between and
+/// decodes its own — never `EncodedInts::get`'s re-walk from the
+/// checkpoint or bisection per cell. At or above the crossover the
+/// segment is stream-decoded once, 64-row block by block
+/// (`EncodedInts::blocks`). Measured on a 2-core x86-64 VM (`cargo
+/// bench -p haec-bench`, `sparse_access`, 64 K-row columns): a streamed
+/// row costs 0.4 ns on Plain and RLE, 0.7 ns on FOR and 1.1–1.5 ns on
+/// Delta; a positioned read costs 1.4–3.6 ns per hit on Plain, RLE and
+/// FOR, and on Delta ≈ 21 ns per 64-row block *skipped* (one unpack and
+/// a summed fold, 0.3 ns per row) plus ≈ 66 ns per block decoded — 9 ns
+/// per hit at 1:8, 17 at 1:16, 66 at 1:64 and ≈ 400 at 1:1024, where the
+/// per-row walk it replaced paid 2.5 ns per row skipped (20 ns per hit
+/// at 1:8, 860 at 1:1024). At 1:8 both ways now decode every Delta block
+/// once and tie within a few ns per hit, and streaming costs a few ns
+/// more per hit on the directly addressed schemes; the ratio stays 8 for
+/// all schemes because it is also the billing rule. The ascending
+/// selections of join-key extraction and aggregation pushdown (the
+/// executor's `walk`) and the
 /// hit lists of projection test this crossover via [`sparse_hits`], and
 /// the same test decides the bill, so execution and billing can never
 /// disagree on which path ran. A *positional* list — unordered or with
@@ -1319,7 +1326,8 @@ impl TableSnapshot {
                         let main: u64 = self.main.segments.iter().map(|s| s.ndv(idx).unwrap_or(1)).sum();
                         let delta: u64 =
                             self.chunks.iter().map(|c| c.int_stats(idx).map_or(1, |s| s.ndv)).sum();
-                        let range = (max as i128 - min as i128 + 1).max(0) as u64;
+                        // All of `i64` is 2⁶⁴ values: saturate, not wrap.
+                        let range = u64::try_from((max as i128 - min as i128 + 1).max(0)).unwrap_or(u64::MAX);
                         (min, max, (main + delta).min(range).min(self.rows as u64))
                     }
                     DataType::Str => {
@@ -1603,6 +1611,26 @@ mod tests {
         // Check the stats drive sane selectivity.
         let sel = haec_planner::access::estimate_selectivity(&meta, "id", CmpOp::Lt, 5);
         assert!((sel - 0.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn planner_meta_distinct_count_survives_a_full_i64_span() {
+        // `i64::MIN` and `i64::MAX` in one column: its value range is
+        // 2⁶⁴, which must cap nothing rather than wrap to a cap of 0.
+        let t = Table::new("t", strict_schema(&[("k", DataType::Int64)]));
+        let o = TimestampOracle::new();
+        let ndv = |t: &Table| t.read().planner_meta().columns[0].ndv;
+        for k in [i64::MIN, 0, i64::MAX, 7, 0] {
+            ins(&t, &o, &Record::new().with("k", k));
+        }
+        assert_eq!(ndv(&t), 4, "in the delta");
+        t.merge();
+        assert_eq!(ndv(&t), 4, "merged");
+        // Main plus a delta repeating both extremes: per-store counts
+        // summed (4 + 2), capped by the row count (7), not by the range.
+        ins(&t, &o, &Record::new().with("k", i64::MAX));
+        ins(&t, &o, &Record::new().with("k", i64::MIN));
+        assert_eq!(ndv(&t), 6, "merged and in the delta");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 #![cfg(haec_fail)]
 
 use haecdb::prelude::*;
+use haecdb::table::DELTA_CHUNK_ROWS;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -283,9 +284,17 @@ fn index_rebuild_panic_strands_epoch_but_answers_stay_right() {
 #[test]
 fn pool_fault_propagates_and_pool_stays_reusable() {
     let _g = armed();
-    // All rows left in the delta: ~24 morsel units at 64 rows, so the
-    // query is genuinely pooled and the dispatch failpoint must fire.
-    let db = seeded_db(0, 1_500);
+    // All rows left in the delta, three sealed chunks and a ragged open
+    // one: four delta units, so the query is genuinely pooled and the
+    // dispatch failpoint must fire — whatever the chunk size.
+    let rows = 3 * DELTA_CHUNK_ROWS + 7;
+    let db = seeded_db(0, rows as i64);
+    let delta_stores = {
+        let snap = db.begin_snapshot();
+        let t = snap.table("t").unwrap();
+        t.zone_maps("id").unwrap().len() - t.segments().len()
+    };
+    assert!(delta_stores >= 2, "{delta_stores} delta store(s): the query would run serially");
     let meter_before = db.meter().grand_total().joules();
     let opts = ExecOpts { dop: 4, morsel_rows: 64, gate: None, cancel: None };
 
@@ -304,7 +313,7 @@ fn pool_fault_propagates_and_pool_stays_reusable() {
         let out = db.execute_opts(&sum_query(), &opts).unwrap();
         assert_eq!(
             out.rows.row(0).unwrap()[0].as_float().unwrap() as i64,
-            prefix_sum(1_500),
+            prefix_sum(rows),
             "pool unusable after injected fault"
         );
     }
@@ -318,7 +327,7 @@ fn pool_fault_propagates_and_pool_stays_reusable() {
         match catch_unwind(AssertUnwindSafe(|| db.execute_opts(&sum_query(), &opts))) {
             Ok(out) => {
                 let out = out.unwrap();
-                assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, prefix_sum(1_500));
+                assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, prefix_sum(rows));
             }
             Err(_) => panicked += 1,
         }
@@ -326,7 +335,7 @@ fn pool_fault_propagates_and_pool_stays_reusable() {
     fail::teardown();
     let _ = panicked; // whether helpers raced to pickup is schedule-dependent
     let out = db.execute_opts(&sum_query(), &opts).unwrap();
-    assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, prefix_sum(1_500));
+    assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, prefix_sum(rows));
 }
 
 /// The qserver failpoints complete the instrumented set; fired as

@@ -396,7 +396,8 @@ proptest! {
 /// `planner_meta` over a delta that fits the open chunk is what it was
 /// when the delta was one flat run: the literals below were captured on
 /// the commit before the delta was chunked (PR 19 + re-anchor), running
-/// this same scenario.
+/// this same scenario — all but `k`'s distinct count, re-captured once
+/// the value-range cap saturated instead of wrapping.
 #[test]
 fn planner_meta_of_an_open_chunk_delta_is_unchanged() {
     let db = make_db();
@@ -408,19 +409,22 @@ fn planner_meta_of_an_open_chunk_delta_is_unchanged() {
     };
     let col = |name: &str, ndv: u64, min: i64, max: i64| (name.to_string(), ndv, min, max);
     // Never merged: 1 000 rows in the open chunk, nulls and "" included.
-    // (`k` spans all of `i64`: the range cap wraps to 0, then as now.)
+    // `k` spans all of `i64`, so its value range (2⁶⁴) caps nothing: its
+    // count is the 980 distinct `3 i` plus the two extremes. (The
+    // original capture read 0 there, a range cap wrapped to 0.)
     const { assert!(1000 < C) };
     for i in 0..1000 {
         db.insert("t", &record(&row(i, false))).unwrap();
     }
-    let base =
-        [col("k", 0, i64::MIN, i64::MAX), col("g", 6, 0, 5), col("v", 100, -50, 49), col("s", 5, 0, 0)];
-    assert_eq!(meta_of(&db), (1000, 28, base.to_vec()));
-    // Merged main, then an evolved delta of 500 rows.
+    let base = [col("g", 6, 0, 5), col("v", 100, -50, 49), col("s", 5, 0, 0)];
+    let k = |ndv| col("k", ndv, i64::MIN, i64::MAX);
+    assert_eq!(meta_of(&db), (1000, 28, [&[k(982)], base.as_slice()].concat()));
+    // Merged main, then an evolved delta of 500 rows: `k` sums the
+    // segment's 982 and the chunk's 490 + 2 (was 0, the same wrap).
     db.merge("t").unwrap();
     for i in 1000..1500 {
         db.insert("t", &record(&row(i, true))).unwrap();
     }
-    let evolved = [base.as_slice(), &[col("x", 13, -6, 6), col("y", 5, 0, 0)]].concat();
+    let evolved = [&[k(1474)], base.as_slice(), &[col("x", 13, -6, 6), col("y", 5, 0, 0)]].concat();
     assert_eq!(meta_of(&db), (1500, 20, evolved));
 }
