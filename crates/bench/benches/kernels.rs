@@ -8,6 +8,7 @@ use haec_columnar::value::CmpOp;
 use haec_exec::agg::{parallel_group_sum, SyncStrategy};
 use haec_exec::join::HashJoin;
 use haec_exec::select::{select_positions, SelectKernel};
+use haecdb::prelude::*;
 
 fn shuffled(n: usize) -> Vec<i64> {
     let mut v: Vec<i64> = (0..n as i64).collect();
@@ -155,12 +156,61 @@ fn bench_sparse_access(c: &mut Criterion) {
     g.finish();
 }
 
+/// The gather stage over a 16-segment table (1 M rows): a projection of
+/// three columns — Delta-encoded ids, FOR values, dictionary codes —
+/// behind filters keeping 1 row in 50 (read per cell) and 1 in 8 (each
+/// segment streamed), run `serial` (a one-unit grant) and `pooled` (two
+/// units: each segment's share of the gather is its own pool task).
+/// Both include the filter scan, which is pooled alike. Then a
+/// join-shaped positional list — unordered, with duplicates — through
+/// `gather_rows`, the serial reference the pooled shares are held to.
+fn bench_gather(c: &mut Criterion) {
+    let db = Database::new();
+    db.create_table(
+        "t",
+        &[("id", DataType::Int64), ("sel", DataType::Int64), ("v", DataType::Int64), ("tag", DataType::Str)],
+    )
+    .unwrap();
+    db.set_merge_threshold("t", usize::MAX).unwrap();
+    let n = 16 * SEGMENT_ROWS;
+    let values = shuffled(n);
+    for (i, &v) in values.iter().enumerate() {
+        let i = i as i64;
+        let record = Record::new()
+            .with("id", 1_600_000_000_000 + i)
+            .with("sel", (i * 7919) % 400)
+            .with("v", v % 16_384)
+            .with("tag", ["red", "green", "blue"][(v % 3) as usize]);
+        db.insert("t", &record).unwrap();
+    }
+    db.merge("t").unwrap();
+    let mut g = c.benchmark_group("gather");
+    g.sample_size(10);
+    for (every, keep) in [(50, 8), (8, 50)] {
+        let q = Query::scan("t").filter("sel", CmpOp::Lt, keep).select(["id", "v", "tag"]);
+        g.throughput(Throughput::Elements((n / every) as u64));
+        for (label, dop) in [("serial", 1), ("pooled", 2)] {
+            let opts = ExecOpts::with_dop(dop);
+            g.bench_function(&format!("{label}/1:{every}"), |b| {
+                b.iter(|| db.execute_opts(&q, &opts).unwrap().rows.rows())
+            });
+        }
+    }
+    let snap = db.table("t").unwrap();
+    let names: Vec<String> = ["id", "v", "tag"].iter().map(ToString::to_string).collect();
+    let rows: Vec<u32> = values[..n / 50].iter().map(|&v| (v as u32 / 2) * 2).collect();
+    g.throughput(Throughput::Elements(rows.len() as u64));
+    g.bench_function("positional/serial", |b| b.iter(|| snap.gather_rows(&names, &rows).unwrap().1));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_select_kernels,
     bench_compression,
     bench_sync_strategies,
     bench_hash_join,
-    bench_sparse_access
+    bench_sparse_access,
+    bench_gather
 );
 criterion_main!(benches);

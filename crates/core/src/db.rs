@@ -1321,6 +1321,39 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_output_names_are_bad_queries() {
+        // A projection naming one column twice, and a group column named
+        // like the aggregate's own output, collide in the result chunk:
+        // a typed error on every entry point, pooled or not — never a
+        // panic.
+        let db = sample_db(100);
+        db.create_table("g", &[("sum(v)", DataType::Int64), ("v", DataType::Int64)]).unwrap();
+        for i in 0..10i64 {
+            db.insert("g", &Record::new().with("sum(v)", i % 3).with("v", i)).unwrap();
+        }
+        db.merge("orders").unwrap();
+        let queries = [
+            Query::scan("orders").select(["amount", "amount"]),
+            Query::scan("orders").filter("amount", CmpOp::Lt, 30).select(["id", "region", "id"]),
+            Query::scan("g").group_by("sum(v)").aggregate(AggKind::Sum, "v"),
+        ];
+        let snap = db.begin_snapshot();
+        let mut txn = db.begin_transaction();
+        txn.insert("orders", Record::new().with("id", 100i64).with("region", 0i64).with("amount", 1i64))
+            .unwrap();
+        for q in &queries {
+            let bad =
+                |r: DbResult<QueryResult>| matches!(r, Err(DbError::BadQuery(m)) if m.contains("duplicate"));
+            assert!(bad(db.execute(q)), "{q:?}");
+            assert!(bad(snap.execute_opts(q, &ExecOpts::with_dop(2))), "{q:?}");
+            assert!(bad(txn.execute(q)), "{q:?}");
+        }
+        // Distinct names still answer.
+        let out = db.execute(&Query::scan("g").group_by("v").aggregate(AggKind::Sum, "sum(v)")).unwrap();
+        assert_eq!(out.rows.rows(), 10);
+    }
+
+    #[test]
     fn string_filters_on_dictionary_codes() {
         let db = Database::new();
         db.create_table("users", &[("id", DataType::Int64), ("country", DataType::Str)]).unwrap();

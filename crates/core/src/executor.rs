@@ -5,13 +5,19 @@
 //! Every stage works on *execution units* of a pinned
 //! [`TableSnapshot`] — one per main segment, then one per delta chunk:
 //! the units are exactly the stores storage defines — dispatched as
-//! morsels over the shared worker pool. Between stages the surviving
-//! rows travel as one [`Selection`] **per unit**, in the shape the
-//! predicate kernels produce — every row, a sort-key row range, a match
-//! bitmap, or ascending row ids (index lookups, delta kernels) — never
-//! as one global row-id list: aggregates and join-key extraction
-//! consume the selection in place, and only the consumers that address
-//! cells by id (the projection gather, the index re-check) flatten it.
+//! morsels over the shared worker pool. Every stage, the gather
+//! included, runs its units through one dispatcher with one rule
+//! (pooled under an explicit grant or from [`PARALLEL_SCAN_ROWS`] table
+//! rows, else inline), holding one gate permit and polling the cancel
+//! token once per unit. Between stages the surviving rows travel as one
+//! [`Selection`] **per unit**, in the shape the predicate kernels
+//! produce — every row, a sort-key row range, a match bitmap, or
+//! ascending row ids (index lookups, delta kernels) — never as one
+//! global row-id list: aggregates, join-key extraction and the
+//! projection gather all consume the selection in place (unit `u`'s
+//! share of a gather fills the run of the output its survivors occupy).
+//! Only a join's payload gather sorts a row list — its pairs' rows — and
+//! cuts it at the store boundaries into shares.
 //!
 //! The main/delta split shows up in exactly two places:
 //!
@@ -37,7 +43,7 @@ use crate::db::{
 use crate::delta::DeltaChunk;
 use crate::error::{DbError, DbResult};
 use crate::segment::{zone_all_match, zone_may_match, SegColumn, Segment};
-use crate::table::{sparse_hits, Store, TableSnapshot};
+use crate::table::{sparse_hits, GatherOut, GatherStats, Share, ShareRows, Store, TableSnapshot};
 use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
@@ -58,6 +64,7 @@ use haec_planner::cost::{CostModel, JoinAlgo, JoinSideCost, PlanCost};
 use haec_planner::optimizer::choose;
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// An integer predicate resolved to a column index.
 #[derive(Clone, Copy)]
@@ -213,9 +220,8 @@ impl UnitCol<'_> {
 /// The rows of one execution unit that survive the filters: the one
 /// type the filter stage returns per unit and every later stage
 /// consumes. It stays in the shape the predicate kernels produce — a
-/// match bitmap, a sort-key row range, an index's row ids — and is
-/// flattened to row ids only for the consumers that need ids (the
-/// projection gather, the index re-check).
+/// match bitmap, a sort-key row range, an index's row ids — all the way
+/// to the fold or the gather, which read it as it is.
 struct Selection {
     rows: SelRows,
     /// Number of surviving rows.
@@ -291,12 +297,14 @@ impl Selection {
         Cow::Owned(bits.words().to_vec())
     }
 
-    /// Appends the surviving rows' global ids to `out`.
-    fn extend_ids(&self, unit: &Unit<'_>, out: &mut Vec<u32>) {
-        match &self.rows {
-            SelRows::Ids(ids) => out.extend_from_slice(ids),
-            _ => self.for_each(unit, |row| out.push((unit.base + row) as u32)),
-        }
+    /// The unit's share of a gather: the selection read as it is.
+    fn share<'a>(&'a self, unit: &Unit<'a>) -> Share<'a> {
+        let rows = match &self.rows {
+            SelRows::Range(r) => ShareRows::Range(r.clone()),
+            SelRows::Bits(bits) => ShareRows::Bits(bits),
+            SelRows::Ids(ids) => ShareRows::Ids(ids, unit.base),
+        };
+        Share { store: unit.store, rows, n: self.n, strict: true }
     }
 }
 
@@ -428,6 +436,23 @@ fn walk(
     sel: &Selection,
     sink: impl FnMut(i64, i64, u32),
 ) -> (Touched, Touched) {
+    let (streamed, words) = regime(unit, sel);
+    let run = (unit, sel, streamed, words.as_deref());
+    // The code → key translation is resolved here, once per unit, so the
+    // row loops are monomorphic; it runs for *selected* rows only.
+    match k {
+        UnitCol::Enc(_, Some(map)) | UnitCol::Codes(_, map) => {
+            walk_rows(run, k, v, |code| map[code as usize], sink);
+        }
+        _ => walk_rows(run, k, v, |cell| cell, sink),
+    }
+    (k.touched(streamed, sel.n, unit.rows), v.touched(streamed, sel.n, unit.rows))
+}
+
+/// The regime [`walk`] reads `sel` in: how many rows to stream (`None`:
+/// read the survivors alone) and, for a dense selection, its match
+/// words (`None`: every row is selected).
+fn regime<'s>(unit: &Unit<'_>, sel: &'s Selection) -> (Option<usize>, Option<Cow<'s, [u64]>>) {
     let rows = unit.rows;
     let all = sel.n == rows;
     let dense = !all && !sparse_hits(sel.n, rows);
@@ -438,17 +463,44 @@ fn walk(
     } else {
         None
     };
-    let words = dense.then(|| sel.words(unit));
-    let run = (unit, sel, streamed, words.as_deref());
-    // The code → key translation is resolved here, once per unit, so the
-    // row loops are monomorphic; it runs for *selected* rows only.
-    match k {
-        UnitCol::Enc(_, Some(map)) | UnitCol::Codes(_, map) => {
-            walk_rows(run, k, v, |code| map[code as usize], sink);
+    (streamed, dense.then(|| sel.words(unit)))
+}
+
+/// The wrapping sum of `v` over the rows `sel` keeps — [`walk`]'s
+/// regimes and bill, but a streamed block folds as one sum: a full match
+/// word sums the block, a partial one sums it masked by the word. The
+/// sum wraps exactly as a row-by-row fold does.
+fn walk_sum(unit: &Unit<'_>, v: UnitCol<'_>, sel: &Selection) -> (i64, Touched) {
+    let (streamed, words) = regime(unit, sel);
+    let mut sum = 0i64;
+    match streamed {
+        None => {
+            let mut vc = ColCursor::open(v);
+            sel.for_each(unit, |row| sum = sum.wrapping_add(vc.at(row)));
         }
-        _ => walk_rows(run, k, v, |cell| cell, sink),
+        Some(streamed) => {
+            let mut vb = ColBlocks::open(v, unit.rows);
+            for block in 0..streamed.div_ceil(BLOCK_ROWS) {
+                let word = words.as_deref().map_or(u64::MAX, |w| w[block]);
+                if word == 0 {
+                    vb.skip();
+                    continue;
+                }
+                let vs = vb.next();
+                let part = if word == u64::MAX {
+                    vs.iter().fold(0i64, |acc, &x| acc.wrapping_add(x))
+                } else {
+                    // Bit `j` of the word, widened to an all-ones or
+                    // all-zeros mask over value `j`.
+                    vs.iter().enumerate().fold(0i64, |acc, (j, &x)| {
+                        acc.wrapping_add(x & ((word >> j) as i64 & 1).wrapping_neg())
+                    })
+                };
+                sum = sum.wrapping_add(part);
+            }
+        }
     }
-    (k.touched(streamed, sel.n, rows), v.touched(streamed, sel.n, rows))
+    (sum, v.touched(streamed, sel.n, unit.rows))
 }
 
 /// The row loops under [`walk`]. `streamed` is the number of rows to
@@ -1011,31 +1063,95 @@ impl Exec<'_> {
 
     /// The gather stage of a single-table query: materializes only the
     /// projected columns (all schema columns when no projection is
-    /// given). Strings flow as codes + one shared output dictionary per
+    /// given). Unit `u`'s share reads unit `u`'s [`Selection`] as the
+    /// filter left it and fills the run of the output its survivors
+    /// occupy. Strings flow as codes + one shared output dictionary per
     /// column; the stats bill what each store path actually did
-    /// (stream-decoded encoded bytes, per-cell cursor reads, flat
-    /// delta reads, one first-touch read per distinct string).
+    /// (streamed encoded bytes, per-cell cursor reads, flat delta reads,
+    /// one first-touch read per distinct string).
     fn gather(&mut self, t: &TableSnapshot, query: &Query, sels: Option<&[Selection]>) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
             Some(cols) => cols.clone(),
             None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
         };
-        // The gather addresses cells by global row id: the one consumer
-        // (beside the index re-check) selections are flattened for.
-        let positions = sels.map(|sels| {
-            let mut ids = Vec::with_capacity(sels.iter().map(|s| s.n).sum());
-            for (u, sel) in sels.iter().enumerate() {
-                sel.extend_ids(&Unit::of(t, u), &mut ids);
-            }
-            ids
-        });
-        let (cols, gstats) = t.materialize_columns(&names, positions.as_deref())?;
-        let chunk = Chunk::new(cols).expect("gathered columns are equal length");
-        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64)
-            + self.db.costs.cycles_for(Kernel::CompressDecode, gstats.decode_items);
-        self.profile.dram_read += ByteCount::new(gstats.bytes_read);
-        self.profile.dram_written += ByteCount::new(gstats.bytes_written);
+        let shares: Vec<Share<'_>> = (0..t.store_count())
+            .filter_map(|u| {
+                let unit = Unit::of(t, u);
+                let share = match sels {
+                    Some(sels) => sels[u].share(&unit),
+                    None => Share {
+                        store: unit.store,
+                        rows: ShareRows::Range(0..unit.rows),
+                        n: unit.rows,
+                        strict: true,
+                    },
+                };
+                (share.n > 0).then_some(share)
+            })
+            .collect();
+        let mut out = t.gather_out(&names, shares.iter().map(|s| s.n).sum())?;
+        let mut stats = self.fill(t, &shares, &mut out, None)?;
+        let cols = t.finish_gather(out, &mut stats);
+        let chunk = Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("projection: {e}")))?;
+        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64);
+        self.bill_gather(&stats);
         Ok(chunk)
+    }
+
+    /// The gather's one dispatch: fills `out` share by share, through the
+    /// same dispatcher and rule as every other stage — one gate permit
+    /// and one cancel poll per share. Pooled, each share fills its own
+    /// run of every column in list order, and a positional list
+    /// (`slots`: each row's output position) is put into output order by
+    /// one pass afterwards; otherwise the shares run inline, one after
+    /// another, scattering straight into the whole columns. A cancelled
+    /// gather bills the shares that ran and stops.
+    fn fill(
+        &mut self,
+        t: &TableSnapshot,
+        shares: &[Share<'_>],
+        out: &mut GatherOut<'_>,
+        slots: Option<&[u32]>,
+    ) -> DbResult<GatherStats> {
+        let mut stats = GatherStats::default();
+        let pooled = self.pooled(shares.len(), t.rows());
+        if pooled {
+            let (k, width) = (shares.len(), out.width());
+            let lens: Vec<usize> = shares.iter().map(|s| s.n).collect();
+            // Each run is handed to the one task that fills it.
+            let runs: Vec<Mutex<Option<_>>> = out.split(&lens).map(|run| Mutex::new(Some(run))).collect();
+            let take = |i: usize| {
+                runs[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("each run is filled once")
+            };
+            let parts =
+                self.pool_units(k, |s| t.fill_share(&shares[s], (0..width).map(|c| take(c * k + s)), None));
+            parts.into_iter().for_each(|p| stats.absorb(p));
+        } else {
+            let mut at = 0;
+            self.serial(shares.len(), |s| {
+                stats.absorb(t.fill_share_inline(&shares[s], out, at, slots));
+                at += shares[s].n;
+            });
+        }
+        if self.opts.is_cancelled() {
+            self.bill_gather(&stats);
+            self.check_cancelled()?;
+        }
+        if let Some(slots) = slots.filter(|_| pooled) {
+            out.scatter_to(slots);
+        }
+        Ok(stats)
+    }
+
+    /// Bills a gather's [`GatherStats`].
+    fn bill_gather(&mut self, stats: &GatherStats) {
+        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, stats.decode_items);
+        self.profile.dram_read += ByteCount::new(stats.bytes_read);
+        self.profile.dram_written += ByteCount::new(stats.bytes_written);
     }
 
     /// The fold stage: segment-wise aggregation pushdown. Every unit
@@ -1108,8 +1224,8 @@ impl Exec<'_> {
                 Column::Str(out)
             }
         };
-        Ok(Chunk::new(vec![(gname.clone(), key_col), (agg_name, agg_value_column(&grouped, kind))])
-            .expect("two columns"))
+        Chunk::new(vec![(gname.clone(), key_col), (agg_name, agg_value_column(&grouped, kind))])
+            .map_err(|e| DbError::BadQuery(format!("aggregate output: {e}")))
     }
 
     /// One unit's partial aggregate, computed from its column views
@@ -1155,7 +1271,26 @@ impl Exec<'_> {
             KeyCol::Str(_) => zone.map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
         });
         let mut acc = GroupAcc::new(domain, ndv_hint.min(unit.rows as u64) as usize);
-        let (tk, tv) = walk(unit, kcol, vcol, sel, |k, v, _| acc.state(k).update(v));
+        // Each row updates the group's count and the one field the kind
+        // reads.
+        let (tk, tv) = match spec.kind {
+            AggKind::Count => walk(unit, kcol, vcol, sel, |k, _, _| acc.state(k).count += 1),
+            AggKind::Sum | AggKind::Avg => walk(unit, kcol, vcol, sel, |k, v, _| {
+                let st = acc.state(k);
+                st.count += 1;
+                st.sum = st.sum.wrapping_add(v);
+            }),
+            AggKind::Min => walk(unit, kcol, vcol, sel, |k, v, _| {
+                let st = acc.state(k);
+                st.count += 1;
+                st.min = st.min.min(v);
+            }),
+            AggKind::Max => walk(unit, kcol, vcol, sel, |k, v, _| {
+                let st = acc.state(k);
+                st.count += 1;
+                st.max = st.max.max(v);
+            }),
+        };
         let n = sel.n as u64;
         // Random accesses read codes as 4-byte cells, integer keys and
         // values as 8-byte cells.
@@ -1176,8 +1311,9 @@ impl Exec<'_> {
     /// answer from metadata: COUNT from the hit count; on a segment
     /// every row of which survives, MIN/MAX from the zone map — zero
     /// column bytes touched — and SUM/AVG over RLE one multiply per
-    /// run. Everything else walks the column, billing decode cycles plus
-    /// the bytes actually read.
+    /// run. Everything else walks the column — SUM/AVG a block at a
+    /// time ([`walk_sum`]), MIN/MAX row by row — billing decode cycles
+    /// plus the bytes actually read.
     fn fold_values(
         &self,
         unit: &Unit<'_>,
@@ -1221,7 +1357,18 @@ impl Exec<'_> {
                 _ => {}
             }
         }
-        let (_, tv) = walk(unit, UnitCol::Const(0), vcol, sel, |_, v, _| st.update(v));
+        // Every selected row is folded: the count is the selection's. SUM
+        // and AVG fold whole blocks; MIN and MAX walk row by row.
+        st.count = n as u64;
+        let tv = match spec.kind {
+            AggKind::Min => walk(unit, UnitCol::Const(0), vcol, sel, |_, v, _| st.min = st.min.min(v)).1,
+            AggKind::Max => walk(unit, UnitCol::Const(0), vcol, sel, |_, v, _| st.max = st.max.max(v)).1,
+            _ => {
+                let (sum, tv) = walk_sum(unit, vcol, sel);
+                st.sum = sum;
+                tv
+            }
+        };
         profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, tv.decode_items)
             + self.db.costs.cycles_for(Kernel::AggUpdate, n as u64);
         profile.dram_read += ByteCount::new(tv.bytes(8));
@@ -1343,12 +1490,13 @@ impl Exec<'_> {
     }
 
     /// Gathers one side's payload columns for its surviving join rows —
-    /// any order, duplicates allowed — through the one positional gather,
-    /// [`TableSnapshot::gather_rows`], and bills the work it reports as
-    /// [`crate::table::GatherStats`]: per-cell cursor reads, except that
-    /// a strictly ascending list (the unique-key probe side, whose pairs
-    /// come back in probe-row order) stream-decodes the segments it hits
-    /// densely; code-to-code string gathers either way.
+    /// any order, duplicates allowed — through the shares of
+    /// [`TableSnapshot::gather_rows`]: one argsort, one split by store,
+    /// one dispatch of the shares, one pass into output order. Bills the
+    /// work the shares report as [`GatherStats`]: per-cell cursor reads,
+    /// except that a strictly ascending list (the unique-key probe side,
+    /// whose pairs come back in probe-row order) streams the segments it
+    /// hits densely; code-to-code string gathers either way.
     fn gather_join_side(
         &mut self,
         t: &TableSnapshot,
@@ -1357,10 +1505,12 @@ impl Exec<'_> {
     ) -> DbResult<Vec<(String, Column)>> {
         let cells = (rows.len() * names.len()) as u64;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
-        let (cols, stats) = t.gather_rows(names, rows)?;
-        self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::CompressDecode, stats.decode_items);
-        self.profile.dram_read += ByteCount::new(stats.bytes_read);
-        self.profile.dram_written += ByteCount::new(stats.bytes_written);
+        let list = t.ascending(Some(rows))?;
+        let shares: Vec<Share<'_>> = list.shares(t).collect();
+        let mut out = t.gather_out(names, list.len())?;
+        let mut stats = self.fill(t, &shares, &mut out, list.slots())?;
+        let cols = t.finish_gather(out, &mut stats);
+        self.bill_gather(&stats);
         Ok(cols)
     }
 
@@ -1459,21 +1609,31 @@ impl Exec<'_> {
     /// Runs `eval` over every execution unit of `t` with a surviving row
     /// (every unit when `sels` is `None`), handing each unit its own
     /// [`Selection`], and returns the units' results in unit order with
-    /// their summed bills. Every stage goes through here, so stages can
-    /// never disagree on unit granularity.
+    /// their summed bills. Every stage but the gather goes through here,
+    /// and the gather dispatches its shares — one per unit holding a row
+    /// — by the same rule ([`Exec::pooled`]) on the same two paths, so
+    /// stages can never disagree on unit granularity.
     fn run_units<R: Send>(
         &self,
         t: &TableSnapshot,
         sels: Option<&[Selection]>,
         eval: impl Fn(&Unit<'_>, &Selection) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
-        let parts = self.eval_units(t, |u| {
+        let eval = |u| {
             let unit = Unit::of(t, u);
             match sels {
                 None => Some(eval(&unit, &Selection::all(unit.rows))),
                 Some(sels) => (sels[u].n > 0).then(|| eval(&unit, &sels[u])),
             }
-        });
+        };
+        let units = t.store_count();
+        let parts = if self.pooled(units, t.rows()) {
+            self.pool_units(units, eval)
+        } else {
+            let mut parts = Vec::with_capacity(units);
+            self.serial(units, |u| parts.push(eval(u)));
+            parts
+        };
         let mut out = Vec::with_capacity(parts.len());
         let mut profile = ResourceProfile::default();
         for (r, p) in parts.into_iter().flatten() {
@@ -1483,58 +1643,66 @@ impl Exec<'_> {
         (out, profile)
     }
 
-    /// Dispatches `eval` over the unit indices of `t` and returns the
-    /// per-unit results in unit order. Units run as morsels over the
-    /// shared worker pool when the query carries an explicit
-    /// parallelism grant (`opts.dop > 0`), or above
-    /// [`PARALLEL_SCAN_ROWS`] total rows on the default path; the
-    /// degree of parallelism comes from the grant (or the cached
-    /// construction-time default — never a per-query OS call).
-    fn eval_units<R>(&self, t: &TableSnapshot, eval: impl Fn(usize) -> R + Sync) -> Vec<R>
-    where
-        R: Send,
-    {
-        let units = t.store_count();
-        let dop = if self.opts.dop > 0 { self.opts.dop } else { self.db.default_dop };
-        let pooled = units > 1 && dop > 1 && (self.opts.dop > 0 || t.rows() >= PARALLEL_SCAN_ROWS);
-        if pooled {
-            // Above one segment's worth of rows per morsel, batch whole
-            // units per dispenser grab; below, one morsel = one unit
-            // (a main segment is the finest unit storage defines).
-            let units_per_grab = (self.opts.morsel_rows.max(1) / crate::segment::SEGMENT_ROWS).max(1);
-            let spec = RunSpec {
-                dop: dop.min(units),
-                morsel_rows: units_per_grab,
-                gate: self.opts.gate.as_deref(),
-                cancel: self.opts.cancel.as_ref(),
-            };
-            let mut parts = self.db.pool().run(
-                units,
-                spec,
-                |m| (m.start..m.end).map(|u| (u, eval(u))).collect::<Vec<_>>(),
-                |mut a: Vec<(usize, R)>, b| {
-                    a.extend(b);
-                    a
-                },
-                Vec::new(),
-            );
-            parts.sort_unstable_by_key(|&(u, _)| u);
-            parts.into_iter().map(|(_, r)| r).collect()
+    /// The dispatch rule every stage shares: `units` units of a table of
+    /// `rows` rows run as morsels over the shared worker pool when the
+    /// query carries an explicit parallelism grant (`opts.dop > 0`), or
+    /// from [`PARALLEL_SCAN_ROWS`] table rows on the default path — and
+    /// only when there are two units or more to share.
+    fn pooled(&self, units: usize, rows: usize) -> bool {
+        units > 1 && self.dop() > 1 && (self.opts.dop > 0 || rows >= PARALLEL_SCAN_ROWS)
+    }
+
+    /// The degree of parallelism: the grant, or the cached
+    /// construction-time default — never a per-query OS call.
+    fn dop(&self) -> usize {
+        if self.opts.dop > 0 {
+            self.opts.dop
         } else {
-            // Serial path: still hold one gate permit per unit, so the
-            // fleet-wide in-flight accounting a server's energy cap
-            // relies on stays exact for *every* admitted query — and
-            // poll the cancel token per unit, matching the pooled
-            // path's one-morsel cancellation latency.
-            let mut out = Vec::with_capacity(units);
-            for u in 0..units {
-                if self.opts.is_cancelled() {
-                    break;
-                }
-                let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
-                out.push(eval(u));
+            self.db.default_dop
+        }
+    }
+
+    /// Runs `eval` over unit indices `0..units` on the worker pool and
+    /// returns the per-unit results in unit order. Every unit holds one
+    /// gate permit while it runs, and the cancel token is polled between
+    /// morsels.
+    fn pool_units<R: Send>(&self, units: usize, eval: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        // Above one segment's worth of rows per morsel, batch whole
+        // units per dispenser grab; below, one morsel = one unit (a main
+        // segment is the finest unit storage defines).
+        let units_per_grab = (self.opts.morsel_rows.max(1) / crate::segment::SEGMENT_ROWS).max(1);
+        let spec = RunSpec {
+            dop: self.dop().min(units),
+            morsel_rows: units_per_grab,
+            gate: self.opts.gate.as_deref(),
+            cancel: self.opts.cancel.as_ref(),
+        };
+        let mut parts = self.db.pool().run(
+            units,
+            spec,
+            |m| (m.start..m.end).map(|u| (u, eval(u))).collect::<Vec<_>>(),
+            |mut a: Vec<(usize, R)>, b| {
+                a.extend(b);
+                a
+            },
+            Vec::new(),
+        );
+        parts.sort_unstable_by_key(|&(u, _)| u);
+        parts.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Runs `eval` over unit indices `0..units` on the calling thread, in
+    /// order. Each unit still holds one gate permit, so the fleet-wide
+    /// in-flight accounting a server's energy cap relies on stays exact
+    /// for *every* admitted query, and the cancel token is polled per
+    /// unit, matching the pooled path's one-morsel cancellation latency.
+    fn serial(&self, units: usize, mut eval: impl FnMut(usize)) {
+        for u in 0..units {
+            if self.opts.is_cancelled() {
+                break;
             }
-            out
+            let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
+            eval(u);
         }
     }
 
@@ -1893,4 +2061,128 @@ fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> D
             Ok(StrPred { col, value: f.value.clone(), global_code, delta_code, negated: f.negated })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::Record;
+    use crate::table::DELTA_CHUNK_ROWS;
+    use haec_columnar::value::CmpOp;
+    use haec_exec::cancel::CancelToken;
+
+    const SEG_ROWS: i64 = 1500;
+
+    /// A flexible table whose rows lie in every kind of store: two
+    /// segments — the first predating `extra` (int) and `tag` (string) —
+    /// two sealed delta chunks and the open chunk, whose tail carries a
+    /// string no merged dictionary holds.
+    fn spread_db() -> Database {
+        let db = Database::new();
+        db.create_flexible_table("t").unwrap();
+        db.set_merge_threshold("t", usize::MAX).unwrap();
+        let row = |i: i64| {
+            let r = Record::new()
+                .with("id", 10_000 + i * 3)
+                .with("amt", (i * 37) % 101)
+                .with("f", i as f64 / 4.0);
+            if i < SEG_ROWS {
+                return r;
+            }
+            let tag = if i % 11 == 0 { "violet" } else { ["red", "", "blue"][(i % 3) as usize] };
+            r.with("extra", i % 13 - 6).with("tag", tag)
+        };
+        let delta = 2 * DELTA_CHUNK_ROWS as i64 + 100;
+        for i in 0..2 * SEG_ROWS + delta {
+            db.insert("t", &row(i)).unwrap();
+            if i == SEG_ROWS - 1 || i == 2 * SEG_ROWS - 1 {
+                db.merge("t").unwrap();
+            }
+        }
+        let t = db.table("t").unwrap();
+        assert_eq!((t.segments().len(), t.store_count()), (2, 5));
+        db
+    }
+
+    #[test]
+    fn pooled_gathers_equal_the_serial_reference_across_stores() {
+        let db = spread_db();
+        let t = db.table("t").unwrap();
+        let names: Vec<String> = ["tag", "id", "extra", "f"].iter().map(ToString::to_string).collect();
+        let n = t.rows() as u32;
+        let mut x = 99u64;
+        let positional: Vec<u32> = (0..3 * n / 4)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 33) % u64::from(n)) as u32
+            })
+            .collect();
+        assert!(positional.windows(2).any(|w| w[0] > w[1]) && positional.iter().any(|&r| r == positional[0]));
+        let dense: Vec<u32> = (0..n).step_by(3).collect(); // streams every segment
+        let sparse: Vec<u32> = (0..n).step_by(37).collect(); // reads per cell
+        for rows in [&dense, &sparse, &positional] {
+            let (want, stats) = t.gather_rows(&names, rows).unwrap();
+            let opts = ExecOpts::with_dop(1);
+            let mut reference = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+            reference.profile.cpu_cycles +=
+                db.costs.cycles_for(Kernel::Materialize, (rows.len() * names.len()) as u64);
+            reference.bill_gather(&stats);
+            for dop in [1, 2, 4] {
+                let opts = ExecOpts::with_dop(dop);
+                let mut ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+                assert_eq!(ex.pooled(t.store_count(), t.rows()), dop > 1);
+                let got = ex.gather_join_side(&t, &names, rows).unwrap();
+                assert_eq!(got, want, "dop {dop}, {} rows", rows.len());
+                assert_eq!(ex.profile, reference.profile, "dop {dop}: one bill");
+            }
+        }
+        // Single-table gathers read each unit's selection as the filter
+        // left it: every row (ranges), a segment bitmap beside delta ids.
+        for q in
+            [Query::scan("t"), Query::scan("t").filter("amt", CmpOp::Lt, 40).select(["f", "tag", "extra"])]
+        {
+            let serial = db.execute_opts(&q, &ExecOpts::with_dop(1)).unwrap();
+            // Row `r` holds `amt = r * 37 % 101`.
+            let ids: Vec<u32> =
+                (0..n).filter(|&r| q.filters.is_empty() || (i64::from(r) * 37) % 101 < 40).collect();
+            let names = q
+                .select
+                .clone()
+                .unwrap_or_else(|| t.schema().columns().iter().map(|(c, _)| c.clone()).collect());
+            let (want, _) = t.materialize_columns(&names, Some(&ids)).unwrap();
+            assert_eq!(serial.rows, Chunk::new(want).unwrap());
+            for dop in [2, 4] {
+                let pooled = db.execute_opts(&q, &ExecOpts::with_dop(dop)).unwrap();
+                assert_eq!((&pooled.rows, pooled.profile), (&serial.rows, serial.profile), "dop {dop}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancel_the_gather_sees_stops_it_and_the_next_query_answers() {
+        // The token fires after the filter stage and before the gather:
+        // the gather's own poll before each share must catch it, pooled or
+        // inline, over ranges and over a positional list.
+        let db = spread_db();
+        let t = db.table("t").unwrap();
+        let names: Vec<String> = ["id", "tag"].iter().map(ToString::to_string).collect();
+        let rows: Vec<u32> = (0..t.rows() as u32).rev().step_by(5).collect();
+        let fired = CancelToken::new();
+        fired.cancel();
+        let meter = || db.meter().grand_total().joules();
+        for dop in [1, 2] {
+            let opts = ExecOpts { dop, cancel: Some(fired.clone()), ..ExecOpts::default() };
+            let mut ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+            let before = meter();
+            let out = ex.gather(&t, &Query::scan("t"), None);
+            assert!(matches!(out, Err(DbError::Cancelled { .. })), "dop {dop}: {out:?}");
+            assert_eq!(ex.profile, ResourceProfile::default(), "dop {dop}: no share ran");
+            let out = ex.gather_join_side(&t, &names, &rows);
+            assert!(matches!(out, Err(DbError::Cancelled { .. })), "dop {dop}: {out:?}");
+            assert_eq!(ex.profile.dram_read.bytes(), 0, "dop {dop}: no share ran");
+            assert!(meter() >= before, "dop {dop}: meter went backwards");
+        }
+        let out = db.execute_opts(&Query::scan("t"), &ExecOpts::with_dop(2)).unwrap();
+        assert_eq!(out.rows, t.to_chunk());
+    }
 }

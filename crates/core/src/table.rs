@@ -46,10 +46,11 @@ use crate::delta::{DeltaChunk, DeltaDicts};
 use crate::error::{DbError, DbResult};
 use crate::schema::{Record, SchemaMode, TableSchema};
 use crate::segment::{FlatColumn, MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
+use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
-use haec_columnar::encoding::EncodedInts;
+use haec_columnar::encoding::{EncodedInts, BLOCK_ROWS};
 use haec_columnar::value::DataType;
 use haec_planner::access::ZoneMapMeta;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
@@ -86,7 +87,7 @@ use std::sync::Arc;
 /// the same test decides the bill, so execution and billing can never
 /// disagree on which path ran. A *positional* list — unordered or with
 /// duplicates, the shape join payload rows have — never streams: see
-/// the rule in `TableSnapshot::gather_column`.
+/// the rule in `TableSnapshot::fill_column`.
 pub const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
@@ -113,11 +114,11 @@ pub enum RowLoc {
     },
 }
 
-/// The rows one gather fetches — every row of the snapshot, or a
-/// caller's positional list (any order, duplicates allowed) — arranged
-/// for a single ascending visit of the stores (see
-/// `TableSnapshot::gather`).
-struct AscendingRows<'r> {
+/// The rows one positional gather fetches — every row of the snapshot,
+/// or a caller's list (any order, duplicates allowed) — arranged for a
+/// single ascending visit of the stores (see
+/// `TableSnapshot::ascending`).
+pub(crate) struct AscendingRows<'r> {
     /// The rows in non-decreasing order; `None` = all rows, `0..len`.
     rows: Option<Cow<'r, [u32]>>,
     /// `slots[k]`: the output position of `rows[k]`. `None` when the
@@ -155,59 +156,212 @@ impl<'r> AscendingRows<'r> {
         }
     }
 
-    /// The one cell loop of every gather: reads each of `rows[range]` —
-    /// the share of a store whose first global row id is `base` — through
-    /// `read(store-local row)` and scatters the value into its output
-    /// position. The list's shape is matched here, once per store, so the
-    /// row loops are monomorphic (and, for rows already in output order,
-    /// a plain zip over the output slice).
-    fn scatter<T>(&self, range: Range<usize>, base: usize, out: &mut [T], mut read: impl FnMut(usize) -> T) {
-        match (&self.rows, &self.slots) {
-            (None, _) => range.clone().zip(&mut out[range]).for_each(|(row, cell)| *cell = read(row - base)),
-            (Some(rows), None) => {
-                rows[range.clone()]
-                    .iter()
-                    .zip(&mut out[range])
-                    .for_each(|(&row, cell)| *cell = read(row as usize - base));
-            }
-            (Some(rows), Some(slots)) => {
-                rows[range.clone()]
-                    .iter()
-                    .zip(&slots[range])
-                    .for_each(|(&row, &slot)| out[slot as usize] = read(row as usize - base));
-            }
-        }
+    /// Number of output cells.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
-    /// [`AscendingRows::scatter`] over a compressed main column: one
-    /// stream-decode of the whole segment, or a forward cursor over the
-    /// (ascending) cells alone.
-    fn scatter_encoded<T>(
-        &self,
-        range: Range<usize>,
-        base: usize,
-        out: &mut [T],
-        data: &EncodedInts,
-        stream: bool,
-        cell: impl Fn(i64) -> T,
-    ) {
-        if stream {
-            let decoded = data.decode();
-            self.scatter(range, base, out, |i| cell(decoded[i]));
-        } else {
-            let mut cursor = data.cursor();
-            self.scatter(range, base, out, |i| cell(cursor.at(i)));
-        }
+    /// The output position of every row in ascending order, when the
+    /// caller's order was not already ascending.
+    pub(crate) fn slots(&self) -> Option<&[u32]> {
+        self.slots.as_deref()
+    }
+
+    /// The list cut at the store boundaries: one [`Share`] for every
+    /// store holding at least one of the rows, in store (= list) order.
+    pub(crate) fn shares<'a>(&'a self, t: &'a TableSnapshot) -> impl Iterator<Item = Share<'a>> {
+        let mut i = 0;
+        (0..t.store_count()).filter_map(move |u| {
+            let (store, base) = t.store(u);
+            let end = base + store.rows();
+            let from = i;
+            let rows = match self.rows.as_deref() {
+                None => {
+                    i = end;
+                    ShareRows::Range(0..store.rows())
+                }
+                Some(asc) => {
+                    i = from + asc[from..].partition_point(|&r| (r as usize) < end);
+                    ShareRows::Ids(&asc[from..i], base)
+                }
+            };
+            (i > from).then_some(Share { store, rows, n: i - from, strict: self.strict })
+        })
     }
 }
 
-/// One gathered column's cells in output order — strings still as
+/// The rows one store's share of a gather reads, as store-local row
+/// indices in non-decreasing order.
+pub(crate) enum ShareRows<'a> {
+    /// Every row of a store-local range.
+    Range(Range<usize>),
+    /// The rows whose bit is set (one bit per store row).
+    Bits(&'a Bitmap),
+    /// Non-decreasing *global* row ids of a store whose first row id is
+    /// the second field.
+    Ids(&'a [u32], usize),
+}
+
+/// One store's share of a gather: the store, the rows read from it, and
+/// how many. A share fills a run of the output no other share touches,
+/// so the shares of one gather may run on different threads.
+pub(crate) struct Share<'a> {
+    pub(crate) store: Store<'a>,
+    pub(crate) rows: ShareRows<'a>,
+    /// Number of rows read (list entries, duplicates counted).
+    pub(crate) n: usize,
+    /// The rows strictly ascend, so a dense share may stream its segment
+    /// (see `TableSnapshot::fill_column`).
+    pub(crate) strict: bool,
+}
+
+/// One gathered column's cells in list order — strings still as
 /// *unified source codes* (table-global codes, then delta-local codes,
-/// then the `""` sentinel), interned once the visit is over.
+/// then the `""` sentinel), interned once every share is in.
 enum Cells {
     Ints(Vec<i64>),
     Floats(Vec<f64>),
     Codes(Vec<u32>),
+}
+
+impl Cells {
+    fn as_mut(&mut self) -> CellsMut<'_> {
+        match self {
+            Cells::Ints(v) => CellsMut::Ints(v),
+            Cells::Floats(v) => CellsMut::Floats(v),
+            Cells::Codes(v) => CellsMut::Codes(v),
+        }
+    }
+
+    /// Moves cell `k` to `slots[k]` (`slots` is a permutation).
+    fn scatter_to(&mut self, slots: &[u32]) {
+        fn scattered<T: Copy + Default>(cells: &[T], slots: &[u32]) -> Vec<T> {
+            let mut out = vec![T::default(); cells.len()];
+            cells.iter().zip(slots).for_each(|(&cell, &slot)| out[slot as usize] = cell);
+            out
+        }
+        match self {
+            Cells::Ints(v) => *v = scattered(v, slots),
+            Cells::Floats(v) => *v = scattered(v, slots),
+            Cells::Codes(v) => *v = scattered(v, slots),
+        }
+    }
+}
+
+/// A run of one gathered column's cells: what a [`Share`] writes.
+pub(crate) enum CellsMut<'o> {
+    Ints(&'o mut [i64]),
+    Floats(&'o mut [f64]),
+    Codes(&'o mut [u32]),
+}
+
+impl<'o> CellsMut<'o> {
+    /// Splits the run after its first `n` cells.
+    fn split_at(self, n: usize) -> (CellsMut<'o>, CellsMut<'o>) {
+        match self {
+            CellsMut::Ints(v) => {
+                let (a, b) = v.split_at_mut(n);
+                (CellsMut::Ints(a), CellsMut::Ints(b))
+            }
+            CellsMut::Floats(v) => {
+                let (a, b) = v.split_at_mut(n);
+                (CellsMut::Floats(a), CellsMut::Floats(b))
+            }
+            CellsMut::Codes(v) => {
+                let (a, b) = v.split_at_mut(n);
+                (CellsMut::Codes(a), CellsMut::Codes(b))
+            }
+        }
+    }
+}
+
+/// The output of one gather, allocated once by its caller: per named
+/// column, its schema index and its cells in list order. Shares fill it
+/// ([`TableSnapshot::fill_share`]), [`TableSnapshot::finish_gather`]
+/// turns it into columns.
+pub(crate) struct GatherOut<'n> {
+    names: &'n [String],
+    cols: Vec<(usize, Cells)>,
+}
+
+impl GatherOut<'_> {
+    /// Number of columns.
+    pub(crate) fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Cells `at..` of every column (`0` for whole columns).
+    fn from(&mut self, at: usize) -> impl Iterator<Item = (usize, CellsMut<'_>)> {
+        self.cols.iter_mut().map(move |(idx, cells)| (*idx, cells.as_mut().split_at(at).1))
+    }
+
+    /// Every column cut into consecutive runs of `lens` cells, column by
+    /// column: run `s` of column `c` is item `c * lens.len() + s`.
+    pub(crate) fn split<'a>(
+        &'a mut self,
+        lens: &'a [usize],
+    ) -> impl Iterator<Item = (usize, CellsMut<'a>)> + 'a {
+        self.cols.iter_mut().flat_map(move |(idx, cells)| {
+            let mut rest = cells.as_mut();
+            lens.iter().map(move |&n| {
+                let (run, tail) = std::mem::replace(&mut rest, CellsMut::Ints(&mut [])).split_at(n);
+                rest = tail;
+                (*idx, run)
+            })
+        })
+    }
+
+    /// Reorders every column from list order into output order: cell `k`
+    /// moves to `slots[k]`.
+    pub(crate) fn scatter_to(&mut self, slots: &[u32]) {
+        self.cols.iter_mut().for_each(|(_, cells)| cells.scatter_to(slots));
+    }
+}
+
+/// The one cell loop of every gather: reads each of `rows` (store-local,
+/// ascending) through `read` into the next cell of `out` — or, given
+/// `slots`, into cell `slots[k]` of the whole column for the `k`-th row.
+fn put<T>(
+    rows: impl Iterator<Item = usize>,
+    out: &mut [T],
+    slots: Option<&[u32]>,
+    mut read: impl FnMut(usize) -> T,
+) {
+    match slots {
+        None => rows.zip(out).for_each(|(row, cell)| *cell = read(row)),
+        Some(slots) => rows.zip(slots).for_each(|(row, &slot)| out[slot as usize] = read(row)),
+    }
+}
+
+/// [`put`] over a compressed segment column: one pass over its 64-row
+/// blocks (`stream`: every block no row falls in skipped — free on Plain
+/// and FOR — and every other decoded once, into the reader's own buffer)
+/// or a forward cursor over the rows alone.
+fn put_encoded<T>(
+    rows: impl Iterator<Item = usize>,
+    out: &mut [T],
+    slots: Option<&[u32]>,
+    data: &EncodedInts,
+    stream: bool,
+    cell: impl Fn(i64) -> T,
+) {
+    if stream {
+        let mut blocks = data.blocks();
+        // Blocks handed out or skipped so far: the current one is the last.
+        let mut passed = 0;
+        put(rows, out, slots, |row| {
+            let block = row / BLOCK_ROWS;
+            if block >= passed {
+                (passed..block).for_each(|_| blocks.skip());
+                blocks.next();
+                passed = block + 1;
+            }
+            cell(blocks.current()[row % BLOCK_ROWS])
+        });
+    } else {
+        let mut cursor = data.cursor();
+        put(rows, out, slots, |row| cell(cursor.at(row)));
+    }
 }
 
 /// Rows per sealed delta chunk — the granule at which the delta is
@@ -1005,7 +1159,8 @@ impl TableSnapshot {
     /// ascending row order and scattered into output order** (one
     /// argsort, skipped when it is already non-decreasing), so each
     /// segment is read through one forward cursor (`EncodedInts::cursor`)
-    /// or one stream-decode, never one compressed point access per cell.
+    /// or one pass over its 64-row blocks (`EncodedInts::blocks`), never
+    /// one compressed point access per cell.
     /// String columns come back **as codes + one shared output
     /// dictionary**: each distinct segment/delta code is decoded and
     /// interned exactly once — in output order, so the dictionary is
@@ -1017,7 +1172,7 @@ impl TableSnapshot {
     /// Returns the columns plus [`GatherStats`] billing each store as
     /// read: a segment pays one positioned read per cell — except under
     /// a strictly ascending list past the [`sparse_hits`] crossover,
-    /// where it stream-decodes once (its **encoded** bytes); the delta
+    /// where it streams its blocks once (its **encoded** bytes); the delta
     /// reads its flat cells; segments predating the column read nothing;
     /// and each distinct string pays one first-touch dictionary-entry
     /// read.
@@ -1035,15 +1190,36 @@ impl TableSnapshot {
     }
 
     /// The one gather behind [`TableSnapshot::materialize_columns`] and
-    /// [`TableSnapshot::gather_rows`]: arranges the rows ascending,
-    /// checks them once, and fetches column by column.
+    /// [`TableSnapshot::gather_rows`], and the reference for the query
+    /// executor's gather stage, which runs the same shares on the worker
+    /// pool: arranges the rows ascending, checks them once, fills the
+    /// output store by store, then interns strings.
     fn gather(
         &self,
         names: &[String],
         rows: Option<&[u32]>,
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-        let sel = rows.map_or_else(|| AscendingRows::all(self.rows), AscendingRows::of);
-        if let Some(&last) = sel.rows.as_deref().and_then(<[u32]>::last) {
+        let list = self.ascending(rows)?;
+        let mut out = self.gather_out(names, list.len())?;
+        let mut stats = GatherStats::default();
+        let mut at = 0;
+        for share in list.shares(self) {
+            stats.absorb(self.fill_share_inline(&share, &mut out, at, list.slots()));
+            at += share.n;
+        }
+        let cols = self.finish_gather(out, &mut stats);
+        Ok((cols, stats))
+    }
+
+    /// `rows` (`None`: all rows) arranged for an ascending visit: one
+    /// argsort, skipped when the list already is non-decreasing.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::BadQuery`] for a row id `>= rows()`.
+    pub(crate) fn ascending<'r>(&self, rows: Option<&'r [u32]>) -> DbResult<AscendingRows<'r>> {
+        let list = rows.map_or_else(|| AscendingRows::all(self.rows), AscendingRows::of);
+        if let Some(&last) = list.rows.as_deref().and_then(<[u32]>::last) {
             if last as usize >= self.rows {
                 return Err(DbError::BadQuery(format!(
                     "row {last} out of bounds: {} has {} rows",
@@ -1051,92 +1227,181 @@ impl TableSnapshot {
                 )));
             }
         }
-        let mut stats = GatherStats::default();
-        let mut out = Vec::with_capacity(names.len());
-        for name in names {
-            let idx = self.schema.position(name).ok_or_else(|| DbError::NoSuchColumn {
-                table: self.name.to_string(),
-                column: name.clone(),
-            })?;
-            let col = self.gather_column(idx, &sel, &mut stats);
-            stats.bytes_written += col.size_bytes() as u64;
-            out.push((name.clone(), col));
-        }
-        Ok((out, stats))
+        Ok(list)
     }
 
-    /// Fetches column `idx` at `sel` (validated): one walk over the
-    /// stores holding a row, one cell loop per store, then one interning
-    /// pass for strings.
-    fn gather_column(&self, idx: usize, sel: &AscendingRows<'_>, stats: &mut GatherStats) -> Column {
-        let global = self.global_dict(idx);
-        let local = self.delta_dict(idx);
-        let delta_code0 = global.map_or(0, DictColumn::dict_size) as u32;
-        let sentinel = delta_code0 + local.map_or(0, DictColumn::dict_size) as u32;
-        // Cells of segments and chunks predating the column keep what
-        // they are pre-filled with here: no data exists, nothing is read.
-        let (mut out, cell_bytes) = match self.schema.columns()[idx].1 {
-            DataType::Int64 => (Cells::Ints(vec![0; sel.len]), 8),
-            DataType::Float64 => (Cells::Floats(vec![0.0; sel.len]), 8),
-            DataType::Str => (Cells::Codes(vec![sentinel; sel.len]), 4),
-        };
-        self.split_by_store(sel.rows.as_deref(), |store, base, range| {
-            let hits = range.len();
-            let seg = match store {
-                Store::Seg(seg) => seg,
-                Store::Chunk { chunk, .. } => {
-                    match &mut out {
-                        Cells::Ints(out) => {
-                            let Some(v) = chunk.ints(idx) else { return };
-                            sel.scatter(range, base, out, |i| v[i]);
-                        }
-                        Cells::Floats(out) => {
-                            let Some(v) = chunk.floats(idx) else { return };
-                            sel.scatter(range, base, out, |i| v[i]);
-                        }
-                        Cells::Codes(out) => {
-                            let Some(codes) = chunk.codes(idx) else { return };
-                            sel.scatter(range, base, out, |i| delta_code0 + codes[i]);
-                        }
+    /// The output of a gather of `len` rows of the named columns. Cells
+    /// of segments and chunks predating a column keep what they are
+    /// pre-filled with here (its null sentinel): no data exists, nothing
+    /// is read.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::NoSuchColumn`] for an unknown name.
+    pub(crate) fn gather_out<'n>(&self, names: &'n [String], len: usize) -> DbResult<GatherOut<'n>> {
+        let cols = names
+            .iter()
+            .map(|name| {
+                let idx = self.schema.position(name).ok_or_else(|| DbError::NoSuchColumn {
+                    table: self.name.to_string(),
+                    column: name.clone(),
+                })?;
+                let cells = match self.schema.columns()[idx].1 {
+                    DataType::Int64 => Cells::Ints(vec![0; len]),
+                    DataType::Float64 => Cells::Floats(vec![0.0; len]),
+                    DataType::Str => Cells::Codes(vec![self.str_codes(idx).1; len]),
+                };
+                Ok((idx, cells))
+            })
+            .collect::<DbResult<_>>()?;
+        Ok(GatherOut { names, cols })
+    }
+
+    /// The unified source-code space of string column `idx`: the first
+    /// delta code (past the table-global codes) and the `""` sentinel
+    /// (past the delta codes).
+    fn str_codes(&self, idx: usize) -> (u32, u32) {
+        let delta_code0 = self.global_dict(idx).map_or(0, DictColumn::dict_size) as u32;
+        (delta_code0, delta_code0 + self.delta_dict(idx).map_or(0, DictColumn::dict_size) as u32)
+    }
+
+    /// Runs a share whose rows start at list index `at` straight into the
+    /// whole output — in list order, or, given the list's `slots`, at
+    /// each row's output position — and returns what it read.
+    pub(crate) fn fill_share_inline(
+        &self,
+        share: &Share<'_>,
+        out: &mut GatherOut<'_>,
+        at: usize,
+        slots: Option<&[u32]>,
+    ) -> GatherStats {
+        match slots {
+            Some(slots) => self.fill_share(share, out.from(0), Some(&slots[at..at + share.n])),
+            None => self.fill_share(share, out.from(at), None),
+        }
+    }
+
+    /// Reads one store's share of every column of `cols` — each column's
+    /// run for this share, or, given `slots` (this share's output
+    /// positions), each whole column — and returns what it read.
+    pub(crate) fn fill_share<'o>(
+        &self,
+        share: &Share<'_>,
+        cols: impl Iterator<Item = (usize, CellsMut<'o>)>,
+        slots: Option<&[u32]>,
+    ) -> GatherStats {
+        let mut stats = GatherStats::default();
+        for (idx, out) in cols {
+            // The list's shape is matched once per column, so each row
+            // loop is monomorphic.
+            match &share.rows {
+                ShareRows::Range(range) => {
+                    self.fill_column(idx, share, range.clone(), out, slots, &mut stats)
+                }
+                ShareRows::Bits(bits) => {
+                    self.fill_column(idx, share, bits.iter_ones(), out, slots, &mut stats)
+                }
+                ShareRows::Ids(ids, base) => {
+                    let rows = ids.iter().map(|&row| row as usize - base);
+                    self.fill_column(idx, share, rows, out, slots, &mut stats);
+                }
+            }
+        }
+        stats
+    }
+
+    /// One column of one share: the typed cell loop, and its bill.
+    fn fill_column(
+        &self,
+        idx: usize,
+        share: &Share<'_>,
+        rows: impl Iterator<Item = usize>,
+        out: CellsMut<'_>,
+        slots: Option<&[u32]>,
+        stats: &mut GatherStats,
+    ) {
+        let hits = share.n;
+        let seg = match share.store {
+            Store::Seg(seg) => seg,
+            Store::Chunk { chunk, .. } => {
+                let cell_bytes = match out {
+                    CellsMut::Ints(out) => {
+                        let Some(v) = chunk.ints(idx) else { return };
+                        put(rows, out, slots, |i| v[i]);
+                        8
                     }
-                    stats.bytes_read += (hits * cell_bytes) as u64;
-                    return;
-                }
-            };
-            let Some(col) = seg.column(idx) else { return };
-            // The billing rule, and the read it bills: a store's share is
-            // read per cell through the cursor, except that a strictly
-            // ascending list past the `sparse_hits` crossover stream-
-            // decodes the segment once. A positional list (unordered or
-            // with duplicates) always reads per cell, however dense.
-            let stream = sel.strict && !sparse_hits(hits, seg.rows());
-            match (col, &mut out) {
-                (SegColumn::Int { data, .. }, Cells::Ints(out)) => {
-                    sel.scatter_encoded(range, base, out, data, stream, |v| v);
-                }
-                (SegColumn::Str { codes, .. }, Cells::Codes(out)) => {
-                    sel.scatter_encoded(range, base, out, codes, stream, |v| v as u32);
-                }
-                (SegColumn::Float(v), Cells::Floats(out)) => sel.scatter(range, base, out, |i| v[i]),
-                _ => unreachable!("segment column type matches the schema"),
+                    CellsMut::Floats(out) => {
+                        let Some(v) = chunk.floats(idx) else { return };
+                        put(rows, out, slots, |i| v[i]);
+                        8
+                    }
+                    CellsMut::Codes(out) => {
+                        let Some(codes) = chunk.codes(idx) else { return };
+                        let delta_code0 = self.str_codes(idx).0;
+                        put(rows, out, slots, |i| delta_code0 + codes[i]);
+                        4
+                    }
+                };
+                stats.bytes_read += (hits * cell_bytes) as u64;
+                return;
             }
-            let (items, bytes) =
-                if stream { (seg.rows(), col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
-            stats.bytes_read += bytes as u64;
-            if !matches!(col, SegColumn::Float(_)) {
-                stats.decode_items += items as u64;
-            }
-        });
-        let codes = match out {
-            Cells::Ints(v) => return Column::Int64(v),
-            Cells::Floats(v) => return Column::Float64(v),
-            Cells::Codes(codes) => codes,
         };
-        // Code-to-code into one output dictionary, in output order: the
-        // first touch of a source code decodes it, reads its dictionary
-        // entry and interns it — values shared between the dictionaries
-        // (and the `""` sentinel) collapse there — every repeat is an
-        // array-indexed cache hit plus a code push, never a string hash.
+        let Some(col) = seg.column(idx) else { return };
+        // The billing rule, and the read it bills: a store's share is
+        // read per cell through the cursor, except that a strictly
+        // ascending list past the `sparse_hits` crossover streams the
+        // segment's blocks once. A positional list (unordered or with
+        // duplicates) always reads per cell, however dense.
+        let stream = share.strict && !sparse_hits(hits, seg.rows());
+        let cell_bytes = match (col, out) {
+            (SegColumn::Int { data, .. }, CellsMut::Ints(out)) => {
+                put_encoded(rows, out, slots, data, stream, |v| v);
+                8
+            }
+            (SegColumn::Str { codes, .. }, CellsMut::Codes(out)) => {
+                put_encoded(rows, out, slots, codes, stream, |v| v as u32);
+                4
+            }
+            (SegColumn::Float(v), CellsMut::Floats(out)) => {
+                put(rows, out, slots, |i| v[i]);
+                8
+            }
+            _ => unreachable!("segment column type matches the schema"),
+        };
+        let (items, bytes) =
+            if stream { (seg.rows(), col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
+        stats.bytes_read += bytes as u64;
+        if !matches!(col, SegColumn::Float(_)) {
+            stats.decode_items += items as u64;
+        }
+    }
+
+    /// Turns a filled [`GatherOut`] into output columns, adding the
+    /// output bytes and the interning pass's reads to `stats`.
+    pub(crate) fn finish_gather(&self, out: GatherOut<'_>, stats: &mut GatherStats) -> Vec<(String, Column)> {
+        out.names
+            .iter()
+            .zip(out.cols)
+            .map(|(name, (idx, cells))| {
+                let col = match cells {
+                    Cells::Ints(v) => Column::Int64(v),
+                    Cells::Floats(v) => Column::Float64(v),
+                    Cells::Codes(codes) => Column::Str(self.intern(idx, codes, stats)),
+                };
+                stats.bytes_written += col.size_bytes() as u64;
+                (name.clone(), col)
+            })
+            .collect()
+    }
+
+    /// Code-to-code into one output dictionary, in output order: the
+    /// first touch of a source code decodes it, reads its dictionary
+    /// entry and interns it — values shared between the dictionaries
+    /// (and the `""` sentinel) collapse there — every repeat is an
+    /// array-indexed cache hit plus a code push, never a string hash.
+    fn intern(&self, idx: usize, codes: Vec<u32>, stats: &mut GatherStats) -> DictColumn {
+        let (global, local) = (self.global_dict(idx), self.delta_dict(idx));
+        let (delta_code0, sentinel) = self.str_codes(idx);
         let mut dict = DictColumn::new();
         let mut cache: Vec<Option<u32>> = vec![None; sentinel as usize + 1];
         for code in codes {
@@ -1154,23 +1419,7 @@ impl TableSnapshot {
             });
             dict.push_code(out_code);
         }
-        Column::Str(dict)
-    }
-
-    /// Splits a non-decreasing row list (`None`: all rows) at the store
-    /// boundaries: `f` gets, for every store holding at least one of the
-    /// rows, the store (a main segment or a delta chunk), its first
-    /// global row id and the index range of its rows within the list.
-    fn split_by_store(&self, asc: Option<&[u32]>, mut f: impl FnMut(Store<'_>, usize, Range<usize>)) {
-        let mut i = 0;
-        for (store, base) in (0..self.store_count()).map(|u| self.store(u)) {
-            let end = base + store.rows();
-            let from = i;
-            i = asc.map_or(end, |asc| from + asc[from..].partition_point(|&r| (r as usize) < end));
-            if i > from {
-                f(store, base, from..i);
-            }
-        }
+        dict
     }
 
     /// Materializes one whole column (main decoded + delta) by name.
@@ -1178,8 +1427,8 @@ impl TableSnapshot {
     /// This is a full, unmetered decode — query execution never calls
     /// it; it exists for index builds, diagnostics and tests.
     pub fn column(&self, name: &str) -> Option<Column> {
-        let idx = self.schema.position(name)?;
-        Some(self.gather_column(idx, &AscendingRows::all(self.rows), &mut GatherStats::default()))
+        let (mut cols, _) = self.gather(&[name.to_string()], None).ok()?;
+        cols.pop().map(|(_, col)| col)
     }
 
     /// The validity vector of one column (false = null sentinel); rows
@@ -1409,6 +1658,15 @@ pub struct GatherStats {
     pub bytes_read: u64,
     /// Bytes written into the output columns.
     pub bytes_written: u64,
+}
+
+impl GatherStats {
+    /// Adds another share's work.
+    pub(crate) fn absorb(&mut self, other: GatherStats) {
+        self.decode_items += other.decode_items;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+    }
 }
 
 /// Convenience constructor for common strict schemas.

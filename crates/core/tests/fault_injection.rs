@@ -338,6 +338,51 @@ fn pool_fault_propagates_and_pool_stays_reusable() {
     assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, prefix_sum(rows));
 }
 
+/// The gather runs its shares on the pool like every other stage: a
+/// panic injected at dispatch or pickup inside a pooled projection
+/// propagates to the query, and the pool stays reusable — the next
+/// projection returns every row exactly.
+#[test]
+fn pooled_projection_fault_propagates_and_pool_stays_reusable() {
+    let _g = armed();
+    // No filter: the gather is the only stage that runs units, so the
+    // failpoints fire inside it — four delta stores, four shares.
+    let rows = 3 * DELTA_CHUNK_ROWS + 7;
+    let db = seeded_db(0, rows as i64);
+    let opts = ExecOpts { dop: 4, morsel_rows: 64, gate: None, cancel: None };
+    let q = Query::scan("t").select(["amount", "id"]);
+    let check = |out: QueryResult| {
+        let ids: Vec<i64> = (0..rows as i64).collect();
+        let amounts: Vec<i64> = ids.iter().map(|&i| amount(i)).collect();
+        assert_eq!(out.rows.column("id").unwrap().as_int64().unwrap(), &ids[..]);
+        assert_eq!(out.rows.column("amount").unwrap().as_int64().unwrap(), &amounts[..]);
+    };
+    let meter_before = db.meter().grand_total().joules();
+
+    fail::cfg("pool::dispatch", "1*panic(dispatch)").unwrap();
+    fail::cfg("pool::pickup", "panic(pickup)").unwrap();
+    let r = catch_unwind(AssertUnwindSafe(|| db.execute_opts(&q, &opts)));
+    assert!(r.is_err(), "armed dispatch must panic the projection");
+    fail::teardown();
+
+    assert!(db.meter().grand_total().joules() >= meter_before, "meter went backwards");
+    for _ in 0..3 {
+        check(db.execute_opts(&q, &opts).unwrap());
+    }
+
+    // Stochastic pickup faults: every run either panics or returns
+    // every row exactly, and the pool survives them all.
+    fail::seed(11);
+    fail::cfg("pool::pickup", "25%panic(flaky-pickup)").unwrap();
+    for _ in 0..16 {
+        if let Ok(out) = catch_unwind(AssertUnwindSafe(|| db.execute_opts(&q, &opts))) {
+            check(out.unwrap());
+        }
+    }
+    fail::teardown();
+    check(db.execute_opts(&q, &opts).unwrap());
+}
+
 /// The qserver failpoints complete the instrumented set; fired as
 /// panics they fail only the one submission — admission slots release
 /// and the server keeps serving. (Exercised here through the public

@@ -65,6 +65,20 @@ fn layouts(lrows: &[Row], rrows: &[Row], ml: usize, mr: usize) -> Vec<Database> 
     vec![flat, mixed, merged]
 }
 
+/// Runs `q` under every parallelism grant — serial, pooled two and four
+/// wide, and pooled behind a budget-1 morsel gate — and checks each
+/// answers exactly `want` does: the same rows in the same order, and the
+/// same bill.
+fn same_under_every_grant(db: &Database, q: &Query, want: &QueryResult) -> Result<(), TestCaseError> {
+    let gated = ExecOpts { dop: 4, gate: Some(MorselGate::new(1)), ..ExecOpts::default() };
+    for opts in [ExecOpts::with_dop(1), ExecOpts::with_dop(2), ExecOpts::with_dop(4), gated] {
+        let got = db.execute_opts(q, &opts).unwrap();
+        prop_assert_eq!(&got.rows, &want.rows, "{:?}: rows", opts);
+        prop_assert_eq!(got.profile, want.profile, "{:?}: bill", opts);
+    }
+    Ok(())
+}
+
 /// Sorted multiset of result tuples (join output order is
 /// algorithm-dependent, so comparisons are order-insensitive).
 fn result_tuples(out: &QueryResult) -> Vec<Vec<String>> {
@@ -113,6 +127,7 @@ proptest! {
         want.sort();
         for (li, mut db) in layouts(&lrows, &rrows, ml, mr).into_iter().enumerate() {
             let out = db.execute(&q).unwrap();
+            same_under_every_grant(&db, &q, &out)?;
             prop_assert_eq!(result_tuples(&out), want.clone(), "layout {}", li);
         }
     }
@@ -151,6 +166,7 @@ proptest! {
         want.sort();
         for (li, mut db) in layouts(&lrows, &rrows, ml, mr).into_iter().enumerate() {
             let out = db.execute(&q).unwrap();
+            same_under_every_grant(&db, &q, &out)?;
             prop_assert_eq!(result_tuples(&out), want.clone(), "layout {}", li);
         }
     }
@@ -176,7 +192,9 @@ proptest! {
         if merge_r {
             db.merge("r").unwrap();
         }
-        let out = db.execute(&Query::scan("l").join("r", "k", "k")).unwrap();
+        let q = Query::scan("l").join("r", "k", "k");
+        let out = db.execute(&q).unwrap();
+        same_under_every_grant(&db, &q, &out)?;
         prop_assert_eq!(out.rows.rows(), dup_l * dup_r, "cross product per duplicate key group");
         prop_assert_eq!(out.rows.width(), 6, "all left + prefixed right columns");
     }

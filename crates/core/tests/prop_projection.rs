@@ -50,6 +50,19 @@ fn make_db() -> Database {
 /// the naive reference keeps plain `String`s, never codes.
 type Row = (i64, i64, String, String);
 
+/// Runs `q` under every parallelism grant — serial, pooled two and four
+/// wide, and pooled behind a budget-1 morsel gate — and checks each
+/// answers exactly `want` does: the same rows, and the same bill.
+fn same_under_every_grant(db: &Database, q: &Query, want: &QueryResult) -> Result<(), TestCaseError> {
+    let gated = ExecOpts { dop: 4, gate: Some(MorselGate::new(1)), ..ExecOpts::default() };
+    for opts in [ExecOpts::with_dop(1), ExecOpts::with_dop(2), ExecOpts::with_dop(4), gated] {
+        let got = db.execute_opts(q, &opts).unwrap();
+        prop_assert_eq!(&got.rows, &want.rows, "{:?}: rows", opts);
+        prop_assert_eq!(got.profile, want.profile, "{:?}: bill", opts);
+    }
+    Ok(())
+}
+
 fn insert_row(db: &mut Database, row: &Row) {
     let (id, amount, tag, name) = row;
     db.insert(
@@ -107,6 +120,7 @@ proptest! {
 
         for (label, db) in [("flat", &mut flat), ("segmented", &mut seg)] {
             let out = db.execute(&q).unwrap();
+            same_under_every_grant(db, &q, &out)?;
             prop_assert_eq!(out.rows.rows(), expected.len(), "{}: row count", label);
             let tags = out.rows.column("tag").unwrap().as_str().unwrap();
             let names = out.rows.column("name").unwrap().as_str().unwrap();
