@@ -2,11 +2,13 @@
 //! delta fraction and merge cadence (§IV.B "energy efficiency by data
 //! reduction"; the HANA-style main/delta architecture of ref \[1\]).
 //!
-//! The tentpole claim quantified here: running predicates on the
-//! compressed main (zone-map pruning + scan-on-encoded, no decode) burns
-//! fewer joules per answered query than the flat delta scan over the
-//! same rows — and the one-off merge cost amortizes over a handful of
-//! queries.
+//! The claim quantified here: running predicates on the compressed main
+//! (zone-map pruning + scan-on-encoded, no decode) burns no more joules
+//! per answered query than the delta scan over the same rows, and stores
+//! a fraction of the bytes. Sealed delta chunks are read through encoded
+//! column views their first reader builds, so the delta scan is
+//! compressed too and the query gap is small; the merge's return is the
+//! stored bytes (the delta keeps the writer's flat cells).
 
 use crate::report::{fmt_joules, Report};
 use haec_columnar::value::CmpOp;
@@ -44,10 +46,10 @@ fn fresh(merged_fraction: f64) -> Database {
 pub fn run() -> Report {
     let mut r = Report::new(
         "E17",
-        "main/delta storage: scan-on-compressed vs flat scan (256K rows)",
-        "compressed main + zone maps cut DRAM traffic per query; merge cost amortizes quickly (§IV.B, [1])",
+        "main/delta storage: merged main vs unmerged delta (256K rows)",
+        "compressed main + zone maps cut DRAM traffic per query and stored bytes (§IV.B, [1])",
     );
-    r.headers(["delta", "segments", "stored", "broad-scan E", "pruned-scan E", "rows(broad)", "vs flat"]);
+    r.headers(["delta", "segments", "stored", "broad-scan E", "pruned-scan E", "rows(broad)", "vs delta"]);
 
     // A broad aggregate (touches every surviving segment) and a narrow
     // range on the sorted key (zone maps prune 7/8 of the segments).
@@ -89,17 +91,17 @@ pub fn run() -> Report {
     let (flat, merged) = (flat_broad_energy.unwrap(), merged_broad_energy.unwrap());
     assert!(
         merged < flat,
-        "acceptance: compressed-main scan ({merged} J) must beat the flat scan ({flat} J)"
+        "acceptance: compressed-main scan ({merged} J) must beat the delta scan ({flat} J)"
     );
     r.note(format!(
-        "fully-merged broad scan uses {:.1}% of the flat-scan energy at identical answers",
+        "fully-merged broad scan uses {:.1}% of the delta-scan energy at identical answers",
         merged / flat * 100.0
     ));
 
     // --- merge cadence: ingest + merge energy vs steady-state queries --
     r.note("cadence sweep: total energy for 256K inserts + merges, then 32 broad queries:");
     for (label, threshold) in [
-        ("never (flat)", usize::MAX),
+        ("never (delta)", usize::MAX),
         ("once at 256K", 256 * 1024),
         ("every 64K", 64 * 1024),
         ("every 16K", 16 * 1024),
@@ -133,7 +135,8 @@ pub fn run() -> Report {
         ));
     }
     r.note("merges are incremental (old segments are never rewritten), so cadence costs no extra encode");
-    r.note("energy: cadence only sets segment granularity — pruning resolution vs per-segment overhead —");
-    r.note("and the one-off encode cost is won back within a few compressed scans");
+    r.note("energy: cadence only sets segment granularity — pruning resolution vs per-segment overhead;");
+    r.note("unmerged, the first queries pay the sealed chunks' view encodes to the meter instead, so the");
+    r.note("merge's encode is won back in stored bytes (the delta keeps flat cells), not in query energy");
     r
 }

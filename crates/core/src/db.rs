@@ -10,13 +10,13 @@
 //! its table pins and hands them to the one executor in
 //! `crate::executor`.
 //!
-//! Execution is **segment-granular** over the main/delta store of
-//! [`crate::table::Table`]: whole segments are skipped via zone maps,
-//! integer and string predicates on main segments run directly on the
+//! Execution is **store-granular** over the main/delta store of
+//! [`crate::table::Table`]: whole segments and delta chunks are skipped
+//! via zone maps, integer and string predicates run directly on the
 //! compressed data ([`haec_columnar::encoding::EncodedInts::scan`] — no
-//! decode), flat delta chunks use the vectorized selection kernels,
-//! and segments are dispatched as morsels across real threads for large
-//! tables. Aggregation pushes down the same way: each segment folds a
+//! decode; a delta chunk shows the same encoded column shape as a
+//! segment), and stores are dispatched as morsels across real threads
+//! for large tables. Aggregation pushes down the same way: each segment folds a
 //! partial [`haec_exec::agg::AggState`] straight from its encoded
 //! columns via streaming decode
 //! ([`haec_columnar::encoding::EncodedInts::iter`] — no
@@ -546,22 +546,30 @@ impl Database {
         let t = self.handle(table)?;
         let stats = t.merge();
         if stats.rows_merged > 0 {
-            let values = (stats.raw_bytes / 8) as u64;
-            // `EncodedInts::auto` trial-encodes every scheme and keeps
-            // the smallest; charge all four attempts, plus reading the
-            // flat delta and writing the encoded segments.
-            let profile = ResourceProfile {
-                cpu_cycles: self.costs.cycles_for(Kernel::CompressEncode, values * 4),
-                dram_read: ByteCount::new(stats.raw_bytes as u64),
-                dram_written: ByteCount::new(stats.encoded_bytes as u64),
-                ..ResourceProfile::default()
-            };
-            self.charge(&profile);
+            self.charge_encode(stats.raw_bytes, stats.encoded_bytes);
             if t.schema().sort_key().is_some() {
                 self.rebuild_indexes_for(table, &t);
             }
         }
         Ok(stats)
+    }
+
+    /// Charges re-encoding `raw_bytes` plain bytes into `encoded_bytes`
+    /// to the meter — a merge's segments, or sealed delta chunks' views:
+    /// storage maintenance, never a query's bill. `EncodedInts::auto`
+    /// trial-encodes every scheme and keeps the smallest; charge all four
+    /// attempts, plus reading the flat input and writing the encoded
+    /// output. Nothing to encode is free.
+    pub(crate) fn charge_encode(&self, raw_bytes: usize, encoded_bytes: usize) {
+        if raw_bytes > 0 {
+            let values = (raw_bytes / 8) as u64;
+            self.charge(&ResourceProfile {
+                cpu_cycles: self.costs.cycles_for(Kernel::CompressEncode, values * 4),
+                dram_read: ByteCount::new(raw_bytes as u64),
+                dram_written: ByteCount::new(encoded_bytes as u64),
+                ..ResourceProfile::default()
+            });
+        }
     }
 
     /// Rebuilds every index registered on `table` from a fresh snapshot
@@ -620,7 +628,7 @@ impl Database {
 
     /// Builds a hash index over integer column `column` of `t` from
     /// scratch, with the bill of that work: decode the compressed main,
-    /// read the flat delta, and build the hash table.
+    /// read the delta's cells, and build the hash table.
     fn backfill_index(
         &self,
         t: &TableSnapshot,
@@ -660,9 +668,9 @@ impl Database {
 
     /// Executes a query, charging its energy to the meter.
     ///
-    /// Main-segment predicates run on compressed data behind zone maps;
-    /// delta chunks use the flat vectorized kernels; large tables scan
-    /// segment-parallel.
+    /// Predicates run on compressed data behind zone maps — main
+    /// segments' and delta chunks' alike; large tables scan
+    /// store-parallel.
     ///
     /// # Errors
     ///
@@ -1294,12 +1302,56 @@ mod tests {
     }
 
     #[test]
+    fn a_first_reader_pays_nothing_in_its_bill() {
+        // Two sealed chunks and the open chunk's prefix. The first query
+        // to read the sealed chunks builds their column views; its bill is
+        // what every later run bills, at every grant, and the encode goes
+        // to the meter instead — once per (chunk, column) read.
+        let q = Query::scan("orders").filter("amount", CmpOp::Ge, 900).aggregate(AggKind::Sum, "region");
+        let read = ["region", "amount"];
+        let mut results = Vec::new();
+        let rows = 2 * crate::table::DELTA_CHUNK_ROWS as i64 + 10;
+        for dop in [1, 2] {
+            // `twin` sees the same inserts, then only the charges expected.
+            let (db, twin) = (sample_db(rows), sample_db(rows));
+            let t = db.table("orders").unwrap();
+            let sealed: Vec<_> = (0..t.store_count())
+                .filter_map(|u| match t.store(u).0 {
+                    crate::table::Store::Chunk { chunk, sealed: true } => Some(chunk),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(sealed.len(), 2);
+            for run in 0..3 {
+                let out = db.execute_opts(&q, &ExecOpts::with_dop(dop)).unwrap();
+                twin.charge(&out.profile);
+                if run == 0 {
+                    let (mut raw, mut encoded) = (0, 0);
+                    for (chunk, name) in sealed.iter().flat_map(|c| read.map(|n| (c, n))) {
+                        let view = chunk.column(t.schema().position(name).unwrap(), true).unwrap();
+                        raw += view.raw_bytes(chunk.rows());
+                        encoded += view.encoded_bytes();
+                    }
+                    assert!(raw > encoded, "the views are encoded");
+                    twin.charge_encode(raw, encoded);
+                }
+                assert_eq!(db.meter().grand_total(), twin.meter().grand_total(), "dop {dop}, run {run}");
+                results.push((out.rows, out.profile));
+            }
+        }
+        assert!(results.windows(2).all(|w| w[0] == w[1]), "one answer and one bill: {results:?}");
+    }
+
+    #[test]
     fn meter_accumulates_across_queries() {
         let db = sample_db(1000);
         let before = db.meter().grand_total();
         db.execute(&Query::scan("orders").aggregate(AggKind::Sum, "amount")).unwrap();
         let mid = db.meter().grand_total();
-        db.execute(&Query::scan("orders").aggregate(AggKind::Max, "amount")).unwrap();
+        // Filtered: an unfiltered MAX is answered from the zone map for
+        // free, in the delta as in a segment.
+        db.execute(&Query::scan("orders").filter("amount", CmpOp::Gt, 30).aggregate(AggKind::Max, "amount"))
+            .unwrap();
         let after = db.meter().grand_total();
         assert!(mid > before);
         assert!(after > mid);

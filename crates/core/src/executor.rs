@@ -10,40 +10,45 @@
 //! (pooled under an explicit grant or from [`PARALLEL_SCAN_ROWS`] table
 //! rows, else inline), holding one gate permit and polling the cancel
 //! token once per unit. Between stages the surviving rows travel as one
-//! [`Selection`] **per unit**, in the shape the predicate kernels
-//! produce — every row, a sort-key row range, a match bitmap, or
-//! ascending row ids (index lookups, delta kernels) — never as one
-//! global row-id list: aggregates, join-key extraction and the
+//! [`Selection`] **per unit**, in the shape the predicate kernel
+//! produces — every row, a sort-key row range, a match bitmap, or
+//! ascending row ids (index lookups) — never as one global row-id list:
+//! aggregates, join-key extraction and the
 //! projection gather all consume the selection in place (unit `u`'s
 //! share of a gather fills the run of the output its survivors occupy).
 //! Only a join's payload gather sorts a row list — its pairs' rows — and
 //! cuts it at the store boundaries into shares.
 //!
-//! The main/delta split shows up in exactly two places:
+//! One kernel, one view; the code space is the only per-store fact.
+//! Every store shows a unit one [`SegColumn`] per column — a segment its
+//! own, a delta chunk a view its first reader built (`crate::delta`) —
+//! so:
 //!
-//! * the **predicate kernels** ([`Database::eval_segment`] scans the
-//!   compressed column in place into 64-bit match words,
-//!   [`Database::eval_delta`] runs the flat vectorized kernels) — two
-//!   implementations on purpose: they run different algorithms and bill
-//!   differently. Both consult the store's zone first: a segment, or a
-//!   sealed delta chunk, whose zone excludes an integer predicate is
-//!   skipped, neither read nor billed;
-//! * the **column view** ([`UnitCol`]): what a unit's column looks like
-//!   to everything downstream of the filters. Aggregation and join-key
-//!   streaming are written once against that view and [`walk`] it in
-//!   one of three regimes picked from the selection's density — *all
-//!   rows* and *dense* selections stream 64-row blocks
+//! * the **predicate kernel** ([`Exec::eval`]) consults the column's
+//!   zone first — a unit whose zone excludes a predicate is skipped,
+//!   neither read nor billed; one whose zone satisfies it skips the
+//!   scan — then bisects a sort key or scans the encoded column in place
+//!   into 64-bit match words;
+//! * the **column view** ([`UnitCol`]) is what a unit's column looks
+//!   like to everything downstream of the filters. Aggregation and
+//!   join-key streaming are written once against that view and [`walk`]
+//!   it in one of three regimes picked from the selection's density —
+//!   *all rows* and *dense* selections stream 64-row blocks
 //!   (`EncodedInts::blocks`) against the selection's match words,
 //!   *sparse* ones read the survivors alone through forward cursors —
-//!   with one billing rule.
+//!   with one billing rule; the gather reads it by the same rule.
+//!
+//! What differs by store is only which dictionary a string code indexes
+//! ([`CodeSpace`]: the table-global one for segments, the delta-wide one
+//! for chunks), resolved once per unit by string predicates, key
+//! translations and the gather.
 
 use crate::db::{
     Database, Filter, IndexEntry, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS,
 };
-use crate::delta::DeltaChunk;
 use crate::error::{DbError, DbResult};
-use crate::segment::{zone_all_match, zone_may_match, SegColumn, Segment};
-use crate::table::{sparse_hits, GatherOut, GatherStats, Share, ShareRows, Store, TableSnapshot};
+use crate::segment::{zone_all_match, zone_may_match, SegColumn};
+use crate::table::{sparse_hits, CodeSpace, GatherOut, GatherStats, Share, ShareRows, Store, TableSnapshot};
 use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
@@ -56,7 +61,6 @@ use haec_energy::units::ByteCount;
 use haec_exec::agg::{AggKind, AggState, GroupAcc};
 use haec_exec::join::{sort_merge_join_pairs_presorted, HashJoin, HASH_BUCKET_BYTES};
 use haec_exec::pool::{ExecOpts, MorselGate, RunSpec};
-use haec_exec::select::{select_metered, SelectKernel};
 use haec_planner::access::{
     choose_access_segmented, join_zone_overlap, sorted_layout, AccessPath, ZoneMapMeta,
 };
@@ -74,15 +78,14 @@ struct IntPred {
     literal: i64,
 }
 
-/// A string predicate resolved to dictionary codes: `global_code` for
-/// main segments (table-global dictionary), `delta_code` for the delta
-/// chunks (their delta-wide dictionary).
+/// A string predicate resolved to the value's code in each code space,
+/// indexed by [`CodeSpace`] (`None` where that dictionary never
+/// interned it).
 #[derive(Clone)]
 struct StrPred {
     col: usize,
     value: String,
-    global_code: Option<i64>,
-    delta_code: Option<u32>,
+    codes: [Option<i64>; 2],
     negated: bool,
 }
 
@@ -117,6 +120,9 @@ impl AggAcc {
         match (self, other) {
             (AggAcc::Global(a), AggAcc::Global(b)) => a.merge(&b),
             (AggAcc::Grouped(a), AggAcc::Grouped(b)) => a.merge(b),
+            // INVARIANT: `Exec::fold` starts from `AggAcc::identity` of
+            // the query's one group shape, and `agg_unit` returns that
+            // shape for every unit.
             _ => unreachable!("all units of one query share the group shape"),
         }
     }
@@ -138,24 +144,21 @@ impl<'a> Unit<'a> {
         Unit { store, base, rows: store.rows() }
     }
 
-    /// The segment, if this unit is one.
-    fn seg(&self) -> Option<&'a Segment> {
-        match self.store {
-            Store::Seg(seg) => Some(seg),
-            Store::Chunk { .. } => None,
-        }
+    /// Column `idx` of the unit's store (`None` where it predates the
+    /// column).
+    fn col(&self, idx: usize) -> Option<&'a SegColumn> {
+        self.store.column(idx)
     }
 
     /// This unit's view of integer column `idx` (the null sentinel where
     /// the store predates the column).
     fn int_col(&self, idx: usize) -> UnitCol<'a> {
-        match self.store {
-            Store::Seg(seg) => match seg.column(idx) {
-                Some(SegColumn::Int { data, .. }) => UnitCol::Enc(data, None),
-                None => UnitCol::Const(0),
-                Some(_) => unreachable!("column validated as integer"),
-            },
-            Store::Chunk { chunk, .. } => chunk.ints(idx).map_or(UnitCol::Const(0), UnitCol::Ints),
+        match self.col(idx) {
+            Some(SegColumn::Int { data, .. }) => UnitCol::Enc(data, None),
+            None => UnitCol::Const(0),
+            // INVARIANT: callers pass a column `check_int_column` (or the
+            // join's `join_key_columns`) validated as `Int64`.
+            Some(_) => unreachable!("column validated as integer"),
         }
     }
 }
@@ -164,17 +167,12 @@ impl<'a> Unit<'a> {
 /// join-key streaming read, whichever store the unit lives in.
 #[derive(Clone, Copy)]
 enum UnitCol<'a> {
-    /// A main segment's encoded column; `Some(map)` translates its
-    /// dictionary codes into a key space.
+    /// A store's encoded column; `Some(map)` translates its dictionary
+    /// codes into a key space.
     Enc(&'a EncodedInts, Option<&'a [i64]>),
-    /// A constant: the sentinel of a column this segment predates, or
-    /// the value COUNT never reads.
+    /// A constant: the sentinel of a column the store predates, or the
+    /// value COUNT never reads.
     Const(i64),
-    /// A delta chunk's flat integers.
-    Ints(&'a [i64]),
-    /// A delta chunk's flat dictionary codes, with their translation
-    /// into a key space.
-    Codes(&'a [u32], &'a [i64]),
 }
 
 /// What one [`walk`] touched of one column.
@@ -198,16 +196,13 @@ impl Touched {
 
 impl UnitCol<'_> {
     /// The bill for a walk that consumed `n` of the unit's `rows` rows,
-    /// streaming the first `streamed` (`None`: read hit by hit). Constants
-    /// cost nothing; flat cells are read where they lie (8-byte ints,
-    /// 4-byte codes) with no decode.
+    /// streaming the first `streamed` (`None`: read hit by hit).
+    /// Constants cost nothing.
     fn touched(&self, streamed: Option<usize>, n: usize, rows: usize) -> Touched {
         let (decode_items, stream_bytes, random_cells) = match (self, streamed) {
             (UnitCol::Enc(e, _), Some(s)) => (s, e.size_bytes() * s / rows.max(1), 0),
             (UnitCol::Enc(..), None) => (n, 0, n),
             (UnitCol::Const(_), _) => (0, 0, 0),
-            (UnitCol::Ints(_), _) => (0, n * 8, 0),
-            (UnitCol::Codes(..), _) => (0, n * 4, 0),
         };
         Touched {
             decode_items: decode_items as u64,
@@ -234,8 +229,7 @@ enum SelRows {
     Range(Range<usize>),
     /// One match bit per unit row (a sort-key range already ANDed in).
     Bits(Bitmap),
-    /// Ascending **global** row ids: the index path and the delta
-    /// kernels.
+    /// Ascending **global** row ids: the index path.
     Ids(Vec<u32>),
 }
 
@@ -313,7 +307,7 @@ impl Selection {
 /// view is matched once per block, never per row.
 struct ColBlocks<'a> {
     cells: BlockCells<'a>,
-    /// The current block of a constant column or of widened codes.
+    /// The current block of a constant column.
     block: [i64; BLOCK_ROWS],
 }
 
@@ -324,9 +318,6 @@ enum BlockCells<'a> {
     Enc(Blocks<'a>),
     /// The constant's rows not yet handed out.
     Const(usize),
-    /// The cells not yet handed out.
-    Ints(&'a [i64]),
-    Codes(&'a [u32]),
 }
 
 impl<'a> ColBlocks<'a> {
@@ -334,15 +325,12 @@ impl<'a> ColBlocks<'a> {
         let (cells, fill) = match col {
             UnitCol::Enc(e, _) => (BlockCells::Enc(e.blocks()), 0),
             UnitCol::Const(c) => (BlockCells::Const(rows), c),
-            UnitCol::Ints(cells) => (BlockCells::Ints(cells), 0),
-            UnitCol::Codes(cells, _) => (BlockCells::Codes(cells), 0),
         };
         ColBlocks { cells, block: [fill; BLOCK_ROWS] }
     }
 
     /// The next block of stored cells (lent: encoded columns decode into
-    /// their block reader, Plain and flat integer columns hand out their
-    /// own cells).
+    /// their block reader, Plain ones hand out their own cells).
     fn next(&mut self) -> &[i64] {
         match &mut self.cells {
             BlockCells::Enc(blocks) => blocks.next(),
@@ -350,12 +338,6 @@ impl<'a> ColBlocks<'a> {
                 let n = (*left).min(BLOCK_ROWS);
                 *left -= n;
                 &self.block[..n]
-            }
-            BlockCells::Ints(rest) => take_block(rest),
-            BlockCells::Codes(rest) => {
-                let codes = take_block(rest);
-                self.block.iter_mut().zip(codes).for_each(|(cell, &c)| *cell = i64::from(c));
-                &self.block[..codes.len()]
             }
         }
     }
@@ -365,12 +347,6 @@ impl<'a> ColBlocks<'a> {
         match &mut self.cells {
             BlockCells::Enc(blocks) => blocks.skip(),
             BlockCells::Const(left) => *left = left.saturating_sub(BLOCK_ROWS),
-            BlockCells::Ints(rest) => {
-                take_block(rest);
-            }
-            BlockCells::Codes(rest) => {
-                take_block(rest);
-            }
         }
     }
 }
@@ -380,8 +356,6 @@ impl<'a> ColBlocks<'a> {
 enum ColCursor<'a> {
     Enc(EncodedCursor<'a>),
     Const(i64),
-    Ints(&'a [i64]),
-    Codes(&'a [u32]),
 }
 
 impl<'a> ColCursor<'a> {
@@ -389,8 +363,6 @@ impl<'a> ColCursor<'a> {
         match col {
             UnitCol::Enc(e, _) => ColCursor::Enc(e.cursor()),
             UnitCol::Const(c) => ColCursor::Const(c),
-            UnitCol::Ints(cells) => ColCursor::Ints(cells),
-            UnitCol::Codes(cells, _) => ColCursor::Codes(cells),
         }
     }
 
@@ -399,17 +371,8 @@ impl<'a> ColCursor<'a> {
         match self {
             ColCursor::Enc(cursor) => cursor.at(row),
             ColCursor::Const(c) => *c,
-            ColCursor::Ints(cells) => cells[row],
-            ColCursor::Codes(cells) => i64::from(cells[row]),
         }
     }
-}
-
-/// Splits the next block (up to [`BLOCK_ROWS`] cells) off a flat column.
-fn take_block<'c, T>(rest: &mut &'c [T]) -> &'c [T] {
-    let (block, tail) = rest.split_at(rest.len().min(BLOCK_ROWS));
-    *rest = tail;
-    block
 }
 
 /// Feeds `sink` the `(key, value, global row)` of every row of one unit
@@ -441,9 +404,7 @@ fn walk(
     // The code → key translation is resolved here, once per unit, so the
     // row loops are monomorphic; it runs for *selected* rows only.
     match k {
-        UnitCol::Enc(_, Some(map)) | UnitCol::Codes(_, map) => {
-            walk_rows(run, k, v, |code| map[code as usize], sink);
-        }
+        UnitCol::Enc(_, Some(map)) => walk_rows(run, k, v, |code| map[code as usize], sink),
         _ => walk_rows(run, k, v, |cell| cell, sink),
     }
     (k.touched(streamed, sel.n, unit.rows), v.touched(streamed, sel.n, unit.rows))
@@ -579,6 +540,17 @@ struct StrKeys {
     max_key: i64,
 }
 
+impl StrKeys {
+    /// The code → key translation of a store in `space` (`None`: the
+    /// identity, codes are keys as stored).
+    fn map(&self, space: CodeSpace) -> Option<&[i64]> {
+        match space {
+            CodeSpace::Global => (!self.main_identity).then_some(&self.main_map),
+            CodeSpace::Delta => Some(&self.delta_map),
+        }
+    }
+}
+
 impl KeyCol {
     fn col(&self) -> usize {
         match self {
@@ -593,18 +565,12 @@ impl KeyCol {
             KeyCol::Int(idx) => return unit.int_col(*idx),
             KeyCol::Str(k) => k,
         };
-        match unit.store {
-            Store::Seg(seg) => match seg.column(k.col) {
-                Some(SegColumn::Str { codes, .. }) => {
-                    UnitCol::Enc(codes, (!k.main_identity).then_some(&k.main_map))
-                }
-                None => UnitCol::Const(k.sentinel_key),
-                Some(_) => unreachable!("key validated as string column"),
-            },
-            Store::Chunk { chunk, .. } => match chunk.codes(k.col) {
-                Some(codes) => UnitCol::Codes(codes, &k.delta_map),
-                None => UnitCol::Const(k.sentinel_key),
-            },
+        match unit.col(k.col) {
+            Some(SegColumn::Str { codes, .. }) => UnitCol::Enc(codes, k.map(unit.store.code_space())),
+            None => UnitCol::Const(k.sentinel_key),
+            // INVARIANT: a `KeyCol::Str` is only resolved for a column
+            // whose schema type is `Str` (`Exec::fold`, `Exec::join`).
+            Some(_) => unreachable!("key validated as string column"),
         }
     }
 }
@@ -695,10 +661,11 @@ impl<'a> StrKeySpace<'a> {
 }
 
 /// The probe side's pruning range, in its **physical** key domain:
-/// build-key min/max for integer keys; for string keys, the span of
-/// probe-side global codes whose key `member`s the build side (an
-/// inverted range when none does, pruning every probe segment — the
-/// delta tail is never pruned). `None` disables pruning.
+/// build-key min/max for integer keys, for every store; for string keys,
+/// the span of probe-side global codes whose key `member`s the build
+/// side (an inverted range when none does, pruning every probe segment —
+/// chunks, whose codes index the delta-wide dictionary, are never pruned
+/// by it). `None` disables pruning.
 ///
 /// Also returns how many `member` lookups ran (one per probe-dictionary
 /// entry for string keys, zero for integer keys, whose min/max fold
@@ -875,6 +842,13 @@ impl Database {
         // delta — not polluted by concurrent queries charging the same
         // shared meter).
         let est = self.charge(&ex.profile);
+        // Views this query's stores built on sealed chunks — or that an
+        // unmetered reader built before it — are storage maintenance:
+        // charged to the meter here, once, and never to any query's bill.
+        for t in std::iter::once(lt).chain(rt.as_deref()) {
+            let (raw, encoded) = t.take_unbilled_encodes();
+            self.charge_encode(raw, encoded);
+        }
         Ok(QueryResult {
             rows,
             energy: est.energy,
@@ -1016,16 +990,13 @@ impl Exec<'_> {
         if int_preds.is_empty() && str_preds.is_empty() {
             return Ok((None, access_path));
         }
-        // Zone maps first (prune whole segments, or skip tautological
+        // Zone maps first (prune whole units, or skip tautological
         // predicates), then the compressed column is scanned in place —
-        // main-segment data is **never decoded** for predicate
-        // evaluation. Delta chunks run the flat bitwise kernel, one unit
-        // each, so an oversized (merge-disabled) delta still
-        // parallelizes.
-        let (mut sels, scan_profile) = self.run_units(t, None, |unit, _| match unit.store {
-            Store::Seg(seg) => self.eval_segment(seg, unit, &int_preds, &str_preds),
-            Store::Chunk { chunk, sealed } => self.eval_delta(chunk, sealed, unit, &int_preds, &str_preds),
-        });
+        // store data is **never decoded** for predicate evaluation. Every
+        // delta chunk is a unit of its own, so an oversized
+        // (merge-disabled) delta still parallelizes.
+        let (mut sels, scan_profile) =
+            self.run_units(t, None, |unit, _| self.eval(unit, &int_preds, &str_preds));
         self.profile += scan_profile;
         // A cancelled scan covered only some units; the caller discards
         // the stage's output, but it still gets one entry per unit.
@@ -1067,8 +1038,8 @@ impl Exec<'_> {
     /// filter left it and fills the run of the output its survivors
     /// occupy. Strings flow as codes + one shared output dictionary per
     /// column; the stats bill what each store path actually did
-    /// (streamed encoded bytes, per-cell cursor reads, flat delta reads,
-    /// one first-touch read per distinct string).
+    /// (streamed encoded bytes, per-cell cursor reads, one first-touch
+    /// read per distinct string).
     fn gather(&mut self, t: &TableSnapshot, query: &Query, sels: Option<&[Selection]>) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
             Some(cols) => cols.clone(),
@@ -1204,6 +1175,8 @@ impl Exec<'_> {
                 );
             }
             (AggAcc::Grouped(acc), Some((gname, key))) => (gname, key, acc.into_groups()),
+            // INVARIANT: `AggAcc::identity(group.is_some())` is grouped
+            // exactly when the query has a group column.
             (AggAcc::Grouped(_), None) => unreachable!("grouped result without group column"),
         };
         let key_col = match key {
@@ -1239,11 +1212,11 @@ impl Exec<'_> {
         };
         let kcol = g.unit_col(unit);
         // Zone-map-aware shortcut: a collapsed key zone means every row
-        // of this segment belongs to one group — fold the values like a
+        // of this unit belongs to one group — fold the values like a
         // global aggregate (zone-answered fast paths included) and skip
         // the per-row key decode and grouping entirely: zero key-column
         // bytes touched.
-        let zone = unit.seg().and_then(|seg| seg.zone(g.col()));
+        let zone = unit.col(g.col()).and_then(SegColumn::zone);
         let single_key = match kcol {
             UnitCol::Const(k) => Some(k),
             UnitCol::Enc(_, None) => zone.filter(|(lo, hi)| lo == hi).map(|z| z.0),
@@ -1259,17 +1232,18 @@ impl Exec<'_> {
         // as stored, the key space for translated dictionary codes. A
         // small one folds into a flat array ([`GroupAcc`]); otherwise the
         // group hash is pre-sized from measured statistics — the exact
-        // NDV recorded at merge time for integer keys, the code-zone span
-        // for string keys — so it never rehashes mid-fold.
+        // NDV measured when the store's column was built for integer
+        // keys, the code-zone span for string keys — so it never rehashes
+        // mid-fold.
         let domain = match (kcol, g) {
             (UnitCol::Enc(_, None), _) => zone,
-            (UnitCol::Enc(_, Some(_)) | UnitCol::Codes(..), KeyCol::Str(k)) => Some((0, k.max_key)),
+            (UnitCol::Enc(_, Some(_)), KeyCol::Str(k)) => Some((0, k.max_key)),
             _ => None,
         };
-        let ndv_hint = unit.seg().map_or(0, |seg| match g {
-            KeyCol::Int(idx) => seg.ndv(*idx).unwrap_or(1),
+        let ndv_hint = match g {
+            KeyCol::Int(idx) => unit.col(*idx).and_then(SegColumn::ndv).unwrap_or(1),
             KeyCol::Str(_) => zone.map_or(1, |(lo, hi)| (hi - lo + 1).max(1).unsigned_abs()),
-        });
+        };
         let mut acc = GroupAcc::new(domain, ndv_hint.min(unit.rows as u64) as usize);
         // Each row updates the group's count and the one field the kind
         // reads.
@@ -1307,13 +1281,13 @@ impl Exec<'_> {
 
     /// Folds one unit's value column into a single [`AggState`] —
     /// shared by the global aggregate and by grouped aggregates over
-    /// segments whose group-key zone collapses to one value. Fast paths
-    /// answer from metadata: COUNT from the hit count; on a segment
-    /// every row of which survives, MIN/MAX from the zone map — zero
-    /// column bytes touched — and SUM/AVG over RLE one multiply per
-    /// run. Everything else walks the column — SUM/AVG a block at a
-    /// time ([`walk_sum`]), MIN/MAX row by row — billing decode cycles
-    /// plus the bytes actually read.
+    /// units whose group-key zone collapses to one value. Fast paths
+    /// answer from metadata: COUNT from the hit count; on a unit every
+    /// row of which survives, MIN/MAX from the zone map — zero column
+    /// bytes touched — and SUM/AVG over RLE one multiply per run.
+    /// Everything else walks the column — SUM/AVG a block at a time
+    /// ([`walk_sum`]), MIN/MAX row by row — billing decode cycles plus
+    /// the bytes actually read.
     fn fold_values(
         &self,
         unit: &Unit<'_>,
@@ -1330,8 +1304,8 @@ impl Exec<'_> {
             profile.cpu_cycles += answered;
             return (st, profile);
         }
-        if let Some(seg) = unit.seg().filter(|_| n == rows) {
-            match (spec.kind, vcol, seg.zone(spec.vidx)) {
+        if n == rows {
+            match (spec.kind, vcol, unit.col(spec.vidx).and_then(SegColumn::zone)) {
                 // Sentinel column: `rows` copies of 0, no data exists.
                 (_, UnitCol::Const(v), _) => {
                     st.update_repeated(v, rows);
@@ -1412,6 +1386,7 @@ impl Exec<'_> {
                 self.profile.dram_read += ByteCount::new(lookups * HASH_BUCKET_BYTES);
                 (bkey, pkey)
             }
+            // INVARIANT: `join_key_columns` rejects a `Float64` key.
             DataType::Float64 => unreachable!("join keys validated as integer or string"),
         };
 
@@ -1515,7 +1490,7 @@ impl Exec<'_> {
     }
 
     /// Streams one side's surviving `(join key, global row)` pairs,
-    /// unit by unit; segments whose key zone misses `prune` are skipped
+    /// unit by unit; units whose key zone misses `prune` are skipped
     /// without touching a byte.
     fn extract_join_keys(
         &mut self,
@@ -1580,11 +1555,15 @@ impl Exec<'_> {
         mut sink: impl FnMut(i64, u32),
     ) -> ResourceProfile {
         let kcol = key.unit_col(unit);
-        // Join-specific zone pruning: the segment's key zone against
-        // the build side's range (same intersection test the planner
-        // estimates with).
-        if let (Some((lo, hi)), UnitCol::Enc(..), Some(seg)) = (prune, kcol, unit.seg()) {
-            let (zlo, zhi) = seg.zone(key.col()).expect("non-empty segment has a zone");
+        // Join-specific zone pruning: the unit's key zone against the
+        // build side's range (same intersection test the planner
+        // estimates with), where both are in one domain — integer
+        // values anywhere, global codes for string keys. An unknown zone
+        // means scan.
+        let same_domain = matches!(key, KeyCol::Int(_)) || unit.store.code_space() == CodeSpace::Global;
+        let zone = unit.col(key.col()).and_then(SegColumn::zone);
+        let zone = zone.filter(|_| same_domain && matches!(kcol, UnitCol::Enc(..)));
+        if let (Some((lo, hi)), Some((zlo, zhi))) = (prune, zone) {
             if !(ZoneMapMeta { rows: 0, min: zlo, max: zhi, sorted: false }.overlaps(lo, hi)) {
                 return ResourceProfile::default(); // pruned: no data touched
             }
@@ -1706,10 +1685,10 @@ impl Exec<'_> {
         }
     }
 
-    /// One segment's worth of predicate evaluation, on compressed data.
-    fn eval_segment(
+    /// The predicate kernel: one unit's predicates, on its compressed
+    /// columns — a segment's, or a delta chunk's views.
+    fn eval(
         &self,
-        seg: &Segment,
         unit: &Unit<'_>,
         int_preds: &[IntPred],
         str_preds: &[StrPred],
@@ -1717,184 +1696,79 @@ impl Exec<'_> {
         let rows = unit.rows;
         let mut profile = ResourceProfile::default();
         let mut bm: Option<Bitmap> = None;
-        // Run-aware fast path: predicates on the segment's sort key
-        // resolve to a contiguous row sub-range by binary search over
-        // the encoding's run boundaries — O(log) probe bytes instead of
-        // a full-column scan, and the survivors come out as a range, not
-        // a per-row hit vector. Every other predicate intersects with
-        // this range when the selection is assembled.
+        // Run-aware fast path: predicates on the store's sort key resolve
+        // to a contiguous row sub-range by binary search over the
+        // encoding's run boundaries — O(log) probe bytes instead of a
+        // full-column scan, and the survivors come out as a range, not a
+        // per-row hit vector. Every other predicate intersects with this
+        // range when the selection is assembled.
         let mut range = (0usize, rows);
-        let sorted_probe = |data: &EncodedInts,
-                            op: CmpOp,
-                            lit: i64,
-                            range: &mut (usize, usize),
-                            profile: &mut ResourceProfile| {
-            let mut probes = 0u64;
-            let Some((s, e)) = data.sorted_range(op, lit, &mut probes) else {
-                return false; // Ne: not contiguous, scan instead
-            };
-            range.0 = range.0.max(s);
-            range.1 = range.1.min(e);
-            // Each probe touches ~one cache line of the encoded column.
-            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::IndexLookup, probes);
-            profile.dram_read += ByteCount::new(probes * 64);
+        // One encoded column against `value op lit`, zone first: `false`
+        // when no row can match.
+        let mut pred = |col: usize, data: &EncodedInts, zone: Option<(i64, i64)>, op: CmpOp, lit: i64| {
+            if let Some((lo, hi)) = zone {
+                if !zone_may_match(op, lit, lo, hi) {
+                    return false; // pruned: no data touched
+                }
+                if zone_all_match(op, lit, lo, hi) {
+                    return true; // tautology on this unit: no scan needed
+                }
+            }
+            if unit.store.sorted_by() == Some(col) {
+                let mut probes = 0u64;
+                if let Some((s, e)) = data.sorted_range(op, lit, &mut probes) {
+                    range.0 = range.0.max(s);
+                    range.1 = range.1.min(e);
+                    // Each probe touches ~one cache line of the encoded
+                    // column.
+                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::IndexLookup, probes);
+                    profile.dram_read += ByteCount::new(probes * 64);
+                    return range.0 < range.1;
+                } // Ne: not contiguous, scan instead
+            }
+            let mut m = Bitmap::zeros(rows);
+            data.scan(op, lit, &mut m);
+            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
+            profile.dram_read += ByteCount::new(data.size_bytes() as u64);
+            and_into(&mut bm, m);
             true
         };
         for p in int_preds {
-            match seg.column(p.col) {
-                None => {
-                    // Segment predates the column: every row holds the
-                    // null sentinel 0.
-                    if !p.op.eval(0, p.literal) {
-                        return (Selection::none(), profile);
-                    }
-                }
-                Some(SegColumn::Int { data, zone, .. }) => {
-                    let (lo, hi) = zone.expect("non-empty segment has a zone");
-                    if !zone_may_match(p.op, p.literal, lo, hi) {
-                        return (Selection::none(), profile); // pruned: no data touched
-                    }
-                    if zone_all_match(p.op, p.literal, lo, hi) {
-                        continue; // tautology on this segment: no scan needed
-                    }
-                    if seg.sorted_by() == Some(p.col)
-                        && sorted_probe(data, p.op, p.literal, &mut range, &mut profile)
-                    {
-                        if range.0 >= range.1 {
-                            return (Selection::none(), profile);
-                        }
-                        continue;
-                    }
-                    let mut m = Bitmap::zeros(rows);
-                    data.scan(p.op, p.literal, &mut m);
-                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
-                    profile.dram_read += ByteCount::new(data.size_bytes() as u64);
-                    and_into(&mut bm, m);
-                }
+            let live = match unit.col(p.col) {
+                // The store predates the column: every row holds the null
+                // sentinel 0.
+                None => p.op.eval(0, p.literal),
+                Some(SegColumn::Int { data, zone, .. }) => pred(p.col, data, *zone, p.op, p.literal),
+                // INVARIANT: `resolve_int_preds` validated every predicate
+                // column as `Int64`.
                 Some(_) => unreachable!("predicate validated as integer column"),
+            };
+            if !live {
+                return (Selection::none(), profile);
             }
         }
         for p in str_preds {
-            match seg.column(p.col) {
-                None => {
-                    // Sentinel "" everywhere.
-                    if (p.value.is_empty()) == p.negated {
-                        return (Selection::none(), profile);
+            let live = match unit.col(p.col) {
+                // Sentinel "" everywhere.
+                None => p.value.is_empty() != p.negated,
+                Some(SegColumn::Str { codes, zone }) => match p.codes[unit.store.code_space() as usize] {
+                    Some(code) => {
+                        let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
+                        pred(p.col, codes, *zone, op, code)
                     }
-                }
-                Some(SegColumn::Str { codes, zone }) => {
-                    let Some(code) = p.global_code else {
-                        // Value never interned: `=` matches nothing,
-                        // `<>` everything.
-                        if p.negated {
-                            continue;
-                        }
-                        return (Selection::none(), profile);
-                    };
-                    let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
-                    let (lo, hi) = zone.expect("non-empty segment has a zone");
-                    if !zone_may_match(op, code, lo, hi) {
-                        return (Selection::none(), profile);
-                    }
-                    if zone_all_match(op, code, lo, hi) {
-                        continue;
-                    }
-                    if seg.sorted_by() == Some(p.col)
-                        && sorted_probe(codes, op, code, &mut range, &mut profile)
-                    {
-                        if range.0 >= range.1 {
-                            return (Selection::none(), profile);
-                        }
-                        continue;
-                    }
-                    let mut m = Bitmap::zeros(rows);
-                    codes.scan(op, code, &mut m);
-                    profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
-                    profile.dram_read += ByteCount::new(codes.size_bytes() as u64);
-                    and_into(&mut bm, m);
-                }
+                    // Value never interned in this code space: `=` matches
+                    // nothing, `<>` everything.
+                    None => p.negated,
+                },
+                // INVARIANT: `resolve_str_preds` validated every predicate
+                // column as `Str`.
                 Some(_) => unreachable!("predicate validated as string column"),
+            };
+            if !live {
+                return (Selection::none(), profile);
             }
         }
         (Selection::of(bm, range.0..range.1, rows), profile)
-    }
-
-    /// Predicate evaluation over one delta chunk: flat vectorized
-    /// kernels over the dense columns. A `sealed` chunk is first checked
-    /// against its cached zones, like a segment: one that cannot hold a
-    /// match of an integer predicate is skipped — no data touched,
-    /// nothing billed — so a point or small-range query on append-
-    /// ordered keys scans one chunk of the delta, not all of it.
-    fn eval_delta(
-        &self,
-        chunk: &DeltaChunk,
-        sealed: bool,
-        unit: &Unit<'_>,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-    ) -> (Selection, ResourceProfile) {
-        let mut profile = ResourceProfile::default();
-        if sealed {
-            let excluded = int_preds.iter().any(|p| {
-                chunk.int_stats(p.col).is_some_and(|z| !zone_may_match(p.op, p.literal, z.min, z.max))
-            });
-            if excluded {
-                return (Selection::none(), profile);
-            }
-        }
-        let mut positions: Option<Vec<u32>> = None;
-        for p in int_preds {
-            let Some(data) = chunk.ints(p.col) else {
-                // The chunk predates the column: every row holds the
-                // null sentinel 0.
-                if p.op.eval(0, p.literal) {
-                    continue;
-                }
-                return (Selection::none(), profile);
-            };
-            let (hits, stats) = select_metered(data, p.op, p.literal, SelectKernel::Bitwise, &self.db.costs);
-            profile += stats.profile;
-            positions = Some(match positions.take() {
-                None => hits,
-                Some(prev) => haec_exec::select::intersect_positions(&prev, &hits),
-            });
-        }
-        for p in str_preds {
-            let Some(codes) = chunk.codes(p.col) else {
-                // Sentinel "" everywhere.
-                if p.value.is_empty() != p.negated {
-                    continue;
-                }
-                return (Selection::none(), profile);
-            };
-            // Bill the rows actually *inspected*: the full chunk only for
-            // the first predicate; afterwards just the surviving
-            // positions that are re-checked.
-            let inspected = positions.as_ref().map_or(codes.len(), Vec::len) as u64;
-            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, inspected);
-            profile.dram_read += ByteCount::new(inspected * 4);
-            let keep = |row: usize| -> bool {
-                match p.delta_code {
-                    Some(c) => (codes[row] == c) != p.negated,
-                    None => p.negated,
-                }
-            };
-            positions = Some(match positions.take() {
-                Some(mut pos) => {
-                    pos.retain(|&r| keep(r as usize));
-                    pos
-                }
-                None => (0..codes.len()).filter(|&i| keep(i)).map(|i| i as u32).collect(),
-            });
-        }
-        let sel = match positions {
-            Some(mut pos) => {
-                pos.iter_mut().for_each(|p| *p += unit.base as u32);
-                Selection::ids(pos)
-            }
-            None => Selection::all(unit.rows),
-        };
-        (sel, profile)
     }
 }
 
@@ -2056,9 +1930,9 @@ fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> D
             if t.schema().columns()[col].1 != DataType::Str {
                 return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
             }
-            let global_code = t.global_dict(col).and_then(|d| d.code_of(&f.value)).map(i64::from);
-            let delta_code = t.delta_dict(col).and_then(|d| d.code_of(&f.value));
-            Ok(StrPred { col, value: f.value.clone(), global_code, delta_code, negated: f.negated })
+            let code = |d: Option<&DictColumn>| d.and_then(|d| d.code_of(&f.value)).map(i64::from);
+            let codes = [code(t.global_dict(col)), code(t.delta_dict(col))];
+            Ok(StrPred { col, value: f.value.clone(), codes, negated: f.negated })
         })
         .collect()
 }

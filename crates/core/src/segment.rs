@@ -1,4 +1,5 @@
-//! Immutable, compressed main-store segments.
+//! Immutable, compressed main-store segments, and [`SegColumn`]: the
+//! column shape every store shows its readers.
 //!
 //! The paper's storage architecture (and SAP HANA's, which it draws on)
 //! splits every table into a read-optimized **main** and a
@@ -11,31 +12,37 @@
 //! without touching their data. Queries scan segments *compressed* — the
 //! executor runs [`EncodedInts::scan`] on each column in place — which is
 //! where the energy win of "data reduction" becomes real: fewer DRAM
-//! bytes per answered query.
+//! bytes per answered query. One per-column builder (`SegColumn::build`)
+//! encodes and measures a merge batch's slice and a sealed delta chunk's
+//! cells alike.
 
 use haec_columnar::dict::DictColumn;
 use haec_columnar::encoding::EncodedInts;
 use haec_columnar::value::CmpOp;
 use haec_planner::access::ZoneMapMeta;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Target (and maximum) number of rows per main segment.
 pub const SEGMENT_ROWS: usize = 64 * 1024;
 
-/// One column of a segment, in its compressed physical form.
+/// One column of a segment, in its compressed physical form — or a
+/// delta chunk's view of one of its columns, in the same shape.
 #[derive(Clone, Debug)]
 pub enum SegColumn {
     /// An integer column, lightweight-compressed with a min/max zone map
-    /// (`None` only for zero-row segments, which never exist in
+    /// (`None` only for zero-row stores, which never exist in
     /// practice).
     Int {
         /// The compressed values.
         data: EncodedInts,
         /// `(min, max)` over all rows.
         zone: Option<(i64, i64)>,
-        /// Exact distinct-value count, measured at merge time (while the
-        /// data was still flat) so planner statistics never require a
-        /// decode.
-        ndv: u64,
+        /// Exact distinct-value count, measured when the column was built
+        /// (while the data was still flat) so planner statistics never
+        /// require a decode — except on a snapshot-private delta chunk's
+        /// view, built unmeasured, which counts it when first asked.
+        ndv: OnceLock<u64>,
     },
     /// A float column (stored plain; no lightweight codec applies).
     Float(Vec<f64>),
@@ -60,12 +67,63 @@ impl SegColumn {
         }
     }
 
-    /// Uncompressed (plain) bytes of this column.
+    /// Uncompressed (plain) bytes of this column: 8 per row, whatever
+    /// its type.
     pub fn raw_bytes(&self, rows: usize) -> usize {
+        rows * 8
+    }
+
+    /// Builds one column from its flat cells. `encoded` (segments, sealed
+    /// chunks): [`EncodedInts::auto`], the zone and an integer column's
+    /// exact distinct count; otherwise (a snapshot's private chunk,
+    /// rebuilt by every pin) the cells as they are, Plain, and the zone.
+    pub(crate) fn build(cells: FlatColumn<'_>, encoded: bool) -> SegColumn {
+        let encode = |v: Cow<'_, [i64]>| {
+            if encoded {
+                EncodedInts::auto(&v)
+            } else {
+                EncodedInts::Plain(v.into_owned())
+            }
+        };
+        match cells {
+            FlatColumn::Int(v) => {
+                let zone = min_max(&v);
+                let ndv = if encoded { OnceLock::from(distinct_count(&v, zone)) } else { OnceLock::new() };
+                SegColumn::Int { data: encode(v), zone, ndv }
+            }
+            FlatColumn::Float(v) => SegColumn::Float(v.into_owned()),
+            FlatColumn::Codes(v) => {
+                let zone = min_max(&v);
+                SegColumn::Str { codes: encode(v), zone }
+            }
+        }
+    }
+
+    /// The zone map: `(min, max)` of an integer column's values or of a
+    /// string column's codes (`None` for floats).
+    pub(crate) fn zone(&self) -> Option<(i64, i64)> {
         match self {
-            SegColumn::Int { .. } => rows * 8,
-            SegColumn::Float(_) => rows * 8,
-            SegColumn::Str { .. } => rows * 8,
+            SegColumn::Int { zone, .. } | SegColumn::Str { zone, .. } => *zone,
+            SegColumn::Float(_) => None,
+        }
+    }
+
+    /// An integer column's distinct count, if measured or counted yet.
+    pub(crate) fn ndv(&self) -> Option<u64> {
+        match self {
+            SegColumn::Int { ndv, .. } => ndv.get().copied(),
+            _ => None,
+        }
+    }
+
+    /// The exact distinct count of an integer column: as measured, or —
+    /// on a view built unmeasured — counted on first ask and kept.
+    pub(crate) fn count_distinct(&self) -> Option<u64> {
+        match self {
+            SegColumn::Int { data, zone, ndv } => {
+                Some(*ndv.get_or_init(|| distinct_count(&data.decode(), *zone)))
+            }
+            _ => None,
         }
     }
 }
@@ -110,14 +168,25 @@ pub struct Segment {
     sorted_by: Option<usize>,
 }
 
-/// One column of a pinned merge batch, flattened out of the delta
-/// chunks it was appended to: dense values in row order, strings
-/// already as codes into the **table-global** dictionary.
+/// One column's flat cells in row order, borrowed or owned: a merge
+/// batch's column (strings as **table-global** codes) or a slice of
+/// one, or a delta chunk's cells (strings as delta-wide codes).
 #[derive(Debug)]
-pub(crate) enum FlatColumn {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Codes(Vec<i64>),
+pub(crate) enum FlatColumn<'a> {
+    Int(Cow<'a, [i64]>),
+    Float(Cow<'a, [f64]>),
+    Codes(Cow<'a, [i64]>),
+}
+
+impl FlatColumn<'_> {
+    /// Rows `[start, end)`, borrowed.
+    fn slice(&self, start: usize, end: usize) -> FlatColumn<'_> {
+        match self {
+            FlatColumn::Int(v) => FlatColumn::Int(Cow::Borrowed(&v[start..end])),
+            FlatColumn::Float(v) => FlatColumn::Float(Cow::Borrowed(&v[start..end])),
+            FlatColumn::Codes(v) => FlatColumn::Codes(Cow::Borrowed(&v[start..end])),
+        }
+    }
 }
 
 /// Builds the local→global code translation table for one string column:
@@ -172,28 +241,14 @@ impl Segment {
     /// rows of `[start, end)` in ascending order by; only the sorting
     /// merge passes `Some` here, and it is asserted in debug builds.
     pub(crate) fn build(
-        columns: &[FlatColumn],
+        columns: &[FlatColumn<'_>],
         validity: &[Vec<bool>],
         start: usize,
         end: usize,
         sorted_by: Option<usize>,
     ) -> Segment {
         let rows = end - start;
-        let seg_cols = columns
-            .iter()
-            .map(|col| match col {
-                FlatColumn::Int(v) => {
-                    let slice = &v[start..end];
-                    let zone = min_max(slice);
-                    SegColumn::Int { data: EncodedInts::auto(slice), zone, ndv: distinct_count(slice, zone) }
-                }
-                FlatColumn::Float(v) => SegColumn::Float(v[start..end].to_vec()),
-                FlatColumn::Codes(v) => {
-                    let slice = &v[start..end];
-                    SegColumn::Str { codes: EncodedInts::auto(slice), zone: min_max(slice) }
-                }
-            })
-            .collect();
+        let seg_cols = columns.iter().map(|col| SegColumn::build(col.slice(start, end), true)).collect();
         let seg_validity = validity
             .iter()
             .map(|v| {
@@ -238,10 +293,7 @@ impl Segment {
     /// The zone map of column `idx` (`Some` for int and string-code
     /// columns that exist in this segment).
     pub fn zone(&self, idx: usize) -> Option<(i64, i64)> {
-        match self.columns.get(idx) {
-            Some(SegColumn::Int { zone, .. }) | Some(SegColumn::Str { zone, .. }) => *zone,
-            _ => None,
-        }
+        self.columns.get(idx).and_then(SegColumn::zone)
     }
 
     /// The column index this segment is physically sorted ascending by
@@ -254,10 +306,7 @@ impl Segment {
     /// Measured distinct-value count of integer column `idx` (`None` for
     /// other column kinds or columns this segment predates).
     pub fn ndv(&self, idx: usize) -> Option<u64> {
-        match self.columns.get(idx) {
-            Some(SegColumn::Int { ndv, .. }) => Some(*ndv),
-            _ => None,
-        }
+        self.columns.get(idx).and_then(SegColumn::ndv)
     }
 
     /// Random access to an integer (or string-code) value.
@@ -410,7 +459,7 @@ mod tests {
         for data in [narrow, wide, vec![42; 9], vec![i64::MIN, i64::MAX]] {
             let want_ndv = data.iter().collect::<std::collections::HashSet<_>>().len() as u64;
             let want_zone = data.iter().copied().min().zip(data.iter().copied().max());
-            let col = FlatColumn::Int(data.clone());
+            let col = FlatColumn::Int(data.clone().into());
             let seg = Segment::build(&[col], &[vec![true; data.len()]], 0, data.len(), None);
             assert_eq!(seg.ndv(0), Some(want_ndv), "{:?}", &data[..2]);
             assert_eq!(seg.zone(0), want_zone);
@@ -420,7 +469,7 @@ mod tests {
 
     #[test]
     fn build_records_sort_claim() {
-        let ints = FlatColumn::Int(vec![1i64, 1, 2, 3, 5, 8]);
+        let ints = FlatColumn::Int(vec![1i64, 1, 2, 3, 5, 8].into());
         let validity = vec![vec![true; 6]];
         let seg = Segment::build(&[ints], &validity, 0, 6, Some(0));
         assert_eq!(seg.sorted_by(), Some(0));

@@ -18,11 +18,12 @@
 //! What each stage costs whom: the **writer** pushes cells and nothing
 //! else — no statistic is maintained at insert, sealing is a pointer
 //! move. A **reader** pins sealed chunks by `Arc` and copies only the
-//! visible prefix of the open chunk; the statistics it plans and prunes
-//! with (per chunk and integer column: min, max, exact distinct count)
-//! are a pure function of immutable rows, computed by the first reader
-//! that asks and cached in the chunk for all others. The **merge** takes
-//! the chunks' `Arc`s, builds with no lock held and publishes by
+//! visible prefix of the open chunk; every store it reads — segment or
+//! chunk — shows it one [`SegColumn`] per column (`Store::column`). A
+//! sealed chunk's is encoded, zoned and measured by the first reader
+//! that asks and cached in the chunk for all others; that encode is
+//! charged to the database's meter, never to the query. The **merge**
+//! takes the chunks' `Arc`s, builds with no lock held and publishes by
 //! draining them from the front of the list.
 //!
 //! Concurrency model: the `Table` itself is a thread-safe handle.
@@ -87,7 +88,8 @@ use std::sync::Arc;
 /// the same test decides the bill, so execution and billing can never
 /// disagree on which path ran. A *positional* list — unordered or with
 /// duplicates, the shape join payload rows have — never streams: see
-/// the rule in `TableSnapshot::fill_column`.
+/// the rule in `TableSnapshot::fill_column`. The delta chunks follow the
+/// same rule through their views.
 pub const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
@@ -667,7 +669,7 @@ impl Table {
         // strings as global codes; rows of a chunk that predates a column
         // are nulls.
         let mut validity: Vec<Vec<bool>> = Vec::with_capacity(schema.width());
-        let mut batch: Vec<FlatColumn> = Vec::with_capacity(schema.width());
+        let mut batch: Vec<FlatColumn<'_>> = Vec::with_capacity(schema.width());
         for (idx, (_, dtype)) in schema.columns().iter().enumerate() {
             let mut valid = Vec::with_capacity(n);
             for chunk in &chunks {
@@ -678,23 +680,21 @@ impl Table {
             }
             validity.push(valid);
             batch.push(match dtype {
-                DataType::Int64 => FlatColumn::Int(flatten(&chunks, n, 0, |c, out| {
-                    out.extend_from_slice(c.ints(idx)?);
-                    Some(())
-                })),
-                DataType::Float64 => FlatColumn::Float(flatten(&chunks, n, 0.0, |c, out| {
-                    out.extend_from_slice(c.floats(idx)?);
-                    Some(())
-                })),
+                DataType::Int64 => {
+                    FlatColumn::Int(flatten(&chunks, n, 0, |c| c.ints(idx).map(copied)).into())
+                }
+                DataType::Float64 => {
+                    FlatColumn::Float(flatten(&chunks, n, 0.0, |c| c.floats(idx).map(copied)).into())
+                }
                 DataType::Str => {
                     let remap = remaps[idx].as_ref().expect("string column has a remap table");
                     let global = dicts[idx].as_mut().expect("string column has a global dictionary");
                     let predates = chunks.iter().any(|c| c.codes(idx).is_none());
                     let null = if predates { i64::from(global.intern("")) } else { 0 };
-                    FlatColumn::Codes(flatten(&chunks, n, null, |c, out| {
-                        out.extend(c.codes(idx)?.iter().map(|&code| remap[code as usize]));
-                        Some(())
-                    }))
+                    let to_global = |code: &u32| remap[*code as usize];
+                    FlatColumn::Codes(
+                        flatten(&chunks, n, null, |c| Some(c.codes(idx)?.iter().map(to_global))).into(),
+                    )
                 }
             });
         }
@@ -714,6 +714,8 @@ impl Table {
         if let Some(key) = sorted_by {
             let keys = match &batch[key] {
                 FlatColumn::Int(v) | FlatColumn::Codes(v) => v,
+                // INVARIANT: `Database::create_table_sorted` accepts only
+                // an `Int64` or `Str` sort key.
                 FlatColumn::Float(_) => unreachable!("sort keys are validated Int64 or Str"),
             };
             if !keys.is_sorted() {
@@ -721,8 +723,8 @@ impl Table {
                 perm.sort_by_key(|&i| keys[i as usize]); // stable
                 for col in &mut batch {
                     match col {
-                        FlatColumn::Int(v) | FlatColumn::Codes(v) => *v = permute(v, &perm),
-                        FlatColumn::Float(v) => *v = permute(v, &perm),
+                        FlatColumn::Int(v) | FlatColumn::Codes(v) => *v = permute(v, &perm).into(),
+                        FlatColumn::Float(v) => *v = permute(v, &perm).into(),
                     }
                 }
                 validity.iter_mut().for_each(|v| *v = permute(v, &perm));
@@ -774,7 +776,8 @@ impl TableState {
     /// order. Entries only the compacted rows used must go: the next
     /// merge interns every delta dictionary entry into the table-global
     /// dictionary, and copy-on-growth clones what is here. Chunks a
-    /// snapshot still shares are copied, never written.
+    /// snapshot still shares are copied, never written; a rewritten
+    /// column's cached view goes with its old codes (`map_codes`).
     fn compact_dicts(&mut self) {
         for (idx, slot) in self.dicts.iter_mut().enumerate() {
             let Some(old) = slot else { continue };
@@ -801,22 +804,27 @@ fn new_delta_dict(dtype: DataType) -> Option<Arc<DictColumn>> {
     (dtype == DataType::Str).then(|| Arc::new(DictColumn::new()))
 }
 
-/// One column of a merge batch: `n` cells, each chunk's share appended
-/// by `cells` — or, where it reports the chunk predates the column,
-/// `null` for every row of the chunk.
-fn flatten<T: Clone>(
-    chunks: &[Arc<DeltaChunk>],
+/// One column of `n` delta rows: each chunk's `cells` — or, where the
+/// chunk predates the column (`None`), `null` for every row of it.
+fn flatten<'c, T: Clone, I: IntoIterator<Item = T>>(
+    chunks: &'c [Arc<DeltaChunk>],
     n: usize,
     null: T,
-    cells: impl Fn(&DeltaChunk, &mut Vec<T>) -> Option<()>,
+    cells: impl Fn(&'c DeltaChunk) -> Option<I>,
 ) -> Vec<T> {
     let mut out = Vec::with_capacity(n);
     for chunk in chunks {
-        if cells(chunk, &mut out).is_none() {
-            out.resize(out.len() + chunk.rows(), null.clone());
+        match cells(chunk) {
+            Some(cells) => out.extend(cells),
+            None => out.resize(out.len() + chunk.rows(), null.clone()),
         }
     }
     out
+}
+
+/// A chunk's cells, by value.
+fn copied<T: Copy>(cells: &[T]) -> impl Iterator<Item = T> + '_ {
+    cells.iter().copied()
 }
 
 /// Reorders a merge batch column by a sort permutation (`perm[i]` is the
@@ -989,18 +997,19 @@ impl TableSnapshot {
         }
     }
 
+    /// Takes the plain and encoded bytes of the views first readers built
+    /// on this snapshot's sealed chunks, for the caller to charge.
+    pub(crate) fn take_unbilled_encodes(&self) -> (usize, usize) {
+        self.chunks[..self.sealed].iter().fold((0, 0), |(raw, enc), chunk| {
+            let (r, e) = chunk.take_unbilled();
+            (raw + r, enc + e)
+        })
+    }
+
     /// The delta-wide dictionary the delta codes of string column `idx`
     /// index (`None` for non-string columns).
     pub(crate) fn delta_dict(&self, idx: usize) -> Option<&DictColumn> {
         self.dicts.get(idx).and_then(Option::as_deref)
-    }
-
-    /// The delta chunk holding delta row `local`, and the row's offset
-    /// in it.
-    fn delta_cell(&self, local: usize) -> (&DeltaChunk, usize) {
-        let row = self.main.rows + local;
-        let chunk = self.chunk_bases.partition_point(|&b| b <= row) - 1;
-        (&self.chunks[chunk], row - self.chunk_bases[chunk])
     }
 
     /// The visible delta of column `idx` flattened into one dense
@@ -1011,14 +1020,10 @@ impl TableSnapshot {
         let (_, dtype) = self.schema.columns().get(idx)?;
         let n = self.delta_rows();
         Some(match dtype {
-            DataType::Int64 => Column::Int64(flatten(&self.chunks, n, 0, |c, out| {
-                out.extend_from_slice(c.ints(idx)?);
-                Some(())
-            })),
-            DataType::Float64 => Column::Float64(flatten(&self.chunks, n, 0.0, |c, out| {
-                out.extend_from_slice(c.floats(idx)?);
-                Some(())
-            })),
+            DataType::Int64 => Column::Int64(flatten(&self.chunks, n, 0, |c| c.ints(idx).map(copied))),
+            DataType::Float64 => {
+                Column::Float64(flatten(&self.chunks, n, 0.0, |c| c.floats(idx).map(copied)))
+            }
             DataType::Str => {
                 let mut dict: Vec<String> = self.delta_dict(idx)?.iter_dict().map(String::from).collect();
                 let predates = self.chunks.iter().any(|c| c.codes(idx).is_none());
@@ -1026,10 +1031,7 @@ impl TableSnapshot {
                     dict.push(String::new());
                 }
                 let null = dict.iter().position(String::is_empty).unwrap_or(0) as u32;
-                let codes = flatten(&self.chunks, n, null, |c, out| {
-                    out.extend_from_slice(c.codes(idx)?);
-                    Some(())
-                });
+                let codes = flatten(&self.chunks, n, null, |c| c.codes(idx).map(copied));
                 Column::Str(DictColumn::from_codes(dict, codes))
             }
         })
@@ -1068,54 +1070,50 @@ impl TableSnapshot {
         RowLoc::Main { seg, local: row - self.main.bases[seg] }
     }
 
+    /// The store holding global row `row`, and the row's offset in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= rows()`.
+    fn cell(&self, row: usize) -> (Store<'_>, usize) {
+        assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
+        let u = match row.checked_sub(self.main.rows) {
+            None => self.main.bases.partition_point(|&b| b <= row) - 1,
+            Some(_) => self.main.segments.len() + self.chunk_bases.partition_point(|&b| b <= row) - 1,
+        };
+        let (store, base) = self.store(u);
+        (store, row - base)
+    }
+
     /// The integer value of column `idx` at global row `row` (sentinel 0
-    /// for rows in segments that predate the column).
+    /// for rows in stores that predate the column).
     ///
     /// Returns `None` if the column is not an integer column.
     pub fn get_int(&self, idx: usize, row: usize) -> Option<i64> {
         if self.schema.columns().get(idx)?.1 != DataType::Int64 {
             return None;
         }
-        match self.locate(row) {
-            RowLoc::Delta { local } => {
-                let (chunk, row) = self.delta_cell(local);
-                // A chunk that predates the column holds the sentinel.
-                Some(chunk.ints(idx).map_or(0, |v| v[row]))
-            }
-            RowLoc::Main { seg, local } => {
-                match self.main.segments[seg].column(idx) {
-                    Some(SegColumn::Int { data, .. }) => Some(data.get(local)),
-                    None => Some(0), // segment predates the column: sentinel
-                    _ => None,
-                }
-            }
-        }
+        let (store, local) = self.cell(row);
+        Some(match store.column(idx) {
+            Some(SegColumn::Int { data, .. }) => data.get(local),
+            _ => 0,
+        })
     }
 
     /// Returns whether the string value of column `idx` at global row
-    /// `row` equals `value` (`None` if not a string column).
+    /// `row` equals `value` (`None` if not a string column; a store that
+    /// predates the column holds the sentinel `""`).
     pub fn str_eq(&self, idx: usize, row: usize, value: &str) -> Option<bool> {
-        match self.locate(row) {
-            RowLoc::Delta { local } => {
-                let dict = self.delta_dict(idx)?;
-                let (chunk, row) = self.delta_cell(local);
-                // A chunk that predates the column holds the sentinel "".
-                Some(
-                    chunk.codes(idx).map_or("", |c| dict.decode(c[row]).expect("code of this dictionary"))
-                        == value,
-                )
-            }
-            RowLoc::Main { seg, local } => {
-                let global = self.global_dict(idx)?;
-                match self.main.segments[seg].column(idx) {
-                    Some(SegColumn::Str { codes, .. }) => {
-                        Some(global.decode(codes.get(local) as u32) == Some(value))
-                    }
-                    None => Some(value.is_empty()), // sentinel ""
-                    _ => None,
-                }
-            }
+        if self.schema.columns().get(idx)?.1 != DataType::Str {
+            return None;
         }
+        let (store, local) = self.cell(row);
+        let Some(SegColumn::Str { codes, .. }) = store.column(idx) else { return Some(value.is_empty()) };
+        let dict = match store.code_space() {
+            CodeSpace::Global => self.global_dict(idx),
+            CodeSpace::Delta => self.delta_dict(idx),
+        };
+        Some(dict.and_then(|d| d.decode(codes.get(local) as u32)) == Some(value))
     }
 
     /// Gathers the integer values of column `name` at `positions`
@@ -1158,9 +1156,10 @@ impl TableSnapshot {
     /// touched, and only the requested rows: the list is **visited in
     /// ascending row order and scattered into output order** (one
     /// argsort, skipped when it is already non-decreasing), so each
-    /// segment is read through one forward cursor (`EncodedInts::cursor`)
-    /// or one pass over its 64-row blocks (`EncodedInts::blocks`), never
-    /// one compressed point access per cell.
+    /// store — segment or delta chunk, through its column view — is read
+    /// through one forward cursor (`EncodedInts::cursor`) or one pass
+    /// over its 64-row blocks (`EncodedInts::blocks`), never one
+    /// compressed point access per cell.
     /// String columns come back **as codes + one shared output
     /// dictionary**: each distinct segment/delta code is decoded and
     /// interned exactly once — in output order, so the dictionary is
@@ -1170,12 +1169,11 @@ impl TableSnapshot {
     /// to the client [`Chunk`].
     ///
     /// Returns the columns plus [`GatherStats`] billing each store as
-    /// read: a segment pays one positioned read per cell — except under
-    /// a strictly ascending list past the [`sparse_hits`] crossover,
-    /// where it streams its blocks once (its **encoded** bytes); the delta
-    /// reads its flat cells; segments predating the column read nothing;
-    /// and each distinct string pays one first-touch dictionary-entry
-    /// read.
+    /// read: a store pays one positioned read per cell — except under a
+    /// strictly ascending list past the [`sparse_hits`] crossover, where
+    /// it streams its blocks once (its **encoded** bytes); stores
+    /// predating the column read nothing; and each distinct string pays
+    /// one first-touch dictionary-entry read.
     ///
     /// # Errors
     ///
@@ -1310,7 +1308,8 @@ impl TableSnapshot {
         stats
     }
 
-    /// One column of one share: the typed cell loop, and its bill.
+    /// One column of one share: the typed cell loop, and its bill — one
+    /// rule for every store, read through its column view.
     fn fill_column(
         &self,
         idx: usize,
@@ -1320,56 +1319,37 @@ impl TableSnapshot {
         slots: Option<&[u32]>,
         stats: &mut GatherStats,
     ) {
-        let hits = share.n;
-        let seg = match share.store {
-            Store::Seg(seg) => seg,
-            Store::Chunk { chunk, .. } => {
-                let cell_bytes = match out {
-                    CellsMut::Ints(out) => {
-                        let Some(v) = chunk.ints(idx) else { return };
-                        put(rows, out, slots, |i| v[i]);
-                        8
-                    }
-                    CellsMut::Floats(out) => {
-                        let Some(v) = chunk.floats(idx) else { return };
-                        put(rows, out, slots, |i| v[i]);
-                        8
-                    }
-                    CellsMut::Codes(out) => {
-                        let Some(codes) = chunk.codes(idx) else { return };
-                        let delta_code0 = self.str_codes(idx).0;
-                        put(rows, out, slots, |i| delta_code0 + codes[i]);
-                        4
-                    }
-                };
-                stats.bytes_read += (hits * cell_bytes) as u64;
-                return;
-            }
-        };
-        let Some(col) = seg.column(idx) else { return };
+        let (hits, store_rows) = (share.n, share.store.rows());
+        let Some(col) = share.store.column(idx) else { return };
         // The billing rule, and the read it bills: a store's share is
         // read per cell through the cursor, except that a strictly
         // ascending list past the `sparse_hits` crossover streams the
-        // segment's blocks once. A positional list (unordered or with
+        // store's blocks once. A positional list (unordered or with
         // duplicates) always reads per cell, however dense.
-        let stream = share.strict && !sparse_hits(hits, seg.rows());
+        let stream = share.strict && !sparse_hits(hits, store_rows);
         let cell_bytes = match (col, out) {
             (SegColumn::Int { data, .. }, CellsMut::Ints(out)) => {
                 put_encoded(rows, out, slots, data, stream, |v| v);
                 8
             }
             (SegColumn::Str { codes, .. }, CellsMut::Codes(out)) => {
-                put_encoded(rows, out, slots, codes, stream, |v| v as u32);
+                // Where the store's codes start in the unified space.
+                let code0 =
+                    if share.store.code_space() == CodeSpace::Delta { self.str_codes(idx).0 } else { 0 };
+                put_encoded(rows, out, slots, codes, stream, |v| code0 + v as u32);
                 4
             }
             (SegColumn::Float(v), CellsMut::Floats(out)) => {
                 put(rows, out, slots, |i| v[i]);
                 8
             }
-            _ => unreachable!("segment column type matches the schema"),
+            // INVARIANT: `gather_out` typed every output column from the
+            // schema, and every store builds its columns from the same
+            // schema types.
+            _ => unreachable!("store column type matches the schema"),
         };
         let (items, bytes) =
-            if stream { (seg.rows(), col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
+            if stream { (store_rows, col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
         stats.bytes_read += bytes as u64;
         if !matches!(col, SegColumn::Float(_)) {
             stats.decode_items += items as u64;
@@ -1476,7 +1456,9 @@ impl TableSnapshot {
     }
 
     /// Approximate footprint in bytes: **encoded** main segments plus the
-    /// flat delta (this is what the planner's scan costs scale with).
+    /// flat delta cells as the writer stores them (this is what the
+    /// planner's scan costs scale with; chunk views are a reader's cache,
+    /// not stored data).
     pub fn size_bytes(&self) -> usize {
         self.encoded_bytes() + self.rows * self.schema.width() / 8
     }
@@ -1516,7 +1498,8 @@ impl TableSnapshot {
     }
 
     /// Per-store zone maps of an integer column — one per main segment,
-    /// then one per delta chunk — for the planner's pruning estimate.
+    /// then one per delta chunk — for the planner's pruning estimate (a
+    /// chunk's from its view, built here if nobody has yet).
     /// `None` for non-integer columns.
     pub fn zone_maps(&self, name: &str) -> Option<Vec<ZoneMapMeta>> {
         let idx = self.schema.position(name)?;
@@ -1525,23 +1508,17 @@ impl TableSnapshot {
 
     /// The zone of integer column `idx` in every store: one per main
     /// segment, then one per delta chunk (`(0, 0)`, the sentinel, where
-    /// the store predates the column). A sealed chunk's extrema are
-    /// computed once and shared by every snapshot holding it; a private
-    /// one folds its own rows, once per snapshot.
+    /// the store predates the column).
     fn int_zones(&self, idx: usize) -> impl Iterator<Item = ZoneMapMeta> + '_ {
-        let main = self.main.segments.iter().map(move |seg| {
-            let (min, max) = seg.zone(idx).unwrap_or((0, 0));
+        (0..self.store_count()).map(move |u| {
+            let (store, _) = self.store(u);
+            let (min, max) = store.column(idx).and_then(SegColumn::zone).unwrap_or((0, 0));
             // The sortedness claim flows from the segment the sorting
             // merge built — never computed here, so a snapshot pinned
             // across a merge always reports the flag its pinned
             // segments actually carry.
-            ZoneMapMeta { rows: seg.rows() as u64, min, max, sorted: seg.sorted_by() == Some(idx) }
-        });
-        let delta = self.chunks.iter().map(move |chunk| {
-            let (min, max) = chunk.int_stats(idx).map_or((0, 0), |s| (s.min, s.max));
-            ZoneMapMeta { rows: chunk.rows() as u64, min, max, sorted: false }
-        });
-        main.chain(delta)
+            ZoneMapMeta { rows: store.rows() as u64, min, max, sorted: store.sorted_by() == Some(idx) }
+        })
     }
 
     /// Per-table planner statistics, computed from zone maps, segment
@@ -1565,19 +1542,21 @@ impl TableSnapshot {
                 let (min, max, ndv) = match dtype {
                     DataType::Int64 => {
                         let (min, max) = self.int_extrema(idx);
-                        // Sum of the measured per-store counts (a segment's
-                        // stored at merge time, a chunk's cached on first
-                        // use), capped by the value range and the row
-                        // count. Over-counts values shared across stores
-                        // but never collapses a sparse domain. A store
-                        // predating the column holds one distinct value
-                        // (the null sentinel 0).
-                        let main: u64 = self.main.segments.iter().map(|s| s.ndv(idx).unwrap_or(1)).sum();
-                        let delta: u64 =
-                            self.chunks.iter().map(|c| c.int_stats(idx).map_or(1, |s| s.ndv)).sum();
+                        // Sum of the per-store counts (a segment's measured
+                        // at merge time, a sealed chunk's by its view's first
+                        // reader, a private chunk's counted here), capped by
+                        // the value range and the row count. Over-counts
+                        // values shared across stores but never collapses a
+                        // sparse domain. A store predating the column holds
+                        // one distinct value (the null sentinel 0).
+                        let ndv: u64 = (0..self.store_count())
+                            .map(|u| {
+                                self.store(u).0.column(idx).and_then(SegColumn::count_distinct).unwrap_or(1)
+                            })
+                            .sum();
                         // All of `i64` is 2⁶⁴ values: saturate, not wrap.
                         let range = u64::try_from((max as i128 - min as i128 + 1).max(0)).unwrap_or(u64::MAX);
-                        (min, max, (main + delta).min(range).min(self.rows as u64))
+                        (min, max, ndv.min(range).min(self.rows as u64))
                     }
                     DataType::Str => {
                         // Distinct = global dict + delta values the
@@ -1621,24 +1600,61 @@ impl TableSnapshot {
 }
 
 /// One physical store of a snapshot's rows — and one execution unit of
-/// a query over it.
+/// a query over it. Readers see every store through the same per-column
+/// view ([`Store::column`]); the one fact that differs by kind is which
+/// dictionary its string codes index ([`Store::code_space`]).
 #[derive(Clone, Copy)]
 pub(crate) enum Store<'a> {
     Seg(&'a Segment),
     /// A delta chunk; `sealed` when it is one of the table's sealed
-    /// chunks, whose statistics are shared and cached — a snapshot's
-    /// private chunks are small and simply read.
+    /// chunks, whose views are encoded once and shared — a snapshot's
+    /// private chunks are small and viewed as they are.
     Chunk {
         chunk: &'a DeltaChunk,
         sealed: bool,
     },
 }
 
-impl Store<'_> {
+/// The dictionary a store's string codes index.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CodeSpace {
+    /// The table-global dictionary of a main version: segments.
+    Global = 0,
+    /// The table's delta-wide dictionary: delta chunks.
+    Delta = 1,
+}
+
+impl<'a> Store<'a> {
     pub(crate) fn rows(&self) -> usize {
         match self {
             Store::Seg(seg) => seg.rows(),
             Store::Chunk { chunk, .. } => chunk.rows(),
+        }
+    }
+
+    /// The store's view of column `idx` (`None` where the store predates
+    /// the column): a segment's own column, a chunk's view
+    /// ([`DeltaChunk::column`]).
+    pub(crate) fn column(&self, idx: usize) -> Option<&'a SegColumn> {
+        match *self {
+            Store::Seg(seg) => seg.column(idx),
+            Store::Chunk { chunk, sealed } => chunk.column(idx, sealed),
+        }
+    }
+
+    /// The column the store's rows are sorted by (only a sorting merge's
+    /// segments are).
+    pub(crate) fn sorted_by(&self) -> Option<usize> {
+        match self {
+            Store::Seg(seg) => seg.sorted_by(),
+            Store::Chunk { .. } => None,
+        }
+    }
+
+    pub(crate) fn code_space(&self) -> CodeSpace {
+        match self {
+            Store::Seg(_) => CodeSpace::Global,
+            Store::Chunk { .. } => CodeSpace::Delta,
         }
     }
 }
@@ -1649,12 +1665,12 @@ impl Store<'_> {
 /// energy meter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatherStats {
-    /// Decode steps performed on encoded main columns — one per cell
-    /// read through a cursor, one per row of a stream-decoded segment.
+    /// Decode steps performed on encoded columns — one per cell read
+    /// through a cursor, one per row of a stream-decoded store.
     pub decode_items: u64,
     /// Bytes read gathering the inputs: encoded bytes of stream-decoded
-    /// segments, per-cell reads for sparse hits, flat delta cells, and
-    /// one first-touch read per distinct dictionary entry.
+    /// stores, per-cell reads for sparse hits, and one first-touch read
+    /// per distinct dictionary entry.
     pub bytes_read: u64,
     /// Bytes written into the output columns.
     pub bytes_written: u64,
@@ -2062,7 +2078,7 @@ mod tests {
         let s = cols[0].1.as_str().unwrap();
         assert_eq!(s.iter().collect::<Vec<_>>(), vec!["us", "fr", "jp"]);
         assert_eq!(s.dict_size(), 3, "only touched values enter the dictionary");
-        assert_eq!(sp.decode_items, 2, "two main cells randomly accessed");
+        assert_eq!(sp.decode_items, 3, "three cells randomly accessed: two main, one delta");
     }
 
     #[test]
@@ -2070,16 +2086,17 @@ mod tests {
         let (t, _) = tagged_table();
         let snap = t.read();
         let names = vec!["v".to_string()];
-        // Dense: the segment streams its encoded bytes once.
+        // Dense: every store streams its encoded bytes once — the
+        // segment's, and the delta chunk's Plain view (8 B a row).
         let (_, dense) = snap.materialize_columns(&names, None).unwrap();
         let encoded = snap.segments()[0].column(0).unwrap().encoded_bytes() as u64;
-        assert_eq!(dense.decode_items, 200);
-        assert_eq!(dense.bytes_read, encoded + 20 * 8, "encoded segment + flat delta");
-        // Sparse: per-cell random access, 8 B each.
+        assert_eq!(dense.decode_items, 200 + 20);
+        assert_eq!(dense.bytes_read, encoded + 20 * 8, "encoded segment + Plain delta view");
+        // Sparse: per-cell random access, 8 B each, in every store.
         let pos: Vec<u32> = vec![0, 199, 210];
         let (_, sparse) = snap.materialize_columns(&names, Some(&pos)).unwrap();
-        assert_eq!(sparse.decode_items, 2);
-        assert_eq!(sparse.bytes_read, 2 * 8 + 8, "two random cells + one delta cell");
+        assert_eq!(sparse.decode_items, 3);
+        assert_eq!(sparse.bytes_read, 3 * 8, "two segment cells + one delta cell");
         // One rule behind both entries. A sparse list reads per cell:
         assert_eq!(snap.gather_rows(&names, &pos).unwrap().1, sparse);
         // a strictly ascending list past the crossover streams the
@@ -2276,6 +2293,56 @@ mod tests {
         // The snapshot pinned before still decodes its own codes.
         let col = before.column("s").unwrap();
         assert_eq!(col.as_str().unwrap().iter().collect::<Vec<_>>(), vec!["a", "b", "a", "c"]);
+    }
+
+    #[test]
+    fn chunk_string_views_follow_a_dictionary_compaction() {
+        // A merge publish that leaves a *sealed* chunk behind rewrites its
+        // codes; a string view a reader built before must not outlive
+        // them — whether a snapshot still shares the chunk (the publish
+        // copies it) or nobody does (the publish rewrites it in place).
+        for shared in [true, false] {
+            let t = Table::new("t", strict_schema(&[("s", DataType::Str)]));
+            let o = TimestampOracle::new();
+            for v in ["a", "b", "a"] {
+                ins(&t, &o, &Record::new().with("s", v));
+            }
+            let pinned = {
+                let mut st = t.inner.write();
+                st.seal();
+                st.sealed.len()
+            };
+            // Lands between pin and publish: one full chunk, sealed, and
+            // two rows in the open chunk.
+            let tail: Vec<&str> = (0..DELTA_CHUNK_ROWS + 2).map(|i| ["c", "a", "d"][i % 3]).collect();
+            tail.iter().for_each(|&v| ins(&t, &o, &Record::new().with("s", v)));
+            let before = t.read();
+            let want_before: Vec<&str> = ["a", "b", "a"].into_iter().chain(tail.iter().copied()).collect();
+            // Builds the sealed chunks' string views.
+            assert_eq!(before.column("s").unwrap().as_str().unwrap().iter().collect::<Vec<_>>(), want_before);
+            let held = shared.then_some(before);
+            {
+                let mut st = t.inner.write();
+                st.sealed.drain(..pinned);
+                st.rows -= 3;
+                st.compact_dicts();
+            }
+            let s = t.read();
+            assert_eq!(s.delta_dict(0).unwrap().iter_dict().collect::<Vec<_>>(), ["c", "a", "d"]);
+            assert_eq!(
+                s.column("s").unwrap().as_str().unwrap().iter().collect::<Vec<_>>(),
+                tail,
+                "shared {shared}"
+            );
+            if let Some(before) = held {
+                let col = before.column("s").unwrap();
+                assert_eq!(
+                    col.as_str().unwrap().iter().collect::<Vec<_>>(),
+                    want_before,
+                    "the old pin reads its own"
+                );
+            }
+        }
     }
 
     #[test]

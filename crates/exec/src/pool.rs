@@ -555,7 +555,11 @@ impl fmt::Debug for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        // Set under the queue lock: a worker between its shutdown check
+        // and its wait would otherwise miss the wakeup and never exit.
+        let queue = lock(&self.shared.queue);
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             // A worker that panicked outside a job already poisoned
