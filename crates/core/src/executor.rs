@@ -13,11 +13,13 @@
 //! [`Selection`] **per unit**, in the shape the predicate kernel
 //! produces — every row, a sort-key row range, a match bitmap, or
 //! ascending row ids (index lookups) — never as one global row-id list:
-//! aggregates, join-key extraction and the
-//! projection gather all consume the selection in place (unit `u`'s
-//! share of a gather fills the run of the output its survivors occupy).
-//! Only a join's payload gather sorts a row list — its pairs' rows — and
-//! cuts it at the store boundaries into shares.
+//! aggregates, join-key extraction and the projection gather all
+//! consume the selection in place (unit `u`'s share of a gather fills
+//! the run of the output its survivors occupy). A row list — a join
+//! side's pairs' rows, a public caller's — is sorted once and cut at the
+//! unit boundaries by the one split the index path also uses
+//! ([`split_ids`]) into the same per-unit selections, *positional* when
+//! the list was not strictly ascending.
 //!
 //! One kernel, one view; the code space is the only per-store fact.
 //! Every store shows a unit one [`SegColumn`] per column — a segment its
@@ -30,13 +32,16 @@
 //!   scan — then bisects a sort key or scans the encoded column in place
 //!   into 64-bit match words;
 //! * the **column view** ([`UnitCol`]) is what a unit's column looks
-//!   like to everything downstream of the filters. Aggregation and
-//!   join-key streaming are written once against that view and [`walk`]
-//!   it in one of three regimes picked from the selection's density —
-//!   *all rows* and *dense* selections stream 64-row blocks
+//!   like to everything downstream of the filters. Aggregation, join-key
+//!   streaming and the gather's cell loop are written once against that
+//!   view and [`walk`] it in one of three regimes picked from the
+//!   selection — *all rows* and *dense* selections stream 64-row blocks
 //!   (`EncodedInts::blocks`) against the selection's match words,
-//!   *sparse* ones read the survivors alone through forward cursors —
-//!   with one billing rule; the gather reads it by the same rule.
+//!   *sparse* and positional ones read their rows one by one through
+//!   forward cursors — the only readers of an encoded column in this
+//!   crate. Folds and joins bill what the walk touched; the gather keeps
+//!   its own bill by the same regime test (a streamed share pays its
+//!   whole store).
 //!
 //! What differs by store is only which dictionary a string code indexes
 //! ([`CodeSpace`]: the table-global one for segments, the delta-wide one
@@ -48,7 +53,7 @@ use crate::db::{
 };
 use crate::error::{DbError, DbResult};
 use crate::segment::{zone_all_match, zone_may_match, SegColumn};
-use crate::table::{sparse_hits, CodeSpace, GatherOut, GatherStats, Share, ShareRows, Store, TableSnapshot};
+use crate::table::{sparse_hits, CellsMut, CodeSpace, GatherStats, Store, TableSnapshot};
 use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
@@ -212,28 +217,32 @@ impl UnitCol<'_> {
     }
 }
 
-/// The rows of one execution unit that survive the filters: the one
-/// type the filter stage returns per unit and every later stage
-/// consumes. It stays in the shape the predicate kernels produce — a
-/// match bitmap, a sort-key row range, an index's row ids — all the way
-/// to the fold or the gather, which read it as it is.
-struct Selection {
-    rows: SelRows,
-    /// Number of surviving rows.
+/// The rows of one execution unit that a stage reads: the one type the
+/// filter stage returns per unit and every later stage consumes. It
+/// stays in the shape the predicate kernels produce — a match bitmap, a
+/// sort-key row range, an index's row ids — all the way to the fold or
+/// the gather, which read it as it is. A gather's row list arrives as
+/// the same type: cut at the unit boundaries into row ids ([`split_ids`]).
+struct Selection<'a> {
+    rows: SelRows<'a>,
+    /// Number of rows read (list entries, repeats counted).
     n: usize,
 }
 
-enum SelRows {
+enum SelRows<'a> {
     /// A unit-local row range: every row of the unit, or what
     /// predicates on a segment's sort key resolve to.
     Range(Range<usize>),
     /// One match bit per unit row (a sort-key range already ANDed in).
     Bits(Bitmap),
-    /// Ascending **global** row ids: the index path.
-    Ids(Vec<u32>),
+    /// Non-decreasing **global** row ids: the index path's, or a unit's
+    /// cut of a gather's row list. `positional` when that list was not
+    /// strictly ascending: a row may then repeat, so the ids are read one
+    /// by one, never streamed, however many there are.
+    Ids { ids: Cow<'a, [u32]>, positional: bool },
 }
 
-impl Selection {
+impl<'a> Selection<'a> {
     fn all(rows: usize) -> Self {
         Selection { rows: SelRows::Range(0..rows), n: rows }
     }
@@ -242,8 +251,12 @@ impl Selection {
         Selection::all(0)
     }
 
-    fn ids(ids: Vec<u32>) -> Self {
-        Selection { n: ids.len(), rows: SelRows::Ids(ids) }
+    fn ids(ids: Cow<'a, [u32]>, positional: bool) -> Self {
+        Selection { n: ids.len(), rows: SelRows::Ids { ids, positional } }
+    }
+
+    fn positional(&self) -> bool {
+        matches!(self.rows, SelRows::Ids { positional: true, .. })
     }
 
     /// The rows of `range` whose bit is set in `bits` (`None`: every row
@@ -267,7 +280,7 @@ impl Selection {
                 let word = bits.words().iter().rposition(|&w| w != 0)?;
                 Some(word * BLOCK_ROWS + 63 - bits.words()[word].leading_zeros() as usize)
             }
-            SelRows::Ids(ids) => ids.last().map(|&p| p as usize - unit.base),
+            SelRows::Ids { ids, .. } => ids.last().map(|&p| p as usize - unit.base),
         }
     }
 
@@ -277,7 +290,7 @@ impl Selection {
         match &self.rows {
             SelRows::Range(r) => r.clone().for_each(f),
             SelRows::Bits(bits) => bits.iter_ones().for_each(f),
-            SelRows::Ids(ids) => ids.iter().for_each(|&p| f(p as usize - unit.base)),
+            SelRows::Ids { ids, .. } => ids.iter().for_each(|&p| f(p as usize - unit.base)),
         }
     }
 
@@ -290,16 +303,19 @@ impl Selection {
         self.for_each(unit, |row| bits.set(row, true));
         Cow::Owned(bits.words().to_vec())
     }
+}
 
-    /// The unit's share of a gather: the selection read as it is.
-    fn share<'a>(&'a self, unit: &Unit<'a>) -> Share<'a> {
-        let rows = match &self.rows {
-            SelRows::Range(r) => ShareRows::Range(r.clone()),
-            SelRows::Bits(bits) => ShareRows::Bits(bits),
-            SelRows::Ids(ids) => ShareRows::Ids(ids, unit.base),
-        };
-        Share { store: unit.store, rows, n: self.n, strict: true }
-    }
+/// Cuts non-decreasing global row ids at the unit boundaries of `t`:
+/// each unit's run of `ids`, for every unit in order — the one split of
+/// a row list, the index path's and a gather's.
+fn split_ids<'a>(t: &'a TableSnapshot, ids: &'a [u32]) -> impl Iterator<Item = &'a [u32]> + 'a {
+    let mut rest = ids;
+    (0..t.store_count()).map(move |u| {
+        let (store, base) = t.store(u);
+        let (head, tail) = rest.split_at(rest.partition_point(|&r| (r as usize) < base + store.rows()));
+        rest = tail;
+        head
+    })
 }
 
 /// One [`UnitCol`] opened for a streaming walk: read [`BLOCK_ROWS`]
@@ -389,14 +405,15 @@ impl<'a> ColCursor<'a> {
 ///   match words: a zero word skips the block (Plain and FOR columns are
 ///   not even read there), a partial one visits its set bits by
 ///   `trailing_zeros`;
-/// * **sparse** — read the survivors alone through forward cursors
+/// * **sparse**, and every positional selection (its rows may repeat) —
+///   read the rows one by one through forward cursors
 ///   (`EncodedInts::cursor`), which resume where the previous hit left
 ///   them.
 fn walk(
     unit: &Unit<'_>,
     k: UnitCol<'_>,
     v: UnitCol<'_>,
-    sel: &Selection,
+    sel: &Selection<'_>,
     sink: impl FnMut(i64, i64, u32),
 ) -> (Touched, Touched) {
     let (streamed, words) = regime(unit, sel);
@@ -410,28 +427,31 @@ fn walk(
     (k.touched(streamed, sel.n, unit.rows), v.touched(streamed, sel.n, unit.rows))
 }
 
+/// Whether [`walk`] streams `sel`'s blocks — every row, or a dense
+/// selection at or past the [`sparse_hits`] crossover — rather than
+/// reading its rows one by one. A positional selection never streams.
+fn streams(unit: &Unit<'_>, sel: &Selection<'_>) -> bool {
+    !sel.positional() && !sparse_hits(sel.n, unit.rows)
+}
+
 /// The regime [`walk`] reads `sel` in: how many rows to stream (`None`:
 /// read the survivors alone) and, for a dense selection, its match
 /// words (`None`: every row is selected).
-fn regime<'s>(unit: &Unit<'_>, sel: &'s Selection) -> (Option<usize>, Option<Cow<'s, [u64]>>) {
-    let rows = unit.rows;
-    let all = sel.n == rows;
-    let dense = !all && !sparse_hits(sel.n, rows);
-    let streamed = if all {
-        Some(rows)
-    } else if dense {
-        Some(sel.last(unit).map_or(0, |last| last + 1))
+fn regime<'s>(unit: &Unit<'_>, sel: &'s Selection<'_>) -> (Option<usize>, Option<Cow<'s, [u64]>>) {
+    if !streams(unit, sel) {
+        (None, None)
+    } else if sel.n == unit.rows {
+        (Some(unit.rows), None)
     } else {
-        None
-    };
-    (streamed, dense.then(|| sel.words(unit)))
+        (Some(sel.last(unit).map_or(0, |last| last + 1)), Some(sel.words(unit)))
+    }
 }
 
 /// The wrapping sum of `v` over the rows `sel` keeps — [`walk`]'s
 /// regimes and bill, but a streamed block folds as one sum: a full match
 /// word sums the block, a partial one sums it masked by the word. The
 /// sum wraps exactly as a row-by-row fold does.
-fn walk_sum(unit: &Unit<'_>, v: UnitCol<'_>, sel: &Selection) -> (i64, Touched) {
+fn walk_sum(unit: &Unit<'_>, v: UnitCol<'_>, sel: &Selection<'_>) -> (i64, Touched) {
     let (streamed, words) = regime(unit, sel);
     let mut sum = 0i64;
     match streamed {
@@ -468,7 +488,7 @@ fn walk_sum(unit: &Unit<'_>, v: UnitCol<'_>, sel: &Selection) -> (i64, Touched) 
 /// stream (`None`: the sparse regime) against `words` (`None`: every row
 /// is selected); `key` translates the key column's stored cell.
 fn walk_rows(
-    (unit, sel, streamed, words): (&Unit<'_>, &Selection, Option<usize>, Option<&[u64]>),
+    (unit, sel, streamed, words): (&Unit<'_>, &Selection<'_>, Option<usize>, Option<&[u64]>),
     k: UnitCol<'_>,
     v: UnitCol<'_>,
     key: impl Fn(i64) -> i64,
@@ -502,6 +522,195 @@ fn walk_rows(
             }
         }
     }
+}
+
+/// One share of a gather, as its dispatch sees it: fills share `s`'s
+/// runs and returns what it read. A dispatch runs it for every `s` of
+/// `k` and returns the bills in share order.
+type ShareFn<'s> = &'s (dyn Fn(usize) -> GatherStats + Sync);
+
+/// The one gather: the named columns of `t` at the rows `sels` keeps —
+/// one [`Selection`] per unit, read as it is — filled into output
+/// buffers allocated once, then strings interned. Every unit holding a
+/// row is one *share*, which fills its own run of every column in row
+/// order, so shares may run on different threads; `dispatch` runs them.
+/// A positional list's cells then move into output order by one pass
+/// (`slots`: each listed row's output position).
+///
+/// # Errors
+///
+/// [`DbError::NoSuchColumn`] for an unknown name; whatever `dispatch`
+/// returns (a cancel).
+fn gather_units(
+    t: &TableSnapshot,
+    names: &[String],
+    sels: &[Selection<'_>],
+    slots: Option<&[u32]>,
+    dispatch: impl FnOnce(usize, ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
+) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
+    let units: Vec<usize> = (0..sels.len()).filter(|&u| sels[u].n > 0).collect();
+    let lens: Vec<usize> = units.iter().map(|&u| sels[u].n).collect();
+    let mut out = t.gather_out(names, lens.iter().sum())?;
+    let (k, width) = (units.len(), out.width());
+    let parts = {
+        // Each run is handed to the one share that fills it.
+        let runs: Vec<Mutex<Option<_>>> = out.split(&lens).map(|run| Mutex::new(Some(run))).collect();
+        let take = |i: usize| {
+            runs[i].lock().unwrap_or_else(PoisonError::into_inner).take().expect("each run is filled once")
+        };
+        dispatch(k, &|s| {
+            let (unit, sel) = (Unit::of(t, units[s]), &sels[units[s]]);
+            total((0..width).map(|c| {
+                let (idx, run) = take(c * k + s);
+                gather_column(t, &unit, sel, idx, run)
+            }))
+        })?
+    };
+    let mut stats = total(parts);
+    if let Some(slots) = slots {
+        out.scatter_to(slots);
+    }
+    let cols = t.finish_gather(out, &mut stats);
+    Ok((cols, stats))
+}
+
+/// The gather of a row list — global row ids in any order, duplicates
+/// allowed: sorted for one ascending visit of the units (one argsort,
+/// skipped when the list already is non-decreasing), checked once, cut
+/// into one borrowed [`Selection`] per unit by [`split_ids`] and
+/// gathered by [`gather_units`], which puts the cells back into list
+/// order. A list that is not strictly ascending is positional in every
+/// unit.
+///
+/// # Errors
+///
+/// [`DbError::BadQuery`] for a row id `>= t.rows()`, and as
+/// [`gather_units`].
+fn gather_list(
+    t: &TableSnapshot,
+    names: &[String],
+    rows: &[u32],
+    dispatch: impl FnOnce(usize, ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
+) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
+    let mut strict = true;
+    let (sorted, slots) = if rows.windows(2).all(|w| {
+        strict &= w[0] != w[1];
+        w[0] <= w[1]
+    }) {
+        (Cow::Borrowed(rows), None)
+    } else {
+        strict = false;
+        assert!(rows.len() <= u32::MAX as usize, "row list longer than the row-id space");
+        // Argsort as one sort of packed `(row, position)` keys.
+        let mut keyed: Vec<u64> = rows.iter().zip(0u64..).map(|(&r, k)| (r as u64) << 32 | k).collect();
+        keyed.sort_unstable();
+        let slots: Vec<u32> = keyed.iter().map(|&x| x as u32).collect();
+        (Cow::Owned(keyed.into_iter().map(|x| (x >> 32) as u32).collect()), Some(slots))
+    };
+    if let Some(&last) = sorted.last().filter(|&&last| last as usize >= t.rows()) {
+        return Err(DbError::BadQuery(format!(
+            "row {last} out of bounds: {} has {} rows",
+            t.name(),
+            t.rows()
+        )));
+    }
+    let sels: Vec<Selection<'_>> =
+        split_ids(t, &sorted).map(|ids| Selection::ids(ids.into(), !strict)).collect();
+    gather_units(t, names, &sels, slots.as_deref(), dispatch)
+}
+
+/// The gather behind [`TableSnapshot::materialize_columns`] and its
+/// siblings — every row (`None`) or a row list — with serial dispatch:
+/// every share in order on the calling thread, no gate, no cancel poll.
+pub(crate) fn gather_serial(
+    t: &TableSnapshot,
+    names: &[String],
+    rows: Option<&[u32]>,
+) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
+    let serial =
+        |k: usize, share: ShareFn<'_>| -> DbResult<Vec<GatherStats>> { Ok((0..k).map(share).collect()) };
+    match rows {
+        Some(rows) => gather_list(t, names, rows, serial),
+        None => gather_units(t, names, &every_row(t), None, serial),
+    }
+}
+
+/// One selection per unit of `t`, keeping every row.
+fn every_row(t: &TableSnapshot) -> Vec<Selection<'static>> {
+    (0..t.store_count()).map(|u| Selection::all(t.store(u).0.rows())).collect()
+}
+
+/// One column of one unit's share of a gather: the cells `sel` keeps,
+/// in row order — an encoded column's through [`walk`], strings shifted
+/// to where the store's codes start in the unified source-code space,
+/// floats (stored flat) one by one — and the gather's own bill for them.
+/// A streamed share pays for its whole store, every row decoded and
+/// every encoded byte, though the walk stops at its last hit; a share
+/// read hit by hit pays one cell per entry. A store predating the
+/// column reads nothing: `out` keeps its sentinel.
+fn gather_column(
+    t: &TableSnapshot,
+    unit: &Unit<'_>,
+    sel: &Selection<'_>,
+    idx: usize,
+    out: CellsMut<'_>,
+) -> GatherStats {
+    let Some(col) = unit.col(idx) else { return GatherStats::default() };
+    let cell_bytes = match (col, out) {
+        (SegColumn::Int { data, .. }, CellsMut::Ints(out)) => {
+            walk_into(unit, data, sel, out, |v| v);
+            8
+        }
+        (SegColumn::Str { codes, .. }, CellsMut::Codes(out)) => {
+            let code0 = if unit.store.code_space() == CodeSpace::Delta { t.str_codes(idx).0 } else { 0 };
+            walk_into(unit, codes, sel, out, |code| code0 + code as u32);
+            4
+        }
+        (SegColumn::Float(v), CellsMut::Floats(out)) => {
+            let mut at = 0;
+            sel.for_each(unit, |row| {
+                out[at] = v[row];
+                at += 1;
+            });
+            8
+        }
+        // INVARIANT: `gather_out` typed every output column from the
+        // schema, and every store builds its columns from the same
+        // schema types.
+        _ => unreachable!("store column type matches the schema"),
+    };
+    let (items, bytes) =
+        if streams(unit, sel) { (unit.rows, col.encoded_bytes()) } else { (sel.n, sel.n * cell_bytes) };
+    let decoded = !matches!(col, SegColumn::Float(_));
+    GatherStats {
+        decode_items: if decoded { items as u64 } else { 0 },
+        bytes_read: bytes as u64,
+        bytes_written: 0,
+    }
+}
+
+/// Writes the cells of `data` that `sel` keeps into `out`, in row order,
+/// through [`walk`]'s regimes.
+fn walk_into<T>(
+    unit: &Unit<'_>,
+    data: &EncodedInts,
+    sel: &Selection<'_>,
+    out: &mut [T],
+    cell: impl Fn(i64) -> T,
+) {
+    let mut at = 0;
+    walk(unit, UnitCol::Enc(data, None), UnitCol::Const(0), sel, |v, _, _| {
+        out[at] = cell(v);
+        at += 1;
+    });
+}
+
+/// The summed bill of a gather's parts.
+fn total(parts: impl IntoIterator<Item = GatherStats>) -> GatherStats {
+    parts.into_iter().fold(GatherStats::default(), |mut sum, part| {
+        sum.absorb(part);
+        sum
+    })
 }
 
 /// Sentinel key for string values the key space never interned: joins
@@ -711,13 +920,13 @@ struct JoinSide<'a> {
     idx: usize,
     /// Filter survivors, one selection per execution unit (`None`:
     /// every row).
-    sel: Option<&'a [Selection]>,
+    sel: Option<&'a [Selection<'a>]>,
     /// Zone maps of an integer key (`None` for string keys).
     zones: Option<Vec<ZoneMapMeta>>,
 }
 
 impl<'a> JoinSide<'a> {
-    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, sel: Option<&'a [Selection]>) -> Self {
+    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, sel: Option<&'a [Selection<'a>]>) -> Self {
         JoinSide { t, col, idx, sel, zones: t.zone_maps(col) }
     }
 
@@ -888,7 +1097,7 @@ impl Exec<'_> {
         filters: &[Filter],
         str_filters: &[StrFilter],
         planned: Option<&Query>,
-    ) -> DbResult<(Option<Vec<Selection>>, Option<AccessPath>)> {
+    ) -> DbResult<(Option<Vec<Selection<'static>>>, Option<AccessPath>)> {
         let int_preds = resolve_int_preds(t, table, filters)?;
         let str_preds = resolve_str_preds(t, table, str_filters)?;
         let mut access_path = None;
@@ -966,15 +1175,9 @@ impl Exec<'_> {
                         self.db.costs.cycles_for(Kernel::IndexLookup, pos.len().max(1) as u64);
                     self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
                     self.recheck(t, &mut pos, &int_preds[1..], &str_preds);
-                    // Hand each unit its share of the (few) row ids.
-                    let sels = (0..t.store_count())
-                        .map(|u| {
-                            let unit = Unit::of(t, u);
-                            let from = pos.partition_point(|&r| (r as usize) < unit.base);
-                            let to = pos.partition_point(|&r| (r as usize) < unit.base + unit.rows);
-                            Selection::ids(pos[from..to].to_vec())
-                        })
-                        .collect();
+                    // Hand each unit its run of the (few) row ids.
+                    let sels =
+                        split_ids(t, &pos).map(|ids| Selection::ids(ids.to_vec().into(), false)).collect();
                     return Ok((Some(sels), Some(AccessPath::IndexLookup)));
                 }
                 // The scan below realizes a sorted-layout plan:
@@ -1034,88 +1237,60 @@ impl Exec<'_> {
 
     /// The gather stage of a single-table query: materializes only the
     /// projected columns (all schema columns when no projection is
-    /// given). Unit `u`'s share reads unit `u`'s [`Selection`] as the
-    /// filter left it and fills the run of the output its survivors
-    /// occupy. Strings flow as codes + one shared output dictionary per
-    /// column; the stats bill what each store path actually did
-    /// (streamed encoded bytes, per-cell cursor reads, one first-touch
-    /// read per distinct string).
-    fn gather(&mut self, t: &TableSnapshot, query: &Query, sels: Option<&[Selection]>) -> DbResult<Chunk> {
+    /// given), reading each unit's [`Selection`] as the filter left it
+    /// ([`gather_units`]). Strings flow as codes + one shared output
+    /// dictionary per column; the stats bill what each store path
+    /// actually did (streamed encoded bytes, per-cell cursor reads, one
+    /// first-touch read per distinct string).
+    fn gather(
+        &mut self,
+        t: &TableSnapshot,
+        query: &Query,
+        sels: Option<&[Selection<'_>]>,
+    ) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
             Some(cols) => cols.clone(),
             None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
         };
-        let shares: Vec<Share<'_>> = (0..t.store_count())
-            .filter_map(|u| {
-                let unit = Unit::of(t, u);
-                let share = match sels {
-                    Some(sels) => sels[u].share(&unit),
-                    None => Share {
-                        store: unit.store,
-                        rows: ShareRows::Range(0..unit.rows),
-                        n: unit.rows,
-                        strict: true,
-                    },
-                };
-                (share.n > 0).then_some(share)
-            })
-            .collect();
-        let mut out = t.gather_out(&names, shares.iter().map(|s| s.n).sum())?;
-        let mut stats = self.fill(t, &shares, &mut out, None)?;
-        let cols = t.finish_gather(out, &mut stats);
+        let all;
+        let sels = match sels {
+            Some(sels) => sels,
+            None => {
+                all = every_row(t);
+                &all
+            }
+        };
+        let (cols, stats) =
+            gather_units(t, &names, sels, None, |k, share| self.dispatch_shares(t, k, share))?;
         let chunk = Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("projection: {e}")))?;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64);
         self.bill_gather(&stats);
         Ok(chunk)
     }
 
-    /// The gather's one dispatch: fills `out` share by share, through the
-    /// same dispatcher and rule as every other stage — one gate permit
-    /// and one cancel poll per share. Pooled, each share fills its own
-    /// run of every column in list order, and a positional list
-    /// (`slots`: each row's output position) is put into output order by
-    /// one pass afterwards; otherwise the shares run inline, one after
-    /// another, scattering straight into the whole columns. A cancelled
-    /// gather bills the shares that ran and stops.
-    fn fill(
+    /// The gather's dispatch: runs `t`'s `k` shares (one per unit holding
+    /// a row) by the rule every stage shares ([`Exec::pooled`]) — one
+    /// gate permit and one cancel poll per share — and returns their
+    /// bills in share order. A cancelled gather bills the shares that ran
+    /// and stops.
+    fn dispatch_shares(
         &mut self,
         t: &TableSnapshot,
-        shares: &[Share<'_>],
-        out: &mut GatherOut<'_>,
-        slots: Option<&[u32]>,
-    ) -> DbResult<GatherStats> {
-        let mut stats = GatherStats::default();
-        let pooled = self.pooled(shares.len(), t.rows());
-        if pooled {
-            let (k, width) = (shares.len(), out.width());
-            let lens: Vec<usize> = shares.iter().map(|s| s.n).collect();
-            // Each run is handed to the one task that fills it.
-            let runs: Vec<Mutex<Option<_>>> = out.split(&lens).map(|run| Mutex::new(Some(run))).collect();
-            let take = |i: usize| {
-                runs[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("each run is filled once")
-            };
-            let parts =
-                self.pool_units(k, |s| t.fill_share(&shares[s], (0..width).map(|c| take(c * k + s)), None));
-            parts.into_iter().for_each(|p| stats.absorb(p));
+        k: usize,
+        share: ShareFn<'_>,
+    ) -> DbResult<Vec<GatherStats>> {
+        let parts = if self.pooled(k, t.rows()) {
+            self.pool_units(k, share)
         } else {
-            let mut at = 0;
-            self.serial(shares.len(), |s| {
-                stats.absorb(t.fill_share_inline(&shares[s], out, at, slots));
-                at += shares[s].n;
-            });
-        }
+            let mut parts = Vec::with_capacity(k);
+            self.serial(k, |s| parts.push(share(s)));
+            parts
+        };
         if self.opts.is_cancelled() {
-            self.bill_gather(&stats);
+            self.bill_gather(&total(parts.iter().copied()));
             self.check_cancelled()?;
         }
-        if let Some(slots) = slots.filter(|_| pooled) {
-            out.scatter_to(slots);
-        }
-        Ok(stats)
+        Ok(parts)
     }
 
     /// Bills a gather's [`GatherStats`].
@@ -1136,7 +1311,7 @@ impl Exec<'_> {
         query: &Query,
         kind: AggKind,
         value_col: &str,
-        sels: Option<&[Selection]>,
+        sels: Option<&[Selection<'_>]>,
     ) -> DbResult<Chunk> {
         // COUNT counts rows: its column only has to exist.
         let vidx = match kind {
@@ -1203,7 +1378,7 @@ impl Exec<'_> {
 
     /// One unit's partial aggregate, computed from its column views
     /// (or from zone metadata when possible).
-    fn agg_unit(&self, unit: &Unit<'_>, spec: AggSpec<'_>, sel: &Selection) -> (AggAcc, ResourceProfile) {
+    fn agg_unit(&self, unit: &Unit<'_>, spec: AggSpec<'_>, sel: &Selection<'_>) -> (AggAcc, ResourceProfile) {
         // COUNT never needs the values — only how many rows survive.
         let vcol = if spec.kind == AggKind::Count { UnitCol::Const(0) } else { unit.int_col(spec.vidx) };
         let Some(g) = spec.group else {
@@ -1293,7 +1468,7 @@ impl Exec<'_> {
         unit: &Unit<'_>,
         spec: AggSpec<'_>,
         vcol: UnitCol<'_>,
-        sel: &Selection,
+        sel: &Selection<'_>,
     ) -> (AggState, ResourceProfile) {
         let (rows, n) = (unit.rows, sel.n);
         let mut profile = ResourceProfile::default();
@@ -1465,13 +1640,12 @@ impl Exec<'_> {
     }
 
     /// Gathers one side's payload columns for its surviving join rows —
-    /// any order, duplicates allowed — through the shares of
-    /// [`TableSnapshot::gather_rows`]: one argsort, one split by store,
-    /// one dispatch of the shares, one pass into output order. Bills the
-    /// work the shares report as [`GatherStats`]: per-cell cursor reads,
-    /// except that a strictly ascending list (the unique-key probe side,
-    /// whose pairs come back in probe-row order) streams the segments it
-    /// hits densely; code-to-code string gathers either way.
+    /// any order, duplicates allowed — by [`gather_list`], the gather
+    /// behind [`TableSnapshot::gather_rows`]. Bills the work the shares
+    /// report as [`GatherStats`]: per-cell cursor reads, except that a
+    /// strictly ascending list (the unique-key probe side, whose pairs
+    /// come back in probe-row order) streams the segments it hits
+    /// densely; code-to-code string gathers either way.
     fn gather_join_side(
         &mut self,
         t: &TableSnapshot,
@@ -1480,11 +1654,7 @@ impl Exec<'_> {
     ) -> DbResult<Vec<(String, Column)>> {
         let cells = (rows.len() * names.len()) as u64;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
-        let list = t.ascending(Some(rows))?;
-        let shares: Vec<Share<'_>> = list.shares(t).collect();
-        let mut out = t.gather_out(names, list.len())?;
-        let mut stats = self.fill(t, &shares, &mut out, list.slots())?;
-        let cols = t.finish_gather(out, &mut stats);
+        let (cols, stats) = gather_list(t, names, rows, |k, share| self.dispatch_shares(t, k, share))?;
         self.bill_gather(&stats);
         Ok(cols)
     }
@@ -1549,7 +1719,7 @@ impl Exec<'_> {
     fn unit_join_keys(
         &self,
         unit: &Unit<'_>,
-        sel: &Selection,
+        sel: &Selection<'_>,
         key: &KeyCol,
         prune: Option<(i64, i64)>,
         mut sink: impl FnMut(i64, u32),
@@ -1595,8 +1765,8 @@ impl Exec<'_> {
     fn run_units<R: Send>(
         &self,
         t: &TableSnapshot,
-        sels: Option<&[Selection]>,
-        eval: impl Fn(&Unit<'_>, &Selection) -> (R, ResourceProfile) + Sync,
+        sels: Option<&[Selection<'_>]>,
+        eval: impl Fn(&Unit<'_>, &Selection<'_>) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
         let eval = |u| {
             let unit = Unit::of(t, u);
@@ -1692,7 +1862,7 @@ impl Exec<'_> {
         unit: &Unit<'_>,
         int_preds: &[IntPred],
         str_preds: &[StrPred],
-    ) -> (Selection, ResourceProfile) {
+    ) -> (Selection<'static>, ResourceProfile) {
         let rows = unit.rows;
         let mut profile = ResourceProfile::default();
         let mut bm: Option<Bitmap> = None;
@@ -2028,6 +2198,68 @@ mod tests {
             for dop in [2, 4] {
                 let pooled = db.execute_opts(&q, &ExecOpts::with_dop(dop)).unwrap();
                 assert_eq!((&pooled.rows, pooled.profile), (&serial.rows, serial.profile), "dop {dop}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_and_join_lists_on_every_store_edge_equal_the_serial_reference() {
+        // Two segments, two sealed chunks and the open chunk; `edge` is 0
+        // on the first and last row of each and unique elsewhere, so an
+        // indexed `edge = 0` hands every unit its two edge rows.
+        let db = Database::new();
+        let cols = [
+            ("id", DataType::Int64),
+            ("edge", DataType::Int64),
+            ("tag", DataType::Str),
+            ("f", DataType::Float64),
+        ];
+        db.create_table("e", &cols).unwrap();
+        db.set_merge_threshold("e", usize::MAX).unwrap();
+        let (seg, chunk) = (SEG_ROWS as usize, DELTA_CHUNK_ROWS);
+        let bounds = [0, seg, 2 * seg, 2 * seg + chunk, 2 * seg + 2 * chunk, 2 * seg + 2 * chunk + 100];
+        let edges: Vec<u32> = bounds.windows(2).flat_map(|w| [w[0] as u32, w[1] as u32 - 1]).collect();
+        for i in 0..bounds[5] {
+            let edge = if edges.contains(&(i as u32)) { 0 } else { i as i64 + 1 };
+            let tag = ["red", "", "blue"][i % 3];
+            let row = Record::new()
+                .with("id", 7 * i as i64)
+                .with("edge", edge)
+                .with("tag", tag)
+                .with("f", i as f64);
+            db.insert("e", &row).unwrap();
+            if i + 1 == seg || i + 1 == 2 * seg {
+                db.merge("e").unwrap();
+            }
+        }
+        db.create_index("e", "edge", crate::IndexMaintenance::Eager).unwrap();
+        let t = db.table("e").unwrap();
+        assert_eq!(t.store_count(), 5);
+        let names: Vec<String> = ["tag", "id", "f"].iter().map(ToString::to_string).collect();
+        let (want, _) = t.materialize_columns(&names, Some(&edges)).unwrap();
+        let q = Query::scan("e").filter("edge", CmpOp::Eq, 0).select(["tag", "id", "f"]);
+        let serial = db.execute_opts(&q, &ExecOpts::with_dop(1)).unwrap();
+        assert_eq!(serial.access_path, Some(AccessPath::IndexLookup));
+        assert_eq!(serial.rows, Chunk::new(want).unwrap());
+        let pooled = db.execute_opts(&q, &ExecOpts::with_dop(2)).unwrap();
+        assert_eq!((&pooled.rows, pooled.profile), (&serial.rows, serial.profile), "index path, dop 2");
+        // Join sides: the probe side's strictly ascending rows, and a
+        // build side's scrambled ones with repeats.
+        let mut scrambled: Vec<u32> = edges.iter().rev().copied().collect();
+        scrambled.extend(edges.iter().step_by(3));
+        for rows in [&edges, &scrambled] {
+            let (want, stats) = t.gather_rows(&names, rows).unwrap();
+            let opts = ExecOpts::with_dop(1);
+            let mut reference = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+            reference.profile.cpu_cycles +=
+                db.costs.cycles_for(Kernel::Materialize, (rows.len() * names.len()) as u64);
+            reference.bill_gather(&stats);
+            for dop in [1, 2] {
+                let opts = ExecOpts::with_dop(dop);
+                let mut ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+                let got = ex.gather_join_side(&t, &names, rows).unwrap();
+                assert_eq!(got, want, "dop {dop}, {} rows", rows.len());
+                assert_eq!(ex.profile, reference.profile, "dop {dop}: one bill");
             }
         }
     }

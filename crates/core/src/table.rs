@@ -47,17 +47,13 @@ use crate::delta::{DeltaChunk, DeltaDicts};
 use crate::error::{DbError, DbResult};
 use crate::schema::{Record, SchemaMode, TableSchema};
 use crate::segment::{FlatColumn, MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
-use haec_columnar::bitmap::Bitmap;
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
 use haec_columnar::dict::DictColumn;
-use haec_columnar::encoding::{EncodedInts, BLOCK_ROWS};
 use haec_columnar::value::DataType;
 use haec_planner::access::ZoneMapMeta;
 use haec_txn::oracle::{Timestamp, TimestampOracle};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -81,15 +77,16 @@ use std::sync::Arc;
 /// at 1:8, 860 at 1:1024). At 1:8 both ways now decode every Delta block
 /// once and tie within a few ns per hit, and streaming costs a few ns
 /// more per hit on the directly addressed schemes; the ratio stays 8 for
-/// all schemes because it is also the billing rule. The ascending
-/// selections of join-key extraction and aggregation pushdown (the
-/// executor's `walk`) and the
-/// hit lists of projection test this crossover via [`sparse_hits`], and
-/// the same test decides the bill, so execution and billing can never
-/// disagree on which path ran. A *positional* list — unordered or with
-/// duplicates, the shape join payload rows have — never streams: see
-/// the rule in `TableSnapshot::fill_column`. The delta chunks follow the
-/// same rule through their views.
+/// all schemes because it is also the billing rule. Every per-unit
+/// selection the executor reads — join keys, aggregated values and
+/// gathered cells, a gather's row list cut into the same selections —
+/// tests this crossover via [`sparse_hits`] in one place (the executor's
+/// `walk`), and the same test decides the bill, so execution and billing
+/// can never disagree on which path ran. A *positional* selection — a
+/// gather's list out of order or with a repeat, the shape join payload
+/// rows have — never streams however many entries it holds: it is
+/// marked positional, never inferred from a count. The delta chunks
+/// follow the same rule through their views.
 pub const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
@@ -116,108 +113,8 @@ pub enum RowLoc {
     },
 }
 
-/// The rows one positional gather fetches — every row of the snapshot,
-/// or a caller's list (any order, duplicates allowed) — arranged for a
-/// single ascending visit of the stores (see
-/// `TableSnapshot::ascending`).
-pub(crate) struct AscendingRows<'r> {
-    /// The rows in non-decreasing order; `None` = all rows, `0..len`.
-    rows: Option<Cow<'r, [u32]>>,
-    /// `slots[k]`: the output position of `rows[k]`. `None` when the
-    /// rows already are in output order (`k` itself).
-    slots: Option<Vec<u32>>,
-    /// Number of output cells.
-    len: usize,
-    /// The caller's order was strictly ascending (all rows are).
-    strict: bool,
-}
-
-impl<'r> AscendingRows<'r> {
-    fn all(len: usize) -> Self {
-        AscendingRows { rows: None, slots: None, len, strict: true }
-    }
-
-    fn of(rows: &'r [u32]) -> Self {
-        let len = rows.len();
-        let mut strict = true;
-        if rows.windows(2).all(|w| {
-            strict &= w[0] != w[1];
-            w[0] <= w[1]
-        }) {
-            return AscendingRows { rows: Some(Cow::Borrowed(rows)), slots: None, len, strict };
-        }
-        assert!(len <= u32::MAX as usize, "row list longer than the row-id space");
-        // Argsort as one sort of packed `(row, position)` keys.
-        let mut keyed: Vec<u64> = rows.iter().zip(0u64..).map(|(&r, k)| (r as u64) << 32 | k).collect();
-        keyed.sort_unstable();
-        AscendingRows {
-            rows: Some(keyed.iter().map(|&x| (x >> 32) as u32).collect()),
-            slots: Some(keyed.iter().map(|&x| x as u32).collect()),
-            len,
-            strict: false,
-        }
-    }
-
-    /// Number of output cells.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The output position of every row in ascending order, when the
-    /// caller's order was not already ascending.
-    pub(crate) fn slots(&self) -> Option<&[u32]> {
-        self.slots.as_deref()
-    }
-
-    /// The list cut at the store boundaries: one [`Share`] for every
-    /// store holding at least one of the rows, in store (= list) order.
-    pub(crate) fn shares<'a>(&'a self, t: &'a TableSnapshot) -> impl Iterator<Item = Share<'a>> {
-        let mut i = 0;
-        (0..t.store_count()).filter_map(move |u| {
-            let (store, base) = t.store(u);
-            let end = base + store.rows();
-            let from = i;
-            let rows = match self.rows.as_deref() {
-                None => {
-                    i = end;
-                    ShareRows::Range(0..store.rows())
-                }
-                Some(asc) => {
-                    i = from + asc[from..].partition_point(|&r| (r as usize) < end);
-                    ShareRows::Ids(&asc[from..i], base)
-                }
-            };
-            (i > from).then_some(Share { store, rows, n: i - from, strict: self.strict })
-        })
-    }
-}
-
-/// The rows one store's share of a gather reads, as store-local row
-/// indices in non-decreasing order.
-pub(crate) enum ShareRows<'a> {
-    /// Every row of a store-local range.
-    Range(Range<usize>),
-    /// The rows whose bit is set (one bit per store row).
-    Bits(&'a Bitmap),
-    /// Non-decreasing *global* row ids of a store whose first row id is
-    /// the second field.
-    Ids(&'a [u32], usize),
-}
-
-/// One store's share of a gather: the store, the rows read from it, and
-/// how many. A share fills a run of the output no other share touches,
-/// so the shares of one gather may run on different threads.
-pub(crate) struct Share<'a> {
-    pub(crate) store: Store<'a>,
-    pub(crate) rows: ShareRows<'a>,
-    /// Number of rows read (list entries, duplicates counted).
-    pub(crate) n: usize,
-    /// The rows strictly ascend, so a dense share may stream its segment
-    /// (see `TableSnapshot::fill_column`).
-    pub(crate) strict: bool,
-}
-
-/// One gathered column's cells in list order — strings still as
+/// One gathered column's cells — in row order as the shares fill them,
+/// in output order after [`GatherOut::scatter_to`] — strings still as
 /// *unified source codes* (table-global codes, then delta-local codes,
 /// then the `""` sentinel), interned once every share is in.
 enum Cells {
@@ -250,7 +147,8 @@ impl Cells {
     }
 }
 
-/// A run of one gathered column's cells: what a [`Share`] writes.
+/// A run of one gathered column's cells: what one share of a gather
+/// writes.
 pub(crate) enum CellsMut<'o> {
     Ints(&'o mut [i64]),
     Floats(&'o mut [f64]),
@@ -278,9 +176,10 @@ impl<'o> CellsMut<'o> {
 }
 
 /// The output of one gather, allocated once by its caller: per named
-/// column, its schema index and its cells in list order. Shares fill it
-/// ([`TableSnapshot::fill_share`]), [`TableSnapshot::finish_gather`]
-/// turns it into columns.
+/// column, its schema index and its cells, in the order the units were
+/// read until [`GatherOut::scatter_to`]. Shares fill their runs
+/// ([`GatherOut::split`]), [`TableSnapshot::finish_gather`] turns it into
+/// columns.
 pub(crate) struct GatherOut<'n> {
     names: &'n [String],
     cols: Vec<(usize, Cells)>,
@@ -290,11 +189,6 @@ impl GatherOut<'_> {
     /// Number of columns.
     pub(crate) fn width(&self) -> usize {
         self.cols.len()
-    }
-
-    /// Cells `at..` of every column (`0` for whole columns).
-    fn from(&mut self, at: usize) -> impl Iterator<Item = (usize, CellsMut<'_>)> {
-        self.cols.iter_mut().map(move |(idx, cells)| (*idx, cells.as_mut().split_at(at).1))
     }
 
     /// Every column cut into consecutive runs of `lens` cells, column by
@@ -317,52 +211,6 @@ impl GatherOut<'_> {
     /// moves to `slots[k]`.
     pub(crate) fn scatter_to(&mut self, slots: &[u32]) {
         self.cols.iter_mut().for_each(|(_, cells)| cells.scatter_to(slots));
-    }
-}
-
-/// The one cell loop of every gather: reads each of `rows` (store-local,
-/// ascending) through `read` into the next cell of `out` — or, given
-/// `slots`, into cell `slots[k]` of the whole column for the `k`-th row.
-fn put<T>(
-    rows: impl Iterator<Item = usize>,
-    out: &mut [T],
-    slots: Option<&[u32]>,
-    mut read: impl FnMut(usize) -> T,
-) {
-    match slots {
-        None => rows.zip(out).for_each(|(row, cell)| *cell = read(row)),
-        Some(slots) => rows.zip(slots).for_each(|(row, &slot)| out[slot as usize] = read(row)),
-    }
-}
-
-/// [`put`] over a compressed segment column: one pass over its 64-row
-/// blocks (`stream`: every block no row falls in skipped — free on Plain
-/// and FOR — and every other decoded once, into the reader's own buffer)
-/// or a forward cursor over the rows alone.
-fn put_encoded<T>(
-    rows: impl Iterator<Item = usize>,
-    out: &mut [T],
-    slots: Option<&[u32]>,
-    data: &EncodedInts,
-    stream: bool,
-    cell: impl Fn(i64) -> T,
-) {
-    if stream {
-        let mut blocks = data.blocks();
-        // Blocks handed out or skipped so far: the current one is the last.
-        let mut passed = 0;
-        put(rows, out, slots, |row| {
-            let block = row / BLOCK_ROWS;
-            if block >= passed {
-                (passed..block).for_each(|_| blocks.skip());
-                blocks.next();
-                passed = block + 1;
-            }
-            cell(blocks.current()[row % BLOCK_ROWS])
-        });
-    } else {
-        let mut cursor = data.cursor();
-        put(rows, out, slots, |row| cell(cursor.at(row)));
     }
 }
 
@@ -1123,7 +971,7 @@ impl TableSnapshot {
     /// diagnostics and tests; `None` also for a non-integer column or a
     /// position past the last row.
     pub fn gather_ints(&self, name: &str, positions: Option<&[u32]>) -> Option<Vec<i64>> {
-        let (mut cols, _) = self.gather(&[name.to_string()], positions).ok()?;
+        let (mut cols, _) = self.materialize_columns(&[name.to_string()], positions).ok()?;
         match cols.pop()?.1 {
             Column::Int64(v) => Some(v),
             _ => None,
@@ -1146,20 +994,23 @@ impl TableSnapshot {
         names: &[String],
         rows: &[u32],
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-        self.gather(names, Some(rows))
+        self.materialize_columns(names, Some(rows))
     }
 
     /// Materializes the named columns at `positions` (global row ids in
     /// any order, duplicates allowed; `None` = all rows) into dense
     /// output columns — the projection step after a filter, and the
-    /// payload fetch after a join. Only the requested columns are
-    /// touched, and only the requested rows: the list is **visited in
-    /// ascending row order and scattered into output order** (one
-    /// argsort, skipped when it is already non-decreasing), so each
-    /// store — segment or delta chunk, through its column view — is read
-    /// through one forward cursor (`EncodedInts::cursor`) or one pass
+    /// payload fetch after a join — through the query executor's one
+    /// gather, dispatched serially (no gate, no cancel poll). Only the
+    /// requested columns are touched, and only the requested rows: the
+    /// list is **visited in ascending row order** (one argsort, skipped
+    /// when it is already non-decreasing), cut at the store boundaries
+    /// into one selection per store and read the way every stage reads a
+    /// selection — each store, segment or delta chunk, through its column
+    /// view, by one forward cursor (`EncodedInts::cursor`) or one pass
     /// over its 64-row blocks (`EncodedInts::blocks`), never one
-    /// compressed point access per cell.
+    /// compressed point access per cell — then **scattered into output
+    /// order** by one pass.
     /// String columns come back **as codes + one shared output
     /// dictionary**: each distinct segment/delta code is decoded and
     /// interned exactly once — in output order, so the dictionary is
@@ -1171,8 +1022,10 @@ impl TableSnapshot {
     /// Returns the columns plus [`GatherStats`] billing each store as
     /// read: a store pays one positioned read per cell — except under a
     /// strictly ascending list past the [`sparse_hits`] crossover, where
-    /// it streams its blocks once (its **encoded** bytes); stores
-    /// predating the column read nothing; and each distinct string pays
+    /// it streams its blocks and pays its whole **encoded** column. A
+    /// *positional* list — out of order or with a repeat — reads every
+    /// store per cell, however many entries its share holds. Stores
+    /// predating the column read nothing, and each distinct string pays
     /// one first-touch dictionary-entry read.
     ///
     /// # Errors
@@ -1184,48 +1037,7 @@ impl TableSnapshot {
         names: &[String],
         positions: Option<&[u32]>,
     ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-        self.gather(names, positions)
-    }
-
-    /// The one gather behind [`TableSnapshot::materialize_columns`] and
-    /// [`TableSnapshot::gather_rows`], and the reference for the query
-    /// executor's gather stage, which runs the same shares on the worker
-    /// pool: arranges the rows ascending, checks them once, fills the
-    /// output store by store, then interns strings.
-    fn gather(
-        &self,
-        names: &[String],
-        rows: Option<&[u32]>,
-    ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-        let list = self.ascending(rows)?;
-        let mut out = self.gather_out(names, list.len())?;
-        let mut stats = GatherStats::default();
-        let mut at = 0;
-        for share in list.shares(self) {
-            stats.absorb(self.fill_share_inline(&share, &mut out, at, list.slots()));
-            at += share.n;
-        }
-        let cols = self.finish_gather(out, &mut stats);
-        Ok((cols, stats))
-    }
-
-    /// `rows` (`None`: all rows) arranged for an ascending visit: one
-    /// argsort, skipped when the list already is non-decreasing.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::BadQuery`] for a row id `>= rows()`.
-    pub(crate) fn ascending<'r>(&self, rows: Option<&'r [u32]>) -> DbResult<AscendingRows<'r>> {
-        let list = rows.map_or_else(|| AscendingRows::all(self.rows), AscendingRows::of);
-        if let Some(&last) = list.rows.as_deref().and_then(<[u32]>::last) {
-            if last as usize >= self.rows {
-                return Err(DbError::BadQuery(format!(
-                    "row {last} out of bounds: {} has {} rows",
-                    self.name, self.rows
-                )));
-            }
-        }
-        Ok(list)
+        crate::executor::gather_serial(self, names, positions)
     }
 
     /// The output of a gather of `len` rows of the named columns. Cells
@@ -1258,102 +1070,9 @@ impl TableSnapshot {
     /// The unified source-code space of string column `idx`: the first
     /// delta code (past the table-global codes) and the `""` sentinel
     /// (past the delta codes).
-    fn str_codes(&self, idx: usize) -> (u32, u32) {
+    pub(crate) fn str_codes(&self, idx: usize) -> (u32, u32) {
         let delta_code0 = self.global_dict(idx).map_or(0, DictColumn::dict_size) as u32;
         (delta_code0, delta_code0 + self.delta_dict(idx).map_or(0, DictColumn::dict_size) as u32)
-    }
-
-    /// Runs a share whose rows start at list index `at` straight into the
-    /// whole output — in list order, or, given the list's `slots`, at
-    /// each row's output position — and returns what it read.
-    pub(crate) fn fill_share_inline(
-        &self,
-        share: &Share<'_>,
-        out: &mut GatherOut<'_>,
-        at: usize,
-        slots: Option<&[u32]>,
-    ) -> GatherStats {
-        match slots {
-            Some(slots) => self.fill_share(share, out.from(0), Some(&slots[at..at + share.n])),
-            None => self.fill_share(share, out.from(at), None),
-        }
-    }
-
-    /// Reads one store's share of every column of `cols` — each column's
-    /// run for this share, or, given `slots` (this share's output
-    /// positions), each whole column — and returns what it read.
-    pub(crate) fn fill_share<'o>(
-        &self,
-        share: &Share<'_>,
-        cols: impl Iterator<Item = (usize, CellsMut<'o>)>,
-        slots: Option<&[u32]>,
-    ) -> GatherStats {
-        let mut stats = GatherStats::default();
-        for (idx, out) in cols {
-            // The list's shape is matched once per column, so each row
-            // loop is monomorphic.
-            match &share.rows {
-                ShareRows::Range(range) => {
-                    self.fill_column(idx, share, range.clone(), out, slots, &mut stats)
-                }
-                ShareRows::Bits(bits) => {
-                    self.fill_column(idx, share, bits.iter_ones(), out, slots, &mut stats)
-                }
-                ShareRows::Ids(ids, base) => {
-                    let rows = ids.iter().map(|&row| row as usize - base);
-                    self.fill_column(idx, share, rows, out, slots, &mut stats);
-                }
-            }
-        }
-        stats
-    }
-
-    /// One column of one share: the typed cell loop, and its bill — one
-    /// rule for every store, read through its column view.
-    fn fill_column(
-        &self,
-        idx: usize,
-        share: &Share<'_>,
-        rows: impl Iterator<Item = usize>,
-        out: CellsMut<'_>,
-        slots: Option<&[u32]>,
-        stats: &mut GatherStats,
-    ) {
-        let (hits, store_rows) = (share.n, share.store.rows());
-        let Some(col) = share.store.column(idx) else { return };
-        // The billing rule, and the read it bills: a store's share is
-        // read per cell through the cursor, except that a strictly
-        // ascending list past the `sparse_hits` crossover streams the
-        // store's blocks once. A positional list (unordered or with
-        // duplicates) always reads per cell, however dense.
-        let stream = share.strict && !sparse_hits(hits, store_rows);
-        let cell_bytes = match (col, out) {
-            (SegColumn::Int { data, .. }, CellsMut::Ints(out)) => {
-                put_encoded(rows, out, slots, data, stream, |v| v);
-                8
-            }
-            (SegColumn::Str { codes, .. }, CellsMut::Codes(out)) => {
-                // Where the store's codes start in the unified space.
-                let code0 =
-                    if share.store.code_space() == CodeSpace::Delta { self.str_codes(idx).0 } else { 0 };
-                put_encoded(rows, out, slots, codes, stream, |v| code0 + v as u32);
-                4
-            }
-            (SegColumn::Float(v), CellsMut::Floats(out)) => {
-                put(rows, out, slots, |i| v[i]);
-                8
-            }
-            // INVARIANT: `gather_out` typed every output column from the
-            // schema, and every store builds its columns from the same
-            // schema types.
-            _ => unreachable!("store column type matches the schema"),
-        };
-        let (items, bytes) =
-            if stream { (store_rows, col.encoded_bytes()) } else { (hits, hits * cell_bytes) };
-        stats.bytes_read += bytes as u64;
-        if !matches!(col, SegColumn::Float(_)) {
-            stats.decode_items += items as u64;
-        }
     }
 
     /// Turns a filled [`GatherOut`] into output columns, adding the
@@ -1407,7 +1126,7 @@ impl TableSnapshot {
     /// This is a full, unmetered decode — query execution never calls
     /// it; it exists for index builds, diagnostics and tests.
     pub fn column(&self, name: &str) -> Option<Column> {
-        let (mut cols, _) = self.gather(&[name.to_string()], None).ok()?;
+        let (mut cols, _) = self.materialize_columns(&[name.to_string()], None).ok()?;
         cols.pop().map(|(_, col)| col)
     }
 

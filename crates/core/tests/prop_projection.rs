@@ -366,6 +366,38 @@ proptest! {
     }
 }
 
+/// A positional list (one with a repeat, or out of order) is read per
+/// cell however many entries a store's share holds: the shape is never
+/// inferred from a count. Segment 1's share below has exactly as many
+/// entries as the segment has rows, half of them repeats; the delta
+/// tail's has more entries than the tail has rows. Sorted or scrambled,
+/// both equal the per-row reference in rows and bill.
+#[test]
+fn positional_shares_as_long_as_their_store_read_per_cell() {
+    let t = gather_fixture();
+    let names: Vec<String> = GATHER_COLS.iter().map(ToString::to_string).collect();
+    let seg = GATHER_SEG_ROWS as u32;
+    let tail = GATHER_ROWS - 3 * seg;
+    // Segment 1's rows, every second one twice: `seg` entries.
+    let exact: Vec<u32> = (0..seg).map(|i| seg + i / 2 * 2).collect();
+    // The delta tail's rows, the first half of them twice.
+    let over: Vec<u32> = (0..tail + tail / 2).map(|i| 3 * seg + i % tail).collect();
+    for rows in [exact, over] {
+        let mut sorted = rows.clone();
+        sorted.sort_unstable();
+        let scrambled: Vec<u32> = sorted.iter().rev().copied().collect();
+        for list in [&sorted, &scrambled] {
+            let (want, want_stats) = gather_reference(t, &names, list);
+            for (got, stats) in
+                [t.gather_rows(&names, list).unwrap(), t.materialize_columns(&names, Some(list)).unwrap()]
+            {
+                assert!(got.iter().map(|(_, c)| c).eq(want.iter()), "{} entries", list.len());
+                assert_eq!(stats, want_stats, "{} entries", list.len());
+            }
+        }
+    }
+}
+
 /// One fixed unordered row list, with the stats and the string output-
 /// dictionary order pinned as literals captured on the commit before
 /// `gather_rows` started visiting rows in ascending order — `decode_items`

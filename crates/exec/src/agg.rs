@@ -16,10 +16,6 @@
 //! * [`SyncStrategy::Partitioned`] — thread-local partials merged at the
 //!   end (no shared writes at all).
 
-use crate::metrics::OpStats;
-use haec_energy::calibrate::{Kernel, KernelCosts};
-use haec_energy::units::ByteCount;
-use haec_energy::ResourceProfile;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -222,25 +218,6 @@ pub fn group_aggregate(keys: &[i64], values: &[i64]) -> Vec<(i64, AggState)> {
     let mut out = acc.into_groups();
     out.sort_unstable_by_key(|&(k, _)| k);
     out
-}
-
-/// Metered variant of [`group_aggregate`].
-pub fn group_aggregate_metered(
-    keys: &[i64],
-    values: &[i64],
-    costs: &KernelCosts,
-) -> (Vec<(i64, AggState)>, OpStats) {
-    let start = Instant::now();
-    let out = group_aggregate(keys, values);
-    let wall = start.elapsed();
-    let n = keys.len() as u64;
-    let profile = ResourceProfile {
-        cpu_cycles: costs.cycles_for(Kernel::HashProbe, n) + costs.cycles_for(Kernel::AggUpdate, n),
-        dram_read: ByteCount::new(n * 16),
-        dram_written: ByteCount::new(out.len() as u64 * 40),
-        ..ResourceProfile::default()
-    };
-    (out.clone(), OpStats { items_in: n, items_out: out.len() as u64, profile, wall })
 }
 
 /// Synchronization strategy for parallel grouped aggregation.
@@ -551,17 +528,6 @@ mod tests {
         }
         assert!(group_aggregate(&[], &[]).is_empty());
         assert!(matches!(GroupAcc::new(Some((5, 4)), 0), GroupAcc::Hash(_)), "inverted domain");
-    }
-
-    #[test]
-    fn group_aggregate_metered_counts() {
-        let keys = vec![1, 1, 2];
-        let vals = vec![5, 5, 5];
-        let (out, stats) = group_aggregate_metered(&keys, &vals, &KernelCosts::default_2013());
-        assert_eq!(out.len(), 2);
-        assert_eq!(stats.items_in, 3);
-        assert_eq!(stats.items_out, 2);
-        assert!(stats.profile.cpu_cycles.count() > 0);
     }
 
     #[test]

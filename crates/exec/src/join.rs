@@ -4,12 +4,6 @@
 //! `(left_row, right_row)` so callers can gather any payload columns —
 //! the late-materialization style of column stores.
 
-use crate::metrics::OpStats;
-use haec_energy::calibrate::{Kernel, KernelCosts};
-use haec_energy::units::ByteCount;
-use haec_energy::ResourceProfile;
-use std::time::Instant;
-
 /// The build side of an equi-join as one flat CSR table: every distinct
 /// key owns a *slot*, and slot `s`'s build rows are
 /// `rows[offsets[s]..offsets[s + 1]]`, in the order they arrived. Two
@@ -215,8 +209,7 @@ impl HashJoin {
     /// probe order.
     pub fn probe(&self, keys: &[i64]) -> Vec<(u32, u32)> {
         // Reserve for the common ~1 match/probe (FK join) shape so the
-        // output vector doesn't double-write its way up; the metered
-        // wrapper bills the writes on this assumption.
+        // output vector doesn't double-write its way up.
         let mut out = Vec::with_capacity(keys.len());
         for (j, &k) in keys.iter().enumerate() {
             if let Some(rows) = self.matches(k) {
@@ -232,37 +225,9 @@ impl HashJoin {
     }
 }
 
-/// Runs a full metered hash join (build + probe).
-pub fn hash_join_metered(
-    build_keys: &[i64],
-    probe_keys: &[i64],
-    costs: &KernelCosts,
-) -> (Vec<(u32, u32)>, OpStats) {
-    let start = Instant::now();
-    let join = HashJoin::build(build_keys);
-    let pairs = join.probe(probe_keys);
-    let wall = start.elapsed();
-    let b = build_keys.len() as u64;
-    let p = probe_keys.len() as u64;
-    let hits = pairs.len() as u64;
-    let profile = ResourceProfile {
-        cpu_cycles: costs.cycles_for(Kernel::HashBuild, b) + costs.cycles_for(Kernel::HashProbe, p),
-        // Probing is not free of table traffic: each probe reads the
-        // keys themselves plus one hash-bucket header, and every hit
-        // walks the bucket's row-id list.
-        dram_read: ByteCount::new((b + p) * 8 + p * HASH_BUCKET_BYTES + hits * 4),
-        // Build-table entries plus the output pairs vector (reserved
-        // upfront in `probe`, so growth doesn't double-write).
-        dram_written: ByteCount::new(b * 16 + hits * 8),
-        ..ResourceProfile::default()
-    };
-    let stats = OpStats { items_in: b + p, items_out: hits, profile, wall };
-    (pairs, stats)
-}
-
 /// Bytes a hash probe touches per bucket access (header + key slot) —
-/// shared by the metered kernels here and by executors that bill
-/// streaming probes themselves.
+/// what an executor that bills its own streaming probes (`haecdb`'s)
+/// charges per probe.
 pub const HASH_BUCKET_BYTES: u64 = 16;
 
 /// Sort-merge equi-join: sorts index permutations of both inputs and
@@ -303,23 +268,17 @@ pub fn sort_merge_join(left: &[i64], right: &[i64]) -> Vec<(u32, u32)> {
 
 /// Sort-merge equi-join over `(key, row id)` pairs — the streaming
 /// entry point matching [`HashJoin::from_pairs`]: callers extract keys
-/// from compressed segments and join without flat key columns. Both
-/// inputs are sorted in place by `(key, row)`; returns
+/// from compressed segments and join without flat key columns. Returns
 /// `(left_row, right_row)` pairs ordered by key, then row ids (cross
 /// product per duplicate-key group).
-pub fn sort_merge_join_pairs(left: &mut [(i64, u32)], right: &mut [(i64, u32)]) -> Vec<(u32, u32)> {
-    sort_merge_join_pairs_presorted(left, right, false, false)
-}
-
-/// [`sort_merge_join_pairs`] for callers that *know* a side is already
-/// in key order — a table whose declared sort key is the join key
-/// streams its keys pre-sorted out of the main store, and the sort pass
-/// for that side is pure waste. A side flagged sorted is left untouched
-/// (debug builds verify the claim); unflagged sides are sorted in place
-/// as before. Output is identical to the unflagged entry point except
-/// for intra-group row order on a flagged side, which follows that
-/// side's storage order (ascending row ids — the same order
-/// `sort_unstable` by `(key, row)` would produce for distinct rows).
+///
+/// A side not flagged sorted is sorted in place by `(key, row)`. A side
+/// the caller *knows* is already in key order — a table whose declared
+/// sort key is the join key streams its keys pre-sorted out of the main
+/// store, and the sort pass would be pure waste — is left untouched
+/// (debug builds verify the claim); its intra-group row order is then
+/// its storage order (ascending row ids — the same order `sort_unstable`
+/// by `(key, row)` would produce for distinct rows).
 pub fn sort_merge_join_pairs_presorted(
     left: &mut [(i64, u32)],
     right: &mut [(i64, u32)],
@@ -358,32 +317,6 @@ pub fn sort_merge_join_pairs_presorted(
         }
     }
     out
-}
-
-/// Metered variant of [`sort_merge_join`].
-pub fn sort_merge_join_metered(
-    left: &[i64],
-    right: &[i64],
-    costs: &KernelCosts,
-) -> (Vec<(u32, u32)>, OpStats) {
-    let start = Instant::now();
-    let pairs = sort_merge_join(left, right);
-    let wall = start.elapsed();
-    let n = (left.len() + right.len()) as u64;
-    let hits = pairs.len() as u64;
-    let levels = (n.max(2) as f64).log2().ceil() as u64;
-    let profile = ResourceProfile {
-        cpu_cycles: costs.cycles_for(Kernel::SortPerLevel, n * levels),
-        // Sort passes re-read both key arrays per level, and the final
-        // merge pass streams both sorted runs once more (the old bill
-        // stopped at the sort, as if merging were free).
-        dram_read: ByteCount::new(n * 8 * levels + n * 8),
-        // The sorted index permutations, plus the output pairs vector.
-        dram_written: ByteCount::new(n * 8 + hits * 8),
-        ..ResourceProfile::default()
-    };
-    let stats = OpStats { items_in: n, items_out: hits, profile, wall };
-    (pairs, stats)
 }
 
 #[cfg(test)]
@@ -455,21 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn metered_stats() {
-        let build: Vec<i64> = (0..1000).collect();
-        let probe: Vec<i64> = (500..1500).collect();
-        let (pairs, stats) = hash_join_metered(&build, &probe, &KernelCosts::default_2013());
-        assert_eq!(pairs.len(), 500);
-        assert_eq!(stats.items_in, 2000);
-        assert_eq!(stats.items_out, 500);
-        assert!(stats.profile.cpu_cycles.count() > 0);
-
-        let (pairs2, stats2) = sort_merge_join_metered(&build, &probe, &KernelCosts::default_2013());
-        assert_eq!(canonical(pairs2), canonical(pairs));
-        assert!(stats2.profile.cpu_cycles.count() > 0);
-    }
-
-    #[test]
     fn pair_entry_points_match_slice_kernels() {
         let left: Vec<i64> = (0..120).map(|i| (i * 5) % 17).collect();
         let right: Vec<i64> = (0..90).map(|i| (i * 11) % 13).collect();
@@ -486,34 +404,14 @@ mod tests {
         }
         assert_eq!(canonical(got), want);
         assert!(join.matches(i64::MAX).is_none());
-        // sort_merge_join_pairs agrees too, with shifted row ids.
+        // The pair entry point of the merge join agrees too, with
+        // shifted row ids.
         let mut lp: Vec<(i64, u32)> = left.iter().enumerate().map(|(i, &k)| (k, i as u32 + 7)).collect();
         let mut rp: Vec<(i64, u32)> = right.iter().enumerate().map(|(j, &k)| (k, j as u32 + 3)).collect();
-        let got = sort_merge_join_pairs(&mut lp, &mut rp);
+        let got = sort_merge_join_pairs_presorted(&mut lp, &mut rp, false, false);
         let shifted: Vec<(u32, u32)> = want.iter().map(|&(l, r)| (l + 7, r + 3)).collect();
         assert_eq!(canonical(got), canonical(shifted));
-        assert!(sort_merge_join_pairs(&mut [], &mut [(1, 0)]).is_empty());
-    }
-
-    #[test]
-    fn metered_probe_bills_bucket_traffic() {
-        // Every probe hits: the probe side must be billed more than the
-        // bare keys (bucket headers + hit row-id reads), and the output
-        // pairs must be billed as writes.
-        let costs = KernelCosts::default_2013();
-        let build: Vec<i64> = (0..1000).collect();
-        let (hit_pairs, hit) = hash_join_metered(&build, &build, &costs);
-        let miss_probe: Vec<i64> = (10_000..11_000).collect();
-        let (miss_pairs, miss) = hash_join_metered(&build, &miss_probe, &costs);
-        assert_eq!(hit_pairs.len(), 1000);
-        assert!(miss_pairs.is_empty());
-        // Same build and probe cardinality, but hits read bucket lists
-        // and write pairs the all-miss probe never touches.
-        assert!(hit.profile.dram_read.bytes() > miss.profile.dram_read.bytes());
-        assert!(hit.profile.dram_written.bytes() > miss.profile.dram_written.bytes());
-        // And even the all-miss probe pays bucket headers beyond p*8.
-        let n = (build.len() + miss_probe.len()) as u64;
-        assert!(miss.profile.dram_read.bytes() > n * 8);
+        assert!(sort_merge_join_pairs_presorted(&mut [], &mut [(1, 0)], false, false).is_empty());
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //!   fleet-wide in-flight budget ([`pool::MorselGate`]) are the knobs
 //!   the energy governor turns.
 //! * **Joins** — [`join`] provides hash and sort-merge equi-joins.
-//! * **Metering** — every operator reports [`metrics::OpStats`] with a
-//!   [`haec_energy::ResourceProfile`] so the energy layer can charge
-//!   joules for what actually ran.
+//! * **Metering** — the selection kernels report [`metrics::OpStats`]
+//!   with a [`haec_energy::ResourceProfile`]
+//!   ([`select::select_metered`]) so the energy layer can charge joules
+//!   for what actually ran. Joins and aggregates carry no meter of their
+//!   own: the `haecdb` executor bills the folds and joins it runs from
+//!   its own counts ([`join::HASH_BUCKET_BYTES`] is the bucket traffic it
+//!   charges per probe).
 //!
 //! ## Example
 //!
@@ -58,7 +62,7 @@ pub mod prelude {
         ParallelAggReport, SyncStrategy,
     };
     pub use crate::cancel::CancelToken;
-    pub use crate::join::{hash_join_metered, sort_merge_join, HashJoin};
+    pub use crate::join::{sort_merge_join, HashJoin};
     pub use crate::metrics::OpStats;
     pub use crate::morsel::{Morsel, MorselDispenser};
     pub use crate::pool::{ExecOpts, MorselGate, MorselPermit, RunSpec, WorkerPool};

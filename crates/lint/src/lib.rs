@@ -15,6 +15,7 @@
 //! | `meter-delta-billing` | query paths never bill per-query energy by subtracting meter totals (use `CostEstimate`) |
 //! | `instant-in-energy` | energy accounting is work-based, not wall-clock (`Instant::now`) based |
 //! | `sorted-claim` | sortedness claims (`sorted: true` / `sorted_by: Some(..)`) originate only in the merge build path, never ad hoc in query code |
+//! | `encoded-reader` | in `haecdb`'s non-test code an encoded column is opened for reading (`.blocks()` / `.cursor()`) only by the executor's readers, whose regime test is also the bill |
 //! | `failpoint-confined` | failpoint *arming* (`fail::cfg`/`seed`/`teardown`) is test-harness-only, and `fail_point!` instrumentation lives only in the designated engine crates |
 //!
 //! The scanner lexes each file just enough to **mask comments and
@@ -439,6 +440,28 @@ pub fn rules() -> Vec<Rule> {
                             "`{tok}` outside the merge build path: sortedness is established \
                              by `Table::merge` (stable sort, then `Segment::build` records the \
                              claim) and only *read* everywhere else"
+                        ));
+                    }
+                }
+                None
+            },
+        },
+        Rule {
+            id: "encoded-reader",
+            // One reader pair opens a store's encoded column in the
+            // engine: the executor's `ColBlocks` / `ColCursor`, picked by
+            // `walk`'s regime test — the same test that bills the read.
+            // A block or cursor reader opened anywhere else in core is a
+            // second read path with a bill of its own to drift.
+            applies: |p| p.starts_with("crates/core/src/") && p != "crates/core/src/executor.rs",
+            exempt_in_tests: true,
+            check: |masked, _, _| {
+                for tok in [".blocks()", ".cursor()"] {
+                    if masked.contains(tok) {
+                        return Some(format!(
+                            "`{tok}` outside the executor's readers: read a store's encoded \
+                             column through `walk` (`ColBlocks` / `ColCursor`), whose regime \
+                             is also the bill"
                         ));
                     }
                 }

@@ -213,6 +213,28 @@ fn test_fixtures_may_claim_sortedness() {
     assert!(rules_fired("crates/core/tests/fake.rs", harness).is_empty());
 }
 
+// -- encoded-reader ----------------------------------------------------
+
+#[test]
+fn encoded_reader_outside_the_executor_fires() {
+    for line in ["let mut cur = data.cursor();", "let mut blocks = data.blocks();"] {
+        let src = format!("pub fn gather(data: &EncodedInts) {{\n    {line}\n}}\n");
+        let findings = scan_source("crates/core/src/table.rs", &src);
+        assert!(findings.iter().any(|f| f.rule == "encoded-reader" && f.line == 2), "{line}: {findings:?}");
+    }
+}
+
+#[test]
+fn the_executor_and_tests_may_open_encoded_readers() {
+    let src = "pub fn walk(data: &EncodedInts) {\n    let mut cur = data.cursor();\n}\n";
+    assert!(rules_fired("crates/core/src/executor.rs", src).is_empty());
+    assert!(rules_fired("crates/columnar/src/encoding/mod.rs", src).is_empty());
+    assert!(rules_fired("crates/core/tests/fake.rs", src).is_empty());
+    let in_region =
+        "pub fn api() {}\n#[cfg(test)]\nmod tests {\n    fn t(d: &EncodedInts) { d.blocks(); }\n}\n";
+    assert!(rules_fired("crates/core/src/table.rs", in_region).is_empty());
+}
+
 // -- failpoint-confined ------------------------------------------------
 
 #[test]
