@@ -125,7 +125,6 @@ fn run_round(db: &Arc<Database>, mode: Mode, clients: usize) -> Round {
             governor: GovernorPolicy::EnergyCap(Watts::new(CAP_WATTS)),
             max_concurrent: MAX_CONCURRENT,
             max_queued: MAX_QUEUED,
-            ..Default::default()
         },
     );
     let start = Barrier::new(clients + 1);

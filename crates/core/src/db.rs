@@ -257,8 +257,8 @@ impl Query {
     }
 }
 
-/// Row-count threshold above which the segment scan runs morsel-parallel
-/// on real threads (one morsel = one segment) instead of serially.
+/// Row-count threshold above which a query's units run morsel-parallel
+/// on real threads (one morsel = one store) instead of serially.
 pub const PARALLEL_SCAN_ROWS: usize = 262_144;
 
 /// The outcome of a query: rows plus full metering.
@@ -506,9 +506,13 @@ impl Database {
         let (ts, row, delta_rows) = t.insert(record, &self.oracle)?;
         for ((tname, col), entry) in indexes.iter_mut() {
             if tname == table {
-                if let Some(Value::Int(key)) = record.get(col) {
-                    entry.idx.on_insert(*key, row);
-                }
+                // Index the cell the row stores — a null or missing one
+                // is the sentinel 0 — as the backfill and the scan read it.
+                let key = match record.get(col) {
+                    Some(Value::Int(key)) => *key,
+                    _ => 0,
+                };
+                entry.idx.on_insert(key, row);
             }
         }
         drop(indexes);
@@ -680,11 +684,11 @@ impl Database {
     }
 
     /// Executes a query with explicit [`ExecOpts`] — the surface a
-    /// query server's governor grant (parallelism degree, morsel size,
-    /// fleet-wide in-flight [`haec_exec::pool::MorselGate`]) travels
-    /// through to reach the engine. A nonzero `opts.dop` also opts small tables into
-    /// pooled dispatch (the default path only parallelizes above
-    /// [`PARALLEL_SCAN_ROWS`]).
+    /// query server's governor grant (parallelism degree, fleet-wide
+    /// in-flight [`haec_exec::pool::MorselGate`], cancel token) travels
+    /// through to reach the engine. A nonzero `opts.dop` also opts small
+    /// tables into pooled dispatch (the default path only parallelizes
+    /// above [`PARALLEL_SCAN_ROWS`]).
     ///
     /// # Errors
     ///

@@ -4,15 +4,16 @@
 //!
 //! Every stage works on *execution units* of a pinned
 //! [`TableSnapshot`] — one per main segment, then one per delta chunk:
-//! the units are exactly the stores storage defines — dispatched as
-//! morsels over the shared worker pool. Every stage, the gather
-//! included, runs its units through one dispatcher with one rule
-//! (pooled under an explicit grant or from [`PARALLEL_SCAN_ROWS`] table
-//! rows, else inline), holding one gate permit and polling the cancel
-//! token once per unit. Between stages the surviving rows travel as one
-//! [`Selection`] **per unit**, in the shape the predicate kernel
-//! produces — every row, a sort-key row range, a match bitmap, or
-//! ascending row ids (index lookups) — never as one global row-id list:
+//! the units are exactly the stores storage defines, and a unit is the
+//! morsel. Every stage, the gather included, runs its units through one
+//! dispatch ([`Exec::dispatch`]) with one rule (one unit per morsel over
+//! the shared worker pool under an explicit grant or from
+//! [`PARALLEL_SCAN_ROWS`] table rows, else inline), holding one gate
+//! permit and polling the cancel token once per unit. Between stages
+//! the surviving rows travel as one [`Selection`] **per unit**, in the
+//! shape the predicate kernel produces — every row (a side without
+//! predicates too), a sort-key row range, a match bitmap, or ascending
+//! row ids (index lookups) — never as one global row-id list:
 //! aggregates, join-key extraction and the projection gather all
 //! consume the selection in place (unit `u`'s share of a gather fills
 //! the run of the output its survivors occupy). A row list — a join
@@ -918,20 +919,19 @@ struct JoinSide<'a> {
     /// Key column name and index.
     col: &'a str,
     idx: usize,
-    /// Filter survivors, one selection per execution unit (`None`:
-    /// every row).
-    sel: Option<&'a [Selection<'a>]>,
+    /// Filter survivors, one selection per execution unit.
+    sel: &'a [Selection<'a>],
     /// Zone maps of an integer key (`None` for string keys).
     zones: Option<Vec<ZoneMapMeta>>,
 }
 
 impl<'a> JoinSide<'a> {
-    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, sel: Option<&'a [Selection<'a>]>) -> Self {
+    fn new(t: &'a TableSnapshot, col: &'a str, idx: usize, sel: &'a [Selection<'a>]) -> Self {
         JoinSide { t, col, idx, sel, zones: t.zone_maps(col) }
     }
 
     fn rows(&self) -> u64 {
-        self.sel.map_or(self.t.rows(), |sel| sel.iter().map(|s| s.n).sum()) as u64
+        self.sel.iter().map(|s| s.n).sum::<usize>() as u64
     }
 
     /// The key stream arrives in key order: the main layout is globally
@@ -1019,24 +1019,24 @@ impl Database {
         let (lsel, access_path) = ex.filter(lt, &query.table, &query.filters, &query.str_filters, planned)?;
         let rsel = match join {
             Some((jc, rt)) => ex.filter(rt, &jc.table, &jc.filters, &jc.str_filters, None)?.0,
-            None => None,
+            None => Vec::new(),
         };
         ex.check_cancelled()?;
 
         let rows = match join.zip(key_idx) {
             // --- fold | gather over the survivors ----------------------
             None => match &query.agg {
-                Some((kind, value_col)) => ex.fold(lt, query, *kind, value_col, lsel.as_deref())?,
+                Some((kind, value_col)) => ex.fold(lt, query, *kind, value_col, &lsel)?,
                 None if query.group_by.is_some() => {
                     return Err(DbError::BadQuery("group_by requires an aggregate".into()));
                 }
-                None => ex.gather(lt, query, lsel.as_deref())?,
+                None => ex.gather(lt, query, &lsel)?,
             },
             // --- join, then late gather: only surviving pairs touch
             // payload columns ---------------------------------------------
             Some(((jc, rt), (lidx, ridx))) => {
-                let l = JoinSide::new(lt, &jc.left_col, lidx, lsel.as_deref());
-                let r = JoinSide::new(rt, &jc.right_col, ridx, rsel.as_deref());
+                let l = JoinSide::new(lt, &jc.left_col, lidx, &lsel);
+                let r = JoinSide::new(rt, &jc.right_col, ridx, &rsel);
                 let (lrows, rrows) = ex.join(&l, &r);
                 ex.check_cancelled()?;
                 ex.gather_join(lt, rt, query, jc, &lrows, &rrows)?
@@ -1083,8 +1083,8 @@ impl Exec<'_> {
     }
 
     /// The filter stage for one table: one [`Selection`] per execution
-    /// unit, or `None` when the side has no predicates and every row
-    /// survives. `planned` is the query when its access path may be
+    /// unit — every row of every unit when the side has no predicates
+    /// ([`every_row`]). `planned` is the query when its access path may be
     /// planned — a single-table query on a view the live indexes cover:
     /// the first filter is then costed across scan, index and
     /// sorted-layout paths per the session goal, and the choice
@@ -1097,7 +1097,7 @@ impl Exec<'_> {
         filters: &[Filter],
         str_filters: &[StrFilter],
         planned: Option<&Query>,
-    ) -> DbResult<(Option<Vec<Selection<'static>>>, Option<AccessPath>)> {
+    ) -> DbResult<(Vec<Selection<'static>>, Option<AccessPath>)> {
         let int_preds = resolve_int_preds(t, table, filters)?;
         let str_preds = resolve_str_preds(t, table, str_filters)?;
         let mut access_path = None;
@@ -1178,7 +1178,7 @@ impl Exec<'_> {
                     // Hand each unit its run of the (few) row ids.
                     let sels =
                         split_ids(t, &pos).map(|ids| Selection::ids(ids.to_vec().into(), false)).collect();
-                    return Ok((Some(sels), Some(AccessPath::IndexLookup)));
+                    return Ok((sels, Some(AccessPath::IndexLookup)));
                 }
                 // The scan below realizes a sorted-layout plan:
                 // `eval_segment`'s sort-key fast path binary-searches
@@ -1190,8 +1190,9 @@ impl Exec<'_> {
                 });
             }
         }
+        let all = every_row(t);
         if int_preds.is_empty() && str_preds.is_empty() {
-            return Ok((None, access_path));
+            return Ok((all, access_path));
         }
         // Zone maps first (prune whole units, or skip tautological
         // predicates), then the compressed column is scanned in place —
@@ -1199,12 +1200,12 @@ impl Exec<'_> {
         // delta chunk is a unit of its own, so an oversized
         // (merge-disabled) delta still parallelizes.
         let (mut sels, scan_profile) =
-            self.run_units(t, None, |unit, _| self.eval(unit, &int_preds, &str_preds));
+            self.run_units(t, &all, |unit, _| self.eval(unit, &int_preds, &str_preds));
         self.profile += scan_profile;
         // A cancelled scan covered only some units; the caller discards
         // the stage's output, but it still gets one entry per unit.
         sels.resize_with(t.store_count(), Selection::none);
-        Ok((Some(sels), access_path))
+        Ok((sels, access_path))
     }
 
     /// Index path: point re-checks of the remaining predicates per
@@ -1242,50 +1243,23 @@ impl Exec<'_> {
     /// dictionary per column; the stats bill what each store path
     /// actually did (streamed encoded bytes, per-cell cursor reads, one
     /// first-touch read per distinct string).
-    fn gather(
-        &mut self,
-        t: &TableSnapshot,
-        query: &Query,
-        sels: Option<&[Selection<'_>]>,
-    ) -> DbResult<Chunk> {
+    fn gather(&mut self, t: &TableSnapshot, query: &Query, sels: &[Selection<'_>]) -> DbResult<Chunk> {
         let names: Vec<String> = match &query.select {
             Some(cols) => cols.clone(),
             None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
         };
-        let all;
-        let sels = match sels {
-            Some(sels) => sels,
-            None => {
-                all = every_row(t);
-                &all
-            }
-        };
-        let (cols, stats) =
-            gather_units(t, &names, sels, None, |k, share| self.dispatch_shares(t, k, share))?;
+        let (cols, stats) = gather_units(t, &names, sels, None, |k, share| self.shares(t, k, share))?;
         let chunk = Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("projection: {e}")))?;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64);
         self.bill_gather(&stats);
         Ok(chunk)
     }
 
-    /// The gather's dispatch: runs `t`'s `k` shares (one per unit holding
-    /// a row) by the rule every stage shares ([`Exec::pooled`]) — one
-    /// gate permit and one cancel poll per share — and returns their
-    /// bills in share order. A cancelled gather bills the shares that ran
-    /// and stops.
-    fn dispatch_shares(
-        &mut self,
-        t: &TableSnapshot,
-        k: usize,
-        share: ShareFn<'_>,
-    ) -> DbResult<Vec<GatherStats>> {
-        let parts = if self.pooled(k, t.rows()) {
-            self.pool_units(k, share)
-        } else {
-            let mut parts = Vec::with_capacity(k);
-            self.serial(k, |s| parts.push(share(s)));
-            parts
-        };
+    /// Runs `t`'s `k` gather shares (one per unit holding a row) through
+    /// [`Exec::dispatch`] and returns their bills in share order. A
+    /// cancelled gather bills the shares that ran and stops.
+    fn shares(&mut self, t: &TableSnapshot, k: usize, share: ShareFn<'_>) -> DbResult<Vec<GatherStats>> {
+        let parts = self.dispatch(k, t.rows(), share);
         if self.opts.is_cancelled() {
             self.bill_gather(&total(parts.iter().copied()));
             self.check_cancelled()?;
@@ -1311,7 +1285,7 @@ impl Exec<'_> {
         query: &Query,
         kind: AggKind,
         value_col: &str,
-        sels: Option<&[Selection<'_>]>,
+        sels: &[Selection<'_>],
     ) -> DbResult<Chunk> {
         // COUNT counts rows: its column only has to exist.
         let vidx = match kind {
@@ -1654,7 +1628,7 @@ impl Exec<'_> {
     ) -> DbResult<Vec<(String, Column)>> {
         let cells = (rows.len() * names.len()) as u64;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
-        let (cols, stats) = gather_list(t, names, rows, |k, share| self.dispatch_shares(t, k, share))?;
+        let (cols, stats) = gather_list(t, names, rows, |k, share| self.shares(t, k, share))?;
         self.bill_gather(&stats);
         Ok(cols)
     }
@@ -1755,34 +1729,21 @@ impl Exec<'_> {
         }
     }
 
-    /// Runs `eval` over every execution unit of `t` with a surviving row
-    /// (every unit when `sels` is `None`), handing each unit its own
-    /// [`Selection`], and returns the units' results in unit order with
-    /// their summed bills. Every stage but the gather goes through here,
-    /// and the gather dispatches its shares — one per unit holding a row
-    /// — by the same rule ([`Exec::pooled`]) on the same two paths, so
-    /// stages can never disagree on unit granularity.
+    /// Runs `eval` over every execution unit of `t` with a surviving row,
+    /// handing each unit its own [`Selection`], and returns the units'
+    /// results in unit order with their summed bills. Every stage but the
+    /// gather goes through here, and the gather runs its shares — one per
+    /// unit holding a row — through the same [`Exec::dispatch`], so stages
+    /// can never disagree on unit granularity.
     fn run_units<R: Send>(
         &self,
         t: &TableSnapshot,
-        sels: Option<&[Selection<'_>]>,
+        sels: &[Selection<'_>],
         eval: impl Fn(&Unit<'_>, &Selection<'_>) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
-        let eval = |u| {
-            let unit = Unit::of(t, u);
-            match sels {
-                None => Some(eval(&unit, &Selection::all(unit.rows))),
-                Some(sels) => (sels[u].n > 0).then(|| eval(&unit, &sels[u])),
-            }
-        };
-        let units = t.store_count();
-        let parts = if self.pooled(units, t.rows()) {
-            self.pool_units(units, eval)
-        } else {
-            let mut parts = Vec::with_capacity(units);
-            self.serial(units, |u| parts.push(eval(u)));
-            parts
-        };
+        let parts = self.dispatch(t.store_count(), t.rows(), |u| {
+            (sels[u].n > 0).then(|| eval(&Unit::of(t, u), &sels[u]))
+        });
         let mut out = Vec::with_capacity(parts.len());
         let mut profile = ResourceProfile::default();
         for (r, p) in parts.into_iter().flatten() {
@@ -1792,44 +1753,36 @@ impl Exec<'_> {
         (out, profile)
     }
 
-    /// The dispatch rule every stage shares: `units` units of a table of
-    /// `rows` rows run as morsels over the shared worker pool when the
-    /// query carries an explicit parallelism grant (`opts.dop > 0`), or
-    /// from [`PARALLEL_SCAN_ROWS`] table rows on the default path — and
-    /// only when there are two units or more to share.
-    fn pooled(&self, units: usize, rows: usize) -> bool {
-        units > 1 && self.dop() > 1 && (self.opts.dop > 0 || rows >= PARALLEL_SCAN_ROWS)
-    }
-
-    /// The degree of parallelism: the grant, or the cached
-    /// construction-time default — never a per-query OS call.
-    fn dop(&self) -> usize {
-        if self.opts.dop > 0 {
-            self.opts.dop
-        } else {
-            self.db.default_dop
+    /// The one dispatch: runs `eval` over units `0..units` of a table of
+    /// `rows` rows and returns the results in unit order — over the shared
+    /// worker pool, one unit per morsel, where [`Exec::pooled`] says so;
+    /// else inline, in order, on the calling thread. Either way each unit
+    /// holds one gate permit while it runs, so the fleet-wide in-flight
+    /// accounting a server's energy cap relies on stays exact for *every*
+    /// admitted query, and the cancel token is polled before each unit: a
+    /// cancelled dispatch returns the results of the units that ran.
+    fn dispatch<R: Send>(&self, units: usize, rows: usize, eval: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        if !self.pooled(units, rows) {
+            let mut parts = Vec::with_capacity(units);
+            for u in 0..units {
+                if self.opts.is_cancelled() {
+                    break;
+                }
+                let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
+                parts.push(eval(u));
+            }
+            return parts;
         }
-    }
-
-    /// Runs `eval` over unit indices `0..units` on the worker pool and
-    /// returns the per-unit results in unit order. Every unit holds one
-    /// gate permit while it runs, and the cancel token is polled between
-    /// morsels.
-    fn pool_units<R: Send>(&self, units: usize, eval: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        // Above one segment's worth of rows per morsel, batch whole
-        // units per dispenser grab; below, one morsel = one unit (a main
-        // segment is the finest unit storage defines).
-        let units_per_grab = (self.opts.morsel_rows.max(1) / crate::segment::SEGMENT_ROWS).max(1);
         let spec = RunSpec {
             dop: self.dop().min(units),
-            morsel_rows: units_per_grab,
+            morsel_rows: 1,
             gate: self.opts.gate.as_deref(),
             cancel: self.opts.cancel.as_ref(),
         };
         let mut parts = self.db.pool().run(
             units,
             spec,
-            |m| (m.start..m.end).map(|u| (u, eval(u))).collect::<Vec<_>>(),
+            |m| vec![(m.start, eval(m.start))],
             |mut a: Vec<(usize, R)>, b| {
                 a.extend(b);
                 a
@@ -1840,18 +1793,20 @@ impl Exec<'_> {
         parts.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Runs `eval` over unit indices `0..units` on the calling thread, in
-    /// order. Each unit still holds one gate permit, so the fleet-wide
-    /// in-flight accounting a server's energy cap relies on stays exact
-    /// for *every* admitted query, and the cancel token is polled per
-    /// unit, matching the pooled path's one-morsel cancellation latency.
-    fn serial(&self, units: usize, mut eval: impl FnMut(usize)) {
-        for u in 0..units {
-            if self.opts.is_cancelled() {
-                break;
-            }
-            let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
-            eval(u);
+    /// The rule [`Exec::dispatch`] branches on: `units` units of a table of
+    /// `rows` rows share the pool when there are two or more and the query
+    /// carries a parallelism grant (`opts.dop > 0`) or, on the default
+    /// path, reaches [`PARALLEL_SCAN_ROWS`] table rows.
+    fn pooled(&self, units: usize, rows: usize) -> bool {
+        units > 1 && self.dop() > 1 && (self.opts.dop > 0 || rows >= PARALLEL_SCAN_ROWS)
+    }
+
+    /// The grant, or the cached default — never a per-query OS call.
+    fn dop(&self) -> usize {
+        if self.opts.dop > 0 {
+            self.opts.dop
+        } else {
+            self.db.default_dop
         }
     }
 
@@ -2280,7 +2235,7 @@ mod tests {
             let opts = ExecOpts { dop, cancel: Some(fired.clone()), ..ExecOpts::default() };
             let mut ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
             let before = meter();
-            let out = ex.gather(&t, &Query::scan("t"), None);
+            let out = ex.gather(&t, &Query::scan("t"), &every_row(&t));
             assert!(matches!(out, Err(DbError::Cancelled { .. })), "dop {dop}: {out:?}");
             assert_eq!(ex.profile, ResourceProfile::default(), "dop {dop}: no share ran");
             let out = ex.gather_join_side(&t, &names, &rows);

@@ -296,7 +296,7 @@ fn pool_fault_propagates_and_pool_stays_reusable() {
     };
     assert!(delta_stores >= 2, "{delta_stores} delta store(s): the query would run serially");
     let meter_before = db.meter().grand_total().joules();
-    let opts = ExecOpts { dop: 4, morsel_rows: 64, gate: None, cancel: None };
+    let opts = ExecOpts { dop: 4, gate: None, cancel: None };
 
     // `pool::dispatch` fires on the first morsel grab of whichever unit
     // runs first (the caller-runs inline unit guarantees one exists);
@@ -349,7 +349,7 @@ fn pooled_projection_fault_propagates_and_pool_stays_reusable() {
     // failpoints fire inside it — four delta stores, four shares.
     let rows = 3 * DELTA_CHUNK_ROWS + 7;
     let db = seeded_db(0, rows as i64);
-    let opts = ExecOpts { dop: 4, morsel_rows: 64, gate: None, cancel: None };
+    let opts = ExecOpts { dop: 4, gate: None, cancel: None };
     let q = Query::scan("t").select(["amount", "id"]);
     let check = |out: QueryResult| {
         let ids: Vec<i64> = (0..rows as i64).collect();

@@ -139,7 +139,7 @@ fn total_rows(ops: &[Op]) -> usize {
 
 proptest! {
     /// The centerpiece: four pooled readers (each with a different
-    /// parallelism grant and morsel size) race an insert+merge writer
+    /// parallelism grant) race an insert+merge writer
     /// over one shared 8-worker pool. Every snapshot answers exactly as
     /// the serial prefix reference dictates, and the pool never creates
     /// a thread while the race runs.
@@ -174,14 +174,8 @@ proptest! {
                     let db = &db;
                     let reference = &reference;
                     // Different grants per reader: serial, half the
-                    // pool, the whole pool, oversubscribed — with
-                    // morsel sizes from minimum to default.
-                    let opts = ExecOpts {
-                        dop: [1, 4, 8, 12][reader],
-                        morsel_rows: [1024, 4096, 16 * 1024, 2048][reader],
-                        gate: None,
-                        cancel: None,
-                    };
+                    // pool, the whole pool, oversubscribed.
+                    let opts = ExecOpts::with_dop([1, 4, 8, 12][reader]);
                     scope.spawn(move || {
                         let mut last_n = 0usize;
                         let mut iterations = 0usize;
@@ -236,7 +230,7 @@ proptest! {
             db.merge("t").unwrap();
         }
         let gate = MorselGate::new(1);
-        let opts = ExecOpts { dop: WORKERS, morsel_rows: 1024, gate: Some(Arc::clone(&gate)), cancel: None };
+        let opts = ExecOpts { dop: WORKERS, gate: Some(Arc::clone(&gate)), cancel: None };
         reference.check(&db.begin_snapshot(), &opts, "gated");
         prop_assert!(gate.high_water() <= 1, "budget-1 gate admitted {} concurrent morsels", gate.high_water());
         prop_assert_eq!(gate.inflight(), 0, "all permits returned");
@@ -244,7 +238,9 @@ proptest! {
 }
 
 /// Every grant level answers identically on a mixed main+delta table —
-/// the dop-1 serial path is the reference for the pooled paths.
+/// the dop-1 serial path is the reference for the pooled paths — with
+/// no gate and behind a budget-1 gate that never admits two units at
+/// once.
 #[test]
 fn all_grant_levels_agree() {
     let db = make_db();
@@ -258,9 +254,13 @@ fn all_grant_levels_agree() {
     }
     let reference = Reference::new((rows + 2_500) as usize);
     for dop in [1, 2, WORKERS, 2 * WORKERS] {
-        for morsel_rows in [1024, 16 * 1024, 64 * 1024] {
-            let opts = ExecOpts { dop, morsel_rows, gate: None, cancel: None };
-            reference.check(&db.begin_snapshot(), &opts, &format!("dop={dop} morsel={morsel_rows}"));
+        for gate in [None, Some(MorselGate::new(1))] {
+            let opts = ExecOpts { dop, gate: gate.clone(), cancel: None };
+            reference.check(&db.begin_snapshot(), &opts, &format!("dop={dop} gated={}", gate.is_some()));
+            if let Some(gate) = gate {
+                assert!(gate.high_water() <= 1, "dop={dop}: budget-1 gate admitted {}", gate.high_water());
+                assert_eq!(gate.inflight(), 0, "dop={dop}: all permits returned");
+            }
         }
     }
 }

@@ -14,11 +14,14 @@
 //! * **Synchronization spectrum** — [`agg`] implements parallel grouped
 //!   aggregation under mutex / atomic / optimistic (TSX-analogue) /
 //!   partitioned strategies (experiment E4).
-//! * **Morsel-driven parallelism** — [`morsel`] load-balances row ranges
-//!   over real threads; [`pool`] hosts them on one persistent shared
-//!   [`pool::WorkerPool`] whose per-query parallelism grant and
+//! * **Morsel-driven parallelism** — [`morsel`] load-balances a job's
+//!   morsels over real threads; [`pool`] hosts them on one persistent
+//!   shared [`pool::WorkerPool`] whose per-query parallelism grant and
 //!   fleet-wide in-flight budget ([`pool::MorselGate`]) are the knobs
-//!   the energy governor turns.
+//!   the energy governor turns. The `haecdb` engine's morsel is a store
+//!   (a main segment or a delta chunk); row-range morsels remain for
+//!   [`pool::WorkerPool::run`]'s other callers (kernel probes and
+//!   experiments).
 //! * **Joins** — [`join`] provides hash and sort-merge equi-joins.
 //! * **Metering** — the selection kernels report [`metrics::OpStats`]
 //!   with a [`haec_energy::ResourceProfile`]

@@ -1,18 +1,17 @@
 //! Morsel-driven parallelism: a work-stealing-style range dispatcher
 //! over real OS threads.
 //!
-//! Queries are broken into small row ranges ("morsels"); idle workers
+//! A job's domain is broken into small ranges ("morsels"); idle workers
 //! grab the next morsel from a shared atomic cursor, which load-balances
 //! skewed per-row costs automatically — the end-to-end parallelism the
 //! paper demands "from the query language level down to the execution
 //! runtime". Execution happens on the persistent shared
 //! [`crate::pool::WorkerPool`], whose `run` hands each job a
-//! [`MorselDispenser`].
+//! [`MorselDispenser`] sized by the caller: the `haecdb` engine's
+//! domain is its stores, one store per morsel; row-range callers pick
+//! their own morsel size.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
-
-/// Default morsel size in rows (≈ several L1 caches of i64).
-pub const DEFAULT_MORSEL_ROWS: usize = 16 * 1024;
 
 /// A contiguous row range `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,12 +43,7 @@ pub struct MorselDispenser {
 }
 
 impl MorselDispenser {
-    /// Creates a dispenser over `total` rows with the default morsel size.
-    pub fn new(total: usize) -> Self {
-        MorselDispenser::with_morsel_rows(total, DEFAULT_MORSEL_ROWS)
-    }
-
-    /// Creates a dispenser with an explicit morsel size.
+    /// Creates a dispenser over `total` rows, `morsel_rows` per grab.
     ///
     /// # Panics
     ///
@@ -92,7 +86,7 @@ mod tests {
 
     #[test]
     fn dispenser_empty_domain() {
-        let d = MorselDispenser::new(0);
+        let d = MorselDispenser::with_morsel_rows(0, 1);
         assert_eq!(d.next_morsel(), None);
     }
 

@@ -41,7 +41,7 @@
 //! scoped jobs on a persistent pool.
 
 use crate::cancel::CancelToken;
-use crate::morsel::{Morsel, MorselDispenser, DEFAULT_MORSEL_ROWS};
+use crate::morsel::{Morsel, MorselDispenser};
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -174,32 +174,19 @@ impl Drop for MorselPermit<'_> {
 
 /// Per-query execution knobs: the surface the query server's governor
 /// grant travels through to reach the engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecOpts {
     /// Degree of parallelism: how many units (caller + pool workers)
     /// may serve this query. `0` means "engine default" (the pool
     /// width, capped by the machine model); an explicit value also opts
     /// the query into pooled dispatch regardless of table size.
     pub dop: usize,
-    /// Target morsel size in rows. An execution unit is a store the
-    /// storage layer defines — a compressed main segment or a delta
-    /// chunk, both atomic — so this only decides, above one segment's
-    /// worth of rows, how many units are batched per dispenser grab.
-    /// Smaller morsels interleave concurrent queries more fairly under
-    /// contention; larger ones amortize dispatch.
-    pub morsel_rows: usize,
     /// Fleet-wide in-flight morsel budget this query must respect,
     /// shared with every other query admitted by the same server.
     pub gate: Option<Arc<MorselGate>>,
     /// Cooperative cancel/deadline signal, polled at every morsel
     /// boundary; `None` means the query runs to completion.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts { dop: 0, morsel_rows: DEFAULT_MORSEL_ROWS, gate: None, cancel: None }
-    }
 }
 
 impl ExecOpts {

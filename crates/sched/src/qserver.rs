@@ -14,8 +14,9 @@
 //!    `retry_after` hint (bounded queues and honest hints beat
 //!    unbounded latency collapse);
 //! 2. asks the governor for a decision over the machine's real P-state
-//!    table, translated into a per-query **morsel-parallelism grant**
-//!    (see `QueryServer::grant` for the mapping);
+//!    table, translated into a per-query **parallelism grant** over the
+//!    query's stores, one store per morsel (see `QueryServer::grant`
+//!    for the mapping);
 //! 3. pins an MVCC snapshot ([`Database::begin_snapshot`]) so the query
 //!    reads one consistent cut while writers keep inserting/merging;
 //! 4. executes on the shared worker pool via
@@ -64,19 +65,11 @@ pub struct QueryServerConfig {
     /// Bounded admission queue beyond `max_concurrent`; `0` restores
     /// instant-reject admission control.
     pub max_queued: usize,
-    /// Base morsel size granted when the server is uncontended; grants
-    /// shrink it as concurrency rises so queries interleave fairly.
-    pub morsel_rows: usize,
 }
 
 impl Default for QueryServerConfig {
     fn default() -> Self {
-        QueryServerConfig {
-            governor: GovernorPolicy::RaceToIdle,
-            max_concurrent: 256,
-            max_queued: 0,
-            morsel_rows: haec_exec::morsel::DEFAULT_MORSEL_ROWS,
-        }
+        QueryServerConfig { governor: GovernorPolicy::RaceToIdle, max_concurrent: 256, max_queued: 0 }
     }
 }
 
@@ -159,8 +152,6 @@ pub struct ServedQuery {
     pub result: QueryResult,
     /// Parallelism the governor granted this query.
     pub dop: usize,
-    /// Morsel size the query ran with.
-    pub morsel_rows: usize,
     /// End-to-end latency inside the server (admission to result).
     pub latency: Duration,
 }
@@ -365,9 +356,10 @@ impl QueryServer {
     /// divided evenly among active queries — race-to-idle grants the
     /// whole pool, pace-to-deadline proportionally less the slower its
     /// chosen P-state, energy-cap whatever core count fit the budget.
-    /// Morsels shrink as concurrency rises so grants interleave
-    /// fairly, and under `EnergyCap` the shared gate re-targets to the
-    /// measured-power budget and rides along in the options. A
+    /// The grant is the whole of it: a query's morsel is one of its
+    /// stores whatever the load, so concurrent grants interleave store
+    /// by store. Under `EnergyCap` the shared gate re-targets to the
+    /// measured-power budget and rides along in the options; a
     /// tightening budget additionally sheds that many queued queries,
     /// lowest priority first — less capacity should mean less queued
     /// work, not a longer stall.
@@ -392,9 +384,6 @@ impl QueryServer {
             table.state(d.pstate).frequency().hertz() / table.state(table.fastest()).frequency().hertz();
         let throughput_cores = (d.core_cap as f64 * freq_ratio).max(1.0);
         let dop = ((throughput_cores / active.max(1) as f64).round() as usize).clamp(1, workers);
-        // Shrink morsels as concurrency rises: finer units interleave
-        // concurrent queries more fairly on the shared pool.
-        let morsel_rows = (self.cfg.morsel_rows / active.max(1)).max(1);
 
         let gate = match self.cfg.governor {
             GovernorPolicy::EnergyCap(cap) => {
@@ -413,7 +402,7 @@ impl QueryServer {
             }
             _ => None,
         };
-        ExecOpts { dop, morsel_rows, gate, cancel: None }
+        ExecOpts { dop, gate, cancel: None }
     }
 
     /// Admits, grants, pins and executes one query with default options
@@ -515,7 +504,7 @@ impl QueryServer {
             );
         }
         Self::lock(&self.done).push((latency, result.energy));
-        Ok(ServedQuery { result, dop: opts.dop, morsel_rows: opts.morsel_rows, latency })
+        Ok(ServedQuery { result, dop: opts.dop, latency })
     }
 
     /// A snapshot of the server's lifetime counters.
