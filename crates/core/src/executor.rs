@@ -27,11 +27,18 @@
 //! own, a delta chunk a view its first reader built (`crate::delta`) —
 //! so:
 //!
-//! * the **predicate kernel** ([`Exec::eval`]) consults the column's
-//!   zone first — a unit whose zone excludes a predicate is skipped,
-//!   neither read nor billed; one whose zone satisfies it skips the
-//!   scan — then bisects a sort key or scans the encoded column in place
-//!   into 64-bit match words;
+//! * every predicate — integer or string, the scan's or an index
+//!   lookup's leftover — is one [`Pred`], resolved once per unit
+//!   ([`Pred::on`]): the unit's schema, dictionary or zone may decide it
+//!   without reading a cell (a pruned unit is neither read nor billed, a
+//!   tautology skips the read), else it is `cell op literal` on the
+//!   unit's encoded column, a string's literal being its code in the
+//!   unit's code space;
+//! * the **predicate kernel** ([`Exec::eval`]) then bisects a sort key
+//!   or scans the encoded column in place into 64-bit match words. The
+//!   index path's leftover predicates are a unit stage of their own
+//!   ([`Exec::eval_ids`]), dispatched like every stage: [`walk`] keeps
+//!   each unit's looked-up ids whose cell matches;
 //! * the **column view** ([`UnitCol`]) is what a unit's column looks
 //!   like to everything downstream of the filters. Aggregation, join-key
 //!   streaming and the gather's cell loop are written once against that
@@ -39,15 +46,16 @@
 //!   selection — *all rows* and *dense* selections stream 64-row blocks
 //!   (`EncodedInts::blocks`) against the selection's match words,
 //!   *sparse* and positional ones read their rows one by one through
-//!   forward cursors — the only readers of an encoded column in this
-//!   crate. Folds and joins bill what the walk touched; the gather keeps
-//!   its own bill by the same regime test (a streamed share pays its
-//!   whole store).
+//!   forward cursors. On the query path these readers and the predicate
+//!   kernel are the only readers of an encoded column — no per-row point
+//!   read. Folds and joins bill what the walk touched; the gather and the
+//!   index stage keep their own bills (a streamed gather share pays its
+//!   whole store; an index check pays per id checked).
 //!
 //! What differs by store is only which dictionary a string code indexes
 //! ([`CodeSpace`]: the table-global one for segments, the delta-wide one
-//! for chunks), resolved once per unit by string predicates, key
-//! translations and the gather.
+//! for chunks), resolved once per unit by predicates, key translations
+//! and the gather.
 
 use crate::db::{
     Database, Filter, IndexEntry, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS,
@@ -76,23 +84,54 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
-/// An integer predicate resolved to a column index.
-#[derive(Clone, Copy)]
-struct IntPred {
+/// A filter resolved to a column index: an integer filter's `op
+/// literal`, or a string filter as `Eq` / `Ne` on the value's code.
+struct Pred {
     col: usize,
     op: CmpOp,
-    literal: i64,
+    /// The literal per [`CodeSpace`]: an integer filter's in both, a
+    /// string's code in each dictionary (`None` where it was never
+    /// interned).
+    lits: [Option<i64>; 2],
+    /// Whether the null sentinel (0, or `""`) satisfies the predicate —
+    /// every cell of a store that predates the column.
+    on_null: bool,
+    /// Bytes a check of one row reads: an integer cell, or a code.
+    cell_bytes: u64,
 }
 
-/// A string predicate resolved to the value's code in each code space,
-/// indexed by [`CodeSpace`] (`None` where that dictionary never
-/// interned it).
-#[derive(Clone)]
-struct StrPred {
-    col: usize,
-    value: String,
-    codes: [Option<i64>; 2],
-    negated: bool,
+/// A [`Pred`] as one unit sees it.
+enum UnitPred<'a> {
+    /// Decided without reading a cell: the store predates the column,
+    /// the string is not in the unit's dictionary, or the unit's zone
+    /// excludes (`false`) or satisfies (`true`) every row.
+    Const(bool),
+    /// `cell op lit` over the unit's encoded column.
+    Col(&'a EncodedInts, CmpOp, i64),
+}
+
+impl Pred {
+    /// The one resolution of a predicate against a unit — the scan's and
+    /// the index path's alike.
+    fn on<'a>(&self, unit: &Unit<'a>) -> UnitPred<'a> {
+        let (data, zone) = match unit.col(self.col) {
+            None => return UnitPred::Const(self.on_null),
+            Some(SegColumn::Int { data, zone, .. } | SegColumn::Str { codes: data, zone }) => (data, zone),
+            // INVARIANT: `resolve_preds` validated every predicate column
+            // as `Int64` or `Str`.
+            Some(SegColumn::Float(_)) => unreachable!("predicate validated as integer or string column"),
+        };
+        // A value never interned in this code space: `=` matches
+        // nothing, `<>` everything.
+        let Some(lit) = self.lits[unit.store.code_space() as usize] else {
+            return UnitPred::Const(self.op == CmpOp::Ne);
+        };
+        match *zone {
+            Some((lo, hi)) if !zone_may_match(self.op, lit, lo, hi) => UnitPred::Const(false),
+            Some((lo, hi)) if zone_all_match(self.op, lit, lo, hi) => UnitPred::Const(true),
+            _ => UnitPred::Col(data, self.op, lit),
+        }
+    }
 }
 
 /// What to compute per execution unit.
@@ -1098,8 +1137,7 @@ impl Exec<'_> {
         str_filters: &[StrFilter],
         planned: Option<&Query>,
     ) -> DbResult<(Vec<Selection<'static>>, Option<AccessPath>)> {
-        let int_preds = resolve_int_preds(t, table, filters)?;
-        let str_preds = resolve_str_preds(t, table, str_filters)?;
+        let preds = resolve_preds(t, table, filters, str_filters)?;
         let mut access_path = None;
         if let Some((query, first)) = planned.zip(filters.first()) {
             let key = (table.to_string(), first.column.clone());
@@ -1174,14 +1212,22 @@ impl Exec<'_> {
                     self.profile.cpu_cycles +=
                         self.db.costs.cycles_for(Kernel::IndexLookup, pos.len().max(1) as u64);
                     self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
-                    self.recheck(t, &mut pos, &int_preds[1..], &str_preds);
-                    // Hand each unit its run of the (few) row ids.
-                    let sels =
-                        split_ids(t, &pos).map(|ids| Selection::ids(ids.to_vec().into(), false)).collect();
-                    return Ok((sels, Some(AccessPath::IndexLookup)));
+                    // Hand each unit its run of the (few) row ids; the
+                    // leftover predicates check them in place, unit by
+                    // unit, and the survivors are cut again.
+                    let cut = |ids: &[u32]| -> Vec<Selection<'static>> {
+                        split_ids(t, ids).map(|ids| Selection::ids(ids.to_vec().into(), false)).collect()
+                    };
+                    if preds.len() > 1 {
+                        let (kept, profile) =
+                            self.run_units(t, &cut(&pos), |unit, sel| self.eval_ids(unit, sel, &preds[1..]));
+                        self.profile += profile;
+                        pos = kept.concat();
+                    }
+                    return Ok((cut(&pos), Some(AccessPath::IndexLookup)));
                 }
                 // The scan below realizes a sorted-layout plan:
-                // `eval_segment`'s sort-key fast path binary-searches
+                // `eval`'s sort-key fast path binary-searches
                 // each sorted segment and emits the surviving row range.
                 access_path = Some(if pick == 2 && decision.sorted_cost.is_some() {
                     AccessPath::ZoneBinarySearch
@@ -1191,7 +1237,7 @@ impl Exec<'_> {
             }
         }
         let all = every_row(t);
-        if int_preds.is_empty() && str_preds.is_empty() {
+        if preds.is_empty() {
             return Ok((all, access_path));
         }
         // Zone maps first (prune whole units, or skip tautological
@@ -1199,41 +1245,12 @@ impl Exec<'_> {
         // store data is **never decoded** for predicate evaluation. Every
         // delta chunk is a unit of its own, so an oversized
         // (merge-disabled) delta still parallelizes.
-        let (mut sels, scan_profile) =
-            self.run_units(t, &all, |unit, _| self.eval(unit, &int_preds, &str_preds));
+        let (mut sels, scan_profile) = self.run_units(t, &all, |unit, _| self.eval(unit, &preds));
         self.profile += scan_profile;
         // A cancelled scan covered only some units; the caller discards
         // the stage's output, but it still gets one entry per unit.
         sels.resize_with(t.store_count(), Selection::none);
         Ok((sels, access_path))
-    }
-
-    /// Index path: point re-checks of the remaining predicates per
-    /// surviving row, billing the rows *inspected* (pre-retain), not
-    /// the rows that survive.
-    fn recheck(
-        &mut self,
-        t: &TableSnapshot,
-        pos: &mut Vec<u32>,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-    ) {
-        for p in int_preds {
-            let inspected = pos.len() as u64;
-            pos.retain(|&r| {
-                p.op.eval(t.get_int(p.col, r as usize).expect("validated int column"), p.literal)
-            });
-            self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectPredicated, inspected);
-            self.profile.dram_read += ByteCount::new(inspected * 8);
-        }
-        for p in str_preds {
-            let inspected = pos.len() as u64;
-            pos.retain(|&r| {
-                t.str_eq(p.col, r as usize, &p.value).expect("validated str column") != p.negated
-            });
-            self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectPredicated, inspected);
-            self.profile.dram_read += ByteCount::new(inspected * 4);
-        }
     }
 
     /// The gather stage of a single-table query: materializes only the
@@ -1812,12 +1829,7 @@ impl Exec<'_> {
 
     /// The predicate kernel: one unit's predicates, on its compressed
     /// columns — a segment's, or a delta chunk's views.
-    fn eval(
-        &self,
-        unit: &Unit<'_>,
-        int_preds: &[IntPred],
-        str_preds: &[StrPred],
-    ) -> (Selection<'static>, ResourceProfile) {
+    fn eval(&self, unit: &Unit<'_>, preds: &[Pred]) -> (Selection<'static>, ResourceProfile) {
         let rows = unit.rows;
         let mut profile = ResourceProfile::default();
         let mut bm: Option<Bitmap> = None;
@@ -1827,28 +1839,27 @@ impl Exec<'_> {
         // full-column scan, and the survivors come out as a range, not a
         // per-row hit vector. Every other predicate intersects with this
         // range when the selection is assembled.
-        let mut range = (0usize, rows);
-        // One encoded column against `value op lit`, zone first: `false`
-        // when no row can match.
-        let mut pred = |col: usize, data: &EncodedInts, zone: Option<(i64, i64)>, op: CmpOp, lit: i64| {
-            if let Some((lo, hi)) = zone {
-                if !zone_may_match(op, lit, lo, hi) {
-                    return false; // pruned: no data touched
-                }
-                if zone_all_match(op, lit, lo, hi) {
-                    return true; // tautology on this unit: no scan needed
-                }
-            }
-            if unit.store.sorted_by() == Some(col) {
+        let mut range = 0..rows;
+        for p in preds {
+            let (data, op, lit) = match p.on(unit) {
+                // A tautology on this unit: no scan needed.
+                UnitPred::Const(true) => continue,
+                // Pruned: no data touched.
+                UnitPred::Const(false) => return (Selection::none(), profile),
+                UnitPred::Col(data, op, lit) => (data, op, lit),
+            };
+            if unit.store.sorted_by() == Some(p.col) {
                 let mut probes = 0u64;
                 if let Some((s, e)) = data.sorted_range(op, lit, &mut probes) {
-                    range.0 = range.0.max(s);
-                    range.1 = range.1.min(e);
+                    range = range.start.max(s)..range.end.min(e);
                     // Each probe touches ~one cache line of the encoded
                     // column.
                     profile.cpu_cycles += self.db.costs.cycles_for(Kernel::IndexLookup, probes);
                     profile.dram_read += ByteCount::new(probes * 64);
-                    return range.0 < range.1;
+                    if range.is_empty() {
+                        return (Selection::none(), profile);
+                    }
+                    continue;
                 } // Ne: not contiguous, scan instead
             }
             let mut m = Bitmap::zeros(rows);
@@ -1856,44 +1867,36 @@ impl Exec<'_> {
             profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectBitwise, rows as u64);
             profile.dram_read += ByteCount::new(data.size_bytes() as u64);
             and_into(&mut bm, m);
-            true
-        };
-        for p in int_preds {
-            let live = match unit.col(p.col) {
-                // The store predates the column: every row holds the null
-                // sentinel 0.
-                None => p.op.eval(0, p.literal),
-                Some(SegColumn::Int { data, zone, .. }) => pred(p.col, data, *zone, p.op, p.literal),
-                // INVARIANT: `resolve_int_preds` validated every predicate
-                // column as `Int64`.
-                Some(_) => unreachable!("predicate validated as integer column"),
-            };
-            if !live {
-                return (Selection::none(), profile);
-            }
         }
-        for p in str_preds {
-            let live = match unit.col(p.col) {
-                // Sentinel "" everywhere.
-                None => p.value.is_empty() != p.negated,
-                Some(SegColumn::Str { codes, zone }) => match p.codes[unit.store.code_space() as usize] {
-                    Some(code) => {
-                        let op = if p.negated { CmpOp::Ne } else { CmpOp::Eq };
-                        pred(p.col, codes, *zone, op, code)
-                    }
-                    // Value never interned in this code space: `=` matches
-                    // nothing, `<>` everything.
-                    None => p.negated,
-                },
-                // INVARIANT: `resolve_str_preds` validated every predicate
-                // column as `Str`.
-                Some(_) => unreachable!("predicate validated as string column"),
+        (Selection::of(bm, range, rows), profile)
+    }
+
+    /// The index path's leftover predicates on one unit's share of the
+    /// looked-up row ids, returning the ids that pass. Each predicate is
+    /// resolved as the scan resolves it — a unit its schema, dictionary
+    /// or zone decides costs nothing — else [`walk`]'s readers keep the
+    /// ids whose cell matches, billed per id checked.
+    fn eval_ids(&self, unit: &Unit<'_>, sel: &Selection<'_>, preds: &[Pred]) -> (Vec<u32>, ResourceProfile) {
+        let mut profile = ResourceProfile::default();
+        let mut kept = Vec::with_capacity(sel.n);
+        sel.for_each(unit, |row| kept.push((unit.base + row) as u32));
+        for p in preds {
+            let (data, op, lit) = match p.on(unit) {
+                UnitPred::Const(true) => continue,
+                UnitPred::Const(false) => return (Vec::new(), profile),
+                UnitPred::Col(data, op, lit) => (data, op, lit),
             };
-            if !live {
-                return (Selection::none(), profile);
-            }
+            let checked = Selection::ids(std::mem::take(&mut kept).into(), false);
+            walk(unit, UnitCol::Enc(data, None), UnitCol::Const(0), &checked, |cell, _, row| {
+                if op.eval(cell, lit) {
+                    kept.push(row);
+                }
+            });
+            let n = checked.n as u64;
+            profile.cpu_cycles += self.db.costs.cycles_for(Kernel::SelectPredicated, n);
+            profile.dram_read += ByteCount::new(n * p.cell_bytes);
         }
-        (Selection::of(bm, range.0..range.1, rows), profile)
+        (kept, profile)
     }
 }
 
@@ -2037,29 +2040,30 @@ fn check_int_column(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usiz
     Ok(idx)
 }
 
-fn resolve_int_preds(t: &TableSnapshot, table: &str, filters: &[Filter]) -> DbResult<Vec<IntPred>> {
-    filters
-        .iter()
-        .map(|f| {
-            let col = check_int_column(t, table, &f.column)?;
-            Ok(IntPred { col, op: f.op, literal: f.literal })
-        })
-        .collect()
-}
-
-fn resolve_str_preds(t: &TableSnapshot, table: &str, filters: &[StrFilter]) -> DbResult<Vec<StrPred>> {
-    filters
-        .iter()
-        .map(|f| {
-            let col = column_position(t, table, &f.column)?;
-            if t.schema().columns()[col].1 != DataType::Str {
-                return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
-            }
-            let code = |d: Option<&DictColumn>| d.and_then(|d| d.code_of(&f.value)).map(i64::from);
-            let codes = [code(t.global_dict(col)), code(t.delta_dict(col))];
-            Ok(StrPred { col, value: f.value.clone(), codes, negated: f.negated })
-        })
-        .collect()
+/// Resolves one side's filters to [`Pred`]s, integer filters first,
+/// validating each column's type.
+fn resolve_preds(
+    t: &TableSnapshot,
+    table: &str,
+    filters: &[Filter],
+    str_filters: &[StrFilter],
+) -> DbResult<Vec<Pred>> {
+    let ints = filters.iter().map(|f| {
+        let col = check_int_column(t, table, &f.column)?;
+        let on_null = f.op.eval(0, f.literal);
+        Ok(Pred { col, op: f.op, lits: [Some(f.literal); 2], on_null, cell_bytes: 8 })
+    });
+    let strs = str_filters.iter().map(|f| {
+        let col = column_position(t, table, &f.column)?;
+        if t.schema().columns()[col].1 != DataType::Str {
+            return Err(DbError::TypeMismatch { column: f.column.clone(), expected: DataType::Str });
+        }
+        let code = |d: Option<&DictColumn>| d.and_then(|d| d.code_of(&f.value)).map(i64::from);
+        let op = if f.negated { CmpOp::Ne } else { CmpOp::Eq };
+        let lits = [code(t.global_dict(col)), code(t.delta_dict(col))];
+        Ok(Pred { col, op, lits, on_null: f.value.is_empty() != f.negated, cell_bytes: 4 })
+    });
+    ints.chain(strs).collect()
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 
 use crate::delta::{DeltaChunk, DeltaDicts};
 use crate::error::{DbError, DbResult};
-use crate::schema::{Record, SchemaMode, TableSchema};
+use crate::schema::{Record, TableSchema};
 use crate::segment::{FlatColumn, MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
 use haec_columnar::chunk::Chunk;
 use haec_columnar::column::Column;
@@ -817,11 +817,6 @@ impl TableSnapshot {
         &self.main.segments
     }
 
-    /// First global row id of segment `i`.
-    pub fn segment_base(&self, i: usize) -> usize {
-        self.main.bases[i]
-    }
-
     /// The table-global dictionary of string column `idx` as pinned
     /// (`None` for non-string columns and before the first merge).
     pub fn global_dict(&self, idx: usize) -> Option<&DictColumn> {
@@ -946,22 +941,6 @@ impl TableSnapshot {
             Some(SegColumn::Int { data, .. }) => data.get(local),
             _ => 0,
         })
-    }
-
-    /// Returns whether the string value of column `idx` at global row
-    /// `row` equals `value` (`None` if not a string column; a store that
-    /// predates the column holds the sentinel `""`).
-    pub fn str_eq(&self, idx: usize, row: usize, value: &str) -> Option<bool> {
-        if self.schema.columns().get(idx)?.1 != DataType::Str {
-            return None;
-        }
-        let (store, local) = self.cell(row);
-        let Some(SegColumn::Str { codes, .. }) = store.column(idx) else { return Some(value.is_empty()) };
-        let dict = match store.code_space() {
-            CodeSpace::Global => self.global_dict(idx),
-            CodeSpace::Delta => self.delta_dict(idx),
-        };
-        Some(dict.and_then(|d| d.decode(codes.get(local) as u32)) == Some(value))
     }
 
     /// Gathers the integer values of column `name` at `positions`
@@ -1409,14 +1388,10 @@ pub fn strict_schema(cols: &[(&str, DataType)]) -> TableSchema {
     TableSchema::strict(cols.iter().map(|(n, t)| (n.to_string(), *t)).collect())
 }
 
-/// Returns `true` if the snapshot's table was declared flexible.
-pub fn is_flexible(table: &TableSnapshot) -> bool {
-    table.schema().mode() == SchemaMode::Flexible
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::SchemaMode;
     use haec_columnar::value::{CmpOp, Value};
 
     fn ins(t: &Table, o: &TimestampOracle, r: &Record) {
@@ -1513,7 +1488,7 @@ mod tests {
         let s = t.read();
         assert_eq!(s.segments()[0].rows(), SEGMENT_ROWS);
         assert_eq!(s.segments()[1].rows(), 1000);
-        assert_eq!(s.segment_base(1), SEGMENT_ROWS);
+        assert_eq!(s.locate(SEGMENT_ROWS), RowLoc::Main { seg: 1, local: 0 });
         // Sorted ints compress hard.
         assert!(s.encoded_bytes() * 4 < s.raw_bytes());
     }
@@ -1534,9 +1509,6 @@ mod tests {
         let col = s.column("country").unwrap();
         let vals: Vec<&str> = col.as_str().unwrap().iter().collect();
         assert_eq!(vals, vec!["de", "us", "fr", "de", "jp", "de"]);
-        assert!(s.str_eq(1, 0, "de").unwrap());
-        assert!(!s.str_eq(1, 1, "de").unwrap());
-        assert!(s.str_eq(1, 5, "de").unwrap());
         // Distinct count: "de" lives in both the global (merged) and the
         // delta-local dictionary but is counted once — {de, us, fr, jp}.
         let meta = s.planner_meta();
@@ -1558,7 +1530,7 @@ mod tests {
         assert_eq!(s.null_count("a"), Some(1));
         // Sentinel values are stored densely.
         assert_eq!(s.column("a").unwrap().as_int64().unwrap(), &[1, 2, 0]);
-        assert!(is_flexible(&s));
+        assert_eq!(s.schema().mode(), SchemaMode::Flexible);
     }
 
     #[test]

@@ -52,6 +52,19 @@ fn make_db() -> Database {
     db
 }
 
+/// The ids [`Reference::check`] probes: `amount` is negative at the
+/// first and non-negative at the second.
+const PROBES: [i64; 2] = [3, 6_002];
+
+/// `id = x AND amount >= 0`: with an index on `t.id`, the lookup plus
+/// one leftover predicate.
+fn probe(x: i64) -> Query {
+    Query::scan("t")
+        .filter("id", CmpOp::Eq, x)
+        .filter("amount", CmpOp::Ge, 0)
+        .aggregate(AggKind::Count, "amount")
+}
+
 /// Closed-form prefix answers (see `prop_mvcc.rs`).
 struct Reference {
     total: usize,
@@ -92,6 +105,13 @@ impl Reference {
         assert_eq!(agg(&q) as i64, self.sum[n], "{ctx}: SUM(amount)");
         let q = Query::scan("t").filter("amount", CmpOp::Ge, 0).aggregate(AggKind::Count, "amount");
         assert_eq!(agg(&q) as usize, self.nonneg[n], "{ctx}: filtered COUNT");
+
+        // One row in main and one in the delta once `all_grant_levels_agree`
+        // has merged, each read through the index where `t.id` has one.
+        for x in PROBES {
+            let want = usize::from((x as usize) < n && amount(x) >= 0);
+            assert_eq!(agg(&probe(x)) as usize, want, "{ctx}: COUNT where id = {x} AND amount >= 0");
+        }
 
         let q = Query::scan("t").group_by("region").aggregate(AggKind::Count, "amount");
         let out = snap.execute_opts(&q, opts).unwrap();
@@ -240,7 +260,7 @@ proptest! {
 /// Every grant level answers identically on a mixed main+delta table —
 /// the dop-1 serial path is the reference for the pooled paths — with
 /// no gate and behind a budget-1 gate that never admits two units at
-/// once.
+/// once, the index path's leftover-predicate stage included.
 #[test]
 fn all_grant_levels_agree() {
     let db = make_db();
@@ -251,6 +271,11 @@ fn all_grant_levels_agree() {
     db.merge("t").unwrap();
     for i in rows..rows + 2_500 {
         db.insert("t", &record(i)).unwrap();
+    }
+    db.create_index("t", "id", IndexMaintenance::Eager).unwrap();
+    for x in PROBES {
+        let planned = db.execute(&probe(x)).unwrap().access_path;
+        assert_eq!(planned, Some(haec_planner::access::AccessPath::IndexLookup), "probe {x} takes the index");
     }
     let reference = Reference::new((rows + 2_500) as usize);
     for dop in [1, 2, WORKERS, 2 * WORKERS] {

@@ -284,41 +284,50 @@ proptest! {
 
     /// Index lookups and compressed scans agree on merged tables for
     /// every operator on the first predicate's re-check path — null
-    /// cells included (stored, scanned and indexed as 0), whether the
-    /// index is fed by the inserts or backfilled after them.
+    /// cells included (stored, scanned and indexed as 0, or `""`),
+    /// whether the index is fed by the inserts or backfilled after them —
+    /// with an optional string `=` / `<>` re-check whose value may be in
+    /// neither the segments' nor the delta's dictionary.
     #[test]
     fn index_agrees_with_segmented_scan(
-        rows in proptest::collection::vec((0i64..60, -30i64..36), 1..200),
+        rows in proptest::collection::vec((0i64..60, -30i64..36, 0usize..4), 1..200),
         key in prop_oneof![Just(0i64), 0i64..50],
         op in ops(),
         lit in -35i64..35,
         index_first in any::<bool>(),
+        str_pred in (0usize..5, any::<bool>()),
     ) {
         // Values past the drawn range become nulls. Every drawn row is
         // followed by one with a key of its own, so that `k = key` is
         // selective enough for the planner to take the index.
+        const S: [&str; 4] = ["x", "y", "", "z"]; // "z" is never stored
         let cell = |x: i64, end: i64| if x < end { Value::Int(x) } else { Value::Null };
+        let s_cell = |i: usize| if i < 3 { Value::Str(S[i].to_string()) } else { Value::Null };
         let records: Vec<Record> = rows
             .iter()
             .zip(1000i64..)
-            .flat_map(|(&(k, v), own)| {
+            .flat_map(|(&(k, v, s), own)| {
                 [
-                    Record::new().with("k", cell(k, 50)).with("v", cell(v, 30)),
-                    Record::new().with("k", own).with("v", own % 60 - 30),
+                    Record::new().with("k", cell(k, 50)).with("v", cell(v, 30)).with("s", s_cell(s)),
+                    Record::new().with("k", own).with("v", own % 60 - 30).with("s", s_cell(own as usize % 3)),
                 ]
             })
             .collect();
+        let cols = [("k", DataType::Int64), ("v", DataType::Int64), ("s", DataType::Str)];
         let mut db = Database::new();
-        db.create_table("t", &[("k", DataType::Int64), ("v", DataType::Int64)]).unwrap();
+        db.create_table("t", &cols).unwrap();
         db.set_merge_threshold("t", usize::MAX).unwrap();
         for r in &records {
             db.insert("t", r).unwrap();
         }
         db.merge("t").unwrap();
-        let q = Query::scan("t").filter("k", CmpOp::Eq, key).filter("v", op, lit);
+        let mut q = Query::scan("t").filter("k", CmpOp::Eq, key).filter("v", op, lit);
+        if let (Some(value), negated) = (S.get(str_pred.0), str_pred.1) {
+            q = if negated { q.filter_str_ne("s", *value) } else { q.filter_str_eq("s", *value) };
+        }
         let a = db.execute(&q).unwrap();
         let mut indexed = Database::new();
-        indexed.create_table("t", &[("k", DataType::Int64), ("v", DataType::Int64)]).unwrap();
+        indexed.create_table("t", &cols).unwrap();
         indexed.set_merge_threshold("t", 32).unwrap();
         if index_first {
             indexed.create_index("t", "k", IndexMaintenance::Eager).unwrap();

@@ -15,7 +15,7 @@
 //! | `meter-delta-billing` | query paths never bill per-query energy by subtracting meter totals (use `CostEstimate`) |
 //! | `instant-in-energy` | energy accounting is work-based, not wall-clock (`Instant::now`) based |
 //! | `sorted-claim` | sortedness claims (`sorted: true` / `sorted_by: Some(..)`) originate only in the merge build path, never ad hoc in query code |
-//! | `encoded-reader` | in `haecdb`'s non-test code an encoded column is opened for reading (`.blocks()` / `.cursor()`) only by the executor's readers, whose regime test is also the bill |
+//! | `encoded-reader` | in `haecdb`'s non-test code an encoded column is opened for reading (`.blocks()` / `.cursor()`) only by the executor's readers, whose regime test is also the bill, and the executor makes no per-row point read (`.get_int(`) |
 //! | `failpoint-confined` | failpoint *arming* (`fail::cfg`/`seed`/`teardown`) is test-harness-only, and `fail_point!` instrumentation lives only in the designated engine crates |
 //!
 //! The scanner lexes each file just enough to **mask comments and
@@ -466,6 +466,27 @@ pub fn rules() -> Vec<Rule> {
                     }
                 }
                 None
+            },
+        },
+        Rule {
+            // ... and the executor reads a cell only through those
+            // readers: `TableSnapshot::get_int` is a per-row
+            // `EncodedInts::get` (a store bisect, then up to a checkpoint
+            // interval of unpacks on Delta) that no regime test bills.
+            id: "encoded-reader",
+            applies: |p| p == "crates/core/src/executor.rs",
+            exempt_in_tests: true,
+            check: |masked, _, _| {
+                if masked.contains(".get_int(") {
+                    Some(
+                        "`.get_int(` on the query path: a per-row point read outside the \
+                         executor's readers — resolve the predicate per unit and read the \
+                         rows through `walk`, whose regime is also the bill"
+                            .into(),
+                    )
+                } else {
+                    None
+                }
             },
         },
         Rule {

@@ -235,6 +235,18 @@ fn the_executor_and_tests_may_open_encoded_readers() {
     assert!(rules_fired("crates/core/src/table.rs", in_region).is_empty());
 }
 
+#[test]
+fn a_point_read_on_the_query_path_fires() {
+    let src = "fn matches(t: &TableSnapshot, r: usize) -> bool {\n    t.get_int(0, r) == Some(1)\n}\n";
+    let findings = scan_source("crates/core/src/executor.rs", src);
+    assert!(findings.iter().any(|f| f.rule == "encoded-reader" && f.line == 2), "{findings:?}");
+    // Tests and the storage layer's own callers may read a cell.
+    let in_region =
+        "pub fn api() {}\n#[cfg(test)]\nmod tests {\n    fn t(s: &TableSnapshot) { s.get_int(0, 1); }\n}\n";
+    assert!(rules_fired("crates/core/src/executor.rs", in_region).is_empty());
+    assert!(rules_fired("crates/core/src/table.rs", src).is_empty());
+}
+
 // -- failpoint-confined ------------------------------------------------
 
 #[test]

@@ -1,11 +1,4 @@
 //! Planner-facing catalog: table and column statistics.
-//!
-//! Includes a synthetic catalog generator able to emit the ">10 000
-//! tables" scenarios of §II ("SAP ERP shows 50 000 tables … 1 000s of
-//! weakly structured tables within a single database query").
-
-use std::collections::HashMap;
-use std::fmt;
 
 /// Statistics of one column as the optimizer sees them.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,112 +59,9 @@ impl TableMeta {
     }
 }
 
-/// The planner catalog.
-#[derive(Clone, Debug, Default)]
-pub struct Catalog {
-    tables: HashMap<String, TableMeta>,
-}
-
-impl Catalog {
-    /// Creates an empty catalog.
-    pub fn new() -> Self {
-        Catalog::default()
-    }
-
-    /// Registers (or replaces) a table.
-    pub fn register(&mut self, table: TableMeta) {
-        self.tables.insert(table.name.clone(), table);
-    }
-
-    /// Looks a table up.
-    pub fn table(&self, name: &str) -> Option<&TableMeta> {
-        self.tables.get(name)
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Returns `true` if no tables are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-}
-
-impl fmt::Display for Catalog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "catalog({} tables)", self.tables.len())
-    }
-}
-
-/// Generates a synthetic star/snowflake-ish catalog: one fact table and
-/// `dimensions` dimension tables of geometrically varying sizes, each
-/// with a key column (indexed) and a payload column. Deterministic.
-pub fn synthetic_star_catalog(dimensions: usize, fact_rows: u64) -> Catalog {
-    let mut cat = Catalog::new();
-    let mut fact_cols = vec![ColumnMeta {
-        name: "fact_id".into(),
-        ndv: fact_rows,
-        min: 0,
-        max: fact_rows as i64 - 1,
-        indexed: true,
-    }];
-    for d in 0..dimensions {
-        // Dimension sizes cycle over 4 decades: 1e2..1e5 rows.
-        let rows = 10u64.pow(2 + (d % 4) as u32);
-        let name = format!("dim{d}");
-        cat.register(TableMeta {
-            name: name.clone(),
-            rows,
-            row_bytes: 64,
-            columns: vec![
-                ColumnMeta {
-                    name: format!("{name}_key"),
-                    ndv: rows,
-                    min: 0,
-                    max: rows as i64 - 1,
-                    indexed: true,
-                },
-                ColumnMeta {
-                    name: format!("{name}_attr"),
-                    ndv: rows / 10 + 1,
-                    min: 0,
-                    max: 1000,
-                    indexed: false,
-                },
-            ],
-        });
-        fact_cols.push(ColumnMeta {
-            name: format!("{name}_fk"),
-            ndv: rows,
-            min: 0,
-            max: rows as i64 - 1,
-            indexed: false,
-        });
-    }
-    cat.register(TableMeta {
-        name: "fact".into(),
-        rows: fact_rows,
-        row_bytes: 8 * (dimensions as u64 + 1),
-        columns: fact_cols,
-    });
-    cat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn register_and_lookup() {
-        let mut c = Catalog::new();
-        assert!(c.is_empty());
-        c.register(TableMeta { name: "t".into(), rows: 10, row_bytes: 8, columns: vec![] });
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.table("t").unwrap().rows, 10);
-        assert!(c.table("missing").is_none());
-    }
 
     #[test]
     fn column_selectivities() {
@@ -186,36 +76,8 @@ mod tests {
     }
 
     #[test]
-    fn star_catalog_shape() {
-        let c = synthetic_star_catalog(100, 1_000_000);
-        assert_eq!(c.len(), 101);
-        let fact = c.table("fact").unwrap();
-        assert_eq!(fact.rows, 1_000_000);
-        assert_eq!(fact.columns.len(), 101);
-        let d0 = c.table("dim0").unwrap();
-        assert_eq!(d0.rows, 100);
-        assert!(d0.column("dim0_key").unwrap().indexed);
-        assert!(!d0.column("dim0_attr").unwrap().indexed);
-        // Dimension sizes cycle.
-        assert_eq!(c.table("dim1").unwrap().rows, 1000);
-        assert_eq!(c.table("dim4").unwrap().rows, 100);
-    }
-
-    #[test]
-    fn star_catalog_scales_to_ten_thousand() {
-        let c = synthetic_star_catalog(10_000, 10_000_000);
-        assert_eq!(c.len(), 10_001);
-        assert!(c.table("dim9999").is_some());
-    }
-
-    #[test]
     fn table_size() {
         let t = TableMeta { name: "t".into(), rows: 100, row_bytes: 32, columns: vec![] };
         assert_eq!(t.size_bytes(), 3200);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(format!("{}", Catalog::new()), "catalog(0 tables)");
     }
 }

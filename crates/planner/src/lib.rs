@@ -4,8 +4,7 @@
 //! half of the `haecdb` reproduction of *Lehner, "Energy-Efficient
 //! In-Memory Database Computing" (DATE 2013)*.
 //!
-//! * [`catalog`] — table/column statistics, incl. a 10 000-table
-//!   synthetic catalog generator (§II's ERP scenario).
+//! * [`catalog`] — table/column statistics.
 //! * [`cost`] — every alternative costed in time **and** energy.
 //! * [`access`] — index-vs-scan selection (experiment E1, ref \[12\]).
 //! * [`join_order`] — exhaustive DP vs greedy vs left-deep ordering at
@@ -46,7 +45,7 @@ pub mod placement;
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::access::{choose_access, estimate_selectivity, AccessDecision, AccessPath};
-    pub use crate::catalog::{synthetic_star_catalog, Catalog, ColumnMeta, TableMeta};
+    pub use crate::catalog::{ColumnMeta, TableMeta};
     pub use crate::cost::{CostModel, PlanCost};
     pub use crate::join_order::{
         plan_dp, plan_greedy, plan_left_deep, JoinGraph, PlanSummary, DP_MAX_RELATIONS,
@@ -56,7 +55,7 @@ pub mod prelude {
 }
 
 pub use access::{choose_access, AccessPath};
-pub use catalog::{Catalog, TableMeta};
+pub use catalog::TableMeta;
 pub use cost::{CostModel, PlanCost};
 pub use join_order::JoinGraph;
 pub use optimizer::{choose, Goal};
