@@ -28,13 +28,6 @@ impl Bitmap {
         Bitmap { words: vec![0; len.div_ceil(64)], len }
     }
 
-    /// Creates an all-one bitmap of `len` bits.
-    pub fn ones(len: usize) -> Self {
-        let mut b = Bitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
-        b.mask_tail();
-        b
-    }
-
     /// Builds a bitmap from a boolean slice.
     pub fn from_bools(bools: &[bool]) -> Self {
         let mut b = Bitmap::zeros(bools.len());
@@ -42,19 +35,6 @@ impl Bitmap {
             if v {
                 b.set(i, true);
             }
-        }
-        b
-    }
-
-    /// Builds a bitmap of `len` bits with ones at `positions`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any position is out of bounds.
-    pub fn from_positions(len: usize, positions: &[usize]) -> Self {
-        let mut b = Bitmap::zeros(len);
-        for &p in positions {
-            b.set(p, true);
         }
         b
     }
@@ -267,16 +247,19 @@ mod tests {
 
     #[test]
     fn zeros_and_ones() {
-        let z = Bitmap::zeros(100);
-        assert_eq!(z.count_ones(), 0);
-        assert_eq!(z.len(), 100);
-        let o = Bitmap::ones(100);
-        assert_eq!(o.count_ones(), 100);
+        let mut b = Bitmap::zeros(100);
+        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.len(), 100);
+        for i in 0..100 {
+            b.set(i, true);
+        }
+        assert_eq!(b.count_ones(), 100);
     }
 
     #[test]
     fn ones_masks_tail() {
-        let o = Bitmap::ones(65);
+        let mut o = Bitmap::zeros(65);
+        o.negate();
         assert_eq!(o.count_ones(), 65);
         assert_eq!(o.words().len(), 2);
         assert_eq!(o.words()[1], 1);
@@ -299,7 +282,7 @@ mod tests {
     fn from_bools_and_positions() {
         let b = Bitmap::from_bools(&[true, false, true]);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
-        let p = Bitmap::from_positions(10, &[9, 1]);
+        let p = Bitmap::from_bools(&[false, true, false, false, false, false, false, false, false, true]);
         assert_eq!(p.iter_ones().collect::<Vec<_>>(), vec![1, 9]);
     }
 

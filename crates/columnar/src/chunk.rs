@@ -112,11 +112,6 @@ impl Chunk {
         self.columns.get(idx).map(|(_, c)| c)
     }
 
-    /// The positional index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| n == name)
-    }
-
     /// Iterates over `(name, column)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Column)> + '_ {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))
@@ -181,8 +176,6 @@ mod tests {
         assert_eq!(c.rows(), 5);
         assert_eq!(c.width(), 2);
         assert_eq!(c.names(), vec!["id", "grp"]);
-        assert_eq!(c.column_index("grp"), Some(1));
-        assert_eq!(c.column_index("zz"), None);
         assert!(c.column("id").is_some());
         assert!(c.column_at(1).is_some());
         assert!(c.column_at(2).is_none());

@@ -29,8 +29,8 @@ impl std::error::Error for TypeMismatchError {}
 ///
 /// ```
 /// use haec_columnar::column::Column;
-/// use haec_columnar::value::Value;
-/// let mut c = Column::new_int64();
+/// use haec_columnar::value::{DataType, Value};
+/// let mut c = Column::new(DataType::Int64);
 /// c.push(Value::Int(7)).unwrap();
 /// assert_eq!(c.len(), 1);
 /// assert_eq!(c.get(0), Some(Value::Int(7)));
@@ -47,17 +47,17 @@ pub enum Column {
 
 impl Column {
     /// Creates an empty integer column.
-    pub fn new_int64() -> Self {
+    fn new_int64() -> Self {
         Column::Int64(Vec::new())
     }
 
     /// Creates an empty float column.
-    pub fn new_float64() -> Self {
+    fn new_float64() -> Self {
         Column::Float64(Vec::new())
     }
 
     /// Creates an empty string column.
-    pub fn new_str() -> Self {
+    fn new_str() -> Self {
         Column::Str(DictColumn::new())
     }
 

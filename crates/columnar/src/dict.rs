@@ -135,24 +135,6 @@ impl DictColumn {
         DictColumn { dict, lookup, codes, entry_bytes }
     }
 
-    /// A copy holding only rows `[start, end)` of this column, sharing
-    /// the full dictionary (entries and codes stay stable) — the
-    /// delta-prefix view an MVCC snapshot pins: later appends and later
-    /// dictionary growth are invisible through the slice, but every
-    /// code the kept rows carry still decodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > len()`.
-    pub fn sliced(&self, start: usize, end: usize) -> DictColumn {
-        DictColumn {
-            dict: self.dict.clone(),
-            lookup: self.lookup.clone(),
-            codes: self.codes[start..end].to_vec(),
-            entry_bytes: self.entry_bytes,
-        }
-    }
-
     /// For every distinct value of `self` (in code order), the code
     /// `target` assigns that value, or `None` if `target` never interned
     /// it — the one-off dictionary remap that lets equi-joins and
@@ -333,20 +315,6 @@ mod tests {
     #[should_panic(expected = "duplicate dictionary entry")]
     fn from_codes_rejects_duplicate_entries() {
         DictColumn::from_codes(vec!["a".into(), "a".into()], vec![0]);
-    }
-
-    #[test]
-    fn sliced_keeps_full_dictionary() {
-        let c = DictColumn::from_iter(["a", "b", "c", "b"]);
-        let s = c.sliced(1, 3);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(0), Some("b"));
-        assert_eq!(s.get(1), Some("c"));
-        // The dictionary is carried whole: codes and entries are stable.
-        assert_eq!(s.dict_size(), 3);
-        assert_eq!(s.code_of("a"), c.code_of("a"));
-        assert_eq!(s.avg_entry_bytes(), c.avg_entry_bytes());
-        assert!(c.sliced(0, 0).is_empty());
     }
 
     #[test]

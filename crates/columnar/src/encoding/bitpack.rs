@@ -130,6 +130,7 @@ impl BitPacked {
     }
 
     /// Unpacks everything into a fresh vector.
+    // haec-lint: allow(dead-pub) — the round-trip reference decoder the tests and the doc example check packing against.
     pub fn unpack(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.len);
         let mut buf = [0u64; BLOCK_ROWS];

@@ -13,7 +13,7 @@ use crate::encoding::BLOCK_ROWS;
 /// of an ascending row sequence go through [`DeltaInts::cursor`]. A
 /// whole number of 64-row blocks (16), so a cursor seeking from a
 /// checkpoint starts on a block boundary.
-pub const CHECKPOINT_EVERY: usize = 1024;
+const CHECKPOINT_EVERY: usize = 1024;
 
 /// Blocks between two checkpoints.
 const CHECKPOINT_BLOCKS: usize = CHECKPOINT_EVERY / BLOCK_ROWS;
@@ -76,7 +76,7 @@ impl DeltaInts {
     }
 
     /// Random access to row `i`, reconstructing from the nearest
-    /// checkpoint: O([`CHECKPOINT_EVERY`]) delta unpacks, not O(1). Use
+    /// checkpoint: O(`CHECKPOINT_EVERY`) delta unpacks, not O(1). Use
     /// it for genuine point access; a sequence of rows is cheaper
     /// through [`DeltaInts::cursor`].
     ///
@@ -192,7 +192,7 @@ impl DeltaInts {
 /// `DeltaInts::decode_block`, the decoder under every sequential
 /// reader. A read before the held block, or past the next checkpoint,
 /// restarts from the target's checkpoint, so no read walks more than
-/// [`CHECKPOINT_EVERY`] / 64 blocks.
+/// `CHECKPOINT_EVERY` / 64 blocks.
 ///
 /// The block lives on the heap: every cursor of every scheme shares one
 /// enum, and an inline kilobyte there would be copied with each Plain or

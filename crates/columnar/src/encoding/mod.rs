@@ -179,7 +179,7 @@ impl EncodedInts {
     /// Random access to row `i` — genuine point access. The cost depends
     /// on the scheme: Plain and FOR index directly (O(1)), RLE bisects
     /// its runs (O(log runs)), Delta re-walks from the last checkpoint
-    /// (O([`delta::CHECKPOINT_EVERY`]) delta unpacks). Readers of a
+    /// (O(`CHECKPOINT_EVERY`) = 1 024 delta unpacks). Readers of a
     /// *sequence* of rows use [`EncodedInts::cursor`] instead.
     ///
     /// # Panics

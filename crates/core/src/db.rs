@@ -344,6 +344,7 @@ impl Database {
 
     /// Creates a database over an explicit machine model, executing on
     /// the process-wide [`WorkerPool::global`].
+    // haec-lint: allow(dead-pub) — the facade's constructor for a machine model other than `new`'s.
     pub fn with_machine(machine: MachineSpec) -> Self {
         Database::with_machine_and_pool(machine, Arc::clone(WorkerPool::global()))
     }

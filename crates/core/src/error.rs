@@ -92,11 +92,6 @@ impl std::error::Error for DbError {}
 /// Crate-wide result alias.
 pub type DbResult<T> = Result<T, DbError>;
 
-/// Query-facing alias of [`DbError`]: the name callers match when they
-/// care about per-query outcomes like
-/// [`Cancelled`](DbError::Cancelled).
-pub type QueryError = DbError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

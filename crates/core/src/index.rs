@@ -76,6 +76,7 @@ impl SecondaryIndex {
     }
 
     /// Rows pending in the backlog (Need-to-Know only).
+    // haec-lint: allow(dead-pub) — the index tests observe Need-to-Know's deferred work through it.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
     }
@@ -95,7 +96,7 @@ impl SecondaryIndex {
 
     /// Brings a Need-to-Know index up to date (no-op when eager or
     /// already current).
-    pub fn catch_up(&mut self) {
+    fn catch_up(&mut self) {
         if self.backlog.is_empty() {
             return;
         }

@@ -63,7 +63,7 @@ pub mod table;
 /// used types of the substrate crates).
 pub mod prelude {
     pub use crate::db::{Database, DbSnapshot, DbTransaction, Filter, Query, QueryResult, StrFilter};
-    pub use crate::error::{DbError, DbResult, QueryError};
+    pub use crate::error::{DbError, DbResult};
     pub use crate::index::{IndexMaintenance, IndexStats, SecondaryIndex};
     pub use crate::robust::{run_with_failures, RestartPolicy, RobustReport};
     pub use crate::schema::{Record, SchemaMode, TableSchema};
@@ -78,7 +78,7 @@ pub mod prelude {
 }
 
 pub use db::{Database, DbSnapshot, DbTransaction, Query, QueryResult};
-pub use error::{DbError, DbResult, QueryError};
+pub use error::{DbError, DbResult};
 pub use index::IndexMaintenance;
 pub use schema::{Record, SchemaMode, TableSchema};
 pub use table::{Table, TableSnapshot};

@@ -61,7 +61,7 @@ impl RobustReport {
 }
 
 /// Fraction of a stage's work charged as checkpoint overhead.
-pub const CHECKPOINT_OVERHEAD: f64 = 0.05;
+const CHECKPOINT_OVERHEAD: f64 = 0.05;
 
 /// Runs a staged pipeline (stage i = `stages[i]` work units) to
 /// completion, injecting a failure after each executed unit with

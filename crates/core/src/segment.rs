@@ -132,8 +132,9 @@ impl SegColumn {
 /// a row matching `value op literal`.
 ///
 /// Delegates to [`ZoneMapMeta::may_match`] so the executor's pruning and
-/// the planner's [`haec_planner::access::zone_survival`] estimate can
-/// never disagree.
+/// the planner's zone-survival estimate
+/// ([`haec_planner::access::choose_access_segmented`]) can never
+/// disagree.
 pub fn zone_may_match(op: CmpOp, literal: i64, lo: i64, hi: i64) -> bool {
     ZoneMapMeta { rows: 0, min: lo, max: hi, sorted: false }.may_match(op, literal)
 }

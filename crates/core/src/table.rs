@@ -87,10 +87,10 @@ use std::sync::Arc;
 /// rows have — never streams however many entries it holds: it is
 /// marked positional, never inferred from a count. The delta chunks
 /// follow the same rule through their views.
-pub const SPARSE_HIT_RATIO: usize = 8;
+const SPARSE_HIT_RATIO: usize = 8;
 
 /// Returns `true` when `hits` out of `rows` is below the 1-in-
-/// [`SPARSE_HIT_RATIO`] density — read per hit (forward cursor), not
+/// `SPARSE_HIT_RATIO` density — read per hit (forward cursor), not
 /// per segment (stream-decode).
 pub fn sparse_hits(hits: usize, rows: usize) -> bool {
     hits * SPARSE_HIT_RATIO < rows
@@ -350,6 +350,7 @@ impl Table {
     }
 
     /// Returns `true` once the delta has outgrown the merge threshold.
+    // haec-lint: allow(dead-pub) — the merge-threshold test observes the trigger through it.
     pub fn needs_merge(&self) -> bool {
         self.delta_rows() >= self.merge_threshold()
     }
@@ -1384,6 +1385,7 @@ impl GatherStats {
 }
 
 /// Convenience constructor for common strict schemas.
+// haec-lint: allow(dead-pub) — the table tests' schema builder; it moves into their module with them (ROADMAP item 10).
 pub fn strict_schema(cols: &[(&str, DataType)]) -> TableSchema {
     TableSchema::strict(cols.iter().map(|(n, t)| (n.to_string(), *t)).collect())
 }

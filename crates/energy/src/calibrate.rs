@@ -6,8 +6,9 @@
 //! kernel class. Defaults are taken from the main-memory query processing
 //! literature contemporary with the paper (Ross TODS'04 for selection
 //! kernels; Tsirogiannis et al. SIGMOD'10 for scan/aggregate energy
-//! shape); [`calibrate_host`] optionally rescales them to the actual host
-//! so that real measured runtimes and model times stay in the same ballpark.
+//! shape); [`calibrate_host`] measures the factor that would rescale them
+//! to the actual host, so that real measured runtimes and model times
+//! can be compared.
 
 use crate::units::Cycles;
 use std::time::Instant;
@@ -45,8 +46,8 @@ pub enum Kernel {
 /// ```
 /// use haec_energy::calibrate::{Kernel, KernelCosts};
 /// let costs = KernelCosts::default_2013();
-/// assert!(costs.cycles_per_item(Kernel::SelectBitwise).count()
-///     < costs.cycles_per_item(Kernel::SelectPredicated).count());
+/// assert!(costs.cycles_for(Kernel::SelectBitwise, 1000).count()
+///     < costs.cycles_for(Kernel::SelectPredicated, 1000).count());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelCosts {
@@ -64,8 +65,6 @@ pub struct KernelCosts {
     /// Extra cycles charged per *mispredicted branch* in branching
     /// selection (≈ pipeline depth of the era's cores).
     pub branch_miss_penalty: f64,
-    /// Global scale factor applied by host calibration.
-    scale: f64,
 }
 
 impl KernelCosts {
@@ -84,14 +83,12 @@ impl KernelCosts {
             index_lookup: 120.0,
             materialize: 8.0,
             branch_miss_penalty: 15.0,
-            scale: 1.0,
         }
     }
 
-    /// Raw (possibly fractional) cycles per item for `kernel`, after
-    /// scaling.
+    /// Raw (possibly fractional) cycles per item for `kernel`.
     pub fn raw(&self, kernel: Kernel) -> f64 {
-        let base = match kernel {
+        match kernel {
             Kernel::SelectBranching => self.select_branching,
             Kernel::SelectPredicated => self.select_predicated,
             Kernel::SelectBitwise => self.select_bitwise,
@@ -103,13 +100,7 @@ impl KernelCosts {
             Kernel::CompressDecode => self.compress_decode,
             Kernel::IndexLookup => self.index_lookup,
             Kernel::Materialize => self.materialize,
-        };
-        base * self.scale
-    }
-
-    /// Cycles per item, rounded up to whole cycles.
-    pub fn cycles_per_item(&self, kernel: Kernel) -> Cycles {
-        Cycles::new(self.raw(kernel).ceil() as u64)
+        }
     }
 
     /// Total cycles for `items` items of `kernel` (fractional constants
@@ -128,25 +119,8 @@ impl KernelCosts {
     pub fn branching_cycles(&self, items: u64, sel: f64) -> Cycles {
         assert!((0.0..=1.0).contains(&sel), "selectivity must be in [0,1]");
         let miss_rate = 2.0 * sel * (1.0 - sel); // 0 at σ∈{0,1}, 0.5 at σ=0.5
-        let per_item = self.raw(Kernel::SelectBranching) + miss_rate * self.branch_miss_penalty * self.scale;
+        let per_item = self.raw(Kernel::SelectBranching) + miss_rate * self.branch_miss_penalty;
         Cycles::new((per_item * items as f64).round() as u64)
-    }
-
-    /// Returns a copy rescaled by `factor` (used by calibration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive and finite.
-    pub fn scaled(&self, factor: f64) -> KernelCosts {
-        assert!(factor > 0.0 && factor.is_finite(), "scale factor must be positive");
-        let mut c = self.clone();
-        c.scale *= factor;
-        c
-    }
-
-    /// The current calibration scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 }
 
@@ -161,8 +135,8 @@ impl Default for KernelCosts {
 pub struct HostCalibration {
     /// Measured simple-ALU throughput in operations per second per core.
     pub ops_per_sec: f64,
-    /// Suggested scale factor for [`KernelCosts::scaled`] so model times
-    /// computed at `reference_ghz` match host wall-clock.
+    /// Suggested multiplier for the [`KernelCosts`] constants so model
+    /// times computed at `reference_ghz` match host wall-clock.
     pub cost_scale: f64,
     /// The reference frequency the scale was computed against (GHz).
     pub reference_ghz: f64,
@@ -243,23 +217,6 @@ mod tests {
     fn branching_rejects_bad_selectivity() {
         let c = KernelCosts::default_2013();
         let _ = c.branching_cycles(10, 1.5);
-    }
-
-    #[test]
-    fn scaling_multiplies() {
-        let c = KernelCosts::default_2013();
-        let s = c.scaled(2.0);
-        assert_eq!(s.scale(), 2.0);
-        assert_eq!(
-            s.cycles_for(Kernel::AggUpdate, 100).count(),
-            2 * c.cycles_for(Kernel::AggUpdate, 100).count()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_scale_panics() {
-        let _ = KernelCosts::default_2013().scaled(0.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct DramSpec {
 impl DramSpec {
     /// 64 GiB of DDR3-1600: ~0.35 W/GiB refresh, ~60 pJ/B dynamic,
     /// ~40 GB/s per socket.
-    pub fn ddr3_64gib() -> Self {
+    fn ddr3_64gib() -> Self {
         DramSpec { capacity_gib: 64.0, static_w_per_gib: 0.35, pj_per_byte: 60.0, bandwidth: 40.0e9 }
     }
 
@@ -55,7 +55,7 @@ pub struct NicSpec {
 
 impl NicSpec {
     /// A 10 GbE port: ~4 W idle, ~20 pJ/B incremental.
-    pub fn ten_gbe() -> Self {
+    fn ten_gbe() -> Self {
         NicSpec { idle_w: 4.0, pj_per_byte: 20.0, bandwidth: 10.0e9 / 8.0 }
     }
 
@@ -86,7 +86,7 @@ pub struct DiskSpec {
 impl DiskSpec {
     /// A 7200 rpm nearline SATA drive: 8 W idle, +4 W active,
     /// 140 MB/s sequential, 8 ms average positioning time.
-    pub fn nearline_sata() -> Self {
+    fn nearline_sata() -> Self {
         DiskSpec { idle_w: 8.0, active_extra_w: 4.0, bandwidth: 140.0e6, seek_s: 0.008 }
     }
 
@@ -191,45 +191,9 @@ impl MachineSpec {
         self
     }
 
-    /// Replaces the P-state table.
-    pub fn with_pstates(mut self, pstates: PStateTable) -> Self {
-        self.pstates = pstates;
-        self
-    }
-
-    /// Replaces the DRAM subsystem spec.
-    pub fn with_dram(mut self, dram: DramSpec) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// Replaces the NIC spec.
-    pub fn with_nic(mut self, nic: NicSpec) -> Self {
-        self.nic = nic;
-        self
-    }
-
-    /// Adds (or replaces) the cold-tier disk.
-    pub fn with_disk(mut self, disk: DiskSpec) -> Self {
-        self.disk = Some(disk);
-        self
-    }
-
-    /// Removes the disk (pure in-memory node).
-    pub fn without_disk(mut self) -> Self {
-        self.disk = None;
-        self
-    }
-
     /// Attaches a co-processor.
     pub fn with_coproc(mut self, coproc: CoprocSpec) -> Self {
         self.coproc = Some(coproc);
-        self
-    }
-
-    /// Sets the constant platform (fans, VRs, chipset) power.
-    pub fn with_platform_power(mut self, watts: f64) -> Self {
-        self.platform_w = watts;
         self
     }
 
@@ -335,15 +299,11 @@ mod tests {
 
     #[test]
     fn builder_round_trip() {
-        let m = MachineSpec::commodity_2013()
-            .with_cores(32)
-            .with_platform_power(60.0)
-            .with_coproc(CoprocSpec::kepler_gpu())
-            .without_disk();
+        let m = MachineSpec::commodity_2013().with_cores(32).with_coproc(CoprocSpec::kepler_gpu());
         assert_eq!(m.cores(), 32);
-        assert_eq!(m.platform_power(), Watts::new(60.0));
+        assert_eq!(m.platform_power(), Watts::new(45.0));
         assert!(m.coproc().is_some());
-        assert!(m.disk().is_none());
+        assert!(m.disk().is_some());
     }
 
     #[test]

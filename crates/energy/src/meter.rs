@@ -54,7 +54,7 @@ impl fmt::Display for Domain {
 const NUM_DOMAINS: usize = Domain::ALL.len();
 
 /// Energy per RAPL counter unit: the common 2^-16 J ≈ 15.26 µJ setting.
-pub const RAPL_UNIT_JOULES: f64 = 1.0 / 65536.0;
+const RAPL_UNIT_JOULES: f64 = 1.0 / 65536.0;
 
 /// RAPL counters are 32-bit and wrap; at ~65 W that is roughly every
 /// 1000 seconds, so wrap handling is not optional in practice.
@@ -126,15 +126,6 @@ impl EnergyMeter {
             }
         }
         Joules::new(sum)
-    }
-
-    /// Average power over the recorded elapsed time, if any time passed.
-    pub fn average_power(&self) -> Option<Watts> {
-        if self.elapsed.is_zero() {
-            None
-        } else {
-            Some(self.grand_total() / self.elapsed)
-        }
     }
 
     /// Emulated RAPL register read for `domain`: the cumulative energy in
@@ -282,16 +273,6 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.integrate(Domain::Disk, Watts::new(12.0), Duration::from_secs(10));
         assert_eq!(m.total(Domain::Disk), Joules::new(120.0));
-    }
-
-    #[test]
-    fn average_power_requires_elapsed_time() {
-        let mut m = EnergyMeter::new();
-        m.add(Domain::Cores, Joules::new(30.0));
-        assert!(m.average_power().is_none());
-        m.advance(Duration::from_secs(3));
-        let p = m.average_power().expect("elapsed > 0");
-        assert_eq!(p, Watts::new(10.0));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::units::{Hertz, Volts, Watts};
 use std::fmt;
-use std::time::Duration;
 
 /// One voltage/frequency operating point of a core.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,7 +39,7 @@ impl PState {
 
     /// The supply voltage of this state.
     #[inline]
-    pub fn voltage(&self) -> Volts {
+    fn voltage(&self) -> Volts {
         self.voltage
     }
 }
@@ -73,18 +72,6 @@ pub enum CState {
     DeepSleep,
     /// Power-gated ("parked"): near-zero draw, slowest to wake.
     Parked,
-}
-
-impl CState {
-    /// Wake-up latency from this state back to [`CState::Active`].
-    pub fn wake_latency(self) -> Duration {
-        match self {
-            CState::Active => Duration::ZERO,
-            CState::Halt => Duration::from_micros(1),
-            CState::DeepSleep => Duration::from_micros(100),
-            CState::Parked => Duration::from_millis(2),
-        }
-    }
 }
 
 impl fmt::Display for CState {
@@ -197,7 +184,7 @@ impl PStateTable {
     }
 
     /// Dynamic (switching) power of one active core at `id`.
-    pub fn dynamic_power(&self, id: PStateId) -> Watts {
+    fn dynamic_power(&self, id: PStateId) -> Watts {
         let s = self.state(id);
         let v = s.voltage().volts();
         Watts::new(self.ceff * v * v * s.frequency().hertz())
@@ -205,7 +192,7 @@ impl PStateTable {
 
     /// Leakage power of one core at the voltage of `id`; approximately
     /// linear in supply voltage.
-    pub fn leakage_power(&self, id: PStateId) -> Watts {
+    fn leakage_power(&self, id: PStateId) -> Watts {
         let v = self.state(id).voltage().volts();
         self.leak_at_nominal * (v / self.nominal_voltage.volts())
     }
@@ -231,14 +218,6 @@ impl PStateTable {
             }
         }
         self.fastest()
-    }
-
-    /// Energy per cycle (J) of one active core at `id` — the quantity
-    /// that makes "race-to-idle vs pace" non-trivial: low frequency means
-    /// fewer joules per cycle dynamically, but leakage is paid for longer.
-    pub fn energy_per_cycle(&self, id: PStateId) -> f64 {
-        let p = self.core_power(id, CState::Active).watts();
-        p / self.state(id).frequency().hertz()
     }
 }
 
@@ -289,8 +268,6 @@ mod tests {
         assert!(CState::Active < CState::Halt);
         assert!(CState::Halt < CState::DeepSleep);
         assert!(CState::DeepSleep < CState::Parked);
-        assert!(CState::Parked.wake_latency() > CState::Halt.wake_latency());
-        assert_eq!(CState::Active.wake_latency(), Duration::ZERO);
     }
 
     #[test]
@@ -320,8 +297,9 @@ mod tests {
         // With voltage scaling, energy/cycle should be lower at the
         // slowest state than at the fastest (dynamic term dominates).
         let t = PStateTable::xeon_2013();
-        let lo = t.energy_per_cycle(t.slowest());
-        let hi = t.energy_per_cycle(t.fastest());
+        let per_cycle = |id| t.core_power(id, CState::Active).watts() / t.state(id).frequency().hertz();
+        let lo = per_cycle(t.slowest());
+        let hi = per_cycle(t.fastest());
         assert!(lo < hi, "lo={lo} hi={hi}");
     }
 

@@ -188,18 +188,6 @@ unit_f64!(
 );
 
 impl Joules {
-    /// Creates an energy quantity from microjoules (the RAPL native unit).
-    #[inline]
-    pub fn from_micro(uj: f64) -> Self {
-        Joules::new(uj * 1e-6)
-    }
-
-    /// Returns the energy in microjoules.
-    #[inline]
-    pub fn microjoules(self) -> f64 {
-        self.joules() * 1e6
-    }
-
     /// Returns the energy in watt-hours (data-center billing unit).
     #[inline]
     pub fn watt_hours(self) -> f64 {
@@ -382,17 +370,6 @@ impl ByteCount {
         self.0 as f64 / (1024.0 * 1024.0)
     }
 
-    /// Time to move this many bytes at `bytes_per_sec` throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is zero.
-    #[inline]
-    pub fn over_bandwidth(self, bytes_per_sec: f64) -> Duration {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        Duration::from_secs_f64(self.0 as f64 / bytes_per_sec)
-    }
-
     /// Saturating addition of two byte counts.
     #[inline]
     pub fn saturating_add(self, rhs: ByteCount) -> ByteCount {
@@ -503,18 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_count_bandwidth_time() {
-        let t = ByteCount::from_mib(100).over_bandwidth(100.0 * 1024.0 * 1024.0);
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn byte_count_zero_bandwidth_panics() {
-        let _ = ByteCount::new(1).over_bandwidth(0.0);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Joules::new(1.5)), "1.500 J");
         assert_eq!(format!("{:.1}", Watts::new(2.25)), "2.2 W");
@@ -523,13 +488,6 @@ mod tests {
         assert_eq!(format!("{}", ByteCount::from_mib(3)), "3.00 MiB");
         assert_eq!(format!("{}", ByteCount::from_gib(4)), "4.00 GiB");
         assert_eq!(format!("{}", Cycles::new(7)), "7 cycles");
-    }
-
-    #[test]
-    fn micro_joule_round_trip() {
-        let e = Joules::from_micro(1_500_000.0);
-        assert!((e.joules() - 1.5).abs() < 1e-12);
-        assert!((e.microjoules() - 1_500_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -133,12 +133,12 @@ pub fn aggregate(data: &[i64]) -> AggState {
 /// per accumulator, allocated up front whether or not every key occurs.
 /// Dictionary codes, enum-like integers and dates fall under it; wider
 /// or unknown domains hash.
-pub const DENSE_GROUP_SPAN: u64 = 4095;
+const DENSE_GROUP_SPAN: u64 = 4095;
 
 /// The group-by accumulator: one [`AggState`] per key.
 ///
 /// When every key is known beforehand to lie in a small contiguous
-/// domain `[lo, hi]` (see [`DENSE_GROUP_SPAN`]) — a segment's zone map, a
+/// domain `[lo, hi]` (at most 4 096 keys) — a segment's zone map, a
 /// dictionary's code space — the states are a flat array indexed by
 /// `key - lo`: an update is one subtraction and one indexed
 /// read-modify-write. Otherwise they live in a `HashMap`.

@@ -8,7 +8,7 @@
 //! within one morsel of the signal, releases its gate permit with the
 //! morsel it holds, and unwinds through the normal result path (the
 //! database layer converts the partial run into
-//! `QueryError::Cancelled { partial_energy }`, billing the bytes the
+//! `DbError::Cancelled { partial_energy }`, billing the bytes the
 //! query actually touched).
 //!
 //! Polling, not preemption, is what keeps the worker-pool token

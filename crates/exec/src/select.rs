@@ -17,7 +17,6 @@
 //!   then extract positions with `trailing_zeros`; cost ≈ n/64 + hits.
 
 use crate::metrics::OpStats;
-use haec_columnar::bitmap::Bitmap;
 use haec_columnar::value::CmpOp;
 use haec_energy::calibrate::{Kernel, KernelCosts};
 use haec_energy::units::{ByteCount, Cycles};
@@ -195,7 +194,7 @@ pub fn select_metered(
 /// The model cost (in cycles) of running `kernel` over `n` rows at
 /// selectivity `sel` — used both for metering and for the adaptive
 /// operator's switch decision.
-pub fn model_cycles(kernel: SelectKernel, n: u64, sel: f64, costs: &KernelCosts) -> Cycles {
+fn model_cycles(kernel: SelectKernel, n: u64, sel: f64, costs: &KernelCosts) -> Cycles {
     match kernel {
         SelectKernel::Branching => costs.branching_cycles(n, sel),
         SelectKernel::Predicated => costs.cycles_for(Kernel::SelectPredicated, n),
@@ -243,7 +242,7 @@ impl AdaptiveSelect {
     }
 
     /// Creates an operator with explicit cost constants.
-    pub fn with_costs(op: CmpOp, literal: i64, costs: KernelCosts) -> Self {
+    fn with_costs(op: CmpOp, literal: i64, costs: KernelCosts) -> Self {
         AdaptiveSelect {
             op,
             literal,
@@ -271,6 +270,7 @@ impl AdaptiveSelect {
     }
 
     /// The smoothed selectivity estimate, if any batch ran yet.
+    // haec-lint: allow(dead-pub) — the drift test observes the EWMA the kernel switches on through it.
     pub fn estimated_selectivity(&self) -> Option<f64> {
         self.ewma_sel
     }
@@ -298,7 +298,7 @@ impl AdaptiveSelect {
     }
 
     /// The kernel the model predicts cheapest at `sel` for `n` rows.
-    pub fn best_kernel(&self, sel: f64, n: u64) -> SelectKernel {
+    fn best_kernel(&self, sel: f64, n: u64) -> SelectKernel {
         SelectKernel::ALL
             .into_iter()
             .min_by(|&a, &b| {
@@ -308,33 +308,6 @@ impl AdaptiveSelect {
             })
             .expect("non-empty kernel list")
     }
-}
-
-/// Combines two position lists with logical AND (both sorted ascending).
-pub fn intersect_positions(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Converts a position list into a bitmap of length `len`.
-pub fn positions_to_bitmap(positions: &[u32], len: usize) -> Bitmap {
-    let mut b = Bitmap::zeros(len);
-    for &p in positions {
-        b.set(p as usize, true);
-    }
-    b
 }
 
 #[cfg(test)]
@@ -433,19 +406,6 @@ mod tests {
             let (got, _) = op.run(&data);
             assert_eq!(got, reference(&data, CmpOp::Ge, 50), "round {round}");
         }
-    }
-
-    #[test]
-    fn intersect_positions_works() {
-        assert_eq!(intersect_positions(&[1, 3, 5, 7], &[3, 4, 5, 9]), vec![3, 5]);
-        assert_eq!(intersect_positions(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(intersect_positions(&[2, 4], &[2, 4]), vec![2, 4]);
-    }
-
-    #[test]
-    fn positions_to_bitmap_round_trip() {
-        let b = positions_to_bitmap(&[0, 5, 9], 10);
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 5, 9]);
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //! | `sorted-claim` | sortedness claims (`sorted: true` / `sorted_by: Some(..)`) originate only in the merge build path, never ad hoc in query code |
 //! | `encoded-reader` | in `haecdb`'s non-test code an encoded column is opened for reading (`.blocks()` / `.cursor()`) only by the executor's readers, whose regime test is also the bill, and the executor makes no per-row point read (`.get_int(`) |
 //! | `failpoint-confined` | failpoint *arming* (`fail::cfg`/`seed`/`teardown`) is test-harness-only, and `fail_point!` instrumentation lives only in the designated engine crates |
+//! | `dead-pub` | every non-test `pub fn` / `pub const` of a library crate (`crates/*/src`, bar `lint` and `bench`) is named in some other file's code — a `use` line does not count — so nothing public is kept that nothing calls |
 //!
 //! The scanner lexes each file just enough to **mask comments and
 //! string literals** (so prose can mention forbidden tokens freely) and
 //! to locate `#[cfg(test)]` regions (test code may spawn threads, read
-//! meters, etc.). Findings carry `file:line` positions.
+//! meters, etc.). Findings carry `file:line` positions. The per-line
+//! rules see one file at a time; `dead-pub` is a second pass over the
+//! whole tree ([`dead_pub`]).
 //!
 //! Two escape hatches, both reviewable:
 //! * the central [`ALLOWS`] table — a path-scoped exemption **with a
@@ -34,6 +37,7 @@
 //! with a fixture proving it fires.
 
 #![forbid(unsafe_code)]
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// One diagnostic: a rule violated at a source position.
@@ -63,10 +67,17 @@ impl std::fmt::Display for Finding {
 /// spaces, preserving every newline and column position, so token
 /// searches over the result only ever hit real code.
 pub fn mask_source(src: &str) -> String {
+    lex(src, false)
+}
+
+/// The masking lexer; `keep_strings` leaves string-literal contents in
+/// place (comments are blanked either way).
+fn lex(src: &str, keep_strings: bool) -> String {
     let b: Vec<char> = src.chars().collect();
     let mut out: Vec<char> = Vec::with_capacity(b.len());
     let mut i = 0;
     let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
+    let body = |c: char| if keep_strings { c } else { blank(c) };
     while i < b.len() {
         let c = b[i];
         if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
@@ -124,7 +135,7 @@ pub fn mask_source(src: &str) -> String {
                             break 'raw;
                         }
                     }
-                    out.push(blank(b[i]));
+                    out.push(body(b[i]));
                     i += 1;
                 }
             } else {
@@ -144,7 +155,7 @@ pub fn mask_source(src: &str) -> String {
                     i += 1;
                     break;
                 } else {
-                    out.push(blank(b[i]));
+                    out.push(body(b[i]));
                     i += 1;
                 }
             }
@@ -296,6 +307,16 @@ pub const ALLOWS: &[Allow] = &[
         reason: "the calibration harness is explicitly wall-clock based (it fits joules to seconds)",
     },
 ];
+
+/// Where `dead-pub` looks for definitions: the library crates' sources.
+/// The lint's own rules and the experiment harness are entry points,
+/// not library surface.
+fn pub_surface(path: &str) -> bool {
+    path.starts_with("crates/")
+        && path.contains("/src/")
+        && !path.starts_with("crates/lint/")
+        && !path.starts_with("crates/bench/")
+}
 
 fn contains_token(haystack: &str, needle: &str) -> bool {
     // Word-boundary match: the char before/after must not be
@@ -609,19 +630,114 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     findings
 }
 
-/// Walks the workspace at `root` and scans every tracked `.rs` file
-/// (skipping `target/` and dot-directories). Returns all findings,
-/// sorted by path and line.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    collect_rs(root, root, &mut files)?;
-    files.sort();
-    let mut findings = Vec::new();
-    for rel in files {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        findings.extend(scan_source(&rel_str, &src));
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The identifiers a file's code names, `use` / `pub use` statements
+/// left out: importing or re-exporting an item is not calling it. A
+/// format string's inline capture (`"{NAME}"`, `"{name:?}"`) names its
+/// identifier too; `kept` is the file lexed with its strings left in.
+fn named_idents(masked: &str, kept: &str) -> HashSet<String> {
+    let mut names = HashSet::new();
+    let mut in_use = false;
+    for (line, kept) in masked.lines().zip(kept.lines()) {
+        let t = line.trim_start();
+        let t = t.strip_prefix("pub(crate) ").or_else(|| t.strip_prefix("pub ")).unwrap_or(t);
+        in_use |= t.starts_with("use ");
+        if in_use {
+            in_use = !line.contains(';');
+            continue;
+        }
+        names.extend(line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()).map(str::to_string));
+        let (code, kept): (Vec<char>, Vec<char>) = (line.chars().collect(), kept.chars().collect());
+        for at in 1..kept.len() {
+            if kept[at - 1] != '{' || code.get(at - 1) != Some(&' ') || (at >= 2 && kept[at - 2] == '{') {
+                continue;
+            }
+            let end = (at..kept.len()).find(|&k| !is_ident(kept[k])).unwrap_or(kept.len());
+            if end > at && matches!(kept.get(end), Some('}' | ':')) {
+                names.insert(kept[at..end].iter().collect());
+            }
+        }
     }
+    names
+}
+
+/// The name a `pub fn` / `pub const` line defines, if it is one.
+fn pub_item_name(masked_line: &str) -> Option<&str> {
+    let t = masked_line.trim_start().strip_prefix("pub ")?;
+    let t =
+        t.strip_prefix("const fn ").or_else(|| t.strip_prefix("fn ")).or_else(|| t.strip_prefix("const "))?;
+    let end = t.find(|c| !is_ident(c)).unwrap_or(t.len());
+    (end > 0).then(|| &t[..end])
+}
+
+/// The cross-file `dead-pub` pass over `(repo-relative path, source)`
+/// pairs: a non-test `pub fn` / `pub const` under a library crate's
+/// `src/` fires when no *other* file's code names it as a whole word.
+/// Comments, doctests and `use` lines do not count; types are out of
+/// scope (callers use a returned type without naming it). The one
+/// file's own uses do not count either — an item only its own file
+/// calls should not be `pub`.
+pub fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
+    let masked: Vec<String> = files.iter().map(|(_, src)| mask_source(src)).collect();
+    let named: Vec<HashSet<String>> =
+        files.iter().zip(&masked).map(|((_, src), m)| named_idents(m, &lex(src, true))).collect();
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for names in &named {
+        for n in names {
+            *files_naming.entry(n).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for (i, (path, src)) in files.iter().enumerate() {
+        if !pub_surface(path) || allowed("dead-pub", path) {
+            continue;
+        }
+        let regions = test_regions(&masked[i]);
+        let raw_lines: Vec<String> = src.lines().map(str::to_string).collect();
+        for (idx, masked_line) in masked[i].lines().enumerate() {
+            let line = idx + 1;
+            let Some(name) = pub_item_name(masked_line) else { continue };
+            if regions.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+                || inline_escape("dead-pub", &raw_lines[idx], &raw_lines[..idx])
+            {
+                continue;
+            }
+            let elsewhere =
+                files_naming.get(name).copied().unwrap_or(0) - usize::from(named[i].contains(name));
+            if elsewhere == 0 {
+                findings.push(Finding {
+                    rule: "dead-pub",
+                    path: path.clone(),
+                    line,
+                    message: format!(
+                        "`{name}` is public but no other file names it: delete it, make it \
+                         private, or say why it stays"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// Walks the workspace at `root` and scans every tracked `.rs` file
+/// (skipping `target/` and dot-directories): each file on its own, then
+/// the whole tree for `dead-pub`. Returns all findings, sorted by path
+/// and line.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut paths = Vec::new();
+    collect_rs(root, root, &mut paths)?;
+    paths.sort();
+    let mut files = Vec::new();
+    for rel in paths {
+        let src = std::fs::read_to_string(root.join(&rel))?;
+        files.push((rel.to_string_lossy().replace('\\', "/"), src));
+    }
+    let mut findings: Vec<Finding> = files.iter().flat_map(|(path, src)| scan_source(path, src)).collect();
+    findings.extend(dead_pub(&files));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(findings)
 }

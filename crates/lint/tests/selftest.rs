@@ -4,7 +4,7 @@
 //! masking), and the real tree must scan clean — which makes the lint
 //! part of tier-1 `cargo test`, not just CI.
 
-use haec_lint::{mask_source, scan_source, scan_workspace, test_regions};
+use haec_lint::{dead_pub, mask_source, scan_source, scan_workspace, test_regions};
 
 fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = scan_source(path, src).into_iter().map(|f| f.rule).collect();
@@ -290,6 +290,51 @@ fn test_harnesses_may_arm_failpoints() {
 fn the_fail_shim_itself_is_exempt() {
     let src = "pub fn cfg(name: &str, spec: &str) {}\npub fn f() { fail_point!(\"x\"); }\n";
     assert!(rules_fired("shims/fail/src/lib.rs", src).is_empty());
+}
+
+// -- dead-pub (cross-file) ---------------------------------------------
+
+fn dead_pub_fired(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+    let files: Vec<(String, String)> = files.iter().map(|&(p, s)| (p.to_string(), s.to_string())).collect();
+    dead_pub(&files).into_iter().map(|f| (f.path, f.line)).collect()
+}
+
+#[test]
+fn a_pub_fn_no_other_file_names_fires() {
+    let lib = "pub fn called() {}\n\
+               pub fn uncalled() {}\n\
+               pub const UNUSED: u32 = 1;\n\
+               pub fn self_only() {}\n\
+               fn f() { self_only(); }\n\
+               #[cfg(test)]\n\
+               mod tests {\n    pub fn helper() {}\n    fn t() { super::uncalled(); }\n}\n";
+    // Only code counts: not a `use` line, a comment, a doctest or a
+    // plain string literal.
+    let user = "use crate::lib::{called, uncalled};\n\
+                // uncalled() in a comment\n\
+                /// ```\n/// lib::UNUSED\n/// ```\n\
+                fn g() { called(); let s = \"uncalled UNUSED\"; }\n";
+    let fired = dead_pub_fired(&[("crates/core/src/lib.rs", lib), ("crates/core/src/user.rs", user)]);
+    let at = |line| ("crates/core/src/lib.rs".to_string(), line);
+    assert_eq!(fired, vec![at(2), at(3), at(4)]);
+}
+
+#[test]
+fn a_format_capture_a_harness_or_an_escape_keeps_a_pub_fn() {
+    let lib = "pub const SPAN: u32 = 1;\n\
+               pub fn probed() {}\n\
+               // haec-lint: allow(dead-pub) — a reference decoder the tests check against.\n\
+               pub fn reference() {}\n";
+    let user = "fn g() { println!(\"{SPAN}\"); }\n";
+    let bench = "fn b() { probed(); }\n";
+    let files = [
+        ("crates/exec/src/lib.rs", lib),
+        ("crates/bench/src/user.rs", user),
+        ("haecbench/src/main.rs", bench),
+    ];
+    assert!(dead_pub_fired(&files).is_empty());
+    // The lint and experiment crates are entry points, not library surface.
+    assert!(dead_pub_fired(&[("crates/bench/src/lib.rs", "pub fn run() {}\n")]).is_empty());
 }
 
 // -- escapes -----------------------------------------------------------

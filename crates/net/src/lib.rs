@@ -6,13 +6,11 @@
 //! (DATE 2013)*.
 //!
 //! * [`topology`] — nodes and point-to-point links (QPI-class, 1/10 GbE,
-//!   HAEC-style optical and wireless) with runtime enable/disable
-//!   reconfiguration and per-link idle power.
+//!   HAEC-style optical and wireless) that can be brought up or replaced
+//!   at runtime, each with its idle power.
 //! * [`shipping`] — the paper's worked example: ship intermediates raw
 //!   or compressed, decided case-by-case for time or energy
 //!   (experiment E3).
-//! * [`linksim`] — FIFO link contention on virtual time for the
-//!   cluster simulations.
 //!
 //! ## Example
 //!
@@ -33,19 +31,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod linksim;
 pub mod shipping;
 pub mod topology;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::linksim::{LinkSim, TransferOutcome};
     pub use crate::shipping::{
-        cost_compressed, cost_raw, decide, time_crossover_bandwidth, CompressorSpec, Objective, ShipCost,
-        ShippingChoice,
+        decide, time_crossover_bandwidth, CompressorSpec, Objective, ShipCost, ShippingChoice,
     };
-    pub use crate::topology::{Link, LinkClass, LinkSpec, NetError, NodeId, Topology};
+    pub use crate::topology::{Link, LinkClass, LinkSpec, NodeId, Topology};
 }
 
 pub use shipping::{decide, CompressorSpec, Objective, ShippingChoice};
-pub use topology::{LinkClass, LinkSpec, NetError, NodeId, Topology};
+pub use topology::{LinkClass, LinkSpec, NodeId, Topology};

@@ -81,19 +81,8 @@ pub struct ShippingChoice {
     pub compressed: ShipCost,
 }
 
-impl ShippingChoice {
-    /// The cost of the chosen alternative.
-    pub fn chosen(&self) -> ShipCost {
-        if self.compress {
-            self.compressed
-        } else {
-            self.raw
-        }
-    }
-}
-
 /// Costs shipping `payload` raw over `link`.
-pub fn cost_raw(payload: ByteCount, link: &LinkSpec) -> ShipCost {
+fn cost_raw(payload: ByteCount, link: &LinkSpec) -> ShipCost {
     ShipCost { time: link.transfer_time(payload), energy: link.transfer_energy(payload), wire_bytes: payload }
 }
 
@@ -101,7 +90,7 @@ pub fn cost_raw(payload: ByteCount, link: &LinkSpec) -> ShipCost {
 /// (compress at sender, wire, decompress at receiver — the codec phases
 /// pipeline poorly for a single intermediate, so they serialize, which
 /// matches how operators hand off whole intermediates).
-pub fn cost_compressed(payload: ByteCount, codec: &CompressorSpec, link: &LinkSpec) -> ShipCost {
+fn cost_compressed(payload: ByteCount, codec: &CompressorSpec, link: &LinkSpec) -> ShipCost {
     let raw_bytes = payload.bytes() as f64;
     let wire = ByteCount::new((raw_bytes / codec.ratio).ceil() as u64);
     let t_compress = Duration::from_secs_f64(raw_bytes / codec.compress_bps);
@@ -235,7 +224,8 @@ mod tests {
     fn chosen_returns_winner() {
         let codec = CompressorSpec::lightweight(4.0);
         let c = decide(ByteCount::from_mib(64), &codec, &slow_link(), Objective::MinTime);
-        assert_eq!(c.chosen(), c.compressed);
+        assert!(c.compress);
+        assert!(c.compressed.time < c.raw.time);
     }
 
     #[test]

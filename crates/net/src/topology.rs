@@ -4,12 +4,12 @@
 //! over — from "other sockets on the same board" to cluster nodes — plus
 //! the HAEC project's headline feature: "high-bandwidth, short-range
 //! wireless and optical links to dynamically configure the topology of
-//! the computer during runtime" (§III). Links can be enabled/disabled at
-//! runtime and each carries bandwidth, latency, energy-per-byte and a
-//! static power draw that is paid while the link is up.
+//! the computer during runtime" (§III). Links can be brought up or
+//! replaced at runtime and each carries bandwidth, latency,
+//! energy-per-byte and a static power draw that is paid while the link
+//! is up.
 
 use haec_energy::units::{ByteCount, Joules, Watts};
-use haec_energy::ResourceProfile;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -107,39 +107,7 @@ pub struct Link {
     pub class: LinkClass,
     /// Physical parameters.
     pub spec: LinkSpec,
-    /// Whether the link is currently powered/usable.
-    pub enabled: bool,
 }
-
-/// Errors from topology operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetError {
-    /// No enabled link (or path) between the endpoints.
-    NoRoute(
-        /// Source.
-        NodeId,
-        /// Destination.
-        NodeId,
-    ),
-    /// The referenced link does not exist.
-    NoSuchLink(
-        /// Source.
-        NodeId,
-        /// Destination.
-        NodeId,
-    ),
-}
-
-impl fmt::Display for NetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetError::NoRoute(a, b) => write!(f, "no enabled route between {a} and {b}"),
-            NetError::NoSuchLink(a, b) => write!(f, "no link between {a} and {b}"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
 
 /// A reconfigurable point-to-point topology.
 ///
@@ -149,7 +117,7 @@ impl std::error::Error for NetError {}
 ///
 /// let mut t = Topology::new(4);
 /// t.connect(NodeId(0), NodeId(1), LinkClass::Ethernet10G);
-/// let (time, _profile) = t.transfer(NodeId(0), NodeId(1), ByteCount::from_mib(1)).unwrap();
+/// let time = t.best_spec(NodeId(0), NodeId(1)).unwrap().transfer_time(ByteCount::from_mib(1));
 /// assert!(time.as_micros() > 800); // ~1 MiB over 1.25 GB/s
 /// ```
 #[derive(Clone, Debug)]
@@ -162,27 +130,6 @@ impl Topology {
     /// Creates a topology of `nodes` unconnected nodes.
     pub fn new(nodes: u32) -> Self {
         Topology { nodes, links: HashMap::new() }
-    }
-
-    /// A fully connected cluster of `nodes` over one link class.
-    pub fn full_mesh(nodes: u32, class: LinkClass) -> Self {
-        let mut t = Topology::new(nodes);
-        for a in 0..nodes {
-            for b in (a + 1)..nodes {
-                t.connect(NodeId(a), NodeId(b), class);
-            }
-        }
-        t
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> u32 {
-        self.nodes
-    }
-
-    /// Number of links (enabled or not).
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -199,10 +146,10 @@ impl Topology {
     }
 
     /// Adds (or replaces) a link with explicit parameters.
-    pub fn connect_with(&mut self, a: NodeId, b: NodeId, class: LinkClass, spec: LinkSpec) {
+    fn connect_with(&mut self, a: NodeId, b: NodeId, class: LinkClass, spec: LinkSpec) {
         assert!(a.0 < self.nodes && b.0 < self.nodes, "node out of range");
         assert_ne!(a, b, "no self links");
-        self.links.insert(Self::key(a, b), Link { class, spec, enabled: true });
+        self.links.insert(Self::key(a, b), Link { class, spec });
     }
 
     /// Looks a link up.
@@ -210,55 +157,16 @@ impl Topology {
         self.links.get(&Self::key(a, b))
     }
 
-    /// Enables or disables a link at runtime (HAEC reconfiguration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NoSuchLink`] if the link does not exist.
-    pub fn set_enabled(&mut self, a: NodeId, b: NodeId, enabled: bool) -> Result<(), NetError> {
-        match self.links.get_mut(&Self::key(a, b)) {
-            Some(l) => {
-                l.enabled = enabled;
-                Ok(())
-            }
-            None => Err(NetError::NoSuchLink(a, b)),
-        }
-    }
-
-    /// Total idle power of all enabled links — what reconfiguration
-    /// saves when express links are switched off.
+    /// Total idle power of all links — what an express link costs
+    /// while it is up.
     pub fn idle_power(&self) -> Watts {
-        Watts::new(self.links.values().filter(|l| l.enabled).map(|l| l.spec.idle_w).sum())
+        Watts::new(self.links.values().map(|l| l.spec.idle_w).sum())
     }
 
-    /// Costs a one-shot transfer of `bytes` from `a` to `b` over the
-    /// direct enabled link.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NoRoute`] if no enabled direct link exists.
-    pub fn transfer(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        bytes: ByteCount,
-    ) -> Result<(Duration, ResourceProfile), NetError> {
-        let link = self.links.get(&Self::key(a, b)).filter(|l| l.enabled);
-        match link {
-            None => Err(NetError::NoRoute(a, b)),
-            Some(l) => {
-                let time = l.spec.transfer_time(bytes);
-                let profile = ResourceProfile { nic_bytes: bytes, ..ResourceProfile::default() };
-                Ok((time, profile))
-            }
-        }
-    }
-
-    /// The best (lowest-transfer-time) enabled link spec between two
-    /// nodes, if any — used by the optimizer when multiple links exist
-    /// after reconfiguration.
+    /// The spec of the link between two nodes, if any — what the
+    /// shipping decision costs a transfer over after reconfiguration.
     pub fn best_spec(&self, a: NodeId, b: NodeId) -> Option<&LinkSpec> {
-        self.link(a, b).filter(|l| l.enabled).map(|l| &l.spec)
+        self.link(a, b).map(|l| &l.spec)
     }
 }
 
@@ -270,10 +178,13 @@ mod tests {
     fn connect_and_transfer() {
         let mut t = Topology::new(2);
         t.connect(NodeId(0), NodeId(1), LinkClass::Ethernet10G);
-        let (time, profile) = t.transfer(NodeId(0), NodeId(1), ByteCount::from_mib(125)).unwrap();
+        let spec = t.best_spec(NodeId(0), NodeId(1)).unwrap();
+        let time = spec.transfer_time(ByteCount::from_mib(125));
         // 125 MiB over 1.25 GB/s ≈ 105 ms.
         assert!(time.as_millis() > 100 && time.as_millis() < 120, "{time:?}");
-        assert_eq!(profile.nic_bytes, ByteCount::from_mib(125));
+        // 125 MiB at 40 pJ/B ≈ 5.2 mJ.
+        let energy = spec.transfer_energy(ByteCount::from_mib(125)).joules();
+        assert!((energy - 125.0 * 1024.0 * 1024.0 * 40e-12).abs() < 1e-12, "{energy}");
     }
 
     #[test]
@@ -281,27 +192,19 @@ mod tests {
         let mut t = Topology::new(2);
         t.connect(NodeId(1), NodeId(0), LinkClass::Optical);
         assert!(t.link(NodeId(0), NodeId(1)).is_some());
-        assert!(t.transfer(NodeId(0), NodeId(1), ByteCount::new(1)).is_ok());
-    }
-
-    #[test]
-    fn no_route_errors() {
-        let t = Topology::new(3);
-        let err = t.transfer(NodeId(0), NodeId(2), ByteCount::new(1)).unwrap_err();
-        assert_eq!(err, NetError::NoRoute(NodeId(0), NodeId(2)));
-        assert!(format!("{err}").contains("no enabled route"));
+        assert_eq!(t.best_spec(NodeId(1), NodeId(0)), t.best_spec(NodeId(0), NodeId(1)));
     }
 
     #[test]
     fn reconfiguration_toggles_links() {
+        // Bringing up an express link over a pair replaces its link.
         let mut t = Topology::new(2);
+        assert!(t.best_spec(NodeId(0), NodeId(1)).is_none());
         t.connect(NodeId(0), NodeId(1), LinkClass::Wireless);
-        t.set_enabled(NodeId(0), NodeId(1), false).unwrap();
-        assert!(t.transfer(NodeId(0), NodeId(1), ByteCount::new(1)).is_err());
-        t.set_enabled(NodeId(0), NodeId(1), true).unwrap();
-        assert!(t.transfer(NodeId(0), NodeId(1), ByteCount::new(1)).is_ok());
-        let err = t.set_enabled(NodeId(0), NodeId(1), true).and(t.set_enabled(NodeId(1), NodeId(1), true));
-        assert!(err.is_err()); // self-link never exists
+        assert_eq!(t.link(NodeId(0), NodeId(1)).unwrap().class, LinkClass::Wireless);
+        t.connect(NodeId(1), NodeId(0), LinkClass::Optical);
+        assert_eq!(t.link(NodeId(0), NodeId(1)).unwrap().class, LinkClass::Optical);
+        assert_eq!(t.best_spec(NodeId(0), NodeId(1)), Some(&LinkSpec::default_for(LinkClass::Optical)));
     }
 
     #[test]
@@ -310,15 +213,8 @@ mod tests {
         t.connect(NodeId(0), NodeId(1), LinkClass::Optical); // 6 W
         t.connect(NodeId(1), NodeId(2), LinkClass::Ethernet10G); // 4 W
         assert!((t.idle_power().watts() - 10.0).abs() < 1e-12);
-        t.set_enabled(NodeId(0), NodeId(1), false).unwrap();
-        assert!((t.idle_power().watts() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_mesh_link_count() {
-        let t = Topology::full_mesh(4, LinkClass::Ethernet10G);
-        assert_eq!(t.link_count(), 6);
-        assert_eq!(t.nodes(), 4);
+        t.connect(NodeId(0), NodeId(1), LinkClass::Wireless); // 3 W
+        assert!((t.idle_power().watts() - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl ZoneMapMeta {
 /// Fraction of rows living in zones that survive pruning for
 /// `value op literal` (1.0 when `zones` is empty — no statistics, no
 /// pruning).
-pub fn zone_survival(zones: &[ZoneMapMeta], op: CmpOp, literal: i64) -> f64 {
+fn zone_survival(zones: &[ZoneMapMeta], op: CmpOp, literal: i64) -> f64 {
     let total: u64 = zones.iter().map(|z| z.rows).sum();
     if total == 0 {
         return 1.0;
@@ -208,29 +208,6 @@ pub fn choose_access_segmented(
     AccessDecision { path, selectivity: sel, scan_cost, index_cost, sorted_cost }
 }
 
-/// Chooses the access path for `column op literal` on `table`, by
-/// predicted time (on a single node the energy ordering coincides; the
-/// experiment verifies this).
-pub fn choose_access(
-    model: &CostModel,
-    table: &TableMeta,
-    column: &str,
-    op: CmpOp,
-    literal: i64,
-) -> AccessDecision {
-    let sel = estimate_selectivity(table, column, op, literal);
-    let matches = (sel * table.rows as f64).ceil() as u64;
-    let scan_cost = model.scan(table.rows, table.row_bytes, sel);
-    let indexed = table.column(column).map(|c| c.indexed).unwrap_or(false)
-        && matches!(op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
-    let index_cost = indexed.then(|| model.index_lookup(matches, table.row_bytes));
-    let path = match &index_cost {
-        Some(ic) if ic.time < scan_cost.time => AccessPath::IndexLookup,
-        _ => AccessPath::FullScan,
-    };
-    AccessDecision { path, selectivity: sel, scan_cost, index_cost, sorted_cost: None }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,9 +227,15 @@ mod tests {
         CostModel::new(MachineSpec::commodity_2013())
     }
 
+    /// The chooser with no zone statistics over the table's flat bytes:
+    /// no pruning, no sorted alternative, the scan priced at full width.
+    fn unzoned(m: &CostModel, t: &TableMeta, op: CmpOp, literal: i64) -> AccessDecision {
+        choose_access_segmented(m, t, "id", op, literal, &[], t.rows * t.row_bytes)
+    }
+
     #[test]
     fn point_query_uses_index() {
-        let d = choose_access(&model(), &table(10_000_000, true), "id", CmpOp::Eq, 42);
+        let d = unzoned(&model(), &table(10_000_000, true), CmpOp::Eq, 42);
         assert_eq!(d.path, AccessPath::IndexLookup);
         assert!(d.selectivity < 1e-6);
         // And the index is better on BOTH objectives (the E1 claim).
@@ -263,7 +246,7 @@ mod tests {
 
     #[test]
     fn broad_range_uses_scan() {
-        let d = choose_access(&model(), &table(10_000_000, true), "id", CmpOp::Lt, 5_000_000);
+        let d = unzoned(&model(), &table(10_000_000, true), CmpOp::Lt, 5_000_000);
         assert_eq!(d.path, AccessPath::FullScan);
         assert!((d.selectivity - 0.5).abs() < 0.01);
         let ic = d.index_cost.unwrap();
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn no_index_forces_scan() {
-        let d = choose_access(&model(), &table(10_000_000, false), "id", CmpOp::Eq, 42);
+        let d = unzoned(&model(), &table(10_000_000, false), CmpOp::Eq, 42);
         assert_eq!(d.path, AccessPath::FullScan);
         assert!(d.index_cost.is_none());
         assert_eq!(d.chosen_cost(), d.scan_cost);
@@ -281,7 +264,7 @@ mod tests {
 
     #[test]
     fn ne_predicate_never_uses_index() {
-        let d = choose_access(&model(), &table(10_000_000, true), "id", CmpOp::Ne, 42);
+        let d = unzoned(&model(), &table(10_000_000, true), CmpOp::Ne, 42);
         assert_eq!(d.path, AccessPath::FullScan);
         assert!(d.index_cost.is_none());
     }
@@ -313,7 +296,7 @@ mod tests {
         let mut flips = 0;
         for exp in 0..=7 {
             let lit = 10i64.pow(exp);
-            let d = choose_access(&m, &t, "id", CmpOp::Lt, lit);
+            let d = unzoned(&m, &t, CmpOp::Lt, lit);
             if d.path != last {
                 flips += 1;
                 last = d.path;
@@ -384,7 +367,7 @@ mod tests {
                 sorted: false,
             })
             .collect();
-        let flat = choose_access(&m, &t, "id", CmpOp::Lt, 1_000_000);
+        let flat = unzoned(&m, &t, CmpOp::Lt, 1_000_000);
         let seg = choose_access_segmented(
             &m,
             &t,

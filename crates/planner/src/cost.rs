@@ -27,14 +27,6 @@ impl PlanCost {
     pub fn edp(&self) -> f64 {
         self.energy.joules() * self.time.as_secs_f64()
     }
-
-    /// Weighted scalarization: `alpha` = 0 → pure time, 1 → pure energy.
-    /// Units are normalized by the supplied references.
-    pub fn scalarize(&self, alpha: f64, time_ref: Duration, energy_ref: Joules) -> f64 {
-        let t = self.time.as_secs_f64() / time_ref.as_secs_f64().max(1e-12);
-        let e = self.energy.joules() / energy_ref.joules().max(1e-12);
-        (1.0 - alpha) * t + alpha * e
-    }
 }
 
 impl Add for PlanCost {
@@ -116,13 +108,6 @@ impl CostModel {
         CostModel { estimator: CostEstimator::new(machine), costs: KernelCosts::default_2013(), ctx }
     }
 
-    /// Overrides the execution context (fewer cores / lower P-state —
-    /// how the energy-cap scheduler reshapes plan costs).
-    pub fn with_context(mut self, ctx: ExecutionContext) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
     /// Overrides the kernel constants (calibration).
     pub fn with_kernel_costs(mut self, costs: KernelCosts) -> Self {
         self.costs = costs;
@@ -132,11 +117,6 @@ impl CostModel {
     /// The machine this model costs against.
     pub fn machine(&self) -> &MachineSpec {
         self.estimator.machine()
-    }
-
-    /// The kernel constants in use.
-    pub fn kernel_costs(&self) -> &KernelCosts {
-        &self.costs
     }
 
     fn finish(&self, profile: ResourceProfile) -> PlanCost {
@@ -510,32 +490,6 @@ mod tests {
         assert_eq!(c.time, Duration::from_millis(15));
         assert!((c.energy.joules() - 1.5).abs() < 1e-12);
         assert!((a.edp() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scalarize_interpolates() {
-        let cost = PlanCost { time: Duration::from_secs(2), energy: Joules::new(10.0) };
-        let tr = Duration::from_secs(1);
-        let er = Joules::new(10.0);
-        assert!((cost.scalarize(0.0, tr, er) - 2.0).abs() < 1e-9);
-        assert!((cost.scalarize(1.0, tr, er) - 1.0).abs() < 1e-9);
-        let mid = cost.scalarize(0.5, tr, er);
-        assert!(mid > 1.0 && mid < 2.0);
-    }
-
-    #[test]
-    fn context_slows_and_saves() {
-        let machine = MachineSpec::commodity_2013();
-        let fast_ctx = ExecutionContext::parallel(machine.pstates().fastest(), machine.cores());
-        let slow_ctx = ExecutionContext::single(machine.pstates().slowest());
-        let fast = CostModel::new(machine.clone()).with_context(fast_ctx);
-        let slow = CostModel::new(machine).with_context(slow_ctx);
-        // CPU-bound op: slow context takes longer but burns less CPU
-        // dynamic energy... total energy includes DRAM static share so
-        // only assert the time direction and energy-per-time drop.
-        let f = fast.aggregate(50_000_000, 1);
-        let s = slow.aggregate(50_000_000, 1);
-        assert!(s.time > f.time);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod placement;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::access::{choose_access, estimate_selectivity, AccessDecision, AccessPath};
+    pub use crate::access::{estimate_selectivity, AccessDecision, AccessPath};
     pub use crate::catalog::{ColumnMeta, TableMeta};
     pub use crate::cost::{CostModel, PlanCost};
     pub use crate::join_order::{
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::placement::{choose_placement, PhasedOperator, Placement, PlacementDecision};
 }
 
-pub use access::{choose_access, AccessPath};
+pub use access::AccessPath;
 pub use catalog::TableMeta;
 pub use cost::{CostModel, PlanCost};
 pub use join_order::JoinGraph;

@@ -180,8 +180,8 @@ impl AdmissionGate {
     }
 
     /// Wakes every waiter so it re-polls its cancel token / deadline.
-    /// [`crate::qserver::QueryServer::cancel`] calls this after firing
-    /// a token: the waiter itself removes its queue entry.
+    /// Whoever fires a waiting query's token calls this: the waiter
+    /// itself removes its queue entry.
     pub fn poke(&self) {
         self.cv.notify_all();
     }

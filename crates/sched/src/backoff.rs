@@ -50,11 +50,6 @@ impl Backoff {
         exp.max(retry_after.unwrap_or(Duration::ZERO))
     }
 
-    /// Retries attempted so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Resets after a success, so the next burst starts from `base`.
     pub fn reset(&mut self) {
         self.attempt = 0;
@@ -70,7 +65,6 @@ mod tests {
         let mut b = Backoff::new(Duration::from_millis(2), Duration::from_millis(16));
         let delays: Vec<u128> = (0..6).map(|_| b.next_delay(None).as_millis()).collect();
         assert_eq!(delays, vec![2, 4, 8, 16, 16, 16]);
-        assert_eq!(b.attempts(), 6);
         b.reset();
         assert_eq!(b.next_delay(None).as_millis(), 2);
     }

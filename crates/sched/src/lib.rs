@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::elastic::{diurnal_trace, run_cluster_sim, ClusterSimResult, Provisioning};
     pub use crate::governor::{decide, GovernorDecision, GovernorInput, GovernorPolicy};
     pub use crate::qserver::{
-        QueryId, QueryOpts, QueryServer, QueryServerConfig, ServedQuery, ServerError, ServerStats,
+        QueryOpts, QueryServer, QueryServerConfig, ServedQuery, ServerError, ServerStats,
     };
     pub use crate::server::{run_server_sim, ServerSimConfig, ServerSimResult};
 }
@@ -63,5 +63,5 @@ pub use admission::{AdmissionGate, AdmitError};
 pub use backoff::Backoff;
 pub use elastic::{run_cluster_sim, Provisioning};
 pub use governor::GovernorPolicy;
-pub use qserver::{QueryId, QueryOpts, QueryServer, QueryServerConfig};
+pub use qserver::{QueryOpts, QueryServer, QueryServerConfig};
 pub use server::{run_server_sim, ServerSimConfig, ServerSimResult};

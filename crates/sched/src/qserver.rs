@@ -21,9 +21,9 @@
 //!    reads one consistent cut while writers keep inserting/merging;
 //! 4. executes on the shared worker pool via
 //!    [`haecdb::DbSnapshot::execute_opts`] — no query ever creates a
-//!    thread — carrying the query's [`CancelToken`] so an explicit
-//!    [`QueryServer::cancel`] or an expired deadline stops it within
-//!    one morsel, billed for the bytes it actually touched
+//!    thread — carrying a [`CancelToken`] armed with the query's
+//!    deadline, so an expired deadline stops it within one morsel,
+//!    billed for the bytes it actually touched
 //!    (`DbError::Cancelled { partial_energy }`).
 //!
 //! The engine has no DVFS to actuate, so the governor's `(pstate,
@@ -46,13 +46,12 @@ use haec_exec::cancel::CancelToken;
 use haecdb::db::QueryResult;
 use haecdb::error::DbError;
 use haecdb::prelude::{Database, ExecOpts, MorselGate, Query};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionGate, AdmitError};
 use crate::governor::{decide, GovernorInput, GovernorPolicy};
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
 
 /// Configuration of a [`QueryServer`].
@@ -88,11 +87,6 @@ impl QueryOpts {
         QueryOpts { deadline: Some(deadline), ..QueryOpts::default() }
     }
 }
-
-/// Handle to one prepared or in-flight query, for
-/// [`QueryServer::cancel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct QueryId(u64);
 
 /// Why the server refused or failed a query.
 #[derive(Debug)]
@@ -164,8 +158,8 @@ pub struct ServerStats {
     /// Queries refused by admission control (instant rejections and
     /// queue sheds).
     pub rejected: usize,
-    /// Queries that ended cancelled — explicit [`QueryServer::cancel`]
-    /// or an expired deadline, queued or mid-execution.
+    /// Queries that ended cancelled by an expired deadline, queued or
+    /// mid-execution.
     pub cancelled: usize,
     /// Waiters evicted from the admission queue by shedding.
     pub shed: u64,
@@ -230,9 +224,6 @@ pub struct QueryServer {
     ewma: Mutex<Ewma>,
     /// Latency and energy of every completed query.
     done: Mutex<Vec<(Duration, Joules)>>,
-    /// Cancel token and priority of every prepared/in-flight query.
-    tokens: Mutex<HashMap<u64, (CancelToken, u8)>>,
-    next_query: AtomicU64,
 }
 
 impl QueryServer {
@@ -272,14 +263,7 @@ impl QueryServer {
             current_pstate: Mutex::new(current),
             ewma: Mutex::new(Ewma { watts: 0.0, cycles: 0.0, latency_secs: 0.0 }),
             done: Mutex::new(Vec::new()),
-            tokens: Mutex::new(HashMap::new()),
-            next_query: AtomicU64::new(0),
         }
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &QueryServerConfig {
-        &self.cfg
     }
 
     /// The fleet-wide morsel gate (for structural assertions: its
@@ -313,38 +297,6 @@ impl QueryServer {
         } else {
             Duration::from_micros(100)
         }
-    }
-
-    /// Registers a query: allocates its id and cancel token (with the
-    /// deadline clock starting now). Prepare before spawning the
-    /// submitting thread to close the gap where a query is running but
-    /// not yet cancellable.
-    pub fn prepare(&self, opts: &QueryOpts) -> QueryId {
-        let id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let token = match opts.deadline {
-            Some(d) => CancelToken::deadline_in(d),
-            None => CancelToken::new(),
-        };
-        Self::lock(&self.tokens).insert(id, (token, opts.priority));
-        QueryId(id)
-    }
-
-    /// Cancels a prepared or in-flight query: fires its token and wakes
-    /// the admission queue so a waiting query leaves immediately; a
-    /// running query stops within one morsel. Returns `false` when the
-    /// id is unknown or already finished.
-    pub fn cancel(&self, id: QueryId) -> bool {
-        let found = match Self::lock(&self.tokens).get(&id.0) {
-            Some((token, _)) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        };
-        if found {
-            self.admission.poke();
-        }
-        found
     }
 
     /// Maps the governor's decision onto the engine's knobs for one
@@ -417,71 +369,50 @@ impl QueryServer {
     }
 
     /// Admits, grants, pins and executes one query under `opts`
-    /// (deadline + shed priority).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryServer::submit_prepared`].
-    pub fn submit(&self, query: &Query, opts: &QueryOpts) -> Result<ServedQuery, ServerError> {
-        let id = self.prepare(opts);
-        self.submit_prepared(id, query)
-    }
-
-    /// Runs a query registered by [`QueryServer::prepare`]. The id's
-    /// token is deregistered on every exit path, so a later
-    /// [`QueryServer::cancel`] of a finished query returns `false`.
+    /// (deadline + shed priority). The deadline clock starts here.
     ///
     /// # Errors
     ///
     /// [`ServerError::Overloaded`] (with `retry_after`) when rejected
     /// or shed; `ServerError::Db(DbError::Cancelled { .. })` when the
-    /// query was cancelled or its deadline expired (queued: zero
-    /// energy; mid-execution: the partial bill); any other engine
-    /// failure as [`ServerError::Db`].
-    pub fn submit_prepared(&self, id: QueryId, query: &Query) -> Result<ServedQuery, ServerError> {
-        let (token, priority) = Self::lock(&self.tokens)
-            .get(&id.0)
-            .map(|(t, p)| (t.clone(), *p))
-            .ok_or_else(|| ServerError::Db(DbError::BadQuery(format!("unknown query id {id:?}"))))?;
-        // Deregister on every exit so cancel() of a done query is a
-        // clean `false`, not a leak that grows with server lifetime.
-        struct Dereg<'a>(&'a QueryServer, u64);
-        impl Drop for Dereg<'_> {
-            fn drop(&mut self) {
-                QueryServer::lock(&self.0.tokens).remove(&self.1);
-            }
-        }
-        let _dereg = Dereg(self, id.0);
-
+    /// query's deadline expired (queued: zero energy; mid-execution:
+    /// the partial bill); any other engine failure as
+    /// [`ServerError::Db`].
+    pub fn submit(&self, query: &Query, opts: &QueryOpts) -> Result<ServedQuery, ServerError> {
+        let token = match opts.deadline {
+            Some(d) => CancelToken::deadline_in(d),
+            None => CancelToken::new(),
+        };
         let started = Instant::now();
         fail::fail_point!("qserver::admit");
         let limit = self.cfg.max_concurrent;
-        let permit = self.admission.admit(priority, token.deadline(), Some(&token)).map_err(|e| match e {
-            AdmitError::Rejected { active, .. } => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                ServerError::Overloaded { active, limit, retry_after: self.retry_after() }
-            }
-            AdmitError::Shed => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                ServerError::Overloaded {
-                    active: self.admission.active(),
-                    limit,
-                    retry_after: self.retry_after(),
+        let permit =
+            self.admission.admit(opts.priority, token.deadline(), Some(&token)).map_err(|e| match e {
+                AdmitError::Rejected { active, .. } => {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    ServerError::Overloaded { active, limit, retry_after: self.retry_after() }
                 }
-            }
-            AdmitError::Cancelled | AdmitError::DeadlineExpired => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-                // Never admitted: no work ran, nothing to bill.
-                ServerError::Db(DbError::Cancelled { partial_energy: Joules::new(0.0) })
-            }
-        })?;
+                AdmitError::Shed => {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    ServerError::Overloaded {
+                        active: self.admission.active(),
+                        limit,
+                        retry_after: self.retry_after(),
+                    }
+                }
+                AdmitError::Cancelled | AdmitError::DeadlineExpired => {
+                    self.cancelled.fetch_add(1, Ordering::Relaxed);
+                    // Never admitted: no work ran, nothing to bill.
+                    ServerError::Db(DbError::Cancelled { partial_energy: Joules::new(0.0) })
+                }
+            })?;
 
         let active = self.admission.active();
-        let mut opts = self.grant(active);
-        opts.cancel = Some(token.clone());
+        let mut exec = self.grant(active);
+        exec.cancel = Some(token);
         let snap = self.db.begin_snapshot();
         fail::fail_point!("qserver::snapshot");
-        let outcome = snap.execute_opts(query, &opts);
+        let outcome = snap.execute_opts(query, &exec);
         // The admission slot frees (and the next waiter promotes) here,
         // after the engine returned — cancelled queries release exactly
         // like completed ones, so gate permits and slots can never leak
@@ -504,7 +435,7 @@ impl QueryServer {
             );
         }
         Self::lock(&self.done).push((latency, result.energy));
-        Ok(ServedQuery { result, dop: opts.dop, latency })
+        Ok(ServedQuery { result, dop: exec.dop, latency })
     }
 
     /// A snapshot of the server's lifetime counters.
@@ -625,31 +556,9 @@ mod tests {
     }
 
     #[test]
-    fn cancel_mid_execution_bills_partial_energy() {
-        let rows = 400_000;
-        let db = db_with_rows(rows);
-        let srv = Arc::new(QueryServer::new(Arc::clone(&db), QueryServerConfig::default()));
-        // A pre-fired cancel is the deterministic extreme of "cancel
-        // lands mid-flight": the query admits, pins, then stops at its
-        // first morsel boundary.
-        let id = srv.prepare(&QueryOpts::default());
-        assert!(srv.cancel(id));
-        let err = srv.submit_prepared(id, &sum_query()).unwrap_err();
-        assert!(err.is_cancelled(), "{err}");
-        let stats = srv.stats();
-        assert_eq!(stats.completed, 0);
-        assert_eq!(stats.cancelled, 1);
-        assert_eq!(srv.active(), 0, "cancelled query released its slot");
-        // The id is deregistered: cancelling again is a clean false.
-        assert!(!srv.cancel(id));
-        // The server still serves the next query correctly.
-        let out = srv.execute(&sum_query()).unwrap();
-        assert_eq!(out.result.rows.row(0).unwrap()[0].as_float(), Some(expected_sum(rows)));
-    }
-
-    #[test]
     fn expired_deadline_cancels_with_zero_or_partial_bill() {
-        let db = db_with_rows(100_000);
+        let rows = 100_000;
+        let db = db_with_rows(rows);
         let srv = QueryServer::new(db, QueryServerConfig::default());
         let err = srv.submit(&sum_query(), &QueryOpts::with_deadline(Duration::ZERO)).unwrap_err();
         assert!(err.is_cancelled(), "{err}");
@@ -659,8 +568,13 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other}"),
         }
-        assert_eq!(srv.stats().cancelled, 1);
-        assert_eq!(srv.active(), 0);
+        let stats = srv.stats();
+        assert_eq!(stats.completed, 0);
+        assert_eq!(stats.cancelled, 1);
+        assert_eq!(srv.active(), 0, "cancelled query released its slot");
+        // The server still serves the next query correctly.
+        let out = srv.execute(&sum_query()).unwrap();
+        assert_eq!(out.result.rows.row(0).unwrap()[0].as_float(), Some(expected_sum(rows)));
     }
 
     #[test]

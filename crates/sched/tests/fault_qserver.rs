@@ -48,9 +48,8 @@ fn expected(rows: i64) -> f64 {
 }
 
 /// A panic at either server failpoint must not leak its admission slot
-/// (RAII permit) or its cancel-token registration, even at
-/// `max_concurrent: 1` where a single leaked slot would wedge the
-/// server forever.
+/// (RAII permit), even at `max_concurrent: 1` where a single leaked
+/// slot would wedge the server forever.
 #[test]
 fn server_failpoint_panics_release_slots_and_tokens() {
     let rows = 50_000;

@@ -10,7 +10,6 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::time::Duration;
 
 /// An event payload plus its delivery time, as stored in the queue.
 struct Scheduled<E> {
@@ -90,11 +89,6 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -178,6 +172,7 @@ pub fn run<E, W: World<E>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -203,7 +198,7 @@ mod tests {
     #[test]
     fn clock_advances_on_pop() {
         let mut q = EventQueue::new();
-        q.schedule_in(Duration::from_micros(1), "a");
+        q.schedule_at(q.now() + Duration::from_micros(1), "a");
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(1000));
@@ -277,7 +272,7 @@ mod tests {
             &mut |_: SimTime, depth: u32, q: &mut EventQueue<u32>| {
                 max_depth = max_depth.max(depth);
                 if depth < 3 {
-                    q.schedule_in(Duration::from_nanos(7), depth + 1);
+                    q.schedule_at(q.now() + Duration::from_nanos(7), depth + 1);
                 }
                 true
             },

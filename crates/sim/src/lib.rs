@@ -15,7 +15,7 @@
 //!   deterministic same-instant ordering and a driver loop ([`engine::run`]).
 //! * [`rng`] — seeded randomness ([`rng::SimRng`]) with the workload
 //!   distributions (Poisson, Zipf, normal).
-//! * [`stats`] — histograms, Welford summaries, time-weighted means.
+//! * [`stats`] — histograms and Welford summaries.
 //!
 //! ## Example
 //!
@@ -53,11 +53,11 @@ pub mod time;
 pub mod prelude {
     pub use crate::engine::{run, EventQueue, RunOutcome, World};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Histogram, Summary, TimeWeighted};
+    pub use crate::stats::{Histogram, Summary};
     pub use crate::time::SimTime;
 }
 
 pub use engine::{EventQueue, RunOutcome};
 pub use rng::SimRng;
-pub use stats::{Histogram, Summary, TimeWeighted};
+pub use stats::{Histogram, Summary};
 pub use time::SimTime;

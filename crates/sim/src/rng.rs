@@ -39,11 +39,6 @@ impl SimRng {
         SimRng { rng: StdRng::seed_from_u64(seed), seed, zipf_cache: None }
     }
 
-    /// The seed this generator was created with.
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator; used to give each
     /// simulated node / thread its own stream while staying reproducible.
     pub fn fork(&mut self, salt: u64) -> SimRng {
@@ -62,7 +57,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn uniform_f64(&mut self) -> f64 {
+    fn uniform_f64(&mut self) -> f64 {
         self.rng.gen::<f64>()
     }
 
@@ -86,14 +81,6 @@ impl SimRng {
         assert!(mean > 0.0, "mean must be positive");
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         -mean * u.ln()
-    }
-
-    /// Normally distributed value via Box–Muller.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen::<f64>();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std_dev * z
     }
 
     /// A value in `[0, n)` drawn from a Zipf distribution with skew
@@ -129,14 +116,6 @@ impl SimRng {
             return 1;
         }
         ((n as f64) * (consts.eta * u - consts.eta + 1.0).powf(consts.alpha)) as u64 % n
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            slice.swap(i, j);
-        }
     }
 
     /// Access the underlying `rand` generator for distributions not
@@ -203,17 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_close() {
-        let mut r = SimRng::seed(9);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
     fn zipf_skew_concentrates_mass() {
         let mut r = SimRng::seed(11);
         let n = 10_000u64;
@@ -247,17 +215,6 @@ mod tests {
         let mut r = SimRng::seed(4);
         assert!(!r.flip(0.0));
         assert!(r.flip(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "astronomically unlikely identity");
     }
 
     #[test]

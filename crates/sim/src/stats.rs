@@ -1,4 +1,4 @@
-//! Measurement collection: histograms, percentiles, time-weighted means.
+//! Measurement collection: histograms, percentiles, running summaries.
 //!
 //! Every experiment reports latency percentiles, throughput and
 //! utilization; this module is the one implementation all of them share.
@@ -55,7 +55,7 @@ impl Summary {
     }
 
     /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -64,7 +64,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -238,67 +238,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Time-weighted average of a step function (e.g. number of busy cores
-/// over virtual time → utilization).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimeWeighted {
-    integral: f64,
-    last_value: f64,
-    last_t: f64,
-    start_t: Option<f64>,
-}
-
-impl TimeWeighted {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        TimeWeighted::default()
-    }
-
-    /// Records that the tracked quantity changed to `value` at time `t`
-    /// (seconds). Times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the previous observation.
-    pub fn set(&mut self, t: f64, value: f64) {
-        match self.start_t {
-            None => {
-                self.start_t = Some(t);
-            }
-            Some(_) => {
-                assert!(t >= self.last_t, "time went backwards");
-                self.integral += self.last_value * (t - self.last_t);
-            }
-        }
-        self.last_t = t;
-        self.last_value = value;
-    }
-
-    /// The time-weighted mean over `[start, t_end]`.
-    pub fn mean_until(&self, t_end: f64) -> f64 {
-        match self.start_t {
-            None => 0.0,
-            Some(s) => {
-                let total = t_end - s;
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                let integral = self.integral + self.last_value * (t_end - self.last_t);
-                integral / total
-            }
-        }
-    }
-}
-
-/// Left-pads/truncates experiment table cells; shared by the harness.
-pub fn fmt_cell(s: &str, width: usize) -> String {
-    if s.len() >= width {
-        s.to_string()
-    } else {
-        format!("{s:>width$}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,27 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.set(0.0, 0.0);
-        tw.set(1.0, 4.0); // value 0 for [0,1)
-        tw.set(3.0, 2.0); // value 4 for [1,3)
-                          // value 2 for [3,5]
-        let m = tw.mean_until(5.0);
-        // (0*1 + 4*2 + 2*2) / 5 = 12/5
-        assert!((m - 2.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_and_zero_span() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean_until(10.0), 0.0);
-        let mut tw = TimeWeighted::new();
-        tw.set(5.0, 3.0);
-        assert_eq!(tw.mean_until(5.0), 0.0);
-    }
-
-    #[test]
     fn displays_nonempty() {
         let mut s = Summary::new();
         s.record(1.0);
@@ -452,11 +370,5 @@ mod tests {
         let mut h = Histogram::new();
         h.record(5);
         assert!(format!("{h}").contains("n=1"));
-    }
-
-    #[test]
-    fn fmt_cell_pads() {
-        assert_eq!(fmt_cell("ab", 4), "  ab");
-        assert_eq!(fmt_cell("abcdef", 4), "abcdef");
     }
 }

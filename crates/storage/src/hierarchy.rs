@@ -122,20 +122,6 @@ impl Hierarchy {
         }
     }
 
-    /// Replaces the tier table (what-if experiments).
-    pub fn with_tiers(mut self, tiers: TierTable) -> Self {
-        self.tiers = tiers;
-        self
-    }
-
-    /// Overrides the promotion/demotion thresholds.
-    pub fn with_thresholds(mut self, promote_above: f64, demote_below: f64) -> Self {
-        assert!(promote_above > demote_below, "thresholds must be ordered");
-        self.promote_above = promote_above;
-        self.demote_below = demote_below;
-        self
-    }
-
     /// The active policy.
     pub fn policy(&self) -> PlacementPolicy {
         self.policy
@@ -208,8 +194,7 @@ impl Hierarchy {
     }
 
     /// Runs one aging pass: applies the policy's promotion/demotion
-    /// rules and returns the migrations performed. Migration cost is
-    /// returned via the per-migration profiles in `migration_cost`.
+    /// rules and returns the migrations performed.
     pub fn age(&mut self) -> Vec<Migration> {
         if self.policy == PlacementPolicy::Static {
             return Vec::new();
@@ -246,18 +231,6 @@ impl Hierarchy {
         migrations
     }
 
-    /// The modelled cost of performing `migration` (read from source,
-    /// write to destination).
-    pub fn migration_cost(&self, migration: &Migration) -> (Duration, ResourceProfile) {
-        let seg = &self.segments[&migration.segment];
-        let src = self.tiers.spec(migration.from);
-        let dst = self.tiers.spec(migration.to);
-        let time = src.access_time(seg.size) + dst.access_time(seg.size);
-        let profile =
-            src.access_profile(migration.from, seg.size) + dst.access_profile(migration.to, seg.size);
-        (time, profile)
-    }
-
     /// Total static power of resident data, per the tier specs — the
     /// quantity density-aware placement minimizes.
     pub fn static_power_watts(&self) -> f64 {
@@ -268,15 +241,6 @@ impl Hierarchy {
                 self.tiers.spec(s.tier).static_w_per_gib * gib
             })
             .sum()
-    }
-
-    /// Bytes resident per tier.
-    pub fn residency(&self) -> HashMap<StorageTier, u64> {
-        let mut out = HashMap::new();
-        for s in self.segments.values() {
-            *out.entry(s.tier).or_insert(0) += s.size.bytes();
-        }
-        out
     }
 }
 
@@ -380,19 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_cost_positive() {
-        let mut h = Hierarchy::new(PlacementPolicy::TemperatureOnly);
-        let seg = h.create_segment(ByteCount::from_mib(64), DensityClass::Low);
-        for _ in 0..10 {
-            h.access(seg, AccessKind::Point);
-        }
-        let migs = h.age();
-        let (time, profile) = h.migration_cost(&migs[0]);
-        assert!(time > Duration::ZERO);
-        assert!(!profile.is_empty());
-    }
-
-    #[test]
     fn static_power_falls_when_data_ages_out() {
         let mut h = Hierarchy::new(PlacementPolicy::TemperatureOnly);
         let seg = h.create_segment(ByteCount::from_gib(1), DensityClass::High);
@@ -409,12 +360,13 @@ mod tests {
     #[test]
     fn residency_accounting() {
         let mut h = Hierarchy::new(PlacementPolicy::Static);
-        h.create_segment(ByteCount::from_mib(2), DensityClass::High);
-        h.create_segment(ByteCount::from_mib(3), DensityClass::High);
-        h.create_segment(ByteCount::from_mib(5), DensityClass::Low);
-        let r = h.residency();
-        assert_eq!(r[&StorageTier::Dram], 5 << 20);
-        assert_eq!(r[&StorageTier::Ssd], 5 << 20);
+        let ids = [
+            h.create_segment(ByteCount::from_mib(2), DensityClass::High),
+            h.create_segment(ByteCount::from_mib(3), DensityClass::High),
+            h.create_segment(ByteCount::from_mib(5), DensityClass::Low),
+        ];
+        let tiers: Vec<StorageTier> = ids.iter().map(|&id| h.segment(id).unwrap().tier).collect();
+        assert_eq!(tiers, [StorageTier::Dram, StorageTier::Dram, StorageTier::Ssd]);
     }
 
     #[test]

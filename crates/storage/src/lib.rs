@@ -12,7 +12,6 @@
 //! * [`hierarchy`] — segments, placement policies (static /
 //!   temperature-only / density-aware), aging passes and migration
 //!   costing (experiment E7).
-//! * [`buffer`] — a clock buffer pool for cold-tier blocks.
 //!
 //! ## Example
 //!
@@ -35,20 +34,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod buffer;
 pub mod hierarchy;
 pub mod temperature;
 pub mod tier;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::buffer::{BlockId, BufferOutcome, BufferPool};
     pub use crate::hierarchy::{AccessOutcome, Hierarchy, Migration, PlacementPolicy, Segment, SegmentId};
     pub use crate::temperature::{AccessKind, DensityClass, Temperature};
     pub use crate::tier::{StorageTier, TierSpec, TierTable};
 }
 
-pub use buffer::BufferPool;
 pub use hierarchy::{Hierarchy, PlacementPolicy, SegmentId};
 pub use temperature::{AccessKind, DensityClass};
 pub use tier::{StorageTier, TierTable};

@@ -159,11 +159,6 @@ impl TierTable {
     pub fn spec(&self, tier: StorageTier) -> &TierSpec {
         &self.specs[tier as usize]
     }
-
-    /// Replaces the spec of `tier` (for what-if experiments).
-    pub fn set_spec(&mut self, tier: StorageTier, spec: TierSpec) {
-        self.specs[tier as usize] = spec;
-    }
 }
 
 impl Default for TierTable {

@@ -117,16 +117,6 @@ impl Conversation {
         &self.name
     }
 
-    /// The snapshot timestamp this conversation branched from.
-    pub fn base_ts(&self) -> Timestamp {
-        self.base
-    }
-
-    /// Number of locally written keys.
-    pub fn dirty_keys(&self) -> usize {
-        self.overlay.len()
-    }
-
     /// Writes into the conversation (invisible to the main database).
     pub fn put(&mut self, key: Key, value: RowValue) {
         self.overlay.insert(key, value);
@@ -220,7 +210,6 @@ mod tests {
         assert_eq!(conv.get(&db, 1), Some(99));
         assert_eq!(db.read_latest(1), Some(10));
         assert_eq!(db.read_latest(2), None);
-        assert_eq!(conv.dirty_keys(), 2);
         let report = conv.merge(&db, MergePolicy::Abort).unwrap();
         assert_eq!(report.applied, 2);
         assert_eq!(report.dropped, 0);

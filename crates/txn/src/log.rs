@@ -134,11 +134,6 @@ impl RedoLog {
         RedoLog::default()
     }
 
-    /// Creates a log with an explicit cost model.
-    pub fn with_model(model: LogCostModel) -> Self {
-        RedoLog { model, ..RedoLog::default() }
-    }
-
     /// Appends a record to the pending group; returns its LSN. Nothing
     /// is durable until [`RedoLog::flush`].
     pub fn append(&mut self, txn_id: u64, payload: Vec<u8>) -> Lsn {
@@ -275,14 +270,13 @@ mod tests {
     #[test]
     fn group_commit_amortizes_latency() {
         // One flush of 10 records must be cheaper than 10 flushes of 1.
-        let model = LogCostModel::default();
-        let mut grouped = RedoLog::with_model(model.clone());
+        let mut grouped = RedoLog::new();
         for i in 0..10 {
             grouped.append(i, vec![0; 100]);
         }
         let grouped_latency = grouped.flush(ReliabilityLevel::Replicated(2)).latency;
 
-        let mut single = RedoLog::with_model(model);
+        let mut single = RedoLog::new();
         let mut total = Duration::ZERO;
         for i in 0..10 {
             single.append(i, vec![0; 100]);

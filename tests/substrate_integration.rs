@@ -64,11 +64,15 @@ fn planner_costs_real_tables_consistently() {
     for i in 0..50_000i64 {
         db.insert("t", &Record::new().with("k", i).with("v", i % 100)).unwrap();
     }
-    let mut meta = db.table("t").unwrap().planner_meta();
+    let t = db.table("t").unwrap();
+    let mut meta = t.planner_meta();
     assert_eq!(meta.rows, 50_000);
     meta.columns.iter_mut().find(|c| c.name == "k").unwrap().indexed = true;
     let model = CostModel::new(MachineSpec::commodity_2013());
-    let d = haec_planner::access::choose_access(&model, &meta, "k", CmpOp::Eq, 123);
+    let zones = t.zone_maps("k").unwrap();
+    let encoded = t.column_encoded_bytes("k").unwrap() as u64;
+    let d =
+        haec_planner::access::choose_access_segmented(&model, &meta, "k", CmpOp::Eq, 123, &zones, encoded);
     assert_eq!(d.path, haec_planner::access::AccessPath::IndexLookup);
 
     // The engine agrees: with the index created, it uses it.
