@@ -9,10 +9,10 @@ use crate::encoding::BLOCK_ROWS;
 
 /// Checkpoint spacing: a decoded value is stored verbatim every this many
 /// rows so `get` is O(CHECKPOINT_EVERY) instead of O(n) — on average
-/// `CHECKPOINT_EVERY / 2` delta unpacks per call, which is why readers
-/// of an ascending row sequence go through [`DeltaInts::cursor`]. A
-/// whole number of 64-row blocks (16), so a cursor seeking from a
-/// checkpoint starts on a block boundary.
+/// eight 64-row block unpacks per call, which is why readers of an
+/// ascending row sequence go through [`DeltaInts::cursor`]. A whole
+/// number of 64-row blocks (16), so a seek from a checkpoint starts on a
+/// block boundary.
 const CHECKPOINT_EVERY: usize = 1024;
 
 /// Blocks between two checkpoints.
@@ -75,29 +75,24 @@ impl DeltaInts {
         self.deltas.width()
     }
 
-    /// Random access to row `i`, reconstructing from the nearest
-    /// checkpoint: O(`CHECKPOINT_EVERY`) delta unpacks, not O(1). Use
-    /// it for genuine point access; a sequence of rows is cheaper
-    /// through [`DeltaInts::cursor`].
+    /// Random access to row `i`: a one-shot [`DeltaCursor`] seek, with
+    /// no block kept — from the nearest checkpoint, one block unpack and
+    /// a summed fold per whole block before `i`'s (at most
+    /// `CHECKPOINT_EVERY` / 64 − 1 of them), then `i`'s own block
+    /// unpacked and summed up to `i`. Use it for genuine point access; a
+    /// sequence of rows is cheaper through [`DeltaInts::cursor`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> i64 {
         assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        let ck = i / CHECKPOINT_EVERY;
-        self.walk(ck * CHECKPOINT_EVERY, self.checkpoints[ck], i)
-    }
-
-    /// The value of row `to`, prefix-summing the deltas from row `from`
-    /// (whose value is `v`) one `BitPacked::get` at a time — the point
-    /// path's walk; cursors step whole blocks instead.
-    #[inline]
-    fn walk(&self, from: usize, mut v: i64, to: usize) -> i64 {
-        for d in from..to {
-            v = v.wrapping_add(unzigzag(self.deltas.get(d)));
-        }
-        v
+        let block = i / BLOCK_ROWS;
+        let checkpoint = block / CHECKPOINT_BLOCKS;
+        let mut zz = [0u64; BLOCK_ROWS];
+        let first = self.seek(checkpoint * CHECKPOINT_BLOCKS, self.checkpoints[checkpoint], block, &mut zz);
+        self.deltas.unpack_block(block, &mut zz);
+        zz[..i % BLOCK_ROWS].iter().fold(first, |v, &d| v.wrapping_add(unzigzag(d)))
     }
 
     /// A forward cursor: [`DeltaCursor::at`] answers like [`DeltaInts::get`]
@@ -111,13 +106,16 @@ impl DeltaInts {
         DeltaCursor { col: self, block: None, carry: 0, held }
     }
 
-    /// The sum of block `block`'s deltas: the value of row
-    /// `64 * block + 64` minus that of row `64 * block`. Only for a block
-    /// with a successor, whose 64 deltas all exist.
-    #[inline]
-    fn block_step(&self, block: usize, zz: &mut [u64; BLOCK_ROWS]) -> i64 {
-        self.deltas.unpack_block(block, zz);
-        zz.iter().fold(0i64, |sum, &d| sum.wrapping_add(unzigzag(d)))
+    /// The value of block `to`'s first row, given `carry`, the value of
+    /// block `from`'s (`from <= to`): one unpack and a summed zig-zag
+    /// fold per block in between — the seek under [`DeltaInts::get`] and
+    /// every [`DeltaCursor`] load. `zz` is scratch space for the unpacked
+    /// blocks.
+    fn seek(&self, from: usize, carry: i64, to: usize, zz: &mut [u64; BLOCK_ROWS]) -> i64 {
+        (from..to).fold(carry, |v, block| {
+            self.deltas.unpack_block(block, zz);
+            zz.iter().fold(v, |sum, &d| sum.wrapping_add(unzigzag(d)))
+        })
     }
 
     /// Decodes block `block` — rows `[64 * block, 64 * block + 64)`,
@@ -238,15 +236,12 @@ impl DeltaCursor<'_> {
     /// from `block`'s checkpoint otherwise.
     fn load(&mut self, block: usize) {
         let checkpoint = block / CHECKPOINT_BLOCKS;
-        let (mut next, mut carry) = match self.block {
+        let (next, carry) = match self.block {
             Some(held) if held < block && held / CHECKPOINT_BLOCKS == checkpoint => (held + 1, self.carry),
             _ => (checkpoint * CHECKPOINT_BLOCKS, self.col.checkpoints[checkpoint]),
         };
         let HeldBlock { zz, rows } = &mut *self.held;
-        while next < block {
-            carry = carry.wrapping_add(self.col.block_step(next, zz));
-            next += 1;
-        }
+        let mut carry = self.col.seek(next, carry, block, zz);
         self.col.decode_block(block, &mut carry, zz, rows);
         (self.block, self.carry) = (Some(block), carry);
     }

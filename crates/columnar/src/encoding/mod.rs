@@ -178,8 +178,8 @@ impl EncodedInts {
 
     /// Random access to row `i` — genuine point access. The cost depends
     /// on the scheme: Plain and FOR index directly (O(1)), RLE bisects
-    /// its runs (O(log runs)), Delta re-walks from the last checkpoint
-    /// (O(`CHECKPOINT_EVERY`) = 1 024 delta unpacks). Readers of a
+    /// its runs (O(log runs)), Delta seeks from the last checkpoint a
+    /// 64-row block at a time (up to 16 block unpacks). Readers of a
     /// *sequence* of rows use [`EncodedInts::cursor`] instead.
     ///
     /// # Panics
@@ -292,7 +292,9 @@ impl EncodedInts {
     /// Resolves `value op literal` to the contiguous matching row range
     /// `[lo, hi)` by binary search, assuming the rows are sorted
     /// ascending. RLE searches its run boundaries (the boundaries *are*
-    /// the sorted-layout index); other schemes probe `get`. Each probe
+    /// the sorted-layout index); other schemes read each probe through
+    /// one [`EncodedInts::cursor`] per call, so a Delta search decodes a
+    /// block it already holds once, not once per probe. Each probe
     /// increments `probes` so callers can bill the O(log n) touch
     /// honestly instead of charging a full-column scan.
     ///
@@ -301,56 +303,50 @@ impl EncodedInts {
     /// meaningless on unsorted data.
     pub fn sorted_range(&self, op: CmpOp, literal: i64, probes: &mut u64) -> Option<(usize, usize)> {
         let n = self.len();
-        // First row with value >= literal (strict=false) or > literal
-        // (strict=true).
-        let bound = |after: bool, probes: &mut u64| -> usize {
-            if let EncodedInts::Rle(e) = self {
-                let runs = e.runs();
-                let (mut lo, mut hi) = (0usize, runs.len());
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    *probes += 1;
-                    let below = if after { runs[mid].value <= literal } else { runs[mid].value < literal };
-                    if below {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
+        let mut cursor = self.cursor();
+        // First row with value >= literal (after=false) or > literal
+        // (after=true).
+        let mut bound = |after: bool| -> usize {
+            let below = |v: i64| if after { v <= literal } else { v < literal };
+            match self {
+                EncodedInts::Rle(e) => {
+                    let runs = e.runs();
+                    let run = bisect(runs.len(), probes, |mid| below(runs[mid].value));
+                    runs.get(run).map_or(n, |r| r.start)
                 }
-                if lo < runs.len() {
-                    runs[lo].start
-                } else {
-                    n
-                }
-            } else {
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    *probes += 1;
-                    let v = self.get(mid);
-                    let below = if after { v <= literal } else { v < literal };
-                    if below {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
+                _ => bisect(n, probes, |mid| below(cursor.at(mid))),
             }
         };
         match op {
             CmpOp::Eq => {
-                let lo = bound(false, probes);
-                let hi = bound(true, probes);
+                let lo = bound(false);
+                let hi = bound(true);
                 Some((lo, hi))
             }
-            CmpOp::Lt => Some((0, bound(false, probes))),
-            CmpOp::Le => Some((0, bound(true, probes))),
-            CmpOp::Gt => Some((bound(true, probes), n)),
-            CmpOp::Ge => Some((bound(false, probes), n)),
+            CmpOp::Lt => Some((0, bound(false))),
+            CmpOp::Le => Some((0, bound(true))),
+            CmpOp::Gt => Some((bound(true), n)),
+            CmpOp::Ge => Some((bound(false), n)),
             CmpOp::Ne => None,
         }
     }
+}
+
+/// The first of `0..n` at which `below` is false, for a `below` that
+/// holds on a prefix of `0..n`: a binary search that adds one to
+/// `probes` per call of `below`.
+fn bisect(n: usize, probes: &mut u64, mut below: impl FnMut(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0usize, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *probes += 1;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Block reader over any [`EncodedInts`] (see [`EncodedInts::blocks`]).

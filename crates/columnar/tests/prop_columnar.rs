@@ -92,6 +92,77 @@ fn delta_sequences(len: usize) -> Vec<Vec<usize>> {
     seqs.into_iter().map(|s| s.into_iter().filter(|&i| i < len).collect()).collect()
 }
 
+/// Duplicate-run lengths for [`sorted_checkpoint_data`]: single rows,
+/// runs one short of / exactly / one past a 64-row block, and runs
+/// spanning a whole Delta checkpoint (1 024 rows) or more.
+const SORTED_RUNS: [usize; 7] = [1, 63, 64, 65, 100, 1024, 1500];
+
+/// A sorted column of three whole Delta checkpoint spans (3 × 1 024
+/// rows) and a ragged tail of `tail` more: `head` rows of `i64::MIN`,
+/// then runs of `run` equal values rising by `step` from `start` —
+/// offset by `shift` rows, so runs straddle block and checkpoint edges —
+/// and finally `foot` rows of `i64::MAX`.
+fn sorted_checkpoint_data(
+    tail: usize,
+    run: usize,
+    shift: usize,
+    (start, step): (i64, i64),
+    head: usize,
+    foot: usize,
+) -> Vec<i64> {
+    let len = 3 * 1024 + tail;
+    (0..len)
+        .map(|i| match i {
+            _ if i < head => i64::MIN,
+            _ if i + foot >= len => i64::MAX,
+            _ => start + ((i + shift) / run) as i64 * step,
+        })
+        .collect()
+}
+
+/// The search `EncodedInts::sorted_range` must reproduce probe for
+/// probe — the bill of a sort-key lookup is its probe count: for each
+/// bound, the textbook bisection (midpoint `lo + (hi - lo) / 2`) over an
+/// RLE column's run values, or over every other scheme's rows read one
+/// `get` at a time. Returns the range and the probes, `None` for `Ne`.
+fn reference_sorted_range(e: &EncodedInts, op: CmpOp, lit: i64) -> Option<(usize, usize, u64)> {
+    let n = e.len();
+    let mut probes = 0u64;
+    let mut bound = |after: bool| -> usize {
+        let below = |v: i64| if after { v <= lit } else { v < lit };
+        let (keys, key): (usize, Box<dyn Fn(usize) -> i64>) = match e {
+            EncodedInts::Rle(r) => (r.runs().len(), Box::new(|m| r.runs()[m].value)),
+            _ => (n, Box::new(|m| e.get(m))),
+        };
+        let (mut lo, mut hi) = (0usize, keys);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            probes += 1;
+            if below(key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        match e {
+            EncodedInts::Rle(r) => r.runs().get(lo).map_or(n, |run| run.start),
+            _ => lo,
+        }
+    };
+    let (lo, hi) = match op {
+        CmpOp::Eq => {
+            let lo = bound(false);
+            (lo, bound(true))
+        }
+        CmpOp::Lt => (0, bound(false)),
+        CmpOp::Le => (0, bound(true)),
+        CmpOp::Gt => (bound(true), n),
+        CmpOp::Ge => (bound(false), n),
+        CmpOp::Ne => return None,
+    };
+    Some((lo, hi, probes))
+}
+
 proptest! {
     /// The block reader is the one sequential decoder: its concatenated
     /// blocks, `decode()` and `iter()` all reproduce the input, `scan`
@@ -166,6 +237,45 @@ proptest! {
                     let mut got = Bitmap::zeros(len);
                     e.scan(op, lit, &mut got);
                     prop_assert_eq!(&got, &want, "{} {} {} (len {}, palette {})", scheme, op, lit, len, palette);
+                }
+            }
+        }
+    }
+
+    /// A sort-key search on columns spanning several Delta checkpoints —
+    /// duplicate runs across block and checkpoint edges, `i64::MIN` /
+    /// `MAX` rows and literals — returns exactly the matching rows, and
+    /// the range *and probe count* of a reference bisection through
+    /// `get`, on every scheme and for every operator: reading probes
+    /// through a cursor leaves the bill unchanged.
+    #[test]
+    fn sorted_range_bisects_like_get_across_checkpoints(
+        (tail, run) in (0usize..1100, 0usize..SORTED_RUNS.len()),
+        shift in 0usize..1500,
+        rise in (-1_000_000i64..1_000_000, 0i64..1000),
+        (head, foot) in (0usize..1100, 0usize..1100),
+        pick in any::<prop::sample::Index>(),
+    ) {
+        let data = sorted_checkpoint_data(tail, SORTED_RUNS[run], shift, rise, head, foot);
+        let last = data.len() - 1;
+        let mut literals = vec![i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX, 0, rise.0 - 1];
+        for row in [0, 63, 64, 1023, 1024, 2047, 2048, 3071, 3072, last, pick.index(data.len())] {
+            let v = data[row];
+            literals.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+        }
+        for scheme in Scheme::ALL {
+            let e = EncodedInts::encode(&data, scheme);
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                for &lit in &literals {
+                    let mut probes = 0u64;
+                    let got = e.sorted_range(op, lit, &mut probes);
+                    let want = reference_sorted_range(&e, op, lit);
+                    prop_assert_eq!(got.map(|(lo, hi)| (lo, hi, probes)), want, "{} {} {}", scheme, op, lit);
+                    if let Some((lo, hi)) = got {
+                        let matching = data.iter().filter(|&&v| op.eval(v, lit)).count();
+                        prop_assert!(data[lo..hi].iter().all(|&v| op.eval(v, lit)), "{} {} {}", scheme, op, lit);
+                        prop_assert_eq!(hi - lo, matching, "{} {} {} matches", scheme, op, lit);
+                    }
                 }
             }
         }

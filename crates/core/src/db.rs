@@ -29,6 +29,7 @@
 //! meter.
 
 use crate::error::{DbError, DbResult};
+use crate::executor::for_each_int;
 use crate::index::{IndexMaintenance, IndexStats, SecondaryIndex};
 use crate::schema::{Record, TableSchema};
 use crate::segment::MergeStats;
@@ -257,8 +258,11 @@ impl Query {
     }
 }
 
-/// Row-count threshold above which a query's units run morsel-parallel
-/// on real threads (one morsel = one store) instead of serially.
+/// Row-count threshold from which a stage's units with work — those
+/// holding a selected row, or in the filter those no zone settles —
+/// run morsel-parallel on real threads (one morsel = one store) instead
+/// of serially: counted over those units' stores, not the table, so a
+/// lookup its zones narrow to one store runs inline.
 pub const PARALLEL_SCAN_ROWS: usize = 262_144;
 
 /// The outcome of a query: rows plus full metering.
@@ -633,25 +637,23 @@ impl Database {
 
     /// Builds a hash index over integer column `column` of `t` from
     /// scratch, with the bill of that work: decode the compressed main,
-    /// read the delta's cells, and build the hash table.
+    /// read the delta's cells, and build the hash table (billed as one
+    /// pass, though the build streams the column twice).
     fn backfill_index(
         &self,
         t: &TableSnapshot,
         column: &str,
         maintenance: IndexMaintenance,
     ) -> DbResult<(SecondaryIndex, ResourceProfile)> {
-        let col = t.column(column).ok_or_else(|| DbError::NoSuchColumn {
-            table: t.name().to_string(),
-            column: column.to_string(),
-        })?;
-        let data = col
-            .as_int64()
-            .ok_or_else(|| DbError::TypeMismatch { column: column.to_string(), expected: DataType::Int64 })?;
+        // Two streamed passes, never the column materialized: count each
+        // key's rows, then insert them into row lists allocated once.
+        let mut counts: HashMap<i64, usize> = HashMap::new();
+        for_each_int(t, column, |key, _| *counts.entry(key).or_default() += 1)?;
         let mut idx = SecondaryIndex::new(maintenance);
-        for (row, &key) in data.iter().enumerate() {
-            idx.on_insert(key, row as u32);
-        }
-        let rows = data.len() as u64;
+        idx.reserve(&counts);
+        drop(counts);
+        for_each_int(t, column, |key, row| idx.on_insert(key, row))?;
+        let rows = t.rows() as u64;
         let profile = ResourceProfile {
             cpu_cycles: self.costs.cycles_for(Kernel::CompressDecode, t.main_rows() as u64)
                 + self.costs.cycles_for(Kernel::HashBuild, rows),
@@ -689,7 +691,7 @@ impl Database {
     /// in-flight [`haec_exec::pool::MorselGate`], cancel token) travels
     /// through to reach the engine. A nonzero `opts.dop` also opts small
     /// tables into pooled dispatch (the default path only parallelizes
-    /// above [`PARALLEL_SCAN_ROWS`]).
+    /// from [`PARALLEL_SCAN_ROWS`] rows of the stores a stage reads).
     ///
     /// # Errors
     ///

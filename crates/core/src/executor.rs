@@ -5,11 +5,16 @@
 //! Every stage works on *execution units* of a pinned
 //! [`TableSnapshot`] — one per main segment, then one per delta chunk:
 //! the units are exactly the stores storage defines, and a unit is the
-//! morsel. Every stage, the gather included, runs its units through one
-//! dispatch ([`Exec::dispatch`]) with one rule (one unit per morsel over
-//! the shared worker pool under an explicit grant or from
-//! [`PARALLEL_SCAN_ROWS`] table rows, else inline), holding one gate
-//! permit and polling the cancel token once per unit. Between stages
+//! morsel. Every stage, the gather included, hands one dispatch
+//! ([`Exec::dispatch`]) only its units with work — those holding a
+//! selected row, and in the filter those whose predicates no zone,
+//! dictionary or schema settles outright ([`settle`]) — and runs them by
+//! one rule: one unit per morsel over the shared worker pool when two or
+//! more are left and the query carries an explicit grant or their stores
+//! hold [`PARALLEL_SCAN_ROWS`] rows, else inline. Each dispatched unit
+//! holds one gate permit and polls the cancel token once; a unit left
+//! out takes neither, so a lookup whose zones leave one unit runs it on
+//! the calling thread and never wakes the pool. Between stages
 //! the surviving rows travel as one [`Selection`] **per unit**, in the
 //! shape the predicate kernel produces — every row (a side without
 //! predicates too), a sort-key row range, a match bitmap, or ascending
@@ -565,8 +570,9 @@ fn walk_rows(
 }
 
 /// One share of a gather, as its dispatch sees it: fills share `s`'s
-/// runs and returns what it read. A dispatch runs it for every `s` of
-/// `k` and returns the bills in share order.
+/// runs and returns what it read. A dispatch runs it for every share `s`
+/// — the position of its unit in the list of units it is handed — and
+/// returns the bills in share order.
 type ShareFn<'s> = &'s (dyn Fn(usize) -> GatherStats + Sync);
 
 /// The one gather: the named columns of `t` at the rows `sels` keeps —
@@ -586,9 +592,9 @@ fn gather_units(
     names: &[String],
     sels: &[Selection<'_>],
     slots: Option<&[u32]>,
-    dispatch: impl FnOnce(usize, ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
+    dispatch: impl FnOnce(&[usize], ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
 ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-    let units: Vec<usize> = (0..sels.len()).filter(|&u| sels[u].n > 0).collect();
+    let units = live(sels);
     let lens: Vec<usize> = units.iter().map(|&u| sels[u].n).collect();
     let mut out = t.gather_out(names, lens.iter().sum())?;
     let (k, width) = (units.len(), out.width());
@@ -598,7 +604,7 @@ fn gather_units(
         let take = |i: usize| {
             runs[i].lock().unwrap_or_else(PoisonError::into_inner).take().expect("each run is filled once")
         };
-        dispatch(k, &|s| {
+        dispatch(&units, &|s| {
             let (unit, sel) = (Unit::of(t, units[s]), &sels[units[s]]);
             total((0..width).map(|c| {
                 let (idx, run) = take(c * k + s);
@@ -630,7 +636,7 @@ fn gather_list(
     t: &TableSnapshot,
     names: &[String],
     rows: &[u32],
-    dispatch: impl FnOnce(usize, ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
+    dispatch: impl FnOnce(&[usize], ShareFn<'_>) -> DbResult<Vec<GatherStats>>,
 ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
     let mut strict = true;
     let (sorted, slots) = if rows.windows(2).all(|w| {
@@ -667,17 +673,64 @@ pub(crate) fn gather_serial(
     names: &[String],
     rows: Option<&[u32]>,
 ) -> DbResult<(Vec<(String, Column)>, GatherStats)> {
-    let serial =
-        |k: usize, share: ShareFn<'_>| -> DbResult<Vec<GatherStats>> { Ok((0..k).map(share).collect()) };
+    let serial = |units: &[usize], share: ShareFn<'_>| -> DbResult<Vec<GatherStats>> {
+        Ok((0..units.len()).map(share).collect())
+    };
     match rows {
         Some(rows) => gather_list(t, names, rows, serial),
         None => gather_units(t, names, &every_row(t), None, serial),
     }
 }
 
+/// Feeds `f` every cell of integer column `name` of `t` with its global
+/// row id, in row order — every unit streamed through [`walk`], so the
+/// column is never materialized (an index backfill's read).
+///
+/// # Errors
+///
+/// [`DbError::NoSuchColumn`] for an unknown name and
+/// [`DbError::TypeMismatch`] for a column that is not `Int64`.
+pub(crate) fn for_each_int(t: &TableSnapshot, name: &str, mut f: impl FnMut(i64, u32)) -> DbResult<()> {
+    let idx = check_int_column(t, t.name(), name)?;
+    for u in 0..t.store_count() {
+        let unit = Unit::of(t, u);
+        walk(&unit, unit.int_col(idx), UnitCol::Const(0), &Selection::all(unit.rows), |key, _, row| {
+            f(key, row)
+        });
+    }
+    Ok(())
+}
+
 /// One selection per unit of `t`, keeping every row.
 fn every_row(t: &TableSnapshot) -> Vec<Selection<'static>> {
     (0..t.store_count()).map(|u| Selection::all(t.store(u).0.rows())).collect()
+}
+
+/// The units with work in a stage's per-unit selections: those holding
+/// a row, ascending — what every stage hands [`Exec::dispatch`].
+fn live(sels: &[Selection<'_>]) -> Vec<usize> {
+    (0..sels.len()).filter(|&u| sels[u].n > 0).collect()
+}
+
+/// The filter's first pass, on the calling thread: every unit of `t`
+/// whose predicates [`Pred::on`] decides without a read gets the
+/// selection [`Exec::eval`] would return for it, with nothing billed —
+/// none when the first predicate that is not a tautology excludes every
+/// row, every row when all are tautologies. Returns those selections
+/// (none for a unit left to read) and, per unit, what the scan reads:
+/// every row of a unit left to read, none of a settled one. A settled
+/// unit never reaches [`Exec::dispatch`].
+fn settle(t: &TableSnapshot, preds: &[Pred]) -> (Vec<Selection<'static>>, Vec<Selection<'static>>) {
+    (0..t.store_count())
+        .map(|u| {
+            let unit = Unit::of(t, u);
+            match preds.iter().map(|p| p.on(&unit)).find(|p| !matches!(p, UnitPred::Const(true))) {
+                None => (Selection::all(unit.rows), Selection::none()),
+                Some(UnitPred::Const(false)) => (Selection::none(), Selection::none()),
+                Some(_) => (Selection::none(), Selection::all(unit.rows)),
+            }
+        })
+        .unzip()
 }
 
 /// One column of one unit's share of a gather: the cells `sel` keeps,
@@ -1236,20 +1289,22 @@ impl Exec<'_> {
                 });
             }
         }
-        let all = every_row(t);
         if preds.is_empty() {
-            return Ok((all, access_path));
+            return Ok((every_row(t), access_path));
         }
         // Zone maps first (prune whole units, or skip tautological
-        // predicates), then the compressed column is scanned in place —
-        // store data is **never decoded** for predicate evaluation. Every
-        // delta chunk is a unit of its own, so an oversized
-        // (merge-disabled) delta still parallelizes.
-        let (mut sels, scan_profile) = self.run_units(t, &all, |unit, _| self.eval(unit, &preds));
+        // predicates) on this thread, then the compressed column of each
+        // unit left is scanned in place — store data is **never decoded**
+        // for predicate evaluation. Every delta chunk is a unit of its
+        // own, so an oversized (merge-disabled) delta still parallelizes.
+        let (mut sels, todo) = settle(t, &preds);
+        let (read, scan_profile) = self.run_units(t, &todo, |unit, _| self.eval(unit, &preds));
         self.profile += scan_profile;
-        // A cancelled scan covered only some units; the caller discards
-        // the stage's output, but it still gets one entry per unit.
-        sels.resize_with(t.store_count(), Selection::none);
+        // A cancelled scan read only some units; the caller discards the
+        // stage's output.
+        for (u, sel) in live(&todo).into_iter().zip(read) {
+            sels[u] = sel;
+        }
         Ok((sels, access_path))
     }
 
@@ -1265,18 +1320,23 @@ impl Exec<'_> {
             Some(cols) => cols.clone(),
             None => t.schema().columns().iter().map(|(n, _)| n.clone()).collect(),
         };
-        let (cols, stats) = gather_units(t, &names, sels, None, |k, share| self.shares(t, k, share))?;
+        let (cols, stats) = gather_units(t, &names, sels, None, |units, share| self.shares(t, units, share))?;
         let chunk = Chunk::new(cols).map_err(|e| DbError::BadQuery(format!("projection: {e}")))?;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, chunk.rows() as u64);
         self.bill_gather(&stats);
         Ok(chunk)
     }
 
-    /// Runs `t`'s `k` gather shares (one per unit holding a row) through
-    /// [`Exec::dispatch`] and returns their bills in share order. A
-    /// cancelled gather bills the shares that ran and stops.
-    fn shares(&mut self, t: &TableSnapshot, k: usize, share: ShareFn<'_>) -> DbResult<Vec<GatherStats>> {
-        let parts = self.dispatch(k, t.rows(), share);
+    /// Runs `t`'s gather shares, one per unit of `units` (those holding a
+    /// row), through [`Exec::dispatch`] and returns their bills in share
+    /// order. A cancelled gather bills the shares that ran and stops.
+    fn shares(
+        &mut self,
+        t: &TableSnapshot,
+        units: &[usize],
+        share: ShareFn<'_>,
+    ) -> DbResult<Vec<GatherStats>> {
+        let parts = self.dispatch(t, units, share);
         if self.opts.is_cancelled() {
             self.bill_gather(&total(parts.iter().copied()));
             self.check_cancelled()?;
@@ -1645,7 +1705,7 @@ impl Exec<'_> {
     ) -> DbResult<Vec<(String, Column)>> {
         let cells = (rows.len() * names.len()) as u64;
         self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::Materialize, cells);
-        let (cols, stats) = gather_list(t, names, rows, |k, share| self.shares(t, k, share))?;
+        let (cols, stats) = gather_list(t, names, rows, |units, share| self.shares(t, units, share))?;
         self.bill_gather(&stats);
         Ok(cols)
     }
@@ -1746,58 +1806,67 @@ impl Exec<'_> {
         }
     }
 
-    /// Runs `eval` over every execution unit of `t` with a surviving row,
-    /// handing each unit its own [`Selection`], and returns the units'
-    /// results in unit order with their summed bills. Every stage but the
-    /// gather goes through here, and the gather runs its shares — one per
-    /// unit holding a row — through the same [`Exec::dispatch`], so stages
-    /// can never disagree on unit granularity.
+    /// Runs `eval` over the execution units of `t` with a surviving row
+    /// ([`live`]), handing each unit its own [`Selection`], and returns
+    /// the units' results in unit order with their summed bills. Only
+    /// those units reach [`Exec::dispatch`], so a stage whose survivors
+    /// lie in one unit runs it inline. Every stage but the gather goes
+    /// through here, and the gather hands the same dispatch the same
+    /// units — one share per unit holding a row — so stages can never
+    /// disagree on unit granularity or on when to pool.
     fn run_units<R: Send>(
         &self,
         t: &TableSnapshot,
         sels: &[Selection<'_>],
         eval: impl Fn(&Unit<'_>, &Selection<'_>) -> (R, ResourceProfile) + Sync,
     ) -> (Vec<R>, ResourceProfile) {
-        let parts = self.dispatch(t.store_count(), t.rows(), |u| {
-            (sels[u].n > 0).then(|| eval(&Unit::of(t, u), &sels[u]))
-        });
+        let units = live(sels);
+        let parts = self.dispatch(t, &units, |i| eval(&Unit::of(t, units[i]), &sels[units[i]]));
         let mut out = Vec::with_capacity(parts.len());
         let mut profile = ResourceProfile::default();
-        for (r, p) in parts.into_iter().flatten() {
+        for (r, p) in parts {
             out.push(r);
             profile += p;
         }
         (out, profile)
     }
 
-    /// The one dispatch: runs `eval` over units `0..units` of a table of
-    /// `rows` rows and returns the results in unit order — over the shared
-    /// worker pool, one unit per morsel, where [`Exec::pooled`] says so;
-    /// else inline, in order, on the calling thread. Either way each unit
-    /// holds one gate permit while it runs, so the fleet-wide in-flight
-    /// accounting a server's energy cap relies on stays exact for *every*
-    /// admitted query, and the cancel token is polled before each unit: a
-    /// cancelled dispatch returns the results of the units that ran.
-    fn dispatch<R: Send>(&self, units: usize, rows: usize, eval: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        if !self.pooled(units, rows) {
-            let mut parts = Vec::with_capacity(units);
-            for u in 0..units {
+    /// The one dispatch: runs `eval(i)` for each unit `units[i]` of `t`
+    /// — the stage's units with work, ascending — and returns the results
+    /// in that order: over the shared worker pool, one unit per morsel,
+    /// where [`Exec::pooled`] says so; else inline, in order, on the
+    /// calling thread. Either way each unit holds one gate permit while it
+    /// runs, so the fleet-wide in-flight accounting a server's energy cap
+    /// relies on stays exact for *every* unit a query reads, and the
+    /// cancel token is polled before each unit: a cancelled dispatch
+    /// returns the results of the units that ran. Units a stage settled
+    /// without work are never handed here: they take no permit and no
+    /// poll.
+    fn dispatch<R: Send>(
+        &self,
+        t: &TableSnapshot,
+        units: &[usize],
+        eval: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        if !self.pooled(t, units) {
+            let mut parts = Vec::with_capacity(units.len());
+            for i in 0..units.len() {
                 if self.opts.is_cancelled() {
                     break;
                 }
                 let _permit = self.opts.gate.as_deref().map(MorselGate::acquire);
-                parts.push(eval(u));
+                parts.push(eval(i));
             }
             return parts;
         }
         let spec = RunSpec {
-            dop: self.dop().min(units),
+            dop: self.dop().min(units.len()),
             morsel_rows: 1,
             gate: self.opts.gate.as_deref(),
             cancel: self.opts.cancel.as_ref(),
         };
         let mut parts = self.db.pool().run(
-            units,
+            units.len(),
             spec,
             |m| vec![(m.start, eval(m.start))],
             |mut a: Vec<(usize, R)>, b| {
@@ -1810,12 +1879,15 @@ impl Exec<'_> {
         parts.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// The rule [`Exec::dispatch`] branches on: `units` units of a table of
-    /// `rows` rows share the pool when there are two or more and the query
-    /// carries a parallelism grant (`opts.dop > 0`) or, on the default
-    /// path, reaches [`PARALLEL_SCAN_ROWS`] table rows.
-    fn pooled(&self, units: usize, rows: usize) -> bool {
-        units > 1 && self.dop() > 1 && (self.opts.dop > 0 || rows >= PARALLEL_SCAN_ROWS)
+    /// The rule [`Exec::dispatch`] branches on: units `units` of `t` — a
+    /// stage's units with work — share the pool when there are two or
+    /// more and the query carries a parallelism grant (`opts.dop > 0`)
+    /// or, on the default path, their stores hold [`PARALLEL_SCAN_ROWS`]
+    /// rows between them. Store rows, not survivors: a sparse selection
+    /// spread over many large stores still pools.
+    fn pooled(&self, t: &TableSnapshot, units: &[usize]) -> bool {
+        let rows = || units.iter().map(|&u| t.store(u).0.rows()).sum::<usize>();
+        units.len() > 1 && self.dop() > 1 && (self.opts.dop > 0 || rows() >= PARALLEL_SCAN_ROWS)
     }
 
     /// The grant, or the cached default — never a per-query OS call.
@@ -2133,7 +2205,7 @@ mod tests {
             for dop in [1, 2, 4] {
                 let opts = ExecOpts::with_dop(dop);
                 let mut ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
-                assert_eq!(ex.pooled(t.store_count(), t.rows()), dop > 1);
+                assert_eq!(ex.pooled(&t, &live(&every_row(&t))), dop > 1);
                 let got = ex.gather_join_side(&t, &names, rows).unwrap();
                 assert_eq!(got, want, "dop {dop}, {} rows", rows.len());
                 assert_eq!(ex.profile, reference.profile, "dop {dop}: one bill");
@@ -2159,6 +2231,57 @@ mod tests {
                 assert_eq!((&pooled.rows, pooled.profile), (&serial.rows, serial.profile), "dop {dop}");
             }
         }
+    }
+
+    #[test]
+    fn only_units_with_work_reach_the_dispatch() {
+        // Four merged segments of `PARALLEL_SCAN_ROWS` rows between them,
+        // `id` ascending (disjoint zones), `v` spanning the same range in
+        // every segment; a two-worker pool, so the default path pools
+        // whatever the host.
+        let pool = std::sync::Arc::new(haec_exec::pool::WorkerPool::new(2));
+        let db = Database::with_machine_and_pool(haec_energy::machine::MachineSpec::default(), pool);
+        db.create_table_sorted("big", &[("id", DataType::Int64), ("v", DataType::Int64)], "id").unwrap();
+        for i in 0..PARALLEL_SCAN_ROWS as i64 {
+            db.insert("big", &Record::new().with("id", 2 * i).with("v", i % 1000)).unwrap();
+        }
+        let t = db.table("big").unwrap();
+        assert_eq!((t.store_count(), t.rows()), (4, PARALLEL_SCAN_ROWS));
+        let opts = ExecOpts::default();
+        let ex = Exec { db: &db, opts: &opts, profile: ResourceProfile::default() };
+        let seg = crate::segment::SEGMENT_ROWS as i64;
+        // What the filter stage hands the dispatch for each filter.
+        let scanned = |f: Vec<Filter>| {
+            let preds = resolve_preds(&t, "big", &f, &[]).unwrap();
+            live(&settle(&t, &preds).1)
+        };
+        let point = vec![Filter { column: "id".into(), op: CmpOp::Eq, literal: 2 * (seg + 7) }];
+        assert_eq!(scanned(point), vec![1], "a sort-key point filter reads the one unit its zone keeps");
+        assert!(!ex.pooled(&t, &[1]), "one unit runs inline");
+        let outside = vec![Filter { column: "id".into(), op: CmpOp::Lt, literal: -1 }];
+        assert_eq!(scanned(outside), Vec::<usize>::new(), "a literal outside every zone dispatches none");
+        let scan = vec![Filter { column: "v".into(), op: CmpOp::Lt, literal: 100 }];
+        assert_eq!(scanned(scan), vec![0, 1, 2, 3], "a full scan reads every unit");
+        let every = live(&every_row(&t));
+        assert_eq!(every, vec![0, 1, 2, 3], "an unfiltered fold reads every unit");
+        assert!(ex.pooled(&t, &every), "and pools");
+        // A range whose zones leave two units of half the threshold
+        // between them runs inline too: store rows, not table rows.
+        assert!(!ex.pooled(&t, &[1, 2]));
+        // Settled or not, every answer and bill equals the serial one.
+        for q in [
+            Query::scan("big").filter("id", CmpOp::Eq, 2 * (seg + 7)).select(["id", "v"]),
+            Query::scan("big").filter("id", CmpOp::Lt, -1).select(["v"]),
+            Query::scan("big").filter("id", CmpOp::Ge, 2 * seg - 2).filter("id", CmpOp::Lt, 2 * seg + 6),
+            Query::scan("big").filter("v", CmpOp::Lt, 100).aggregate(AggKind::Count, "v"),
+            Query::scan("big").aggregate(AggKind::Sum, "v"),
+        ] {
+            let serial = db.execute_opts(&q, &ExecOpts::with_dop(1)).unwrap();
+            let default = db.execute(&q).unwrap();
+            assert_eq!((&default.rows, default.profile), (&serial.rows, serial.profile), "{q:?}");
+        }
+        let point = db.execute(&Query::scan("big").filter("id", CmpOp::Eq, 2 * (seg + 7))).unwrap();
+        assert_eq!(point.rows.column("v").unwrap().as_int64().unwrap(), &[(seg + 7) % 1000]);
     }
 
     #[test]

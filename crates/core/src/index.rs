@@ -81,6 +81,23 @@ impl SecondaryIndex {
         self.backlog.len()
     }
 
+    /// Makes room for the rows about to be inserted, `counts[key]` of
+    /// them under each key: an eager index allocates each key's row list
+    /// once at its final size — grown by doubling instead, every outgrown
+    /// copy is left behind as heap garbage — and a Need-to-Know index
+    /// sizes its backlog.
+    pub(crate) fn reserve(&mut self, counts: &HashMap<i64, usize>) {
+        match self.maintenance {
+            IndexMaintenance::Eager => {
+                self.map.reserve(counts.len());
+                for (&key, &n) in counts {
+                    self.map.entry(key).or_default().reserve_exact(n);
+                }
+            }
+            IndexMaintenance::NeedToKnow => self.backlog.reserve_exact(counts.values().sum()),
+        }
+    }
+
     /// Notifies the index of a new row with key `key` at `row`.
     pub fn on_insert(&mut self, key: i64, row: u32) {
         match self.maintenance {

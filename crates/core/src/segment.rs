@@ -264,9 +264,14 @@ impl Segment {
         let seg = Segment { rows, columns: seg_cols, validity: seg_validity, sorted_by };
         #[cfg(debug_assertions)]
         if let Some(k) = sorted_by {
+            // One ordered pass over the encoded key, never a point read
+            // per row.
+            let key = match seg.columns.get(k) {
+                Some(SegColumn::Int { data, .. } | SegColumn::Str { codes: data, .. }) => data,
+                _ => panic!("sort key must be an int or string column"),
+            };
             let mut prev = i64::MIN;
-            for row in 0..seg.rows {
-                let v = seg.get_int(k, row).expect("sort key must be an int or string column");
+            for (row, v) in key.iter().enumerate() {
                 debug_assert!(prev <= v, "segment claims sorted_by {k} but row {row} regresses");
                 prev = v;
             }

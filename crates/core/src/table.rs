@@ -349,12 +349,6 @@ impl Table {
         self.merge_threshold.store(rows.max(1), Ordering::Relaxed);
     }
 
-    /// Returns `true` once the delta has outgrown the merge threshold.
-    // haec-lint: allow(dead-pub) — the merge-threshold test observes the trigger through it.
-    pub fn needs_merge(&self) -> bool {
-        self.delta_rows() >= self.merge_threshold()
-    }
-
     /// Appends one record to the open delta chunk, evolving a flexible
     /// schema as needed, and stamps the row with the next timestamp from
     /// `oracle`. Returns the timestamp, the row's global id and the
@@ -1384,17 +1378,23 @@ impl GatherStats {
     }
 }
 
-/// Convenience constructor for common strict schemas.
-// haec-lint: allow(dead-pub) — the table tests' schema builder; it moves into their module with them (ROADMAP item 10).
-pub fn strict_schema(cols: &[(&str, DataType)]) -> TableSchema {
-    TableSchema::strict(cols.iter().map(|(n, t)| (n.to_string(), *t)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::SchemaMode;
     use haec_columnar::value::{CmpOp, Value};
+
+    /// Convenience constructor for common strict schemas.
+    fn strict_schema(cols: &[(&str, DataType)]) -> TableSchema {
+        TableSchema::strict(cols.iter().map(|(n, t)| (n.to_string(), *t)).collect())
+    }
+
+    impl Table {
+        /// Returns `true` once the delta has outgrown the merge threshold.
+        fn needs_merge(&self) -> bool {
+            self.delta_rows() >= self.merge_threshold()
+        }
+    }
 
     fn ins(t: &Table, o: &TimestampOracle, r: &Record) {
         t.insert(r, o).unwrap();

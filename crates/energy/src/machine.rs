@@ -158,7 +158,7 @@ pub struct MachineSpec {
     pstates: PStateTable,
     dram: DramSpec,
     nic: NicSpec,
-    disk: Option<DiskSpec>,
+    disk: DiskSpec,
     coproc: Option<CoprocSpec>,
     /// Fans, VRs, chipset: drawn whenever the node is powered.
     platform_w: f64,
@@ -174,7 +174,7 @@ impl MachineSpec {
             pstates: PStateTable::xeon_2013(),
             dram: DramSpec::ddr3_64gib(),
             nic: NicSpec::ten_gbe(),
-            disk: Some(DiskSpec::nearline_sata()),
+            disk: DiskSpec::nearline_sata(),
             coproc: None,
             platform_w: 45.0,
         }
@@ -221,10 +221,10 @@ impl MachineSpec {
         &self.nic
     }
 
-    /// Cold-tier disk parameters, if present.
+    /// Cold-tier disk parameters.
     #[inline]
-    pub fn disk(&self) -> Option<&DiskSpec> {
-        self.disk.as_ref()
+    pub fn disk(&self) -> &DiskSpec {
+        &self.disk
     }
 
     /// Co-processor parameters, if present.
@@ -247,9 +247,7 @@ impl MachineSpec {
         let mut p = self.platform_power() + self.dram.static_power() + self.nic.idle_power();
         let per_core = self.pstates.core_power(self.pstates.slowest(), CState::Parked);
         p += per_core * self.cores as f64;
-        if let Some(d) = &self.disk {
-            p += d.idle_power();
-        }
+        p += self.disk.idle_power();
         if let Some(c) = &self.coproc {
             p += c.idle_power();
         }
@@ -264,9 +262,7 @@ impl MachineSpec {
         let mut p = self.platform_power() + self.dram.static_power() + self.nic.idle_power();
         let per_core = self.pstates.core_power(self.pstates.fastest(), CState::Active);
         p += per_core * self.cores as f64;
-        if let Some(d) = &self.disk {
-            p += Watts::new(d.idle_w + d.active_extra_w);
-        }
+        p += Watts::new(self.disk.idle_w + self.disk.active_extra_w);
         if let Some(c) = &self.coproc {
             p += Watts::new(c.busy_w);
         }
@@ -303,7 +299,7 @@ mod tests {
         assert_eq!(m.cores(), 32);
         assert_eq!(m.platform_power(), Watts::new(45.0));
         assert!(m.coproc().is_some());
-        assert!(m.disk().is_some());
+        assert_eq!(m.disk(), &DiskSpec::nearline_sata());
     }
 
     #[test]

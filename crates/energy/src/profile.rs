@@ -286,12 +286,13 @@ impl CostEstimator {
         } else {
             profile.nic_bytes.bytes() as f64 / m.nic().bandwidth
         };
-        let (disk_time, disk_energy) = match (m.disk(), profile.disk_read.bytes(), profile.disk_seeks) {
-            (Some(d), bytes, seeks) if bytes > 0 || seeks > 0 => {
-                let t = bytes as f64 / d.bandwidth + seeks as f64 * d.seek_s;
-                (t, Watts::new(d.active_extra_w) * Duration::from_secs_f64(t))
-            }
-            _ => (0.0, Joules::ZERO),
+        let (disk_bytes, seeks) = (profile.disk_read.bytes(), profile.disk_seeks);
+        let (disk_time, disk_energy) = if disk_bytes > 0 || seeks > 0 {
+            let d = m.disk();
+            let t = disk_bytes as f64 / d.bandwidth + seeks as f64 * d.seek_s;
+            (t, Watts::new(d.active_extra_w) * Duration::from_secs_f64(t))
+        } else {
+            (0.0, Joules::ZERO)
         };
         let (coproc_time, coproc_energy) =
             match (m.coproc(), profile.coproc_items, profile.coproc_link_bytes.bytes()) {
