@@ -29,8 +29,8 @@
 //! meter.
 
 use crate::error::{DbError, DbResult};
-use crate::executor::for_each_int;
-use crate::index::{IndexMaintenance, IndexStats, SecondaryIndex};
+use crate::executor::check_int_column;
+use crate::index::{Index, IndexMaintenance, IndexStats};
 use crate::schema::{Record, TableSchema};
 use crate::segment::MergeStats;
 use crate::table::{Table, TableSnapshot};
@@ -284,17 +284,6 @@ pub struct QueryResult {
     pub profile: ResourceProfile,
 }
 
-/// A registered secondary index plus the main epoch it was (re)built
-/// at. On tables with a declared sort key a merge *permutes* the merged
-/// batch's row ids, so the epoch stamp is what lets the planner tell a
-/// still-valid index from one whose row ids predate the latest sorting
-/// merge (see [`Database::merge`], which rebuilds and restamps).
-#[derive(Debug)]
-pub(crate) struct IndexEntry {
-    pub(crate) idx: SecondaryIndex,
-    pub(crate) built_epoch: u64,
-}
-
 /// The in-memory, energy-metered, multi-version database.
 ///
 /// All methods take `&self`: a `Database` can be shared across threads
@@ -324,7 +313,6 @@ pub struct Database {
     pub(crate) model: CostModel,
     meter: Mutex<EnergyMeter>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    pub(crate) indexes: Mutex<HashMap<(String, String), IndexEntry>>,
     goal: Mutex<Goal>,
     /// The shared source of all timestamps: inserts, snapshots and
     /// transactions draw from one total order.
@@ -365,7 +353,6 @@ impl Database {
             costs,
             meter: Mutex::new(EnergyMeter::new()),
             tables: RwLock::new(HashMap::new()),
-            indexes: Mutex::new(HashMap::new()),
             goal: Mutex::new(Goal::MinTime),
             oracle: Arc::new(TimestampOracle::new()),
             pool,
@@ -485,8 +472,9 @@ impl Database {
     }
 
     /// Inserts one record into the table's open delta chunk, stamping it
-    /// with the next timestamp from the shared oracle and maintaining
-    /// indexes per their discipline. Returns the row's commit timestamp. Once
+    /// with the next timestamp from the shared oracle. Nothing is
+    /// indexed here: a delta chunk is indexed once sealed, by its first
+    /// reader. Returns the row's commit timestamp. Once
     /// the delta outgrows the table's merge threshold, a delta→main
     /// merge runs automatically (and its re-encoding cost is charged to
     /// the meter).
@@ -498,29 +486,11 @@ impl Database {
     pub fn insert(&self, table: &str, record: &Record) -> DbResult<Timestamp> {
         let t = self.handle(table)?;
         // Fires before any state is touched: an injected failure must
-        // leave the row unpublished, unindexed, and unbilled.
+        // leave the row unpublished and unbilled.
         fail::fail_point!("db::insert", |msg: Option<String>| Err(DbError::Exec(
             msg.unwrap_or_else(|| "failpoint db::insert".into())
         )));
-        // Hold the index guard across the row's publication so a reader
-        // whose pin sees the row can never miss its index entry: the
-        // index path looks up under this same mutex, and the filter
-        // `row < snapshot.rows()` discards entries for rows newer than
-        // the pin.
-        let mut indexes = self.indexes.lock();
-        let (ts, row, delta_rows) = t.insert(record, &self.oracle)?;
-        for ((tname, col), entry) in indexes.iter_mut() {
-            if tname == table {
-                // Index the cell the row stores — a null or missing one
-                // is the sentinel 0 — as the backfill and the scan read it.
-                let key = match record.get(col) {
-                    Some(Value::Int(key)) => *key,
-                    _ => 0,
-                };
-                entry.idx.on_insert(key, row);
-            }
-        }
-        drop(indexes);
+        let (ts, _, delta_rows) = t.insert(record, &self.oracle)?;
         // Charge ingestion: one materialize per field, billing the bytes
         // each field actually writes (a string is its payload plus a
         // 4-byte dictionary code, not an 8-byte cell).
@@ -545,8 +515,9 @@ impl Database {
     }
 
     /// Compacts `table`'s delta into compressed main segments, charging
-    /// the re-encoding CPU and DRAM traffic to the energy meter. A
-    /// no-op (and free) when the delta is empty.
+    /// the re-encoding CPU and DRAM traffic to the energy meter — and
+    /// the index builds of an eager index's new segments as the index's
+    /// maintenance. A no-op (and free) when the delta is empty.
     ///
     /// # Errors
     ///
@@ -556,9 +527,7 @@ impl Database {
         let stats = t.merge();
         if stats.rows_merged > 0 {
             self.charge_encode(stats.raw_bytes, stats.encoded_bytes);
-            if t.schema().sort_key().is_some() {
-                self.rebuild_indexes_for(table, &t);
-            }
+            t.indexes().iter().for_each(|index| self.charge_index_builds(index));
         }
         Ok(stats)
     }
@@ -581,26 +550,20 @@ impl Database {
         }
     }
 
-    /// Rebuilds every index registered on `table` from a fresh snapshot
-    /// and restamps its epoch. A *sorting* merge permutes the merged
-    /// batch's row ids, so indexes built before it silently point at the
-    /// wrong rows; until this rebuild runs, the epoch gate in the query
-    /// path keeps them out of plans (correct but slower). The rebuild is
-    /// billed exactly like the original backfill — it is the same work.
-    fn rebuild_indexes_for(&self, table: &str, handle: &Arc<Table>) {
-        // A fault here strands indexes at their pre-merge epoch: the
-        // epoch gate must keep them out of plans (slower, never wrong).
-        fail::fail_point!("index::rebuild");
-        let mut indexes = self.indexes.lock();
-        let t = handle.read();
-        for ((tname, col), entry) in indexes.iter_mut() {
-            if tname != table || entry.built_epoch == t.epoch() {
-                continue;
-            }
-            let Ok((idx, profile)) = self.backfill_index(&t, col, entry.idx.maintenance()) else { continue };
-            self.charge(&profile);
-            entry.idx = idx;
-            entry.built_epoch = t.epoch();
+    /// Charges the store builds of `index` not charged yet to the meter
+    /// — storage maintenance, never a query's bill — as one decode of
+    /// the column and one join-table build over its rows, each entry a
+    /// key and a row id. Nothing built is free.
+    pub(crate) fn charge_index_builds(&self, index: &Index) {
+        let (rows, bytes) = index.take_unbilled();
+        if rows > 0 {
+            self.charge(&ResourceProfile {
+                cpu_cycles: self.costs.cycles_for(Kernel::CompressDecode, rows)
+                    + self.costs.cycles_for(Kernel::HashBuild, rows),
+                dram_read: ByteCount::new(bytes),
+                dram_written: ByteCount::new(rows * 12),
+                ..ResourceProfile::default()
+            });
         }
     }
 
@@ -615,58 +578,43 @@ impl Database {
         Ok(())
     }
 
-    /// Creates a hash index on an integer column, backfilling existing
-    /// rows under the chosen maintenance discipline.
+    /// Declares an index on an integer column. Under
+    /// [`IndexMaintenance::Eager`] every store the table holds now is
+    /// indexed here, and every segment a later merge builds is indexed
+    /// by that merge; under [`IndexMaintenance::NeedToKnow`] nothing is,
+    /// and each store is indexed by the first query that reads it. The
+    /// builds are charged to the meter as the index's maintenance.
     ///
     /// # Errors
     ///
-    /// Unknown table/column errors.
+    /// Unknown table/column errors, and [`DbError::TypeMismatch`] for a
+    /// column that is not `Int64`.
     pub fn create_index(&self, table: &str, column: &str, maintenance: IndexMaintenance) -> DbResult<()> {
         let handle = self.handle(table)?;
-        // Hold the index guard across backfill + registration: a
-        // concurrent insert either lands before the snapshot below (and
-        // is backfilled) or blocks on this mutex until the index is
-        // registered (and feeds it through `Database::insert`).
-        let mut indexes = self.indexes.lock();
         let t = handle.read();
-        let (idx, profile) = self.backfill_index(&t, column, maintenance)?;
-        self.charge(&profile);
-        indexes.insert((table.to_string(), column.to_string()), IndexEntry { idx, built_epoch: t.epoch() });
+        // Declared before any store is indexed: a build that fails
+        // leaves cells for readers to fill, never an index that is
+        // missing its stores. A store a merge publishes meanwhile is
+        // indexed by its first reader.
+        let index = handle.add_index(check_int_column(&t, table, column)?, maintenance);
+        if maintenance == IndexMaintenance::Eager {
+            for u in 0..t.store_count() {
+                index.on(t.store(u).0, false);
+            }
+        }
+        self.charge_index_builds(&index);
         Ok(())
     }
 
-    /// Builds a hash index over integer column `column` of `t` from
-    /// scratch, with the bill of that work: decode the compressed main,
-    /// read the delta's cells, and build the hash table (billed as one
-    /// pass, though the build streams the column twice).
-    fn backfill_index(
-        &self,
-        t: &TableSnapshot,
-        column: &str,
-        maintenance: IndexMaintenance,
-    ) -> DbResult<(SecondaryIndex, ResourceProfile)> {
-        // Two streamed passes, never the column materialized: count each
-        // key's rows, then insert them into row lists allocated once.
-        let mut counts: HashMap<i64, usize> = HashMap::new();
-        for_each_int(t, column, |key, _| *counts.entry(key).or_default() += 1)?;
-        let mut idx = SecondaryIndex::new(maintenance);
-        idx.reserve(&counts);
-        drop(counts);
-        for_each_int(t, column, |key, row| idx.on_insert(key, row))?;
-        let rows = t.rows() as u64;
-        let profile = ResourceProfile {
-            cpu_cycles: self.costs.cycles_for(Kernel::CompressDecode, t.main_rows() as u64)
-                + self.costs.cycles_for(Kernel::HashBuild, rows),
-            dram_read: ByteCount::new(t.column_encoded_bytes(column).unwrap_or(0) as u64),
-            dram_written: ByteCount::new(rows * 12), // key + row id per entry
-            ..ResourceProfile::default()
-        };
-        Ok((idx, profile))
-    }
-
-    /// Work counters of an index.
+    /// Work counters of the index on `table.column`: `lookups` counts
+    /// the queries that took the index path, `maintenance_ops` the rows
+    /// indexed by store builds — eager or on a reader's demand — and
+    /// `catchups` the store builds a reader triggered. `None` when the
+    /// column has no index.
     pub fn index_stats(&self, table: &str, column: &str) -> Option<IndexStats> {
-        self.indexes.lock().get(&(table.to_string(), column.to_string())).map(|e| e.idx.stats())
+        let t = self.handle(table).ok()?;
+        let idx = t.schema().position(column)?;
+        t.indexes().iter().find(|i| i.column == idx).map(|i| i.stats())
     }
 
     fn exec_ctx(&self) -> ExecutionContext {
@@ -697,7 +645,7 @@ impl Database {
     ///
     /// Same failure modes as [`Database::execute`].
     pub fn execute_opts(&self, query: &Query, opts: &ExecOpts) -> DbResult<QueryResult> {
-        self.run(query, true, opts, |name| {
+        self.run(query, opts, |name| {
             self.table(name).map(Cow::Owned).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
         })
     }
@@ -793,7 +741,7 @@ impl DbSnapshot<'_> {
     ///
     /// Same failure modes as [`DbSnapshot::execute`].
     pub fn execute_opts(&self, query: &Query, opts: &ExecOpts) -> DbResult<QueryResult> {
-        self.db.run(query, true, opts, |name| {
+        self.db.run(query, opts, |name| {
             self.table(name).map(Cow::Borrowed).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
         })
     }
@@ -855,9 +803,7 @@ impl DbTransaction<'_> {
     /// Same failure modes as [`Database::execute`]; overlay rows that
     /// violate the schema surface here.
     pub fn execute(&self, query: &Query) -> DbResult<QueryResult> {
-        // Overlay rows are invisible to the live indexes — stay off the
-        // index path so read-your-own-writes holds on every plan.
-        self.snapshot.db.run(query, false, &ExecOpts::default(), |name| self.overlay(name).map(Cow::Owned))
+        self.snapshot.db.run(query, &ExecOpts::default(), |name| self.overlay(name).map(Cow::Owned))
     }
 
     /// Commits the overlay: every buffered write replays through
@@ -1159,28 +1105,37 @@ mod tests {
     }
 
     #[test]
-    fn sorting_merge_rebuilds_index_and_epoch_gates_stale_readers() {
+    fn sorting_merge_leaves_pinned_snapshots_their_own_index() {
         let rows = SEGMENT_ROWS as i64 + 1000;
         let db = shuffled_orders_db(rows, true);
-        db.create_index("orders", "id", IndexMaintenance::Eager).unwrap();
+        db.create_index("orders", "amount", IndexMaintenance::Eager).unwrap();
         // Pin a snapshot, then run a sorting merge that permutes new rows.
         let snap = db.begin_snapshot();
-        for id in [rows + 500, rows + 100, rows + 300] {
-            db.insert("orders", &Record::new().with("id", id).with("region", 0).with("amount", 0)).unwrap();
+        for i in 0..2000 {
+            let id = rows + (i * 7919) % 2000;
+            db.insert("orders", &Record::new().with("id", id).with("region", 0).with("amount", id * 3))
+                .unwrap();
         }
         db.merge("orders").unwrap();
-        // The live table's index was rebuilt at the new epoch: usable.
-        // (Query inside the big segment — zone pruning can't answer it,
-        // so a cheap path must come from the index or the sort order.)
-        let out = db.execute(&Query::scan("orders").filter("id", CmpOp::Eq, 123)).unwrap();
-        assert_eq!(out.rows.rows(), 1);
-        assert_ne!(out.access_path, Some(AccessPath::FullScan));
-        // The pinned snapshot predates the rebuild: the epoch gate keeps
-        // the (now wrongly-ordered for it) index out of its plan, and it
-        // still answers correctly from its own frozen layout.
-        let old = snap.execute(&Query::scan("orders").filter("id", CmpOp::Eq, 123)).unwrap();
-        assert_eq!(old.rows.rows(), 1);
-        assert_ne!(old.access_path, Some(AccessPath::IndexLookup));
+        let stats = db.index_stats("orders", "amount").unwrap();
+        assert_eq!(stats.maintenance_ops, rows as u64 + 2000, "the merge indexed its new segment");
+        // Each view reads the index of the stores it pinned: the live
+        // table the permuted segment's, the snapshot its own two (a
+        // literal past every zone it pinned is a scan of nothing).
+        let point = |id: i64| Query::scan("orders").filter("amount", CmpOp::Eq, id * 3).select(["id"]);
+        for (id, live_rows, pinned_rows) in
+            [(123, 1, 1), (rows, 1, 0), (rows + 1234, 1, 0), (rows + 1999, 1, 0)]
+        {
+            let live = db.execute(&point(id)).unwrap();
+            let old = snap.execute(&point(id)).unwrap();
+            assert_eq!((live.rows.rows(), old.rows.rows()), (live_rows, pinned_rows), "id {id}");
+            assert_eq!(live.access_path, Some(AccessPath::IndexLookup), "id {id}");
+            if pinned_rows == 1 {
+                assert_eq!(old.access_path, Some(AccessPath::IndexLookup), "id {id}");
+            }
+            assert_eq!(live.rows.row(0).unwrap(), vec![Value::Int(id)]);
+        }
+        assert_eq!(db.index_stats("orders", "amount").unwrap().catchups, 0, "no reader built a store");
     }
 
     #[test]
@@ -2184,9 +2139,7 @@ mod tests {
         for cut in [1, C - 1, C, C + 1, C + C / 2, 2 * C, 2 * C + 9] {
             let snap = table.pin_at(Timestamp(stamps[cut].0 - 1)).unwrap();
             assert_eq!(snap.rows(), cut);
-            let run = |q: &Query| {
-                db.run(q, false, &ExecOpts::default(), |_| Ok(Cow::Borrowed(&snap))).unwrap().rows
-            };
+            let run = |q: &Query| db.run(q, &ExecOpts::default(), |_| Ok(Cow::Borrowed(&snap))).unwrap().rows;
             // A point on each side of the cut, and of the chunk boundary.
             for id in [0, cut as i64 - 1, cut as i64, C as i64 - 1, C as i64] {
                 let rows = run(&Query::scan("t").filter("id", CmpOp::Eq, id)).rows();

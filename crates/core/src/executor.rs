@@ -18,12 +18,12 @@
 //! the surviving rows travel as one [`Selection`] **per unit**, in the
 //! shape the predicate kernel produces — every row (a side without
 //! predicates too), a sort-key row range, a match bitmap, or ascending
-//! row ids (index lookups) — never as one global row-id list:
-//! aggregates, join-key extraction and the projection gather all
-//! consume the selection in place (unit `u`'s share of a gather fills
-//! the run of the output its survivors occupy). A row list — a join
-//! side's pairs' rows, a public caller's — is sorted once and cut at the
-//! unit boundaries by the one split the index path also uses
+//! row ids (the unit's own index's rows of a literal, borrowed from the
+//! store) — never as one global row-id list: aggregates, join-key
+//! extraction and the projection gather all consume the selection in
+//! place (unit `u`'s share of a gather fills the run of the output its
+//! survivors occupy). A row list — a join side's pairs' rows, a public
+//! caller's — is sorted once and cut at the unit boundaries
 //! ([`split_ids`]) into the same per-unit selections, *positional* when
 //! the list was not strictly ascending.
 //!
@@ -62,9 +62,7 @@
 //! for chunks), resolved once per unit by predicates, key translations
 //! and the gather.
 
-use crate::db::{
-    Database, Filter, IndexEntry, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS,
-};
+use crate::db::{Database, Filter, JoinClause, Query, QueryResult, StrFilter, PARALLEL_SCAN_ROWS};
 use crate::error::{DbError, DbResult};
 use crate::segment::{zone_all_match, zone_may_match, SegColumn};
 use crate::table::{sparse_hits, CellsMut, CodeSpace, GatherStats, Store, TableSnapshot};
@@ -280,11 +278,13 @@ enum SelRows<'a> {
     Range(Range<usize>),
     /// One match bit per unit row (a sort-key range already ANDed in).
     Bits(Bitmap),
-    /// Non-decreasing **global** row ids: the index path's, or a unit's
-    /// cut of a gather's row list. `positional` when that list was not
-    /// strictly ascending: a row may then repeat, so the ids are read one
-    /// by one, never streamed, however many there are.
-    Ids { ids: Cow<'a, [u32]>, positional: bool },
+    /// Non-decreasing row ids, numbered from `from` at the unit's first
+    /// row: store-local ones (`from` 0) from the unit's index, or a
+    /// unit's cut of a gather's list of global ids (`from` the unit's
+    /// base), each borrowed where it lies. `positional` when that list
+    /// was not strictly ascending: a row may then repeat, so the ids are
+    /// read one by one, never streamed, however many there are.
+    Ids { ids: Cow<'a, [u32]>, from: usize, positional: bool },
 }
 
 impl<'a> Selection<'a> {
@@ -296,8 +296,8 @@ impl<'a> Selection<'a> {
         Selection::all(0)
     }
 
-    fn ids(ids: Cow<'a, [u32]>, positional: bool) -> Self {
-        Selection { n: ids.len(), rows: SelRows::Ids { ids, positional } }
+    fn ids(ids: Cow<'a, [u32]>, from: usize, positional: bool) -> Self {
+        Selection { n: ids.len(), rows: SelRows::Ids { ids, from, positional } }
     }
 
     fn positional(&self) -> bool {
@@ -318,24 +318,24 @@ impl<'a> Selection<'a> {
     }
 
     /// Unit-local index of the last surviving row.
-    fn last(&self, unit: &Unit<'_>) -> Option<usize> {
+    fn last(&self) -> Option<usize> {
         match &self.rows {
             SelRows::Range(r) => r.clone().last(),
             SelRows::Bits(bits) => {
                 let word = bits.words().iter().rposition(|&w| w != 0)?;
                 Some(word * BLOCK_ROWS + 63 - bits.words()[word].leading_zeros() as usize)
             }
-            SelRows::Ids { ids, .. } => ids.last().map(|&p| p as usize - unit.base),
+            SelRows::Ids { ids, from, .. } => ids.last().map(|&p| p as usize - from),
         }
     }
 
     /// Calls `f` with the unit-local index of every surviving row,
     /// ascending.
-    fn for_each(&self, unit: &Unit<'_>, mut f: impl FnMut(usize)) {
+    fn for_each(&self, mut f: impl FnMut(usize)) {
         match &self.rows {
             SelRows::Range(r) => r.clone().for_each(f),
             SelRows::Bits(bits) => bits.iter_ones().for_each(f),
-            SelRows::Ids { ids, .. } => ids.iter().for_each(|&p| f(p as usize - unit.base)),
+            SelRows::Ids { ids, from, .. } => ids.iter().for_each(|&p| f(p as usize - from)),
         }
     }
 
@@ -345,14 +345,14 @@ impl<'a> Selection<'a> {
             return Cow::Borrowed(bits.words());
         }
         let mut bits = Bitmap::zeros(unit.rows);
-        self.for_each(unit, |row| bits.set(row, true));
+        self.for_each(|row| bits.set(row, true));
         Cow::Owned(bits.words().to_vec())
     }
 }
 
 /// Cuts non-decreasing global row ids at the unit boundaries of `t`:
-/// each unit's run of `ids`, for every unit in order — the one split of
-/// a row list, the index path's and a gather's.
+/// each unit's run of `ids`, for every unit in order — how a gather's
+/// row list reaches the units.
 fn split_ids<'a>(t: &'a TableSnapshot, ids: &'a [u32]) -> impl Iterator<Item = &'a [u32]> + 'a {
     let mut rest = ids;
     (0..t.store_count()).map(move |u| {
@@ -488,7 +488,7 @@ fn regime<'s>(unit: &Unit<'_>, sel: &'s Selection<'_>) -> (Option<usize>, Option
     } else if sel.n == unit.rows {
         (Some(unit.rows), None)
     } else {
-        (Some(sel.last(unit).map_or(0, |last| last + 1)), Some(sel.words(unit)))
+        (Some(sel.last().map_or(0, |last| last + 1)), Some(sel.words(unit)))
     }
 }
 
@@ -502,7 +502,7 @@ fn walk_sum(unit: &Unit<'_>, v: UnitCol<'_>, sel: &Selection<'_>) -> (i64, Touch
     match streamed {
         None => {
             let mut vc = ColCursor::open(v);
-            sel.for_each(unit, |row| sum = sum.wrapping_add(vc.at(row)));
+            sel.for_each(|row| sum = sum.wrapping_add(vc.at(row)));
         }
         Some(streamed) => {
             let mut vb = ColBlocks::open(v, unit.rows);
@@ -542,7 +542,7 @@ fn walk_rows(
     let base = unit.base;
     let Some(streamed) = streamed else {
         let (mut kc, mut vc) = (ColCursor::open(k), ColCursor::open(v));
-        return sel.for_each(unit, |row| sink(key(kc.at(row)), vc.at(row), (base + row) as u32));
+        return sel.for_each(|row| sink(key(kc.at(row)), vc.at(row), (base + row) as u32));
     };
     let (mut kb, mut vb) = (ColBlocks::open(k, unit.rows), ColBlocks::open(v, unit.rows));
     for block in 0..streamed.div_ceil(BLOCK_ROWS) {
@@ -660,8 +660,10 @@ fn gather_list(
             t.rows()
         )));
     }
-    let sels: Vec<Selection<'_>> =
-        split_ids(t, &sorted).map(|ids| Selection::ids(ids.into(), !strict)).collect();
+    let sels: Vec<Selection<'_>> = split_ids(t, &sorted)
+        .enumerate()
+        .map(|(u, ids)| Selection::ids(ids.into(), t.store(u).1, !strict))
+        .collect();
     gather_units(t, names, &sels, slots.as_deref(), dispatch)
 }
 
@@ -680,25 +682,6 @@ pub(crate) fn gather_serial(
         Some(rows) => gather_list(t, names, rows, serial),
         None => gather_units(t, names, &every_row(t), None, serial),
     }
-}
-
-/// Feeds `f` every cell of integer column `name` of `t` with its global
-/// row id, in row order — every unit streamed through [`walk`], so the
-/// column is never materialized (an index backfill's read).
-///
-/// # Errors
-///
-/// [`DbError::NoSuchColumn`] for an unknown name and
-/// [`DbError::TypeMismatch`] for a column that is not `Int64`.
-pub(crate) fn for_each_int(t: &TableSnapshot, name: &str, mut f: impl FnMut(i64, u32)) -> DbResult<()> {
-    let idx = check_int_column(t, t.name(), name)?;
-    for u in 0..t.store_count() {
-        let unit = Unit::of(t, u);
-        walk(&unit, unit.int_col(idx), UnitCol::Const(0), &Selection::all(unit.rows), |key, _, row| {
-            f(key, row)
-        });
-    }
-    Ok(())
 }
 
 /// One selection per unit of `t`, keeping every row.
@@ -761,7 +744,7 @@ fn gather_column(
         }
         (SegColumn::Float(v), CellsMut::Floats(out)) => {
             let mut at = 0;
-            sel.for_each(unit, |row| {
+            sel.for_each(|row| {
                 out[at] = v[row];
                 at += 1;
             });
@@ -1073,9 +1056,9 @@ impl Database {
     /// one engine behind [`Database::execute_opts`] (latest-state
     /// pins), [`crate::db::DbSnapshot::execute_opts`] (timestamped
     /// pins) and [`crate::db::DbTransaction::execute`] (pins + write
-    /// overlay). Only rows visible in the pins are evaluated.
-    /// `use_indexes` is off for overlay views, whose pending rows the
-    /// live indexes do not cover.
+    /// overlay). Only rows visible in the pins are evaluated, and every
+    /// index read is the pinned stores' own, so a snapshot and a
+    /// transaction plan and read indexes like a latest-state query.
     ///
     /// Stages run in one fixed order — filter each side, join the
     /// survivors (two-table queries), then fold them into an aggregate
@@ -1087,7 +1070,6 @@ impl Database {
     pub(crate) fn run<'t>(
         &self,
         query: &Query,
-        use_indexes: bool,
         opts: &ExecOpts,
         pin: impl Fn(&str) -> DbResult<Cow<'t, TableSnapshot>>,
     ) -> DbResult<QueryResult> {
@@ -1107,7 +1089,7 @@ impl Database {
         let key_idx = join.map(|(jc, rt)| join_key_columns(lt, rt, query, jc)).transpose()?;
 
         // --- filter: each side on its own compressed store -------------
-        let planned = (use_indexes && join.is_none()).then_some(query);
+        let planned = join.is_none().then_some(query);
         let (lsel, access_path) = ex.filter(lt, &query.table, &query.filters, &query.str_filters, planned)?;
         let rsel = match join {
             Some((jc, rt)) => ex.filter(rt, &jc.table, &jc.filters, &jc.str_filters, None)?.0,
@@ -1177,46 +1159,41 @@ impl Exec<'_> {
     /// The filter stage for one table: one [`Selection`] per execution
     /// unit — every row of every unit when the side has no predicates
     /// ([`every_row`]). `planned` is the query when its access path may be
-    /// planned — a single-table query on a view the live indexes cover:
-    /// the first filter is then costed across scan, index and
-    /// sorted-layout paths per the session goal, and the choice
-    /// reported. Everything not served by an index runs as a
-    /// segment-granular scan on compressed data.
-    fn filter(
+    /// planned — a single-table query: the first filter is then costed
+    /// across scan, index and sorted-layout paths per the session goal,
+    /// and the choice reported.
+    ///
+    /// Zone maps first ([`settle`]): units they decide are neither read
+    /// nor billed. On the index path each unit left that keeps an index
+    /// of the first filter's column is handed its index's rows of the
+    /// literal, borrowed as they lie, and its leftover predicates run as
+    /// a unit stage ([`Exec::eval_ids`]); the lookup is billed once, over
+    /// the total hit count. Every other unit left — all of them off the
+    /// index path, a snapshot's private delta chunk on it — is scanned
+    /// on its compressed columns ([`Exec::eval`]).
+    fn filter<'t>(
         &mut self,
-        t: &TableSnapshot,
+        t: &'t TableSnapshot,
         table: &str,
         filters: &[Filter],
         str_filters: &[StrFilter],
         planned: Option<&Query>,
-    ) -> DbResult<(Vec<Selection<'static>>, Option<AccessPath>)> {
+    ) -> DbResult<(Vec<Selection<'t>>, Option<AccessPath>)> {
         let preds = resolve_preds(t, table, filters, str_filters)?;
         let mut access_path = None;
+        let mut index = None;
         if let Some((query, first)) = planned.zip(filters.first()) {
-            let key = (table.to_string(), first.column.clone());
-            // A live index is only trusted when row ids still mean what
-            // they meant at build time: a *sorting* merge permutes the
-            // merged batch, so on sorted tables the entry must have been
-            // rebuilt at this snapshot's exact main epoch. Merge-ordered
-            // tables never move rows, so any epoch is fine.
-            let usable = |e: &IndexEntry| t.schema().sort_key().is_none() || e.built_epoch == t.epoch();
-            // The index mutex also serializes writers (`Database::insert`
-            // publishes a row and its index entries under it): hold it to
-            // read the entry's state here and for the lookup below, never
-            // across planning.
-            let index_usable = first.op == CmpOp::Eq && self.db.indexes.lock().get(&key).is_some_and(usable);
+            // A hash index answers equality only.
+            let indexed = if first.op == CmpOp::Eq { t.index(&first.column) } else { None };
             let zones = t.zone_maps(&first.column);
             let layout_sorted = zones.as_deref().is_some_and(sorted_layout);
-            if index_usable || layout_sorted {
+            if indexed.is_some() || layout_sorted {
                 // Cost every available path against the *compressed*
                 // footprint and zone maps, pick per the session goal.
                 // Statistics for the columns the costing reads: the
                 // filter column and the projected string columns.
                 let projected = projected_str_columns(t, query);
-                let mut meta = t.planner_meta_of(|name| name == first.column || projected.contains(&name));
-                if let Some(c) = meta.columns.iter_mut().find(|c| c.name == first.column) {
-                    c.indexed = index_usable;
-                }
+                let meta = t.planner_meta_of(|name| name == first.column || projected.contains(&name));
                 let zones = zones.expect("validated int column");
                 let encoded = t.column_encoded_bytes(&first.column).expect("column exists") as u64;
                 let model = &self.db.model;
@@ -1229,6 +1206,7 @@ impl Exec<'_> {
                     &zones,
                     encoded,
                 );
+                let index_cost = decision.index_cost.filter(|_| indexed.is_some());
                 // Every path delivers the same projection, shipped to
                 // the client as codes + a shared dictionary — add its
                 // cost ([`CostModel::project_codes`]) to all so the
@@ -1236,7 +1214,7 @@ impl Exec<'_> {
                 let project = str_projection_cost(model, t, &meta, &projected, decision.selectivity);
                 let access = [
                     decision.scan_cost,
-                    decision.index_cost.unwrap_or(decision.scan_cost),
+                    index_cost.unwrap_or(decision.scan_cost),
                     decision.sorted_cost.unwrap_or(decision.scan_cost),
                 ];
                 let candidates = [access[0] + project, access[1] + project, access[2] + project];
@@ -1247,42 +1225,13 @@ impl Exec<'_> {
                 // whole.
                 let goal = self.db.goal();
                 let pick = choose(&candidates, goal).or_else(|_| choose(&access, goal)).unwrap_or(0);
-                // Re-validated under the mutex: the entry may have been
-                // dropped or restamped by a merge since planning began,
-                // in which case the scan below answers instead.
-                let looked_up = (pick == 1 && decision.index_cost.is_some())
-                    .then(|| {
-                        let mut indexes = self.db.indexes.lock();
-                        indexes.get_mut(&key).filter(|e| usable(e)).map(|e| e.idx.lookup(first.literal))
-                    })
-                    .flatten();
-                if let Some(mut pos) = looked_up {
-                    // The index is live; the snapshot is not. Entries
-                    // for rows committed after the pin (always a suffix
-                    // of global row ids) are invisible here.
-                    pos.retain(|&r| (r as usize) < t.rows());
-                    pos.sort_unstable();
-                    self.profile.cpu_cycles +=
-                        self.db.costs.cycles_for(Kernel::IndexLookup, pos.len().max(1) as u64);
-                    self.profile.dram_read += ByteCount::new(pos.len() as u64 * 128 + 128);
-                    // Hand each unit its run of the (few) row ids; the
-                    // leftover predicates check them in place, unit by
-                    // unit, and the survivors are cut again.
-                    let cut = |ids: &[u32]| -> Vec<Selection<'static>> {
-                        split_ids(t, ids).map(|ids| Selection::ids(ids.to_vec().into(), false)).collect()
-                    };
-                    if preds.len() > 1 {
-                        let (kept, profile) =
-                            self.run_units(t, &cut(&pos), |unit, sel| self.eval_ids(unit, sel, &preds[1..]));
-                        self.profile += profile;
-                        pos = kept.concat();
-                    }
-                    return Ok((cut(&pos), Some(AccessPath::IndexLookup)));
-                }
-                // The scan below realizes a sorted-layout plan:
-                // `eval`'s sort-key fast path binary-searches
-                // each sorted segment and emits the surviving row range.
-                access_path = Some(if pick == 2 && decision.sorted_cost.is_some() {
+                // A sorted-layout plan is realized by the scan below:
+                // `eval`'s sort-key fast path binary-searches each sorted
+                // segment and emits the surviving row range.
+                access_path = Some(if pick == 1 && index_cost.is_some() {
+                    index = indexed;
+                    AccessPath::IndexLookup
+                } else if pick == 2 && decision.sorted_cost.is_some() {
                     AccessPath::ZoneBinarySearch
                 } else {
                     AccessPath::FullScan
@@ -1297,10 +1246,50 @@ impl Exec<'_> {
         // unit left is scanned in place — store data is **never decoded**
         // for predicate evaluation. Every delta chunk is a unit of its
         // own, so an oversized (merge-disabled) delta still parallelizes.
-        let (mut sels, todo) = settle(t, &preds);
+        let (mut sels, mut todo): (Vec<Selection<'t>>, _) = settle(t, &preds);
+        if let Some(index) = index {
+            index.looked_up();
+            // Every unit left to read that keeps an index of the column;
+            // the rest (a store that predates the column, a snapshot's
+            // private chunk) are scanned below. The zones settled every
+            // other unit, so on these the first predicate reads the
+            // column or holds on every row — which the index returns.
+            let cells: Vec<_> =
+                live(&todo).into_iter().filter_map(|u| Some((u, index.on(t.store(u).0, true)?))).collect();
+            // The stores this lookup indexed are the index's maintenance.
+            self.db.charge_index_builds(index);
+            let mut found: Vec<Selection<'t>> = (0..todo.len()).map(|_| Selection::none()).collect();
+            let (mut hits, mut first_rows) = (0, 0);
+            // One short loop over the tables, so their cache misses
+            // overlap; it reads each unit's first hit too, or the next
+            // stage misses on it at the head of every unit (31 tables of
+            // 64 K rows on a 2-core VM: ≈ 8 µs per lookup).
+            for (u, table) in cells {
+                let rows = table.matches(filters[0].literal).unwrap_or_default();
+                hits += rows.len() as u64;
+                first_rows ^= rows.first().copied().unwrap_or(0);
+                found[u] = Selection::ids(Cow::Borrowed(rows), 0, false);
+                todo[u] = Selection::none();
+            }
+            std::hint::black_box(first_rows);
+            self.profile.cpu_cycles += self.db.costs.cycles_for(Kernel::IndexLookup, hits.max(1));
+            self.profile.dram_read += ByteCount::new(hits * 128 + 128);
+            if preds.len() > 1 {
+                let (kept, profile) =
+                    self.run_units(t, &found, |unit, sel| self.eval_ids(unit, sel, &preds[1..]));
+                self.profile += profile;
+                for (u, ids) in live(&found).into_iter().zip(kept) {
+                    sels[u] = Selection::ids(ids.into(), 0, false);
+                }
+            } else {
+                for (u, sel) in found.into_iter().enumerate().filter(|(_, sel)| sel.n > 0) {
+                    sels[u] = sel;
+                }
+            }
+        }
         let (read, scan_profile) = self.run_units(t, &todo, |unit, _| self.eval(unit, &preds));
         self.profile += scan_profile;
-        // A cancelled scan read only some units; the caller discards the
+        // A cancelled stage read only some units; the caller discards the
         // stage's output.
         for (u, sel) in live(&todo).into_iter().zip(read) {
             sels[u] = sel;
@@ -1943,25 +1932,25 @@ impl Exec<'_> {
         (Selection::of(bm, range, rows), profile)
     }
 
-    /// The index path's leftover predicates on one unit's share of the
-    /// looked-up row ids, returning the ids that pass. Each predicate is
+    /// The index path's leftover predicates on one unit's looked-up
+    /// rows, returning the unit-local rows that pass. Each predicate is
     /// resolved as the scan resolves it — a unit its schema, dictionary
     /// or zone decides costs nothing — else [`walk`]'s readers keep the
     /// ids whose cell matches, billed per id checked.
     fn eval_ids(&self, unit: &Unit<'_>, sel: &Selection<'_>, preds: &[Pred]) -> (Vec<u32>, ResourceProfile) {
         let mut profile = ResourceProfile::default();
         let mut kept = Vec::with_capacity(sel.n);
-        sel.for_each(unit, |row| kept.push((unit.base + row) as u32));
+        sel.for_each(|row| kept.push(row as u32));
         for p in preds {
             let (data, op, lit) = match p.on(unit) {
                 UnitPred::Const(true) => continue,
                 UnitPred::Const(false) => return (Vec::new(), profile),
                 UnitPred::Col(data, op, lit) => (data, op, lit),
             };
-            let checked = Selection::ids(std::mem::take(&mut kept).into(), false);
+            let checked = Selection::ids(std::mem::take(&mut kept).into(), 0, false);
             walk(unit, UnitCol::Enc(data, None), UnitCol::Const(0), &checked, |cell, _, row| {
                 if op.eval(cell, lit) {
-                    kept.push(row);
+                    kept.push(row - unit.base as u32);
                 }
             });
             let n = checked.n as u64;
@@ -2104,7 +2093,13 @@ fn column_position(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize
         .ok_or_else(|| DbError::NoSuchColumn { table: table.to_string(), column: name.to_string() })
 }
 
-fn check_int_column(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize> {
+/// Position of integer column `name` of `t`.
+///
+/// # Errors
+///
+/// [`DbError::NoSuchColumn`] for an unknown name and
+/// [`DbError::TypeMismatch`] for a column that is not `Int64`.
+pub(crate) fn check_int_column(t: &TableSnapshot, table: &str, name: &str) -> DbResult<usize> {
     let idx = column_position(t, table, name)?;
     if t.schema().columns()[idx].1 != DataType::Int64 {
         return Err(DbError::TypeMismatch { column: name.to_string(), expected: DataType::Int64 });

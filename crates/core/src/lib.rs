@@ -25,8 +25,10 @@
 //! This crate adds what only the integrated system can provide: the
 //! [`db::Database`] facade with flexible-schema, segmented main/delta
 //! tables ([`schema`], [`table`], [`segment`]), Need-to-Know indexes
-//! ([`index`]), the energy-metered scan-on-compressed query path
-//! ([`db`]), and failure-compensating execution ([`robust`]).
+//! that every immutable store keeps for its own rows, built once by a
+//! merge or by the first reader that asks ([`index`]), the
+//! energy-metered scan-on-compressed query path ([`db`]), and
+//! failure-compensating execution ([`robust`]).
 //!
 //! ## Quickstart
 //!
@@ -64,7 +66,7 @@ pub mod table;
 pub mod prelude {
     pub use crate::db::{Database, DbSnapshot, DbTransaction, Filter, Query, QueryResult, StrFilter};
     pub use crate::error::{DbError, DbResult};
-    pub use crate::index::{IndexMaintenance, IndexStats, SecondaryIndex};
+    pub use crate::index::{IndexMaintenance, IndexStats};
     pub use crate::robust::{run_with_failures, RestartPolicy, RobustReport};
     pub use crate::schema::{Record, SchemaMode, TableSchema};
     pub use crate::segment::{MergeStats, Segment, SEGMENT_ROWS};

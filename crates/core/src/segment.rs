@@ -19,6 +19,7 @@
 use haec_columnar::dict::DictColumn;
 use haec_columnar::encoding::EncodedInts;
 use haec_columnar::value::CmpOp;
+use haec_exec::join::HashJoin;
 use haec_planner::access::ZoneMapMeta;
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -43,6 +44,11 @@ pub enum SegColumn {
         /// require a decode — except on a snapshot-private delta chunk's
         /// view, built unmeasured, which counts it when first asked.
         ndv: OnceLock<u64>,
+        /// The column's index once one is declared and built: a join
+        /// table of its values to the store's own rows, ascending per
+        /// value — never stale, the store being immutable
+        /// ([`crate::index`]).
+        index: OnceLock<HashJoin>,
     },
     /// A float column (stored plain; no lightweight codec applies).
     Float(Vec<f64>),
@@ -89,7 +95,7 @@ impl SegColumn {
             FlatColumn::Int(v) => {
                 let zone = min_max(&v);
                 let ndv = if encoded { OnceLock::from(distinct_count(&v, zone)) } else { OnceLock::new() };
-                SegColumn::Int { data: encode(v), zone, ndv }
+                SegColumn::Int { data: encode(v), zone, ndv, index: OnceLock::new() }
             }
             FlatColumn::Float(v) => SegColumn::Float(v.into_owned()),
             FlatColumn::Codes(v) => {
@@ -120,7 +126,7 @@ impl SegColumn {
     /// on a view built unmeasured — counted on first ask and kept.
     pub(crate) fn count_distinct(&self) -> Option<u64> {
         match self {
-            SegColumn::Int { data, zone, ndv } => {
+            SegColumn::Int { data, zone, ndv, .. } => {
                 Some(*ndv.get_or_init(|| distinct_count(&data.decode(), *zone)))
             }
             _ => None,

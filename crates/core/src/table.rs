@@ -38,13 +38,16 @@
 //! and drained chunks are reclaimed epoch-style when the last snapshot
 //! pinning them drops.
 //!
-//! Row identity is stable: global row ids are insertion order, segments
-//! cover `[0, main_rows)` in merge order and the delta chunks cover
-//! `[main_rows, rows)` in append order — so secondary indexes survive
-//! merges untouched.
+//! Global row ids are positions: segments cover `[0, main_rows)` in
+//! merge order (a sorting merge permutes its batch) and the delta
+//! chunks cover `[main_rows, rows)` in append order. An index never
+//! holds one: each store indexes its own rows ([`crate::index`]), and
+//! the table keeps only the list of its indexed columns, which every
+//! snapshot captures at its pin.
 
 use crate::delta::{DeltaChunk, DeltaDicts};
 use crate::error::{DbError, DbResult};
+use crate::index::{Index, IndexMaintenance};
 use crate::schema::{Record, TableSchema};
 use crate::segment::{FlatColumn, MainSet, MergeStats, SegColumn, Segment, SEGMENT_ROWS};
 use haec_columnar::chunk::Chunk;
@@ -247,6 +250,9 @@ struct TableState {
     /// The delta-wide dictionaries the chunks' string codes index.
     dicts: DeltaDicts,
     rows: usize,
+    /// The indexed columns, one entry each; replaced, never edited, so
+    /// a pin copies a pointer.
+    indexes: Arc<[Arc<Index>]>,
 }
 
 impl TableState {
@@ -297,6 +303,7 @@ impl Table {
                 open,
                 dicts,
                 rows: 0,
+                indexes: Arc::new([]),
             }),
             merge_lock: Mutex::new(()),
             merge_threshold: AtomicUsize::new(SEGMENT_ROWS),
@@ -347,6 +354,23 @@ impl Table {
     /// Sets the auto-merge threshold (use `usize::MAX` to disable).
     pub fn set_merge_threshold(&self, rows: usize) {
         self.merge_threshold.store(rows.max(1), Ordering::Relaxed);
+    }
+
+    /// Declares an index on the integer column at `column` under
+    /// `maintenance`, replacing any index the column had (its stores keep
+    /// their built cells), and returns the new entry. Snapshots pinned
+    /// from here on see it; no store is indexed here.
+    pub(crate) fn add_index(&self, column: usize, maintenance: IndexMaintenance) -> Arc<Index> {
+        let index = Arc::new(Index::new(column, maintenance));
+        let mut st = self.inner.write();
+        let kept = st.indexes.iter().filter(|i| i.column != column).cloned();
+        st.indexes = kept.chain([Arc::clone(&index)]).collect();
+        index
+    }
+
+    /// The indexed columns right now.
+    pub(crate) fn indexes(&self) -> Arc<[Arc<Index>]> {
+        Arc::clone(&self.inner.read().indexes)
     }
 
     /// Appends one record to the open delta chunk, evolving a flexible
@@ -430,6 +454,7 @@ impl Table {
             dicts: st.dicts.clone(),
             rows: st.main.rows,
             ts,
+            indexes: Arc::clone(&st.indexes),
         };
         // Timestamps ascend along the chunk list: the first chunk not
         // wholly visible is the one `ts` cuts through.
@@ -474,13 +499,14 @@ impl Table {
         // Phase 1 — pin: under a brief write lock, seal the open chunk
         // and take the Arcs of the chunks to compact, their dictionaries
         // and the version to extend.
-        let (old_main, chunks, delta_dicts, schema) = {
+        let (old_main, chunks, delta_dicts, schema, indexes) = {
             let mut st = self.inner.write();
             if st.delta_rows() == 0 {
                 return MergeStats::default();
             }
             st.seal();
-            (Arc::clone(&st.main), st.sealed.clone(), st.dicts.clone(), Arc::clone(&st.schema))
+            let indexes = Arc::clone(&st.indexes);
+            (Arc::clone(&st.main), st.sealed.clone(), st.dicts.clone(), Arc::clone(&st.schema), indexes)
         };
         let n: usize = chunks.iter().map(|c| c.rows()).sum();
         let max_ts = chunks.last().and_then(|c| c.last_ts()).expect("a merge pins at least one stamped row");
@@ -582,6 +608,11 @@ impl Table {
             fail::fail_point!("merge::segment");
             let end = (start + SEGMENT_ROWS).min(n);
             let seg = Segment::build(&batch, &validity, start, end, sorted_by);
+            // Eager indexes index the new segment before anyone can
+            // read it.
+            for index in indexes.iter().filter(|i| i.maintenance == IndexMaintenance::Eager) {
+                index.on(Store::Seg(&seg), false);
+            }
             stats.raw_bytes += seg.raw_bytes();
             stats.encoded_bytes += seg.encoded_bytes();
             stats.segments_created += 1;
@@ -742,6 +773,8 @@ pub struct TableSnapshot {
     dicts: DeltaDicts,
     rows: usize,
     ts: Timestamp,
+    /// The table's indexed columns as pinned.
+    indexes: Arc<[Arc<Index>]>,
 }
 
 impl TableSnapshot {
@@ -833,6 +866,12 @@ impl TableSnapshot {
                 (Store::Chunk { chunk: &self.chunks[c], sealed: c < self.sealed }, self.chunk_bases[c])
             }
         }
+    }
+
+    /// The index on column `name`, if the table had one at the pin.
+    pub(crate) fn index(&self, name: &str) -> Option<&Index> {
+        let idx = self.schema.position(name)?;
+        self.indexes.iter().find(|i| i.column == idx).map(|i| &**i)
     }
 
     /// Takes the plain and encoded bytes of the views first readers built
@@ -941,9 +980,9 @@ impl TableSnapshot {
     /// Gathers the integer values of column `name` at `positions`
     /// (global row ids, any order), or the full column when `positions`
     /// is `None` — an **unmetered** convenience over
-    /// [`TableSnapshot::materialize_columns`] for index builds,
-    /// diagnostics and tests; `None` also for a non-integer column or a
-    /// position past the last row.
+    /// [`TableSnapshot::materialize_columns`] for diagnostics and tests;
+    /// `None` also for a non-integer column or a position past the last
+    /// row.
     pub fn gather_ints(&self, name: &str, positions: Option<&[u32]>) -> Option<Vec<i64>> {
         let (mut cols, _) = self.materialize_columns(&[name.to_string()], positions).ok()?;
         match cols.pop()?.1 {
@@ -1098,7 +1137,7 @@ impl TableSnapshot {
     /// Materializes one whole column (main decoded + delta) by name.
     ///
     /// This is a full, unmetered decode — query execution never calls
-    /// it; it exists for index builds, diagnostics and tests.
+    /// it; it exists for diagnostics and tests.
     pub fn column(&self, name: &str) -> Option<Column> {
         let (mut cols, _) = self.materialize_columns(&[name.to_string()], None).ok()?;
         cols.pop().map(|(_, col)| col)
@@ -1271,7 +1310,7 @@ impl TableSnapshot {
                     ndv,
                     min,
                     max,
-                    indexed: false, // the Database layer overlays index info
+                    indexed: self.indexes.iter().any(|i| i.column == idx),
                 }
             })
             .collect();

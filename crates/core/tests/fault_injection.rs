@@ -15,6 +15,7 @@
 //! on one mutex and tears the registry down on every exit path.
 #![cfg(haec_fail)]
 
+use haec_planner::access::AccessPath;
 use haecdb::prelude::*;
 use haecdb::table::DELTA_CHUNK_ROWS;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,40 +242,73 @@ fn seeded_probabilistic_faults_replay() {
     assert!(first.iter().any(|ok| *ok) && first.iter().any(|ok| !*ok), "40% should mix outcomes");
 }
 
-/// A panic during the post-merge index rebuild strands the index at its
-/// pre-merge epoch; the epoch gate must keep it out of plans (correct,
-/// just slower) until the next rebuild restamps it.
+/// A table sorted on `id` with a unique, indexable `uid = 10 000 + id`:
+/// `ids` inserted in reverse, so a merge permutes them.
+fn insert_reversed(db: &Database, ids: std::ops::Range<i64>) {
+    for i in ids.rev() {
+        db.insert("t", &Record::new().with("id", i).with("uid", 10_000 + i).with("amount", amount(i)))
+            .unwrap();
+    }
+}
+
+/// A panic while a store's index is built — under `create_index`, in an
+/// eager merge's build phase, or under a need-to-know reader — leaves
+/// that store's cell empty: answers stay right, and the next reader
+/// fills the cell.
 #[test]
-fn index_rebuild_panic_strands_epoch_but_answers_stay_right() {
+fn index_build_panic_leaves_the_cell_to_the_next_reader() {
     let _g = armed();
-    let db = Database::new();
-    db.create_table_sorted("t", &[("id", DataType::Int64), ("amount", DataType::Int64)], "id").unwrap();
-    db.set_merge_threshold("t", usize::MAX).unwrap();
-    for i in 0..500i64 {
-        db.insert("t", &Record::new().with("id", i).with("amount", amount(i))).unwrap();
-    }
+    let sorted_db = || {
+        let db = Database::new();
+        let cols = [("id", DataType::Int64), ("uid", DataType::Int64), ("amount", DataType::Int64)];
+        db.create_table_sorted("t", &cols, "id").unwrap();
+        db.set_merge_threshold("t", usize::MAX).unwrap();
+        insert_reversed(&db, 0..500);
+        db.merge("t").unwrap();
+        db
+    };
+    let probe = |db: &Database, id: i64| {
+        let q = Query::scan("t").filter("uid", CmpOp::Eq, 10_000 + id).aggregate(AggKind::Sum, "amount");
+        let out = db.execute(&q).unwrap();
+        assert_eq!(out.access_path, Some(AccessPath::IndexLookup), "id {id}");
+        assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, amount(id), "id {id}");
+    };
+    let stats = |db: &Database| db.index_stats("t", "uid").unwrap();
+
+    // Under `create_index`: the index is declared, its segment bare.
+    let db = sorted_db();
+    fail::cfg("index::build", "panic(build)").unwrap();
+    let r = catch_unwind(AssertUnwindSafe(|| db.create_index("t", "uid", IndexMaintenance::Eager)));
+    assert!(r.is_err(), "armed create_index must panic");
+    fail::remove("index::build");
+    assert_eq!(stats(&db).maintenance_ops, 0, "the cell stayed empty");
+    probe(&db, 250);
+    assert_eq!((stats(&db).maintenance_ops, stats(&db).catchups), (500, 1), "the next reader filled it");
+
+    // In an eager merge's build phase: the merge unwinds, its rows stay
+    // in a sealed chunk, and the next reader indexes that chunk.
+    insert_reversed(&db, 500..700);
+    fail::cfg("index::build", "panic(build)").unwrap();
+    assert!(catch_unwind(AssertUnwindSafe(|| db.merge("t"))).is_err(), "armed merge must panic");
+    fail::remove("index::build");
+    assert_eq!(stats(&db).maintenance_ops, 500);
+    probe(&db, 650);
+    assert_eq!((stats(&db).maintenance_ops, stats(&db).catchups), (700, 2));
+    // The recovery merge sorts the rows into a segment and indexes it.
     db.merge("t").unwrap();
-    db.create_index("t", "id", IndexMaintenance::Eager).unwrap();
+    assert_eq!((stats(&db).maintenance_ops, stats(&db).catchups), (900, 2));
+    probe(&db, 650);
+    assert_eq!(sum_of(&db), prefix_sum(700));
 
-    for i in 500..700i64 {
-        db.insert("t", &Record::new().with("id", i).with("amount", amount(i))).unwrap();
-    }
-    fail::cfg("index::rebuild", "panic(rebuild)").unwrap();
-    assert!(catch_unwind(AssertUnwindSafe(|| db.merge("t"))).is_err());
-    fail::remove("index::rebuild");
-
-    // The point query must answer correctly with the stale index gated.
-    let probe = Query::scan("t").filter("id", CmpOp::Eq, 650).aggregate(AggKind::Sum, "amount");
-    let out = db.execute(&probe).unwrap();
-    assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, amount(650));
-
-    // A later merge with fresh delta rows restamps the index; answers
-    // are unchanged either side of the rebuild.
-    db.insert("t", &Record::new().with("id", 700i64).with("amount", amount(700))).unwrap();
-    db.merge("t").unwrap();
-    let out = db.execute(&probe).unwrap();
-    assert_eq!(out.rows.row(0).unwrap()[0].as_float().unwrap() as i64, amount(650));
-    assert_eq!(sum_of(&db), prefix_sum(701));
+    // Under a need-to-know reader: the query fails, the next one builds.
+    let db = sorted_db();
+    db.create_index("t", "uid", IndexMaintenance::NeedToKnow).unwrap();
+    fail::cfg("index::build", "panic(build)").unwrap();
+    assert!(catch_unwind(AssertUnwindSafe(|| probe(&db, 250))).is_err(), "armed reader must panic");
+    fail::remove("index::build");
+    assert_eq!(stats(&db).maintenance_ops, 0, "the cell stayed empty");
+    probe(&db, 250);
+    assert_eq!((stats(&db).maintenance_ops, stats(&db).catchups), (500, 1));
 }
 
 /// A panic injected at the pool's morsel-dispatch (and pickup) sites
@@ -398,7 +432,7 @@ fn instrumented_failpoint_names_are_stable() {
         "merge::segment",
         "merge::publish",
         "db::insert",
-        "index::rebuild",
+        "index::build",
         "pool::dispatch",
         "pool::pickup",
         "qserver::admit",

@@ -11,6 +11,7 @@
 //! ```
 #![cfg(haec_loom)]
 
+use haec_planner::access::AccessPath;
 use haecdb::prelude::*;
 use loom::sync::Arc;
 
@@ -211,6 +212,60 @@ fn pin_racing_seal_and_publish_sees_a_prefix() {
         let after = table.read();
         assert_eq!(after.gather_ints("v", None).expect("int column"), [1, 2, 3]);
         assert_eq!(after.main_rows(), stats.rows_merged);
+    });
+    assert!(report.interleavings > 1, "expected >1 distinct interleaving, got {report:?}");
+}
+
+/// A reader pinned across a sorting merge reads an index answer equal
+/// to the scan's. The merge permutes the rows the index maps and, the
+/// index being eager, indexes its new segment in its build phase;
+/// whether the pin caught the old stores or the new segment, it reads
+/// only the index of the stores it pinned.
+#[test]
+fn index_reader_pinned_across_a_sorting_merge_matches_the_scan() {
+    // Built once, outside every model run: a point query dispatches
+    // inline and never wakes the pool.
+    WorkerPool::global();
+    let report = loom::model(|| {
+        let db = Arc::new(Database::new());
+        db.create_table_sorted("t", &[("k", DataType::Int64), ("u", DataType::Int64)], "k").unwrap();
+        db.set_merge_threshold("t", usize::MAX).unwrap();
+        db.create_index("t", "u", IndexMaintenance::Eager).unwrap();
+        // Keys arrive descending, so the merge permutes every row: a
+        // sealed delta chunk of 1 024 rows and an open one of 76.
+        for k in (0..1100i64).rev() {
+            db.insert("t", &Record::new().with("k", k).with("u", k % 550)).unwrap();
+        }
+        let merger = {
+            let db = Arc::clone(&db);
+            loom::thread::spawn(move || db.merge("t").unwrap())
+        };
+        let snap = db.begin_snapshot();
+        let index = Query::scan("t").filter("u", CmpOp::Eq, 7).aggregate(AggKind::Sum, "k");
+        // The same rows through a range, which no hash index serves.
+        let scan =
+            Query::scan("t").filter("u", CmpOp::Ge, 7).filter("u", CmpOp::Le, 7).aggregate(AggKind::Sum, "k");
+        let answer = |out: QueryResult| out.rows.row(0).unwrap()[0].as_float().unwrap() as i64;
+        let want = 7 + 557;
+        let out = snap.execute(&index).unwrap();
+        assert_eq!(out.access_path, Some(AccessPath::IndexLookup));
+        assert_eq!(answer(out), want, "index read tore across the sorting merge");
+        assert_eq!(answer(snap.execute(&scan).unwrap()), want);
+
+        let stats = merger.join().unwrap();
+        assert_eq!(stats.rows_merged, 1100);
+        // The pin outlives the swap; the latest view reads the new
+        // segment's index, built by the merge.
+        assert_eq!(answer(snap.execute(&index).unwrap()), want);
+        let out = db.execute(&index).unwrap();
+        assert_eq!(out.access_path, Some(AccessPath::IndexLookup));
+        assert_eq!(answer(out), want);
+        // The merge indexed its segment; a reader pinned before the
+        // publish indexed the sealed chunk it read — and the 76-row one
+        // the merge sealed, when it pinned after the merge's seal.
+        let built = db.index_stats("t", "u").unwrap();
+        let seen = (built.catchups, built.maintenance_ops);
+        assert!(matches!(seen, (0, 1100) | (1, 2124) | (2, 2200)), "builds {seen:?}");
     });
     assert!(report.interleavings > 1, "expected >1 distinct interleaving, got {report:?}");
 }

@@ -11,6 +11,8 @@
 //! physical layout underneath it.
 
 use haec_columnar::value::CmpOp;
+use haec_planner::access::{choose_access_segmented, AccessPath};
+use haec_planner::cost::CostModel;
 use haecdb::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -394,6 +396,109 @@ proptest! {
         if total > 0 {
             prop_assert!(t.zone_maps("k").expect("int sort key").iter().all(|z| z.sorted));
         }
+    }
+
+    /// An index on the non-key column of a sort-keyed table, read while
+    /// a writer races inserts and sorting merges: through latest-state
+    /// reads, through snapshots held across later merges, and through
+    /// transactions whose pending rows carry the probed value. Every
+    /// answer equals the prefix reference the scan must give, and every
+    /// snapshot read takes the index path exactly where the planner,
+    /// fed the snapshot's own statistics, picks it. The merges sort the
+    /// key, so every merge permutes the rows the index maps.
+    #[test]
+    fn index_on_a_sorted_table_answers_like_the_scan_across_sorting_merges(
+        schedule in ops(),
+        eager in any::<bool>(),
+    ) {
+        let key = |i: i64| (i * 31 + 7) % 100; // the sort key: duplicates, unsorted arrival
+        let uid = |i: i64| (i * 37) % 251; // the indexed column: a few rows per value
+        let db = Database::new();
+        let cols = [("k", DataType::Int64), ("u", DataType::Int64), ("v", DataType::Int64)];
+        db.create_table_sorted("s", &cols, "k").unwrap();
+        db.set_merge_threshold("s", usize::MAX).unwrap();
+        let maintenance = if eager { IndexMaintenance::Eager } else { IndexMaintenance::NeedToKnow };
+        db.create_index("s", "u", maintenance).unwrap();
+        let model = CostModel::new(db.machine().clone());
+        let total = total_rows(&schedule);
+        // The rows of the first `n` with `u = x` (their `v` is their id),
+        // and the query for them.
+        let want = |n: usize, x: i64| (0..n as i64).filter(|&i| uid(i) == x).collect::<Vec<_>>();
+        let probe = |x: i64| Query::scan("s").filter("u", CmpOp::Eq, x).select(["v"]);
+        let ids = |out: &QueryResult| {
+            let mut v: Vec<i64> = (0..out.rows.rows()).map(|r| out.rows.row(r).unwrap()[0].as_int().unwrap()).collect();
+            v.sort_unstable();
+            v
+        };
+        // The path the planner picks for `u = x` on `t`.
+        let planned = |t: &TableSnapshot, x: i64| {
+            let meta = t.planner_meta();
+            assert!(meta.column("u").unwrap().indexed, "the snapshot knows its index");
+            let zones = t.zone_maps("u").unwrap();
+            let encoded = t.column_encoded_bytes("u").unwrap() as u64;
+            match choose_access_segmented(&model, &meta, "u", CmpOp::Eq, x, &zones, encoded).path {
+                AccessPath::IndexLookup => AccessPath::IndexLookup,
+                _ => AccessPath::FullScan,
+            }
+        };
+        let done = AtomicBool::new(false);
+
+        thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut next = 0i64;
+                for op in &schedule {
+                    match op {
+                        Op::Insert(n) => {
+                            for _ in 0..*n {
+                                let rec = Record::new().with("k", key(next)).with("u", uid(next)).with("v", next);
+                                db.insert("s", &rec).unwrap();
+                                next += 1;
+                            }
+                        }
+                        Op::Merge => {
+                            db.merge("s").unwrap();
+                        }
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            let reader = scope.spawn(|| {
+                let mut held: Option<haecdb::DbSnapshot<'_>> = None;
+                for round in 0i64.. {
+                    let finished = done.load(Ordering::Acquire);
+                    let x = (round * 53) % 251;
+                    // A latest-state read sees some prefix of the rows.
+                    let got = ids(&db.execute(&probe(x)).unwrap());
+                    assert!(want(total, x).starts_with(&got), "latest u = {x}: {got:?}");
+                    // A snapshot, read now and again after later writes.
+                    let snap = db.begin_snapshot();
+                    for t in [Some(&snap), held.as_ref()].into_iter().flatten() {
+                        let n = t.table("s").unwrap().rows();
+                        let out = t.execute(&probe(x)).unwrap();
+                        assert_eq!(ids(&out), want(n, x), "snapshot of {n} rows, u = {x}");
+                        let path = planned(t.table("s").unwrap(), x);
+                        assert_eq!(out.access_path, Some(path), "snapshot of {n} rows, u = {x}");
+                    }
+                    held = Some(snap);
+                    // A transaction with pending rows on the probed value.
+                    let mut txn = db.begin_transaction();
+                    for j in 1..=2 {
+                        txn.insert("s", Record::new().with("k", key(j)).with("u", x).with("v", -j)).unwrap();
+                    }
+                    let count = Query::scan("s").aggregate(AggKind::Count, "v");
+                    let n = txn.execute(&count).unwrap().rows.row(0).unwrap()[0].as_float().unwrap() as usize - 2;
+                    let mut expect = vec![-2, -1];
+                    expect.extend(want(n, x));
+                    assert_eq!(ids(&txn.execute(&probe(x)).unwrap()), expect, "transaction over {n} rows, u = {x}");
+                    txn.rollback();
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            writer.join().unwrap();
+            reader.join().unwrap();
+        });
     }
 
     /// Cancellation racing insert+merge: readers pin snapshots and run

@@ -85,13 +85,23 @@ fn need_to_know_index_defers_until_query() {
         db.insert("orders", &Record::new().with("id", i).with("region", 0i64).with("amount", 0i64)).unwrap();
     }
     assert_eq!(db.index_stats("orders", "id").unwrap().maintenance_ops, 0);
-    // A query that uses the index triggers catch-up and still answers
-    // correctly.
+    // A query that uses the index indexes the stores its zones let
+    // through, and still answers correctly. Id 1 500 lies in the open
+    // delta chunk (rows 1 024..2 000), which a pin copies and a lookup
+    // scans: nothing to index.
     let out = db.execute(&Query::scan("orders").filter("id", CmpOp::Eq, 1_500)).unwrap();
     assert_eq!(out.rows.rows(), 1);
+    assert_eq!(out.access_path, Some(haec_planner::access::AccessPath::IndexLookup));
     let stats = db.index_stats("orders", "id").unwrap();
-    assert_eq!(stats.maintenance_ops, 2_000);
-    assert_eq!(stats.catchups, 1);
+    assert_eq!((stats.maintenance_ops, stats.catchups, stats.lookups), (0, 0, 1));
+    // Id 500 lies in the sealed chunk of rows 0..1 024: its first reader
+    // indexes it, once.
+    for _ in 0..2 {
+        let out = db.execute(&Query::scan("orders").filter("id", CmpOp::Eq, 500)).unwrap();
+        assert_eq!(out.rows.rows(), 1);
+    }
+    let stats = db.index_stats("orders", "id").unwrap();
+    assert_eq!((stats.maintenance_ops, stats.catchups, stats.lookups), (1_024, 1, 3));
 }
 
 #[test]
