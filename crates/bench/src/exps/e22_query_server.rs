@@ -21,13 +21,13 @@
 //! * with ≥ 8 hardware threads, 8-client throughput is ≥ 3x the
 //!   single-client run on the 8-way pool.
 
+use super::served::{client_counts, closed_loop, fresh, query, Answers};
 use crate::report::{fmt_dur, fmt_joules, fmt_rate, Report};
-use haec_energy::machine::MachineSpec;
 use haec_energy::units::Watts;
 use haec_sched::governor::GovernorPolicy;
 use haec_sched::qserver::{QueryServer, QueryServerConfig};
 use haecdb::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -35,48 +35,9 @@ const WORKERS: usize = 8;
 const ROWS: i64 = 96 * 1024;
 const QUERIES_PER_CLIENT: usize = 8;
 const CAP_WATTS: f64 = 30.0;
-
-fn amount(i: i64) -> i64 {
-    (i * 31 + 7) % 1_000
-}
-
-/// Client counts to sweep: 1→256 doubling, truncated by the
-/// `E22_CLIENTS` environment variable (CI smoke runs small counts).
-fn client_counts() -> Vec<usize> {
-    let max = std::env::var("E22_CLIENTS").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(256);
-    [1usize, 2, 4, 8, 16, 32, 64, 128, 256].into_iter().filter(|&c| c <= max.max(1)).collect()
-}
-
-fn fresh() -> Arc<Database> {
-    let pool = Arc::new(WorkerPool::new(WORKERS));
-    let db = Database::with_machine_and_pool(MachineSpec::commodity_2013().with_cores(WORKERS), pool);
-    db.create_table("events", &[("id", DataType::Int64), ("amount", DataType::Int64)]).unwrap();
-    db.set_merge_threshold("events", usize::MAX).unwrap();
-    for i in 0..ROWS {
-        db.insert("events", &Record::new().with("id", i).with("amount", amount(i))).unwrap();
-    }
-    db.merge("events").unwrap();
-    Arc::new(db)
-}
-
-/// The two closed-form query shapes clients alternate between.
-fn query(q: usize) -> Query {
-    if q.is_multiple_of(2) {
-        Query::scan("events").aggregate(AggKind::Sum, "amount")
-    } else {
-        Query::scan("events").filter("amount", CmpOp::Lt, 500).aggregate(AggKind::Count, "amount")
-    }
-}
-
-fn check_answer(q: usize, got: f64) {
-    if q.is_multiple_of(2) {
-        let want: i64 = (0..ROWS).map(amount).sum();
-        assert_eq!(got as i64, want, "SUM(amount) answered wrong under load");
-    } else {
-        let want = (0..ROWS).filter(|&i| amount(i) < 500).count();
-        assert_eq!(got as usize, want, "filtered COUNT answered wrong under load");
-    }
-}
+/// Client counts to sweep, truncated by the `E22_CLIENTS` environment
+/// variable (CI smoke runs small counts).
+const CLIENTS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// One measured round of the sweep.
 struct Round {
@@ -98,7 +59,7 @@ fn os_threads() -> Option<usize> {
 
 /// `clients` closed-loop threads each run [`QUERIES_PER_CLIENT`] queries
 /// through a fresh server over `db`; returns the measured round.
-fn run_round(db: &Arc<Database>, governor: GovernorPolicy, clients: usize) -> Round {
+fn run_round(db: &Arc<Database>, answers: &Answers, governor: GovernorPolicy, clients: usize) -> Round {
     let srv = QueryServer::new(
         Arc::clone(db),
         QueryServerConfig {
@@ -109,26 +70,7 @@ fn run_round(db: &Arc<Database>, governor: GovernorPolicy, clients: usize) -> Ro
             ..Default::default()
         },
     );
-    let start = Barrier::new(clients + 1);
-    let started = thread::scope(|scope| {
-        for c in 0..clients {
-            let srv = &srv;
-            let start = &start;
-            scope.spawn(move || {
-                start.wait();
-                for q in 0..QUERIES_PER_CLIENT {
-                    let served = srv.execute(&query(c + q)).unwrap();
-                    let got = served.result.rows.row(0).unwrap()[0].as_float().unwrap();
-                    check_answer(c + q, got);
-                }
-            });
-        }
-        start.wait();
-        // Leaving the scope joins every client, so `started.elapsed()`
-        // after the scope covers barrier-release to last-client-done.
-        std::time::Instant::now()
-    });
-    let elapsed = started.elapsed();
+    let elapsed = closed_loop(&srv, answers, clients, QUERIES_PER_CLIENT);
     let stats = srv.stats();
     let queries = clients * QUERIES_PER_CLIENT;
     assert_eq!(stats.completed, queries, "every query must complete");
@@ -163,7 +105,8 @@ pub fn run() -> Report {
          without per-query thread creation; EnergyCap bounds in-flight morsels fleet-wide",
     );
     r.headers(["policy", "clients", "queries", "qps", "p50", "p99", "E/query", "gate hw/budget"]);
-    let db = fresh();
+    let db = fresh(WORKERS, ROWS);
+    let answers = Answers::over(ROWS);
 
     // Warmup: exercise the pool once, then record the between-rounds
     // thread-count baselines (no client threads alive at this point).
@@ -173,8 +116,7 @@ pub fn run() -> Report {
         let _ = WorkerPool::global();
         let srv = QueryServer::new(Arc::clone(&db), QueryServerConfig::default());
         for q in 0..4 {
-            let served = srv.execute(&query(q)).unwrap();
-            check_answer(q, served.result.rows.row(0).unwrap()[0].as_float().unwrap());
+            answers.check(q, &srv.execute(&query(q)).unwrap());
         }
     }
     let spawned_baseline = db.pool().threads_spawned();
@@ -183,8 +125,8 @@ pub fn run() -> Report {
     let policies = [GovernorPolicy::RaceToIdle, GovernorPolicy::EnergyCap(Watts::new(CAP_WATTS))];
     let mut rounds: Vec<Round> = Vec::new();
     for governor in policies {
-        for clients in client_counts() {
-            let round = run_round(&db, governor, clients);
+        for clients in client_counts("E22_CLIENTS", &CLIENTS) {
+            let round = run_round(&db, &answers, governor, clients);
             // Structural gate: the round created no pool threads, and
             // once its clients joined, the process thread count is back
             // at baseline — no hidden per-query threads anywhere.

@@ -24,8 +24,8 @@
 //!   or cancellations observed), rather than queueing without bound;
 //! * the pool spawns zero threads across the whole sweep.
 
+use super::served::{client_counts, fresh, query, Answers};
 use crate::report::{fmt_dur, fmt_joules, fmt_rate, Report};
-use haec_energy::machine::MachineSpec;
 use haec_energy::units::Watts;
 use haec_sched::backoff::Backoff;
 use haec_sched::governor::GovernorPolicy;
@@ -44,47 +44,9 @@ const CAP_WATTS: f64 = 30.0;
 const MAX_CONCURRENT: usize = 2;
 const MAX_QUEUED: usize = 4;
 const ATTEMPT_DEADLINE: Duration = Duration::from_millis(5);
-
-fn amount(i: i64) -> i64 {
-    (i * 31 + 7) % 1_000
-}
-
-/// Client counts to sweep past capacity: 4→256, truncated by the
-/// `E24_CLIENTS` environment variable (CI smoke runs small counts).
-fn client_counts() -> Vec<usize> {
-    let max = std::env::var("E24_CLIENTS").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(256);
-    [4usize, 16, 64, 256].into_iter().filter(|&c| c <= max.max(4)).collect()
-}
-
-fn fresh() -> Arc<Database> {
-    let pool = Arc::new(WorkerPool::new(WORKERS));
-    let db = Database::with_machine_and_pool(MachineSpec::commodity_2013().with_cores(WORKERS), pool);
-    db.create_table("events", &[("id", DataType::Int64), ("amount", DataType::Int64)]).unwrap();
-    db.set_merge_threshold("events", usize::MAX).unwrap();
-    for i in 0..ROWS {
-        db.insert("events", &Record::new().with("id", i).with("amount", amount(i))).unwrap();
-    }
-    db.merge("events").unwrap();
-    Arc::new(db)
-}
-
-fn query(q: usize) -> Query {
-    if q.is_multiple_of(2) {
-        Query::scan("events").aggregate(AggKind::Sum, "amount")
-    } else {
-        Query::scan("events").filter("amount", CmpOp::Lt, 500).aggregate(AggKind::Count, "amount")
-    }
-}
-
-fn check_answer(q: usize, got: f64) {
-    if q.is_multiple_of(2) {
-        let want: i64 = (0..ROWS).map(amount).sum();
-        assert_eq!(got as i64, want, "SUM(amount) answered wrong under overload");
-    } else {
-        let want = (0..ROWS).filter(|&i| amount(i) < 500).count();
-        assert_eq!(got as usize, want, "filtered COUNT answered wrong under overload");
-    }
-}
+/// Client counts to sweep past capacity, truncated by the `E24_CLIENTS`
+/// environment variable (CI smoke runs small counts).
+const CLIENTS: [usize; 4] = [4, 16, 64, 256];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -118,7 +80,7 @@ struct Round {
 
 /// `clients` closed-loop threads each try [`QUERIES_PER_CLIENT`]
 /// queries under `mode`'s retry discipline; returns the measured round.
-fn run_round(db: &Arc<Database>, mode: Mode, clients: usize) -> Round {
+fn run_round(db: &Arc<Database>, answers: &Answers, mode: Mode, clients: usize) -> Round {
     let srv = QueryServer::new(
         Arc::clone(db),
         QueryServerConfig {
@@ -153,10 +115,7 @@ fn run_round(db: &Arc<Database>, mode: Mode, clients: usize) -> Round {
                         };
                         match srv.submit(&query(c + q), &opts) {
                             Ok(served) => {
-                                check_answer(
-                                    c + q,
-                                    served.result.rows.row(0).unwrap()[0].as_float().unwrap(),
-                                );
+                                answers.check(c + q, &served);
                                 successes.fetch_add(1, Ordering::Relaxed);
                                 backoff.reset();
                                 break;
@@ -243,23 +202,23 @@ pub fn run() -> Report {
         "shed",
         "retries",
     ]);
-    let db = fresh();
+    let db = fresh(WORKERS, ROWS);
+    let answers = Answers::over(ROWS);
 
     // Warmup, then pin the thread baseline: overload handling must not
     // buy progress with hidden threads.
     {
         let srv = QueryServer::new(Arc::clone(&db), QueryServerConfig::default());
         for q in 0..2 {
-            let served = srv.execute(&query(q)).unwrap();
-            check_answer(q, served.result.rows.row(0).unwrap()[0].as_float().unwrap());
+            answers.check(q, &srv.execute(&query(q)).unwrap());
         }
     }
     let spawned_baseline = db.pool().threads_spawned();
 
     let mut rounds: Vec<Round> = Vec::new();
     for mode in [Mode::Naive, Mode::Backoff, Mode::Deadline] {
-        for clients in client_counts() {
-            rounds.push(run_round(&db, mode, clients));
+        for clients in client_counts("E24_CLIENTS", &CLIENTS) {
+            rounds.push(run_round(&db, &answers, mode, clients));
             assert_eq!(db.pool().threads_spawned(), spawned_baseline, "pool spawned threads");
         }
     }
@@ -279,7 +238,7 @@ pub fn run() -> Report {
         ]);
     }
 
-    let max_clients = client_counts().into_iter().max().unwrap_or(4);
+    let max_clients = client_counts("E24_CLIENTS", &CLIENTS).into_iter().max().unwrap_or(4);
     let at = |mode: Mode, clients: usize| rounds.iter().find(|r| r.mode == mode && r.clients == clients);
     if let (Some(naive), Some(backoff)) = (at(Mode::Naive, max_clients), at(Mode::Backoff, max_clients)) {
         r.note(format!(

@@ -26,6 +26,7 @@ pub mod e21_mvcc_snapshots;
 pub mod e22_query_server;
 pub mod e23_sort_layout;
 pub mod e24_overload_degradation;
+mod served;
 
 use crate::report::Report;
 

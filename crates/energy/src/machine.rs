@@ -235,7 +235,7 @@ impl MachineSpec {
 
     /// Constant platform power.
     #[inline]
-    pub fn platform_power(&self) -> Watts {
+    fn platform_power(&self) -> Watts {
         Watts::new(self.platform_w)
     }
 

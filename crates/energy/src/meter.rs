@@ -9,7 +9,7 @@
 //! behaviour, so downstream reading code is exercised exactly as it would
 //! be against real hardware.
 
-use crate::units::{Joules, Watts};
+use crate::units::Joules;
 use std::fmt;
 use std::time::Duration;
 
@@ -96,11 +96,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Integrates a constant `power` over `dt` into `domain`.
-    pub fn integrate(&mut self, domain: Domain, power: Watts, dt: Duration) {
-        self.add(domain, power * dt);
-    }
-
     /// Advances the meter's notion of elapsed (virtual or wall) time.
     pub fn advance(&mut self, dt: Duration) {
         self.elapsed += dt;
@@ -147,21 +142,6 @@ impl EnergyMeter {
     /// A point-in-time snapshot of all domains.
     pub fn snapshot(&self) -> EnergySnapshot {
         EnergySnapshot { joules: self.joules, elapsed: self.elapsed }
-    }
-
-    /// Energy accumulated per domain since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `earlier` was taken from a meter with
-    /// larger counters (i.e., is not actually earlier).
-    pub fn since(&self, earlier: &EnergySnapshot) -> EnergySnapshot {
-        let mut joules = [0.0; NUM_DOMAINS];
-        for i in 0..NUM_DOMAINS {
-            debug_assert!(self.joules[i] >= earlier.joules[i] - 1e-9);
-            joules[i] = self.joules[i] - earlier.joules[i];
-        }
-        EnergySnapshot { joules, elapsed: self.elapsed.saturating_sub(earlier.elapsed) }
     }
 }
 
@@ -266,26 +246,6 @@ mod tests {
         assert_eq!(m.total(Domain::Package), Joules::new(1.5));
         // Grand total counts leaves once.
         assert_eq!(m.grand_total(), Joules::new(1.75));
-    }
-
-    #[test]
-    fn integrate_power() {
-        let mut m = EnergyMeter::new();
-        m.integrate(Domain::Disk, Watts::new(12.0), Duration::from_secs(10));
-        assert_eq!(m.total(Domain::Disk), Joules::new(120.0));
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let mut m = EnergyMeter::new();
-        m.add(Domain::Cores, Joules::new(1.0));
-        m.advance(Duration::from_secs(1));
-        let s = m.snapshot();
-        m.add(Domain::Cores, Joules::new(2.0));
-        m.advance(Duration::from_secs(2));
-        let d = m.since(&s);
-        assert_eq!(d.total(Domain::Cores), Joules::new(2.0));
-        assert_eq!(d.elapsed(), Duration::from_secs(2));
     }
 
     #[test]

@@ -179,13 +179,6 @@ impl AdmissionGate {
         self.limit
     }
 
-    /// Wakes every waiter so it re-polls its cancel token / deadline.
-    /// Whoever fires a waiting query's token calls this: the waiter
-    /// itself removes its queue entry.
-    pub fn poke(&self) {
-        self.cv.notify_all();
-    }
-
     /// Evicts up to `n` of the lowest-priority waiting queries (the
     /// energy governor calls this when its budget tightens: shrinking
     /// work should shed queued load, not stall everyone). Returns how
@@ -209,7 +202,9 @@ impl AdmissionGate {
     /// queue if the gate is full. Higher `priority` values outrank
     /// lower ones. The optional `cancel` token and `deadline` are
     /// polled at every wake-up; under overload the lowest-priority
-    /// entrant (queued or this one) is shed.
+    /// entrant (queued or this one) is shed. Nothing wakes a waiter
+    /// when someone else fires its token: it sees the cancel at its next
+    /// wake — a release, a shed, or its own deadline.
     ///
     /// # Errors
     ///
@@ -433,10 +428,11 @@ mod tests {
             while gate.queued() == 0 {
                 std::thread::yield_now();
             }
+            // The waiter notices the cancel at its next wake: the
+            // release promotes it, and it hands the won grant back.
             token.cancel();
-            gate.poke();
-            assert_eq!(h.join().unwrap().unwrap_err(), AdmitError::Cancelled);
             drop(held);
+            assert_eq!(h.join().unwrap().unwrap_err(), AdmitError::Cancelled);
         });
         assert_eq!(gate.active(), 0);
         assert_eq!(gate.queued(), 0);

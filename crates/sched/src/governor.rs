@@ -20,7 +20,8 @@ use haec_energy::units::{Hertz, Watts};
 use std::fmt;
 use std::time::Duration;
 
-/// The governor policies compared by experiments E2 and E11.
+/// The governor policies the query server runs under; experiments E2
+/// and E11 compare them on the real server.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GovernorPolicy {
     /// Fastest P-state always.

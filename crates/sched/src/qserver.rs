@@ -3,8 +3,8 @@
 //!
 //! This is the front door the paper's Fig. 2 asks for — "flexibly
 //! balance query response time minimization and throughput maximization
-//! under a given energy constraint" — driving the **real engine**, not
-//! the [`crate::server`] simulation. Per admitted query the server:
+//! under a given energy constraint" — driving the **real engine**. Per
+//! admitted query the server:
 //!
 //! 1. applies **admission control** through an
 //!    [`AdmissionGate`]: at most
@@ -43,6 +43,7 @@
 use haec_energy::pstate::PStateId;
 use haec_energy::units::Joules;
 use haec_exec::cancel::CancelToken;
+use haec_sim::stats::Histogram;
 use haecdb::db::QueryResult;
 use haecdb::error::DbError;
 use haecdb::prelude::{Database, ExecOpts, MorselGate, Query};
@@ -166,9 +167,9 @@ pub struct ServerStats {
     /// Total energy across completed queries (sum of their own
     /// `CostEstimate`s).
     pub energy: Joules,
-    /// Median latency.
+    /// Median latency (a histogram bucket's lower bound: within ~1.6%).
     pub p50: Duration,
-    /// 99th-percentile latency.
+    /// 99th-percentile latency (same resolution as `p50`).
     pub p99: Duration,
     /// Most morsels ever concurrently in flight through the gate.
     pub gate_high_water: usize,
@@ -206,6 +207,17 @@ impl Ewma {
     }
 }
 
+/// What the server keeps of its completed queries: a fixed-size latency
+/// histogram and two running totals, so neither memory nor `stats()`
+/// grows with the server's lifetime.
+struct Done {
+    /// Wall latency of every completed query, in nanoseconds.
+    latency: Histogram,
+    completed: usize,
+    /// Sum of the completed queries' own `CostEstimate` energies.
+    energy: Joules,
+}
+
 /// The concurrent query server (see the module docs).
 pub struct QueryServer {
     db: Arc<Database>,
@@ -222,8 +234,7 @@ pub struct QueryServer {
     /// P-state currently "in effect" (what `OnDemand` steps from).
     current_pstate: Mutex<PStateId>,
     ewma: Mutex<Ewma>,
-    /// Latency and energy of every completed query.
-    done: Mutex<Vec<(Duration, Joules)>>,
+    done: Mutex<Done>,
 }
 
 impl QueryServer {
@@ -262,7 +273,7 @@ impl QueryServer {
             cancelled: AtomicUsize::new(0),
             current_pstate: Mutex::new(current),
             ewma: Mutex::new(Ewma { watts: 0.0, cycles: 0.0, latency_secs: 0.0 }),
-            done: Mutex::new(Vec::new()),
+            done: Mutex::new(Done { latency: Histogram::new(), completed: 0, energy: Joules::ZERO }),
         }
     }
 
@@ -434,28 +445,25 @@ impl QueryServer {
                 latency.as_secs_f64(),
             );
         }
-        Self::lock(&self.done).push((latency, result.energy));
+        {
+            let mut done = Self::lock(&self.done);
+            done.latency.record_duration(latency);
+            done.completed += 1;
+            done.energy += result.energy;
+        }
         Ok(ServedQuery { result, dop: exec.dop, latency })
     }
 
     /// A snapshot of the server's lifetime counters.
     pub fn stats(&self) -> ServerStats {
         let done = Self::lock(&self.done);
-        let mut lat: Vec<Duration> = done.iter().map(|&(l, _)| l).collect();
-        lat.sort_unstable();
-        let pct = |p: f64| -> Duration {
-            if lat.is_empty() {
-                return Duration::ZERO;
-            }
-            let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
-            lat[idx.min(lat.len() - 1)]
-        };
+        let pct = |q: f64| done.latency.quantile_duration(q).unwrap_or(Duration::ZERO);
         ServerStats {
-            completed: done.len(),
+            completed: done.completed,
             rejected: self.rejected.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             shed: self.admission.shed_total(),
-            energy: done.iter().fold(Joules::new(0.0), |a, &(_, e)| a + e),
+            energy: done.energy,
             p50: pct(0.50),
             p99: pct(0.99),
             gate_high_water: self.gate.high_water(),
@@ -616,7 +624,7 @@ mod tests {
         // A lenient deadline lets pace pick a slow P-state, which must
         // translate into a smaller (or equal) parallelism grant.
         let pace = QueryServer::new(
-            db,
+            Arc::clone(&db),
             QueryServerConfig {
                 governor: GovernorPolicy::PaceToDeadline(Duration::from_secs(10)),
                 ..Default::default()
@@ -624,10 +632,88 @@ mod tests {
         );
         let rd = race.execute(&sum_query()).unwrap();
         // Seed pace's work EWMA so the deadline math sees real cycles.
-        let pd0 = pace.execute(&sum_query()).unwrap();
+        pace.execute(&sum_query()).unwrap();
         let pd = pace.execute(&sum_query()).unwrap();
         assert!(pd.dop <= rd.dop, "pace granted {} > race {}", pd.dop, rd.dop);
-        let _ = pd0;
+        // At every equal in-flight count, not only an idle server's.
+        for active in 1..=db.pool().workers() + 1 {
+            let (p, r) = (pace.grant(active).dop, race.grant(active).dop);
+            assert!(p <= r, "{active} in flight: pace granted {p} > race {r}");
+        }
+    }
+
+    #[test]
+    fn stats_count_and_bill_every_served_query() {
+        let db = db_with_rows(20_000);
+        let srv = QueryServer::new(db, QueryServerConfig::default());
+        let n = 25;
+        let mut billed = 0.0;
+        for _ in 0..n {
+            billed += srv.execute(&sum_query()).unwrap().result.energy.joules();
+        }
+        let stats = srv.stats();
+        assert_eq!(stats.completed, n);
+        let rel = (stats.energy.joules() - billed).abs() / billed;
+        assert!(rel <= 1e-12, "server billed {} J, queries {billed} J", stats.energy.joules());
+        assert!(stats.p99 >= stats.p50 && stats.p50 > Duration::ZERO);
+    }
+
+    #[test]
+    fn every_policy_bills_the_same_query_list_the_same() {
+        // A query's bill is its work, not its grant: however a governor
+        // spreads the same list over the pool, the server bills the same.
+        let db = db_with_rows(150_000);
+        let list = [
+            sum_query(),
+            Query::scan("t").filter("v", CmpOp::Lt, 30).aggregate(AggKind::Count, "v"),
+            Query::scan("t").filter("id", CmpOp::Ge, 140_000),
+        ];
+        let bills: Vec<(GovernorPolicy, f64)> = [
+            GovernorPolicy::RaceToIdle,
+            GovernorPolicy::PaceToDeadline(Duration::from_millis(100)),
+            GovernorPolicy::OnDemand,
+            GovernorPolicy::EnergyCap(Watts::new(10.0)),
+        ]
+        .into_iter()
+        .map(|governor| {
+            let srv = QueryServer::new(Arc::clone(&db), QueryServerConfig { governor, ..Default::default() });
+            for q in list.iter().chain(&list) {
+                srv.execute(q).unwrap();
+            }
+            (governor, srv.stats().energy.joules())
+        })
+        .collect();
+        let reference = bills[0].1;
+        for (governor, joules) in bills {
+            assert!(
+                (joules - reference).abs() <= 1e-9 * reference,
+                "{governor}: {joules} J vs {reference} J"
+            );
+        }
+    }
+
+    #[test]
+    fn energy_cap_budget_never_rises_as_the_cap_tightens() {
+        let db = db_with_rows(150_000);
+        let mut looser: Option<(f64, usize)> = None;
+        for cap in [400.0, 120.0, 60.0, 30.0, 15.0, 8.0, 2.0] {
+            let srv = QueryServer::new(
+                Arc::clone(&db),
+                QueryServerConfig {
+                    governor: GovernorPolicy::EnergyCap(Watts::new(cap)),
+                    ..Default::default()
+                },
+            );
+            for _ in 0..3 {
+                srv.execute(&sum_query()).unwrap();
+            }
+            let high = srv.stats().budget_high;
+            if let Some((prev_cap, prev)) = looser {
+                assert!(high <= prev, "budget high {high} at {cap} W above {prev} at {prev_cap} W");
+            }
+            looser = Some((cap, high));
+        }
+        assert_eq!(looser.map(|(_, high)| high), Some(1), "a cap below one slow core admits one stream");
     }
 
     #[test]

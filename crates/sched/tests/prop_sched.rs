@@ -1,11 +1,10 @@
-//! Property-based tests: governor envelopes and simulation determinism.
+//! Property-based tests: governor envelopes and elastic provisioning.
 
 use haec_energy::machine::MachineSpec;
 use haec_energy::pstate::{CState, PStateTable};
 use haec_energy::units::Watts;
 use haec_sched::elastic::{diurnal_trace, run_cluster_sim, Provisioning};
 use haec_sched::governor::{decide, GovernorInput, GovernorPolicy};
-use haec_sched::server::{run_server_sim, ServerSimConfig};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -46,37 +45,6 @@ proptest! {
             d.core_cap as f64 * table.state(d.pstate).frequency().hertz()
         };
         prop_assert!(score(cap_lo + extra) >= score(cap_lo) - 1e-6);
-    }
-
-    /// The server simulation is a pure function of its config (same seed
-    /// → identical results; different seeds → same completion ballpark).
-    #[test]
-    fn server_sim_deterministic(seed in any::<u64>(), rate in 5.0f64..80.0) {
-        let mut cfg = ServerSimConfig::default_mix();
-        cfg.seed = seed;
-        cfg.arrival_rate = rate;
-        cfg.horizon = Duration::from_secs(5);
-        let a = run_server_sim(&cfg);
-        let b = run_server_sim(&cfg);
-        prop_assert_eq!(a.completed, b.completed);
-        prop_assert_eq!(a.energy, b.energy);
-        prop_assert!(a.utilization >= 0.0 && a.utilization <= 1.0);
-    }
-
-    /// Pace-to-deadline never beats race-to-idle on median latency.
-    #[test]
-    fn pace_never_faster_than_race(seed in any::<u64>()) {
-        let mut cfg = ServerSimConfig::default_mix();
-        cfg.seed = seed;
-        cfg.arrival_rate = 20.0;
-        cfg.horizon = Duration::from_secs(8);
-        cfg.governor = GovernorPolicy::RaceToIdle;
-        let race = run_server_sim(&cfg);
-        cfg.governor = GovernorPolicy::PaceToDeadline(Duration::from_millis(300));
-        let pace = run_server_sim(&cfg);
-        let r50 = race.response.quantile(0.5).unwrap_or(0);
-        let p50 = pace.response.quantile(0.5).unwrap_or(0);
-        prop_assert!(p50 >= r50, "pace p50 {} < race p50 {}", p50, r50);
     }
 
     /// Elastic provisioning: a wider node ceiling never increases SLA

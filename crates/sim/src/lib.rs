@@ -1,21 +1,16 @@
 //! # haec-sim
 //!
-//! Deterministic discrete-event simulation core for the `haecdb`
+//! Seeded randomness and measurement statistics for the `haecdb`
 //! reproduction of *Lehner, "Energy-Efficient In-Memory Database
 //! Computing" (DATE 2013)*.
 //!
-//! The scheduling, networking and elasticity experiments of the paper
-//! concern machines (hundreds of cores, multi-node clusters, optical
-//! board-level links) that the reproduction environment does not have.
-//! Those experiments therefore run on virtual time: a seeded, perfectly
-//! reproducible event simulation. This crate provides the three shared
-//! ingredients:
+//! Two shared ingredients, used by the query server, the robustness
+//! layer and the experiments:
 //!
-//! * [`engine`] — the future-event list ([`engine::EventQueue`]) with
-//!   deterministic same-instant ordering and a driver loop ([`engine::run`]).
 //! * [`rng`] — seeded randomness ([`rng::SimRng`]) with the workload
-//!   distributions (Poisson, Zipf, normal).
-//! * [`stats`] — histograms and Welford summaries.
+//!   distributions (uniform, Zipf, Bernoulli), so one seed pins down an
+//!   entire experiment.
+//! * [`stats`] — fixed-memory latency histograms and Welford summaries.
 //!
 //! ## Example
 //!
@@ -23,41 +18,30 @@
 //! use haec_sim::prelude::*;
 //! use std::time::Duration;
 //!
-//! // M/D/1 queue: Poisson arrivals, fixed 1 ms service.
+//! // Skewed key draws, with their latencies kept in a histogram.
 //! let mut rng = SimRng::seed(1);
-//! let mut q = EventQueue::new();
-//! for _ in 0..100 {
-//!     let dt = Duration::from_secs_f64(rng.exponential(0.002));
-//!     let at = q.now().saturating_add(dt); // arrivals relative to t=0
-//!     q.schedule_at(SimTime::ZERO + (at - SimTime::ZERO), ());
+//! let mut latency = Histogram::new();
+//! for _ in 0..1_000 {
+//!     let key = rng.zipf(10_000, 0.99);
+//!     latency.record_duration(Duration::from_micros(10 + key % 90));
 //! }
-//! let mut served = 0u32;
-//! let (_, end) = haec_sim::engine::run(&mut q, &mut |_now, _e, _q: &mut EventQueue<()>| {
-//!     served += 1;
-//!     true
-//! }, SimTime::MAX);
-//! assert_eq!(served, 100);
-//! assert!(end > SimTime::ZERO);
+//! assert_eq!(latency.count(), 1_000);
+//! let (p50, p99) = (latency.quantile_duration(0.5).unwrap(), latency.quantile_duration(0.99).unwrap());
+//! assert!(p50 <= p99 && p99 < Duration::from_micros(100));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod rng;
 pub mod stats;
-pub mod time;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::engine::{run, EventQueue, RunOutcome, World};
     pub use crate::rng::SimRng;
     pub use crate::stats::{Histogram, Summary};
-    pub use crate::time::SimTime;
 }
 
-pub use engine::{EventQueue, RunOutcome};
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
-pub use time::SimTime;

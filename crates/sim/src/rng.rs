@@ -1,7 +1,7 @@
 //! Seeded randomness for workload generation.
 //!
-//! All stochastic inputs of the reproduction (arrival processes, key
-//! skew, value distributions) flow through [`SimRng`] so that a single
+//! All stochastic inputs of the reproduction (key skew, value
+//! distributions, fault draws) flow through [`SimRng`] so that a single
 //! seed pins down an entire experiment.
 
 use rand::rngs::StdRng;
@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// A deterministic random source with the distributions the workloads
-/// need (uniform, exponential, Zipf, Bernoulli).
+/// need (uniform, Zipf, Bernoulli).
 ///
 /// ```
 /// use haec_sim::rng::SimRng;
@@ -69,18 +69,6 @@ impl SimRng {
     pub fn flip(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.rng.gen::<f64>() < p
-    }
-
-    /// Exponentially distributed value with the given mean (inter-arrival
-    /// times of a Poisson process).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not strictly positive.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "mean must be positive");
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -mean * u.ln()
     }
 
     /// A value in `[0, n)` drawn from a Zipf distribution with skew
@@ -169,16 +157,6 @@ mod tests {
         // Different salt gives a different stream (overwhelmingly likely).
         let same = (0..20).all(|_| fa.uniform_u64(1000) == fc.uniform_u64(1000));
         assert!(!same);
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut r = SimRng::seed(123);
-        let n = 20_000;
-        let mean = 5.0;
-        let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        let observed = sum / n as f64;
-        assert!((observed - mean).abs() < 0.2, "observed mean {observed}");
     }
 
     #[test]

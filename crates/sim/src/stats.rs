@@ -181,13 +181,14 @@ impl Histogram {
         }
     }
 
-    /// The value at quantile `q` ∈ [0, 1] (upper bucket bound; `None` if
-    /// empty).
+    /// The value at quantile `q` ∈ [0, 1]: the lower bound of the bucket
+    /// holding the nearest-rank sample, so at most ~1.6% below it
+    /// (`None` if empty).
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    fn quantile(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
         if self.count == 0 {
             return None;

@@ -1,17 +1,16 @@
-//! The Fig. 2 story end to end: candidate plans on the (time, energy)
-//! plane, constrained choice, and the server-level consequence of a
-//! power cap.
+//! The Fig. 2 story at plan level: candidate plans on the (time, energy)
+//! plane and constrained choice. Its server-level consequence — the
+//! real query server under a sweeping power cap — is experiment E2:
 //!
 //! ```text
 //! cargo run --release --example energy_aware_optimizer
+//! cargo run -p haec-bench --release --bin experiments e02
 //! ```
 
 use haec_energy::machine::MachineSpec;
-use haec_energy::units::{Joules, Watts};
+use haec_energy::units::Joules;
 use haec_planner::cost::CostModel;
 use haec_planner::optimizer::{choose, pareto_frontier, Goal};
-use haec_sched::governor::GovernorPolicy;
-use haec_sched::server::{run_server_sim, ServerSimConfig};
 use std::time::Duration;
 
 fn main() {
@@ -44,25 +43,5 @@ fn main() {
             Err(e) => println!("  {goal} -> {e}"),
         }
     }
-
-    // --- system-level: the same trade-off as a power cap ----------------
-    println!("\nenergy-cap sweep on the query server (Fig. 2):");
-    println!("  {:>10} {:>12} {:>10} {:>10}", "cap", "throughput", "p95", "J/query");
-    let mut cfg = ServerSimConfig::default_mix();
-    cfg.arrival_rate = 120.0;
-    cfg.mean_work_cycles = 2.0e8;
-    cfg.horizon = Duration::from_secs(30);
-    let peak = cfg.machine.peak_power().watts();
-    for frac in [1.0, 0.6, 0.4, 0.3] {
-        cfg.governor = GovernorPolicy::EnergyCap(Watts::new(peak * frac));
-        let out = run_server_sim(&cfg);
-        println!(
-            "  {:>8.0} W {:>10.1}/s {:>8.1}ms {:>9.2}J",
-            peak * frac,
-            out.throughput,
-            out.response.quantile_duration(0.95).unwrap_or_default().as_secs_f64() * 1e3,
-            out.energy_per_query.joules()
-        );
-    }
-    println!("\ntighter budget -> same work at lower power but longer tails: the paper's Fig. 2.");
+    println!("\nthe same trade-off as a power cap on the real query server: experiment E2.");
 }

@@ -1,6 +1,6 @@
 //! Integration across substrates: storage tiers + energy metering,
 //! networking + compression, planner + real table statistics, and the
-//! scheduler + machine model.
+//! query server + machine model.
 
 use haec_columnar::encoding::EncodedInts;
 use haec_energy::machine::MachineSpec;
@@ -12,10 +12,11 @@ use haec_net::topology::{LinkClass, LinkSpec};
 use haec_planner::cost::CostModel;
 use haec_planner::join_order::{plan_dp, plan_greedy, JoinGraph};
 use haec_sched::governor::GovernorPolicy;
-use haec_sched::server::{run_server_sim, ServerSimConfig};
+use haec_sched::qserver::{QueryServer, QueryServerConfig};
 use haec_storage::hierarchy::{Hierarchy, PlacementPolicy};
 use haec_storage::temperature::{AccessKind, DensityClass};
 use haecdb::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -104,24 +105,34 @@ fn join_ordering_invariants_hold_on_random_graphs() {
 
 #[test]
 fn scheduler_respects_machine_power_envelope() {
-    // Whatever the governor, average power must stay within the machine
-    // model's physical envelope.
-    let mut cfg = ServerSimConfig::default_mix();
-    cfg.horizon = Duration::from_secs(10);
-    cfg.arrival_rate = 150.0;
-    let idle = cfg.machine.idle_floor().watts();
-    let peak = cfg.machine.peak_power().watts();
+    // Whatever the governor, every query the real server serves draws a
+    // modeled power (its own bill over its own modeled time) within the
+    // machine model's physical envelope.
+    let db = Database::new();
+    db.create_table("t", &[("v", DataType::Int64)]).unwrap();
+    for i in 0..40_000i64 {
+        db.insert("t", &Record::new().with("v", i % 1000)).unwrap();
+    }
+    let db = Arc::new(db);
+    let idle = db.machine().idle_floor().watts();
+    let peak = db.machine().peak_power().watts();
     for gov in [
         GovernorPolicy::RaceToIdle,
         GovernorPolicy::OnDemand,
         GovernorPolicy::PaceToDeadline(Duration::from_millis(300)),
         GovernorPolicy::EnergyCap(haec_energy::units::Watts::new(peak * 0.5)),
     ] {
-        cfg.governor = gov;
-        let out = run_server_sim(&cfg);
-        let avg = out.avg_power.watts();
-        assert!(avg >= idle * 0.5, "{gov}: avg {avg} W below plausible floor");
-        assert!(avg <= peak * 1.01, "{gov}: avg {avg} W above peak {peak}");
+        let srv =
+            QueryServer::new(Arc::clone(&db), QueryServerConfig { governor: gov, ..Default::default() });
+        for q in [
+            Query::scan("t").aggregate(AggKind::Sum, "v"),
+            Query::scan("t").filter("v", CmpOp::Lt, 500).aggregate(AggKind::Count, "v"),
+        ] {
+            let served = srv.execute(&q).unwrap();
+            let watts = served.result.energy.joules() / served.result.modeled_time.as_secs_f64();
+            assert!(watts >= idle, "{gov}: {watts} W below the idle floor {idle}");
+            assert!(watts <= peak, "{gov}: {watts} W above peak {peak}");
+        }
     }
 }
 
