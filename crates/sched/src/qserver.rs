@@ -716,6 +716,158 @@ mod tests {
         assert_eq!(looser.map(|(_, high)| high), Some(1), "a cap below one slow core admits one stream");
     }
 
+    /// `db_with_rows`'s table on a pool of its own `workers` wide, so a
+    /// grant's arithmetic does not depend on the host's core count.
+    fn db_on_pool(workers: usize, rows: i64) -> Arc<Database> {
+        let pool = Arc::new(WorkerPool::new(workers));
+        let machine = haec_energy::machine::MachineSpec::commodity_2013().with_cores(workers);
+        let db = Database::with_machine_and_pool(machine, pool);
+        db.create_table("t", &[("id", DataType::Int64), ("v", DataType::Int64)]).unwrap();
+        db.set_merge_threshold("t", usize::MAX).unwrap();
+        for i in 0..rows {
+            db.insert("t", &Record::new().with("id", i).with("v", i % 100)).unwrap();
+        }
+        db.merge("t").unwrap();
+        Arc::new(db)
+    }
+
+    /// Modeled watts of one served query: its bill over its modeled time.
+    fn modeled_watts(out: &ServedQuery) -> f64 {
+        out.result.energy.joules() / out.result.modeled_time.as_secs_f64()
+    }
+
+    #[test]
+    fn two_fresh_servers_serve_a_query_list_identically() {
+        let db = db_with_rows(100_000);
+        let list = [
+            sum_query(),
+            Query::scan("t").filter("v", CmpOp::Lt, 30).aggregate(AggKind::Count, "v"),
+            Query::scan("t").filter("id", CmpOp::Ge, 90_000),
+        ];
+        let run = || {
+            let srv = QueryServer::new(
+                Arc::clone(&db),
+                QueryServerConfig { governor: GovernorPolicy::OnDemand, ..Default::default() },
+            );
+            let served: Vec<(usize, f64)> = list
+                .iter()
+                .chain(&list)
+                .map(|q| {
+                    let out = srv.execute(q).unwrap();
+                    (out.result.rows.rows(), out.result.energy.joules())
+                })
+                .collect();
+            (served, srv.stats().completed)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.0.len(), b.0.len());
+        for (i, ((rows_a, ja), (rows_b, jb))) in a.0.iter().zip(&b.0).enumerate() {
+            assert_eq!(rows_a, rows_b, "query {i}: rows differ");
+            assert!((ja - jb).abs() <= 1e-12 * ja, "query {i}: {ja} J vs {jb} J");
+        }
+    }
+
+    #[test]
+    fn energy_cap_keeps_in_flight_stream_power_under_the_cap() {
+        let (workers, rows) = (4, 150_000);
+        let db = db_on_pool(workers, rows);
+        let race = QueryServer::new(Arc::clone(&db), QueryServerConfig::default());
+        let watts = modeled_watts(&race.execute(&sum_query()).unwrap());
+        // 60 % of what the whole pool draws running one stream per worker.
+        let cap = 0.6 * workers as f64 * watts;
+        let srv = QueryServer::new(
+            Arc::clone(&db),
+            QueryServerConfig { governor: GovernorPolicy::EnergyCap(Watts::new(cap)), ..Default::default() },
+        );
+        let served = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    for _ in 0..4 {
+                        let out = srv.execute(&sum_query()).unwrap();
+                        assert_eq!(out.result.rows.row(0).unwrap()[0].as_float(), Some(expected_sum(rows)));
+                        served.lock().unwrap().push(modeled_watts(&out));
+                    }
+                });
+            }
+        });
+        let least = served.into_inner().unwrap().into_iter().fold(f64::INFINITY, f64::min);
+        let stats = srv.stats();
+        assert_eq!(stats.completed, 16);
+        assert!(stats.gate_high_water <= stats.budget_high);
+        // Once power has been measured, the budget the gate holds is the
+        // streams that fit under the cap: fewer than race's full pool.
+        let budget = srv.gate.budget();
+        assert!(budget < workers, "budget {budget} of {workers} workers under a cap below the pool's draw");
+        let streams = budget as f64 * least;
+        assert!(
+            streams <= cap * (1.0 + 1e-9) || budget == 1,
+            "{budget} streams of ≥ {least} W each draw {streams} W over the {cap} W cap"
+        );
+    }
+
+    #[test]
+    fn ondemand_serves_billed_queries_under_concurrent_load() {
+        let rows = 100_000;
+        let db = db_with_rows(rows);
+        let srv = QueryServer::new(
+            db,
+            QueryServerConfig { governor: GovernorPolicy::OnDemand, ..Default::default() },
+        );
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..4 {
+                        let out = srv.execute(&sum_query()).unwrap();
+                        assert_eq!(out.result.rows.row(0).unwrap()[0].as_float(), Some(expected_sum(rows)));
+                        assert!(out.result.energy.joules() > 0.0);
+                    }
+                });
+            }
+        });
+        let stats = srv.stats();
+        assert_eq!(stats.completed, 16);
+        assert!(stats.energy.joules() > 0.0);
+        assert_eq!(srv.active(), 0);
+    }
+
+    #[test]
+    fn pace_bills_no_more_than_race_at_low_load() {
+        // One query at a time: pace's slower grant must not cost more.
+        let db = db_with_rows(150_000);
+        let bill = |governor| {
+            let srv = QueryServer::new(Arc::clone(&db), QueryServerConfig { governor, ..Default::default() });
+            for _ in 0..6 {
+                srv.execute(&sum_query()).unwrap();
+            }
+            srv.stats().energy.joules()
+        };
+        let race = bill(GovernorPolicy::RaceToIdle);
+        let pace = bill(GovernorPolicy::PaceToDeadline(Duration::from_millis(500)));
+        assert!(pace <= race * (1.0 + 1e-9), "pace {pace} J vs race {race} J");
+    }
+
+    #[test]
+    fn race_grants_more_parallelism_than_lenient_pace() {
+        // On a 4-wide pool race-to-idle takes every worker; a lenient
+        // deadline paces at the slowest P-state, worth fewer of them.
+        let db = db_on_pool(4, 100_000);
+        let race = QueryServer::new(Arc::clone(&db), QueryServerConfig::default());
+        let pace = QueryServer::new(
+            Arc::clone(&db),
+            QueryServerConfig {
+                governor: GovernorPolicy::PaceToDeadline(Duration::from_secs(10)),
+                ..Default::default()
+            },
+        );
+        for _ in 0..3 {
+            let (r, p) = (race.execute(&sum_query()).unwrap(), pace.execute(&sum_query()).unwrap());
+            assert_eq!(r.dop, 4);
+            assert!(p.dop < r.dop, "pace granted {} vs race {}", p.dop, r.dop);
+        }
+    }
+
     #[test]
     fn snapshot_isolation_under_concurrent_writes() {
         // A query admitted mid-insert still answers for a consistent

@@ -47,6 +47,32 @@ proptest! {
         prop_assert!(score(cap_lo + extra) >= score(cap_lo) - 1e-6);
     }
 
+    /// Pace-to-deadline never configures more cycle throughput than
+    /// race-to-idle, whatever the deadline, head work and queue state.
+    #[test]
+    fn pace_never_faster_than_race(
+        deadline_ms in 1u64..10_000,
+        head_work_cycles in 0u64..100_000_000_000,
+        queued in 0usize..64,
+        busy in 0usize..8,
+    ) {
+        let table = PStateTable::xeon_2013();
+        let input = GovernorInput {
+            queued,
+            busy_cores: busy,
+            total_cores: 8,
+            head_work_cycles,
+            current: table.slowest(),
+        };
+        let score = |policy| {
+            let d = decide(policy, &table, input);
+            d.core_cap as f64 * table.state(d.pstate).frequency().hertz()
+        };
+        let race = score(GovernorPolicy::RaceToIdle);
+        let pace = score(GovernorPolicy::PaceToDeadline(Duration::from_millis(deadline_ms)));
+        prop_assert!(pace <= race, "pace {} cycles/s > race {} cycles/s", pace, race);
+    }
+
     /// Elastic provisioning: a wider node ceiling never increases SLA
     /// violations; energy scales with the ceiling only as far as load
     /// demands.
