@@ -1,8 +1,12 @@
-//! Delta encoding: consecutive differences, zig-zag mapped and
-//! bit-packed, with periodic checkpoints for seekable access.
+//! Delta encoding: consecutive differences, packed as unsigned
+//! residuals over the column's smallest difference, with periodic
+//! checkpoints for seekable access.
 //!
 //! Ideal for monotonically increasing keys (timestamps, surrogate ids)
-//! where deltas are tiny even though absolute values need 64 bits.
+//! where deltas are tiny even though absolute values need 64 bits. An
+//! arithmetic sequence — a counting key, a fixed-tick timestamp — has
+//! every delta equal to the smallest, so it packs to zero bits and every
+//! read of it is `first + i × step`.
 
 use crate::encoding::bitpack::BitPacked;
 use crate::encoding::BLOCK_ROWS;
@@ -19,29 +23,31 @@ const CHECKPOINT_EVERY: usize = 1024;
 const CHECKPOINT_BLOCKS: usize = CHECKPOINT_EVERY / BLOCK_ROWS;
 const _: () = assert!(CHECKPOINT_EVERY.is_multiple_of(BLOCK_ROWS));
 
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// A delta-encoded integer column.
+///
+/// Each delta `data[i + 1] - data[i]` (wrapping) is stored as its
+/// residual over `step`, the smallest delta: a non-negative number, and
+/// never wider than the delta's zig-zag code would be, since the
+/// residuals span `max − min` of the deltas and zig-zag needs about
+/// twice the larger magnitude. When every delta equals `step` the
+/// residuals pack to width 0, and a read is arithmetic: no unpack, no
+/// prefix sum.
 ///
 /// ```
 /// use haec_columnar::encoding::delta::DeltaInts;
 /// let data: Vec<i64> = (0..100).map(|i| 1_600_000_000 + i * 30).collect();
 /// let e = DeltaInts::encode(&data);
 /// assert_eq!(e.decode(), data);
-/// assert!(e.size_bytes() < 100 * 8 / 4);
+/// assert_eq!(e.width(), 0);
+/// assert_eq!(e.get(99), 1_600_002_970);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaInts {
-    /// Zig-zag deltas, bit-packed. deltas[i] = data[i+1] - data[i].
-    deltas: BitPacked,
+    /// `deltas[i] - step`, bit-packed, where deltas[i] = data[i+1] -
+    /// data[i].
+    residuals: BitPacked,
+    /// The smallest delta (0 for fewer than two rows).
+    step: i64,
     /// data[k * CHECKPOINT_EVERY] for fast seeking; checkpoint 0 is the
     /// first value.
     checkpoints: Vec<i64>,
@@ -49,15 +55,17 @@ pub struct DeltaInts {
 }
 
 impl DeltaInts {
-    /// Encodes a slice.
+    /// Encodes a slice: one pass for the smallest and largest delta,
+    /// then the residuals over the smallest, packed at the width of
+    /// their span.
     pub fn encode(data: &[i64]) -> Self {
-        if data.is_empty() {
-            return DeltaInts { deltas: BitPacked::pack(&[], 0), checkpoints: Vec::new(), len: 0 };
-        }
-        let zz: Vec<u64> = data.windows(2).map(|w| zigzag(w[1].wrapping_sub(w[0]))).collect();
+        let deltas = || data.windows(2).map(|w| w[1].wrapping_sub(w[0]));
+        let (step, top) = deltas().fold((i64::MAX, i64::MIN), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        let (step, width) =
+            if data.len() < 2 { (0, 0) } else { (step, BitPacked::width_for(top.wrapping_sub(step) as u64)) };
+        let residuals: Vec<u64> = deltas().map(|d| d.wrapping_sub(step) as u64).collect();
         let checkpoints = data.iter().copied().step_by(CHECKPOINT_EVERY).collect();
-        let width = zz.iter().copied().max().map_or(0, BitPacked::width_for);
-        DeltaInts { deltas: BitPacked::pack(&zz, width), checkpoints, len: data.len() }
+        DeltaInts { residuals: BitPacked::pack(&residuals, width), step, checkpoints, len: data.len() }
     }
 
     /// Number of rows.
@@ -70,51 +78,76 @@ impl DeltaInts {
         self.len == 0
     }
 
-    /// The packed delta width in bits.
+    /// The packed residual width in bits: 0 for an arithmetic sequence.
     pub fn width(&self) -> u32 {
-        self.deltas.width()
+        self.residuals.width()
     }
 
-    /// Random access to row `i`: a one-shot [`DeltaCursor`] seek, with
-    /// no block kept — from the nearest checkpoint, one block unpack and
-    /// a summed fold per whole block before `i`'s (at most
-    /// `CHECKPOINT_EVERY` / 64 − 1 of them), then `i`'s own block
-    /// unpacked and summed up to `i`. Use it for genuine point access; a
-    /// sequence of rows is cheaper through [`DeltaInts::cursor`].
+    /// Whether every delta equals `step`: the column is `first + i ×
+    /// step` and every read is that product.
+    #[inline]
+    fn arithmetic(&self) -> bool {
+        self.residuals.width() == 0
+    }
+
+    /// Row `i` of an arithmetic column (wrapping, like the deltas).
+    #[inline]
+    fn nth(&self, i: usize) -> i64 {
+        self.first().wrapping_add((i as i64).wrapping_mul(self.step))
+    }
+
+    /// Random access to row `i`. An arithmetic column answers in O(1);
+    /// any other is a one-shot [`DeltaCursor`] seek, with no block kept
+    /// — from the nearest checkpoint, one block unpack and a summed fold
+    /// per whole block before `i`'s (at most `CHECKPOINT_EVERY` / 64 − 1
+    /// of them), then `i`'s own block unpacked and summed up to `i`. Use
+    /// it for genuine point access; a sequence of rows is cheaper
+    /// through [`DeltaInts::cursor`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> i64 {
         assert!(i < self.len, "index {i} out of bounds ({})", self.len);
+        if self.arithmetic() {
+            return self.nth(i);
+        }
         let block = i / BLOCK_ROWS;
         let checkpoint = block / CHECKPOINT_BLOCKS;
-        let mut zz = [0u64; BLOCK_ROWS];
-        let first = self.seek(checkpoint * CHECKPOINT_BLOCKS, self.checkpoints[checkpoint], block, &mut zz);
-        self.deltas.unpack_block(block, &mut zz);
-        zz[..i % BLOCK_ROWS].iter().fold(first, |v, &d| v.wrapping_add(unzigzag(d)))
+        let mut res = [0u64; BLOCK_ROWS];
+        let first = self.seek(checkpoint * CHECKPOINT_BLOCKS, self.checkpoints[checkpoint], block, &mut res);
+        self.residuals.unpack_block(block, &mut res);
+        res[..i % BLOCK_ROWS].iter().fold(first, |v, &r| v.wrapping_add(self.step).wrapping_add(r as i64))
     }
 
     /// A forward cursor: [`DeltaCursor::at`] answers like [`DeltaInts::get`]
     /// for any row, but keeps the last 64-row block it decoded, so an
     /// ascending sequence of rows costs an array load per row inside
     /// that block and one block unpack per block *skipped* — never a
-    /// re-walk from the checkpoint per row. Safe to create on an empty
-    /// column.
+    /// re-walk from the checkpoint per row. On an arithmetic column it
+    /// holds no block (and allocates nothing): every read is O(1). Safe
+    /// to create on an empty column.
     pub fn cursor(&self) -> DeltaCursor<'_> {
-        let held = Box::new(HeldBlock { zz: [0; BLOCK_ROWS], rows: [0; BLOCK_ROWS] });
+        let held =
+            (!self.arithmetic()).then(|| Box::new(HeldBlock { res: [0; BLOCK_ROWS], rows: [0; BLOCK_ROWS] }));
         DeltaCursor { col: self, block: None, carry: 0, held }
     }
 
     /// The value of block `to`'s first row, given `carry`, the value of
-    /// block `from`'s (`from <= to`): one unpack and a summed zig-zag
-    /// fold per block in between — the seek under [`DeltaInts::get`] and
-    /// every [`DeltaCursor`] load. `zz` is scratch space for the unpacked
-    /// blocks.
-    fn seek(&self, from: usize, carry: i64, to: usize, zz: &mut [u64; BLOCK_ROWS]) -> i64 {
+    /// block `from`'s (`from <= to`): `64 × step` plus one unpack and a
+    /// summed residual fold per block in between, or one product on an
+    /// arithmetic column — the seek under [`DeltaInts::get`], every
+    /// [`DeltaCursor`] load and a skipped block of
+    /// [`crate::encoding::Blocks`]. `res` is scratch space for the
+    /// unpacked blocks.
+    pub(crate) fn seek(&self, from: usize, carry: i64, to: usize, res: &mut [u64; BLOCK_ROWS]) -> i64 {
+        let stride = self.step.wrapping_mul(BLOCK_ROWS as i64);
+        if self.arithmetic() {
+            return carry.wrapping_add(stride.wrapping_mul((to - from) as i64));
+        }
         (from..to).fold(carry, |v, block| {
-            self.deltas.unpack_block(block, zz);
-            zz.iter().fold(v, |sum, &d| sum.wrapping_add(unzigzag(d)))
+            self.residuals.unpack_block(block, res);
+            res.iter().fold(v.wrapping_add(stride), |sum, &r| sum.wrapping_add(r as i64))
         })
     }
 
@@ -123,24 +156,36 @@ impl DeltaInts {
     /// many rows it holds (0 past the end). `carry` is the value of the
     /// block's first row on entry (row 0's is [`DeltaInts::first`]) and
     /// of the next block's first row on return: one unpacked block of
-    /// zig-zag deltas, prefix-summed. Blocks must be decoded in order;
-    /// `zz` is scratch space for the unpacked block.
+    /// residuals, each plus `step` and prefix-summed — or, on an
+    /// arithmetic column, `step` added lane by lane with no unpack.
+    /// Blocks must be decoded in order; `res` is scratch space for the
+    /// unpacked block.
     pub(crate) fn decode_block(
         &self,
         block: usize,
         carry: &mut i64,
-        zz: &mut [u64; BLOCK_ROWS],
+        res: &mut [u64; BLOCK_ROWS],
         out: &mut [i64; BLOCK_ROWS],
     ) -> usize {
         let n = self.len.saturating_sub(block * BLOCK_ROWS).min(BLOCK_ROWS);
+        let (mut v, step) = (*carry, self.step);
+        if self.arithmetic() {
+            // A running sum, not `v + j × step`: without a 64-bit SIMD
+            // multiply the product form runs at half the speed.
+            for lane in &mut out[..n] {
+                *lane = v;
+                v = v.wrapping_add(step);
+            }
+            *carry = v;
+            return n;
+        }
         // Row `i + 1` is row `i` plus delta `i`, so a block of rows pairs
         // with the same block of deltas; the column's last row has none
         // (its lane unpacks as zero and carries nowhere).
-        self.deltas.unpack_block(block, zz);
-        let mut v = *carry;
-        for (lane, &d) in out[..n].iter_mut().zip(&*zz) {
+        self.residuals.unpack_block(block, res);
+        for (lane, &r) in out[..n].iter_mut().zip(&*res) {
             *lane = v;
-            v = v.wrapping_add(unzigzag(d));
+            v = v.wrapping_add(step).wrapping_add(r as i64);
         }
         *carry = v;
         n
@@ -154,9 +199,9 @@ impl DeltaInts {
 
     /// Calls `f` with every block of decoded rows, in order.
     fn for_each_block(&self, mut f: impl FnMut(&[i64])) {
-        let (mut carry, mut zz, mut buf) = (self.first(), [0u64; BLOCK_ROWS], [0i64; BLOCK_ROWS]);
+        let (mut carry, mut res, mut buf) = (self.first(), [0u64; BLOCK_ROWS], [0i64; BLOCK_ROWS]);
         for block in 0..self.len.div_ceil(BLOCK_ROWS) {
-            let n = self.decode_block(block, &mut carry, &mut zz, &mut buf);
+            let n = self.decode_block(block, &mut carry, &mut res, &mut buf);
             f(&buf[..n]);
         }
     }
@@ -175,27 +220,29 @@ impl DeltaInts {
         (!self.is_empty()).then_some(range)
     }
 
-    /// Payload size in bytes.
+    /// Payload size in bytes: the packed residuals, `step` and the
+    /// checkpoints.
     pub fn size_bytes(&self) -> usize {
-        self.deltas.size_bytes() + self.checkpoints.len() * 8
+        self.residuals.size_bytes() + std::mem::size_of::<i64>() + self.checkpoints.len() * 8
     }
 }
 
 /// Forward cursor over a [`DeltaInts`] column (see [`DeltaInts::cursor`]).
 ///
-/// It holds one decoded 64-row block. A read inside that block is an
-/// array load. A read further on skips each whole block in between —
-/// one [`BitPacked::unpack_block`] and a summed zig-zag fold, no
-/// per-row writes — and decodes the target block through
-/// `DeltaInts::decode_block`, the decoder under every sequential
-/// reader. A read before the held block, or past the next checkpoint,
-/// restarts from the target's checkpoint, so no read walks more than
-/// `CHECKPOINT_EVERY` / 64 blocks.
+/// On an arithmetic column (width 0) it holds nothing and every read is
+/// `first + i × step`. Otherwise it holds one decoded 64-row block. A
+/// read inside that block is an array load. A read further on skips
+/// each whole block in between — one [`BitPacked::unpack_block`] and a
+/// summed residual fold, no per-row writes — and decodes the target
+/// block through `DeltaInts::decode_block`, the decoder under every
+/// sequential reader. A read before the held block, or past the next
+/// checkpoint, restarts from the target's checkpoint, so no read walks
+/// more than `CHECKPOINT_EVERY` / 64 blocks.
 ///
 /// The block lives on the heap: every cursor of every scheme shares one
 /// enum, and an inline kilobyte there would be copied with each Plain or
 /// FOR cursor too (≈ 20 ns per cursor, against one allocation per Delta
-/// cursor).
+/// cursor that holds a block).
 #[derive(Clone, Debug)]
 pub struct DeltaCursor<'a> {
     col: &'a DeltaInts,
@@ -203,14 +250,15 @@ pub struct DeltaCursor<'a> {
     block: Option<usize>,
     /// The value of the row after the held block: where skipping resumes.
     carry: i64,
-    held: Box<HeldBlock>,
+    /// `None` on an arithmetic column, which needs no block.
+    held: Option<Box<HeldBlock>>,
 }
 
 /// A [`DeltaCursor`]'s decoded block and its unpacking scratch space.
 #[derive(Clone, Debug)]
 struct HeldBlock {
-    /// One unpacked block of zig-zag deltas.
-    zz: [u64; BLOCK_ROWS],
+    /// One unpacked block of residuals.
+    res: [u64; BLOCK_ROWS],
     /// The held block's decoded rows.
     rows: [i64; BLOCK_ROWS],
 }
@@ -224,26 +272,24 @@ impl DeltaCursor<'_> {
     #[inline]
     pub fn at(&mut self, i: usize) -> i64 {
         assert!(i < self.col.len, "index {i} out of bounds ({})", self.col.len);
+        let Some(held) = &mut self.held else {
+            return self.col.nth(i);
+        };
         let block = i / BLOCK_ROWS;
         if self.block != Some(block) {
-            self.load(block);
+            let checkpoint = block / CHECKPOINT_BLOCKS;
+            let (next, carry) = match self.block {
+                Some(held) if held < block && held / CHECKPOINT_BLOCKS == checkpoint => {
+                    (held + 1, self.carry)
+                }
+                _ => (checkpoint * CHECKPOINT_BLOCKS, self.col.checkpoints[checkpoint]),
+            };
+            let HeldBlock { res, rows } = &mut **held;
+            let mut carry = self.col.seek(next, carry, block, res);
+            self.col.decode_block(block, &mut carry, res, rows);
+            (self.block, self.carry) = (Some(block), carry);
         }
-        self.held.rows[i % BLOCK_ROWS]
-    }
-
-    /// Decodes `block` into `held`: resumes after the held block when
-    /// `block` lies ahead of it under the same checkpoint, and starts
-    /// from `block`'s checkpoint otherwise.
-    fn load(&mut self, block: usize) {
-        let checkpoint = block / CHECKPOINT_BLOCKS;
-        let (next, carry) = match self.block {
-            Some(held) if held < block && held / CHECKPOINT_BLOCKS == checkpoint => (held + 1, self.carry),
-            _ => (checkpoint * CHECKPOINT_BLOCKS, self.col.checkpoints[checkpoint]),
-        };
-        let HeldBlock { zz, rows } = &mut *self.held;
-        let mut carry = self.col.seek(next, carry, block, zz);
-        self.col.decode_block(block, &mut carry, zz, rows);
-        (self.block, self.carry) = (Some(block), carry);
+        held.rows[i % BLOCK_ROWS]
     }
 }
 
@@ -266,21 +312,6 @@ mod tests {
             assert_eq!(e.decode(), data);
             assert_eq!(e.min_max(), data.iter().copied().min().zip(data.iter().copied().max()));
         }
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [-5i64, -1, 0, 1, 5, i64::MAX, i64::MIN, 12345, -98765] {
-            assert_eq!(unzigzag(zigzag(v)), v, "{v}");
-        }
-    }
-
-    #[test]
-    fn zigzag_small_magnitudes() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
     }
 
     #[test]
@@ -379,7 +410,7 @@ mod tests {
 
     #[test]
     fn compresses_timestamps_hard() {
-        // Regular 1-second ticks: delta = 1 → 2 bits zig-zagged.
+        // Regular 1-second ticks: every delta is the step → 0 bits.
         let data: Vec<i64> = (0..100_000).map(|i| 1_600_000_000 + i).collect();
         let e = DeltaInts::encode(&data);
         let plain = data.len() * 8;

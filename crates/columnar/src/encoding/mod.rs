@@ -8,14 +8,16 @@
 //! Sequential reads are **block-at-a-time**: [`EncodedInts::blocks`]
 //! hands out [`BLOCK_ROWS`] decoded rows per call — a sub-slice of a
 //! Plain column, a fill from RLE runs, one word-aligned bit-unpack for
-//! FOR, one unpack plus prefix sum for Delta — so the scheme is
-//! dispatched once per 64 rows and the row loops over a block are plain
-//! slice loops. [`EncodedInts::iter`] is a cursor over those blocks, and
+//! FOR, one unpack plus prefix sum for Delta (no unpack when its
+//! deltas are all equal) — so the scheme is dispatched once per 64 rows
+//! and the row loops over a block are plain slice loops.
+//! [`EncodedInts::iter`] is a cursor over those blocks, and
 //! [`EncodedInts::scan`] compares each block into one 64-bit match word
 //! of the output [`Bitmap`], with the operator resolved once per call.
 //! Positioned reads stay per row: [`EncodedInts::get`] everywhere, and
-//! [`EncodedInts::cursor`] on every scheme but Delta, whose cursor holds
-//! one decoded block and skips forward a block at a time.
+//! [`EncodedInts::cursor`] on every scheme but a Delta column of
+//! unequal deltas, whose cursor holds one decoded block and skips
+//! forward a block at a time.
 
 pub mod bitpack;
 pub mod delta;
@@ -78,7 +80,7 @@ pub enum Scheme {
     Rle,
     /// Frame-of-reference bit packing.
     For,
-    /// Delta + zig-zag bit packing.
+    /// Delta: each delta's residual over the smallest, bit-packed.
     Delta,
 }
 
@@ -178,9 +180,11 @@ impl EncodedInts {
 
     /// Random access to row `i` — genuine point access. The cost depends
     /// on the scheme: Plain and FOR index directly (O(1)), RLE bisects
-    /// its runs (O(log runs)), Delta seeks from the last checkpoint a
-    /// 64-row block at a time (up to 16 block unpacks). Readers of a
-    /// *sequence* of rows use [`EncodedInts::cursor`] instead.
+    /// its runs (O(log runs)), Delta computes `first + i × step` when its
+    /// deltas are all equal (O(1)) and otherwise seeks from the last
+    /// checkpoint a 64-row block at a time (up to 16 block unpacks).
+    /// Readers of a *sequence* of rows use [`EncodedInts::cursor`]
+    /// instead.
     ///
     /// # Panics
     ///
@@ -198,8 +202,9 @@ impl EncodedInts {
     /// [`EncodedCursor::at`] returns what [`EncodedInts::get`] returns
     /// for any row, in any order, but keeps its place between calls —
     /// Delta holds its last decoded 64-row block and steps forward block
-    /// by block, RLE advances from the run it last landed in, Plain and
-    /// FOR stay direct — so it is cheapest when rows are non-decreasing, which
+    /// by block (unless its deltas are all equal: then it is direct),
+    /// RLE advances from the run it last landed in, Plain and FOR stay
+    /// direct — so it is cheapest when rows are non-decreasing, which
     /// every hit list the engine produces is. Safe to create on an empty
     /// column.
     pub fn cursor(&self) -> EncodedCursor<'_> {
@@ -248,7 +253,8 @@ impl EncodedInts {
     /// per block. RLE evaluates once per run and FOR compares packed
     /// offsets, both without reconstructing a value; Plain compares its
     /// slices in place; Delta prefix-sums block by block without
-    /// materializing the column.
+    /// materializing the column (and fills each block arithmetically,
+    /// with no unpack, when its deltas are all equal).
     ///
     /// # Panics
     ///
@@ -294,7 +300,8 @@ impl EncodedInts {
     /// ascending. RLE searches its run boundaries (the boundaries *are*
     /// the sorted-layout index); other schemes read each probe through
     /// one [`EncodedInts::cursor`] per call, so a Delta search decodes a
-    /// block it already holds once, not once per probe. Each probe
+    /// block it already holds once, not once per probe (and none at all
+    /// when its deltas are all equal). Each probe
     /// increments `probes` so callers can bill the O(log n) touch
     /// honestly instead of charging a full-column scan.
     ///
@@ -400,8 +407,10 @@ impl Blocks<'_> {
     /// Steps over the next block without handing it out — what a caller
     /// does with a block none of whose rows it selected. Free on Plain
     /// and FOR (blocks are addressed directly) and one run advance on
-    /// RLE; Delta still prefix-sums the block to carry its running
-    /// value. [`Blocks::current`] is empty afterwards.
+    /// RLE; Delta still sums the block's deltas to carry its running
+    /// value — one unpack and a fold, no rows written, and one product
+    /// when its deltas are all equal. [`Blocks::current`] is empty
+    /// afterwards.
     pub fn skip(&mut self) {
         self.advance(false);
     }
@@ -443,8 +452,11 @@ impl Blocks<'_> {
                 col.decode_block(block, &mut self.packed, &mut self.buf);
             }
             BlockSource::For(_) => {}
-            BlockSource::Delta { col, carry } => {
+            BlockSource::Delta { col, carry } if decode => {
                 col.decode_block(block, carry, &mut self.packed, &mut self.buf);
+            }
+            BlockSource::Delta { col, carry } => {
+                *carry = col.seek(block, *carry, block + 1, &mut self.packed)
             }
         }
     }
@@ -497,8 +509,8 @@ impl Iterator for EncodedIter<'_> {
 impl ExactSizeIterator for EncodedIter<'_> {}
 
 /// Forward cursor over any [`EncodedInts`] (see
-/// [`EncodedInts::cursor`]): O(1) state for every scheme — on Delta, one
-/// decoded 64-row block.
+/// [`EncodedInts::cursor`]): O(1) state for every scheme — on a Delta
+/// column of unequal deltas, one decoded 64-row block.
 #[derive(Clone, Debug)]
 pub struct EncodedCursor<'a>(CursorInner<'a>);
 

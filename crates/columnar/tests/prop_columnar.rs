@@ -1,6 +1,7 @@
 //! Property-based tests: encodings are lossless and scan-equivalent for
 //! arbitrary data, bitmaps obey boolean algebra.
 
+use haec_columnar::encoding::delta::DeltaInts;
 use haec_columnar::prelude::*;
 use proptest::prelude::*;
 
@@ -163,6 +164,56 @@ fn reference_sorted_range(e: &EncodedInts, op: CmpOp, lit: i64) -> Option<(usize
     Some((lo, hi, probes))
 }
 
+/// Column lengths around one row, one 64-row block (63/64/65) and one
+/// Delta checkpoint (1 023/1 024/1 025).
+fn delta_layout_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..3, 62usize..67, 1022usize..1027]
+}
+
+/// Steps of an arithmetic sequence: any, small of either sign or 0, and
+/// the extremes, whose wrapping sequences jump between `i64::MIN` and
+/// `i64::MAX`.
+fn delta_step() -> impl Strategy<Value = i64> {
+    prop_oneof![any::<i64>(), -3i64..4, Just(i64::MIN), Just(i64::MAX), Just(i64::MIN + 1)]
+}
+
+/// `len` rows of shape `kind` from a splitmix stream of `seed`: 0 is
+/// arbitrary data, 1 the arithmetic sequence `start + i × step`
+/// (wrapping), 2 that sequence with one delta replaced by a random one,
+/// and 3 that sequence with each delta nudged by 0 or 1.
+fn delta_layout_data(len: usize, kind: usize, seed: u64, start: i64, step: i64) -> Vec<i64> {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^ z >> 27
+    };
+    if kind == 0 {
+        return (0..len).map(|_| draw() as i64).collect();
+    }
+    let odd = draw() as usize % len.max(1);
+    let mut v = start;
+    (0..len)
+        .map(|i| {
+            let row = v;
+            let delta = match kind {
+                2 if i == odd => draw() as i64,
+                3 => step.wrapping_add((draw() % 2) as i64),
+                _ => step,
+            };
+            v = v.wrapping_add(delta);
+            row
+        })
+        .collect()
+}
+
+/// The bit width zig-zag coding would pack `data`'s deltas at: the
+/// width of the largest `(d << 1) ^ (d >> 63)`.
+fn zigzag_width(data: &[i64]) -> u32 {
+    let top = data.windows(2).map(|w| w[1].wrapping_sub(w[0])).map(|d| ((d << 1) ^ (d >> 63)) as u64).max();
+    64 - top.unwrap_or(0).leading_zeros()
+}
+
 proptest! {
     /// The block reader is the one sequential decoder: its concatenated
     /// blocks, `decode()` and `iter()` all reproduce the input, `scan`
@@ -277,6 +328,87 @@ proptest! {
                         prop_assert_eq!(hi - lo, matching, "{} {} {} matches", scheme, op, lit);
                     }
                 }
+            }
+        }
+    }
+
+    /// The Delta layout — residuals over the smallest delta — reads
+    /// back like a Plain column through every reader, on arbitrary,
+    /// arithmetic (any step, wrapping across `i64::MIN` / `MAX`) and
+    /// near-arithmetic data at block and checkpoint edges: `decode`,
+    /// `get`, a cursor over a shuffled order with repeats, `blocks()`
+    /// with skipped blocks, `scan`, and `sorted_range` (range and probe
+    /// count) on the sorted rows. It never packs wider than zig-zag
+    /// coding would, and an arithmetic sequence packs to width 0.
+    #[test]
+    fn delta_layout_reads_like_plain(
+        len in delta_layout_len(),
+        kind in 0usize..4,
+        seed in any::<u64>(),
+        start in prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -5i64..5],
+        step in delta_step(),
+    ) {
+        let data = delta_layout_data(len, kind, seed, start, step);
+        let delta = DeltaInts::encode(&data);
+        prop_assert!(delta.width() <= zigzag_width(&data), "width {} > zig-zag {}", delta.width(), zigzag_width(&data));
+        if kind == 1 {
+            prop_assert_eq!(delta.width(), 0, "arithmetic step {}", step);
+        }
+        let (e, plain) = (EncodedInts::encode(&data, Scheme::Delta), EncodedInts::encode(&data, Scheme::Plain));
+        prop_assert_eq!(e.decode(), plain.decode());
+        for i in 0..len {
+            prop_assert_eq!(e.get(i), plain.get(i), "get {}", i);
+        }
+
+        // Every row twice, in a seeded shuffle.
+        let mut rows: Vec<usize> = (0..len).chain(0..len).collect();
+        let mut state = seed | 1;
+        for i in (1..rows.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            rows.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut cur = e.cursor();
+        for &i in &rows {
+            prop_assert_eq!(cur.at(i), plain.get(i), "cursor row {}", i);
+        }
+
+        // Skip the blocks whose bit of `seed` is set.
+        let mut blocks = e.blocks();
+        let mut row = 0;
+        while blocks.remaining() > 0 {
+            if seed >> (row / 64 % 64) & 1 == 1 {
+                blocks.skip();
+                prop_assert!(blocks.current().is_empty());
+            } else {
+                prop_assert_eq!(blocks.next(), &data[row..(row + 64).min(len)], "block at {}", row);
+            }
+            row += 64;
+        }
+        prop_assert!(blocks.next().is_empty());
+
+        let mut literals = vec![i64::MIN, i64::MAX, 0, start, start.wrapping_add(step)];
+        if let Some(&v) = data.get(seed as usize % len.max(1)) {
+            literals.extend([v.wrapping_sub(1), v, v.wrapping_add(1)]);
+        }
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let (sorted_delta, sorted_plain) =
+            (EncodedInts::encode(&sorted, Scheme::Delta), EncodedInts::encode(&sorted, Scheme::Plain));
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            for &lit in &literals {
+                let (mut got, mut want) = (Bitmap::zeros(len), Bitmap::zeros(len));
+                e.scan(op, lit, &mut got);
+                plain.scan(op, lit, &mut want);
+                prop_assert_eq!(&got, &want, "scan {} {}", op, lit);
+                let (mut got_probes, mut want_probes) = (0u64, 0u64);
+                prop_assert_eq!(
+                    sorted_delta.sorted_range(op, lit, &mut got_probes),
+                    sorted_plain.sorted_range(op, lit, &mut want_probes),
+                    "sorted_range {} {}", op, lit
+                );
+                prop_assert_eq!(got_probes, want_probes, "probes {} {}", op, lit);
             }
         }
     }

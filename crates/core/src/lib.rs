@@ -20,7 +20,7 @@
 //! | interconnect + compressed shipping | `haec-net` |
 //! | DVFS governors + elasticity | `haec-sched` |
 //! | dual-objective optimizer | `haec-planner` |
-//! | discrete-event simulation core | `haec-sim` |
+//! | seeded randomness + statistics | `haec-sim` |
 //!
 //! This crate adds what only the integrated system can provide: the
 //! [`db::Database`] facade with flexible-schema, segmented main/delta

@@ -27,7 +27,10 @@
 //! fold. The bills of every query that reads `ev`'s or `dim`'s delta
 //! were re-captured once, rows untouched, when delta chunks began to be
 //! read through the segment kernel and column-view rule (each literal's
-//! move is explained per store and term in CHANGES.md). Any change to
+//! move is explained per store and term in CHANGES.md), and the `read=`
+//! of every query that streams a Delta store once more when Delta began
+//! packing each delta over the column's smallest (smaller stores, same
+//! rows and cycles; explained per store in CHANGES.md). Any change to
 //! them is a billing or behaviour change and must be justified as a
 //! model correction, never absorbed silently.
 
@@ -279,25 +282,25 @@ const EXPECTED: &[&str] = &[
     "by_str_min_sparse: cycles=1218 read=1476 written=0 path=None | tag,min(id) | \"\",11;\"blue\",415;\"green\",617;\"red\",516",
     "join_int_hash: cycles=2709 read=2349 written=1030 path=None | id,tag,extra,dim.name,dim.w | 71,\"\",0,\"green\",20;101,\"\",0,\"blue\",40;172,\"\",0,\"teal\",50;202,\"\",0,\"red\",70;303,\"blue\",-2,\"\",30;374,\"\",4,\"blue\",40;404,\"red\",-5,\"violet\",60;475,\"blue\",1,\"red\",70;505,\"green\",5,\"green\",20;576,\"red\",-2,\"\",30;606,\"\",2,\"teal\",50;677,\"green\",-5,\"violet\",60;778,\"\",5,\"green\",20;808,\"red\",-4,\"blue\",40",
     "join_int_hash_dense: cycles=3015 read=4288 written=1180 path=None | id,tag,extra,dim.name,dim.w | 790,\"\",4,\"red\",70;792,\"violet\",6,\"green\",20;793,\"green\",-6,\"\",30;794,\"\",-5,\"blue\",40;795,\"blue\",-4,\"teal\",50;796,\"red\",-3,\"violet\",60;797,\"green\",-2,\"red\",70;799,\"blue\",0,\"green\",20;800,\"red\",1,\"\",30;801,\"violet\",2,\"blue\",40;802,\"\",3,\"teal\",50;803,\"blue\",4,\"violet\",60;804,\"red\",5,\"red\",70;806,\"\",-6,\"green\",20;807,\"blue\",-5,\"\",30;808,\"red\",-4,\"blue\",40;809,\"green\",-3,\"teal\",50",
-    "join_int_build_left: cycles=2068 read=1902 written=586 path=None | id,tag,extra,dim.name,dim.w | 617,\"green\",0,\"green\",20;415,\"blue\",6,\"\",30;718,\"\",-3,\"teal\",50;516,\"red\",3,\"violet\",60;314,\"\",-4,\"red\",70",
+    "join_int_build_left: cycles=2068 read=1846 written=586 path=None | id,tag,extra,dim.name,dim.w | 617,\"green\",0,\"green\",20;415,\"blue\",6,\"\",30;718,\"\",-3,\"teal\",50;516,\"red\",3,\"violet\",60;314,\"\",-4,\"red\",70",
     "join_int_min_energy: cycles=2709 read=2349 written=1030 path=None | id,tag,extra,dim.name,dim.w | 71,\"\",0,\"green\",20;101,\"\",0,\"blue\",40;172,\"\",0,\"teal\",50;202,\"\",0,\"red\",70;303,\"blue\",-2,\"\",30;374,\"\",4,\"blue\",40;404,\"red\",-5,\"violet\",60;475,\"blue\",1,\"red\",70;505,\"green\",5,\"green\",20;576,\"red\",-2,\"\",30;606,\"\",2,\"teal\",50;677,\"green\",-5,\"violet\",60;778,\"\",5,\"green\",20;808,\"red\",-4,\"blue\",40",
     "join_str_hash: cycles=3995 read=3472 written=1034 path=None | id,tag,amt,dim.k,dim.name | 0,\"\",0,2,\"\";71,\"\",1,2,\"\";101,\"\",0,2,\"\";172,\"\",1,2,\"\";202,\"\",0,2,\"\";303,\"blue\",0,3,\"blue\";374,\"\",1,2,\"\";404,\"red\",0,0,\"red\";404,\"red\",0,6,\"red\";475,\"blue\",1,3,\"blue\";576,\"red\",1,0,\"red\";576,\"red\",1,6,\"red\";606,\"\",0,2,\"\";707,\"blue\",0,3,\"blue\";778,\"\",1,2,\"\";808,\"red\",0,0,\"red\";808,\"red\",0,6,\"red\"",
-    "join_str_build_left: cycles=3243 read=2977 written=470 path=None | id,tag,amt,dim.k,dim.name | 516,\"red\",3,0,\"red\";314,\"\",3,2,\"\";718,\"\",3,2,\"\";415,\"blue\",3,3,\"blue\";516,\"red\",3,6,\"red\"",
+    "join_str_build_left: cycles=3243 read=2921 written=470 path=None | id,tag,amt,dim.k,dim.name | 516,\"red\",3,0,\"red\";314,\"\",3,2,\"\";718,\"\",3,2,\"\";415,\"blue\",3,3,\"blue\";516,\"red\",3,6,\"red\"",
     "join_str_min_energy: cycles=3995 read=3472 written=1034 path=None | id,tag,amt,dim.k,dim.name | 0,\"\",0,2,\"\";71,\"\",1,2,\"\";101,\"\",0,2,\"\";172,\"\",1,2,\"\";202,\"\",0,2,\"\";303,\"blue\",0,3,\"blue\";374,\"\",1,2,\"\";404,\"red\",0,0,\"red\";404,\"red\",0,6,\"red\";475,\"blue\",1,3,\"blue\";576,\"red\",1,0,\"red\";576,\"red\",1,6,\"red\";606,\"\",0,2,\"\";707,\"blue\",0,3,\"blue\";778,\"\",1,2,\"\";808,\"red\",0,0,\"red\";808,\"red\",0,6,\"red\"",
-    "join_str_tiny: cycles=1272 read=668 written=226 path=None | id,k,grp,amt,extra,tag,dim.k,dim.name,dim.w | 516,5,8,3,3,\"red\",0,\"red\",10;516,5,8,3,3,\"red\",6,\"red\",70",
+    "join_str_tiny: cycles=1272 read=612 written=226 path=None | id,k,grp,amt,extra,tag,dim.k,dim.name,dim.w | 516,5,8,3,3,\"red\",0,\"red\",10;516,5,8,3,3,\"red\",6,\"red\",70",
     "join_str_tiny_delta: cycles=858 read=1092 written=52 path=None | id,dim.k | 720,5",
-    "join_sorted: cycles=1176 read=3086 written=5411 path=None | id,v,dim.name | 0,0,\"red\";1,1,\"green\";2,2,\"\";3,3,\"blue\";4,4,\"teal\";5,5,\"violet\";6,6,\"red\";9,9,\"amber\"",
-    "join_sorted_filtered: cycles=10647 read=12431 written=5192 path=None | id,v,ev.tag | 68,2,\"\";79,2,\"\";90,2,\"\";199,1,\"\";210,1,\"\";221,1,\"\";232,1,\"\";330,0,\"\";341,0,\"green\";352,0,\"red\";363,0,\"blue\"",
+    "join_sorted: cycles=1176 read=3038 written=5411 path=None | id,v,dim.name | 0,0,\"red\";1,1,\"green\";2,2,\"\";3,3,\"blue\";4,4,\"teal\";5,5,\"violet\";6,6,\"red\";9,9,\"amber\"",
+    "join_sorted_filtered: cycles=10647 read=12335 written=5192 path=None | id,v,ev.tag | 68,2,\"\";79,2,\"\";90,2,\"\";199,1,\"\";210,1,\"\";221,1,\"\";232,1,\"\";330,0,\"\";341,0,\"green\";352,0,\"red\";363,0,\"blue\"",
     "join_unfiltered_build: cycles=1092 read=1185 written=590 path=None | id,dim.name | 800,\"\";801,\"blue\";802,\"teal\";803,\"violet\";804,\"red\";805,\"red\";806,\"green\";807,\"\";808,\"blue\";809,\"teal\"",
-    "join_build_right_unordered: cycles=2267 read=1938 written=695 path=None | k,name,ev.id,ev.tag,ev.extra | 0,\"red\",525,\"green\",-1;1,\"green\",323,\"blue\",5;2,\"\",121,\"\",0;3,\"blue\",626,\"\",-4;5,\"violet\",222,\"\",0;6,\"red\",20,\"\",0;6,\"red\",727,\"blue\",6",
+    "join_build_right_unordered: cycles=2267 read=1882 written=695 path=None | k,name,ev.id,ev.tag,ev.extra | 0,\"red\",525,\"green\",-1;1,\"green\",323,\"blue\",5;2,\"\",121,\"\",0;3,\"blue\",626,\"\",-4;5,\"violet\",222,\"\",0;6,\"red\",20,\"\",0;6,\"red\",727,\"blue\",6",
     "index_lookup: cycles=144 read=284 written=40 path=Some(IndexLookup) | id,tag | 415,\"blue\"",
     "sorted_point: cycles=1934 read=1040 written=16 path=Some(FullScan) | id,v | 123,2",
     "sorted_range_min_energy: cycles=1016 read=576 written=64 path=Some(FullScan) | id,v | 0,0;1,1;2,2;3,3",
     "project_sparse: cycles=1090 read=1528 written=268 path=None | id,tag,extra | 11,\"\",0;112,\"\",0;213,\"\",0;314,\"\",-4;415,\"blue\",6;516,\"red\",3;617,\"green\",0;718,\"\",-3",
-    "project_dense_tail: cycles=566 read=998 written=230 path=None | id,tag,amt | 720,\"violet\",77;729,\"violet\",6;738,\"violet\",36;747,\"violet\",66;756,\"violet\",96;765,\"violet\",25;774,\"violet\",55;783,\"violet\",85;792,\"violet\",14;801,\"violet\",44",
+    "project_dense_tail: cycles=566 read=942 written=230 path=None | id,tag,amt | 720,\"violet\",77;729,\"violet\",6;738,\"violet\",36;747,\"violet\",66;756,\"violet\",96;765,\"violet\",25;774,\"violet\",55;783,\"violet\",85;792,\"violet\",14;801,\"violet\",44",
     "sum_range_and_bitmap: cycles=4124 read=1454 written=0 path=Some(FullScan) | sum(v) | 310",
     "index_sum: cycles=127 read=264 written=0 path=Some(IndexLookup) | sum(amt) | 3",
-    "by_runs_count_dense: cycles=27558 read=3176 written=0 path=None | grp,count(id) | 0,54;1,54;2,54;3,54;4,41;5,40;6,40;7,41;8,41;9,40;10,40;11,41;12,41;13,21",
+    "by_runs_count_dense: cycles=27558 read=3104 written=0 path=None | grp,count(id) | 0,54;1,54;2,54;3,54;4,41;5,40;6,40;7,41;8,41;9,40;10,40;11,41;12,41;13,21",
 ];
 
 #[test]
